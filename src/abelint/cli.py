@@ -24,11 +24,12 @@ from .hyperelliptic import (check_exth, integral_I, integral_I_prime,
                             main4_limit_check, reduce_form,
                             vanishing_criterion)
 from .invariant import decompose_v_delta, psi_set, u_d_dimension_table
-from .monodromy import divisor_lattice, monodromy
+from .monodromy import monodromy
 from .numerics import nstr_det
 from .ratpoly import RatPoly
-from .solver import (classify, solve_moment_problem, verify_vanishing_numeric,
-                     z_delta_basis)
+from .solver import (classify, cycle_residual, group_data,
+                     tracked_fiber_samples, vanishing_basis,
+                     verify_vanishing_numeric)
 
 
 def _read_json(path: str):
@@ -75,12 +76,6 @@ def _require_degree(p: RatPoly, at_least: int):
         raise InputError(f"polynomial must have degree >= {at_least}")
 
 
-def _group_data(p, cfg):
-    rep = monodromy(p, cfg)
-    lattice = divisor_lattice(rep, p)
-    return rep, lattice
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -95,7 +90,7 @@ def cmd_monodromy(args, cfg):
 def cmd_lattice(args, cfg):
     p = _poly_from_input(_read_json(args.input))
     _require_degree(p, 2)
-    rep, lattice = _group_data(p, cfg)
+    rep, lattice = group_data(p, cfg)
     out = {
         "n": lattice.n,
         "members": list(lattice.members),
@@ -116,7 +111,7 @@ def cmd_analyze_cycle(args, cfg):
     if "cycle" not in data:
         raise InputError("analyze-cycle needs a cycle")
     v = ser.cycle_from_json(data["cycle"])
-    rep, lattice = _group_data(p, cfg)
+    rep, lattice = group_data(p, cfg)
     if v.n != lattice.n:
         raise InputError("cycle length does not match the polynomial degree")
     _write(ser.dumps(ser.subspaces_to_json(decompose_v_delta(v, lattice))),
@@ -124,37 +119,42 @@ def cmd_analyze_cycle(args, cfg):
 
 
 def _basis_with_residuals(p, basis, cycles, cfg, rep):
-    residuals = []
-    with mp.workprec(cfg.precision_bits + 32):
-        for q in basis.basis:
-            worst = mp.mpf(0)
-            for v in cycles:
-                chk = verify_vanishing_numeric(p, v, q, config=cfg, rep=rep)
-                worst = max(worst, chk.residual)
-            residuals.append(worst)
+    """The basis as JSON with, per element, its worst oracle residual over
+    the nonzero cycles, all read off one set of tracked sample fibers."""
+    cycles = [v for v in cycles if not v.is_zero()]
+    residuals = [mp.mpf(0)] * basis.dim
+    if cycles and basis.dim:
+        fibers = tracked_fiber_samples(p, rep, cfg)
+        residuals = [max(cycle_residual(v, q, fibers, cfg.precision_bits)
+                         for v in cycles) for q in basis.basis]
     return ser.basis_to_json(basis, residuals=residuals, prec=cfg.precision_bits)
 
 
-def cmd_solve(args, cfg):
-    data = _read_json(args.input)
+def _solve(data, args, cfg):
+    """`solve` on parsed input; every field is checked before any
+    monodromy is computed."""
+    if not isinstance(data, dict):
+        raise InputError("solve needs an object with a polynomial")
     p = _poly_from_input(data)
     _require_degree(p, 2)
-    bound = int(data.get("degree_bound", cfg.resolved_degree_bound(p.degree)))
-    rep, lattice = _group_data(p, cfg)
+    bound = (ser.count_from_json(data["degree_bound"], "degree_bound")
+             if "degree_bound" in data else cfg.resolved_degree_bound(p.degree))
     if "cycle" in data:
         v = ser.cycle_from_json(data["cycle"])
-        if v.n != lattice.n:
+        if v.n != p.degree:
             raise InputError("cycle length does not match the polynomial degree")
-        basis = z_delta_basis(p, v, bound, cfg, rep, lattice)
+        rep, lattice = group_data(p, cfg)
+        basis = vanishing_basis([v], lattice, bound)
         out = _basis_with_residuals(p, basis, [v], cfg, rep)
         if v.is_zero():
             out["note"] = ("cycle is zero: every polynomial up to the bound "
                            "vanishes trivially")
     elif "intervals" in data:
         system = ser.interval_system_from_json(data["intervals"])
-        basis = solve_moment_problem(p, system, bound, cfg, rep, lattice)
+        rep, lattice = group_data(p, cfg)
         level_cycles = real_interval_to_coefficients(p, system, rep, cfg)
         nonzero = [lc.cycle for lc in level_cycles if not lc.cycle.is_zero()]
+        basis = vanishing_basis(nonzero, lattice, bound)
         out = _basis_with_residuals(p, basis, nonzero, cfg, rep)
         out["level_cycles"] = ser.level_cycles_to_json(level_cycles,
                                                        cfg.precision_bits)
@@ -163,37 +163,37 @@ def cmd_solve(args, cfg):
     _write(ser.dumps(out), args.output)
 
 
+def cmd_solve(args, cfg):
+    _solve(_read_json(args.input), args, cfg)
+
+
 def cmd_moment_problem(args, cfg):
     data = _read_json(args.input)
-    if "intervals" not in data:
+    if not isinstance(data, dict) or "intervals" not in data:
         raise InputError("moment-problem needs an interval system")
-    cmd_solve(args, cfg)
+    _solve(data, args, cfg)
 
 
-def cmd_classify(args, cfg):
+def _cycle_and_q(args, command):
     data = _read_json(args.input)
     p = _poly_from_input(data)
     _require_degree(p, 2)
     for key in ("cycle", "q"):
         if key not in data:
-            raise InputError(f"classify needs {key!r}")
-    v = ser.cycle_from_json(data["cycle"])
-    q = ser.poly_from_json(data["q"])
-    rep, lattice = _group_data(p, cfg)
+            raise InputError(f"{command} needs {key!r}")
+    return p, ser.cycle_from_json(data["cycle"]), ser.poly_from_json(data["q"])
+
+
+def cmd_classify(args, cfg):
+    p, v, q = _cycle_and_q(args, "classify")
+    rep, lattice = group_data(p, cfg)
     report = classify(p, v, q, cfg, rep, lattice)
     _write(ser.dumps(ser.classification_to_json(report, cfg.precision_bits)),
            args.output)
 
 
 def cmd_verify(args, cfg):
-    data = _read_json(args.input)
-    p = _poly_from_input(data)
-    _require_degree(p, 2)
-    for key in ("cycle", "q"):
-        if key not in data:
-            raise InputError(f"verify needs {key!r}")
-    v = ser.cycle_from_json(data["cycle"])
-    q = ser.poly_from_json(data["q"])
+    p, v, q = _cycle_and_q(args, "verify")
     rep = monodromy(p, cfg)
     chk = verify_vanishing_numeric(p, v, q, config=cfg, rep=rep)
     out = {"vanishes": chk.vanishes,

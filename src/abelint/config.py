@@ -33,6 +33,8 @@ class Config:
                 raise InputError(f"{name} must be positive")
         if self.samples < 1:
             raise InputError("samples must be positive")
+        if self.degree_bound is not None and self.degree_bound < 0:
+            raise InputError("degree_bound must be nonnegative")
 
     @property
     def resolved_oracle_tol(self) -> float:

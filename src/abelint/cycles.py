@@ -18,7 +18,7 @@ from mpmath import mp
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError, TrackingError
 from .monodromy import MonodromyRep, _route, _standoffs, track_fiber
-from .numerics import roots_of, to_mpf
+from .numerics import eval_poly, roots_of, to_mpf
 from .ratpoly import RatPoly, squarefree_part
 
 
@@ -284,7 +284,7 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
             b = to_mpf(itv.b, mp.prec)
             if a == b:
                 raise InputError("interval endpoints must differ")
-            endpoints.extend([p_eval_real(p, a), p_eval_real(p, b)])
+            endpoints.extend([eval_poly(p, a, mp.prec), eval_poly(p, b, mp.prec)])
         for z in endpoints:
             if _snap_index(levels, z, snap) is None:
                 levels.append(z)
@@ -306,7 +306,7 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
             turning = _real_roots_between(dp_sf, a, b, prec)
             cuts = [a] + turning + [b]
             for xl, xr in zip(cuts, cuts[1:]):
-                za, zb = p_eval_real(p, xl), p_eval_real(p, xr)
+                za, zb = eval_poly(p, xl, mp.prec), eval_poly(p, xr, mp.prec)
                 ia = _snap_index(levels, za, snap)
                 ib = _snap_index(levels, zb, snap)
                 if ia is None or ib is None or ia == ib:
@@ -321,13 +321,6 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
         return [LevelCycle(level=levels[i], is_critical=flags[i],
                            cycle=CycleVector(n, tuple(vectors[i])))
                 for i in range(len(levels))]
-
-
-def p_eval_real(p: RatPoly, x):
-    acc = mp.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + mp.mpf(c.numerator) / c.denominator
-    return acc
 
 
 def _real_roots_between(dp_sf: RatPoly, a, b, prec: int) -> list:
@@ -353,7 +346,7 @@ def _walk_piece_branch(p: RatPoly, rep: MonodromyRep, xl, xr, levels, config) ->
     last_error = None
     for t in candidates:
         x_m = xl + (xr - xl) * mp.mpf(t.numerator) / t.denominator
-        z_m = p_eval_real(p, x_m)
+        z_m = eval_poly(p, x_m, mp.prec)
         if min(abs(z_m - lv) for lv in levels) < gap_scale / 8:
             continue
         try:

@@ -22,8 +22,7 @@ from .errors import ComputationError, InputError
 from .monodromy import DivisorLattice, MonodromyRep
 from .numerics import eval_poly, roots_of_shifted, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
-from .solver import (_cycle_condition_rows, _ensure_group_data, _poly_to_row,
-                     verify_vanishing_numeric)
+from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
 
 # ---------------------------------------------------------------------------
 # bivariate coefficient maps
@@ -430,14 +429,12 @@ def vanishing_criterion(f: RatPoly, k: RatPoly, v: CycleVector,
     Constancy is linear feasibility: K - c0 must lie in the exact vanishing
     space of v for some constant c0; then the integral is c0 * sum(v).
     """
-    rep, lattice = _ensure_group_data(f, config, rep, lattice)
+    rep, lattice = group_data(f, config, rep, lattice)
     big_k = k.primitive()
     bound = max(0 if big_k.is_zero() else big_k.degree, 0)
-    conditions = _cycle_condition_rows(v, lattice, bound)
-    k_row = _poly_to_row(big_k, bound)
-    e0_row = _poly_to_row(RatPoly.one(), bound)
-    r = [sum(c * kk for c, kk in zip(row, k_row)) for row in conditions]
-    s = [sum(c * ee for c, ee in zip(row, e0_row)) for row in conditions]
+    conditions = vanishing_conditions([v], lattice, bound)
+    r = [sum(c * big_k.coeff(j) for j, c in enumerate(row)) for row in conditions]
+    s = [row[0] for row in conditions]
     c0 = None
     if all(x == 0 for x in s):
         constant = all(x == 0 for x in r)

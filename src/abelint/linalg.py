@@ -13,13 +13,9 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def _rows_copy(rows: Matrix) -> Matrix:
-    return [[Fraction(c) for c in row] for row in rows]
-
-
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns."""
-    m = _rows_copy(rows)
+    m = [[Fraction(c) for c in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -73,22 +69,27 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
     return basis
 
 
+def reduce_row(reduced: Matrix, pivots: list[int], v: Row) -> Row:
+    """Remainder of v after elimination against a reduced row echelon
+    basis (as returned by `rref`); it is zero iff v lies in the span."""
+    for row, c in zip(reduced, pivots):
+        f = v[c]
+        if f != 0:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
 def in_span(basis: Matrix, v: Row) -> bool:
     """Whether v lies in the row space of `basis`."""
     if all(x == 0 for x in v):
         return True
     if not basis:
         return False
-    return rank(basis) == rank(basis + [v])
+    return not any(reduce_row(*rref(basis), v))
 
 
 def same_span(a: Matrix, b: Matrix) -> bool:
     return row_space_basis(a) == row_space_basis(b)
-
-
-def annihilator(basis: Matrix, ncols: int) -> Matrix:
-    """Rows phi with phi . v = 0 for every v in the span of `basis`."""
-    return nullspace(basis, ncols)
 
 
 def solve_in_span(basis: Matrix, v: Row) -> Row | None:

@@ -16,12 +16,11 @@ from .ratpoly import RatPoly, squarefree_part
 
 
 def to_mpf(x, prec: int):
-    """Exact-ish conversion of str/Fraction/number to mpf at `prec` bits."""
+    """Conversion of str/Fraction/number to mpf at `prec` bits; a Fraction
+    is divided by its exact denominator, as in `eval_poly`."""
     with mp.workprec(prec):
         if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        if isinstance(x, str):
-            return mp.mpf(x)
+            return mp.mpf(x.numerator) / x.denominator
         return mp.mpf(x)
 
 

@@ -34,6 +34,25 @@ def _expect(cond, message):
         raise InputError(message)
 
 
+def count_from_json(value, what: str) -> int:
+    """A nonnegative integer field, such as a degree bound."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    _expect(count >= 0, f"{what} must be nonnegative, not {count}")
+    return count
+
+
+def _finite_decimal(value, what: str) -> str:
+    try:
+        if mp.isfinite(mp.mpf(str(value))):
+            return str(value)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{what} must be a finite decimal number, not {value!r}")
+
+
 # -- rationals --------------------------------------------------------------
 
 def frac_to_str(c: Fraction) -> str:
@@ -119,9 +138,10 @@ def cycle_from_json(data) -> CycleVector:
     if isinstance(data, list):
         coeffs = [frac_from_str(c) for c in data]
         return CycleVector(len(coeffs), coeffs)
-    _expect(isinstance(data, dict) and "v" in data, "cycle must be a list or {v}")
+    _expect(isinstance(data, dict) and isinstance(data.get("v"), list),
+            "cycle must be a list or {v: [...]}")
     coeffs = [frac_from_str(c) for c in data["v"]]
-    n = int(data.get("n", len(coeffs)))
+    n = count_from_json(data.get("n", len(coeffs)), "cycle length n")
     reduced = data.get("reduced")
     return CycleVector(n, coeffs, reduced=reduced)
 
@@ -137,7 +157,8 @@ def interval_system_from_json(data) -> IntervalSystem:
     for item in data:
         _expect(isinstance(item, dict) and {"a", "b", "weight"} <= set(item),
                 "each interval needs a, b, weight")
-        out.append(WeightedInterval(str(item["a"]), str(item["b"]),
+        out.append(WeightedInterval(_finite_decimal(item["a"], "interval endpoint a"),
+                                    _finite_decimal(item["b"], "interval endpoint b"),
                                     frac_from_str(item["weight"])))
     return IntervalSystem(tuple(out))
 

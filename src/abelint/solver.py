@@ -24,7 +24,7 @@ from .errors import CertificateError, ComputationError, InputError
 from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
 from .monodromy import (DivisorLattice, MonodromyRep, _route, _standoffs,
                         divisor_lattice, monodromy, track_fiber)
-from .numerics import eval_poly
+from .numerics import eval_poly, to_mpc, to_mpf
 from .ratpoly import RatPoly, compose, decompose_all, trace_poly, w_adic
 
 
@@ -68,62 +68,119 @@ def _polys_to_rows(polys, bound: int) -> list[list[Fraction]]:
     return [_poly_to_row(p, bound) for p in polys]
 
 
-def _rows_to_polys(rows) -> list[RatPoly]:
-    return [RatPoly(row) for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # trace conditions and pullback spans
 # ---------------------------------------------------------------------------
 
-def _vd_condition_rows(w: RatPoly, bound: int) -> list[list[Fraction]]:
-    """Rows of the map Q -> constant traces of the W-adic coefficients of Q.
-
-    Its kernel inside degree <= bound is the space of Q whose trace along
-    the fiber of w vanishes identically.
-    """
-    m = w.degree
-    nrows = bound // m + 1
-    rows = [[Fraction(0)] * (bound + 1) for _ in range(nrows)]
+def _trace_kernel(w: RatPoly, bound: int) -> list[list[Fraction]]:
+    """Canonical basis of the Q (degree <= bound) whose trace along the
+    fiber of w vanishes identically: the kernel of the map from Q to the
+    constant traces of its W-adic coefficients."""
+    rows = [[Fraction(0)] * (bound + 1) for _ in range(bound // w.degree + 1)]
     for e in range(bound + 1):
-        parts = w_adic(RatPoly.monomial(e), w)
-        for j, part in enumerate(parts):
+        for j, part in enumerate(w_adic(RatPoly.monomial(e), w)):
             if not part.is_zero():
                 rows[j][e] = trace_poly(part, w).constant_value()
-    return rows
+    return linalg.row_space_basis(linalg.nullspace(rows, bound + 1))
 
 
 def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[Fraction]]:
     """Coefficient rows of 1, w, w^2, ... up to the degree bound."""
-    rows = []
-    power = RatPoly.one()
+    rows, power = [], RatPoly.one()
     while power.is_constant() or power.degree <= bound:
         rows.append(_poly_to_row(power, bound))
         power = power * w
-        if not power.is_constant() and power.degree > bound:
-            break
     return rows
 
 
-def _ud_span_rows(d: int, lattice: DivisorLattice, bound: int) -> list[list[Fraction]]:
-    w = lattice.witness[d].right
-    rows = list(linalg.nullspace(_vd_condition_rows(w, bound), bound + 1))
-    for dt in lattice.covered_by(d):
-        rows.extend(_pullback_span_rows(lattice.witness[dt].right, bound))
-    return linalg.row_space_basis(rows)
+class _LatticeSpans:
+    """The trace kernels and pullback rings of a divisor lattice inside
+    degree <= bound; each trace kernel is computed at most once."""
+
+    def __init__(self, lattice: DivisorLattice, bound: int):
+        self.lattice = lattice
+        self.bound = bound
+        self._kernels: dict[int, list[list[Fraction]]] = {}
+
+    def trace_kernel(self, d: int) -> list[list[Fraction]]:
+        """Canonical basis of Z_{V_d}, the trace kernel of the witness of d."""
+        if d not in self._kernels:
+            self._kernels[d] = _trace_kernel(self.lattice.witness[d].right, self.bound)
+        return self._kernels[d]
+
+    def ud_span(self, d: int) -> list[list[Fraction]]:
+        """Canonical basis of Z_{U_d}: Z_{V_d} plus the pullback rings of
+        the witnesses of the elements covered by d."""
+        rows = list(self.trace_kernel(d))
+        for dt in self.lattice.covered_by(d):
+            rows.extend(_pullback_span_rows(self.lattice.witness[dt].right, self.bound))
+        return linalg.row_space_basis(rows)
+
+    def candidates(self, kernels, pullbacks):
+        """(tag, span builder) pairs: the trace kernels of `kernels`, then
+        the pullback rings of the witnesses of `pullbacks`."""
+        out = [(f"trace-kernel({d})", lambda d=d: self.trace_kernel(d))
+               for d in kernels]
+        for w in (self.lattice.witness[d].right for d in pullbacks):
+            out.append((f"pullback({w})", lambda w=w: _pullback_span_rows(w, self.bound)))
+        return out
+
+    def conditions(self, cycles) -> list[list[Fraction]]:
+        """The annihilator rows of Z_{U_d}, once for each d in the union of
+        the components of the invariant spans of the cycles."""
+        comps = set().union(*(decompose_v_delta(v, self.lattice).components
+                              for v in cycles))
+        rows: list[list[Fraction]] = []
+        for d in sorted(comps):
+            rows.extend(linalg.nullspace(self.ud_span(d), self.bound + 1))
+        return rows
 
 
-def _cycle_condition_rows(v: CycleVector, lattice: DivisorLattice,
-                          bound: int) -> list[list[Fraction]]:
-    """Stacked linear conditions cutting out Z_delta inside degree <= bound:
-    the annihilator rows of Z_{U_d} for every component d of the invariant
-    span of v."""
-    rows: list[list[Fraction]] = []
-    comps = decompose_v_delta(v, lattice).components
-    for d in sorted(comps):
-        span = _ud_span_rows(d, lattice, bound)
-        rows.extend(linalg.annihilator(span, bound + 1))
-    return rows
+def _provenance(rows, candidates) -> tuple[str, ...]:
+    """Tag each row with the first candidate span that holds it, else
+    "mixed".  Candidates are (tag, span builder) pairs; a span is built and
+    put in echelon form only when a row first reaches it."""
+    echelons: dict[int, tuple] = {}
+    tags = []
+    for row in rows:
+        tag = "mixed"
+        for i, (name, build) in enumerate(candidates):
+            if i not in echelons:
+                echelons[i] = linalg.rref(build())
+            if not any(linalg.reduce_row(*echelons[i], row)):
+                tag = name
+                break
+        tags.append(tag)
+    return tuple(tags)
+
+
+def _solution(rows, tags, bound: int) -> SolutionBasis:
+    return SolutionBasis(degree_bound=bound, basis=tuple(RatPoly(r) for r in rows),
+                         provenance=tuple(tags))
+
+
+def vanishing_conditions(cycles, lattice: DivisorLattice,
+                         degree_bound: int) -> list[list[Fraction]]:
+    """Linear conditions on the coefficient rows of Q (degree <= bound)
+    that hold iff the integral of Q over every one of the cycles vanishes
+    identically."""
+    return _LatticeSpans(lattice, degree_bound).conditions(cycles)
+
+
+def vanishing_basis(cycles, lattice: DivisorLattice,
+                    degree_bound: int) -> SolutionBasis:
+    """Exact basis of the polynomials of degree <= bound whose integral
+    over every one of the cycles vanishes identically.
+
+    This is the intersection of the Z_{U_d} over the union of the
+    components of the invariant spans of the cycles; it depends only on
+    that union, and no nonzero cycle yields the full polynomial space.
+    """
+    spans = _LatticeSpans(lattice, degree_bound)
+    kernel = linalg.row_space_basis(
+        linalg.nullspace(spans.conditions(cycles), degree_bound + 1))
+    candidates = spans.candidates(sorted(lattice.members), lattice.members)
+    return _solution(kernel, _provenance(kernel, candidates), degree_bound)
 
 
 def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
@@ -131,13 +188,8 @@ def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     """Basis of the polynomials of degree <= bound whose trace over the
     residue-class block of size n/d vanishes identically."""
     lattice.require_member(d)
-    w = lattice.witness[d].right
-    kernel = linalg.nullspace(_vd_condition_rows(w, degree_bound),
-                              degree_bound + 1)
-    rows = linalg.row_space_basis(kernel)
-    return SolutionBasis(degree_bound=degree_bound,
-                         basis=tuple(_rows_to_polys(rows)),
-                         provenance=(f"trace-kernel({d})",) * len(rows))
+    rows = _LatticeSpans(lattice, degree_bound).trace_kernel(d)
+    return _solution(rows, [f"trace-kernel({d})"] * len(rows), degree_bound)
 
 
 def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
@@ -145,31 +197,10 @@ def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     """Basis of Z_{V_d} + sum of pullback rings C[W_i] over the witnesses
     of the elements covered by d, truncated at the degree bound."""
     lattice.require_member(d)
-    w = lattice.witness[d].right
-    vd_kernel = linalg.row_space_basis(
-        linalg.nullspace(_vd_condition_rows(w, degree_bound), degree_bound + 1))
-    rows = list(vd_kernel)
-    pullbacks = []
-    for dt in lattice.covered_by(d):
-        wi = lattice.witness[dt].right
-        span = _pullback_span_rows(wi, degree_bound)
-        pullbacks.append((str(wi), span))
-        rows.extend(span)
-    reduced = linalg.row_space_basis(rows)
-    tags = []
-    for row in reduced:
-        if vd_kernel and linalg.in_span(vd_kernel, row):
-            tags.append(f"trace-kernel({d})")
-            continue
-        tag = "mixed"
-        for name, span in pullbacks:
-            if linalg.in_span(span, row):
-                tag = f"pullback({name})"
-                break
-        tags.append(tag)
-    return SolutionBasis(degree_bound=degree_bound,
-                         basis=tuple(_rows_to_polys(reduced)),
-                         provenance=tuple(tags))
+    spans = _LatticeSpans(lattice, degree_bound)
+    rows = spans.ud_span(d)
+    candidates = spans.candidates([d], lattice.covered_by(d))
+    return _solution(rows, _provenance(rows, candidates), degree_bound)
 
 
 def z_delta_basis(p: RatPoly, v: CycleVector, degree_bound: int,
@@ -177,44 +208,17 @@ def z_delta_basis(p: RatPoly, v: CycleVector, degree_bound: int,
                   rep: MonodromyRep | None = None,
                   lattice: DivisorLattice | None = None) -> SolutionBasis:
     """Exact basis of the polynomials whose integral over the cycle v
-    vanishes identically, up to the degree bound.
-
-    Computed as the intersection of the Z_{U_d} over the components of the
-    invariant span of v, by stacking their linear conditions; the zero
-    cycle yields the full polynomial space.
-    """
-    rep, lattice = _ensure_group_data(p, config, rep, lattice)
-    conditions = _cycle_condition_rows(v, lattice, degree_bound)
-    kernel = linalg.row_space_basis(linalg.nullspace(conditions, degree_bound + 1))
-    tags = _z_delta_tags(kernel, lattice, degree_bound)
-    return SolutionBasis(degree_bound=degree_bound,
-                         basis=tuple(_rows_to_polys(kernel)), provenance=tags)
+    vanishes identically, up to the degree bound; the zero cycle yields
+    the full polynomial space."""
+    rep, lattice = group_data(p, config, rep, lattice)
+    return vanishing_basis([v], lattice, degree_bound)
 
 
-def _z_delta_tags(rows, lattice, bound) -> tuple[str, ...]:
-    kernels = {d: linalg.row_space_basis(
-        linalg.nullspace(_vd_condition_rows(lattice.witness[d].right, bound),
-                         bound + 1)) for d in lattice.members}
-    pullbacks = [(str(lattice.witness[d].right),
-                  _pullback_span_rows(lattice.witness[d].right, bound))
-                 for d in lattice.members]
-    tags = []
-    for row in rows:
-        tag = "mixed"
-        for d in sorted(kernels):
-            if kernels[d] and linalg.in_span(kernels[d], row):
-                tag = f"trace-kernel({d})"
-                break
-        if tag == "mixed":
-            for name, span in pullbacks:
-                if linalg.in_span(span, row):
-                    tag = f"pullback({name})"
-                    break
-        tags.append(tag)
-    return tuple(tags)
-
-
-def _ensure_group_data(p, config, rep, lattice):
+def group_data(p: RatPoly, config: Config = DEFAULT_CONFIG,
+               rep: MonodromyRep | None = None,
+               lattice: DivisorLattice | None = None):
+    """The monodromy and divisor lattice of p, computing whichever of the
+    two is not given."""
     if rep is None:
         rep = monodromy(p, config)
     if lattice is None:
@@ -297,19 +301,23 @@ def _invert_at_infinity(pcoeffs, n, L, zero, one, tiny=None):
     return g
 
 
+def _integer_nth_root(a: int, n: int) -> int | None:
+    """The integer r >= 0 with r**n == a, or None (exact Newton iteration)."""
+    if a < 2:
+        return a
+    r = 1 << -(-a.bit_length() // n)        # 2^ceil(bits/n) > a^(1/n)
+    while True:
+        s = ((n - 1) * r + a // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == a else None
+        r = s
+
+
 def _rational_nth_root(x: Fraction, n: int) -> Fraction | None:
     if x <= 0:
         return None
-
-    def iroot(a: int) -> int | None:
-        r = round(a ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** n == a:
-                return c
-        return None
-
-    num = iroot(x.numerator)
-    den = iroot(x.denominator)
+    num = _integer_nth_root(x.numerator, n)
+    den = _integer_nth_root(x.denominator, n)
     if num is None or den is None:
         return None
     return Fraction(num, den)
@@ -336,38 +344,20 @@ def puiseux(q: RatPoly, p: RatPoly, k_max: int,
     use_exact = can_exact if exact is None else exact
 
     L = qdeg + k_max + 1
-    if use_exact:
-        scale = RatPoly.of(0, lam)
-        p_use, q_use = compose(p, scale), compose(q, scale)
-        pcoeffs = [p_use.coeff(j) for j in range(n + 1)]
-        zero, one = Fraction(0), Fraction(1)
-        g = _invert_at_infinity(pcoeffs, n, L, zero, one)
-        coeffs: dict[int, object] = {}
-        for e in range(len(q_use.coeffs)):
-            qe = q_use.coeff(e)
-            if qe == 0:
-                continue
-            ge = _series_pow(g, e, L, zero, one)
-            for t, c in enumerate(ge):
-                k = t - e
-                if k <= k_max and c != 0:
-                    coeffs[k] = coeffs.get(k, zero) + qe * c
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        return PuiseuxExpansion(n=n, k_min=-qdeg, k_max=k_max, coeffs=coeffs,
-                                exact=True)
-
     prec = max(2 * config.precision_bits, 256)
     with mp.workprec(prec):
-        def as_mpc(c: Fraction):
-            return mp.mpc(c.numerator) / c.denominator
-
-        lam_c = mp.power(1 / as_mpc(p.lc), mp.mpf(1) / n)
-        pc = [as_mpc(p.coeff(j)) * lam_c ** j for j in range(n + 1)]
-        qc = [as_mpc(q.coeff(e)) * lam_c ** e for e in range(len(q.coeffs))]
-        zero, one = mp.mpc(0), mp.mpc(1)
-        g = _invert_at_infinity(pc, n, L, zero, one,
-                                tiny=mp.mpf(2) ** (-(prec // 2)))
-        coeffs = {}
+        # the same series code runs over Q or over mpc: x -> lam*x makes p monic
+        if use_exact:
+            ring, zero, one, tiny = Fraction, Fraction(0), Fraction(1), None
+        else:
+            def ring(c):
+                return to_mpc(c, prec)
+            lam = mp.power(1 / ring(p.lc), mp.mpf(1) / n)
+            zero, one, tiny = mp.mpc(0), mp.mpc(1), mp.mpf(2) ** (-(prec // 2))
+        pc = [ring(p.coeff(j)) * lam ** j for j in range(n + 1)]
+        qc = [ring(q.coeff(e)) * lam ** e for e in range(len(q.coeffs))]
+        g = _invert_at_infinity(pc, n, L, zero, one, tiny)
+        coeffs: dict[int, object] = {}
         for e, qe in enumerate(qc):
             if qe == 0:
                 continue
@@ -376,8 +366,10 @@ def puiseux(q: RatPoly, p: RatPoly, k_max: int,
                 k = t - e
                 if k <= k_max and c != 0:
                     coeffs[k] = coeffs.get(k, zero) + qe * c
-        return PuiseuxExpansion(n=n, k_min=-qdeg, k_max=k_max, coeffs=coeffs,
-                                exact=False)
+    if use_exact:
+        coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    return PuiseuxExpansion(n=n, k_min=-qdeg, k_max=k_max, coeffs=coeffs,
+                            exact=use_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +384,9 @@ class VanishingCheck:
     samples: int
 
 
-def _sample_points(rep: MonodromyRep, count: int, seed: int):
+def _sample_points(rep: MonodromyRep, blockers, count: int, seed: int):
     rng = random.Random(seed)
     radius = abs(rep.base_point)
-    standoffs = _standoffs(list(rep.critical_values), radius)
     points = []
     attempts = 0
     while len(points) < count:
@@ -405,7 +396,7 @@ def _sample_points(rep: MonodromyRep, count: int, seed: int):
         r = radius * (mp.mpf(2) / 8 + mp.mpf(rng.random()) * 5 / 8)
         theta = 2 * mp.pi * mp.mpf(rng.random())
         z = r * mp.exp(mp.mpc(0, 1) * theta)
-        if all(abs(z - c) > 2 * s for c, s in zip(rep.critical_values, standoffs)):
+        if all(abs(z - c) > 2 * s for c, s in blockers):
             points.append(z)
     return points
 
@@ -418,12 +409,10 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
     residual evaluations."""
     count = count if count is not None else config.samples
     with mp.workprec(config.precision_bits + 32):
-        points = _sample_points(rep, count, config.seed)
-        radius = abs(rep.base_point)
-        standoffs = _standoffs(list(rep.critical_values), radius)
-        blockers = list(zip(rep.critical_values, standoffs))
+        cvs = list(rep.critical_values)
+        blockers = list(zip(cvs, _standoffs(cvs, abs(rep.base_point))))
         fibers = []
-        for z in points:
+        for z in _sample_points(rep, blockers, count, config.seed):
             path = _route(rep.base_point, z, blockers)
             fibers.append(track_fiber(p, path, list(rep.base_fiber), config))
         return fibers
@@ -435,9 +424,9 @@ def cycle_residual(v: CycleVector, q: RatPoly, fibers, prec: int):
         worst = mp.mpf(0)
         for fiber in fibers:
             qvals = [eval_poly(q, x, mp.prec) for x in fiber]
-            num = abs(sum(_fraction_to_mp(c) * qv for c, qv in zip(v.v, qvals)))
+            num = abs(sum(to_mpf(c, mp.prec) * qv for c, qv in zip(v.v, qvals)))
             den = max(mp.mpf(1),
-                      sum(abs(_fraction_to_mp(c)) * abs(qv)
+                      sum(abs(to_mpf(c, mp.prec)) * abs(qv)
                           for c, qv in zip(v.v, qvals)))
             worst = max(worst, num / den)
         return worst
@@ -462,10 +451,6 @@ def verify_vanishing_numeric(p: RatPoly, v: CycleVector, q: RatPoly,
         fibers = tracked_fiber_samples(p, rep, config, count)
         worst = cycle_residual(v, q, fibers, config.precision_bits)
         return VanishingCheck(bool(worst < tol), worst, tol, count)
-
-
-def _fraction_to_mp(c: Fraction):
-    return mp.mpf(c.numerator) / c.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +547,7 @@ def classify(p: RatPoly, v: CycleVector, q: RatPoly,
     """Structural explanation of why the integral of q over v vanishes,
     with an exactly re-verified certificate; a non-vanishing input yields
     a report with the offending residual."""
-    rep, lattice = _ensure_group_data(p, config, rep, lattice)
+    rep, lattice = group_data(p, config, rep, lattice)
     check = verify_vanishing_numeric(p, v, q, config=config, rep=rep)
     comps = decompose_v_delta(v, lattice).components
     if not check.vanishes:
@@ -656,13 +641,8 @@ def solve_moment_problem(p: RatPoly, system: IntervalSystem, degree_bound: int,
                          lattice: DivisorLattice | None = None) -> SolutionBasis:
     """Polynomials Q (deg <= bound) killing every walk cycle of the
     weighted interval system: the intersection of the Z_delta over all
-    per-level cycles, computed by stacking their exact conditions."""
-    rep, lattice = _ensure_group_data(p, config, rep, lattice)
+    per-level cycles."""
+    rep, lattice = group_data(p, config, rep, lattice)
     level_cycles = real_interval_to_coefficients(p, system, rep, config)
-    rows: list[list[Fraction]] = []
-    for lc in level_cycles:
-        rows.extend(_cycle_condition_rows(lc.cycle, lattice, degree_bound))
-    kernel = linalg.row_space_basis(linalg.nullspace(rows, degree_bound + 1))
-    tags = _z_delta_tags(kernel, lattice, degree_bound)
-    return SolutionBasis(degree_bound=degree_bound,
-                         basis=tuple(_rows_to_polys(kernel)), provenance=tags)
+    return vanishing_basis([lc.cycle for lc in level_cycles], lattice,
+                           degree_bound)

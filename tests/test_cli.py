@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from abelint import cli
 from abelint.ratpoly import RatPoly, chebyshev
 from abelint.serialize import poly_to_json
 
 T6_JSON = poly_to_json(chebyshev(6))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, input_data=None, tmp_path=None):
@@ -80,6 +85,39 @@ def test_solve_with_intervals():
     levels = out["level_cycles"]
     assert len(levels) == 2
     assert all(lc["is_critical"] for lc in levels)
+    assert res.stdout == (GOLDEN / "solve_intervals.json").read_text()
+
+
+def test_moment_problem_reads_stdin_once():
+    payload = {"polynomial": ["0", "0", "1"],
+               "intervals": [{"a": "-0.5", "b": "0.75", "weight": "1"}]}
+    res = run_cli(["moment-problem", "-"], payload)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["degree_bound"] == 4
+    assert [lc["level"] for lc in out["level_cycles"]] == ["0.0", "0.25", "0.5625"]
+    assert [lc["is_critical"] for lc in out["level_cycles"]] == [True, False, False]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"degree_bound": "zz", "cycle": ["1", "-1"]}, "degree_bound must be an integer"),
+    ({"degree_bound": -1, "cycle": ["1", "-1"]}, "degree_bound must be nonnegative"),
+    ({"cycle": {"n": "x", "v": 3}}, "cycle must be a list"),
+    ({"cycle": {"n": "x", "v": ["1", "-1"]}}, "cycle length n must be an integer"),
+    ({"intervals": [{"a": "nan", "b": "0.75", "weight": "1"}]},
+     "interval endpoint a must be a finite decimal number"),
+])
+def test_solve_input_contract(fields, message, tmp_path, monkeypatch, capsys):
+    def no_monodromy(*args, **kwargs):
+        raise AssertionError("monodromy computed before the input was checked")
+
+    monkeypatch.setattr(cli, "group_data", no_monodromy)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"polynomial": ["0", "0", "1"], **fields}))
+    assert cli.main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_solve_empty_cycle_note():
@@ -104,6 +142,7 @@ def test_verify_and_classify():
     out = json.loads(res2.stdout)
     assert out["case"] == "pullback-sum"
     assert out["vanishes"] is True
+    assert res2.stdout == (GOLDEN / "classify_pullback_sum.json").read_text()
 
 
 def test_hyper_check_reduce_and_exth():

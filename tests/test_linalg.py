@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from abelint.linalg import (annihilator, in_span, nullspace, rank, rref,
+from abelint.linalg import (in_span, nullspace, rank, rref,
                             row_space_basis, same_span, solve_in_span)
 
 
@@ -70,7 +70,7 @@ def test_annihilator_dimensions():
     for _ in range(10):
         cols = rng.randint(2, 6)
         basis = rand_matrix(rng, rng.randint(1, cols), cols)
-        ann = annihilator(basis, cols)
+        ann = nullspace(basis, cols)
         assert len(ann) == cols - rank(basis)
         for phi in ann:
             for v in basis:

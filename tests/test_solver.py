@@ -192,6 +192,15 @@ def test_puiseux_nonmonic_rescaling():
     assert exp2.coeffs == {-1: Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("root", [10 ** 30 + 7, 10 ** 200])
+def test_puiseux_exact_for_huge_leading_coefficients(root):
+    # lc = root^2 is a perfect square beyond float range or precision
+    exp = puiseux(X, RatPoly.of(1, 0, root ** 2), 4)
+    assert exp.exact
+    assert exp.s(-1) == Fraction(1, root)
+    assert puiseux(X, RatPoly.of(1, 0, root ** 2 + 1), 4).exact is False
+
+
 @pytest.mark.parametrize("v,cases", [
     (PAPER_V1, [(chebyshev(2), True), (chebyshev(3), True), (X, False),
                 (compose(chebyshev(2), chebyshev(2)), True)]),
