@@ -236,6 +236,22 @@ def oval_endpoints(family: OvalFamily, t, prec: int):
         return x1, x2
 
 
+def _dx_over_y_at_endpoint(f: RatPoly, k: RatPoly, x1, x2, theta):
+    """The integrand k jac / y of `_oval_quadrature` at a node that rounds
+    onto an oval endpoint, where y = 0: its limit there, which is
+    2 k(x1) sqrt(span/|f'(x1)|) cos(theta) at x1 and
+    2 k(x2) sqrt(span/|f'(x2)|) sin(theta) at x2."""
+    at_x1 = theta < mp.pi / 4
+    end = x1 if at_x1 else x2
+    slope = abs(eval_poly(f.derivative(), end, mp.prec))
+    if slope == 0:
+        raise ComputationError(
+            f"f' vanishes at the oval endpoint x = {mp.nstr(end, 8)}, so "
+            "1/y is not integrable there")
+    trig = mp.cos(theta) if at_x1 else mp.sin(theta)
+    return 2 * eval_poly(k, end, mp.prec) * mp.sqrt((x2 - x1) / slope) * trig
+
+
 def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
                      integrand_kind: str, z=None):
     """Adaptive quadrature over the oval with the substitution
@@ -260,6 +276,8 @@ def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
             s = mp.sin(theta)
             x = x1 + span * s * s
             w2 = eval_poly(family.f, x, mp.prec) + t
+            if integrand_kind == "dx_over_y" and not w2 > 0:
+                return _dx_over_y_at_endpoint(family.f, k, x1, x2, theta)
             y = mp.sqrt(w2)
             kx = eval_poly(k, x, mp.prec)
             jac = span * mp.sin(2 * theta)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import (fone, fzero, mpc_abs, mpc_div, mpc_sub, mpf_add,
+                          mpf_gt, mpf_le, mpf_mul, round_nearest)
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
@@ -143,18 +145,30 @@ def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
 # ---------------------------------------------------------------------------
 
 def _newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
+    """Newton's method for p(x) = z from x0, on raw libmp values rounded to
+    nearest at the working precision (the same operations as on mpc
+    objects).  None when p' vanishes, the accumulated move exceeds
+    `move_limit`, or 64 steps do not converge to `eps` relative."""
+    prec, rnd = mp.prec, round_nearest
+    z, eps = z._mpc_, eps._mpf_
+    limit = None if move_limit is None else move_limit._mpf_
     x = x0
-    total = abs(x0) * 0
+    total = fzero
     for _ in range(64):
-        d = eval_poly(dp, x, mp.prec)
-        if abs(d) == 0:
+        d = eval_poly(dp, x, prec)._mpc_
+        if d == (fzero, fzero):
             return None
-        step = (eval_poly(p, x, mp.prec) - z) / d
-        x = x - step
-        total += abs(step)
-        if move_limit is not None and total > move_limit:
-            return None
-        if abs(step) <= eps * max(1, abs(x)):
+        step = mpc_div(mpc_sub(eval_poly(p, x, prec)._mpc_, z, prec, rnd), d,
+                       prec, rnd)
+        xv = mpc_sub(x._mpc_, step, prec, rnd)
+        x = mp.make_mpc(xv)
+        size = mpc_abs(step, prec, rnd)
+        if limit is not None:
+            total = mpf_add(total, size, prec, rnd)
+            if mpf_gt(total, limit):
+                return None
+        ax = mpc_abs(xv, prec, rnd)
+        if mpf_le(size, mpf_mul(eps, ax, prec, rnd) if mpf_gt(ax, fone) else eps):
             return x
     return None
 
@@ -198,9 +212,12 @@ def _track_segment(p: RatPoly, dp: RatPoly, z0, z1, fiber, config: Config):
             step = step / 2
             streak = 0
             if step < mp.mpf(2) ** -30:
+                rel_gap = "none" if gap is None else mp.nstr(gap / coll, 8)
                 raise TrackingError(
-                    "step collapse: tracked roots collided; path passes too "
-                    "near a critical value")
+                    f"step collapse on the segment {mp.nstr(z0, 8)} -> "
+                    f"{mp.nstr(z1, 8)} at t = {mp.nstr(t, 12)}: tracked roots "
+                    f"collided (last fiber gap {rel_gap} x collision_tol); "
+                    "path passes too near a critical value")
     return fiber
 
 

@@ -260,6 +260,21 @@ def oval_family_from_json(data) -> OvalFamily:
 
 # -- config -------------------------------------------------------------------
 
+def _config_number(key: str, val, integral: bool):
+    """A numeric Config field: a JSON number or a decimal string; booleans,
+    non-finite values and (for integer fields) fractions are input errors."""
+    try:
+        exact = Fraction(val.strip() if isinstance(val, str) else val)
+        value = int(exact) if integral else float(exact)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        value = None
+    _expect(value is not None and not isinstance(val, bool),
+            f"config field {key} must be a finite number, not {val!r}")
+    _expect(not integral or value == exact,
+            f"config field {key} must be an integer, not {val!r}")
+    return value
+
+
 def config_from_json(data) -> Config:
     _expect(isinstance(data, dict), "config must be an object")
     allowed = {"precision_bits", "track_step", "collision_tol", "oracle_tol",
@@ -269,8 +284,10 @@ def config_from_json(data) -> Config:
     kwargs = {}
     for key in allowed & set(data):
         val = data[key]
-        if key in ("precision_bits", "degree_bound", "samples", "seed"):
-            kwargs[key] = int(val)
+        if val is None and key in ("oracle_tol", "degree_bound"):
+            kwargs[key] = None          # the Config default
         else:
-            kwargs[key] = float(val)
+            kwargs[key] = _config_number(
+                key, val, key in ("precision_bits", "degree_bound", "samples",
+                                  "seed"))
     return Config(**kwargs)

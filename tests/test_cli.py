@@ -47,6 +47,18 @@ def test_invalid_json_exit_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("bad", [{"seed": "zz"}, {"track_step": "x"}])
+def test_config_file_input_contract(bad, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    res = run_cli(["monodromy", "-", "--config", str(path)],
+                  {"polynomial": ["0", "0", "1"]})
+    assert res.returncode == 2
+    key = next(iter(bad))
+    assert res.stderr.startswith(f"input error: config field {key} must be")
+    assert res.stderr.count("\n") == 1
+
+
 def test_lattice_t6():
     res = run_cli(["lattice", "-"], {"polynomial": T6_JSON})
     assert res.returncode == 0, res.stderr

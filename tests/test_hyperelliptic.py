@@ -155,6 +155,24 @@ def test_dropped_pieces_integrate_to_zero(config):
 # Cauchy integral and the derivative identities
 # ---------------------------------------------------------------------------
 
+def test_i_prime_node_on_oval_endpoint():
+    # f + 1/2 = (x + 1/2)(1 - x): a tanh-sinh node rounds onto x = -1/2,
+    # where y = 0, so that node takes the integrand's limit
+    fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
+    k = X ** 2 + 1
+    val = integral_I_prime(fam, k, Fraction(1, 2), Config(precision_bits=160))
+    with mp.workprec(320):
+        assert abs(val - 43 * mp.pi / 32) < mp.mpf(2) ** -100
+
+
+def test_i_prime_endpoint_with_vanishing_slope():
+    # f + t = -(x^2 - 1)^2 has double roots at +-1: no node may use the limit
+    from abelint.hyperelliptic import _dx_over_y_at_endpoint
+    f = -(X ** 2 - 1) ** 2
+    with mp.workprec(160), pytest.raises(ComputationError, match="x = -1.0"):
+        _dx_over_y_at_endpoint(f, X, mp.mpf(-1), mp.mpf(1), mp.mpf(0))
+
+
 def test_j_at_zero_is_twice_i_prime(config):
     with mp.workprec(200):
         t = mp.mpf("-0.5")

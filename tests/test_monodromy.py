@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from abelint.errors import InputError
+from abelint.errors import InputError, TrackingError
 from abelint.monodromy import (Permutation, critical_values, divisor_lattice,
                                generated_group_order, is_full_symmetric,
                                match_permutation, monodromy, track_fiber)
@@ -100,6 +100,20 @@ def test_square_root_monodromy(config):
     end = track_fiber(p, loop, start, config)
     sigma = match_permutation(start, end)
     assert sigma.images == (2, 1)
+
+
+def test_step_collapse_names_segment_and_gap(config):
+    # the straight path -1 -> 1 runs through the critical value 0 of x^2
+    with pytest.raises(TrackingError) as err:
+        track_fiber(X ** 2, [mp.mpf(-1), mp.mpf(1)],
+                    [mp.mpc(0, 1), mp.mpc(0, -1)], config)
+    msg = str(err.value)
+    assert "step collapse" in msg
+    assert "segment (-1.0 + 0.0j) -> (1.0 + 0.0j)" in msg
+    t_reached = float(msg.split("at t = ")[1].split(":")[0])
+    assert 0.49 < t_reached < 0.5
+    gap = float(msg.split("last fiber gap ")[1].split(" x collision_tol")[0])
+    assert gap > 10        # the last accepted fiber passed the collision test
 
 
 def test_t6_local_generator_doubled_precision(config):
