@@ -22,7 +22,7 @@ from .invariant import (FourierIndexSet, SubspaceDecomposition,
                         decompose_v_delta, pairing_is_zero, psi_set,
                         u_d_dimension_table, u_d_rational_basis, v_d_basis)
 from .monodromy import (DivisorLattice, MonodromyRep, Permutation,
-                        critical_values, divisor_lattice,
+                        continue_fiber, critical_values, divisor_lattice,
                         generated_group_order, is_full_symmetric, monodromy,
                         track_fiber)
 from .ratpoly import (Decomposition, RatPoly, TracePoly, chebyshev, compose,
@@ -42,8 +42,8 @@ __all__ = [
     "cyclotomic", "cyclotomic_divides", "decompose_all", "trace_poly",
     "w_adic",
     "Permutation", "MonodromyRep", "DivisorLattice", "critical_values",
-    "track_fiber", "monodromy", "divisor_lattice", "is_full_symmetric",
-    "generated_group_order",
+    "track_fiber", "continue_fiber", "monodromy", "divisor_lattice",
+    "is_full_symmetric", "generated_group_order",
     "CycleVector", "Constellation", "IntervalSystem", "WeightedInterval",
     "LevelCycle", "VanishingCycleCombo", "build_constellation",
     "constellation_svg", "real_interval_to_coefficients",

@@ -249,11 +249,10 @@ def cmd_hyper_integrate(args, cfg):
             raise InputError(f"hyper-integrate needs {key!r}")
     family = ser.oval_family_from_json(data["family"])
     k = ser.poly_from_json(data["k"])
+    level = ser.finite_decimal(data["t"], "t") if "t" in data else None
+    count = ser.count_from_json(data.get("t_samples", 8), "t_samples")
     with mp.workprec(cfg.precision_bits + 32):
-        if "t" in data:
-            ts = [mp.mpf(str(data["t"]))]
-        else:
-            ts = family.t_samples(int(data.get("t_samples", 8)), mp.prec)
+        ts = family.t_samples(count, mp.prec) if level is None else [mp.mpf(level)]
         rows = []
         for t in ts:
             rows.append({"t": nstr_det(t, cfg.precision_bits),

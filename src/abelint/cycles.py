@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError, TrackingError
-from .monodromy import MonodromyRep, _route, _standoffs, track_fiber
+from .monodromy import MonodromyRep, continue_fiber, route, standoffs
 from .numerics import eval_poly, roots_of, to_mpf
 from .ratpoly import RatPoly, squarefree_part
 
@@ -184,8 +184,8 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
             return list(rep.base_fiber)
         if z_target > c0:
             # no critical values to the right of the base point
-            return track_fiber(p, [mp.mpc(c0), mp.mpc(z_target)],
-                               list(rep.base_fiber), config)
+            return continue_fiber(p, [mp.mpc(c0), mp.mpc(z_target)],
+                                  list(rep.base_fiber), config)
         path = [mp.mpc(c0)]
         for idx in range(len(reals) - 1, -1, -1):
             c = reals[idx]
@@ -197,7 +197,7 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
             for k in range(9):
                 path.append(c + r * mp.exp(mp.mpc(0, 1) * mp.pi * k / 8))
         path.append(mp.mpc(z_target))
-        return track_fiber(p, path, list(rep.base_fiber), config)
+        return continue_fiber(p, path, list(rep.base_fiber), config)
 
 
 def _identify_branch(p: RatPoly, rep: MonodromyRep, x_point, z_value, config) -> int:
@@ -431,7 +431,7 @@ def build_constellation(p: RatPoly, rep: MonodromyRep,
     with mp.workprec(prec + 32):
         cvs = list(rep.critical_values)
         c0 = rep.base_point
-        standoffs = _standoffs(cvs, 2 * (1 + max(abs(c) for c in cvs)))
+        radii = standoffs(cvs, 2 * (1 + max(abs(c) for c in cvs)))
         stars: list[dict[int, int]] = [dict() for _ in range(n)]
         vertex_positions: dict[int, object] = {}
         vertex_ray: dict[int, int] = {}
@@ -448,12 +448,12 @@ def build_constellation(p: RatPoly, rep: MonodromyRep,
                 vertex_ray[next_id] = s
                 ids.append(next_id)
                 next_id += 1
-            rho = standoffs[s] / 64
+            rho = radii[s] / 64
             u = (c0 - c_s) / abs(c0 - c_s)
-            approach = _route(c0, c_s + rho * u,
-                              [(cvs[j], standoffs[j]) for j in range(len(cvs))
-                               if j != s])
-            fiber = track_fiber(p, approach, list(rep.base_fiber), config)
+            approach = route(c0, c_s + rho * u,
+                             [(cvs[j], radii[j]) for j in range(len(cvs))
+                              if j != s])
+            fiber = continue_fiber(p, approach, list(rep.base_fiber), config)
             for i in range(n):
                 dists = sorted((abs(fiber[i] - vertex_positions[vid]), vid)
                                for vid in ids)

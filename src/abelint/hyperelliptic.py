@@ -19,7 +19,8 @@ from . import linalg
 from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
-from .monodromy import DivisorLattice, MonodromyRep
+from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
+                        match_permutation)
 from .numerics import eval_poly, roots_of_shifted, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
@@ -558,14 +559,13 @@ def local_cyclic_order(f: RatPoly, critical_point, n_local: int, z_probe,
     with the smallest (re, im)."""
     prec = config.precision_bits
     with mp.workprec(prec + 32):
-        from .monodromy import match_permutation, track_fiber
         z_probe = mp.mpc(z_probe)
         fiber = roots_of_shifted(f, z_probe, mp.prec)
         order_all = sorted(range(len(fiber)),
                            key=lambda i: abs(fiber[i] - critical_point))
         cluster = sorted(order_all[:n_local])
         loop = [z_probe * mp.exp(mp.mpc(0, 2) * mp.pi * j / 32) for j in range(33)]
-        end = track_fiber(f, loop, fiber, config)
+        end = continue_fiber(f, loop, fiber, config)
         sigma = match_permutation(fiber, end)
         start = cluster[0]
         out = [start]

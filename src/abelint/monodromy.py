@@ -2,16 +2,21 @@
 
 The group is computed from one petal loop per finite critical value plus a
 large circle for the loop around infinity, all tracked with an adaptive
-predictor-corrector (predictor: previous fiber, corrector: Newton per root)
-at a configurable working precision.  The fiber is then renumbered so the
-infinity permutation is the standard cycle (1 2 ... n), which every
-downstream module relies on.
+predictor-corrector (predictor: previous fiber, corrector: Newton per root).
+The step control runs on one of two tiers: mpmath at a configurable working
+precision (`track_fiber`, whose fibers feed printed numbers), or machine
+complex arithmetic that hands near-collision segments to mpmath
+(`continue_fiber`, for loops and walks that only yield permutations and
+branch labels).  The fiber is then renumbered so the infinity permutation
+is the standard cycle (1 2 ... n), which every downstream module relies on.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpc_abs, mpc_div, mpc_sub, mpf_add,
@@ -173,32 +178,129 @@ def _newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
     return None
 
 
-def _track_segment(p: RatPoly, dp: RatPoly, z0, z1, fiber, config: Config):
+class _Tier(NamedTuple):
+    """The leaves `_track_segment`'s step control runs on."""
+    num: Callable        # number constructor for the step arithmetic
+    newton: Callable     # (z, x, move_limit) -> root of p = z near x, or None
+    gap: Callable        # fiber -> min pairwise distance, or None
+    collapse: Callable   # (z0, z1, t, gap, coll) -> raises
+
+
+def _mp_collapse(z0, z1, t, gap, coll):
+    rel_gap = "none" if gap is None else mp.nstr(gap / coll, 8)
+    raise TrackingError(
+        f"step collapse on the segment {mp.nstr(z0, 8)} -> "
+        f"{mp.nstr(z1, 8)} at t = {mp.nstr(t, 12)}: tracked roots "
+        f"collided (last fiber gap {rel_gap} x collision_tol); "
+        "path passes too near a critical value")
+
+
+def _mp_tier(p: RatPoly, dp: RatPoly, config: Config) -> _Tier:
+    """mpmath at the caller's working precision (prec+32 in every caller)."""
+    eps = mp.mpf(2) ** (-(config.precision_bits + 8))
+    return _Tier(mp.mpf, lambda z, x, limit: _newton(p, dp, z, x, limit, eps),
+                 min_pairwise_distance, _mp_collapse)
+
+
+# Below this fiber gap relative to the fiber's scale, double-precision
+# Newton (good to about 2^-53 / gap) hands the segment to the mp tier.
+MACHINE_GAP_FLOOR = 2.0 ** -20
+_MACHINE_EPS = 2.0 ** -44
+
+
+class _Escalate(Exception):
+    """The machine tier gives its segment up to the mp tier."""
+
+
+def _escalate(*_):
+    raise _Escalate
+
+
+def _pair_gap(fiber):
+    return min((abs(a - b) for i, a in enumerate(fiber) for b in fiber[i + 1:]),
+               default=None)
+
+
+def _machine_gap(fiber):
+    gap = _pair_gap(fiber)
+    if gap is not None and not gap >= MACHINE_GAP_FLOOR * max(1.0, *map(abs, fiber)):
+        raise _Escalate      # near a collision, or not finite
+    return gap
+
+
+def _machine_newton(cp, cdp, z, x, move_limit):
+    """`_newton` on Python complex values, stopping at 2^-44 relative."""
+    total = 0.0
+    for _ in range(64):
+        d = v = 0j
+        for c in cdp:
+            d = d * x + c
+        if d == 0:
+            return None
+        for c in cp:
+            v = v * x + c
+        step = (v - z) / d
+        x -= step
+        size, ax = abs(step), abs(x)
+        if not (size < math.inf and ax < math.inf):
+            raise _Escalate
+        if move_limit is not None:
+            total += size
+            if total > move_limit:
+                return None
+        if size <= (_MACHINE_EPS * ax if ax > 1 else _MACHINE_EPS):
+            return x
+    return None
+
+
+def _double(x):
+    """float(x) when x is 0 or lands on a finite, normal double; else None."""
+    try:
+        v = float(x)
+    except OverflowError:
+        return None
+    return v if x == 0 or sys.float_info.min <= abs(v) < math.inf else None
+
+
+def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
+    """Python complex floats, or None when a coefficient of p or p' or a
+    path point leaves the normal double range."""
+    cp = [_double(c) for c in reversed(p.coeffs)]
+    cdp = [_double(c) for c in reversed(dp.coeffs)]
+    parts = [_double(part) for z in points for part in (mp.re(z), mp.im(z))]
+    if None in cp or None in cdp or None in parts:
+        return None
+    return _Tier(float, lambda z, x, limit: _machine_newton(cp, cdp, z, x, limit),
+                 _machine_gap, _escalate)
+
+
+def _track_segment(z0, z1, fiber, config: Config, tier: _Tier):
+    """Continue `fiber` from z0 to z1 in adaptive steps on `tier`'s leaves."""
     length = abs(z1 - z0)
     if length == 0:
         return list(fiber)
-    eps = mp.mpf(2) ** (-(config.precision_bits + 8))
-    coll = mp.mpf(config.collision_tol)
-    t = mp.mpf(0)
-    step = mp.mpf(config.track_step)
+    num = tier.num
+    coll = num(config.collision_tol)
+    t = num(0)
+    step = num(config.track_step)
     streak = 0
     fiber = list(fiber)
     while t < 1:
         h = min(step, 1 - t)
         z = z0 + (t + h) * (z1 - z0)
-        gap = min_pairwise_distance(fiber)
-        move_limit = None if gap is None else gap * mp.mpf("0.35")
+        gap = tier.gap(fiber)
+        move_limit = None if gap is None else gap * num("0.35")
         new = []
         ok = True
         for x in fiber:
-            xn = _newton(p, dp, z, x, move_limit, eps)
+            xn = tier.newton(z, x, move_limit)
             if xn is None:
                 ok = False
                 break
             new.append(xn)
         if ok and len(new) > 1:
-            scale = max(mp.mpf(1), max(abs(x) for x in new))
-            gap_new = min_pairwise_distance(new)
+            scale = max(num(1), max(abs(x) for x in new))
+            gap_new = tier.gap(new)
             if gap_new < 10 * coll * scale:
                 ok = False
         if ok:
@@ -206,24 +308,26 @@ def _track_segment(p: RatPoly, dp: RatPoly, z0, z1, fiber, config: Config):
             t += h
             streak += 1
             if streak >= 3:
-                step = min(step * mp.mpf("1.4"), mp.mpf(config.track_step) * 4)
+                step = min(step * num("1.4"), num(config.track_step) * 4)
                 streak = 0
         else:
             step = step / 2
             streak = 0
-            if step < mp.mpf(2) ** -30:
-                rel_gap = "none" if gap is None else mp.nstr(gap / coll, 8)
-                raise TrackingError(
-                    f"step collapse on the segment {mp.nstr(z0, 8)} -> "
-                    f"{mp.nstr(z1, 8)} at t = {mp.nstr(t, 12)}: tracked roots "
-                    f"collided (last fiber gap {rel_gap} x collision_tol); "
-                    "path passes too near a critical value")
+            if step < num(2) ** -30:
+                tier.collapse(z0, z1, t, gap, coll)
     return fiber
+
+
+def _refine(tier: _Tier, z, fiber, move_limit, what: str) -> list:
+    out = [tier.newton(z, to_mpc(x, mp.prec), move_limit) for x in fiber]
+    if None in out:
+        raise TrackingError(f"{what} failed to refine")
+    return out
 
 
 def track_fiber(p: RatPoly, path: list, start_fiber: list,
                 config: Config = DEFAULT_CONFIG) -> list:
-    """Analytic continuation of a full fiber along a polyline.
+    """Analytic continuation of a full fiber along a polyline, in mpmath.
 
     The i-th output is the continuation of the i-th input; deterministic
     for a fixed Config.  Raises TrackingError on root collision.
@@ -232,17 +336,54 @@ def track_fiber(p: RatPoly, path: list, start_fiber: list,
         raise InputError("path must contain at least one point")
     dp = p.derivative()
     with mp.workprec(config.precision_bits + 32):
-        eps = mp.mpf(2) ** (-(config.precision_bits + 8))
-        fiber = []
-        z0 = to_mpc(path[0], mp.prec)
-        for x in start_fiber:
-            xr = _newton(p, dp, z0, to_mpc(x, mp.prec), None, eps)
-            if xr is None:
-                raise TrackingError("start fiber failed to refine")
-            fiber.append(xr)
-        for a, b in zip(path, path[1:]):
-            fiber = _track_segment(p, dp, to_mpc(a, mp.prec), to_mpc(b, mp.prec),
-                                   fiber, config)
+        tier = _mp_tier(p, dp, config)
+        points = [to_mpc(z, mp.prec) for z in path]
+        fiber = _refine(tier, points[0], start_fiber, None, "start fiber")
+        for a, b in zip(points, points[1:]):
+            fiber = _track_segment(a, b, fiber, config, tier)
+        return fiber
+
+
+def continue_fiber(p: RatPoly, path: list, start_fiber: list,
+                   config: Config = DEFAULT_CONFIG) -> list:
+    """`track_fiber` for callers that keep only discrete results
+    (permutations, branch labels): the same continuation, tracked in
+    machine complex arithmetic.
+
+    A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of its
+    scale, the step below 2^-30, or a value out of the double range is
+    tracked again from its start by the mp tier, which raises
+    `track_fiber`'s errors.  A path whose polynomial or points do not fit
+    in normal doubles runs on the mp tier throughout.  The end fiber is
+    refined at the working precision, index-aligned with the start; its
+    last bits differ from `track_fiber`'s.
+    """
+    if len(path) < 1:
+        raise InputError("path must contain at least one point")
+    dp = p.derivative()
+    with mp.workprec(config.precision_bits + 32):
+        tier_mp = _mp_tier(p, dp, config)
+        points = [to_mpc(z, mp.prec) for z in path]
+        fiber = _refine(tier_mp, points[0], start_fiber, None, "start fiber")
+        tier_machine = _machine_tier(p, dp, points)
+        on_machine = False
+        for a, b in zip(points, points[1:]):
+            if tier_machine is not None:
+                try:
+                    fiber = _track_segment(complex(a), complex(b),
+                                           [complex(x) for x in fiber],
+                                           config, tier_machine)
+                    on_machine = True
+                    continue
+                except (_Escalate, OverflowError):
+                    if on_machine:
+                        fiber = _refine(tier_mp, a, fiber, None, "escalated fiber")
+            fiber = _track_segment(a, b, fiber, config, tier_mp)
+            on_machine = False
+        if on_machine:
+            gap = _pair_gap(fiber)
+            limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
+            fiber = _refine(tier_mp, points[-1], fiber, limit, "end fiber")
         return fiber
 
 
@@ -276,7 +417,7 @@ def _dist_point_segment(pt, a, b):
     return abs(pt - (a + t * ab))
 
 
-def _route(z0, z1, blockers, depth=0):
+def route(z0, z1, blockers, depth=0):
     """Polyline from z0 to z1 avoiding each blocker's standoff disk.
 
     Blocked segments detour around the offending point on a fixed side
@@ -291,13 +432,14 @@ def _route(z0, z1, blockers, depth=0):
         if _dist_point_segment(b, z0, z1) < mp.mpf("1.5") * r:
             direction = (z1 - z0) / abs(z1 - z0)
             w = b + 3 * r * direction * mp.mpc(0, -1)
-            left = _route(z0, w, blockers, depth + 1)
-            right = _route(w, z1, blockers, depth + 1)
+            left = route(z0, w, blockers, depth + 1)
+            right = route(w, z1, blockers, depth + 1)
             return left[:-1] + right
     return [z0, z1]
 
 
-def _standoffs(cvs, base_radius):
+def standoffs(cvs, base_radius):
+    """Radius of each critical value's disk that paths keep out of."""
     out = []
     for i, c in enumerate(cvs):
         others = [abs(c - d) for j, d in enumerate(cvs) if j != i]
@@ -387,6 +529,28 @@ class MonodromyRep:
         return acc
 
 
+def _loops(cvs):
+    """Base point, loop around infinity, and the petal loops with their
+    sweep keys, at the working precision."""
+    radius = 2 * (1 + max(abs(c) for c in cvs))
+    c0 = mp.mpf(radius)
+    # loop around infinity: out to 2R, full counterclockwise circle, back
+    big = 2 * radius
+    circle = [big * mp.exp(mp.mpc(0, 2) * mp.pi * k / 64) for k in range(65)]
+    path_inf = [c0, mp.mpf(big)] + circle[1:] + [c0]
+    paths, order_keys = _petal_paths(c0, cvs, standoffs(cvs, radius))
+    return c0, path_inf, paths, order_keys
+
+
+def _loop_permutation(p: RatPoly, path: list, fiber0: list, config: Config,
+                      loop: str) -> Permutation:
+    """Monodromy permutation of one loop; a failure names the loop."""
+    try:
+        return match_permutation(fiber0, continue_fiber(p, path, fiber0, config))
+    except TrackingError as exc:
+        raise TrackingError(f"{loop}: {exc}") from exc
+
+
 def _relabel(perm: Permutation, label: list[int]) -> Permutation:
     """Conjugate by the relabeling old index -> label[old-1]."""
     n = perm.n
@@ -403,22 +567,17 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         raise InputError("monodromy requires deg p >= 2")
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        radius = 2 * (1 + max(abs(c) for c in cvs))
-        c0 = mp.mpf(radius)
+        c0, path_inf, paths, order_keys = _loops(cvs)
         fiber0 = roots_of_shifted(p, c0, mp.prec)
-
-        # loop around infinity: out to 2R, full counterclockwise circle, back
-        big = 2 * radius
-        circle = [big * mp.exp(mp.mpc(0, 2) * mp.pi * k / 64) for k in range(65)]
-        path_inf = [c0, mp.mpf(big)] + circle[1:] + [c0]
-        sigma_inf = match_permutation(fiber0, track_fiber(p, path_inf, fiber0, config))
+        sigma_inf = _loop_permutation(p, path_inf, fiber0, config,
+                                      "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
             raise ComputationError("infinity permutation is not an n-cycle")
 
-        standoffs = _standoffs(cvs, radius)
-        paths, order_keys = _petal_paths(c0, cvs, standoffs)
-        raw_gens = [match_permutation(fiber0, track_fiber(p, path, fiber0, config))
-                    for path in paths]
+        raw_gens = [_loop_permutation(
+                        p, path, fiber0, config,
+                        f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
+                    for i, path in enumerate(paths)]
         petal_order = tuple(sorted(range(len(cvs)),
                                    key=lambda i: (-order_keys[i], i)))
 

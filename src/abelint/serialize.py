@@ -44,7 +44,8 @@ def count_from_json(value, what: str) -> int:
     return count
 
 
-def _finite_decimal(value, what: str) -> str:
+def finite_decimal(value, what: str) -> str:
+    """A finite decimal number field, as its string."""
     try:
         if mp.isfinite(mp.mpf(str(value))):
             return str(value)
@@ -157,8 +158,8 @@ def interval_system_from_json(data) -> IntervalSystem:
     for item in data:
         _expect(isinstance(item, dict) and {"a", "b", "weight"} <= set(item),
                 "each interval needs a, b, weight")
-        out.append(WeightedInterval(_finite_decimal(item["a"], "interval endpoint a"),
-                                    _finite_decimal(item["b"], "interval endpoint b"),
+        out.append(WeightedInterval(finite_decimal(item["a"], "interval endpoint a"),
+                                    finite_decimal(item["b"], "interval endpoint b"),
                                     frac_from_str(item["weight"])))
     return IntervalSystem(tuple(out))
 
@@ -254,8 +255,9 @@ def oval_family_from_json(data) -> OvalFamily:
     _expect(isinstance(data, dict) and {"f", "pair_index", "t_min", "t_max"}
             <= set(data), "oval family needs f, pair_index, t_min, t_max")
     return OvalFamily(f=poly_from_json(data["f"]),
-                      pair_index=int(data["pair_index"]),
-                      t_min=str(data["t_min"]), t_max=str(data["t_max"]))
+                      pair_index=count_from_json(data["pair_index"], "pair_index"),
+                      t_min=finite_decimal(data["t_min"], "t_min"),
+                      t_max=finite_decimal(data["t_max"], "t_max"))
 
 
 # -- config -------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .cycles import (CycleVector, IntervalSystem,
                      real_interval_to_coefficients)
 from .errors import CertificateError, ComputationError, InputError
 from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
-from .monodromy import (DivisorLattice, MonodromyRep, _route, _standoffs,
-                        divisor_lattice, monodromy, track_fiber)
+from .monodromy import (DivisorLattice, MonodromyRep, divisor_lattice,
+                        monodromy, route, standoffs, track_fiber)
 from .numerics import eval_poly, to_mpc, to_mpf
 from .ratpoly import RatPoly, compose, decompose_all, trace_poly, w_adic
 
@@ -410,10 +410,10 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
     count = count if count is not None else config.samples
     with mp.workprec(config.precision_bits + 32):
         cvs = list(rep.critical_values)
-        blockers = list(zip(cvs, _standoffs(cvs, abs(rep.base_point))))
+        blockers = list(zip(cvs, standoffs(cvs, abs(rep.base_point))))
         fibers = []
         for z in _sample_points(rep, blockers, count, config.seed):
-            path = _route(rep.base_point, z, blockers)
+            path = route(rep.base_point, z, blockers)
             fibers.append(track_fiber(p, path, list(rep.base_fiber), config))
         return fibers
 

@@ -187,6 +187,30 @@ def test_hyper_integrate():
     assert float(out["values"][0]["I"]) > 0
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"t": "zz"}, "t must be a finite decimal number"),
+    ({"t": "inf"}, "t must be a finite decimal number"),
+    ({"t_samples": "q"}, "t_samples must be an integer"),
+    ({"pair_index": "x"}, "pair_index must be an integer"),
+])
+def test_hyper_integrate_input_contract(fields, message, tmp_path, monkeypatch,
+                                        capsys):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the input was checked")
+
+    monkeypatch.setattr(cli, "integral_I", no_quadrature)
+    family = {"f": ["0", "1/2", "-1"], "pair_index": 0,
+              "t_min": "1/4", "t_max": "1"}
+    if "pair_index" in fields:
+        family["pair_index"] = fields.pop("pair_index")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"family": family, "k": ["1", "0", "1"], **fields}))
+    assert cli.main(["hyper-integrate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_plot_constellation_topology(tmp_path):
     out_file = tmp_path / "t6.svg"
     res = run_cli(["plot-constellation", "-", "-o", str(out_file)],

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
+import importlib
+import random
+
 import pytest
 from mpmath import mp
 
+from abelint.config import Config
 from abelint.errors import InputError, TrackingError
-from abelint.monodromy import (Permutation, critical_values, divisor_lattice,
+from abelint.monodromy import (Permutation, _loops, _machine_tier,
+                               continue_fiber, critical_values, divisor_lattice,
                                generated_group_order, is_full_symmetric,
                                match_permutation, monodromy, track_fiber)
+from abelint.numerics import roots_of_shifted
 from abelint.ratpoly import RatPoly, chebyshev
 
 from conftest import QUARTIC_PAPER_SPELLING, QUARTIC_SHIFTED, QUINTIC
@@ -132,6 +138,108 @@ def test_t6_local_generator_doubled_precision(config):
     assert sigma == sigma2
     assert sigma.order() == 2
     assert not sigma.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# the two tracking tiers
+# ---------------------------------------------------------------------------
+
+# 64 bits and a unit initial step keep the mp tier's side of the comparison
+# short; both tiers run the same Config
+TIER_CONFIG = Config(precision_bits=64, track_step=1.0)
+
+
+def _loops_of(p, config):
+    cvs = critical_values(p, config)
+    with mp.workprec(config.precision_bits + 32):
+        c0, path_inf, paths, _ = _loops(cvs)
+        return [path_inf] + paths, roots_of_shifted(p, c0, mp.prec)
+
+
+@pytest.mark.parametrize("degree, seed", [(3, 0), (5, 2), (8, 11)])
+def test_machine_tier_matches_mp_tier(degree, seed):
+    rng = random.Random(seed)
+    p = RatPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(degree)] + [Fraction(1)])
+    loops, fiber0 = _loops_of(p, TIER_CONFIG)
+    for path in loops:
+        mp_end = track_fiber(p, path, fiber0, TIER_CONFIG)
+        machine_end = continue_fiber(p, path, fiber0, TIER_CONFIG)
+        assert (match_permutation(fiber0, machine_end)
+                == match_permutation(fiber0, mp_end))
+        with mp.workprec(TIER_CONFIG.precision_bits + 32):
+            for a, b in zip(machine_end, mp_end):
+                assert abs(a - b) <= mp.mpf(2) ** -TIER_CONFIG.precision_bits
+
+
+def _stress_cubic(e):
+    return X ** 3 - 3 * e * e * X
+
+
+def test_collapse_message_is_the_mp_tiers(config):
+    # the real axis runs through both critical values +-2e^3 = +-2^-35
+    p = _stress_cubic(Fraction(1, 2 ** 12))
+    with mp.workprec(config.precision_bits + 32):
+        start = roots_of_shifted(p, mp.mpf(-1), mp.prec)
+    path = [mp.mpf(-1), mp.mpf(1)]
+    with pytest.raises(TrackingError) as mp_err:
+        track_fiber(p, path, start, config)
+    with pytest.raises(TrackingError) as machine_err:
+        continue_fiber(p, path, start, config)
+    assert "step collapse" in str(mp_err.value)
+    assert str(machine_err.value) == str(mp_err.value)
+
+
+def test_monodromy_failure_names_the_loop(config):
+    # the petal loops of this cubic pass too near the critical values
+    with pytest.raises(TrackingError) as err:
+        monodromy(_stress_cubic(Fraction(1, 2 ** 12)), config)
+    msg = str(err.value)
+    assert msg.startswith("petal loop 0 (critical value (-2.910383e-11 + 0.0j)): "
+                          "step collapse on the segment")
+
+
+def test_escalation_near_a_critical_value(config, monkeypatch):
+    # x^3 - 3x has the critical value 2 over x = -1; the path closes in on
+    # it geometrically and circles it at radius 2^-44, where the two roots
+    # near -1 are about 2^-22 apart: below the machine tier's gap floor
+    # the package binds the name abelint.monodromy to the function
+    mono = importlib.import_module("abelint.monodromy")
+    p = X ** 3 - 3 * X
+    tiers = []
+    segment = mono._track_segment
+
+    def spy(z0, z1, fiber, config, tier):
+        tiers.append(tier.num)
+        return segment(z0, z1, fiber, config, tier)
+
+    with mp.workprec(config.precision_bits + 32):
+        approach = [mp.mpf(3)] + [2 + mp.mpf(2) ** -k for k in range(1, 45)]
+        circle = [2 + mp.mpf(2) ** -44 * mp.exp(mp.mpc(0, 2) * mp.pi * k / 16)
+                  for k in range(1, 17)]
+        path = approach + circle + approach[::-1][1:]
+        start = roots_of_shifted(p, mp.mpf(3), mp.prec)
+    mp_end = track_fiber(p, path, start, config)
+    monkeypatch.setattr(mono, "_track_segment", spy)
+    machine_end = continue_fiber(p, path, start, config)
+    assert float in tiers and mp.mpf in tiers      # some segments escalated
+    sigma = match_permutation(start, machine_end)
+    assert sigma == match_permutation(start, mp_end)
+    assert len(sigma.cycles()) == 1 and len(sigma.cycles()[0]) == 2
+    with mp.workprec(config.precision_bits + 32):
+        for a, b in zip(machine_end, mp_end):
+            assert abs(a - b) <= mp.mpf(2) ** -config.precision_bits
+
+
+def test_tiny_coefficient_runs_on_the_mp_tier(config):
+    p = RatPoly([Fraction(-1), Fraction(1, 10 ** 400), 0, Fraction(1)])
+    with mp.workprec(config.precision_bits + 32):
+        start = roots_of_shifted(p, mp.mpf(2), mp.prec)
+        loop = [2 * mp.exp(mp.mpc(0, 2) * mp.pi * k / 16) for k in range(17)]
+        assert _machine_tier(p, p.derivative(), loop) is None
+    sigma = match_permutation(start, continue_fiber(p, loop, start, config))
+    assert sigma == match_permutation(start, track_fiber(p, loop, start, config))
+    assert sigma.order() == 3
 
 
 # ---------------------------------------------------------------------------

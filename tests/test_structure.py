@@ -6,9 +6,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "abelint"
 
-# path-planning helpers still shared until fiber tracking has one home
-ALLOWED = {"_route", "_standoffs"}
-
 
 def private_imports():
     found = []
@@ -19,7 +16,7 @@ def private_imports():
                 continue
             sibling = node.level > 0 or (node.module or "").startswith("abelint")
             for alias in node.names:
-                if sibling and alias.name.startswith("_") and alias.name not in ALLOWED:
+                if sibling and alias.name.startswith("_"):
                     found.append(f"{path.name}: {alias.name} from {node.module}")
     return found
 
