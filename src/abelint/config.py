@@ -7,6 +7,7 @@ that two runs with the same Config are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InputError
@@ -29,8 +30,8 @@ class Config:
             raise InputError("track_step must lie in (0, 1]")
         for name in ("collision_tol", "oracle_tol"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise InputError(f"{name} must be positive")
+            if val is not None and not 0 < val < math.inf:
+                raise InputError(f"{name} must be positive and finite")
         if self.samples < 1:
             raise InputError("samples must be positive")
         if self.degree_bound is not None and self.degree_bound < 0:

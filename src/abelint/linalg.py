@@ -8,39 +8,54 @@ can be compared for equality across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Row = list[Fraction]
 Matrix = list[Row]
+_ZERO = Fraction(0)
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    """Reduced row echelon form and its pivot columns.
+
+    Each row is scaled to integers and eliminated fraction-free (Bareiss,
+    with the row's content divided out after each update); Fractions are
+    formed only at the end, by dividing each pivot row by its pivot.
+    """
+    m = []
+    for row in rows:
+        fr = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row]
+        den = lcm(*(x.denominator for x in fr))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in fr]))
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r] + [row for row in m[r:] if any(x != 0 for x in row)], pivots
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(m, pivots)], pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0]) if rows else 0
+    return len(rref(rows)[0])
 
 
 def row_space_basis(rows: Matrix) -> Matrix:
@@ -51,12 +66,8 @@ def row_space_basis(rows: Matrix) -> Matrix:
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
     """Basis of {v : A v = 0}, one vector per free column, deterministic."""
-    if not rows:
-        if ncols is None:
-            return []
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
-    ncols = ncols if ncols is not None else len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -81,10 +92,6 @@ def reduce_row(reduced: Matrix, pivots: list[int], v: Row) -> Row:
 
 def in_span(basis: Matrix, v: Row) -> bool:
     """Whether v lies in the row space of `basis`."""
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
     return not any(reduce_row(*rref(basis), v))
 
 
@@ -97,8 +104,6 @@ def solve_in_span(basis: Matrix, v: Row) -> Row | None:
 
     Solved by eliminating the augmented system [basis^T | v].
     """
-    if not basis:
-        return [] if all(x == 0 for x in v) else None
     ncols = len(v)
     aug = [[basis[i][r] for i in range(len(basis))] + [v[r]] for r in range(ncols)]
     reduced, pivots = rref(aug)

@@ -378,44 +378,32 @@ class TracePoly:
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
-    def constant_value(self) -> Fraction:
-        if not self.value.is_constant():
-            raise InputError("trace is not constant")
-        return self.value.coeff(0)
-
 
 def power_sums(w: RatPoly, count: int) -> list[RatPoly]:
     """Power sums p_k = sum_i x_i^k of the roots of w(x) - z, k = 0..count,
     each a polynomial in z.
 
-    w(x) - z is normalized monic in x; its elementary symmetric functions
-    are rationals except e_m, which is linear in z.  Newton's identities
-    then produce the p_k by exact recursion.
+    w(x) - z is normalized to the monic x^m + c_1 x^(m-1) + ... + c_m, whose
+    coefficients are rationals except c_m = (w_0 - z)/lc, which is linear in
+    z.  Newton's identities then give p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1
+    + k c_k) for k <= m and p_k = -(c_1 p_(k-1) + ... + c_m p_(k-m)) beyond.
     """
     m = w.degree
     if m is NEG_INF or m < 1:
         raise InputError("power_sums requires deg w >= 1")
     lc = w.lc
-    e = [RatPoly.one()]
-    for k in range(1, m + 1):
-        if k < m:
-            ck = w.coeff(m - k) / lc
-            e.append(RatPoly.constant(ck if k % 2 == 0 else -ck))
-        else:
-            # e_m = (-1)^m (w_0 - z)/lc
-            tail = RatPoly.of(w.coeff(0) / lc, Fraction(-1) / lc)
-            e.append(tail if m % 2 == 0 else -tail)
-    p = [RatPoly.constant(m)]
+    c = [w.coeff(m - i) / lc for i in range(m + 1)]     # c[m]: the z-free part
+    p = [[Fraction(m)]]
     for k in range(1, count + 1):
-        acc = RatPoly.zero()
-        for i in range(1, min(k - 1, m) + 1):
-            term = e[i] * p[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        if k <= m:
-            ek = e[k] * k
-            acc = acc + (ek if k % 2 == 1 else -ek)
+        acc = [Fraction(0)] * (k // m + 1)
+        for i in range(1, min(k, m) + 1):
+            for j, a in enumerate(p[k - i] if i < k else [Fraction(k)]):
+                if a and c[i]:
+                    acc[j] -= c[i] * a
+                if a and i == m:
+                    acc[j + 1] += a / lc
         p.append(acc)
-    return p
+    return [RatPoly(q) for q in p]
 
 
 def trace_poly(q: RatPoly, w: RatPoly) -> TracePoly:

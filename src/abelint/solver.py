@@ -25,7 +25,8 @@ from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
 from .monodromy import (DivisorLattice, MonodromyRep, divisor_lattice,
                         monodromy, route, standoffs, track_fiber)
 from .numerics import eval_poly, to_mpc, to_mpf
-from .ratpoly import RatPoly, compose, decompose_all, trace_poly, w_adic
+from .ratpoly import (RatPoly, compose, decompose_all, power_sums,
+                      trace_poly, w_adic)
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +75,11 @@ def _polys_to_rows(polys, bound: int) -> list[list[Fraction]]:
 
 def _trace_kernel(w: RatPoly, bound: int) -> list[list[Fraction]]:
     """Canonical basis of the Q (degree <= bound) whose trace along the
-    fiber of w vanishes identically: the kernel of the map from Q to the
-    constant traces of its W-adic coefficients."""
-    rows = [[Fraction(0)] * (bound + 1) for _ in range(bound // w.degree + 1)]
-    for e in range(bound + 1):
-        for j, part in enumerate(w_adic(RatPoly.monomial(e), w)):
-            if not part.is_zero():
-                rows[j][e] = trace_poly(part, w).constant_value()
+    fiber of w vanishes identically.  Tr_w(x^e) is the power sum p_e(z) of
+    the roots of w(x) - z, so row j of the trace matrix holds the z^j
+    coefficients of p_0, ..., p_bound."""
+    sums = power_sums(w, bound)
+    rows = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
     return linalg.row_space_basis(linalg.nullspace(rows, bound + 1))
 
 

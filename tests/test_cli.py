@@ -59,6 +59,16 @@ def test_config_file_input_contract(bad, tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--track-step", "--collision-tol", "--oracle-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_float_flags(flag, value, capsys):
+    # in-process: main() rejects the Config before any tracking starts
+    assert cli.main(["solve", "-", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag[2:].replace('-', '_')} must")
+    assert err.count("\n") == 1
+
+
 def test_lattice_t6():
     res = run_cli(["lattice", "-"], {"polynomial": T6_JSON})
     assert res.returncode == 0, res.stderr

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+from abelint import linalg
 from abelint.linalg import (in_span, nullspace, rank, rref,
                             row_space_basis, same_span, solve_in_span)
 
@@ -44,7 +48,8 @@ def test_nullspace_orthogonality():
 
 def test_nullspace_of_empty_is_full():
     ns = nullspace([], 3)
-    assert len(ns) == 3
+    assert ns == [[F(int(i == j)) for i in range(3)] for j in range(3)]
+    assert nullspace([]) == []
 
 
 def test_in_span_and_solve():
@@ -56,6 +61,9 @@ def test_in_span_and_solve():
     w = [F(0), F(0), F(1)]
     assert not in_span(basis, w)
     assert solve_in_span(basis, w) is None
+    assert in_span([], [F(0), F(0)]) and not in_span([], w)
+    assert solve_in_span([], [F(0), F(0)]) == []
+    assert solve_in_span([], w) is None
 
 
 def test_same_span_canonical():
@@ -75,3 +83,107 @@ def test_annihilator_dimensions():
         for phi in ann:
             for v in basis:
                 assert sum(a * b for a, b in zip(phi, v)) == 0
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against Fraction Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def reference_rref(rows):
+    """Gauss-Jordan on Fractions with first-nonzero pivoting: the
+    elimination that `rref` must match row for row."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r] + [row for row in m[r:] if any(x != 0 for x in row)], pivots
+
+
+def wide(lo, hi):
+    """Signed integers of lo to hi bits with random low bits (integers drawn
+    directly from a range cluster near its ends, such as 2^k + small)."""
+    return st.builds(
+        lambda bits, seed, sign: sign * (random.Random(seed).getrandbits(bits)
+                                         | 1 << (bits - 1)),
+        st.integers(lo, hi), st.integers(0, 2 ** 32), st.sampled_from([1, -1]))
+
+
+# wide rationals with up to 70-bit denominators, small ones, plain ints, zero
+wide_fractions = st.builds(Fraction, wide(1, 90), wide(1, 70).map(abs))
+entries = st.one_of(st.just(0), st.integers(-9, 9),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                    wide_fractions, wide_fractions.map(str))
+
+
+@st.composite
+def matrices(draw, ncols=None):
+    """Up to 6 rows of length `ncols` (0-6 when not given), among them zero
+    rows and duplicate or rescaled copies of other rows."""
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=4))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled"]),
+                              max_size=2)):
+        if kind == "zero" or not rows:
+            extra = [0] * ncols
+        else:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = 1 if kind == "dup" else draw(wide_fractions)
+            extra = [Fraction(c) * scale for c in src]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_matches_fraction_gauss_jordan(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == reference_rref(m)
+    assert all_fractions(reduced)     # serialize.frac_to_str relies on it
+    ncols = len(m[0]) if m else 0
+    ns = nullspace(m, ncols)
+    with mock.patch.object(linalg, "rref", reference_rref):
+        expected = nullspace(m, ncols)
+    assert ns == expected
+    assert all_fractions(ns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_in_span_matches_fraction_gauss_jordan(data):
+    ncols = data.draw(st.integers(0, 6))
+    basis = data.draw(matrices(ncols))
+    weights = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+    inside = [sum((Fraction(w) * Fraction(row[k]) for w, row in zip(weights, basis)),
+                  Fraction(0)) for k in range(ncols)]
+    outside = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    for v in (inside, outside):
+        v = [Fraction(c) for c in v]
+        coeffs = solve_in_span(basis, v)
+        with mock.patch.object(linalg, "rref", reference_rref):
+            assert coeffs == solve_in_span(basis, v)
+        if coeffs is not None:
+            assert all_fractions([coeffs])
+    assert solve_in_span(basis, inside) is not None

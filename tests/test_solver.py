@@ -1,13 +1,19 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from abelint import linalg
 from abelint.cycles import CycleVector, IntervalSystem
 from abelint.errors import InputError
 from abelint.invariant import pairing_is_zero
-from abelint.ratpoly import RatPoly, chebyshev, compose
-from abelint.solver import (classify,
+from abelint.monodromy import divisor_lattice, monodromy
+from abelint.ratpoly import (RatPoly, chebyshev, compose, power_sums,
+                             trace_poly, w_adic)
+from abelint.solver import (_trace_kernel, classify,
                             common_right_factor, puiseux,
                             solve_moment_problem, verify_vanishing_numeric,
                             z_delta_basis, z_ud_basis, z_vd_basis)
@@ -15,6 +21,7 @@ from abelint.solver import (classify,
 from conftest import QUINTIC
 
 X = RatPoly.x()
+GOLDEN = Path(__file__).parent / "golden"
 PAPER_V1 = CycleVector(6, (0, -1, -1, 0, 1, 1))
 PAPER_V2 = CycleVector(6, (1, -1, 1, -1, 1, -1))
 
@@ -137,6 +144,64 @@ def test_z_delta_monotone_in_bound(t6, t6_rep, t6_lattice, config):
     large = z_delta_basis(t6, PAPER_V1, 8, config, t6_rep, t6_lattice)
     for q in small.basis:
         assert large.contains(q)
+
+
+def reference_trace_matrix(w, bound):
+    """Entry (j, e): the constant trace along the fiber of w of the j-th
+    W-adic digit of x^e."""
+    rows = [[Fraction(0)] * (bound + 1) for _ in range(bound // w.degree + 1)]
+    for e in range(bound + 1):
+        for j, part in enumerate(w_adic(RatPoly.monomial(e), w)):
+            trace = trace_poly(part, w).value
+            assert trace.is_constant()
+            rows[j][e] = trace.coeff(0)
+    return rows
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = small_rationals.filter(lambda c: c != 0 and c != 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+           lambda m: st.tuples(st.lists(small_rationals, min_size=m, max_size=m),
+                               nonzero_rationals)),
+       st.integers(0, 30))
+def test_trace_matrix_from_power_sums(w_data, bound):
+    # Tr_w(x^e) = p_e(z), so row j of the trace matrix is the z^j
+    # coefficients of the power sums p_0..p_bound
+    lower, lc = w_data
+    w = RatPoly(lower + [lc])
+    sums = power_sums(w, bound)
+    table = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
+    reference = reference_trace_matrix(w, bound)
+    assert table == reference
+    assert _trace_kernel(w, bound) == linalg.row_space_basis(
+        linalg.nullspace(reference, bound + 1))
+
+
+def _basis_json(sb):
+    return {"basis": [[str(c) for c in q.coeffs] for q in sb.basis],
+            "provenance": list(sb.provenance)}
+
+
+def test_exact_bases_golden(config):
+    """Bases and provenance of z_delta/z_ud/z_vd on T6, x^8 and the tower
+    (x^2+x)(x^2-x)(x^2+x/2) at bound 24, as the Fraction Gauss-Jordan and
+    per-monomial trace code wrote them."""
+    golden = json.loads((GOLDEN / "exact_bases.json").read_text())
+    bound = golden["degree_bound"]
+    for entry in golden["polynomials"]:
+        p = RatPoly(entry["p"])
+        rep = monodromy(p, config)
+        lattice = divisor_lattice(rep, p)
+        assert sorted(lattice.members) == entry["members"], entry["name"]
+        v = CycleVector(p.degree, entry["cycle"])
+        got = z_delta_basis(p, v, bound, config, rep, lattice)
+        assert _basis_json(got) == entry["z_delta"], entry["name"]
+        for d in entry["members"]:
+            assert _basis_json(z_ud_basis(p, d, lattice, bound)) == entry["z_ud"][str(d)]
+            assert _basis_json(z_vd_basis(p, d, lattice, bound)) == entry["z_vd"][str(d)]
 
 
 # ---------------------------------------------------------------------------
