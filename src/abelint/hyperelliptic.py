@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import (fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
+                          mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+                          mpc_neg, mpc_sqrt, mpc_sub, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_shift, mpf_sin, mpf_sqrt, round_nearest)
 
 from . import linalg
 from .config import Config, DEFAULT_CONFIG
@@ -21,7 +26,7 @@ from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
 from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
                         match_permutation)
-from .numerics import eval_poly, roots_of_shifted, to_mpf
+from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
 
@@ -273,21 +278,40 @@ def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
             if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
                 raise ComputationError("pole sits on the integration contour")
 
+        f, rnd = family.f, round_nearest
+        raw_x1, raw_span, raw_t = x1._mpf_, span._mpf_, t._mpf_
+        raw_z = z._mpc_ if z is not None else None
+
         def integrand(theta):
-            s = mp.sin(theta)
-            x = x1 + span * s * s
-            w2 = eval_poly(family.f, x, mp.prec) + t
-            if integrand_kind == "dx_over_y" and not w2 > 0:
-                return _dx_over_y_at_endpoint(family.f, k, x1, x2, theta)
-            y = mp.sqrt(w2)
-            kx = eval_poly(k, x, mp.prec)
-            jac = span * mp.sin(2 * theta)
-            if integrand_kind == "y_dx":
-                return kx * y * jac
+            # on raw mpf with the operations of the mpf-object expressions;
+            # mp.quad raises the precision while it samples, so read it here
+            wp = mp.prec
+            th = theta._mpf_
+            s = mpf_sin(th, wp, rnd)
+            x = mpf_add(raw_x1, mpf_mul(mpf_mul(raw_span, s, wp, rnd), s, wp, rnd), wp, rnd)
+            w2 = mpf_add(eval_poly_raw(f, x, wp), raw_t, wp, rnd)
+            if integrand_kind == "dx_over_y" and not mpf_gt(w2, fzero):
+                return _dx_over_y_at_endpoint(f, k, x1, x2, theta)
+            kx = eval_poly_raw(k, x, wp)
+            jac = mpf_mul(raw_span, mpf_sin(mpf_mul_int(th, 2, wp, rnd), wp, rnd), wp, rnd)
             if integrand_kind == "dx_over_y":
-                return kx / y * jac
+                y = mpf_sqrt(w2, wp, rnd)
+                return mp.make_mpf(mpf_mul(mpf_div(kx, y, wp, rnd), jac, wp, rnd))
+            # y = sqrt(w2) is imaginary where rounding next to an endpoint
+            # makes w2 negative, as mp.sqrt makes it
+            if w2[0]:
+                ky = mpc_mul_mpf(mpc_sqrt((w2, fzero), wp, rnd), kx, wp, rnd)
+            else:
+                ky = mpf_mul(kx, mpf_sqrt(w2, wp, rnd), wp, rnd)
+            if integrand_kind == "y_dx":
+                if w2[0]:
+                    return mp.make_mpc(mpc_mul_mpf(ky, jac, wp, rnd))
+                return mp.make_mpf(mpf_mul(ky, jac, wp, rnd))
             if integrand_kind == "cauchy":
-                return kx * y / (w2 - z) * jac
+                den = mpc_sub((w2, fzero), raw_z, wp, rnd)
+                ratio = (mpc_div(ky, den, wp, rnd) if w2[0]
+                         else mpc_mpf_div(ky, den, wp, rnd))
+                return mp.make_mpc(mpc_mul_mpf(ratio, jac, wp, rnd))
             raise InputError(integrand_kind)
 
         val = mp.quad(integrand, [0, mp.pi / 2])
@@ -325,13 +349,19 @@ def oval_form_integral(family: OvalFamily, omega: OneForm, t,
         span = x2 - x1
         fprime = family.f.derivative()
 
-        def biv_eval(biv: Biv, x, y):
+        converted = {}      # precision -> (dx terms, dy terms) as (i, j, mpf c)
+
+        def biv_eval(terms, x, y):
             acc = mp.mpf(0)
-            for (i, j), c in biv.items():
-                acc += (mp.mpf(c.numerator) / c.denominator) * x ** i * y ** j
+            for i, j, c in terms:
+                acc += c * x ** i * y ** j
             return acc
 
         def integrand(theta):
+            if mp.prec not in converted:
+                converted[mp.prec] = [[(i, j, to_mpf(c, mp.prec)) for (i, j), c in side.items()]
+                                      for side in (omega.dx, omega.dy)]
+            p_terms, q_terms = converted[mp.prec]
             s = mp.sin(theta)
             x = x1 + span * s * s
             w2 = eval_poly(family.f, x, mp.prec) + t
@@ -340,8 +370,8 @@ def oval_form_integral(family: OvalFamily, omega: OneForm, t,
             dydx = eval_poly(fprime, x, mp.prec) / (2 * y)
             # upper branch: P(x,Y) + Q(x,Y) Y'; lower branch (y = -Y, dx and
             # dy both reversed): -P(x,-Y) + Q(x,-Y) Y'
-            p_term = biv_eval(omega.dx, x, y) - biv_eval(omega.dx, x, -y)
-            q_term = (biv_eval(omega.dy, x, y) + biv_eval(omega.dy, x, -y)) * dydx
+            p_term = biv_eval(p_terms, x, y) - biv_eval(p_terms, x, -y)
+            q_term = (biv_eval(q_terms, x, y) + biv_eval(q_terms, x, -y)) * dydx
             return (p_term + q_term) * jac
 
         return mp.quad(integrand, [0, mp.pi / 2])
@@ -362,6 +392,11 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
     of branch points so the lift closes up.  mode "y_dx" integrates k y dx,
     "dx_over_2y" integrates k/(2y) dx, "dx_over_y3" integrates k/y^3 dx,
     and "cauchy" integrates k y/(y^2 - z) dx.
+
+    The trapezoid rule doubles its nodes until two levels agree.  Levels
+    are nested: node 2j of level 2n has the angle j*h of level n (h/2 is an
+    exact halving, so the angle rounds the same), and each level evaluates
+    only its odd nodes.
     """
     prec = config.precision_bits
     tol = mp.mpf(2) ** (-(prec // 2))
@@ -371,11 +406,20 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
         a = mp.mpf(radius)
         b = mp.mpf(semi_minor) if semi_minor is not None else a
         zc = mp.mpc(z) if z is not None else None
+        # i*b is (0, b) exactly
+        contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_))
+        nodes = []
         last = None
         n_nodes = 256
         while n_nodes <= 1 << 16:
-            val, ok = _loop_once(f, k, t, center, a, b, mode, zc, n_nodes)
-            if ok:
+            h = 2 * mp.pi / n_nodes
+            if nodes:
+                odd = [_loop_node(contour, h, j) for j in range(1, n_nodes, 2)]
+                nodes = [node for pair in zip(nodes, odd) for node in pair]
+            else:
+                nodes = [_loop_node(contour, h, j) for j in range(n_nodes)]
+            val = _loop_sum(nodes, mode, zc, h)
+            if val is not None:
                 if last is not None and abs(val - last) <= tol * (1 + abs(val)):
                     return val
                 last = val
@@ -383,47 +427,58 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
         raise ComputationError("loop quadrature did not converge")
 
 
-def _loop_once(f, k, t, center, a, b, mode, z, n_nodes):
+def _loop_node(contour, h, j):
+    """What the trapezoid needs at the angle j*h, as raw libmp values: the
+    tangent dx/dtheta, w2 = f(x) + t, s = sqrt(w2), k(x) and |s|.  The
+    operations are those of the mpc-object expressions
+    center + a cos + (i b) sin and -a sin + (i b) cos."""
+    f, k, t, center, a, ib = contour
+    prec, rnd = mp.prec, round_nearest
+    cos, sin = mpf_cos_sin(mpf_mul_int(h._mpf_, j, prec, rnd), prec, rnd)
+    x = mpc_add(mpc_add_mpf(center, mpf_mul(a, cos, prec, rnd), prec, rnd),
+                mpc_mul_mpf(ib, sin, prec, rnd), prec, rnd)
+    tangent = mpc_add_mpf(mpc_mul_mpf(ib, cos, prec, rnd),
+                          mpf_mul(mpf_neg(a), sin, prec, rnd), prec, rnd)
+    w2 = mpc_add(eval_poly_raw(f, x, prec), t, prec, rnd)
+    s = mpc_sqrt(w2, prec, rnd)
+    return tangent, w2, s, eval_poly_raw(k, x, prec), mpc_abs(s, prec, rnd)
 
-    def point(theta):
-        return center + a * mp.cos(theta) + mp.mpc(0, 1) * b * mp.sin(theta)
 
-    def tangent(theta):
-        return -a * mp.sin(theta) + mp.mpc(0, 1) * b * mp.cos(theta)
-
-    y = mp.sqrt(eval_poly(f, point(0), mp.prec) + t)
-    y_start = y
-    total = mp.mpc(0)
-    h = 2 * mp.pi / n_nodes
-    for j in range(n_nodes):
-        theta = j * h
-        x = point(theta)
-        w2 = eval_poly(f, x, mp.prec) + t
-        s = mp.sqrt(w2)
-        cand = s if abs(s - y) <= abs(-s - y) else -s
-        if abs(cand - y) > mp.mpf("0.5") * max(abs(y), abs(cand)):
-            return mp.mpc(0), False        # ambiguous continuation: refine
-        y = cand
-        kx = eval_poly(k, x, mp.prec)
+def _loop_sum(nodes, mode, z, h):
+    """One trapezoid level: continue y from node 0's root s_0 through the
+    nodes in index order, picking the sign of s nearer the previous y, and
+    sum the integrand.  None when a step is ambiguous (y moved by more than
+    half its size); a lift that does not close up is an error."""
+    prec, rnd = mp.prec, round_nearest
+    y, abs_y = nodes[0][2], nodes[0][4]
+    z = z._mpc_ if z is not None else None
+    total = (fzero, fzero)
+    for tangent, w2, s, kx, abs_s in nodes:
+        neg = mpc_neg(s, prec, rnd)
+        d_pos = mpc_abs(mpc_sub(s, y, prec, rnd), prec, rnd)
+        d_neg = mpc_abs(mpc_sub(neg, y, prec, rnd), prec, rnd)
+        y, step = (s, d_pos) if mpf_le(d_pos, d_neg) else (neg, d_neg)
+        if mpf_gt(step, mpf_shift(abs_s if mpf_lt(abs_y, abs_s) else abs_y, -1)):
+            return None
+        abs_y = abs_s
         if mode == "y_dx":
-            g = kx * y
+            g = mpc_mul(kx, y, prec, rnd)
         elif mode == "dx_over_2y":
-            g = kx / (2 * y)
+            g = mpc_div(kx, mpc_mul_int(y, 2, prec, rnd), prec, rnd)
         elif mode == "dx_over_y3":
-            g = kx / (y * w2)
+            g = mpc_div(kx, mpc_mul(y, w2, prec, rnd), prec, rnd)
         elif mode == "cauchy":
-            g = kx * y / (w2 - z)
+            g = mpc_div(mpc_mul(kx, y, prec, rnd), mpc_sub(w2, z, prec, rnd), prec, rnd)
         else:
             raise InputError(mode)
-        total += g * tangent(theta)
-    # closure: continuing once more to theta=2pi must return to the start
-    w2 = eval_poly(f, point(0), mp.prec) + t
-    s = mp.sqrt(w2)
-    cand = s if abs(s - y) <= abs(-s - y) else -s
-    if abs(cand - y_start) > mp.mpf("1e-8") * max(1, abs(y_start)):
+        total = mpc_add(total, mpc_mul(g, tangent, prec, rnd), prec, rnd)
+    # closure: continuing once more to theta = 2 pi must return to the start
+    start, y = mp.make_mpc(nodes[0][2]), mp.make_mpc(y)
+    cand = start if abs(start - y) <= abs(-start - y) else -start
+    if abs(cand - start) > mp.mpf("1e-8") * max(1, abs(start)):
         raise ComputationError(
             "lifted contour does not close: odd number of branch points inside")
-    return total * h, True
+    return mp.make_mpc(mpc_mul_mpf(total, h._mpf_, prec, rnd))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +570,14 @@ def check_exth(family: OvalFamily, k: RatPoly,
         return None
     with mp.workprec(prec + 32):
         ts = family.t_samples(samples, mp.prec)
+        ends = {}           # sample index -> its oval endpoints, shared by candidates
         for r in candidates:
             worst = mp.mpf(0)
             good = True
-            for t in ts:
-                x1, x2 = oval_endpoints(family, t, prec)
+            for i, t in enumerate(ts):
+                if i not in ends:
+                    ends[i] = oval_endpoints(family, t, prec)
+                x1, x2 = ends[i]
                 scale = max(mp.mpf(1), abs(eval_poly(r, x1, mp.prec)))
                 dev = abs(eval_poly(r, x1, mp.prec) - eval_poly(r, x2, mp.prec))
                 worst = max(worst, dev / scale)
@@ -528,7 +586,7 @@ def check_exth(family: OvalFamily, k: RatPoly,
                     break
             if not good:
                 continue
-            exact = _symmetric_exact_certificate(f, big_k, r, family, ts, prec)
+            exact = _symmetric_exact_certificate(f, big_k, r, ends[0], prec)
             return ExthWitness(r=r, exact=exact, max_deviation=worst,
                                samples=samples)
     return None
@@ -538,12 +596,14 @@ def _is_even_poly(p: RatPoly) -> bool:
     return all(c == 0 for i, c in enumerate(p.coeffs) if i % 2 == 1)
 
 
-def _symmetric_exact_certificate(f, big_k, r, family, ts, prec) -> bool:
+def _symmetric_exact_certificate(f, big_k, r, first_ends, prec) -> bool:
+    """Whether r = x^2 with f and K even and the oval at the first sample
+    symmetric about 0 (its endpoints `first_ends` sum to 0)."""
     if r != RatPoly.monomial(2):
         return False
     if not (_is_even_poly(f) and _is_even_poly(big_k)):
         return False
-    x1, x2 = oval_endpoints(family, ts[0], prec)
+    x1, x2 = first_ends
     return bool(abs(x1 + x2) < mp.mpf(2) ** (-(prec // 2)) * (1 + abs(x1)))
 
 

@@ -3,8 +3,9 @@
 Helpers take an explicit precision in bits, or use the caller's working
 precision (`cluster_points`, `min_pairwise_distance`), and never change
 mpmath's global state.  The hot leaves of tracking and quadrature
-(`eval_poly`, `min_pairwise_distance`) run on mpmath's raw libmp values and
-round exactly as the same code on mpf/mpc objects does.
+(`eval_poly` and its raw core `eval_poly_raw`, `min_pairwise_distance`) run
+on mpmath's raw libmp values and round exactly as the same code on mpf/mpc
+objects does.
 """
 
 from __future__ import annotations
@@ -67,24 +68,29 @@ def _raw_coeffs(p: RatPoly, prec: int) -> tuple:
 def eval_poly(p: RatPoly, z, prec: int):
     """Horner evaluation of an exact polynomial at an mpf or mpc.
 
-    Runs on raw libmp values; every product and sum is rounded to nearest
-    at `prec` bits, exactly as the same Horner loop on mpf/mpc objects
-    inside `mp.workprec(prec)`.  The result type follows the argument:
-    real stays real.
+    Every product and sum is rounded to nearest at `prec` bits, exactly as
+    the same Horner loop on mpf/mpc objects inside `mp.workprec(prec)`.
+    The result type follows the argument: real stays real.
     """
+    if hasattr(z, "_mpc_"):
+        return mp.make_mpc(eval_poly_raw(p, z._mpc_, prec))
+    return mp.make_mpf(eval_poly_raw(p, z._mpf_, prec))
+
+
+def eval_poly_raw(p: RatPoly, z: tuple, prec: int) -> tuple:
+    """`eval_poly` on mpmath's raw libmp values: z is a raw mpf (a 4-tuple)
+    or a raw mpc (a pair of raw mpf), and the result is of the same kind."""
     coeffs = _raw_coeffs(p, prec)
     rnd = round_nearest
-    if hasattr(z, "_mpc_"):
-        z = z._mpc_
+    if len(z) == 2:
         acc = mpc_mul_int(z, 0, prec, rnd)
         for c in coeffs:
             acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
-        return mp.make_mpc(acc)
-    z = z._mpf_
+        return acc
     acc = mpf_mul_int(z, 0, prec, rnd)
     for c in coeffs:
         acc = mpf_add(mpf_mul(acc, z, prec, rnd), c, prec, rnd)
-    return mp.make_mpf(acc)
+    return acc
 
 
 def roots_of(p: RatPoly, prec: int, squarefree: bool = True) -> list:
@@ -147,7 +153,7 @@ def nstr_det(x, prec: int) -> str:
     """Deterministic decimal rendering at the precision's digit budget."""
     digits = max(8, int(prec * 0.30103) - 2)
     with mp.workprec(prec):
-        return mpmath.nstr(mp.mpf(x) if mp.im(mp.mpc(x)) == 0 else x, digits)
+        return mpmath.nstr(mp.mpf(mp.re(x)) if mp.im(mp.mpc(x)) == 0 else x, digits)
 
 
 def min_pairwise_distance(points: list):

@@ -197,6 +197,29 @@ def test_hyper_integrate():
     assert float(out["values"][0]["I"]) > 0
 
 
+HYPER_F = poly_to_json((RatPoly.x() ** 2 / 2 - RatPoly.one()) ** 2)
+
+
+@pytest.mark.parametrize("command, payload, golden", [
+    ("hyper-integrate",
+     {"family": {"f": HYPER_F, "pair_index": 1, "t_min": "-0.8", "t_max": "-0.2"},
+      "k": ["1", "0", "1"], "t_samples": 3},
+     "hyper_integrate.json"),
+    ("main4-check",
+     {"f": HYPER_F, "k": ["0", "1"],
+      "combo": {"n_local": 2, "coefficients": [{"i": 1, "j": 2, "c": "1"}]},
+      "z_samples": ["-0.015625", "-0.03125"],
+      "critical_point": ["1.4142135623730950488016887242096980785696718753769", "0"]},
+     "main4_check.json"),
+])
+def test_hyper_stdout_golden(command, payload, golden, tmp_path, capsys):
+    """stdout of the quadrature commands, as the mp-object quadrature wrote it."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"t": "zz"}, "t must be a finite decimal number"),
     ({"t": "inf"}, "t must be a finite decimal number"),

@@ -234,6 +234,33 @@ def test_cauchy_pole_rejection(config):
         cauchy_J(CENTRAL, RatPoly.one(), t, mp.mpf("0.3"), config)
 
 
+def test_loop_around_one_branch_point_does_not_close(config):
+    # the circle encloses only the branch point sqrt(2 + sqrt(2)) of f - 1/2
+    with pytest.raises(ComputationError, match="does not close"):
+        loop_integral(QUARTIC_F, X, "-0.5", "1.85", "0.3", config=config)
+
+
+@pytest.mark.parametrize("radius, prec, evaluations", [
+    ("4", 128, 512),        # levels 256 and 512 agree
+    ("0.85", 128, 1024),    # 512 and 1024 agree
+    ("0.775", 64, 2048),    # 256 is ambiguous; 1024 and 2048 agree
+])
+def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
+    # the trapezoid levels are nested, so f is evaluated once per node of
+    # the last level (evaluating every level afresh took 772, 1798 and 3593)
+    import abelint.hyperelliptic as hyp
+    calls = []
+    for name in ("eval_poly", "eval_poly_raw"):
+        def counting(p, z, wp, evaluate=getattr(hyp, name)):
+            if p is QUARTIC_F:
+                calls.append(z)
+            return evaluate(p, z, wp)
+        monkeypatch.setattr(hyp, name, counting)
+    loop_integral(QUARTIC_F, RatPoly.one(), "-0.5", 0, radius,
+                  config=Config(precision_bits=prec))
+    assert len(calls) == evaluations
+
+
 # ---------------------------------------------------------------------------
 # the remark fixture: big loop around all four roots
 # ---------------------------------------------------------------------------
