@@ -349,19 +349,13 @@ def oval_form_integral(family: OvalFamily, omega: OneForm, t,
         span = x2 - x1
         fprime = family.f.derivative()
 
-        converted = {}      # precision -> (dx terms, dy terms) as (i, j, mpf c)
-
-        def biv_eval(terms, x, y):
+        def biv_eval(biv: Biv, x, y):
             acc = mp.mpf(0)
-            for i, j, c in terms:
-                acc += c * x ** i * y ** j
+            for (i, j), c in biv.items():
+                acc += (mp.mpf(c.numerator) / c.denominator) * x ** i * y ** j
             return acc
 
         def integrand(theta):
-            if mp.prec not in converted:
-                converted[mp.prec] = [[(i, j, to_mpf(c, mp.prec)) for (i, j), c in side.items()]
-                                      for side in (omega.dx, omega.dy)]
-            p_terms, q_terms = converted[mp.prec]
             s = mp.sin(theta)
             x = x1 + span * s * s
             w2 = eval_poly(family.f, x, mp.prec) + t
@@ -370,8 +364,8 @@ def oval_form_integral(family: OvalFamily, omega: OneForm, t,
             dydx = eval_poly(fprime, x, mp.prec) / (2 * y)
             # upper branch: P(x,Y) + Q(x,Y) Y'; lower branch (y = -Y, dx and
             # dy both reversed): -P(x,-Y) + Q(x,-Y) Y'
-            p_term = biv_eval(p_terms, x, y) - biv_eval(p_terms, x, -y)
-            q_term = (biv_eval(q_terms, x, y) + biv_eval(q_terms, x, -y)) * dydx
+            p_term = biv_eval(omega.dx, x, y) - biv_eval(omega.dx, x, -y)
+            q_term = (biv_eval(omega.dy, x, y) + biv_eval(omega.dy, x, -y)) * dydx
             return (p_term + q_term) * jac
 
         return mp.quad(integrand, [0, mp.pi / 2])
@@ -407,7 +401,8 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
         b = mp.mpf(semi_minor) if semi_minor is not None else a
         zc = mp.mpc(z) if z is not None else None
         # i*b is (0, b) exactly
-        contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_))
+        contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_), mode,
+                   zc._mpc_ if zc is not None else None)
         nodes = []
         last = None
         n_nodes = 256
@@ -418,7 +413,7 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
                 nodes = [node for pair in zip(nodes, odd) for node in pair]
             else:
                 nodes = [_loop_node(contour, h, j) for j in range(n_nodes)]
-            val = _loop_sum(nodes, mode, zc, h)
+            val = _loop_sum(nodes, h)
             if val is not None:
                 if last is not None and abs(val - last) <= tol * (1 + abs(val)):
                     return val
@@ -428,11 +423,14 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
 
 
 def _loop_node(contour, h, j):
-    """What the trapezoid needs at the angle j*h, as raw libmp values: the
-    tangent dx/dtheta, w2 = f(x) + t, s = sqrt(w2), k(x) and |s|.  The
-    operations are those of the mpc-object expressions
-    center + a cos + (i b) sin and -a sin + (i b) cos."""
-    f, k, t, center, a, ib = contour
+    """What the trapezoid needs at the angle j*h, as raw libmp values:
+    s = sqrt(f(x) + t), the summand g(x, y) dx/dtheta at y = s, and |s|.
+
+    Every summand is odd in y, and rounding to nearest is symmetric, so the
+    summand at y = -s is exactly the negated one; None stands for a summand
+    that divides by zero.  The operations are those of the mpc-object
+    expressions center + a cos + (i b) sin and -a sin + (i b) cos."""
+    f, k, t, center, a, ib, mode, z = contour
     prec, rnd = mp.prec, round_nearest
     cos, sin = mpf_cos_sin(mpf_mul_int(h._mpf_, j, prec, rnd), prec, rnd)
     x = mpc_add(mpc_add_mpf(center, mpf_mul(a, cos, prec, rnd), prec, rnd),
@@ -441,39 +439,46 @@ def _loop_node(contour, h, j):
                           mpf_mul(mpf_neg(a), sin, prec, rnd), prec, rnd)
     w2 = mpc_add(eval_poly_raw(f, x, prec), t, prec, rnd)
     s = mpc_sqrt(w2, prec, rnd)
-    return tangent, w2, s, eval_poly_raw(k, x, prec), mpc_abs(s, prec, rnd)
+    kx = eval_poly_raw(k, x, prec)
+    try:
+        if mode == "y_dx":
+            g = mpc_mul(kx, s, prec, rnd)
+        elif mode == "dx_over_2y":
+            g = mpc_div(kx, mpc_mul_int(s, 2, prec, rnd), prec, rnd)
+        elif mode == "dx_over_y3":
+            g = mpc_div(kx, mpc_mul(s, w2, prec, rnd), prec, rnd)
+        elif mode == "cauchy":
+            g = mpc_div(mpc_mul(kx, s, prec, rnd), mpc_sub(w2, z, prec, rnd), prec, rnd)
+        else:
+            raise InputError(mode)
+        term = mpc_mul(g, tangent, prec, rnd)
+    except ZeroDivisionError:
+        term = None
+    return term, s, mpc_abs(s, prec, rnd)
 
 
-def _loop_sum(nodes, mode, z, h):
+def _loop_sum(nodes, h):
     """One trapezoid level: continue y from node 0's root s_0 through the
     nodes in index order, picking the sign of s nearer the previous y, and
-    sum the integrand.  None when a step is ambiguous (y moved by more than
+    sum the summands.  None when a step is ambiguous (y moved by more than
     half its size); a lift that does not close up is an error."""
     prec, rnd = mp.prec, round_nearest
-    y, abs_y = nodes[0][2], nodes[0][4]
-    z = z._mpc_ if z is not None else None
+    y, abs_y = nodes[0][1], nodes[0][2]
     total = (fzero, fzero)
-    for tangent, w2, s, kx, abs_s in nodes:
+    for term, s, abs_s in nodes:
         neg = mpc_neg(s, prec, rnd)
         d_pos = mpc_abs(mpc_sub(s, y, prec, rnd), prec, rnd)
         d_neg = mpc_abs(mpc_sub(neg, y, prec, rnd), prec, rnd)
-        y, step = (s, d_pos) if mpf_le(d_pos, d_neg) else (neg, d_neg)
+        flip = not mpf_le(d_pos, d_neg)
+        y, step = (neg, d_neg) if flip else (s, d_pos)
         if mpf_gt(step, mpf_shift(abs_s if mpf_lt(abs_y, abs_s) else abs_y, -1)):
             return None
         abs_y = abs_s
-        if mode == "y_dx":
-            g = mpc_mul(kx, y, prec, rnd)
-        elif mode == "dx_over_2y":
-            g = mpc_div(kx, mpc_mul_int(y, 2, prec, rnd), prec, rnd)
-        elif mode == "dx_over_y3":
-            g = mpc_div(kx, mpc_mul(y, w2, prec, rnd), prec, rnd)
-        elif mode == "cauchy":
-            g = mpc_div(mpc_mul(kx, y, prec, rnd), mpc_sub(w2, z, prec, rnd), prec, rnd)
-        else:
-            raise InputError(mode)
-        total = mpc_add(total, mpc_mul(g, tangent, prec, rnd), prec, rnd)
+        if term is None:
+            raise ZeroDivisionError("the loop integrand has a pole on the contour")
+        total = mpc_add(total, mpc_neg(term) if flip else term, prec, rnd)
     # closure: continuing once more to theta = 2 pi must return to the start
-    start, y = mp.make_mpc(nodes[0][2]), mp.make_mpc(y)
+    start, y = mp.make_mpc(nodes[0][1]), mp.make_mpc(y)
     cand = start if abs(start - y) <= abs(-start - y) else -start
     if abs(cand - start) > mp.mpf("1e-8") * max(1, abs(start)):
         raise ComputationError(
@@ -570,14 +575,11 @@ def check_exth(family: OvalFamily, k: RatPoly,
         return None
     with mp.workprec(prec + 32):
         ts = family.t_samples(samples, mp.prec)
-        ends = {}           # sample index -> its oval endpoints, shared by candidates
         for r in candidates:
             worst = mp.mpf(0)
             good = True
-            for i, t in enumerate(ts):
-                if i not in ends:
-                    ends[i] = oval_endpoints(family, t, prec)
-                x1, x2 = ends[i]
+            for t in ts:
+                x1, x2 = oval_endpoints(family, t, prec)
                 scale = max(mp.mpf(1), abs(eval_poly(r, x1, mp.prec)))
                 dev = abs(eval_poly(r, x1, mp.prec) - eval_poly(r, x2, mp.prec))
                 worst = max(worst, dev / scale)
@@ -586,7 +588,7 @@ def check_exth(family: OvalFamily, k: RatPoly,
                     break
             if not good:
                 continue
-            exact = _symmetric_exact_certificate(f, big_k, r, ends[0], prec)
+            exact = _symmetric_exact_certificate(f, big_k, r, family, ts, prec)
             return ExthWitness(r=r, exact=exact, max_deviation=worst,
                                samples=samples)
     return None
@@ -596,14 +598,12 @@ def _is_even_poly(p: RatPoly) -> bool:
     return all(c == 0 for i, c in enumerate(p.coeffs) if i % 2 == 1)
 
 
-def _symmetric_exact_certificate(f, big_k, r, first_ends, prec) -> bool:
-    """Whether r = x^2 with f and K even and the oval at the first sample
-    symmetric about 0 (its endpoints `first_ends` sum to 0)."""
+def _symmetric_exact_certificate(f, big_k, r, family, ts, prec) -> bool:
     if r != RatPoly.monomial(2):
         return False
     if not (_is_even_poly(f) and _is_even_poly(big_k)):
         return False
-    x1, x2 = first_ends
+    x1, x2 = oval_endpoints(family, ts[0], prec)
     return bool(abs(x1 + x2) < mp.mpf(2) ** (-(prec // 2)) * (1 + abs(x1)))
 
 

@@ -108,6 +108,11 @@ CASES = {
     # passes 0.01 from the branch point 0.765: the continuation is ambiguous
     # at 256 nodes, and at 64 bits it converges at 2048
     "loop/circle-0.775/y_dx": (_loop("y_dx", "0.775", k=ONE), (64,)),
+    # passes 0.003 from 0.765, where |sqrt(f + t)| falls by about half from
+    # one node to the next: at 1024 nodes the ambiguity test passes only
+    # because it compares the step with max(|y|, |s|), not with |s| or |y|
+    # alone; ambiguous at 256 and 512, it converges at 2048
+    "loop/circle-0.762/y_dx": (_loop("y_dx", "0.762", k=ONE), PRECS),
     "check_exth/central/x^3": (_exth(CENTRAL, X ** 3), PRECS),
     "main4/quartic/x": (_main4(QUARTIC_F, X, ["-0.015625", "-0.03125"], SQRT2), PRECS),
     "main4/even/x^3+2x": (

@@ -244,10 +244,12 @@ def test_loop_around_one_branch_point_does_not_close(config):
     ("4", 128, 512),        # levels 256 and 512 agree
     ("0.85", 128, 1024),    # 512 and 1024 agree
     ("0.775", 64, 2048),    # 256 is ambiguous; 1024 and 2048 agree
+    ("0.762", 128, 2048),   # 256 and 512 are ambiguous; 1024 and 2048 agree
 ])
 def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
     # the trapezoid levels are nested, so f is evaluated once per node of
-    # the last level (evaluating every level afresh took 772, 1798 and 3593)
+    # the last level (evaluating every level afresh took 772, 1798, 3593
+    # and 3082)
     import abelint.hyperelliptic as hyp
     calls = []
     for name in ("eval_poly", "eval_poly_raw"):
@@ -259,6 +261,29 @@ def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evalu
     loop_integral(QUARTIC_F, RatPoly.one(), "-0.5", 0, radius,
                   config=Config(precision_bits=prec))
     assert len(calls) == evaluations
+
+
+def test_loop_pole_at_the_start_node(config):
+    # node 0 is x = 1, a root of x^2 - 1, so k/(2y) divides by zero there
+    with pytest.raises(ZeroDivisionError):
+        loop_integral(X ** 2 - 1, X, 0, 0, 1, mode="dx_over_2y", config=config)
+
+
+def test_loop_pole_past_an_ambiguous_step_refines():
+    # a summand that divides by zero is an error only where the pass
+    # reaches it: here the step to the pole's s = 0 is ambiguous first
+    from mpmath.libmp import fone, fzero
+    from abelint.hyperelliptic import _loop_node, _loop_sum
+    one, zero = (fone, fzero), (fzero, fzero)
+    with mp.workprec(64):
+        h = mp.mpf(1)
+        # (f, k, t, center, a, i b, mode, z): node 0 of the unit circle is x = 1
+        contour = (X ** 2 - 1, X, zero, zero, fone, (fzero, fone), "dx_over_2y", None)
+        pole = _loop_node(contour, h, 0)
+        assert pole == (None, zero, fzero)
+        assert _loop_sum([(one, one, fone), pole], h) is None
+        with pytest.raises(ZeroDivisionError):
+            _loop_sum([pole, (one, one, fone)], h)
 
 
 # ---------------------------------------------------------------------------
