@@ -242,20 +242,28 @@ def oval_endpoints(family: OvalFamily, t, prec: int):
         return x1, x2
 
 
-def _dx_over_y_at_endpoint(f: RatPoly, k: RatPoly, x1, x2, theta):
+def _dx_over_y_at_endpoint(df: RatPoly, k: RatPoly, x1, x2, theta):
     """The integrand k jac / y of `_oval_quadrature` at a node that rounds
     onto an oval endpoint, where y = 0: its limit there, which is
     2 k(x1) sqrt(span/|f'(x1)|) cos(theta) at x1 and
-    2 k(x2) sqrt(span/|f'(x2)|) sin(theta) at x2."""
+    2 k(x2) sqrt(span/|f'(x2)|) sin(theta) at x2.  `df` is f'."""
     at_x1 = theta < mp.pi / 4
     end = x1 if at_x1 else x2
-    slope = abs(eval_poly(f.derivative(), end, mp.prec))
+    slope = abs(eval_poly(df, end, mp.prec))
     if slope == 0:
         raise ComputationError(
             f"f' vanishes at the oval endpoint x = {mp.nstr(end, 8)}, so "
             "1/y is not integrable there")
     trig = mp.cos(theta) if at_x1 else mp.sin(theta)
     return 2 * eval_poly(k, end, mp.prec) * mp.sqrt((x2 - x1) / slope) * trig
+
+
+# (theta, wp) -> (sin theta, sin 2 theta) as raw mpf at wp bits, for the
+# nodes theta that mp.quad passes to the oval integrand.  Every call
+# integrates over [0, pi/2] at its precision, so mp.quad's cached rule
+# hands it the same nodes; the table holds at most those nodes, per
+# precision, and fills as they arrive.
+_NODE_SINES: dict = {}
 
 
 def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
@@ -279,6 +287,7 @@ def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
                 raise ComputationError("pole sits on the integration contour")
 
         f, rnd = family.f, round_nearest
+        df = f.derivative() if integrand_kind == "dx_over_y" else None
         raw_x1, raw_span, raw_t = x1._mpf_, span._mpf_, t._mpf_
         raw_z = z._mpc_ if z is not None else None
 
@@ -287,13 +296,18 @@ def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
             # mp.quad raises the precision while it samples, so read it here
             wp = mp.prec
             th = theta._mpf_
-            s = mpf_sin(th, wp, rnd)
+            sines = _NODE_SINES.get((th, wp))
+            if sines is None:
+                sines = _NODE_SINES[th, wp] = (
+                    mpf_sin(th, wp, rnd),
+                    mpf_sin(mpf_mul_int(th, 2, wp, rnd), wp, rnd))
+            s, sin2 = sines
             x = mpf_add(raw_x1, mpf_mul(mpf_mul(raw_span, s, wp, rnd), s, wp, rnd), wp, rnd)
             w2 = mpf_add(eval_poly_raw(f, x, wp), raw_t, wp, rnd)
             if integrand_kind == "dx_over_y" and not mpf_gt(w2, fzero):
-                return _dx_over_y_at_endpoint(f, k, x1, x2, theta)
+                return _dx_over_y_at_endpoint(df, k, x1, x2, theta)
             kx = eval_poly_raw(k, x, wp)
-            jac = mpf_mul(raw_span, mpf_sin(mpf_mul_int(th, 2, wp, rnd), wp, rnd), wp, rnd)
+            jac = mpf_mul(raw_span, sin2, wp, rnd)
             if integrand_kind == "dx_over_y":
                 y = mpf_sqrt(w2, wp, rnd)
                 return mp.make_mpf(mpf_mul(mpf_div(kx, y, wp, rnd), jac, wp, rnd))
@@ -562,6 +576,8 @@ def check_exth(family: OvalFamily, k: RatPoly,
     values; the symmetric special case (f, K even, symmetric root pair)
     carries an exact certificate.
     """
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     f = family.f
     big_k = k.primitive()
     if f.is_zero() or f.degree < 2:

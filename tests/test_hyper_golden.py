@@ -156,6 +156,29 @@ def test_hyper_values_golden(golden, name, prec):
     assert compute(name, prec) == golden[name][str(prec)]
 
 
+def test_oval_values_from_an_empty_node_sine_table_highest_precision_first(
+        monkeypatch, golden):
+    # the oval integrand's sines come from a table keyed by node and
+    # precision; filled from empty at the highest precision first, it must
+    # still give every lower precision its own bits
+    import abelint.hyperelliptic as hyp
+    monkeypatch.setattr(hyp, "_NODE_SINES", {})
+    oval = [name for name in CASES
+            if name.split("/")[0] in ("integral_I", "integral_I_prime", "cauchy_J")]
+    runs = sorted(((prec, name) for name in oval for prec in CASES[name][1]),
+                  key=lambda run: -run[0])
+    for prec, name in runs:
+        assert compute(name, prec) == golden[name][str(prec)], (name, prec)
+    # mp.quad samples 20 bits above the quadrature's prec + 32
+    assert {wp for _, wp in hyp._NODE_SINES} == {128 + 52, 160 + 52, 192 + 52}
+    # the values above carry 20 guard bits, which can hide a wrong last bit
+    # of a sine, so every entry is checked against the mp-object sines too
+    for (th, wp), sines in hyp._NODE_SINES.items():
+        with mp.workprec(wp):
+            theta = mp.make_mpf(th)
+            assert sines == (mp.sin(theta)._mpf_, mp.sin(2 * theta)._mpf_), (th, wp)
+
+
 if __name__ == "__main__":
     out = {name: {str(prec): compute(name, prec) for prec in precs}
            for name, (_, precs) in CASES.items()}

@@ -6,7 +6,7 @@ from mpmath import mp
 
 from abelint.config import Config
 from abelint.cycles import CycleVector, VanishingCycleCombo, continue_fiber_to_real
-from abelint.errors import ComputationError
+from abelint.errors import ComputationError, InputError
 from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
                                    integral_I, integral_I_prime, loop_integral,
                                    main4_limit_check, oval_endpoints,
@@ -170,7 +170,50 @@ def test_i_prime_endpoint_with_vanishing_slope():
     from abelint.hyperelliptic import _dx_over_y_at_endpoint
     f = -(X ** 2 - 1) ** 2
     with mp.workprec(160), pytest.raises(ComputationError, match="x = -1.0"):
-        _dx_over_y_at_endpoint(f, X, mp.mpf(-1), mp.mpf(1), mp.mpf(0))
+        _dx_over_y_at_endpoint(f.derivative(), X, mp.mpf(-1), mp.mpf(1), mp.mpf(0))
+
+
+def test_i_prime_builds_the_derivative_once(monkeypatch):
+    # about 320 nodes round onto the endpoint x = -1/2 at 128 bits; they
+    # share one f' (building it at each such node made about 320)
+    calls = []
+    derivative = RatPoly.derivative
+
+    def counting(p):
+        calls.append(p)
+        return derivative(p)
+    monkeypatch.setattr(RatPoly, "derivative", counting)
+    fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
+    integral_I_prime(fam, X ** 2 + 1, Fraction(1, 2), Config(precision_bits=128))
+    assert len(calls) <= 1
+
+
+def test_oval_node_sines_are_computed_once_per_precision(monkeypatch, config):
+    # mp.quad passes a second call on the same interval and precision the
+    # same nodes, so its sines all come from the table
+    import abelint.hyperelliptic as hyp
+    monkeypatch.setattr(hyp, "_NODE_SINES", {})
+    calls = []
+
+    def counting(x, prec, rnd, sine=hyp.mpf_sin):
+        calls.append(prec)
+        return sine(x, prec, rnd)
+    monkeypatch.setattr(hyp, "mpf_sin", counting)
+    first = integral_I(CENTRAL, X ** 2, "-0.4", config)
+    filled = len(calls)
+    assert filled == 2 * len(hyp._NODE_SINES) > 0
+    assert integral_I(CENTRAL, X ** 2, "-0.4", config) == first
+    assert len(calls) == filled
+
+
+def test_import_leaves_the_node_sine_table_empty():
+    # the table fills only from quadrature nodes, never at import
+    import subprocess
+    import sys
+    code = "import abelint, abelint.hyperelliptic as h; print(len(h._NODE_SINES))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0\n"
 
 
 def test_j_at_zero_is_twice_i_prime(config):
@@ -378,6 +421,20 @@ def test_exth_no_witness_for_constant_k(config):
 def test_exth_empty_candidates():
     family = OvalFamily(f=X ** 3 - 3 * X, pair_index=0, t_min="-1.9", t_max="-0.1")
     assert check_exth(family, RatPoly.one(), Config()) is None
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_exth_rejects_fewer_than_one_sample(monkeypatch, samples):
+    # no sample means no endpoints to certify; the error comes before any
+    # root finding
+    import abelint.hyperelliptic as hyp
+
+    def no_roots(*args):
+        raise AssertionError("root finding ran")
+    monkeypatch.setattr(hyp, "roots_of_shifted", no_roots)
+    family = OvalFamily(f=(X ** 2 - 2) ** 2, pair_index=1, t_min="-3", t_max="-1")
+    with pytest.raises(InputError, match=r"^samples must be at least 1, got -?\d+$"):
+        check_exth(family, X, Config(), samples=samples)
 
 
 # ---------------------------------------------------------------------------
