@@ -35,8 +35,12 @@ def _expect(cond, message):
 
 
 def count_from_json(value, what: str) -> int:
-    """A nonnegative integer field, such as a degree bound."""
+    """A nonnegative integer field, such as a degree bound: 6, 6.0 or "6",
+    but not true, 6.9 or Infinity."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         count = int(value)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be an integer, not {value!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp
 
@@ -80,26 +81,34 @@ def _trace_kernel(w: RatPoly, bound: int) -> list[list[Fraction]]:
     coefficients of p_0, ..., p_bound."""
     sums = power_sums(w, bound)
     rows = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
-    return linalg.row_space_basis(linalg.nullspace(rows, bound + 1))
+    return linalg.kernel(rows, bound + 1)
 
 
-def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[Fraction]]:
-    """Coefficient rows of 1, w, w^2, ... up to the degree bound."""
-    rows, power = [], RatPoly.one()
-    while power.is_constant() or power.degree <= bound:
-        rows.append(_poly_to_row(power, bound))
-        power = power * w
+def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
+    """Integer coefficient rows of 1, W, W^2, ... up to the degree bound,
+    where W is w times the lcm of its denominators: they span C[w] there."""
+    scale = lcm(*(c.denominator for c in w.coeffs))
+    big = [c.numerator * (scale // c.denominator) for c in w.coeffs]
+    rows, power = [], [1]
+    for _ in range(bound // w.degree + 1):
+        rows.append(power + [0] * (bound + 1 - len(power)))
+        product = [0] * (len(power) + w.degree)
+        for i, a in enumerate(power):
+            for j, b in enumerate(big):
+                product[i + j] += a * b
+        power = product
     return rows
 
 
 class _LatticeSpans:
     """The trace kernels and pullback rings of a divisor lattice inside
-    degree <= bound; each trace kernel is computed at most once."""
+    degree <= bound; each is computed at most once."""
 
     def __init__(self, lattice: DivisorLattice, bound: int):
         self.lattice = lattice
         self.bound = bound
         self._kernels: dict[int, list[list[Fraction]]] = {}
+        self._pullbacks: dict[int, list[list[int]]] = {}
 
     def trace_kernel(self, d: int) -> list[list[Fraction]]:
         """Canonical basis of Z_{V_d}, the trace kernel of the witness of d."""
@@ -107,21 +116,28 @@ class _LatticeSpans:
             self._kernels[d] = _trace_kernel(self.lattice.witness[d].right, self.bound)
         return self._kernels[d]
 
-    def ud_span(self, d: int) -> list[list[Fraction]]:
-        """Canonical basis of Z_{U_d}: Z_{V_d} plus the pullback rings of
-        the witnesses of the elements covered by d."""
+    def pullback(self, d: int) -> list[list[int]]:
+        """Rows spanning the pullback ring of the witness of d."""
+        if d not in self._pullbacks:
+            self._pullbacks[d] = _pullback_span_rows(self.lattice.witness[d].right,
+                                                     self.bound)
+        return self._pullbacks[d]
+
+    def ud_span(self, d: int) -> tuple[list[list[Fraction]], list[int]]:
+        """Canonical basis of Z_{U_d}, with its pivots: Z_{V_d} plus the
+        pullback rings of the witnesses of the elements covered by d."""
         rows = list(self.trace_kernel(d))
         for dt in self.lattice.covered_by(d):
-            rows.extend(_pullback_span_rows(self.lattice.witness[dt].right, self.bound))
-        return linalg.row_space_basis(rows)
+            rows.extend(self.pullback(dt))
+        return linalg.rref(rows)
 
     def candidates(self, kernels, pullbacks):
         """(tag, span builder) pairs: the trace kernels of `kernels`, then
         the pullback rings of the witnesses of `pullbacks`."""
         out = [(f"trace-kernel({d})", lambda d=d: self.trace_kernel(d))
                for d in kernels]
-        for w in (self.lattice.witness[d].right for d in pullbacks):
-            out.append((f"pullback({w})", lambda w=w: _pullback_span_rows(w, self.bound)))
+        out += [(f"pullback({self.lattice.witness[d].right})",
+                 lambda d=d: self.pullback(d)) for d in pullbacks]
         return out
 
     def conditions(self, cycles) -> list[list[Fraction]]:
@@ -131,7 +147,7 @@ class _LatticeSpans:
                               for v in cycles))
         rows: list[list[Fraction]] = []
         for d in sorted(comps):
-            rows.extend(linalg.nullspace(self.ud_span(d), self.bound + 1))
+            rows.extend(linalg.nullspace_of_rref(*self.ud_span(d), self.bound + 1))
         return rows
 
 
@@ -146,7 +162,7 @@ def _provenance(rows, candidates) -> tuple[str, ...]:
         for i, (name, build) in enumerate(candidates):
             if i not in echelons:
                 echelons[i] = linalg.rref(build())
-            if not any(linalg.reduce_row(*echelons[i], row)):
+            if linalg.in_rref_span(*echelons[i], row):
                 tag = name
                 break
         tags.append(tag)
@@ -176,8 +192,7 @@ def vanishing_basis(cycles, lattice: DivisorLattice,
     that union, and no nonzero cycle yields the full polynomial space.
     """
     spans = _LatticeSpans(lattice, degree_bound)
-    kernel = linalg.row_space_basis(
-        linalg.nullspace(spans.conditions(cycles), degree_bound + 1))
+    kernel = linalg.kernel(spans.conditions(cycles), degree_bound + 1)
     candidates = spans.candidates(sorted(lattice.members), lattice.members)
     return _solution(kernel, _provenance(kernel, candidates), degree_bound)
 
@@ -197,7 +212,7 @@ def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     of the elements covered by d, truncated at the degree bound."""
     lattice.require_member(d)
     spans = _LatticeSpans(lattice, degree_bound)
-    rows = spans.ud_span(d)
+    rows, _ = spans.ud_span(d)
     candidates = spans.candidates([d], lattice.covered_by(d))
     return _solution(rows, _provenance(rows, candidates), degree_bound)
 

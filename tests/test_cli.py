@@ -244,6 +244,54 @@ def test_hyper_integrate_input_contract(fields, message, tmp_path, monkeypatch,
     assert err.count("\n") == 1
 
 
+HYPER_FAMILY = '"f": ["0", "1/2", "-1"], "t_min": "1/4", "t_max": "1"'
+COUNT_FIELDS = {
+    "degree_bound": ("solve", '{"polynomial": ["0", "0", "1"], '
+                              '"cycle": ["1", "-1"], "degree_bound": %s}'),
+    "cycle length n": ("solve", '{"polynomial": ["0", "0", "1"], '
+                                '"cycle": {"n": %s, "v": ["1", "-1"]}}'),
+    "t_samples": ("hyper-integrate", '{"family": {%s, "pair_index": 0}, '
+                                     '"k": ["1"], "t_samples": %%s}' % HYPER_FAMILY),
+    "pair_index": ("hyper-integrate", '{"family": {%s, "pair_index": %%s}, '
+                                      '"k": ["1"]}' % HYPER_FAMILY),
+}
+
+
+@pytest.mark.parametrize("raw, shown", [
+    ("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan"), ("1e400", "inf"),
+    ("6.9", "6.9"), ("true", "True"), ("false", "False"), ('"6.5"', "'6.5'"),
+])
+@pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+def test_count_fields_reject_non_integers(field, raw, shown, tmp_path,
+                                          monkeypatch, capsys):
+    """A count that is not an integer is an input error (exit 2, one line),
+    not a traceback and not a truncation."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(cli, "group_data", no_work)
+    monkeypatch.setattr(cli, "integral_I", no_work)
+    command, template = COUNT_FIELDS[field]
+    path = tmp_path / "input.json"
+    path.write_text(template % raw)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {field} must be an integer, not {shown}\n"
+
+
+@pytest.mark.parametrize("raw", ['"2"', "2.0", "2e0"])
+@pytest.mark.parametrize("field", ["degree_bound", "cycle length n"])
+def test_count_fields_accept_integral_values(field, raw, tmp_path, capsys):
+    """An integer-valued count, as a number or a string, reads as that
+    integer: stdout is the same as for the plain 2."""
+    path = tmp_path / "input.json"
+    outputs = []
+    for value in ("2", raw):
+        path.write_text(COUNT_FIELDS[field][1] % value)
+        assert cli.main(["solve", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_plot_constellation_topology(tmp_path):
     out_file = tmp_path / "t6.svg"
     res = run_cli(["plot-constellation", "-", "-o", str(out_file)],

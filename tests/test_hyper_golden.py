@@ -8,9 +8,15 @@ only).  A value is stored as its raw libmp tuple(s), [sign, hex mantissa,
 exponent, bitcount], so the comparison covers every bit and whether the
 result is real or complex.
 
-To rewrite the file after a deliberate change of the numbers:
+`golden/oval_integrand.json` holds raw values of the oval integrand itself
+at fixed angles and working precisions.  A quadrature value carries 20
+guard bits, which absorb a last-bit change of the integrand at every node;
+these values do not.
+
+To rewrite the files after a deliberate change of the numbers:
 
     PYTHONPATH=src python tests/test_hyper_golden.py > tests/golden/hyper_values.json
+    PYTHONPATH=src python tests/test_hyper_golden.py integrand > tests/golden/oval_integrand.json
 """
 
 import json
@@ -21,6 +27,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+import abelint.hyperelliptic as hyp
 from abelint.config import Config
 from abelint.cycles import VanishingCycleCombo
 from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
@@ -31,6 +38,7 @@ from abelint.ratpoly import RatPoly
 from conftest import QUARTIC_F
 
 GOLDEN = Path(__file__).parent / "golden" / "hyper_values.json"
+INTEGRAND_GOLDEN = Path(__file__).parent / "golden" / "oval_integrand.json"
 PRECS = (128, 192)
 
 X = RatPoly.x()
@@ -161,7 +169,6 @@ def test_oval_values_from_an_empty_node_sine_table_highest_precision_first(
     # the oval integrand's sines come from a table keyed by node and
     # precision; filled from empty at the highest precision first, it must
     # still give every lower precision its own bits
-    import abelint.hyperelliptic as hyp
     monkeypatch.setattr(hyp, "_NODE_SINES", {})
     oval = [name for name in CASES
             if name.split("/")[0] in ("integral_I", "integral_I_prime", "cauchy_J")]
@@ -179,8 +186,59 @@ def test_oval_values_from_an_empty_node_sine_table_highest_precision_first(
             assert sines == (mp.sin(theta)._mpf_, mp.sin(2 * theta)._mpf_), (th, wp)
 
 
+# the integrand that `_oval_quadrature` hands to mp.quad, per case; it is
+# sampled at exact dyadic angles (0, 2^-20, 3/16, 5/8, 201/128 < pi/2) at
+# the working precision mp.quad uses (prec + 52) and at prec + 32
+INTEGRAND_CASES = {
+    "y_dx/central/x^2+1/-1/2": lambda c: integral_I(CENTRAL, K2, MINUS_HALF, c),
+    "y_dx/endpoint/x^2+1/1/4": lambda c: integral_I(ENDPOINT, K2, QUARTER, c),
+    "dx_over_y/central/x^2+1/-1/2": lambda c: integral_I_prime(CENTRAL, K2, MINUS_HALF, c),
+    "dx_over_y/endpoint/x^2+1/1/2": lambda c: integral_I_prime(ENDPOINT, K2, Fraction(1, 2), c),
+    "cauchy/central/x^2/-1/2/-1+i/2": lambda c: cauchy_J(CENTRAL, X ** 2, MINUS_HALF, Z, c),
+    "cauchy/endpoint/x^2+1/1/4/-1+i/2": lambda c: cauchy_J(ENDPOINT, K2, QUARTER, Z, c),
+}
+ANGLES = (Fraction(0), Fraction(1, 2 ** 20), Fraction(3, 16), Fraction(5, 8),
+          Fraction(201, 128))
+
+
+def integrand_values(name, prec):
+    """{working precision: [integrand at each of ANGLES]} for one case."""
+    handed = []
+
+    def quad(f, interval):
+        handed.append(f)
+        return mp.mpf(0)
+
+    original = mp.quad
+    mp.quad = quad
+    try:
+        INTEGRAND_CASES[name](Config(precision_bits=prec))
+    finally:
+        mp.quad = original
+    [integrand] = handed
+    out = {}
+    for wp in (prec + 32, prec + 52):
+        with mp.workprec(wp):
+            out[str(wp)] = encode([integrand(mp.mpf(a.numerator) / a.denominator)
+                                   for a in ANGLES])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAND_CASES))
+@pytest.mark.parametrize("prec", PRECS)
+def test_oval_integrand_golden(monkeypatch, name, prec):
+    # from an empty sine table, so every sine is computed here
+    monkeypatch.setattr(hyp, "_NODE_SINES", {})
+    golden = json.loads(INTEGRAND_GOLDEN.read_text())
+    assert integrand_values(name, prec) == golden[name][str(prec)]
+
+
 if __name__ == "__main__":
-    out = {name: {str(prec): compute(name, prec) for prec in precs}
-           for name, (_, precs) in CASES.items()}
+    if sys.argv[1:] == ["integrand"]:
+        out = {name: {str(prec): integrand_values(name, prec) for prec in PRECS}
+               for name in INTEGRAND_CASES}
+    else:
+        out = {name: {str(prec): compute(name, prec) for prec in precs}
+               for name, (_, precs) in CASES.items()}
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")

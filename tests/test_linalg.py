@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelint import linalg
-from abelint.linalg import (in_span, nullspace, rank, rref,
-                            row_space_basis, same_span, solve_in_span)
+from abelint.errors import InputError
+from abelint.linalg import (in_rref_span, in_span, kernel, nullspace, rank,
+                            rref, row_space_basis, same_span, solve_in_span)
 
 
 def F(x):
@@ -187,3 +189,64 @@ def test_solve_in_span_matches_fraction_gauss_jordan(data):
         if coeffs is not None:
             assert all_fractions([coeffs])
     assert solve_in_span(basis, inside) is not None
+
+
+# ---------------------------------------------------------------------------
+# one-elimination kernel and membership in a reduced span
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_is_the_reduced_nullspace(data):
+    m = data.draw(matrices())
+    ncols = len(m[0]) if m else data.draw(st.integers(0, 6))
+    got = kernel(m, ncols)
+    assert got == row_space_basis(nullspace(m, ncols))
+    assert all_fractions(got)
+    with mock.patch.object(linalg, "rref", reference_rref):
+        assert kernel(m, ncols) == row_space_basis(nullspace(m, ncols)) == got
+
+
+def reference_in_span(basis, v):
+    """v lies in the span iff appending it leaves the rank unchanged."""
+    return len(reference_rref(basis + [v])[0]) == len(reference_rref(basis)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_in_rref_span_matches_rank_test(data):
+    ncols = data.draw(st.integers(1, 6))
+    basis = data.draw(matrices(ncols))
+    weights = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+    member = [sum((Fraction(w) * Fraction(row[k]) for w, row in zip(weights, basis)),
+                  Fraction(0)) for k in range(ncols)]
+    other = [Fraction(c) for c in data.draw(st.lists(entries, min_size=ncols,
+                                                     max_size=ncols))]
+    echelon = rref(basis)
+    for v in (member, other, [Fraction(0)] * ncols):
+        assert in_rref_span(*echelon, v) == reference_in_span(basis, v)
+        assert in_span(basis, v) == reference_in_span(basis, v)
+    assert in_rref_span(*echelon, member)
+
+
+def test_kernel_canonical_examples():
+    assert kernel([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert kernel([[1, 2, 3]], 3) == [[F(1), F(0), F("-1/3")], [F(0), F(1), F("-2/3")]]
+    assert kernel([[1, 0], [0, 5]], 2) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rref([[1, 2], [3]]),
+    lambda: nullspace([[1, 2, 3]], 2),
+    lambda: nullspace([[1, 2], [3]], 2),
+    lambda: kernel([[1, 2, 3]], 4),
+    lambda: kernel([[1], [2, 3]], 2),
+    lambda: in_span([[1, 0]], [1, 0, 0]),
+    lambda: in_span([[0, 0]], [0]),
+    lambda: in_span([[1, 0], [0]], [1, 0]),
+    lambda: in_rref_span(*rref([[1, 0]]), [1]),
+    lambda: solve_in_span([[1, 0]], [1, 0, 0]),
+])
+def test_inconsistent_shapes_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()

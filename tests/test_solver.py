@@ -13,7 +13,7 @@ from abelint.invariant import pairing_is_zero
 from abelint.monodromy import divisor_lattice, monodromy
 from abelint.ratpoly import (RatPoly, chebyshev, compose, power_sums,
                              trace_poly, w_adic)
-from abelint.solver import (_trace_kernel, classify,
+from abelint.solver import (_pullback_span_rows, _trace_kernel, classify,
                             common_right_factor, puiseux,
                             solve_moment_problem, verify_vanishing_numeric,
                             z_delta_basis, z_ud_basis, z_vd_basis)
@@ -178,6 +178,42 @@ def test_trace_matrix_from_power_sums(w_data, bound):
     assert table == reference
     assert _trace_kernel(w, bound) == linalg.row_space_basis(
         linalg.nullspace(reference, bound + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+           lambda m: st.tuples(st.lists(small_rationals, min_size=m, max_size=m),
+                               nonzero_rationals)),
+       st.integers(0, 30))
+def test_integer_pullback_rows_span_the_pullback_ring(w_data, bound):
+    # the rows of 1, W, W^2, ... with W = w scaled to integers span the same
+    # space as the powers of w itself
+    lower, lc = w_data
+    w = RatPoly(lower + [lc])
+    rows = _pullback_span_rows(w, bound)
+    assert all(type(c) is int and len(row) == bound + 1
+               for row in rows for c in row)
+    powers, power = [], RatPoly.one()
+    while power.degree <= bound:
+        powers.append([power.coeff(k) for k in range(bound + 1)])
+        power = power * w
+    assert len(rows) == len(powers)
+    assert linalg.row_space_basis(rows) == linalg.row_space_basis(powers)
+
+
+def test_trace_kernel_is_one_elimination(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for w, bound in ((chebyshev(6), 24), (X ** 2 + X / 3, 17), (X ** 3, 0)):
+        calls.clear()
+        _trace_kernel(w, bound)
+        assert len(calls) == 1, (w, bound)
 
 
 def _basis_json(sb):
