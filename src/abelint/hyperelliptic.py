@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import (fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
-                          mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
-                          mpc_neg, mpc_sqrt, mpc_sub, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_shift, mpf_sin, mpf_sqrt, round_nearest)
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf,
+                          mpc_div, mpc_mpf_div, mpc_mul, mpc_mul_int,
+                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sqrt, mpc_sub,
+                          mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_le,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_shift, mpf_sqrt, mpf_sub, round_nearest)
 
 from . import linalg
 from .config import Config, DEFAULT_CONFIG
@@ -242,147 +243,148 @@ def oval_endpoints(family: OvalFamily, t, prec: int):
         return x1, x2
 
 
-def _dx_over_y_at_endpoint(df: RatPoly, k: RatPoly, x1, x2, theta):
-    """The integrand k jac / y of `_oval_quadrature` at a node that rounds
-    onto an oval endpoint, where y = 0: its limit there, which is
-    2 k(x1) sqrt(span/|f'(x1)|) cos(theta) at x1 and
-    2 k(x2) sqrt(span/|f'(x2)|) sin(theta) at x2.  `df` is f'."""
-    at_x1 = theta < mp.pi / 4
-    end = x1 if at_x1 else x2
-    slope = abs(eval_poly(df, end, mp.prec))
-    if slope == 0:
-        raise ComputationError(
-            f"f' vanishes at the oval endpoint x = {mp.nstr(end, 8)}, so "
-            "1/y is not integrable there")
-    trig = mp.cos(theta) if at_x1 else mp.sin(theta)
-    return 2 * eval_poly(k, end, mp.prec) * mp.sqrt((x2 - x1) / slope) * trig
+def _nested_trapezoid(level, js, n: int, tol, what: str):
+    """The value of nested trapezoid levels of n, 2n, 4n, ... up to 2^16
+    intervals, once two successive values agree to tol * (1 + |value|).
+    `level(n, js)` folds the new nodes js of the level of n intervals into
+    its running state and returns the level's value, or None: js is given
+    at the first level and is the odd nodes at each later one."""
+    last = None
+    while n <= 1 << 16:
+        val = level(n, js)
+        if val is not None:
+            if last is not None and abs(val - last) <= tol * (1 + abs(val)):
+                return val
+            last = val
+        n *= 2
+        js = range(1, n, 2)
+    raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
-# (theta, wp) -> (sin theta, sin 2 theta) as raw mpf at wp bits, for the
-# nodes theta that mp.quad passes to the oval integrand.  Every call
-# integrates over [0, pi/2] at its precision, so mp.quad's cached rule
-# hands it the same nodes; the table holds at most those nodes, per
-# precision, and fills as they arrive.
-_NODE_SINES: dict = {}
+def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
+                     scale: int, z=None):
+    """scale times the integral over [0, pi] of integrand(x, y, hs, sqrt g,
+    wp) dphi on the oval's upper branch, rounded at prec + 32 bits.
 
-
-def _oval_quadrature(family: OvalFamily, k: RatPoly, t, config: Config,
-                     integrand_kind: str, z=None):
-    """Adaptive quadrature over the oval with the substitution
-    x = x1 + (x2-x1) sin^2(theta), which absorbs the square-root endpoint
-    behavior for both y dx and dx/y integrands."""
+    With f + t = (x - x1)(x2 - x) g(x), deflated once, x = m - h cos(phi)
+    and hs = h sin(phi), y = hs sqrt(g) and dx = hs dphi: no node subtracts
+    nearly equal numbers, and every integrand is even, periodic and analytic
+    in phi, where the trapezoid rule converges geometrically.  Nodes are raw
+    mpf at wp = prec + 52 bits, complex when z is given."""
     prec = config.precision_bits
-    with mp.workprec(prec + 32):
-        t = to_mpf(t, mp.prec)
-        x1, x2 = oval_endpoints(family, t, prec)
-        span = x2 - x1
+    wp = prec + 52
+    t = to_mpf(t, prec + 32)
+    where = f"at t = {mp.nstr(t, 8)}"
+    x1, x2 = oval_endpoints(family, t, prec)
+    rnd = round_nearest
+    with mp.workprec(wp):
         if z is not None:
-            z = mp.mpc(z)
             # poles sit where f + t = z; on the oval f + t covers [0, w2max],
             # so only real z inside that range (but away from 0) is dangerous
-            grid = [x1 + span * mp.mpf(j) / 64 for j in range(65)]
+            grid = [x1 + (x2 - x1) * mp.mpf(j) / 64 for j in range(65)]
             w2max = max(eval_poly(family.f, x, mp.prec) + t for x in grid)
             margin = (1 + abs(z)) * mp.mpf(2) ** (-(prec // 4))
             if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
                 raise ComputationError("pole sits on the integration contour")
+        # synthetic division of f + t by x - x2, then by x - x1
+        g = [to_mpf(c, wp) for c in reversed(family.f.coeffs)]
+        g[-1] += t
+        size = max(abs(c) for c in g)
+        for root in (x2, x1):
+            for i in range(1, len(g)):
+                g[i] += root * g[i - 1]
+            if abs(g.pop()) > size * mp.mpf(2) ** (-(prec // 2)):
+                raise ComputationError(f"the oval endpoints do not divide f + t {where}")
+        oval = (((x1 + x2) / 2)._mpf_, ((x2 - x1) / 2)._mpf_,
+                tuple((-c)._mpf_ for c in g), integrand, wp, where)
+        add, mul, shift, make = (
+            (mpc_add, mpc_mul_mpf, mpc_shift, mp.make_mpc) if z is not None
+            else (mpf_add, mpf_mul, mpf_shift, mp.make_mpf))
+        # the trapezoid's half weight at phi = 0 and pi
+        total = shift(add(_oval_node(oval, 0, 1), _oval_node(oval, 1, 1), wp, rnd), -1)
+        scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
 
-        f, rnd = family.f, round_nearest
-        df = f.derivative() if integrand_kind == "dx_over_y" else None
-        raw_x1, raw_span, raw_t = x1._mpf_, span._mpf_, t._mpf_
-        raw_z = z._mpc_ if z is not None else None
+        def level(n, js):
+            nonlocal total
+            for j in js:
+                total = add(total, _oval_node(oval, j, n), wp, rnd)
+            return make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
 
-        def integrand(theta):
-            # on raw mpf with the operations of the mpf-object expressions;
-            # mp.quad raises the precision while it samples, so read it here
-            wp = mp.prec
-            th = theta._mpf_
-            sines = _NODE_SINES.get((th, wp))
-            if sines is None:
-                sines = _NODE_SINES[th, wp] = (
-                    mpf_sin(th, wp, rnd),
-                    mpf_sin(mpf_mul_int(th, 2, wp, rnd), wp, rnd))
-            s, sin2 = sines
-            x = mpf_add(raw_x1, mpf_mul(mpf_mul(raw_span, s, wp, rnd), s, wp, rnd), wp, rnd)
-            w2 = mpf_add(eval_poly_raw(f, x, wp), raw_t, wp, rnd)
-            if integrand_kind == "dx_over_y" and not mpf_gt(w2, fzero):
-                return _dx_over_y_at_endpoint(df, k, x1, x2, theta)
-            kx = eval_poly_raw(k, x, wp)
-            jac = mpf_mul(raw_span, sin2, wp, rnd)
-            if integrand_kind == "dx_over_y":
-                y = mpf_sqrt(w2, wp, rnd)
-                return mp.make_mpf(mpf_mul(mpf_div(kx, y, wp, rnd), jac, wp, rnd))
-            # y = sqrt(w2) is imaginary where rounding next to an endpoint
-            # makes w2 negative, as mp.sqrt makes it
-            if w2[0]:
-                ky = mpc_mul_mpf(mpc_sqrt((w2, fzero), wp, rnd), kx, wp, rnd)
-            else:
-                ky = mpf_mul(kx, mpf_sqrt(w2, wp, rnd), wp, rnd)
-            if integrand_kind == "y_dx":
-                if w2[0]:
-                    return mp.make_mpc(mpc_mul_mpf(ky, jac, wp, rnd))
-                return mp.make_mpf(mpf_mul(ky, jac, wp, rnd))
-            if integrand_kind == "cauchy":
-                den = mpc_sub((w2, fzero), raw_z, wp, rnd)
-                ratio = (mpc_div(ky, den, wp, rnd) if w2[0]
-                         else mpc_mpf_div(ky, den, wp, rnd))
-                return mp.make_mpc(mpc_mul_mpf(ratio, jac, wp, rnd))
-            raise InputError(integrand_kind)
+        val = _nested_trapezoid(level, range(1, 8), 8, mp.mpf(2) ** (-(prec + 8)),
+                                f"oval quadrature {where}")
+    with mp.workprec(prec + 32):
+        return +val
 
-        val = mp.quad(integrand, [0, mp.pi / 2])
-        return 2 * val
+
+def _oval_node(oval, j, n):
+    """The integrand of `_oval_quadrature` at phi = j pi/n, n a power of two;
+    `oval` is (m, h, g's raw coefficients highest first, integrand, wp, where)."""
+    m, h, g, integrand, wp, where = oval
+    rnd = round_nearest
+    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 1 - n.bit_length()), wp, rnd)
+    x = mpf_sub(m, mpf_mul(h, cos, wp, rnd), wp, rnd)
+    gx = eval_poly_raw(g, x, wp)
+    if not mpf_gt(gx, fzero):
+        raise ComputationError("f + t has another root on the oval or a double "
+                               f"root at an endpoint {where}")
+    hs, root_g = mpf_mul(h, sin, wp, rnd), mpf_sqrt(gx, wp, rnd)
+    return integrand(x, mpf_mul(hs, root_g, wp, rnd), hs, root_g, wp)
+
+
+def _k_y_dx(k: RatPoly, x, y, hs, wp: int):
+    """k y dx / dphi on raw mpf."""
+    return mpf_mul(mpf_mul(eval_poly_raw(k, x, wp), y, wp, round_nearest), hs, wp,
+                   round_nearest)
 
 
 def integral_I(family: OvalFamily, k: RatPoly, t,
                config: Config = DEFAULT_CONFIG):
     """I(t) = 2 * integral of k(x) sqrt(f(x)+t) over the oval's x-range."""
-    return _oval_quadrature(family, k, t, config, "y_dx")
+    return _oval_quadrature(family, t, config, lambda x, y, hs, root_g, wp:
+                            _k_y_dx(k, x, y, hs, wp), 2)
 
 
 def integral_I_prime(family: OvalFamily, k: RatPoly, t,
                      config: Config = DEFAULT_CONFIG):
     """I'(t) = integral of k(x)/sqrt(f(x)+t) over the oval's x-range."""
-    with mp.workprec(config.precision_bits + 32):
-        return _oval_quadrature(family, k, t, config, "dx_over_y") / 2
+    # k dx / y = k / sqrt(g) dphi
+    return _oval_quadrature(family, t, config, lambda x, y, hs, root_g, wp: mpf_div(
+        eval_poly_raw(k, x, wp), root_g, wp, round_nearest), 1)
 
 
 def cauchy_J(family: OvalFamily, k: RatPoly, t, z,
              config: Config = DEFAULT_CONFIG):
     """The Cauchy-type deformation J_t(z) over the closed oval: both y-signs
     traversed, which doubles the one-branch quadrature."""
-    return _oval_quadrature(family, k, t, config, "cauchy", z=z)
+    with mp.workprec(config.precision_bits + 32):
+        z = mp.mpc(z)
+        if z == 0:   # k y dx / y^2, which the kernel below makes 0/0 at the ends
+            return mp.mpc(2 * integral_I_prime(family, k, t, config))
+
+    def kernel(x, y, hs, root_g, wp):   # k y dx / (y^2 - z)
+        den = mpc_sub((mpf_mul(y, y, wp, round_nearest), fzero), z._mpc_, wp, round_nearest)
+        return mpc_mpf_div(_k_y_dx(k, x, y, hs, wp), den, wp, round_nearest)
+    return _oval_quadrature(family, t, config, kernel, 2, z=z)
 
 
 def oval_form_integral(family: OvalFamily, omega: OneForm, t,
                        config: Config = DEFAULT_CONFIG):
     """Integral of an arbitrary polynomial 1-form over the closed oval
     (upper branch left to right, lower branch back)."""
-    prec = config.precision_bits
-    with mp.workprec(prec + 32):
-        t = to_mpf(t, mp.prec)
-        x1, x2 = oval_endpoints(family, t, prec)
-        span = x2 - x1
-        fprime = family.f.derivative()
+    fprime = family.f.derivative()
 
-        def biv_eval(biv: Biv, x, y):
-            acc = mp.mpf(0)
-            for (i, j), c in biv.items():
-                acc += (mp.mpf(c.numerator) / c.denominator) * x ** i * y ** j
-            return acc
+    def part(biv: Biv, parity: int, x, y):
+        return sum((mp.mpf(c.numerator) / c.denominator * x ** i * y ** j
+                    for (i, j), c in biv.items() if j % 2 == parity), mp.mpf(0))
 
-        def integrand(theta):
-            s = mp.sin(theta)
-            x = x1 + span * s * s
-            w2 = eval_poly(family.f, x, mp.prec) + t
-            y = mp.sqrt(w2)
-            jac = span * mp.sin(2 * theta)
-            dydx = eval_poly(fprime, x, mp.prec) / (2 * y)
-            # upper branch: P(x,Y) + Q(x,Y) Y'; lower branch (y = -Y, dx and
-            # dy both reversed): -P(x,-Y) + Q(x,-Y) Y'
-            p_term = biv_eval(omega.dx, x, y) - biv_eval(omega.dx, x, -y)
-            q_term = (biv_eval(omega.dy, x, y) + biv_eval(omega.dy, x, -y)) * dydx
-            return (p_term + q_term) * jac
-
-        return mp.quad(integrand, [0, mp.pi / 2])
+    def form(x, y, hs, root_g, wp):
+        # P dx + Q dy on the upper branch; the lower branch (-y, run backwards)
+        # doubles P's terms odd in y and Q's even in y and cancels the rest.
+        # dx = hs dphi and dy = f'/(2 sqrt(g)) dphi
+        x, y, hs, root_g = (mp.make_mpf(v) for v in (x, y, hs, root_g))
+        return (part(omega.dx, 1, x, y) * hs + part(omega.dy, 0, x, y)
+                * eval_poly(fprime, x, wp) / (2 * root_g))._mpf_
+    return _oval_quadrature(family, t, config, form, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -401,43 +403,33 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
     "dx_over_2y" integrates k/(2y) dx, "dx_over_y3" integrates k/y^3 dx,
     and "cauchy" integrates k y/(y^2 - z) dx.
 
-    The trapezoid rule doubles its nodes until two levels agree.  Levels
-    are nested: node 2j of level 2n has the angle j*h of level n (h/2 is an
-    exact halving, so the angle rounds the same), and each level evaluates
-    only its odd nodes.
+    The trapezoid rule doubles its nodes from 128 until two levels agree
+    (`_nested_trapezoid`); node j of the level of n nodes has the angle
+    2 pi j/n, and each level evaluates only its odd nodes.
     """
     prec = config.precision_bits
-    tol = mp.mpf(2) ** (-(prec // 2))
     with mp.workprec(prec + 32):
         t = mp.mpc(t)
         center = mp.mpc(center)
         a = mp.mpf(radius)
         b = mp.mpf(semi_minor) if semi_minor is not None else a
-        zc = mp.mpc(z) if z is not None else None
         # i*b is (0, b) exactly
         contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_), mode,
-                   zc._mpc_ if zc is not None else None)
+                   mp.mpc(z)._mpc_ if z is not None else None)
         nodes = []
-        last = None
-        n_nodes = 256
-        while n_nodes <= 1 << 16:
-            h = 2 * mp.pi / n_nodes
-            if nodes:
-                odd = [_loop_node(contour, h, j) for j in range(1, n_nodes, 2)]
-                nodes = [node for pair in zip(nodes, odd) for node in pair]
-            else:
-                nodes = [_loop_node(contour, h, j) for j in range(n_nodes)]
-            val = _loop_sum(nodes, h)
-            if val is not None:
-                if last is not None and abs(val - last) <= tol * (1 + abs(val)):
-                    return val
-                last = val
-            n_nodes *= 2
-        raise ComputationError("loop quadrature did not converge")
+
+        def level(n, js):
+            fresh = [_loop_node(contour, j, n) for j in js]
+            nodes[:] = ([node for pair in zip(nodes, fresh) for node in pair]
+                        if nodes else fresh)
+            return _loop_sum(nodes, 2 * mp.pi / n)
+
+        return _nested_trapezoid(level, range(128), 128, mp.mpf(2) ** (-(prec // 2)),
+                                 f"loop quadrature at t = {mp.nstr(t, 8)}")
 
 
-def _loop_node(contour, h, j):
-    """What the trapezoid needs at the angle j*h, as raw libmp values:
+def _loop_node(contour, j, n):
+    """What the trapezoid needs at the angle 2 pi j/n, as raw libmp values:
     s = sqrt(f(x) + t), the summand g(x, y) dx/dtheta at y = s, and |s|.
 
     Every summand is odd in y, and rounding to nearest is symmetric, so the
@@ -446,7 +438,7 @@ def _loop_node(contour, h, j):
     expressions center + a cos + (i b) sin and -a sin + (i b) cos."""
     f, k, t, center, a, ib, mode, z = contour
     prec, rnd = mp.prec, round_nearest
-    cos, sin = mpf_cos_sin(mpf_mul_int(h._mpf_, j, prec, rnd), prec, rnd)
+    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 2 - n.bit_length()), prec, rnd)
     x = mpc_add(mpc_add_mpf(center, mpf_mul(a, cos, prec, rnd), prec, rnd),
                 mpc_mul_mpf(ib, sin, prec, rnd), prec, rnd)
     tangent = mpc_add_mpf(mpc_mul_mpf(ib, cos, prec, rnd),

@@ -77,10 +77,11 @@ def eval_poly(p: RatPoly, z, prec: int):
     return mp.make_mpf(eval_poly_raw(p, z._mpf_, prec))
 
 
-def eval_poly_raw(p: RatPoly, z: tuple, prec: int) -> tuple:
+def eval_poly_raw(p: RatPoly | tuple, z: tuple, prec: int) -> tuple:
     """`eval_poly` on mpmath's raw libmp values: z is a raw mpf (a 4-tuple)
-    or a raw mpc (a pair of raw mpf), and the result is of the same kind."""
-    coeffs = _raw_coeffs(p, prec)
+    or a raw mpc (a pair of raw mpf), and the result is of the same kind.
+    p may also be a tuple of raw mpf coefficients, highest power first."""
+    coeffs = p if isinstance(p, tuple) else _raw_coeffs(p, prec)
     rnd = round_nearest
     if len(z) == 2:
         acc = mpc_mul_int(z, 0, prec, rnd)

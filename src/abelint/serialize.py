@@ -34,9 +34,12 @@ def _expect(cond, message):
         raise InputError(message)
 
 
+COUNT_LIMIT = 1 << 16
+
+
 def count_from_json(value, what: str) -> int:
-    """A nonnegative integer field, such as a degree bound: 6, 6.0 or "6",
-    but not true, 6.9 or Infinity."""
+    """A nonnegative integer field up to COUNT_LIMIT, such as a degree bound:
+    6, 6.0 or "6", but not true, 6.9 or Infinity."""
     try:
         if isinstance(value, bool) or (isinstance(value, float)
                                        and not value.is_integer()):
@@ -45,6 +48,7 @@ def count_from_json(value, what: str) -> int:
     except (TypeError, ValueError):
         raise InputError(f"{what} must be an integer, not {value!r}")
     _expect(count >= 0, f"{what} must be nonnegative, not {count}")
+    _expect(count <= COUNT_LIMIT, f"{what} must be at most {COUNT_LIMIT}, not {count}")
     return count
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from abelint import cli
 from abelint.ratpoly import RatPoly, chebyshev
-from abelint.serialize import poly_to_json
+from abelint.serialize import COUNT_LIMIT, poly_to_json
 
 T6_JSON = poly_to_json(chebyshev(6))
 GOLDEN = Path(__file__).parent / "golden"
@@ -276,6 +276,41 @@ def test_count_fields_reject_non_integers(field, raw, shown, tmp_path,
     path.write_text(template % raw)
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"input error: {field} must be an integer, not {shown}\n"
+
+
+@pytest.mark.parametrize("raw", [COUNT_LIMIT + 1, 10 ** 15])
+@pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+def test_count_fields_reject_counts_above_the_limit(field, raw, tmp_path,
+                                                    monkeypatch, capsys):
+    """A count above COUNT_LIMIT is an input error (exit 2, one line) before
+    any work: a degree bound of 10^15 once sized power-sum tables until a
+    MemoryError."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(cli, "group_data", no_work)
+    monkeypatch.setattr(cli, "integral_I", no_work)
+    command, template = COUNT_FIELDS[field]
+    path = tmp_path / "input.json"
+    path.write_text(template % raw)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {field} must be at most {COUNT_LIMIT}, not {raw}\n")
+
+
+def test_hyper_integrate_prints_real_values_at_192_bits(tmp_path, capsys):
+    """Rounding next to an oval endpoint once made f + t negative at a node,
+    and I at t = -0.7 printed as a complex number at 192 bits."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(
+        {"family": {"f": HYPER_F, "pair_index": 1, "t_min": "-0.8", "t_max": "-0.2"},
+         "k": ["1", "0", "1"], "t_samples": 3}))
+    assert cli.main(["hyper-integrate", str(path), "--precision-bits", "192"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert [row["t"] for row in values] == ["-0.7", "-0.5", "-0.3"]
+    for row in values:
+        for key in ("I", "I_prime"):
+            assert float(row[key]) > 0 and "j" not in row[key], row
 
 
 @pytest.mark.parametrize("raw", ['"2"', "2.0", "2e0"])

@@ -1,15 +1,17 @@
 """Bit identity of the hyperelliptic quadrature.
 
-Every value below was written by the mp-object quadrature (an oval
-integrand on mpf objects, a loop trapezoid that evaluated every level
-afresh) to `golden/hyper_values.json`, at 128 and 192 bits (the
-node-on-endpoint case also at 160 bits, the ambiguous contour at 64 bits
-only).  A value is stored as its raw libmp tuple(s), [sign, hex mantissa,
-exponent, bitcount], so the comparison covers every bit and whether the
-result is real or complex.
+Every value below was written by the nested trapezoid quadrature (deflated
+oval integrands in the angle phi, loop levels from 128 nodes) to
+`golden/hyper_values.json`, at 128 and 192 bits (the I' case on the
+quadratic also at 160 bits, the ambiguous contour at 64 bits only), and
+checked against a reference at prec + 128 bits when it was written.  A
+value is stored as its raw libmp tuple(s), [sign, hex mantissa, exponent,
+bitcount], so the comparison covers every bit and whether the result is
+real or complex.
 
 `golden/oval_integrand.json` holds raw values of the oval integrand itself
-at fixed angles and working precisions.  A quadrature value carries 20
+(`_oval_node`) at fixed angles: phi = 0 and pi, where the nodes sit on the
+oval's endpoints, and five interior angles.  A quadrature value carries 20
 guard bits, which absorb a last-bit change of the integrand at every node;
 these values do not.
 
@@ -44,8 +46,8 @@ PRECS = (128, 192)
 X = RatPoly.x()
 ONE = RatPoly.one()
 CENTRAL = OvalFamily(f=QUARTIC_F, pair_index=1, t_min="-0.85", t_max="-0.15")
-# f + 1/2 = (x + 1/2)(1 - x): tanh-sinh nodes of I' round onto the endpoint
-# x = -1/2 and take the integrand's limit (test_i_prime_node_on_oval_endpoint)
+# f + 1/2 = (x + 1/2)(1 - x), so g is constant and I' = 43 pi/32
+# (test_i_prime_node_on_oval_endpoint)
 ENDPOINT = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
 OMEGA = OneForm.of(dx={(2, 4): Fraction(1, 2), (1, 1): 2, (3, 0): 1},
                    dy={(1, 3): -2, (0, 0): 1})
@@ -164,31 +166,8 @@ def test_hyper_values_golden(golden, name, prec):
     assert compute(name, prec) == golden[name][str(prec)]
 
 
-def test_oval_values_from_an_empty_node_sine_table_highest_precision_first(
-        monkeypatch, golden):
-    # the oval integrand's sines come from a table keyed by node and
-    # precision; filled from empty at the highest precision first, it must
-    # still give every lower precision its own bits
-    monkeypatch.setattr(hyp, "_NODE_SINES", {})
-    oval = [name for name in CASES
-            if name.split("/")[0] in ("integral_I", "integral_I_prime", "cauchy_J")]
-    runs = sorted(((prec, name) for name in oval for prec in CASES[name][1]),
-                  key=lambda run: -run[0])
-    for prec, name in runs:
-        assert compute(name, prec) == golden[name][str(prec)], (name, prec)
-    # mp.quad samples 20 bits above the quadrature's prec + 32
-    assert {wp for _, wp in hyp._NODE_SINES} == {128 + 52, 160 + 52, 192 + 52}
-    # the values above carry 20 guard bits, which can hide a wrong last bit
-    # of a sine, so every entry is checked against the mp-object sines too
-    for (th, wp), sines in hyp._NODE_SINES.items():
-        with mp.workprec(wp):
-            theta = mp.make_mpf(th)
-            assert sines == (mp.sin(theta)._mpf_, mp.sin(2 * theta)._mpf_), (th, wp)
-
-
-# the integrand that `_oval_quadrature` hands to mp.quad, per case; it is
-# sampled at exact dyadic angles (0, 2^-20, 3/16, 5/8, 201/128 < pi/2) at
-# the working precision mp.quad uses (prec + 52) and at prec + 32
+# `_oval_quadrature`'s integrand per case, sampled by `_oval_node` at the
+# angles j pi/n for these (j, n): 0, pi and five interior angles
 INTEGRAND_CASES = {
     "y_dx/central/x^2+1/-1/2": lambda c: integral_I(CENTRAL, K2, MINUS_HALF, c),
     "y_dx/endpoint/x^2+1/1/4": lambda c: integral_I(ENDPOINT, K2, QUARTER, c),
@@ -197,38 +176,31 @@ INTEGRAND_CASES = {
     "cauchy/central/x^2/-1/2/-1+i/2": lambda c: cauchy_J(CENTRAL, X ** 2, MINUS_HALF, Z, c),
     "cauchy/endpoint/x^2+1/1/4/-1+i/2": lambda c: cauchy_J(ENDPOINT, K2, QUARTER, Z, c),
 }
-ANGLES = (Fraction(0), Fraction(1, 2 ** 20), Fraction(3, 16), Fraction(5, 8),
-          Fraction(201, 128))
+ANGLES = ((0, 1), (1, 1), (1, 1 << 20), (3, 16), (1, 2), (5, 8), (1023, 1024))
 
 
 def integrand_values(name, prec):
-    """{working precision: [integrand at each of ANGLES]} for one case."""
-    handed = []
+    """[integrand at each of ANGLES] for one case, at the case's precision."""
+    ovals = []
+    node = hyp._oval_node
 
-    def quad(f, interval):
-        handed.append(f)
-        return mp.mpf(0)
+    def recording(oval, j, n):
+        ovals.append(oval)
+        return node(oval, j, n)
 
-    original = mp.quad
-    mp.quad = quad
+    hyp._oval_node = recording
     try:
         INTEGRAND_CASES[name](Config(precision_bits=prec))
     finally:
-        mp.quad = original
-    [integrand] = handed
-    out = {}
-    for wp in (prec + 32, prec + 52):
-        with mp.workprec(wp):
-            out[str(wp)] = encode([integrand(mp.mpf(a.numerator) / a.denominator)
-                                   for a in ANGLES])
-    return out
+        hyp._oval_node = node
+    assert len(set(ovals)) == 1
+    return encode([mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
+                   for v in (node(ovals[0], j, n) for j, n in ANGLES)])
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAND_CASES))
 @pytest.mark.parametrize("prec", PRECS)
-def test_oval_integrand_golden(monkeypatch, name, prec):
-    # from an empty sine table, so every sine is computed here
-    monkeypatch.setattr(hyp, "_NODE_SINES", {})
+def test_oval_integrand_golden(name, prec):
     golden = json.loads(INTEGRAND_GOLDEN.read_text())
     assert integrand_values(name, prec) == golden[name][str(prec)]
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from abelint.config import Config
@@ -156,26 +157,31 @@ def test_dropped_pieces_integrate_to_zero(config):
 # ---------------------------------------------------------------------------
 
 def test_i_prime_node_on_oval_endpoint():
-    # f + 1/2 = (x + 1/2)(1 - x): a tanh-sinh node rounds onto x = -1/2,
-    # where y = 0, so that node takes the integrand's limit
+    # f + 1/2 = (x + 1/2)(1 - x): the trapezoid's end nodes sit on the oval's
+    # endpoints, where y = 0 but the deflated integrand k/sqrt(g) = k is
+    # finite.  I' = integral of (m - h cos phi)^2 + 1 over [0, pi] = 43 pi/32
     fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
-    k = X ** 2 + 1
-    val = integral_I_prime(fam, k, Fraction(1, 2), Config(precision_bits=160))
-    with mp.workprec(320):
-        assert abs(val - 43 * mp.pi / 32) < mp.mpf(2) ** -100
+    for prec in (96, 128, 160, 192, 256):
+        val = integral_I_prime(fam, X ** 2 + 1, Fraction(1, 2),
+                               Config(precision_bits=prec))
+        with mp.workprec(prec + 128):
+            assert abs(val - 43 * mp.pi / 32) < mp.mpf(2) ** -(prec - 4), prec
 
 
 def test_i_prime_endpoint_with_vanishing_slope():
-    # f + t = -(x^2 - 1)^2 has double roots at +-1: no node may use the limit
-    from abelint.hyperelliptic import _dx_over_y_at_endpoint
-    f = -(X ** 2 - 1) ** 2
-    with mp.workprec(160), pytest.raises(ComputationError, match="x = -1.0"):
-        _dx_over_y_at_endpoint(f.derivative(), X, mp.mpf(-1), mp.mpf(1), mp.mpf(0))
+    # f + t = (x + 1)^2 (1 - x): the oval between -1 and 1 ends at a double
+    # root, where 1/y is not integrable; g = x + 1 vanishes at the end node
+    fam = OvalFamily(f=(X + 1) ** 2 * (1 - X), pair_index=1, t_min="0", t_max="0")
+    for quadrature in (integral_I, integral_I_prime):
+        with pytest.raises(ComputationError,
+                           match="double root at an endpoint at t = 0.0"):
+            quadrature(fam, X ** 2 + 1, 0, Config())
 
 
 def test_i_prime_builds_the_derivative_once(monkeypatch):
-    # about 320 nodes round onto the endpoint x = -1/2 at 128 bits; they
-    # share one f' (building it at each such node made about 320)
+    # the deflated integrand k/sqrt(g) has no limit to take at an endpoint,
+    # so I' builds no f' at all (the limit at each node that rounded onto an
+    # endpoint once built about 320 of them)
     calls = []
     derivative = RatPoly.derivative
 
@@ -185,35 +191,118 @@ def test_i_prime_builds_the_derivative_once(monkeypatch):
     monkeypatch.setattr(RatPoly, "derivative", counting)
     fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
     integral_I_prime(fam, X ** 2 + 1, Fraction(1, 2), Config(precision_bits=128))
-    assert len(calls) <= 1
+    assert calls == []
 
 
-def test_oval_node_sines_are_computed_once_per_precision(monkeypatch, config):
-    # mp.quad passes a second call on the same interval and precision the
-    # same nodes, so its sines all come from the table
+@pytest.mark.parametrize("case, evaluations", [
+    ("I'/endpoint/128", 17),    # levels 8 and 16 agree: the integrand is k
+    ("I/central/128", 65),      # levels 32 and 64 agree
+    ("I/central/192", 129),     # levels 64 and 128 agree
+    ("J/central/128", 129),
+])
+def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations):
+    # level n of the trapezoid on [0, pi] has n + 1 nodes: the two ends and
+    # the 7 interior nodes of level 8 come first, and each later level adds
+    # only its odd nodes, so k is evaluated once per node of the last level
     import abelint.hyperelliptic as hyp
-    monkeypatch.setattr(hyp, "_NODE_SINES", {})
+    kind, family, prec = case.split("/")
+    k = X ** 2 + 1
     calls = []
+    evaluate = hyp.eval_poly_raw
 
-    def counting(x, prec, rnd, sine=hyp.mpf_sin):
-        calls.append(prec)
-        return sine(x, prec, rnd)
-    monkeypatch.setattr(hyp, "mpf_sin", counting)
-    first = integral_I(CENTRAL, X ** 2, "-0.4", config)
-    filled = len(calls)
-    assert filled == 2 * len(hyp._NODE_SINES) > 0
-    assert integral_I(CENTRAL, X ** 2, "-0.4", config) == first
-    assert len(calls) == filled
+    def counting(p, x, wp):
+        if p is k:
+            calls.append(x)
+        return evaluate(p, x, wp)
+    monkeypatch.setattr(hyp, "eval_poly_raw", counting)
+    cfg = Config(precision_bits=int(prec))
+    if family == "endpoint":
+        fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
+        integral_I_prime(fam, k, Fraction(1, 2), cfg)
+    elif kind == "I":
+        integral_I(CENTRAL, k, "-0.5", cfg)
+    else:
+        cauchy_J(CENTRAL, k, "-0.5", complex(-1, 0.5), cfg)
+    assert len(calls) == len(set(calls)) == evaluations
 
 
-def test_import_leaves_the_node_sine_table_empty():
-    # the table fills only from quadrature nodes, never at import
-    import subprocess
-    import sys
-    code = "import abelint, abelint.hyperelliptic as h; print(len(h._NODE_SINES))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "0\n"
+def test_nested_trapezoid_levels_and_node_limit():
+    # each level after the first gets only its odd nodes; a value that
+    # never settles ends in an error after the level of 2^16 intervals
+    from abelint.hyperelliptic import _nested_trapezoid
+    seen = []
+
+    def level(n, js):
+        seen.append((n, list(js)))
+        return mp.mpf(len(seen) % 2)
+    with pytest.raises(ComputationError, match=r"^loop at t = 1 needs more than 2\^16 nodes$"):
+        _nested_trapezoid(level, range(3), 8, mp.mpf(2) ** -10, "loop at t = 1")
+    assert [n for n, _ in seen] == [8 << i for i in range(14)]
+    assert seen[0][1] == [0, 1, 2] and seen[1][1] == list(range(1, 16, 2))
+    assert seen[-1][1] == list(range(1, 1 << 16, 2))
+
+
+def test_oval_endpoints_that_do_not_divide_f_plus_t(monkeypatch):
+    # the deflation remainder checks the endpoints: one moved by 2^-40 is
+    # off by far more than 2^-(prec/2) of f + t's coefficients
+    import abelint.hyperelliptic as hyp
+    endpoints = hyp.oval_endpoints
+
+    def shifted(family, t, prec):
+        x1, x2 = endpoints(family, t, prec)
+        return x1 + mp.mpf(2) ** -40, x2
+    monkeypatch.setattr(hyp, "oval_endpoints", shifted)
+    with pytest.raises(ComputationError,
+                       match="the oval endpoints do not divide f \\+ t at t = -0.5"):
+        integral_I(CENTRAL, X, "-0.5", Config())
+
+
+def test_integral_I_is_real_at_every_precision():
+    # y = h sin(phi) sqrt(g) with g > 0 at every node takes no square root of
+    # a negative number, so I is an mpf (rounding next to an endpoint once
+    # made f + t negative there and I complex at 192 bits)
+    fam = OvalFamily(f=QUARTIC_F, pair_index=1, t_min="-0.99", t_max="-0.01")
+    for prec in (64, 128, 160, 192):
+        for t in ("-0.99", "-0.7", "-0.5", "-0.3", "-0.01"):
+            val = integral_I(fam, X ** 2 + 1, t, Config(precision_bits=prec))
+            assert type(val) is mp.mpf, (prec, t)
+
+
+QUADRATICS = st.tuples(
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3)]),
+    st.fractions(-3, 3, max_denominator=8), st.fractions(-3, 3, max_denominator=8),
+    st.fractions(Fraction(1, 64), 4, max_denominator=64),
+    st.lists(st.fractions(-4, 4, max_denominator=8), min_size=1, max_size=4),
+    st.sampled_from([64, 96, 128, 192, 256]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(QUADRATICS)
+def test_integral_I_on_quadratics_matches_the_beta_closed_form(case):
+    # f + t = alpha (x - x1)(x2 - x) for f = -alpha x^2 + beta x + gamma and
+    # t = delta - gamma - beta^2/(4 alpha); with k(x1 + L s) = sum e_j s^j,
+    # I = 2 sqrt(alpha) L^2 sum e_j B(j + 3/2, 3/2), and the same sum of
+    # |e_j| B(j + 3/2, 3/2) is the scale of the error
+    alpha, beta, gamma, delta, k_coeffs, prec = case
+    t = delta - gamma - beta * beta / (4 * alpha)
+    fam = OvalFamily(f=RatPoly([gamma, beta, -alpha]), pair_index=0,
+                     t_min=str(t), t_max=str(t))
+    val = integral_I(fam, RatPoly(k_coeffs), t, Config(precision_bits=prec))
+    with mp.workprec(prec + 128):
+        alpha, beta, delta = (mp.mpf(c.numerator) / c.denominator
+                              for c in (alpha, beta, delta))
+        half = mp.sqrt(delta / alpha)
+        x1, span = beta / (2 * alpha) - half, 2 * half
+        e = [mp.mpf(0)] * len(k_coeffs)
+        for i, c in enumerate(k_coeffs):
+            for j in range(i + 1):
+                e[j] += (mp.mpf(c.numerator) / c.denominator * mp.binomial(i, j)
+                         * x1 ** (i - j) * span ** j)
+        weight = 2 * mp.sqrt(alpha) * span ** 2
+        betas = [weight * mp.beta(j + mp.mpf(3) / 2, mp.mpf(3) / 2) for j in range(len(e))]
+        ref = sum(a * b for a, b in zip(e, betas))
+        scale = sum(abs(a) * b for a, b in zip(e, betas))
+        assert abs(val - ref) <= mp.mpf(2) ** -(prec - 4) * scale
 
 
 def test_j_at_zero_is_twice_i_prime(config):
@@ -284,15 +373,14 @@ def test_loop_around_one_branch_point_does_not_close(config):
 
 
 @pytest.mark.parametrize("radius, prec, evaluations", [
-    ("4", 128, 512),        # levels 256 and 512 agree
+    ("4", 128, 256),        # levels 128 and 256 agree
     ("0.85", 128, 1024),    # 512 and 1024 agree
-    ("0.775", 64, 2048),    # 256 is ambiguous; 1024 and 2048 agree
-    ("0.762", 128, 2048),   # 256 and 512 are ambiguous; 1024 and 2048 agree
+    ("0.775", 64, 2048),    # 128 and 256 are ambiguous; 1024 and 2048 agree
+    ("0.762", 128, 2048),   # 128, 256 and 512 are ambiguous; 1024 and 2048 agree
 ])
 def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
     # the trapezoid levels are nested, so f is evaluated once per node of
-    # the last level (evaluating every level afresh took 772, 1798, 3593
-    # and 3082)
+    # the last level (evaluating every level afresh costs nearly twice that)
     import abelint.hyperelliptic as hyp
     calls = []
     for name in ("eval_poly", "eval_poly_raw"):
@@ -322,7 +410,7 @@ def test_loop_pole_past_an_ambiguous_step_refines():
         h = mp.mpf(1)
         # (f, k, t, center, a, i b, mode, z): node 0 of the unit circle is x = 1
         contour = (X ** 2 - 1, X, zero, zero, fone, (fzero, fone), "dx_over_2y", None)
-        pole = _loop_node(contour, h, 0)
+        pole = _loop_node(contour, 0, 128)
         assert pole == (None, zero, fzero)
         assert _loop_sum([(one, one, fone), pole], h) is None
         with pytest.raises(ZeroDivisionError):
