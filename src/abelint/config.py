@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError
 
+COUNT_LIMIT = 1 << 16   # largest count (degree bound, samples, ...) an input may ask for
+
 
 @dataclass(frozen=True)
 class Config:
@@ -36,6 +38,9 @@ class Config:
             raise InputError("samples must be positive")
         if self.degree_bound is not None and self.degree_bound < 0:
             raise InputError("degree_bound must be nonnegative")
+        if self.degree_bound is not None and self.degree_bound > COUNT_LIMIT:
+            raise InputError(f"degree_bound must be at most {COUNT_LIMIT}, "
+                             f"not {self.degree_bound}")
 
     @property
     def resolved_oracle_tol(self) -> float:

@@ -18,8 +18,9 @@ from mpmath import mp
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError, TrackingError
 from .monodromy import MonodromyRep, continue_fiber, route, standoffs
-from .numerics import eval_poly, roots_of, to_mpf
-from .ratpoly import RatPoly, squarefree_part
+from .numerics import eval_poly, to_mpf
+from .ratpoly import RatPoly
+from .realroots import RealRoots
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
         flags = [flags[i] for i in order]
 
         vectors = [[Fraction(0)] * n for _ in levels]
-        dp_sf = squarefree_part(p.derivative())
+        turning_points = RealRoots(p.derivative())
 
         for itv in system.intervals:
             a = to_mpf(itv.a, mp.prec)
@@ -303,8 +304,7 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
             if a > b:
                 a, b = b, a
                 w = -w
-            turning = _real_roots_between(dp_sf, a, b, prec)
-            cuts = [a] + turning + [b]
+            cuts = [a] + turning_points.between(a, b, mp.prec) + [b]
             for xl, xr in zip(cuts, cuts[1:]):
                 za, zb = eval_poly(p, xl, mp.prec), eval_poly(p, xr, mp.prec)
                 ia = _snap_index(levels, za, snap)
@@ -321,19 +321,6 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
         return [LevelCycle(level=levels[i], is_critical=flags[i],
                            cycle=CycleVector(n, tuple(vectors[i])))
                 for i in range(len(levels))]
-
-
-def _real_roots_between(dp_sf: RatPoly, a, b, prec: int) -> list:
-    if dp_sf.is_zero() or dp_sf.degree < 1:
-        return []
-    tol = mp.mpf(2) ** (-(prec // 2))
-    out = []
-    for r in roots_of(dp_sf, prec + 32, squarefree=False):
-        if abs(mp.im(r)) < tol * (1 + abs(r)):
-            x = mp.re(r)
-            if a + tol < x < b - tol:
-                out.append(x)
-    return sorted(out)
 
 
 def _walk_piece_branch(p: RatPoly, rep: MonodromyRep, xl, xr, levels, config) -> int:

@@ -19,7 +19,8 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf,
                           mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sqrt, mpc_sub,
                           mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_le,
                           mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_shift, mpf_sqrt, mpf_sub, round_nearest)
+                          mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+                          to_rational)
 
 from . import linalg
 from .config import Config, DEFAULT_CONFIG
@@ -29,6 +30,7 @@ from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
                         match_permutation)
 from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
+from .realroots import RealRoots
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
 
 # ---------------------------------------------------------------------------
@@ -222,25 +224,24 @@ class OvalFamily:
 
 def oval_endpoints(family: OvalFamily, t, prec: int):
     """The two adjacent real roots of f + t bounding the oval at level t,
-    with f + t positive between them."""
+    with f + t positive between them, correctly rounded at prec + 32 bits.
+    t is read as an mpf at that precision and taken exactly from there on."""
     with mp.workprec(prec + 32):
         t = to_mpf(t, mp.prec)
-        tol = mp.mpf(2) ** (-(prec // 2))
-        real_roots = []
-        for r in roots_of_shifted(family.f, -t, mp.prec):
-            if abs(mp.im(r)) < tol * (1 + abs(r)):
-                real_roots.append(mp.re(r))
-        real_roots.sort()
+        roots = RealRoots(_plus_level(family.f, t))
         idx = family.pair_index
-        if idx < 0 or idx + 1 >= len(real_roots):
+        if idx < 0 or idx + 1 >= roots.count:
             raise ComputationError(
                 f"root pair {idx} not available at t={mp.nstr(t, 8)}")
-        x1, x2 = real_roots[idx], real_roots[idx + 1]
-        mid = eval_poly(family.f, (x1 + x2) / 2, mp.prec) + t
-        if not mid > 0:
+        if roots.sign_between(idx) <= 0:
             raise ComputationError(
                 "f + t is not positive between the selected roots; no real oval")
-        return x1, x2
+        return roots.root(idx, mp.prec), roots.root(idx + 1, mp.prec)
+
+
+def _plus_level(f: RatPoly, t) -> RatPoly:
+    """f + t as an exact polynomial, for an mpf t."""
+    return f + RatPoly.constant(Fraction(*to_rational(t._mpf_)))
 
 
 def _nested_trapezoid(level, js, n: int, tol, what: str):
@@ -596,7 +597,7 @@ def check_exth(family: OvalFamily, k: RatPoly,
                     break
             if not good:
                 continue
-            exact = _symmetric_exact_certificate(f, big_k, r, family, ts, prec)
+            exact = _symmetric_exact_certificate(f, big_k, r, family, ts)
             return ExthWitness(r=r, exact=exact, max_deviation=worst,
                                samples=samples)
     return None
@@ -606,13 +607,14 @@ def _is_even_poly(p: RatPoly) -> bool:
     return all(c == 0 for i, c in enumerate(p.coeffs) if i % 2 == 1)
 
 
-def _symmetric_exact_certificate(f, big_k, r, family, ts, prec) -> bool:
+def _symmetric_exact_certificate(f, big_k, r, family, ts) -> bool:
+    """Whether the pair is a mirror pair x1 = -x2 of an even f: with the
+    real roots of f + t counted with multiplicity, pair i is the middle one."""
     if r != RatPoly.monomial(2):
         return False
     if not (_is_even_poly(f) and _is_even_poly(big_k)):
         return False
-    x1, x2 = oval_endpoints(family, ts[0], prec)
-    return bool(abs(x1 + x2) < mp.mpf(2) ** (-(prec // 2)) * (1 + abs(x1)))
+    return 2 * family.pair_index + 2 == RealRoots(_plus_level(f, ts[0])).count
 
 
 # ---------------------------------------------------------------------------

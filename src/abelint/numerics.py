@@ -94,16 +94,15 @@ def eval_poly_raw(p: RatPoly | tuple, z: tuple, prec: int) -> tuple:
     return acc
 
 
-def roots_of(p: RatPoly, prec: int, squarefree: bool = True) -> list:
-    """All complex roots of p at `prec` bits, sorted by (re, im).
+def roots_of(p: RatPoly, prec: int) -> list:
+    """All distinct complex roots of p at `prec` bits, sorted by (re, im).
 
-    With squarefree=True the exact squarefree part is factored out first,
-    so clustered roots of the input cannot spoil convergence; each distinct
-    root then appears once.
+    The exact squarefree part is factored out first, so clustered roots of
+    the input cannot spoil convergence.
     """
     if p.is_zero():
         raise InputError("cannot take roots of the zero polynomial")
-    target = squarefree_part(p) if squarefree else p
+    target = squarefree_part(p)
     if target.degree == 0:
         return []
     with mp.workprec(prec):

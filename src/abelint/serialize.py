@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .config import Config
+from .config import COUNT_LIMIT, Config
 from .cycles import (CycleVector, IntervalSystem, LevelCycle,
                      VanishingCycleCombo, WeightedInterval)
 from .errors import InputError
@@ -32,9 +32,6 @@ def dumps(obj) -> str:
 def _expect(cond, message):
     if not cond:
         raise InputError(message)
-
-
-COUNT_LIMIT = 1 << 16
 
 
 def count_from_json(value, what: str) -> int:

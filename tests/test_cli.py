@@ -298,6 +298,29 @@ def test_count_fields_reject_counts_above_the_limit(field, raw, tmp_path,
         f"input error: {field} must be at most {COUNT_LIMIT}, not {raw}\n")
 
 
+@pytest.mark.parametrize("raw", [COUNT_LIMIT + 1, 10 ** 15])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_degree_bound_option_rejects_bounds_above_the_limit(route, raw, tmp_path,
+                                                           monkeypatch, capsys):
+    """The --degree-bound flag and a --config file's degree_bound stop at
+    COUNT_LIMIT too (exit 2, one line), before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(cli, "group_data", no_work)
+    path = tmp_path / "input.json"
+    path.write_text(COUNT_FIELDS["degree_bound"][1] % 2)
+    if route == "flag":
+        extra = ["--degree-bound", str(raw)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"degree_bound": raw}))
+        extra = ["--config", str(config)]
+    assert cli.main(["solve", str(path)] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"input error: degree_bound must be at most {COUNT_LIMIT}, not {raw}\n")
+
+
 def test_hyper_integrate_prints_real_values_at_192_bits(tmp_path, capsys):
     """Rounding next to an oval endpoint once made f + t negative at a node,
     and I at t = -0.7 printed as a complex number at 192 bits."""

@@ -98,6 +98,30 @@ def test_oval_endpoints_symmetric(config):
     assert abs(x1 + x2) < mp.mpf(2) ** -100
 
 
+def test_oval_endpoints_skip_a_near_real_complex_pair():
+    # f = (x^2 + 2^-140)(4 - x^2): the pair +-2^-70 i is no real root, so
+    # the only real pair is (-2, 2) and pair 1 does not exist; a tolerance
+    # on |Im| once read the pair as a double root 0
+    eps = Fraction(1, 2 ** 140)
+    f = -X ** 4 + (4 - eps) * X ** 2 + 4 * eps
+    assert f == (X ** 2 + eps) * (4 - X ** 2)
+    fam = OvalFamily(f=f, pair_index=0, t_min="0", t_max="0")
+    assert oval_endpoints(fam, 0, 128) == (-2, 2)
+    fam = OvalFamily(f=f, pair_index=1, t_min="0", t_max="0")
+    with pytest.raises(ComputationError, match=r"^root pair 1 not available at t=0\.0$"):
+        oval_endpoints(fam, 0, 128)
+    with pytest.raises(ComputationError, match=r"^root pair 1 not available at t=0\.0$"):
+        integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
+
+
+@pytest.mark.parametrize("f, pair", [(X ** 2 - 1, 0), ((X + 1) ** 2 * (1 - X), 0)])
+def test_oval_endpoints_need_f_plus_t_positive_between(f, pair):
+    # f + t < 0 between the roots, or the pair is one double root
+    fam = OvalFamily(f=f, pair_index=pair, t_min="0", t_max="0")
+    with pytest.raises(ComputationError, match="^f \\+ t is not positive between"):
+        oval_endpoints(fam, 0, 128)
+
+
 def test_integral_odd_k_vanishes(config):
     for k in (X, X ** 3):
         for t in ("-0.3", "-0.6"):
@@ -519,7 +543,7 @@ def test_exth_rejects_fewer_than_one_sample(monkeypatch, samples):
 
     def no_roots(*args):
         raise AssertionError("root finding ran")
-    monkeypatch.setattr(hyp, "roots_of_shifted", no_roots)
+    monkeypatch.setattr(hyp, "RealRoots", no_roots)
     family = OvalFamily(f=(X ** 2 - 2) ** 2, pair_index=1, t_min="-3", t_max="-1")
     with pytest.raises(InputError, match=r"^samples must be at least 1, got -?\d+$"):
         check_exth(family, X, Config(), samples=samples)

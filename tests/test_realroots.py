@@ -1,0 +1,183 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
+
+from abelint.errors import InputError
+from abelint.ratpoly import RatPoly
+from abelint.realroots import RealRoots
+
+X = RatPoly.x()
+
+
+def roots(p, prec):
+    rr = RealRoots(p)
+    return [rr.root(i, prec) for i in range(rr.count)]
+
+
+def rounded(r: Fraction, prec: int):
+    """The rational r rounded to nearest (ties to even) at prec bits."""
+    return mp.make_mpf(from_rational(r.numerator, r.denominator, prec, round_nearest))
+
+
+def exact(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def rounding_interval(x, prec: int) -> tuple:
+    """The points halfway from x to its neighbours among prec-bit floats."""
+    sign, man, exp, bc = x._mpf_
+    m, e = man << (prec - bc), exp - (prec - bc)
+    away = Fraction(2) ** (e - 1)
+    toward = away / 2 if m == 1 << (prec - 1) else away
+    lo, hi = (toward, away) if not sign else (away, toward)
+    return exact(x) - lo, exact(x) + hi
+
+
+def test_exact_dyadic_roots_are_kept():
+    # -x^2 + x/4 at t = 0: both roots are dyadic, 0 is a bisection point
+    assert roots(-X ** 2 + X / 4, 128) == [0, Fraction(1, 4)]
+    assert roots(X ** 3 - 3 * X, 64)[1] == 0
+    assert roots((X - Fraction(3, 8)) * (X ** 2 - 2), 96)[1] == Fraction(3, 8)
+
+
+def test_multiple_roots_are_listed_with_multiplicity():
+    rr = RealRoots((X + 1) ** 2 * (1 - X))
+    assert [rr.root(i, 128) for i in range(rr.count)] == [-1, -1, 1]
+    assert rr.sign_between(0) == 0
+    assert rr.sign_between(1) > 0
+    assert roots(X ** 4, 96) == [0] * 4
+    with mp.workprec(64):
+        root2 = mp.sqrt(2)
+        assert roots((X ** 2 - 2) ** 3 * (X - 1), 64) == [-root2] * 3 + [1] + [root2] * 3
+
+
+def test_degenerate_polynomials():
+    with pytest.raises(InputError, match="zero polynomial"):
+        RealRoots(RatPoly.zero())
+    assert RealRoots(RatPoly.constant(3)).count == 0
+    assert RealRoots(X ** 2 + 1).count == 0
+    assert roots(3 * X - 1, 128) == [rounded(Fraction(1, 3), 128)]
+
+
+@pytest.mark.parametrize("prec", [64, 96, 160])
+def test_ties_round_to_even(prec):
+    # each root sits halfway between two prec-bit floats
+    u = Fraction(1, 2 ** prec)
+    for r, want in [(1 + u, 1), (1 + 3 * u, 1 + 4 * u), (1 - u / 2, 1),
+                    (-1 - u, -1), (1 - 3 * u / 2, 1 - 2 * u)]:
+        got = roots((X - r) * (X ** 2 - 3), prec)
+        assert exact(got[1]) == want, r
+
+
+@pytest.mark.parametrize("p, count", [
+    (X ** 4 + X - 1, 2), (X ** 5 - X - 1, 1), (X ** 4 - X ** 3 + 1, 0),
+    (-X ** 4 + X + 1, 2), (X ** 6 + X - 2, 2), (X ** 5 + X ** 2 - 1, 1)])
+def test_sturm_sequences_that_skip_a_degree(p, count):
+    # each Sturm sequence here has a remainder two degrees below its divisor
+    got = roots(p, 128)
+    assert len(got) == count
+    with mp.workprec(512):
+        ref = sorted(r.real for r in mp.polyroots(
+            [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)],
+            maxsteps=200, extraprec=512) if abs(r.imag) < mp.mpf(2) ** -256)
+    with mp.workprec(128):
+        assert got == [+r for r in ref]
+
+
+@pytest.mark.parametrize("start, steps", [
+    ("1 - u", 1), ("1 - 2u", 0), ("1 - 5u", 3), ("1 + 4u", 4), ("1 + 16u", None)])
+def test_certification_steps_to_the_correctly_rounded_root(start, steps):
+    # the root 1 - 3u/2 is a tie between 1 - 2u (even) and 1 - u (odd)
+    prec = 96
+    u = Fraction(1, 2 ** prec)
+    rr = RealRoots((X - (1 - 3 * u / 2)) * (X ** 2 - 3))
+    value = {"1 - u": 1 - u, "1 - 2u": 1 - 2 * u, "1 - 5u": 1 - 5 * u,
+             "1 + 4u": 1 + 4 * u, "1 + 16u": 1 + 16 * u}[start]
+    raw = rr._certify(rr._roots[1], rounded(value, prec)._mpf_, prec)
+    if steps is None:
+        assert raw is None          # more than four ulps away
+    else:
+        assert exact(mp.make_mpf(raw)) == 1 - 2 * u
+    for root in rr._roots:
+        assert rr._refine(root, prec, newton=False) == rr._refine(root, prec)
+
+
+def test_between_decides_the_ends_exactly():
+    rr = RealRoots(X ** 3 - X)
+    with mp.workprec(300):
+        below = mp.mpf(-1) - mp.mpf(2) ** -200
+    assert rr.between(mp.mpf(-1), mp.mpf(1), 128) == [0]
+    assert rr.between(below, mp.mpf(1), 128) == [-1, 0]
+    assert rr.between(mp.mpf(0), mp.mpf(1), 128) == []
+    rr = RealRoots(X ** 2 - 2)
+    with mp.workprec(200):
+        assert rr.between(mp.mpf(0), mp.mpf(2), 200) == [mp.sqrt(2)]
+
+
+# Each part is (factor, its real roots): a rational root with its
+# multiplicity, two rational roots 2^-100 apart, or an irreducible quadratic,
+# whose real roots (if any) are found by mp.findroot in the test.
+RATIONALS = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from([1, 2, 3, 7, 8, 10, 1024]))
+LINEAR = st.builds(lambda r, m: ((X - r) ** m, [r] * m), RATIONALS, st.integers(1, 3))
+CLOSE = st.builds(lambda r: ((X - r) * (X - r - Fraction(1, 2 ** 100)),
+                             [r, r + Fraction(1, 2 ** 100)]), RATIONALS)
+QUADRATIC = st.builds(lambda b, c: X ** 2 + b * X + c,
+                      st.fractions(-6, 6, max_denominator=4),
+                      st.fractions(-9, 9, max_denominator=5)).filter(
+    lambda q: (q.coeff(1) ** 2 - 4 * q.coeff(0)) < 0
+    or _is_irrational_sqrt(q.coeff(1) ** 2 - 4 * q.coeff(0)))
+NEAR_REAL = st.builds(lambda a: ("near-real", a), RATIONALS)
+
+
+def _is_irrational_sqrt(d: Fraction) -> bool:
+    def square(n):
+        return n >= 0 and round(n ** 0.5) ** 2 == n
+    return not (square(d.numerator) and square(d.denominator))
+
+
+PARTS = st.lists(st.one_of(LINEAR, CLOSE, QUADRATIC, NEAR_REAL), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PARTS, st.integers(96, 256), st.sampled_from([1, -3, Fraction(5, 7)]))
+def test_real_roots_are_exact_in_count_and_correctly_rounded(parts, prec, lead):
+    p = RatPoly.constant(lead)
+    expected = []           # (value at 4 prec bits, rational root or None, factor)
+    with mp.workprec(4 * prec):
+        for part in parts:
+            if isinstance(part, RatPoly):
+                q = part
+                b, c = (mp.mpf(v.numerator) / v.denominator
+                        for v in (q.coeff(1), q.coeff(0)))
+                if b * b > 4 * c:
+                    expected += [((-b + sign * mp.sqrt(b * b - 4 * c)) / 2, None, q)
+                                 for sign in (-1, 1)]
+            elif part[0] == "near-real":
+                # (x - a)^2 + 2^-2prec: roots a +- 2^-prec i
+                q = (X - part[1]) ** 2 + Fraction(1, 2 ** (2 * prec))
+            else:
+                q, rs = part
+                expected += [(mp.mpf(r.numerator) / r.denominator, r, X - r) for r in rs]
+            p = p * q
+    expected.sort(key=lambda item: item[0])
+    rr = RealRoots(p)
+    assert rr.count == len(expected)
+    for i, (_, r, q) in enumerate(expected):
+        x = rr.root(i, prec)
+        lo, hi = rounding_interval(x, prec)
+        if r is not None:
+            assert x == rounded(r, prec)
+            assert lo <= r <= hi
+            continue
+        # the exact half-ulp sign test on the quadratic factor
+        assert q(lo) * q(hi) < 0
+        with mp.workprec(2 * prec):
+            b, c = (mp.mpf(v.numerator) / v.denominator for v in (q.coeff(1), q.coeff(0)))
+            ref = mp.findroot(lambda z: (z + b) * z + c, mp.mpf(x))
+        with mp.workprec(prec):
+            assert x == +ref
