@@ -27,7 +27,7 @@ from .invariant import decompose_v_delta, psi_set, u_d_dimension_table
 from .monodromy import monodromy
 from .numerics import nstr_det
 from .ratpoly import RatPoly
-from .solver import (classify, cycle_residual, group_data,
+from .solver import (classify, cycle_residual, fiber_values, group_data,
                      tracked_fiber_samples, vanishing_basis,
                      verify_vanishing_numeric)
 
@@ -120,14 +120,18 @@ def cmd_analyze_cycle(args, cfg):
 
 def _basis_with_residuals(p, basis, cycles, cfg, rep):
     """The basis as JSON with, per element, its worst oracle residual over
-    the nonzero cycles, all read off one set of tracked sample fibers."""
+    the nonzero cycles, all read off one set of tracked sample fibers on
+    which each element is evaluated once."""
+    prec = cfg.precision_bits
     cycles = [v for v in cycles if not v.is_zero()]
     residuals = [mp.mpf(0)] * basis.dim
     if cycles and basis.dim:
         fibers = tracked_fiber_samples(p, rep, cfg)
-        residuals = [max(cycle_residual(v, q, fibers, cfg.precision_bits)
-                         for v in cycles) for q in basis.basis]
-    return ser.basis_to_json(basis, residuals=residuals, prec=cfg.precision_bits)
+        residuals = []
+        for q in basis.basis:
+            values = fiber_values(q, fibers, prec)
+            residuals.append(max(cycle_residual(v, values, prec) for v in cycles))
+    return ser.basis_to_json(basis, residuals=residuals, prec=prec)
 
 
 def _solve(data, args, cfg):

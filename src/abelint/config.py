@@ -36,6 +36,9 @@ class Config:
                 raise InputError(f"{name} must be positive and finite")
         if self.samples < 1:
             raise InputError("samples must be positive")
+        if self.samples > COUNT_LIMIT:
+            raise InputError(f"samples must be at most {COUNT_LIMIT}, "
+                             f"not {self.samples}")
         if self.degree_bound is not None and self.degree_bound < 0:
             raise InputError("degree_bound must be nonnegative")
         if self.degree_bound is not None and self.degree_bound > COUNT_LIMIT:

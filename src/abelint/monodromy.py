@@ -4,11 +4,12 @@ The group is computed from one petal loop per finite critical value plus a
 large circle for the loop around infinity, all tracked with an adaptive
 predictor-corrector (predictor: previous fiber, corrector: Newton per root).
 The step control runs on one of two tiers: mpmath at a configurable working
-precision (`track_fiber`, whose fibers feed printed numbers), or machine
-complex arithmetic that hands near-collision segments to mpmath
-(`continue_fiber`, for loops and walks that only yield permutations and
-branch labels).  The fiber is then renumbered so the infinity permutation
-is the standard cycle (1 2 ... n), which every downstream module relies on.
+precision throughout (`track_fiber`, the reference), or machine complex
+arithmetic that hands near-collision segments to mpmath and refines the end
+fiber at the working precision (`continue_fiber`, which every loop, walk and
+oracle sample runs on).  The fiber is then renumbered so the infinity
+permutation is the standard cycle (1 2 ... n), which every downstream
+module relies on.
 """
 
 from __future__ import annotations
@@ -346,17 +347,17 @@ def track_fiber(p: RatPoly, path: list, start_fiber: list,
 
 def continue_fiber(p: RatPoly, path: list, start_fiber: list,
                    config: Config = DEFAULT_CONFIG) -> list:
-    """`track_fiber` for callers that keep only discrete results
-    (permutations, branch labels): the same continuation, tracked in
-    machine complex arithmetic.
+    """`track_fiber`'s continuation, tracked in machine complex arithmetic.
 
     A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of its
     scale, the step below 2^-30, or a value out of the double range is
     tracked again from its start by the mp tier, which raises
     `track_fiber`'s errors.  A path whose polynomial or points do not fit
     in normal doubles runs on the mp tier throughout.  The end fiber is
-    refined at the working precision, index-aligned with the start; its
-    last bits differ from `track_fiber`'s.
+    refined at the working precision by Newton to 2^-(precision_bits + 8)
+    relative, index-aligned with the start: it agrees with `track_fiber`'s
+    to that tolerance, and bit for bit when every segment ran on the mp
+    tier.
     """
     if len(path) < 1:
         raise InputError("path must contain at least one point")

@@ -23,8 +23,8 @@ from .cycles import (CycleVector, IntervalSystem,
                      real_interval_to_coefficients)
 from .errors import CertificateError, ComputationError, InputError
 from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
-from .monodromy import (DivisorLattice, MonodromyRep, divisor_lattice,
-                        monodromy, route, standoffs, track_fiber)
+from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
+                        divisor_lattice, monodromy, route, standoffs)
 from .numerics import eval_poly, to_mpc, to_mpf
 from .ratpoly import (RatPoly, compose, decompose_all, power_sums,
                       trace_poly, w_adic)
@@ -415,33 +415,48 @@ def _sample_points(rep: MonodromyRep, blockers, count: int, seed: int):
     return points
 
 
+def _sample_count(count: int) -> int:
+    if count < 1:
+        raise InputError(f"samples must be at least 1, got {count}")
+    return count
+
+
 def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
                           config: Config = DEFAULT_CONFIG,
                           count: int | None = None) -> list:
     """Fibers over seeded random regular points, index-aligned with the
-    normalized base fiber.  One tracking pass serves any number of
-    residual evaluations."""
-    count = count if count is not None else config.samples
+    normalized base fiber.  Each is continued from the base fiber along a
+    `route` path on the two-tier tracker and refined at the working
+    precision to 2^-(precision_bits + 8) relative.  One tracking pass
+    serves any number of residual evaluations."""
+    count = _sample_count(count if count is not None else config.samples)
     with mp.workprec(config.precision_bits + 32):
         cvs = list(rep.critical_values)
         blockers = list(zip(cvs, standoffs(cvs, abs(rep.base_point))))
         fibers = []
         for z in _sample_points(rep, blockers, count, config.seed):
             path = route(rep.base_point, z, blockers)
-            fibers.append(track_fiber(p, path, list(rep.base_fiber), config))
+            fibers.append(continue_fiber(p, path, list(rep.base_fiber), config))
         return fibers
 
 
-def cycle_residual(v: CycleVector, q: RatPoly, fibers, prec: int):
-    """Worst relative residual of sum_i v_i q(x_i) over the tracked fibers."""
+def fiber_values(q: RatPoly, fibers, prec: int) -> list:
+    """q(x_i) over every tracked fiber, at prec + 32 bits: one evaluation
+    of q serves the residuals of any number of cycles."""
     with mp.workprec(prec + 32):
+        return [[eval_poly(q, x, mp.prec) for x in fiber] for fiber in fibers]
+
+
+def cycle_residual(v: CycleVector, values, prec: int):
+    """Worst relative residual of sum_i v_i q(x_i) over the tracked fibers,
+    given `values = fiber_values(q, fibers, prec)`."""
+    with mp.workprec(prec + 32):
+        coeffs = [to_mpf(c, mp.prec) for c in v.v]
         worst = mp.mpf(0)
-        for fiber in fibers:
-            qvals = [eval_poly(q, x, mp.prec) for x in fiber]
-            num = abs(sum(to_mpf(c, mp.prec) * qv for c, qv in zip(v.v, qvals)))
-            den = max(mp.mpf(1),
-                      sum(abs(to_mpf(c, mp.prec)) * abs(qv)
-                          for c, qv in zip(v.v, qvals)))
+        for qvals in values:
+            num = abs(sum(c * qv for c, qv in zip(coeffs, qvals)))
+            den = max(mp.mpf(1), sum(abs(c) * abs(qv)
+                                     for c, qv in zip(coeffs, qvals)))
             worst = max(worst, num / den)
         return worst
 
@@ -453,17 +468,18 @@ def verify_vanishing_numeric(p: RatPoly, v: CycleVector, q: RatPoly,
     """Track the normalized fiber to seeded random regular points and
     evaluate sum_i v_i q(x_i); vanishing means the worst relative residual
     stays below the oracle tolerance."""
+    count = _sample_count(samples if samples is not None else config.samples)
     if rep is None:
         rep = monodromy(p, config)
     if v.n != rep.n:
         raise InputError("cycle length does not match the fiber degree")
-    count = samples if samples is not None else config.samples
     tol = config.resolved_oracle_tol
     with mp.workprec(config.precision_bits + 32):
         if q.is_zero() or v.is_zero():
             return VanishingCheck(True, mp.mpf(0), tol, count)
         fibers = tracked_fiber_samples(p, rep, config, count)
-        worst = cycle_residual(v, q, fibers, config.precision_bits)
+        worst = cycle_residual(v, fiber_values(q, fibers, config.precision_bits),
+                               config.precision_bits)
         return VanishingCheck(bool(worst < tol), worst, tol, count)
 
 

@@ -20,7 +20,7 @@ from abelint.invariant import decompose_v_delta, psi_set, u_d_dimension_table
 from abelint.monodromy import (Permutation, critical_values, divisor_lattice,
                                generated_group_order, monodromy)
 from abelint.ratpoly import RatPoly, chebyshev, trace_poly
-from abelint.solver import (cycle_residual, solve_moment_problem,
+from abelint.solver import (cycle_residual, fiber_values, solve_moment_problem,
                             tracked_fiber_samples, z_delta_basis, z_vd_basis)
 
 from conftest import QUARTIC_F, QUARTIC_PAPER_SPELLING, QUARTIC_SHIFTED, QUINTIC
@@ -198,7 +198,8 @@ def test_criterion_07_oracle_equivalence(config, t6, t6_rep, t6_lattice,
         basis = z_delta_basis(p, v, bound, config, rep, lattice)
         fibers = tracked_fiber_samples(p, rep, config)
         for q in basis.basis:
-            res = cycle_residual(v, q, fibers, config.precision_bits)
+            res = cycle_residual(v, fiber_values(q, fibers, config.precision_bits),
+                                 config.precision_bits)
             ok = ok and res < member_tol
         rows = [[q.coeff(k) for k in range(bound + 1)] for q in basis.basis]
         produced = 0
@@ -210,7 +211,8 @@ def test_criterion_07_oracle_equivalence(config, t6, t6_rep, t6_lattice,
                                                     for k in range(bound + 1)]):
                 continue
             produced += 1
-            res = cycle_residual(v, q, fibers, config.precision_bits)
+            res = cycle_residual(v, fiber_values(q, fibers, config.precision_bits),
+                                 config.precision_bits)
             ok = ok and res > reject_tol
     report(7, ok, "oracle equivalence on 4 fixtures: members < 2^-32, "
                   "50 non-members each > 2^-12, no misclassification")

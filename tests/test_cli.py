@@ -321,6 +321,38 @@ def test_degree_bound_option_rejects_bounds_above_the_limit(route, raw, tmp_path
         f"input error: degree_bound must be at most {COUNT_LIMIT}, not {raw}\n")
 
 
+@pytest.mark.parametrize("raw, message", [
+    (0, "samples must be positive"),
+    (-3, "samples must be positive"),
+    (COUNT_LIMIT + 1, f"samples must be at most {COUNT_LIMIT}, not {COUNT_LIMIT + 1}"),
+    (10 ** 12, f"samples must be at most {COUNT_LIMIT}, not {10 ** 12}"),
+])
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_samples_option_rejects_counts_out_of_range(command, route, raw, message,
+                                                    tmp_path, monkeypatch, capsys):
+    """The --samples flag and a --config file's samples must lie in
+    [1, COUNT_LIMIT] (exit 2, one line), before any tracking: a count of 0
+    once let the oracle call any cycle vanishing."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for name in ("group_data", "monodromy", "verify_vanishing_numeric",
+                 "tracked_fiber_samples"):
+        monkeypatch.setattr(cli, name, no_work)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"polynomial": ["0", "0", "1"],
+                                "cycle": ["1", "-1"], "q": ["0", "1"]}))
+    if route == "flag":
+        extra = ["--samples", str(raw)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": raw}))
+        extra = ["--config", str(config)]
+    assert cli.main([command, str(path)] + extra) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_hyper_integrate_prints_real_values_at_192_bits(tmp_path, capsys):
     """Rounding next to an oval endpoint once made f + t negative at a node,
     and I at t = -0.7 printed as a complex number at 192 bits."""

@@ -1,4 +1,8 @@
+import functools
 import json
+import math
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from abelint import linalg
+from abelint.config import COUNT_LIMIT, Config
 from abelint.cycles import CycleVector, IntervalSystem
 from abelint.errors import InputError
 from abelint.invariant import pairing_is_zero
-from abelint.monodromy import divisor_lattice, monodromy
+from abelint.monodromy import (divisor_lattice, monodromy, route, standoffs,
+                               track_fiber)
 from abelint.ratpoly import (RatPoly, chebyshev, compose, power_sums,
                              trace_poly, w_adic)
-from abelint.solver import (_pullback_span_rows, _trace_kernel, classify,
-                            common_right_factor, puiseux,
-                            solve_moment_problem, verify_vanishing_numeric,
+from abelint.solver import (_pullback_span_rows, _sample_points, _trace_kernel,
+                            classify, common_right_factor, cycle_residual,
+                            fiber_values, puiseux, solve_moment_problem,
+                            tracked_fiber_samples, verify_vanishing_numeric,
                             z_delta_basis, z_ud_basis, z_vd_basis)
 
 from conftest import QUINTIC
@@ -355,6 +362,106 @@ def test_pullback_identity_cco(t6, t6_rep, config):
         q = compose(b, w)
         chk = verify_vanishing_numeric(t6, PAPER_V1, q, config=config, rep=t6_rep)
         assert chk.vanishes
+
+
+OCTIC = X ** 8 - 3 * X ** 5 + X ** 2 - X + RatPoly.constant(Fraction(1, 3))
+ORACLE_CASES = ["t6", "octic"] + [f"seeded-{d}" for d in range(4, 9)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(name: str):
+    """(p, rep, reference fibers): the oracle's sample fibers tracked by
+    `track_fiber` along the same `route` paths, at the default Config."""
+    if name == "t6":
+        p = chebyshev(6)
+    elif name == "octic":
+        p = OCTIC
+    else:
+        degree = int(name.split("-")[1])
+        rng = random.Random(degree)
+        p = RatPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(degree)] + [Fraction(1)])
+    config = Config()
+    rep = monodromy(p, config)
+    with mp.workprec(config.precision_bits + 32):
+        cvs = list(rep.critical_values)
+        blockers = list(zip(cvs, standoffs(cvs, abs(rep.base_point))))
+        fibers = [track_fiber(p, route(rep.base_point, z, blockers),
+                              list(rep.base_fiber), config)
+                  for z in _sample_points(rep, blockers, config.samples,
+                                          config.seed)]
+    return p, rep, fibers
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_fibers_match_track_fiber(name, config):
+    """The two-tier oracle fibers agree with `track_fiber`'s index by index
+    to the Newton tolerance 2^-(prec+8) relative."""
+    p, rep, reference = _oracle_case(name)
+    fibers = tracked_fiber_samples(p, rep, config)
+    assert len(fibers) == len(reference) == config.samples
+    with mp.workprec(config.precision_bits + 32):
+        tol = mp.mpf(2) ** -(config.precision_bits + 8)
+        for got, want in zip(fibers, reference):
+            assert len(got) == len(want) == p.degree
+            for a, b in zip(got, want):
+                assert abs(a - b) <= tol * max(1, abs(b))
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_verdicts_match_track_fiber(name, config):
+    """Vanishing verdicts read off the two-tier fibers are the ones the
+    `track_fiber` fibers give: x1 - x2 never vanishes, p(x1) - p(x2) and
+    the paper's T_3 on T6 always do."""
+    p, rep, reference = _oracle_case(name)
+    if name == "t6":
+        v, cases = PAPER_V1, [(chebyshev(3), True), (X, False)]
+    else:
+        v = CycleVector(p.degree, (1, -1) + (0,) * (p.degree - 2))
+        cases = [(p, True), (X, False), (X ** 2 + X, False)]
+    prec = config.precision_bits
+    for q, expected in cases:
+        chk = verify_vanishing_numeric(p, v, q, config=config, rep=rep)
+        want = cycle_residual(v, fiber_values(q, reference, prec), prec)
+        assert chk.vanishes == bool(want < chk.tolerance) == expected
+
+
+@pytest.mark.parametrize("name", ["t6", "octic"])
+def test_escalated_oracle_fibers_are_track_fibers_bits(name, config, monkeypatch):
+    """With every segment handed to the mp tier, the oracle fibers are
+    `track_fiber`'s bit for bit."""
+    # the package binds the name abelint.monodromy to the function
+    monkeypatch.setattr(sys.modules["abelint.monodromy"], "MACHINE_GAP_FLOOR",
+                        math.inf)
+    p, rep, reference = _oracle_case(name)
+    fibers = tracked_fiber_samples(p, rep, config)
+    assert [[x._mpc_ for x in f] for f in fibers] == \
+        [[x._mpc_ for x in f] for f in reference]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_oracle_rejects_fewer_than_one_sample(samples, config):
+    """No samples once gave vanishes=True and residual 0 for x1 - x2 on
+    x^2, which is 2 sqrt(z)."""
+    p, v = X ** 2, CycleVector(2, (1, -1))
+    message = rf"^samples must be at least 1, got {samples}$"
+    with pytest.raises(InputError, match=message):
+        verify_vanishing_numeric(p, v, X, samples=samples, config=config)
+    rep = monodromy(p, config)
+    with pytest.raises(InputError, match=message):
+        verify_vanishing_numeric(p, v, X, samples=samples, config=config, rep=rep)
+    with pytest.raises(InputError, match=message):
+        tracked_fiber_samples(p, rep, config, samples)
+    chk = verify_vanishing_numeric(p, v, X, samples=2, config=config, rep=rep)
+    assert not chk.vanishes and chk.samples == 2
+
+
+@pytest.mark.parametrize("samples", [COUNT_LIMIT + 1, 10 ** 12])
+def test_config_rejects_sample_counts_above_the_limit(samples):
+    with pytest.raises(InputError, match=rf"^samples must be at most "
+                                         rf"{COUNT_LIMIT}, not {samples}$"):
+        Config(samples=samples)
+    assert Config(samples=COUNT_LIMIT).samples == COUNT_LIMIT
 
 
 # ---------------------------------------------------------------------------
