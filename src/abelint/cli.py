@@ -42,6 +42,13 @@ def _read_json(path: str):
         raise InputError(f"cannot read JSON input: {exc}")
 
 
+def _read_object(path: str, command: str) -> dict:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{command} input must be a JSON object")
+    return data
+
+
 def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -137,8 +144,6 @@ def _basis_with_residuals(p, basis, cycles, cfg, rep):
 def _solve(data, args, cfg):
     """`solve` on parsed input; every field is checked before any
     monodromy is computed."""
-    if not isinstance(data, dict):
-        raise InputError("solve needs an object with a polynomial")
     p = _poly_from_input(data)
     _require_degree(p, 2)
     bound = (ser.count_from_json(data["degree_bound"], "degree_bound")
@@ -168,12 +173,12 @@ def _solve(data, args, cfg):
 
 
 def cmd_solve(args, cfg):
-    _solve(_read_json(args.input), args, cfg)
+    _solve(_read_object(args.input, "solve"), args, cfg)
 
 
 def cmd_moment_problem(args, cfg):
-    data = _read_json(args.input)
-    if not isinstance(data, dict) or "intervals" not in data:
+    data = _read_object(args.input, "moment-problem")
+    if "intervals" not in data:
         raise InputError("moment-problem needs an interval system")
     _solve(data, args, cfg)
 
@@ -208,7 +213,7 @@ def cmd_verify(args, cfg):
 
 
 def cmd_hyper_check(args, cfg):
-    data = _read_json(args.input)
+    data = _read_object(args.input, "hyper-check")
     if "f" not in data:
         raise InputError("hyper-check needs the fiber polynomial f")
     f = ser.poly_from_json(data["f"])
@@ -247,7 +252,7 @@ def cmd_hyper_check(args, cfg):
 
 
 def cmd_hyper_integrate(args, cfg):
-    data = _read_json(args.input)
+    data = _read_object(args.input, "hyper-integrate")
     for key in ("family", "k"):
         if key not in data:
             raise InputError(f"hyper-integrate needs {key!r}")
@@ -268,7 +273,7 @@ def cmd_hyper_integrate(args, cfg):
 
 
 def cmd_main4_check(args, cfg):
-    data = _read_json(args.input)
+    data = _read_object(args.input, "main4-check")
     for key in ("f", "k", "combo", "z_samples", "critical_point"):
         if key not in data:
             raise InputError(f"main4-check needs {key!r}")
@@ -276,8 +281,9 @@ def cmd_main4_check(args, cfg):
     _require_degree(f, 2)
     k = ser.poly_from_json(data["k"])
     combo = ser.combo_from_json(data["combo"])
+    z_samples = ser.decimals_from_json(data["z_samples"], "z_samples")
     with mp.workprec(cfg.precision_bits + 32):
-        zs = [mp.mpf(str(z)) for z in data["z_samples"]]
+        zs = [mp.mpf(z) for z in z_samples]
         crit = ser.complex_from_json(data["critical_point"], cfg.precision_bits)
         report = main4_limit_check(f, k, combo, zs, crit, cfg)
         rows = [{"z": nstr_det(row["z"], cfg.precision_bits),

@@ -29,8 +29,6 @@ from .numerics import (cluster_points, eval_poly, min_pairwise_distance,
                        roots_of, roots_of_shifted, to_mpc)
 from .ratpoly import Decomposition, RatPoly, decompose_all, divisors
 
-GROUP_ORDER_CAP = 10 ** 6
-
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -78,14 +76,10 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         seen, out = set(), []
         for i in range(1, self.n + 1):
-            if i in seen:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = self(i)
-            while j != i:
-                cyc.append(j)
+            cyc, j = [], i
+            while j not in seen:
                 seen.add(j)
+                cyc.append(j)
                 j = self(j)
             if len(cyc) > 1:
                 out.append(tuple(cyc))
@@ -98,25 +92,50 @@ class Permutation:
         return result
 
 
-def generated_group_order(generators: list[Permutation], cap: int = GROUP_ORDER_CAP) -> int | None:
-    """Order of <generators> by breadth-first closure, or None past `cap`."""
+def generated_group_order(generators: list[Permutation]) -> int:
+    """Exact order of <generators>, by deterministic Schreier-Sims (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).
+
+    The base is 1, 2, ..., n.  Level k keeps the orbit of k under the strong
+    generators that fix 1, ..., k - 1, each orbit point with a coset
+    representative carrying k to it.  An element that does not sift to the
+    identity joins the strong generators at the level where it stopped, and
+    every orbit pair (point, strong generator) this adds queues its Schreier
+    generator.  Once everything queued sifts to the identity, the chain is
+    complete and the order is the product of the orbit lengths.
+    """
     if not generators:
         return 1
     n = generators[0].n
-    seen = {Permutation.identity(n).images}
-    frontier = [Permutation.identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                prod = g.then(h)
-                if prod.images not in seen:
-                    seen.add(prod.images)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return len(seen)
+    reps = {k: {k: Permutation.identity(n)} for k in range(1, n + 1)}
+    strong = []                   # (level, strong generator)
+    pending = list(generators)
+    while pending:
+        g = pending.pop()
+        for k in range(1, n + 1):
+            if g(k) not in reps[k]:
+                break
+            g = g.then(reps[k][g(k)].inverse())
+        else:
+            continue              # sifted to the identity
+        strong.append((k, g))
+        for j in range(1, k + 1):
+            gens = [s for level, s in strong if level >= j]
+            orbit = reps[j]
+            old = set(orbit)
+            todo = list(orbit)
+            while todo:
+                y = todo.pop()
+                for s in gens:
+                    if y in old and s is not g:
+                        continue  # this pair was queued before
+                    u = orbit[y].then(s)
+                    if s(y) in orbit:
+                        pending.append(u.then(orbit[s(y)].inverse()))
+                    else:
+                        orbit[s(y)] = u
+                        todo.append(s(y))
+    return math.prod(len(orbit) for orbit in reps.values())
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +413,7 @@ def match_permutation(start_fiber: list, end_fiber: list) -> Permutation:
     gap = min_pairwise_distance(start_fiber)
     images = []
     for i in range(n):
-        dists = sorted((abs(end_fiber[i] - start_fiber[j]), j) for j in range(n))
-        best, j = dists[0]
+        best, j = min((abs(end_fiber[i] - start_fiber[j]), j) for j in range(n))
         if gap is not None and best > gap / 4:
             raise TrackingError("fiber endpoint does not match any start root")
         images.append(j + 1)
@@ -440,15 +458,11 @@ def route(z0, z1, blockers, depth=0):
 
 
 def standoffs(cvs, base_radius):
-    """Radius of each critical value's disk that paths keep out of."""
-    out = []
-    for i, c in enumerate(cvs):
-        others = [abs(c - d) for j, d in enumerate(cvs) if j != i]
-        if others:
-            out.append(min(others) / 4)
-        else:
-            out.append(base_radius / 8)
-    return out
+    """Radius of each critical value's disk that paths keep out of: a
+    quarter of the distance to the nearest other one (base_radius / 8 for a
+    lone critical value)."""
+    return [min((abs(c - d) for j, d in enumerate(cvs) if j != i),
+                default=base_radius / 2) / 4 for i, c in enumerate(cvs)]
 
 
 def _sweep_rotation(cvs, c0):
@@ -489,8 +503,14 @@ def _petal_paths(c0, cvs, standoffs):
     order_keys = []
     for i, w in enumerate(ws):
         r = min(standoffs[i], gap / 3)
-        descent = [w0, mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway),
-                   w - mp.mpc(0, 1) * r]
+        # a climb far longer than r is split geometrically (each point 2^10
+        # times farther below w than the next), so no segment is long next
+        # to its distance from the critical value
+        climb, d = [w - mp.mpc(0, 1) * r], r * 2 ** 10
+        while d <= (mp.im(w) - highway) / 2 ** 10:
+            climb.insert(0, w - mp.mpc(0, 1) * d)
+            d *= 2 ** 10
+        descent = [w0, mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway)] + climb
         circle = [w + r * mp.exp(mp.mpc(0, 1) * (-mp.pi / 2 + 2 * mp.pi * k / 16))
                   for k in range(1, 17)]
         path_w = descent + circle + list(reversed(descent))[1:]
@@ -657,10 +677,9 @@ def divisor_lattice(rep: MonodromyRep, p: RatPoly) -> DivisorLattice:
         covers[d] = tuple(e for e in cands
                           if not any(e < l < d and l % e == 0 and d % l == 0
                                      for l in cands))
-    for a in members:
-        for b in members:
-            if math.gcd(a, b) not in block_ds or (a * b // math.gcd(a, b)) not in block_ds:
-                raise ConsistencyError("divisor set is not gcd/lcm closed")
+    if any(math.gcd(a, b) not in block_ds or math.lcm(a, b) not in block_ds
+           for a in members for b in members):
+        raise ConsistencyError("divisor set is not gcd/lcm closed")
     return DivisorLattice(n=n, members=members, covers=covers, witness=decs)
 
 
@@ -668,52 +687,8 @@ def divisor_lattice(rep: MonodromyRep, p: RatPoly) -> DivisorLattice:
 # symmetric-group test
 # ---------------------------------------------------------------------------
 
-def _is_two_transitive(generators: list[Permutation], n: int) -> bool:
-    start = (1, 2)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (a, b) in frontier:
-            for g in generators:
-                pair = (g(a), g(b))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return len(seen) == n * (n - 1)
-
-
 def is_full_symmetric(rep: MonodromyRep, config: Config = DEFAULT_CONFIG) -> bool:
-    """Whether the generated group is all of S_n.
-
-    Uses explicit closure up to GROUP_ORDER_CAP elements; past the cap,
-    falls back to the 2-transitivity + transposition certificate (a
-    2-transitive group containing a transposition is the full symmetric
-    group).
-    """
-    n = rep.n
-    gens = list(rep.generators)
-    target = math.factorial(n)
-    if target <= GROUP_ORDER_CAP:
-        return generated_group_order(gens) == target
-    if n > 12:
-        raise ComputationError("degree exceeds the configured symmetric-group cap")
-    if not _is_two_transitive(gens, n):
-        return False
-    seen = {Permutation.identity(n).images}
-    frontier = [Permutation.identity(n)]
-    while frontier and len(seen) <= GROUP_ORDER_CAP:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g.then(h)
-                if prod.images in seen:
-                    continue
-                seen.add(prod.images)
-                cycles = prod.cycles()
-                if len(cycles) == 1 and len(cycles[0]) == 2:
-                    return True
-                nxt.append(prod)
-        frontier = nxt
-    return False
+    """Whether the generated group is all of S_n: its exact order (see
+    `generated_group_order`) equals n!.  The answer is exact for every
+    degree; `config` is accepted for a uniform call signature."""
+    return generated_group_order(list(rep.generators)) == math.factorial(rep.n)

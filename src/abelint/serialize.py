@@ -59,6 +59,12 @@ def finite_decimal(value, what: str) -> str:
     raise InputError(f"{what} must be a finite decimal number, not {value!r}")
 
 
+def decimals_from_json(data, what: str) -> list[str]:
+    """A JSON array of finite decimal numbers, as their strings."""
+    _expect(isinstance(data, list), f"{what} must be an array of decimal numbers")
+    return [finite_decimal(value, f"each entry of {what}") for value in data]
+
+
 # -- rationals --------------------------------------------------------------
 
 def frac_to_str(c: Fraction) -> str:
@@ -94,8 +100,10 @@ def complex_to_json(z, prec: int) -> list[str]:
 def complex_from_json(data, prec: int):
     _expect(isinstance(data, list) and len(data) == 2,
             "complex number must be a [re, im] array of decimal strings")
+    real, imag = (finite_decimal(part, "each part of a complex number")
+                  for part in data)
     with mp.workprec(prec):
-        return mp.mpc(mp.mpf(str(data[0])), mp.mpf(str(data[1])))
+        return mp.mpc(mp.mpf(real), mp.mpf(imag))
 
 
 # -- monodromy --------------------------------------------------------------
@@ -176,14 +184,16 @@ def level_cycles_to_json(level_cycles: list[LevelCycle], prec: int) -> list[dict
 
 
 def combo_from_json(data) -> VanishingCycleCombo:
-    _expect(isinstance(data, dict) and "n_local" in data and "coefficients" in data,
-            "combo needs n_local and coefficients")
+    _expect(isinstance(data, dict) and "n_local" in data
+            and isinstance(data.get("coefficients"), list),
+            "combo needs n_local and a coefficients array")
     coeffs = {}
     for item in data["coefficients"]:
         _expect(isinstance(item, dict) and {"i", "j", "c"} <= set(item),
                 "each combo entry needs i, j, c")
-        coeffs[(int(item["i"]), int(item["j"]))] = frac_from_str(item["c"])
-    return VanishingCycleCombo(int(data["n_local"]), coeffs)
+        i, j = (count_from_json(item[key], f"combo index {key}") for key in "ij")
+        coeffs[(i, j)] = frac_from_str(item["c"])
+    return VanishingCycleCombo(count_from_json(data["n_local"], "n_local"), coeffs)
 
 
 # -- solution bases and reports ----------------------------------------------
@@ -242,10 +252,14 @@ def one_form_from_json(data) -> OneForm:
     _expect(isinstance(data, dict), "one-form must be an object")
     dx, dy = {}, {}
     for key, target in (("dx", dx), ("dy", dy)):
-        for item in data.get(key, []):
+        terms = data.get(key, [])
+        _expect(isinstance(terms, list), f"one-form {key} must be an array of terms")
+        for item in terms:
             _expect(isinstance(item, dict) and {"px", "py", "coeff"} <= set(item),
                     f"each {key} term needs px, py, coeff")
-            target[(int(item["px"]), int(item["py"]))] = frac_from_str(item["coeff"])
+            px, py = (count_from_json(item[e], f"{key} exponent {e}")
+                      for e in ("px", "py"))
+            target[(px, py)] = frac_from_str(item["coeff"])
     return OneForm.of(dx=dx, dy=dy)
 
 

@@ -244,6 +244,35 @@ def test_hyper_integrate_input_contract(fields, message, tmp_path, monkeypatch,
     assert err.count("\n") == 1
 
 
+MAIN4_INPUT = {"f": HYPER_F, "k": ["0", "1"],
+               "combo": {"n_local": 2, "coefficients": [{"i": 1, "j": 2, "c": "1"}]},
+               "z_samples": ["-0.015625"], "critical_point": ["1.4142", "0"]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("main4-check", {**MAIN4_INPUT, "z_samples": ["abc"]},
+     "each entry of z_samples must be a finite decimal number, not 'abc'"),
+    ("main4-check", {**MAIN4_INPUT, "z_samples": 5},
+     "z_samples must be an array of decimal numbers"),
+    ("main4-check", {**MAIN4_INPUT, "combo": {
+        "n_local": 2, "coefficients": [{"i": "x", "j": 2, "c": "1"}]}},
+     "combo index i must be an integer, not 'x'"),
+    ("main4-check", {**MAIN4_INPUT, "critical_point": ["a", "0"]},
+     "each part of a complex number must be a finite decimal number, not 'a'"),
+    ("hyper-check", {"f": HYPER_F, "cycle": ["1", "-1", "0", "0"],
+                     "omega": {"dx": [{"px": "a", "py": 1, "coeff": "1"}]}},
+     "dx exponent px must be an integer, not 'a'"),
+    ("hyper-check", 7, "hyper-check input must be a JSON object"),
+    ("hyper-integrate", 7, "hyper-integrate input must be a JSON object"),
+])
+def test_hyper_commands_input_contract(command, payload, message, tmp_path, capsys):
+    """A malformed field is an input error (exit 2, one line), not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 HYPER_FAMILY = '"f": ["0", "1/2", "-1"], "t_min": "1/4", "t_max": "1"'
 COUNT_FIELDS = {
     "degree_bound": ("solve", '{"polynomial": ["0", "0", "1"], '

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import importlib
+import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from abelint.config import Config
@@ -44,6 +48,87 @@ def test_then_is_left_to_right():
 def test_group_order_s3():
     gens = [Permutation((2, 1, 3)), Permutation((2, 3, 1))]
     assert generated_group_order(gens) == 6
+
+
+def closure_order(generators):
+    """Reference order: breadth-first closure over all group elements."""
+    seen = {Permutation.identity(generators[0].n)}
+    frontier = seen
+    while frontier:
+        frontier = {g.then(h) for g in frontier for h in generators} - seen
+        seen |= frontier
+    return len(seen)
+
+
+def cycles_perm(n, *cycles):
+    """The permutation of 1..n with the given disjoint cycles."""
+    images = list(range(1, n + 1))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a - 1] = b
+    return Permutation(tuple(images))
+
+
+# generators of the Mathieu groups, as cycles
+M11 = [[tuple(range(1, 12))], [(3, 7, 11, 8), (4, 10, 5, 6)]]
+M12 = M11 + [[(1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10)]]
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_group_order_symmetric(n):
+    assert generated_group_order([cycles_perm(n, (1, 2)),
+                                  Permutation.cycle(n)]) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_group_order_alternating(n):
+    gens = [cycles_perm(n, (1, 2, k)) for k in range(3, n + 1)]
+    assert generated_group_order(gens) == math.factorial(n) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_group_order_dihedral_and_cyclic(n):
+    reflection = Permutation(tuple((1 - i) % n + 1 for i in range(n)))
+    assert generated_group_order([Permutation.cycle(n), reflection]) == 2 * n
+    assert generated_group_order([Permutation.cycle(n)]) == n
+
+
+def test_group_order_mathieu():
+    assert generated_group_order([cycles_perm(11, *g) for g in M11]) == 7920
+    assert generated_group_order([cycles_perm(12, *g) for g in M12]) == 95040
+
+
+def test_group_order_of_no_generators():
+    assert generated_group_order([]) == 1
+
+
+def _rep(generators):
+    """The two fields of a MonodromyRep that is_full_symmetric reads."""
+    return SimpleNamespace(n=generators[0].n, generators=tuple(generators))
+
+
+def test_imprimitive_group_is_not_symmetric(config):
+    # the 10-cycle and (1 3 5) keep the odd and the even points as blocks
+    rep = _rep([Permutation.cycle(10), cycles_perm(10, (1, 3, 5))])
+    assert not is_full_symmetric(rep, config)
+
+
+@pytest.mark.parametrize("images", [
+    [(3, 4, 12, 11, 10, 2, 7, 8, 1, 9, 6, 5), (10, 3, 11, 6, 1, 12, 5, 2, 9, 7, 4, 8)],
+    [(4, 3, 11, 5, 2, 6, 9, 8, 1, 10, 7), (7, 2, 11, 1, 4, 3, 5, 10, 9, 6, 8)],
+])
+def test_large_symmetric_pairs_decided_exactly(images, config):
+    start = time.perf_counter()
+    assert is_full_symmetric(_rep([Permutation(g) for g in images]), config)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(1, n + 1)), min_size=1, max_size=3)))
+def test_group_order_matches_closure(images):
+    gens = [Permutation(tuple(g)) for g in images]
+    assert generated_group_order(gens) == closure_order(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +275,23 @@ def test_collapse_message_is_the_mp_tiers(config):
     assert str(machine_err.value) == str(mp_err.value)
 
 
-def test_monodromy_failure_names_the_loop(config):
-    # the petal loops of this cubic pass too near the critical values
+def test_monodromy_failure_names_the_loop():
+    # at 256 bits the critical values +-2e^3 = +-2^-110 separate, but the
+    # standoff circle around them is too small for collision_tol
     with pytest.raises(TrackingError) as err:
-        monodromy(_stress_cubic(Fraction(1, 2 ** 12)), config)
+        monodromy(_stress_cubic(Fraction(1, 2 ** 37)), Config(precision_bits=256))
     msg = str(err.value)
-    assert msg.startswith("petal loop 0 (critical value (-2.910383e-11 + 0.0j)): "
+    assert msg.startswith("petal loop 0 (critical value (-7.7037198e-34 + 0.0j)): "
                           "step collapse on the segment")
+
+
+@pytest.mark.parametrize("k", [12, 18])
+def test_small_petals_reach_their_critical_values(config, k):
+    # the climb to the standoff circle is split geometrically
+    reference = monodromy(_stress_cubic(Fraction(1)), config).generators
+    rep = monodromy(_stress_cubic(Fraction(1, 2 ** k)), config)
+    assert rep.generators == reference
+    assert generated_group_order(list(rep.generators)) == 6
 
 
 def test_escalation_near_a_critical_value(config, monkeypatch):

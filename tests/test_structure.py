@@ -1,10 +1,14 @@
 """Module boundaries of the package: no module imports a private
-(underscore) name from a sibling module."""
+(underscore) name from a sibling module, and every function the benchmark
+tracer wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "abelint"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "abelint"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def private_imports():
@@ -23,3 +27,25 @@ def private_imports():
 
 def test_no_private_imports_across_modules():
     assert private_imports() == []
+
+
+def tracer_lists():
+    """The tracer's module-level list constants, read without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.List)}
+
+
+def test_tracer_names_resolve():
+    """The tracer looks up each (module, function) it wraps with getattr, so
+    a renamed or deleted function would crash every traced benchmark run."""
+    lists = tracer_lists()
+    wrapped = lists["SPANNED"] + lists["COUNTED"]
+    assert wrapped
+    missing = [f"{module}.{name}" for _, module, name in wrapped
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
+    for module in lists["ALL_MODULES"]:
+        importlib.import_module(module)
