@@ -149,12 +149,8 @@ def vanishing_combo_to_cycle(combo: VanishingCycleCombo,
 # ---------------------------------------------------------------------------
 
 def _real_criticals(rep: MonodromyRep):
-    tol = mp.mpf(2) ** (-(rep.precision_bits // 2))
-    out = []
-    for c in rep.critical_values:
-        if abs(mp.im(c)) < tol * (1 + abs(c)):
-            out.append(mp.re(c))
-    return sorted(out)
+    """The real critical values, in increasing order."""
+    return sorted(mp.re(c) for c in rep.critical_values if mp.im(c) == 0)
 
 
 def _arc_radius(levels, idx, rep) -> object:
@@ -162,10 +158,7 @@ def _arc_radius(levels, idx, rep) -> object:
     c = levels[idx]
     dists = [abs(c - o) for j, o in enumerate(levels) if j != idx]
     dists.append(abs(mp.re(rep.base_point) - c))
-    tol = mp.mpf(2) ** (-(rep.precision_bits // 2))
-    for cv in rep.critical_values:
-        if abs(mp.im(cv)) >= tol * (1 + abs(cv)):
-            dists.append(abs(mp.im(cv)))
+    dists += [abs(mp.im(cv)) for cv in rep.critical_values if mp.im(cv) != 0]
     return min(dists) / 3
 
 
@@ -249,6 +242,8 @@ class LevelCycle:
 
 
 def _snap_index(levels, z, tol):
+    # a tolerance on purpose: a decimal approximation of an irrational
+    # endpoint (the turning points ±√3/2 of T6) must land on its critical level
     for i, lv in enumerate(levels):
         if abs(z - lv) < tol * (1 + abs(lv)):
             return i
@@ -309,9 +304,11 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
                 za, zb = eval_poly(p, xl, mp.prec), eval_poly(p, xr, mp.prec)
                 ia = _snap_index(levels, za, snap)
                 ib = _snap_index(levels, zb, snap)
-                if ia is None or ib is None or ia == ib:
+                if ia is None or ib is None:
                     raise ComputationError(
                         "walk piece endpoints failed to land on cut levels")
+                if ia == ib:    # an end a hair from a turning point: +-d*w cancel
+                    continue
                 direction = 1 if zb > za else -1
                 branch = _walk_piece_branch(p, rep, xl, xr, levels, config)
                 lo, hi = min(ia, ib), max(ia, ib)

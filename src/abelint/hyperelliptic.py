@@ -515,6 +515,8 @@ def vanishing_criterion(f: RatPoly, k: RatPoly, v: CycleVector,
     Constancy is linear feasibility: K - c0 must lie in the exact vanishing
     space of v for some constant c0; then the integral is c0 * sum(v).
     """
+    if v.n != f.degree:
+        raise InputError("cycle length does not match the polynomial degree")
     rep, lattice = group_data(f, config, rep, lattice)
     big_k = k.primitive()
     bound = max(0 if big_k.is_zero() else big_k.degree, 0)

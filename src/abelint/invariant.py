@@ -85,9 +85,6 @@ class SubspaceDecomposition:
     components: frozenset[int]
     dims: dict[int, int]
 
-    def total_dim(self) -> int:
-        return sum(self.dims[d] for d in self.components)
-
 
 def decompose_v_delta(v: CycleVector, lattice: DivisorLattice) -> SubspaceDecomposition:
     """Irreducible components of the invariant subspace generated by v:

@@ -25,9 +25,11 @@ from mpmath.libmp import (fone, fzero, mpc_abs, mpc_div, mpc_sub, mpf_add,
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
-from .numerics import (cluster_points, eval_poly, min_pairwise_distance,
-                       roots_of, roots_of_shifted, to_mpc)
-from .ratpoly import Decomposition, RatPoly, decompose_all, divisors
+from .numerics import (eval_poly, min_pairwise_distance, roots_of,
+                       roots_of_shifted, to_mpc)
+from .ratpoly import (Decomposition, RatPoly, critical_value_poly,
+                      decompose_all, divisors)
+from .realroots import RealRoots
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +145,20 @@ def generated_group_order(generators: list[Permutation]) -> int:
 # ---------------------------------------------------------------------------
 
 def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
-    """Distinct finite critical values of p, clustered and sorted by (re, im)."""
+    """Distinct finite critical values of p, sorted by (re, im): the roots of
+    `critical_value_poly(p)`, the real ones exactly real and correctly
+    rounded at precision_bits + 32 bits, the others from `roots_of`."""
     if p.is_zero() or p.degree < 2:
         raise InputError("critical_values requires deg p >= 2")
-    prec = config.precision_bits
-    with mp.workprec(prec + 32):
-        crit_points = roots_of(p.derivative(), prec + 32)
-        values = [eval_poly(p, r, prec + 32) for r in crit_points]
-        scale = max([mp.mpf(1)] + [abs(v) for v in values])
-        tol = scale * mp.mpf(2) ** (-(prec // 2))
-        groups = cluster_points(values, tol)
-        reps = []
-        for group in groups:
-            s = sum(values[i] for i in group) / len(group)
-            reps.append(s)
-        reps.sort(key=lambda v: (mp.re(v), mp.im(v)))
-        for i in range(len(reps) - 1):
-            if abs(reps[i] - reps[i + 1]) < 10 * tol:
-                raise ComputationError(
-                    "critical values too close to separate at this precision")
-        return [mp.mpc(v) for v in reps]
+    prec = config.precision_bits + 32
+    r = critical_value_poly(p)
+    real = RealRoots(r)
+    with mp.workprec(prec):
+        values = [mp.mpc(real.root(i, prec)) for i in range(real.count)]
+        if real.count < r.degree:
+            rest = sorted(roots_of(r, prec), key=lambda v: abs(mp.im(v)))
+            values += rest[real.count:]     # the real ones lie nearest the axis
+        return sorted(values, key=lambda v: (mp.re(v), mp.im(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +535,6 @@ class MonodromyRep:
     base_fiber: tuple
     petal_order: tuple[int, ...]
     precision_bits: int
-
-    def generator_for(self, idx: int) -> Permutation:
-        return self.generators[idx]
 
     def product_in_petal_order(self) -> Permutation:
         acc = Permutation.identity(self.n)

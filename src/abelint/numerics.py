@@ -18,8 +18,8 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add_mpf, mpc_mul,
                           mpc_mul_int, mpc_sub, mpf_add, mpf_div, mpf_lt,
                           mpf_mul, mpf_mul_int, round_nearest)
 
-from .errors import ComputationError, InputError
-from .ratpoly import RatPoly, squarefree_part
+from .errors import ComputationError
+from .ratpoly import RatPoly
 
 
 def _fraction_mpf(x: Fraction, prec: int) -> tuple:
@@ -95,34 +95,25 @@ def eval_poly_raw(p: RatPoly | tuple, z: tuple, prec: int) -> tuple:
 
 
 def roots_of(p: RatPoly, prec: int) -> list:
-    """All distinct complex roots of p at `prec` bits, sorted by (re, im).
-
-    The exact squarefree part is factored out first, so clustered roots of
-    the input cannot spoil convergence.
-    """
-    if p.is_zero():
-        raise InputError("cannot take roots of the zero polynomial")
-    target = squarefree_part(p)
-    if target.degree == 0:
-        return []
-    with mp.workprec(prec):
-        coeffs = poly_mpc_coeffs(target, prec)
-        try:
-            rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
-        except mpmath.libmp.NoConvergence as exc:  # pragma: no cover
-            raise ComputationError(f"root finding did not converge: {exc}")
-        return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))
+    """All complex roots of a squarefree nonconstant p at `prec` bits,
+    sorted by (re, im)."""
+    return _sorted_roots(poly_mpc_coeffs(p, prec), prec, "root finding")
 
 
 def roots_of_shifted(p: RatPoly, z, prec: int) -> list:
     """Roots of p(x) - z for a numeric z (generically squarefree)."""
+    coeffs = poly_mpc_coeffs(p, prec)
     with mp.workprec(prec):
-        coeffs = poly_mpc_coeffs(p, prec)
         coeffs[-1] -= to_mpc(z, prec)
+    return _sorted_roots(coeffs, prec, "fiber root finding")
+
+
+def _sorted_roots(coeffs: list, prec: int, what: str) -> list:
+    with mp.workprec(prec):
         try:
             rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
         except mpmath.libmp.NoConvergence as exc:
-            raise ComputationError(f"fiber root finding did not converge: {exc}")
+            raise ComputationError(f"{what} did not converge: {exc}")
         return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))
 
 

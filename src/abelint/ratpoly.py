@@ -406,6 +406,25 @@ def power_sums(w: RatPoly, count: int) -> list[RatPoly]:
     return [RatPoly(q) for q in p]
 
 
+def critical_value_poly(p: RatPoly) -> RatPoly:
+    """The monic squarefree R whose roots are the distinct critical values of
+    p: Newton's identities turn s_k = Tr(p^k mod p') = sum p(c)^k over the
+    roots c of p', k = 1..deg p', into prod (z - p(c)), and R is its
+    squarefree part."""
+    if p.degree is NEG_INF or p.degree < 2:
+        raise InputError("critical_value_poly requires deg p >= 2")
+    dp, m = p.derivative(), p.degree - 1
+    traces = [ps.coeff(0) for ps in power_sums(dp, m - 1)]   # sum c^j
+    rho, r, s, e = p % dp, RatPoly.one(), [], [Fraction(1)]  # e_0..e_m
+    for k in range(1, m + 1):
+        r = r * rho % dp
+        s.append(sum(c * t for c, t in zip(r.coeffs, traces)))
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
+                     for i in range(1, k + 1)) / k)
+    r = squarefree_part(RatPoly((-1) ** (m - j) * e[m - j] for j in range(m + 1)))
+    return r / r.lc
+
+
 def trace_poly(q: RatPoly, w: RatPoly) -> TracePoly:
     """sum_i q(w_i^{-1}(z)) over all deg(w) branches, exactly."""
     if w.degree is NEG_INF or w.degree < 1:

@@ -54,7 +54,7 @@ def finite_decimal(value, what: str) -> str:
     try:
         if mp.isfinite(mp.mpf(str(value))):
             return str(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise InputError(f"{what} must be a finite decimal number, not {value!r}")
 

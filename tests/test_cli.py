@@ -110,6 +110,25 @@ def test_solve_with_intervals():
     assert res.stdout == (GOLDEN / "solve_intervals.json").read_text()
 
 
+@pytest.mark.parametrize("a", ["-0.7071067811865475244008",
+                               "-0.70710678118654752440084436210484903928483593768847"])
+def test_endpoint_next_to_a_turning_point(a, tmp_path, capsys):
+    # -0.7071067811865476 lies 7.6e-17 inside the turning point -1/sqrt(2) of
+    # T4 = 8x^4 - 8x^2 + 1: the piece between them starts and ends on the
+    # critical level -1 and adds nothing
+    outputs = []
+    for endpoint in ("-0.7071067811865476", a):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({
+            "polynomial": ["1", "0", "-8", "0", "8"], "degree_bound": 6,
+            "intervals": [{"a": endpoint, "b": "0.25", "weight": "1"}]}))
+        assert cli.main(["solve", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    levels = json.loads(outputs[0])["level_cycles"]
+    assert [lc["level"] for lc in levels] == ["-1.0", "0.53125", "1.0"]
+
+
 def test_moment_problem_reads_stdin_once():
     payload = {"polynomial": ["0", "0", "1"],
                "intervals": [{"a": "-0.5", "b": "0.75", "weight": "1"}]}
@@ -128,6 +147,8 @@ def test_moment_problem_reads_stdin_once():
     ({"cycle": {"n": "x", "v": ["1", "-1"]}}, "cycle length n must be an integer"),
     ({"intervals": [{"a": "nan", "b": "0.75", "weight": "1"}]},
      "interval endpoint a must be a finite decimal number"),
+    ({"intervals": [{"a": "-0.5", "b": "1/0", "weight": "1"}]},
+     "interval endpoint b must be a finite decimal number, not '1/0'"),
 ])
 def test_solve_input_contract(fields, message, tmp_path, monkeypatch, capsys):
     def no_monodromy(*args, **kwargs):
@@ -225,6 +246,7 @@ def test_hyper_stdout_golden(command, payload, golden, tmp_path, capsys):
     ({"t": "inf"}, "t must be a finite decimal number"),
     ({"t_samples": "q"}, "t_samples must be an integer"),
     ({"pair_index": "x"}, "pair_index must be an integer"),
+    ({"t": "3/0"}, "t must be a finite decimal number, not '3/0'"),
 ])
 def test_hyper_integrate_input_contract(fields, message, tmp_path, monkeypatch,
                                         capsys):
@@ -264,6 +286,13 @@ MAIN4_INPUT = {"f": HYPER_F, "k": ["0", "1"],
      "dx exponent px must be an integer, not 'a'"),
     ("hyper-check", 7, "hyper-check input must be a JSON object"),
     ("hyper-integrate", 7, "hyper-integrate input must be a JSON object"),
+    ("main4-check", {**MAIN4_INPUT, "z_samples": ["1/0"]},
+     "each entry of z_samples must be a finite decimal number, not '1/0'"),
+    ("hyper-check", {"f": HYPER_F, "k": ["1"], "family": {
+        "f": HYPER_F, "pair_index": 1, "t_min": "-0.8", "t_max": "1/0"}},
+     "t_max must be a finite decimal number, not '1/0'"),
+    ("hyper-check", {"f": T6_JSON, "k": ["1"], "cycle": ["1", "-1"]},
+     "cycle length does not match the polynomial degree"),
 ])
 def test_hyper_commands_input_contract(command, payload, message, tmp_path, capsys):
     """A malformed field is an input error (exit 2, one line), not a traceback."""

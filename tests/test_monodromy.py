@@ -16,8 +16,8 @@ from abelint.monodromy import (Permutation, _loops, _machine_tier,
                                continue_fiber, critical_values, divisor_lattice,
                                generated_group_order, is_full_symmetric,
                                match_permutation, monodromy, track_fiber)
-from abelint.numerics import roots_of_shifted
-from abelint.ratpoly import RatPoly, chebyshev
+from abelint.numerics import eval_poly, roots_of, roots_of_shifted
+from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
 
 from conftest import QUARTIC_PAPER_SPELLING, QUARTIC_SHIFTED, QUINTIC
 
@@ -167,6 +167,31 @@ def test_critical_values_degree_one_rejected(config):
         critical_values(X, config)
 
 
+def test_real_critical_value_over_non_real_critical_points(config):
+    # x^4 + 2x^2 has the critical points 0 and +-i, and -1 = p(+-i) is real
+    cvs = critical_values(X ** 4 + 2 * X ** 2, config)
+    assert cvs == [-1, 0] and all(mp.im(c) == 0 for c in cvs)
+
+
+def test_non_real_critical_values_are_p_at_the_critical_points(config):
+    prec = 2 * config.precision_bits + 64
+    checked = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        degree = rng.randint(3, 8)
+        p = RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(degree)] + [Fraction(rng.choice([1, -1, 2]))])
+        with mp.workprec(prec):
+            exact = [eval_poly(p, c, prec)
+                     for c in roots_of(squarefree_part(p.derivative()), prec)]
+            for c in critical_values(p, config):
+                if mp.im(c) != 0:
+                    error = min(abs(c - v) for v in exact)
+                    assert error <= abs(c) * mp.mpf(2) ** -(config.precision_bits + 16)
+                    checked += 1
+    assert checked >= 12
+
+
 # ---------------------------------------------------------------------------
 # tracking
 # ---------------------------------------------------------------------------
@@ -275,6 +300,12 @@ def test_collapse_message_is_the_mp_tiers(config):
     assert str(machine_err.value) == str(mp_err.value)
 
 
+def test_closer_critical_values_fail_on_their_petal(config):
+    with pytest.raises(TrackingError) as err:
+        monodromy(_stress_cubic(Fraction(1, 2 ** 37)), config)
+    assert str(err.value).startswith("petal loop 0 (critical value")
+
+
 def test_monodromy_failure_names_the_loop():
     # at 256 bits the critical values +-2e^3 = +-2^-110 separate, but the
     # standoff circle around them is too small for collision_tol
@@ -285,9 +316,10 @@ def test_monodromy_failure_names_the_loop():
                           "step collapse on the segment")
 
 
-@pytest.mark.parametrize("k", [12, 18])
+@pytest.mark.parametrize("k", [12, 18, 21, 23, 30])
 def test_small_petals_reach_their_critical_values(config, k):
-    # the climb to the standoff circle is split geometrically
+    # the climb to the standoff circle is split geometrically; the critical
+    # values +-2^(1-3k) are two roots of one exact polynomial, never merged
     reference = monodromy(_stress_cubic(Fraction(1)), config).generators
     rep = monodromy(_stress_cubic(Fraction(1, 2 ** k)), config)
     assert rep.generators == reference

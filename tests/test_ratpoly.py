@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelint.errors import InputError
-from abelint.ratpoly import (NEG_INF, RatPoly, chebyshev, compose, cyclotomic,
+from abelint.ratpoly import (NEG_INF, RatPoly, chebyshev, compose,
+                             critical_value_poly, cyclotomic,
                              cyclotomic_divides, decompose_all, from_w_adic,
                              poly_gcd, squarefree_part, trace_poly, w_adic)
 
@@ -196,6 +198,61 @@ def test_trace_w_adic_linearity():
         expected = RatPoly([t.coeff(0) for t in digit_traces])
         assert tr == expected
         assert tr.is_zero() == all(t.is_zero() for t in digit_traces)
+
+
+# ---------------------------------------------------------------------------
+# critical_value_poly
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# (critical point, multiplicity as a root of p')
+CRITICAL_POINTS = st.lists(st.tuples(RATIONALS, st.integers(1, 3)), min_size=1,
+                           max_size=3, unique_by=lambda pm: pm[0])
+LEADS = st.sampled_from([1, -2, Fraction(3, 5)])
+
+
+def _with_critical_points(points, lead, const):
+    """p with p' = lead * prod (x - r)^m over the (r, m) in points."""
+    dp = RatPoly.constant(lead)
+    for r, m in points:
+        dp = dp * (X - r) ** m
+    return dp.primitive() + const
+
+
+def _monic_with_roots(values):
+    out = RatPoly.one()
+    for v in set(values):
+        out = out * (X - v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(CRITICAL_POINTS, LEADS, RATIONALS)
+def test_critical_value_poly_of_rational_critical_points(points, lead, const):
+    p = _with_critical_points(points, lead, const)
+    assert critical_value_poly(p) == _monic_with_roots(p(r) for r, _ in points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CRITICAL_POINTS.filter(lambda pts: len(pts) <= 2), LEADS, RATIONALS,
+       st.one_of(st.just(None), CRITICAL_POINTS.filter(lambda pts: len(pts) <= 2)))
+def test_critical_value_poly_of_composites(outer, lead, const, inner):
+    # p = A(W) has the critical values A(W(t)) at W'(t) = 0 and A(s) at every
+    # preimage of A'(s) = 0, so values repeat; W = x^2 makes p even
+    a = _with_critical_points(outer, lead, const)
+    w = X ** 2 if inner is None else _with_critical_points(inner, 1, 0)
+    inner = inner or [(Fraction(0), 1)]
+    values = [a(s) for s, _ in outer] + [a(w(t)) for t, _ in inner]
+    assert critical_value_poly(compose(a, w)) == _monic_with_roots(values)
+
+
+def test_critical_value_poly_examples():
+    # x^4 + 2x^2: the real critical value -1 lies over the critical points +-i
+    assert critical_value_poly(X ** 4 + 2 * X ** 2) == RatPoly.of(0, 1, 1)
+    assert critical_value_poly(chebyshev(6)) == RatPoly.of(-1, 0, 1)
+    assert critical_value_poly(X ** 8) == X
+    with pytest.raises(InputError):
+        critical_value_poly(X + 1)
 
 
 # ---------------------------------------------------------------------------
