@@ -244,10 +244,9 @@ class LevelCycle:
 def _snap_index(levels, z, tol):
     # a tolerance on purpose: a decimal approximation of an irrational
     # endpoint (the turning points ±√3/2 of T6) must land on its critical level
-    for i, lv in enumerate(levels):
-        if abs(z - lv) < tol * (1 + abs(lv)):
-            return i
-    return None
+    near = [(abs(z - lv), i) for i, lv in enumerate(levels)
+            if abs(z - lv) < tol * (1 + abs(lv))]
+    return min(near)[1] if near else None
 
 
 def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
@@ -271,6 +270,10 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
             raise ComputationError(
                 "no real critical values: the real-walk regime does not apply")
         levels = [mp.mpf(c) for c in reals]
+        if any(_snap_index(levels[:i], c, snap) is not None
+               for i, c in enumerate(levels)):
+            # an end could not tell which of the two levels it lies on
+            raise ComputationError("critical levels too close for endpoint snapping")
         flags = [True] * len(levels)
 
         # first pass: register endpoint levels

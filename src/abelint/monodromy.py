@@ -156,8 +156,14 @@ def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
     with mp.workprec(prec):
         values = [mp.mpc(real.root(i, prec)) for i in range(real.count)]
         if real.count < r.degree:
-            rest = sorted(roots_of(r, prec), key=lambda v: abs(mp.im(v)))
-            values += rest[real.count:]     # the real ones lie nearest the axis
+            rest = roots_of(r, prec)
+            for v in values:        # drop each real root's numeric copy
+                rest.remove(min(rest, key=lambda u: abs(u - v)))
+            if any(mp.im(v) == 0 for v in rest):
+                # polyroots rounded a non-real root onto the real axis
+                raise ComputationError(
+                    "a non-real critical value is too near the real axis to resolve")
+            values += rest
         return sorted(values, key=lambda v: (mp.re(v), mp.im(v)))
 
 

@@ -129,6 +129,20 @@ def test_endpoint_next_to_a_turning_point(a, tmp_path, capsys):
     assert [lc["level"] for lc in levels] == ["-1.0", "0.53125", "1.0"]
 
 
+def test_critical_levels_closer_than_the_endpoint_snap(tmp_path, capsys):
+    # x^3 - 3e^2 x with e = 2^-23 has the critical values +-2e^3 = +-2^-68:
+    # the monodromy separates them, but an interval end within the snap
+    # tolerance of one lies within it of both
+    e2 = f"-3/{2 ** 46}"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({
+        "polynomial": ["0", e2, "0", "1"], "degree_bound": 3,
+        "intervals": [{"a": "-1", "b": "1", "weight": "1"}]}))
+    assert cli.main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "computation failed: critical levels too close for endpoint snapping\n")
+
+
 def test_moment_problem_reads_stdin_once():
     payload = {"polynomial": ["0", "0", "1"],
                "intervals": [{"a": "-0.5", "b": "0.75", "weight": "1"}]}

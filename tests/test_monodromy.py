@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from abelint.config import Config
-from abelint.errors import InputError, TrackingError
+from abelint.errors import ComputationError, InputError, TrackingError
 from abelint.monodromy import (Permutation, _loops, _machine_tier,
                                continue_fiber, critical_values, divisor_lattice,
                                generated_group_order, is_full_symmetric,
@@ -171,6 +171,24 @@ def test_real_critical_value_over_non_real_critical_points(config):
     # x^4 + 2x^2 has the critical points 0 and +-i, and -1 = p(+-i) is real
     cvs = critical_values(X ** 4 + 2 * X ** 2, config)
     assert cvs == [-1, 0] and all(mp.im(c) == 0 for c in cvs)
+
+
+def _pair_near_the_axis(k):
+    # a real critical value near 0 and the pair about -1 +- 2^-k i
+    return X ** 4 + 2 * X ** 2 + Fraction(1, 2 ** k) * X
+
+
+def test_non_real_pair_near_the_axis(config):
+    low, high, real = critical_values(_pair_near_the_axis(60), config)
+    assert mp.im(real) == 0 and mp.im(low) < 0 < mp.im(high)
+
+
+def test_non_real_pair_lost_in_rounding_is_an_error(config):
+    # R's coefficients at precision_bits + 32 no longer see the 2^-200
+    # that keeps the pair off the axis
+    with pytest.raises(ComputationError,
+                       match="^a non-real critical value is too near the real axis"):
+        critical_values(_pair_near_the_axis(100), config)
 
 
 def test_non_real_critical_values_are_p_at_the_critical_points(config):
