@@ -5,7 +5,9 @@ the vector of its coefficients in the normalized branch numbering (the one
 that makes the loop around infinity the standard cycle).  This module
 builds such vectors from three sources: weighted real interval systems
 (moment problems), vanishing-cycle combinations at a confluence, and the
-constellation graph of the covering.
+constellation graph of the covering.  Inside a gap between consecutive
+real critical values the real roots of P - z never collide, so a real walk
+labels its pieces from exact root ranks and one fiber per gap.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import ComputationError, InputError, TrackingError
+from .errors import ComputationError, InputError
 from .monodromy import MonodromyRep, continue_fiber, route, standoffs
 from .numerics import eval_poly, to_mpf
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, critical_value_poly
 from .realroots import RealRoots
 
 
@@ -168,7 +171,8 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
     the real axis with upper-semicircle detours around real critical values.
 
     This is the branch numbering induced by the standard cut system, the
-    same one the interval walks and the star identification use.
+    same one the star identification uses; the interval walks read it once
+    per gap (`_rank_labels`).
     """
     with mp.workprec(config.precision_bits + 32):
         z_target = to_mpf(z_target, mp.prec)
@@ -176,10 +180,6 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
         c0 = mp.re(rep.base_point)
         if z_target == c0:
             return list(rep.base_fiber)
-        if z_target > c0:
-            # no critical values to the right of the base point
-            return continue_fiber(p, [mp.mpc(c0), mp.mpc(z_target)],
-                                  list(rep.base_fiber), config)
         path = [mp.mpc(c0)]
         for idx in range(len(reals) - 1, -1, -1):
             c = reals[idx]
@@ -194,15 +194,35 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
         return continue_fiber(p, path, list(rep.base_fiber), config)
 
 
-def _identify_branch(p: RatPoly, rep: MonodromyRep, x_point, z_value, config) -> int:
-    """1-based branch label whose continuation sits at x_point over z_value."""
-    fiber = continue_fiber_to_real(p, rep, z_value, config)
-    dists = sorted((abs(fiber[i] - x_point), i) for i in range(rep.n))
-    best, i = dists[0]
-    second = dists[1][0] if len(dists) > 1 else None
-    if second is not None and not best * 4 < second:
-        raise ComputationError("ambiguous branch identification on the walk")
-    return i + 1
+def _piece_probe(p: RatPoly, cv_poly: RatPoly, xl, xr) -> Fraction:
+    """A dyadic x in the monotone piece (xl, xr) with p(x) no critical value:
+    the middle rounded to the coarsest grid 2^-e finer than a quarter of the
+    piece, moved halfway to xr while p(x) is a root of cv_poly (at most once
+    per critical value)."""
+    lo, hi = (Fraction(*to_rational(v._mpf_)) for v in (xl, xr))
+    w = hi - lo
+    e = (4 * w.denominator // w.numerator).bit_length()     # 2^-e < w/4
+    x = Fraction(round((lo + hi) / 2 * 2 ** e), 2 ** e)
+    while cv_poly(p(x)) == 0:
+        x = (x + hi) / 2
+    return x
+
+
+def _rank_labels(p: RatPoly, rep: MonodromyRep, z: Fraction, roots: RealRoots,
+                 config: Config) -> list[int]:
+    """The 1-based branch label of each real root of p - z (`roots`), by
+    rank, for a regular real z: one fiber continued to z, each root matched
+    to its nearest fiber entry with a 4x margin."""
+    fiber = continue_fiber_to_real(p, rep, z, config)
+    labels = []
+    for r in (roots.root(i, mp.prec) for i in range(roots.count)):
+        (best, i), (second, _) = sorted((abs(x - r), i)
+                                        for i, x in enumerate(fiber))[:2]
+        if not best * 4 < second:
+            raise ComputationError("ambiguous branch identification on the walk "
+                                   f"at level {mp.nstr(to_mpf(z, 53), 8)}")
+        labels.append(i + 1)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -260,88 +280,62 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
     the level, - away from it).  Cut levels are the real critical values
     plus any endpoint values that are not critical; the resulting
     conditions are jointly equivalent to the per-gap vanishing conditions.
+    A piece's branch is the label of its probe's rank among the real roots
+    of p - z, z the probe's level, in the rank table of z's gap.
     """
     n = rep.n
     prec = config.precision_bits
     with mp.workprec(prec + 32):
         snap = mp.mpf(2) ** (-(prec // 3))
-        reals = _real_criticals(rep)
-        if not reals:
+        levels = [mp.mpf(c) for c in _real_criticals(rep)]
+        if not levels:
             raise ComputationError(
                 "no real critical values: the real-walk regime does not apply")
-        levels = [mp.mpf(c) for c in reals]
+        critical_count = len(levels)
         if any(_snap_index(levels[:i], c, snap) is not None
                for i, c in enumerate(levels)):
             # an end could not tell which of the two levels it lies on
             raise ComputationError("critical levels too close for endpoint snapping")
-        flags = [True] * len(levels)
 
-        # first pass: register endpoint levels
-        endpoints = []
+        walks = []          # (left end, right end, weight signed by direction)
         for itv in system.intervals:
-            a = to_mpf(itv.a, mp.prec)
-            b = to_mpf(itv.b, mp.prec)
+            a, b = to_mpf(itv.a, mp.prec), to_mpf(itv.b, mp.prec)
             if a == b:
                 raise InputError("interval endpoints must differ")
-            endpoints.extend([eval_poly(p, a, mp.prec), eval_poly(p, b, mp.prec)])
-        for z in endpoints:
-            if _snap_index(levels, z, snap) is None:
-                levels.append(z)
-                flags.append(False)
-        order = sorted(range(len(levels)), key=lambda i: levels[i])
-        levels = [levels[i] for i in order]
-        flags = [flags[i] for i in order]
+            for z in (eval_poly(p, a, mp.prec), eval_poly(p, b, mp.prec)):
+                if _snap_index(levels, z, snap) is None:
+                    levels.append(z)    # an endpoint level that is not critical
+            w = Fraction(itv.weight)
+            walks.append((a, b, w) if a < b else (b, a, -w))
 
         vectors = [[Fraction(0)] * n for _ in levels]
         turning_points = RealRoots(p.derivative())
-
-        for itv in system.intervals:
-            a = to_mpf(itv.a, mp.prec)
-            b = to_mpf(itv.b, mp.prec)
-            w = Fraction(itv.weight)
-            if a > b:
-                a, b = b, a
-                w = -w
+        cv_poly = critical_value_poly(p)
+        critical = RealRoots(cv_poly)
+        gap_labels = {}     # gap -> the label of each rank, filled lazily
+        for a, b, w in walks:
             cuts = [a] + turning_points.between(a, b, mp.prec) + [b]
             for xl, xr in zip(cuts, cuts[1:]):
-                za, zb = eval_poly(p, xl, mp.prec), eval_poly(p, xr, mp.prec)
-                ia = _snap_index(levels, za, snap)
-                ib = _snap_index(levels, zb, snap)
+                ia = _snap_index(levels, eval_poly(p, xl, mp.prec), snap)
+                ib = _snap_index(levels, eval_poly(p, xr, mp.prec), snap)
                 if ia is None or ib is None:
                     raise ComputationError(
                         "walk piece endpoints failed to land on cut levels")
-                if ia == ib:    # an end a hair from a turning point: +-d*w cancel
+                if ia == ib:    # an end a hair from a turning point: +-w cancel
                     continue
-                direction = 1 if zb > za else -1
-                branch = _walk_piece_branch(p, rep, xl, xr, levels, config)
-                lo, hi = min(ia, ib), max(ia, ib)
-                vectors[lo][branch - 1] += -direction * w
-                vectors[hi][branch - 1] += direction * w
+                x = _piece_probe(p, cv_poly, xl, xr)
+                z = p(x)
+                roots = RealRoots(p - z)
+                gap = critical.rank(z)
+                if gap not in gap_labels:
+                    gap_labels[gap] = _rank_labels(p, rep, z, roots, config)
+                branch = gap_labels[gap][roots.rank(x)]
+                vectors[ia][branch - 1] -= w    # away from its start level
+                vectors[ib][branch - 1] += w    # toward its end level
 
-        return [LevelCycle(level=levels[i], is_critical=flags[i],
+        return [LevelCycle(level=levels[i], is_critical=i < critical_count,
                            cycle=CycleVector(n, tuple(vectors[i])))
-                for i in range(len(levels))]
-
-
-def _walk_piece_branch(p: RatPoly, rep: MonodromyRep, xl, xr, levels, config) -> int:
-    """Branch label of one monotone piece, probed at interior points whose
-    image keeps clear of every cut level."""
-    candidates = [Fraction(1, 2), Fraction(3, 8), Fraction(5, 8),
-                  Fraction(1, 4), Fraction(3, 4)]
-    gap_scale = min((levels[i + 1] - levels[i] for i in range(len(levels) - 1)),
-                    default=mp.mpf(1))
-    last_error = None
-    for t in candidates:
-        x_m = xl + (xr - xl) * mp.mpf(t.numerator) / t.denominator
-        z_m = eval_poly(p, x_m, mp.prec)
-        if min(abs(z_m - lv) for lv in levels) < gap_scale / 8:
-            continue
-        try:
-            return _identify_branch(p, rep, x_m, z_m, config)
-        except (TrackingError, ComputationError) as exc:
-            last_error = exc
-    raise ComputationError(f"could not identify the branch of a walk piece "
-                           f"({last_error})")
+                for i in sorted(range(len(levels)), key=lambda i: levels[i])]
 
 
 # ---------------------------------------------------------------------------

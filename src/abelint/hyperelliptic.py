@@ -371,21 +371,10 @@ def cauchy_J(family: OvalFamily, k: RatPoly, t, z,
 def oval_form_integral(family: OvalFamily, omega: OneForm, t,
                        config: Config = DEFAULT_CONFIG):
     """Integral of an arbitrary polynomial 1-form over the closed oval
-    (upper branch left to right, lower branch back)."""
-    fprime = family.f.derivative()
-
-    def part(biv: Biv, parity: int, x, y):
-        return sum((mp.mpf(c.numerator) / c.denominator * x ** i * y ** j
-                    for (i, j), c in biv.items() if j % 2 == parity), mp.mpf(0))
-
-    def form(x, y, hs, root_g, wp):
-        # P dx + Q dy on the upper branch; the lower branch (-y, run backwards)
-        # doubles P's terms odd in y and Q's even in y and cancels the rest.
-        # dx = hs dphi and dy = f'/(2 sqrt(g)) dphi
-        x, y, hs, root_g = (mp.make_mpf(v) for v in (x, y, hs, root_g))
-        return (part(omega.dx, 1, x, y) * hs + part(omega.dy, 0, x, y)
-                * eval_poly(fprime, x, wp) / (2 * root_g))._mpf_
-    return _oval_quadrature(family, t, config, form, 2)
+    (upper branch left to right, lower branch back): with omega = k y dx +
+    dA + B d(y^2 - f) (`reduce_form`), dA closes up to 0 and d(y^2 - f)
+    vanishes on the curve, so it is I(t) of k."""
+    return integral_I(family, reduce_form(omega, family.f).k, t, config)
 
 
 # ---------------------------------------------------------------------------

@@ -686,8 +686,8 @@ def divisor_lattice(rep: MonodromyRep, p: RatPoly) -> DivisorLattice:
 # symmetric-group test
 # ---------------------------------------------------------------------------
 
-def is_full_symmetric(rep: MonodromyRep, config: Config = DEFAULT_CONFIG) -> bool:
+def is_full_symmetric(rep: MonodromyRep) -> bool:
     """Whether the generated group is all of S_n: its exact order (see
     `generated_group_order`) equals n!.  The answer is exact for every
-    degree; `config` is accepted for a uniform call signature."""
+    degree."""
     return generated_group_order(list(rep.generators)) == math.factorial(rep.n)

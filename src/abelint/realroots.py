@@ -18,6 +18,7 @@ halfway to the two neighbouring floats, so it is the root rounded to nearest
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor, round_nearest
@@ -225,6 +226,20 @@ class RealRoots:
         n, e = (b << (top - e)) + (a << (top - e2)), top + 1
         v = _value(self._poly, n, e)
         return (v > 0) - (v < 0)
+
+    def rank(self, x: Fraction) -> int:
+        """The number of distinct roots strictly below the rational x."""
+        u, q = x.numerator, x.denominator
+        below = 0
+        for a, b, e, sa in self._roots:
+            ux = u << e                 # x against a/2^e and b/2^e, scaled
+            if a == b or not a * q < ux < b * q:
+                below += b * q <= ux and a * q < ux
+            else:                       # x inside: the sign of s(x) decides
+                s = self._s
+                v = sum(c * u ** k * q ** (len(s) - 1 - k) for k, c in enumerate(s))
+                below += v != 0 and (v > 0) != (sa > 0)
+        return below
 
     def between(self, lo, hi, prec: int) -> list:
         """The distinct roots strictly between the mpf lo and hi, rounded to

@@ -2,16 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import to_rational
 
+import abelint.cycles as cycles
 from abelint.cycles import (CycleVector, IntervalSystem, VanishingCycleCombo,
                             build_constellation, constellation_svg,
-                            nontrivial_cycle_exists,
+                            continue_fiber_to_real, nontrivial_cycle_exists,
                             real_interval_to_coefficients,
                             vanishing_combo_to_cycle)
 from abelint.errors import InputError
 from abelint.monodromy import monodromy
-from abelint.ratpoly import RatPoly
+from abelint.numerics import eval_poly, to_mpf
+from abelint.ratpoly import RatPoly, critical_value_poly
+from abelint.realroots import RealRoots
 
 X = RatPoly.x()
 
@@ -163,6 +168,89 @@ def test_endpoint_off_critical_level(config):
     assert all(not lc.cycle.is_zero() for lc in extra)
     for lc in extra:
         assert sum(lc.cycle.v) != 0     # partial passes: not reduced
+
+
+def test_probe_on_a_critical_level(config):
+    # x^3 - 3x on [-1.5, 3]: the middle 2 of the piece [1, 3] maps exactly
+    # onto the critical value 2 (the image of the turning point -1)
+    p = X ** 3 - 3 * X
+    out = real_interval_to_coefficients(
+        p, IntervalSystem.of(("-1.5", "3", 1)), monodromy(p, config), config)
+    assert [(lc.level, lc.is_critical, lc.cycle.v) for lc in out] == [
+        (-2, True, (-1, 0, 1)), (mp.mpf("1.125"), False, (0, -1, 0)),
+        (2, True, (0, 1, -1)), (18, False, (1, 0, 0))]
+
+
+def _counting_fibers(monkeypatch):
+    """The levels of every fiber the walk continues, recorded in order."""
+    levels = []
+
+    def counting(p, rep, z, config):
+        levels.append(z)
+        return continue_fiber_to_real(p, rep, z, config)
+    monkeypatch.setattr(cycles, "continue_fiber_to_real", counting)
+    return levels
+
+
+def test_one_fiber_per_gap(t6, t6_rep, config, monkeypatch):
+    # every piece of the three intervals maps into (-1, 1), the one gap
+    # between T6's critical values -1 and 1
+    levels = _counting_fibers(monkeypatch)
+    real_interval_to_coefficients(t6, IntervalSystem.of(
+        (-1, Fraction(-1, 2), 1), (Fraction(-1, 2), Fraction(1, 2), -1),
+        (Fraction(1, 2), 1, 1)), t6_rep, config)
+    assert len(levels) == 1 and -1 < levels[0] < 1
+
+
+@st.composite
+def walk_inputs(draw):
+    """A cubic or quartic with distinct real dyadic turning points, and a
+    dyadic interval."""
+    turning = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=3,
+                            unique=True))
+    dp = RatPoly.constant(draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    for r in turning:
+        dp = dp * (X - Fraction(r, 8))
+    p = dp.primitive() + Fraction(draw(st.integers(-8, 8)), 8)
+    a, b = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True))
+    return p, Fraction(a, 8), Fraction(b, 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=walk_inputs(), data=st.data())
+def test_walk_labels_are_the_tracked_branches(config, case, data):
+    # each piece's label is the fiber entry nearest the piece at a random
+    # interior point, and no gap is tracked twice
+    p, a, b = case
+    rep = monodromy(p, config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_fibers(monkeypatch)
+        out = real_interval_to_coefficients(
+            p, IntervalSystem.of((a, b, 1)), rep, config)
+    cv_poly = critical_value_poly(p)
+    critical = RealRoots(cv_poly)
+    gaps = [critical.rank(z) for z in calls]
+    assert len(set(gaps)) == len(gaps)
+
+    expected = [[0] * rep.n for _ in out]
+    sign = 1 if a < b else -1
+    with mp.workprec(config.precision_bits + 32):
+        lo, hi = to_mpf(min(a, b), mp.prec), to_mpf(max(a, b), mp.prec)
+        cuts = [lo] + RealRoots(p.derivative()).between(lo, hi, mp.prec) + [hi]
+        for xl, xr in zip(cuts, cuts[1:]):
+            start, end = (min(range(len(out)), key=lambda i: abs(
+                out[i].level - eval_poly(p, x, mp.prec))) for x in (xl, xr))
+            if start == end:
+                continue
+            x = xl + (xr - xl) * data.draw(st.floats(0.05, 0.95))
+            assume(cv_poly(p(Fraction(*to_rational(x._mpf_)))) != 0)   # regular
+            fiber = continue_fiber_to_real(p, rep, eval_poly(p, x, mp.prec), config)
+            (best, i), (second, _) = sorted((abs(f - x), i)
+                                            for i, f in enumerate(fiber))[:2]
+            assert best * 4 < second
+            expected[start][i] -= sign
+            expected[end][i] += sign
+    assert [list(lc.cycle.v) for lc in out] == expected
 
 
 # ---------------------------------------------------------------------------

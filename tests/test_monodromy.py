@@ -107,19 +107,19 @@ def _rep(generators):
     return SimpleNamespace(n=generators[0].n, generators=tuple(generators))
 
 
-def test_imprimitive_group_is_not_symmetric(config):
+def test_imprimitive_group_is_not_symmetric():
     # the 10-cycle and (1 3 5) keep the odd and the even points as blocks
     rep = _rep([Permutation.cycle(10), cycles_perm(10, (1, 3, 5))])
-    assert not is_full_symmetric(rep, config)
+    assert not is_full_symmetric(rep)
 
 
 @pytest.mark.parametrize("images", [
     [(3, 4, 12, 11, 10, 2, 7, 8, 1, 9, 6, 5), (10, 3, 11, 6, 1, 12, 5, 2, 9, 7, 4, 8)],
     [(4, 3, 11, 5, 2, 6, 9, 8, 1, 10, 7), (7, 2, 11, 1, 4, 3, 5, 10, 9, 6, 8)],
 ])
-def test_large_symmetric_pairs_decided_exactly(images, config):
+def test_large_symmetric_pairs_decided_exactly(images):
     start = time.perf_counter()
-    assert is_full_symmetric(_rep([Permutation(g) for g in images]), config)
+    assert is_full_symmetric(_rep([Permutation(g) for g in images]))
     assert time.perf_counter() - start < 1.0
 
 
@@ -472,7 +472,7 @@ def test_lattice_generic_degree_6(config):
 
 
 def test_is_full_symmetric(config, quintic_rep, t6_rep):
-    assert is_full_symmetric(quintic_rep, config)
-    assert not is_full_symmetric(t6_rep, config)
+    assert is_full_symmetric(quintic_rep)
+    assert not is_full_symmetric(t6_rep)
     rep2 = monodromy(X ** 2, config)
-    assert is_full_symmetric(rep2, config)
+    assert is_full_symmetric(rep2)

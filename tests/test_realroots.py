@@ -118,6 +118,21 @@ def test_between_decides_the_ends_exactly():
         assert rr.between(mp.mpf(0), mp.mpf(2), 200) == [mp.sqrt(2)]
 
 
+
+def test_rank_counts_the_distinct_roots_below_a_rational():
+    # roots -sqrt 2, -5/7, 1/3 (double), 1/2, sqrt 2; the thirds and sevenths
+    # are never bisection points, so they fall inside isolating intervals
+    rr = RealRoots((X + Fraction(5, 7)) * (X - Fraction(1, 3)) ** 2
+                   * (X - Fraction(1, 2)) * (X ** 2 - 2))
+    tiny = Fraction(1, 10 ** 40)
+    third, root2 = Fraction(1, 3), Fraction(141421356, 10 ** 8)
+    cases = [(-2, 0), (Fraction(-5, 7), 1), (Fraction(-5, 7) + tiny, 2), (0, 2),
+             (third - tiny, 2), (third, 2), (third + tiny, 3), (Fraction(1, 2), 3),
+             (Fraction(1, 2) + tiny, 4), (root2, 4), (root2 + Fraction(1, 10 ** 8), 5),
+             (3, 5)]
+    assert [rr.rank(Fraction(x)) for x, _ in cases] == [k for _, k in cases]
+    assert RealRoots(RatPoly.constant(3)).rank(Fraction(1)) == 0
+
 # Each part is (factor, its real roots): a rational root with its
 # multiplicity, two rational roots 2^-100 apart, or an irreducible quadratic,
 # whose real roots (if any) are found by mp.findroot in the test.
