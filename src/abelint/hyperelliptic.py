@@ -298,31 +298,44 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
                 raise ComputationError(f"the oval endpoints do not divide f + t {where}")
         oval = (((x1 + x2) / 2)._mpf_, ((x2 - x1) / 2)._mpf_,
                 tuple((-c)._mpf_ for c in g), integrand, wp, where)
-        add, mul, shift, make = (
-            (mpc_add, mpc_mul_mpf, mpc_shift, mp.make_mpc) if z is not None
-            else (mpf_add, mpf_mul, mpf_shift, mp.make_mpf))
-        # the trapezoid's half weight at phi = 0 and pi
-        total = shift(add(_oval_node(oval, 0, 1), _oval_node(oval, 1, 1), wp, rnd), -1)
-        scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
+        return _phi_trapezoid(oval, scale, z is not None, prec, f"oval quadrature {where}")
 
-        def level(n, js):
-            nonlocal total
-            for j in js:
-                total = add(total, _oval_node(oval, j, n), wp, rnd)
-            return make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
 
-        val = _nested_trapezoid(level, range(1, 8), 8, mp.mpf(2) ** (-(prec + 8)),
-                                f"oval quadrature {where}")
+def _phi_trapezoid(oval, scale: int, complex_values: bool, prec: int, what: str):
+    """scale times the integral over [0, pi] of `_oval_node`'s integrand, on
+    nested trapezoid levels from 8 intervals to 2^-(prec + 8), run at the
+    oval's working precision and rounded at prec + 32 bits."""
+    wp, rnd = oval[4], round_nearest
+    add, mul, shift, make = (
+        (mpc_add, mpc_mul_mpf, mpc_shift, mp.make_mpc) if complex_values
+        else (mpf_add, mpf_mul, mpf_shift, mp.make_mpf))
+    # the trapezoid's half weight at phi = 0 and pi
+    total = shift(add(_oval_node(oval, 0, 1), _oval_node(oval, 1, 1), wp, rnd), -1)
+    scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
+
+    def level(n, js):
+        nonlocal total
+        for j in js:
+            total = add(total, _oval_node(oval, j, n), wp, rnd)
+        return make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
+
+    val = _nested_trapezoid(level, range(1, 8), 8, mp.mpf(2) ** (-(prec + 8)), what)
     with mp.workprec(prec + 32):
         return +val
 
 
 def _oval_node(oval, j, n):
     """The integrand of `_oval_quadrature` at phi = j pi/n, n a power of two;
-    `oval` is (m, h, g's raw coefficients highest first, integrand, wp, where)."""
+    `oval` is (m, h, g, integrand, wp, where): raw mpf m, h and g's raw
+    coefficients highest first, or raw mpc m, h and a segment's g
+    (`_segment_root_g`)."""
     m, h, g, integrand, wp, where = oval
     rnd = round_nearest
     cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 1 - n.bit_length()), wp, rnd)
+    if len(m) == 2:
+        x = mpc_sub(m, mpc_mul_mpf(h, cos, wp, rnd), wp, rnd)
+        hs, root_g = mpc_mul_mpf(h, sin, wp, rnd), _segment_root_g(g, x, wp)
+        return integrand(x, mpc_mul(hs, root_g, wp, rnd), hs, root_g, wp)
     x = mpf_sub(m, mpf_mul(h, cos, wp, rnd), wp, rnd)
     gx = eval_poly_raw(g, x, wp)
     if not mpf_gt(gx, fzero):
@@ -330,6 +343,17 @@ def _oval_node(oval, j, n):
                                f"root at an endpoint {where}")
     hs, root_g = mpf_mul(h, sin, wp, rnd), mpf_sqrt(gx, wp, rnd)
     return integrand(x, mpf_mul(hs, root_g, wp, rnd), hs, root_g, wp)
+
+
+def _segment_root_g(g, x, wp: int):
+    """sqrt g(x) for a segment's g = (c, ((r, 1/(m - r)), ...)) over the other
+    roots r: c times the principal roots of (x - r)/(m - r), so each factor
+    is fixed by x alone and analytic off the ray from r away from m."""
+    root, rnd = g[0], round_nearest
+    for r, inv in g[1]:
+        ratio = mpc_mul(mpc_sub(x, r, wp, rnd), inv, wp, rnd)
+        root = mpc_mul(root, mpc_sqrt(ratio, wp, rnd), wp, rnd)
+    return root
 
 
 def _k_y_dx(k: RatPoly, x, y, hs, wp: int):
@@ -381,28 +405,94 @@ def oval_form_integral(family: OvalFamily, omega: OneForm, t,
 # complex loop integrals
 # ---------------------------------------------------------------------------
 
+_LOOP_MODES = ("y_dx", "dx_over_2y", "dx_over_y3", "cauchy")
+_CONTOUR_MARGIN = 2 ** -7
+
+
 def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
                   mode: str = "y_dx", z=None, semi_minor=None,
                   config: Config = DEFAULT_CONFIG):
     """Contour integral over an ellipse around `center` lifted to the curve
-    y^2 = f(x) + t, with y continued around the contour.
+    y^2 = f(x) + t, with y continued around the contour from the principal
+    sqrt(f + t) at its node x0 = center + radius.
 
     The contour is x = center + radius*cos(theta) + i*semi_minor*sin(theta)
-    (a circle when semi_minor is omitted); it must enclose an even number
-    of branch points so the lift closes up.  mode "y_dx" integrates k y dx,
-    "dx_over_2y" integrates k/(2y) dx, "dx_over_y3" integrates k/y^3 dx,
-    and "cauchy" integrates k y/(y^2 - z) dx.
+    (a circle when semi_minor is omitted; both must be positive); it must
+    enclose an even number of branch points so the lift closes up.  mode
+    "y_dx" integrates k y dx, "dx_over_2y" integrates k/(2y) dx,
+    "dx_over_y3" integrates k/y^3 dx, and "cauchy" integrates k y/(y^2 - z)
+    dx, which needs z.
 
-    The trapezoid rule doubles its nodes from 128 until two levels agree
-    (`_nested_trapezoid`); node j of the level of n nodes has the angle
-    2 pi j/n, and each level evaluates only its odd nodes.
+    A "y_dx" or "dx_over_2y" loop around exactly two roots of f + t, with no
+    root between the concentric similar ellipses scaled by 1 -+
+    `_CONTOUR_MARGIN`, runs on the segment between them (`_segment_loop`),
+    to 2^-(prec + 8), with the sign that keeps the lift at x0.  Every other
+    loop runs on the ellipse, whose trapezoid doubles its nodes from 128
+    until two levels agree to 2^-(prec/2) (`_nested_trapezoid`); node j of
+    the level of n nodes has the angle 2 pi j/n, and each level evaluates
+    only its odd nodes.
     """
+    if mode not in _LOOP_MODES:
+        raise InputError(f"loop mode must be one of {', '.join(_LOOP_MODES)}, got {mode!r}")
+    if mode == "cauchy" and z is None:
+        raise InputError("loop mode cauchy needs z")
     prec = config.precision_bits
     with mp.workprec(prec + 32):
-        t = mp.mpc(t)
-        center = mp.mpc(center)
-        a = mp.mpf(radius)
+        t, center, a = mp.mpc(t), mp.mpc(center), mp.mpf(radius)
         b = mp.mpf(semi_minor) if semi_minor is not None else a
+        if not (a > 0 and b > 0):
+            raise InputError("loop radius and semi_minor must be positive")
+        if mode in ("y_dx", "dx_over_2y"):
+            val = _segment_loop(f, k, t, center, a, b, mode, prec)
+            if val is not None:
+                return val
+        return _ellipse_loop(f, k, t, center, a, b, mode, z, prec)
+
+
+def _segment_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, prec: int):
+    """The loop around exactly the roots x1, x2 of f + t, collapsed onto
+    [x1, x2], or None unless just those two lie inside and no root near the
+    contour.  With f + t = (x - x1)(x2 - x) g(x), x = m - h cos(phi) and W =
+    i (x - m) sqrt(1 - h^2/(x - m)^2), cut on the segment, the lift is y =
+    sigma W sqrt g, and W = h sin(phi) on the collapsed contour: the loop is
+    sigma 2 int_0^pi k (h sin phi)^2 sqrt g dphi ("y_dx") or sigma int_0^pi
+    k/sqrt g dphi ("dx_over_2y"), sigma = +-1 making y the principal
+    sqrt(f + t) at x0 = center + a, as on the ellipse."""
+    wp, rnd = prec + 52, round_nearest
+    with mp.workprec(wp):
+        inside, outside = [], []
+        for r in roots_of_shifted(f, -t, wp) if f.degree >= 2 else ():
+            q = (mp.re(r - center) / a) ** 2 + (mp.im(r - center) / b) ** 2
+            if (1 - _CONTOUR_MARGIN) ** 2 < q < (1 + _CONTOUR_MARGIN) ** 2:
+                return None
+            (inside if q < 1 else outside).append(r)
+        if len(inside) != 2:
+            return None
+        (x1, x2), c = inside, mp.sqrt(-to_mpf(f.coeffs[-1], wp))
+        m, h = (x1 + x2) / 2, (x2 - x1) / 2
+        # g = -lc prod (x - r) over the other roots r, none inside the
+        # convex ellipse, which holds the segment (`_segment_root_g`)
+        for r in outside:
+            c *= mp.sqrt(m - r)
+        g = (mp.mpc(c)._mpc_, tuple((mp.mpc(r)._mpc_, mp.mpc(1 / (m - r))._mpc_)
+                                    for r in outside))
+        x0 = center + a
+        u, s0 = x0 - m, mp.sqrt(eval_poly(f, x0, wp) + t)
+        root_g0 = mp.make_mpc(_segment_root_g(g, x0._mpc_, wp))
+        lift = 1j * u * mp.sqrt(1 - (h / u) ** 2) * root_g0
+        sigma = 1 if abs(lift - s0) <= abs(lift + s0) else -1
+        integrand = ((lambda x, y, hs, root_g, wp: mpc_mul(
+            mpc_mul(eval_poly_raw(k, x, wp), y, wp, rnd), hs, wp, rnd)) if mode == "y_dx"
+            else (lambda x, y, hs, root_g, wp: mpc_div(
+                eval_poly_raw(k, x, wp), root_g, wp, rnd)))
+        oval = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp, None)
+        return _phi_trapezoid(oval, sigma * (2 if mode == "y_dx" else 1), True, prec,
+                              f"loop quadrature at t = {mp.nstr(t, 8)}")
+
+
+def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, prec: int):
+    """`loop_integral` on the ellipse, for mpc t, center and mpf a, b."""
+    with mp.workprec(prec + 32):
         # i*b is (0, b) exactly
         contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_), mode,
                    mp.mpc(z)._mpc_ if z is not None else None)
@@ -443,10 +533,8 @@ def _loop_node(contour, j, n):
             g = mpc_div(kx, mpc_mul_int(s, 2, prec, rnd), prec, rnd)
         elif mode == "dx_over_y3":
             g = mpc_div(kx, mpc_mul(s, w2, prec, rnd), prec, rnd)
-        elif mode == "cauchy":
+        else:   # cauchy
             g = mpc_div(mpc_mul(kx, s, prec, rnd), mpc_sub(w2, z, prec, rnd), prec, rnd)
-        else:
-            raise InputError(mode)
         term = mpc_mul(g, tangent, prec, rnd)
     except ZeroDivisionError:
         term = None

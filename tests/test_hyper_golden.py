@@ -1,13 +1,15 @@
 """Bit identity of the hyperelliptic quadrature.
 
-Every value below was written by the nested trapezoid quadrature (deflated
-oval integrands in the angle phi, loop levels from 128 nodes) to
-`golden/hyper_values.json`, at 128 and 192 bits (the I' case on the
-quadratic also at 160 bits, the ambiguous contour at 64 bits only), and
-checked against a reference at prec + 128 bits when it was written.  A
-value is stored as its raw libmp tuple(s), [sign, hex mantissa, exponent,
-bitcount], so the comparison covers every bit and whether the result is
-real or complex.
+Every value below was written by the nested trapezoid quadrature to
+`golden/hyper_values.json`: oval integrands deflated in the angle phi, a
+"y_dx" or "dx_over_2y" loop around exactly two branch points collapsed onto
+their segment and deflated the same way, and every other loop on the
+ellipse's own levels from 128 nodes.  The values are at 128 and 192 bits
+(the I' case on the quadratic also at 160 bits, the 0.775 circle at 64 bits
+only), and each was checked against a reference at prec + 128 bits when it
+was written.  A value is stored as its raw libmp tuple(s), [sign, hex
+mantissa, exponent, bitcount], so the comparison covers every bit and
+whether the result is real or complex.
 
 `golden/oval_integrand.json` holds raw values of the oval integrand itself
 (`_oval_node`) at fixed angles: phi = 0 and pi, where the nodes sit on the
@@ -113,15 +115,21 @@ CASES = {
     "loop/ellipse-1.2-0.4/dx_over_y3": (_loop("dx_over_y3", "1.2", "0.4", k=K2), PRECS),
     "loop/ellipse-1.2-0.4/cauchy": (
         _loop("cauchy", "1.2", "0.4", z=complex(-0.5, 0.25), k=K2), PRECS),
-    # converges at 1024 nodes (128 bits) and 2048 nodes (192 bits)
+    # the circles 0.85 and 0.775 hold exactly the branch points +-0.765, so
+    # in these modes they collapse onto the segment [-0.765, 0.765]
     "loop/circle-0.85/y_dx": (_loop("y_dx", "0.85", k=ONE), PRECS),
-    # passes 0.01 from the branch point 0.765: the continuation is ambiguous
-    # at 256 nodes, and at 64 bits it converges at 2048
     "loop/circle-0.775/y_dx": (_loop("y_dx", "0.775", k=ONE), (64,)),
-    # passes 0.003 from 0.765, where |sqrt(f + t)| falls by about half from
-    # one node to the next: at 1024 nodes the ambiguity test passes only
-    # because it compares the step with max(|y|, |s|), not with |s| or |y|
-    # alone; ambiguous at 256 and 512, it converges at 2048
+    # k/y^3 keeps them on the ellipse: 0.85 converges at 1024 nodes (128
+    # bits) and 2048 (192 bits); 0.775 passes 0.01 from 0.765, so the
+    # continuation is ambiguous at 128 and 256 nodes, and at 64 bits it
+    # converges at 8192
+    "loop/circle-0.85/dx_over_y3": (_loop("dx_over_y3", "0.85", k=ONE), PRECS),
+    "loop/circle-0.775/dx_over_y3": (_loop("dx_over_y3", "0.775", k=ONE), (64,)),
+    # passes 0.003 from 0.765, inside the contour's margin, so it stays on
+    # the ellipse, where |sqrt(f + t)| falls by about half from one node to
+    # the next: at 1024 nodes the ambiguity test passes only because it
+    # compares the step with max(|y|, |s|), not with |s| or |y| alone;
+    # ambiguous at 256 and 512, it converges at 2048
     "loop/circle-0.762/y_dx": (_loop("y_dx", "0.762", k=ONE), PRECS),
     "check_exth/central/x^3": (_exth(CENTRAL, X ** 3), PRECS),
     "main4/quartic/x": (_main4(QUARTIC_F, X, ["-0.015625", "-0.03125"], SQRT2), PRECS),

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from abelint.config import Config
@@ -134,17 +134,16 @@ def test_integral_area_positive(config):
     assert val > mp.mpf("1e-3")
 
 
-def test_integral_matches_loop_oracle(config):
-    # second scheme: dogbone contour around the two middle branch points
+def test_integral_matches_tanh_sinh_oracle(config):
+    # second scheme, sharing no code with the trapezoid: mpmath's tanh-sinh
+    # quadrature of 2 k sqrt(f + t) over [x1, x2], where rounding next to
+    # an endpoint may leave f + t slightly negative and the root imaginary
     t = mp.mpf("-0.4")
     x1, x2 = oval_endpoints(CENTRAL, t, config.precision_bits)
-    with mp.workprec(160):
-        roots_out = mp.sqrt(2 * (1 + mp.sqrt(-t)))
-        radius = (x2 + roots_out) / 2
+    with mp.workprec(192):
         direct = integral_I(CENTRAL, RatPoly.one(), t, config)
-        loop = loop_integral(QUARTIC_F, RatPoly.one(), t, 0, radius,
-                             mode="y_dx", config=config)
-        assert abs(abs(loop) - abs(direct)) < mp.mpf(10) ** -10
+        oracle = 2 * mp.re(mp.quad(lambda x: mp.sqrt((x ** 2 / 2 - 1) ** 2 + t), [x1, x2]))
+        assert abs(direct - oracle) < mp.mpf(10) ** -30
 
 
 def test_derivative_ladder(config):
@@ -396,15 +395,9 @@ def test_loop_around_one_branch_point_does_not_close(config):
         loop_integral(QUARTIC_F, X, "-0.5", "1.85", "0.3", config=config)
 
 
-@pytest.mark.parametrize("radius, prec, evaluations", [
-    ("4", 128, 256),        # levels 128 and 256 agree
-    ("0.85", 128, 1024),    # 512 and 1024 agree
-    ("0.775", 64, 2048),    # 128 and 256 are ambiguous; 1024 and 2048 agree
-    ("0.762", 128, 2048),   # 128, 256 and 512 are ambiguous; 1024 and 2048 agree
-])
-def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
-    # the trapezoid levels are nested, so f is evaluated once per node of
-    # the last level (evaluating every level afresh costs nearly twice that)
+def _f_evaluations(monkeypatch, radius, prec, mode):
+    """How many times loop_integral evaluates f on the circle of `radius`
+    around 0, for f = QUARTIC_F at t = -1/2 and k = 1."""
     import abelint.hyperelliptic as hyp
     calls = []
     for name in ("eval_poly", "eval_poly_raw"):
@@ -413,9 +406,56 @@ def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evalu
                 calls.append(z)
             return evaluate(p, z, wp)
         monkeypatch.setattr(hyp, name, counting)
-    loop_integral(QUARTIC_F, RatPoly.one(), "-0.5", 0, radius,
+    loop_integral(QUARTIC_F, RatPoly.one(), "-0.5", 0, radius, mode=mode,
                   config=Config(precision_bits=prec))
-    assert len(calls) == evaluations
+    return len(calls)
+
+
+@pytest.mark.parametrize("radius, prec, evaluations", [
+    ("4", 128, 256),        # levels 128 and 256 agree
+    ("0.762", 128, 2048),   # 128, 256 and 512 are ambiguous; 1024 and 2048 agree
+])
+def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
+    # the trapezoid levels are nested, so f is evaluated once per node of
+    # the last level (evaluating every level afresh costs nearly twice that);
+    # at 0.762 the branch point 0.765 lies inside the contour's margin, so
+    # this loop stays on the ellipse
+    assert _f_evaluations(monkeypatch, radius, prec, "y_dx") == evaluations
+
+
+@pytest.mark.parametrize("radius, prec, evaluations", [
+    ("0.85", 128, 1024),    # 512 and 1024 agree
+    ("0.775", 64, 8192),    # 128 and 256 are ambiguous; 4096 and 8192 agree
+])
+def test_dx_over_y3_loop_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
+    # k/y^3 is not integrable on the segment, so these circles around the
+    # two branch points +-0.765 stay on the ellipse, where the nested
+    # levels and the ambiguous steps of y's continuation are tested
+    assert _f_evaluations(monkeypatch, radius, prec, "dx_over_y3") == evaluations
+
+
+@pytest.mark.parametrize("radius, prec", [("0.85", 128), ("0.775", 64)])
+@pytest.mark.parametrize("mode", ["y_dx", "dx_over_2y"])
+def test_two_point_loop_runs_on_the_segment(monkeypatch, radius, prec, mode):
+    # the same circles in these modes collapse onto [-0.765, 0.765]: f is
+    # evaluated once, at the node x0 = radius that fixes the lift's sign
+    assert _f_evaluations(monkeypatch, radius, prec, mode) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(mode="cauchy"), r"^loop mode cauchy needs z$"),
+    (dict(mode="dx_over_y"), r"^loop mode must be one of y_dx, dx_over_2y, dx_over_y3, "
+                             r"cauchy, got 'dx_over_y'$"),
+    (dict(radius=0), r"^loop radius and semi_minor must be positive$"),
+    (dict(radius="-1"), r"^loop radius and semi_minor must be positive$"),
+    (dict(semi_minor="0"), r"^loop radius and semi_minor must be positive$"),
+], ids=["cauchy-without-z", "unknown-mode", "radius-0", "radius-negative", "semi-minor-0"])
+def test_loop_integral_input_contract(kwargs, message):
+    # rejected before any quadrature: the enclosure test divides by both
+    # semi-axes, and the Cauchy kernel needs its z
+    radius = kwargs.pop("radius", 4)
+    with pytest.raises(InputError, match=message):
+        loop_integral(QUARTIC_F, X, "-0.5", 0, radius, **kwargs)
 
 
 def test_loop_pole_at_the_start_node(config):
@@ -439,6 +479,55 @@ def test_loop_pole_past_an_ambiguous_step_refines():
         assert _loop_sum([(one, one, fone), pole], h) is None
         with pytest.raises(ZeroDivisionError):
             _loop_sum([pole, (one, one, fone)], h)
+
+
+# f low coefficient first, Re t, Im t, the pair (index i and i + d of the
+# roots), the ellipse's stretch over the pair, the mode and k
+QUARTERS = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+TWO_POINT_LOOPS = st.tuples(
+    st.lists(QUARTERS, min_size=3, max_size=5), QUARTERS,
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(-3, 8)]),
+    st.integers(0, 3), st.integers(1, 3),
+    st.sampled_from([Fraction(9, 8), Fraction(5, 4), Fraction(3, 2)]),
+    st.sampled_from(["y_dx", "dx_over_2y"]),
+    st.lists(QUARTERS, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(TWO_POINT_LOOPS)
+# QUARTIC_F + 1/4: the conjugate pair sqrt(2 -+ i), so h is imaginary
+@example(([Fraction(5, 4), 0, -1, 0, Fraction(1, 4)], Fraction(0), Fraction(0), 1, 1,
+          Fraction(5, 4), "dx_over_2y", [1, 1]))
+@example(([Fraction(5, 4), 0, -1, 0, Fraction(1, 4)], Fraction(0), Fraction(0), 1, 1,
+          Fraction(5, 4), "y_dx", [0, 1]))
+def test_segment_loop_matches_the_ellipse(case):
+    # an axis-parallel ellipse around two roots of f + t, every other root
+    # far outside: the segment path and the ellipse's trapezoid integrate
+    # the same lift, sign included
+    import abelint.hyperelliptic as hyp
+    coeffs, re_t, im_t, i, d, stretch, mode, k_coeffs = case
+    assume(coeffs[-1] != 0)
+    f, k, prec = RatPoly(coeffs), RatPoly(k_coeffs), 64
+    deg = f.degree
+    assume(d % deg != 0)
+    with mp.workprec(prec + 32):
+        t = mp.mpc(mp.mpf(re_t.numerator) / re_t.denominator,
+                   mp.mpf(im_t.numerator) / im_t.denominator)
+        exact = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        roots = mp.polyroots(exact[:-1] + [exact[-1] + t], maxsteps=200, extraprec=prec)
+        r1, r2 = roots[i % deg], roots[(i + d) % deg]
+        center, half = mp.mpc(r1 + r2) / 2, abs(r2 - r1) / 2
+        assume(half > mp.mpf(2) ** -8)
+        # the pair sits on the ellipse shrunk by at least 1/stretch
+        a = stretch * max(mp.sqrt(2) * abs(mp.re(r2 - r1)) / 2, half / 2)
+        b = stretch * max(mp.sqrt(2) * abs(mp.im(r2 - r1)) / 2, half / 2)
+        for r in roots:
+            if r is not r1 and r is not r2:
+                assume((mp.re(r - center) / a) ** 2 + (mp.im(r - center) / b) ** 2 > 1.5)
+        a, b = mp.mpf(a), mp.mpf(b)
+        segment = hyp._segment_loop(f, k, t, center, a, b, mode, prec)
+        ellipse = hyp._ellipse_loop(f, k, t, center, a, b, mode, None, prec)
+        assert abs(segment - ellipse) <= mp.mpf(2) ** -(prec // 2) * (1 + abs(segment))
 
 
 # ---------------------------------------------------------------------------
