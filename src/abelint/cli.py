@@ -303,8 +303,7 @@ def cmd_main4_check(args, cfg):
 def cmd_plot_constellation(args, cfg):
     p = _poly_from_input(_read_json(args.input))
     _require_degree(p, 2)
-    rep = monodromy(p, cfg)
-    con = build_constellation(p, rep, cfg)
+    con = build_constellation(monodromy(p, cfg))
     _write(constellation_svg(con) + "\n", args.output)
 
 

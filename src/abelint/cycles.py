@@ -3,11 +3,12 @@
 A 0-cycle is a rational combination of the n branches of P^{-1}, stored as
 the vector of its coefficients in the normalized branch numbering (the one
 that makes the loop around infinity the standard cycle).  This module
-builds such vectors from three sources: weighted real interval systems
-(moment problems), vanishing-cycle combinations at a confluence, and the
-constellation graph of the covering.  Inside a gap between consecutive
-real critical values the real roots of P - z never collide, so a real walk
-labels its pieces from exact root ranks and one fiber per gap.
+builds such vectors from two sources: weighted real interval systems
+(moment problems) and vanishing-cycle combinations at a confluence.  Inside
+a gap between consecutive real critical values the real roots of P - z
+never collide, so a real walk labels its pieces from exact root ranks and
+one fiber per gap.  The constellation graph of the covering is read off the
+monodromy generators alone: no fiber is tracked and no root is found for it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError
-from .monodromy import MonodromyRep, continue_fiber, route, standoffs
+from .monodromy import MonodromyRep, continue_fiber
 from .numerics import eval_poly, to_mpf
 from .ratpoly import RatPoly, critical_value_poly
 from .realroots import RealRoots
@@ -170,9 +171,9 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
     """The fiber over a real regular z, continued from the base point down
     the real axis with upper-semicircle detours around real critical values.
 
-    This is the branch numbering induced by the standard cut system, the
-    same one the star identification uses; the interval walks read it once
-    per gap (`_rank_labels`).
+    This is the branch numbering of the base fiber, carried along the
+    standard cut system; the interval walks read it once per gap
+    (`_rank_labels`).
     """
     with mp.workprec(config.precision_bits + 32):
         z_target = to_mpf(z_target, mp.prec)
@@ -344,13 +345,13 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
 
 @dataclass(frozen=True)
 class Constellation:
-    """The preimage graph of the star joining the base point to the finite
-    critical values: one star per branch, one marked vertex per critical
-    preimage, edges between star centers and the vertices they reach."""
+    """The preimage graph of the petal star that `monodromy` tracks, from
+    the base point to each finite critical value: one star per branch, one
+    marked vertex per cycle of a generator (fixed points included), and an
+    edge from each star to the vertex of its branch's cycle."""
     star_center: object
     rays: tuple                     # critical values
     stars: tuple[dict[int, int], ...]   # per branch: ray index -> vertex id
-    vertex_positions: dict[int, object]
     vertex_ray: dict[int, int]
 
     @property
@@ -365,7 +366,7 @@ class Constellation:
         return out
 
     def vertex_count(self) -> int:
-        return len(self.vertex_positions)
+        return len(self.vertex_ray)
 
     def edge_count(self) -> int:
         return len(self.adjacency())
@@ -384,69 +385,28 @@ class Constellation:
         return out
 
 
-def _vertex_positions_for(p: RatPoly, c_s, prec: int):
-    """Distinct preimages of a critical value, via clustered root finding."""
-    import mpmath
-
-    from .numerics import cluster_points, poly_mpc_coeffs
-    with mp.workprec(prec + 64):
-        coeffs = poly_mpc_coeffs(p, mp.prec)
-        coeffs[-1] -= mp.mpc(c_s)
-        try:
-            rts = mpmath.polyroots(coeffs, maxsteps=400, extraprec=prec + 64)
-        except mpmath.libmp.NoConvergence as exc:
-            raise ComputationError(f"preimage roots did not converge: {exc}")
-        scale = max(mp.mpf(1), max(abs(r) for r in rts))
-        tol = scale * mp.mpf(2) ** (-(prec // 8))
-        groups = cluster_points(list(rts), tol)
-        reps = [sum(rts[i] for i in g) / len(g) for g in groups]
-        return sorted(reps, key=lambda r: (mp.re(r), mp.im(r)))
-
-
-def build_constellation(p: RatPoly, rep: MonodromyRep,
-                        config: Config = DEFAULT_CONFIG) -> Constellation:
-    """Identify the star of every branch and the marked vertices it reaches,
-    by tracking the fiber along each ray almost to the critical value."""
-    n = rep.n
-    prec = config.precision_bits
-    with mp.workprec(prec + 32):
-        cvs = list(rep.critical_values)
-        c0 = rep.base_point
-        radii = standoffs(cvs, 2 * (1 + max(abs(c) for c in cvs)))
-        stars: list[dict[int, int]] = [dict() for _ in range(n)]
-        vertex_positions: dict[int, object] = {}
-        vertex_ray: dict[int, int] = {}
-        next_id = 0
-        for s, c_s in enumerate(cvs):
-            verts = _vertex_positions_for(p, c_s, prec)
-            sep = mp.mpf("+inf")
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    sep = min(sep, abs(verts[i] - verts[j]))
-            ids = []
-            for vpos in verts:
-                vertex_positions[next_id] = vpos
-                vertex_ray[next_id] = s
-                ids.append(next_id)
-                next_id += 1
-            rho = radii[s] / 64
-            u = (c0 - c_s) / abs(c0 - c_s)
-            approach = route(c0, c_s + rho * u,
-                             [(cvs[j], radii[j]) for j in range(len(cvs))
-                              if j != s])
-            fiber = continue_fiber(p, approach, list(rep.base_fiber), config)
-            for i in range(n):
-                dists = sorted((abs(fiber[i] - vertex_positions[vid]), vid)
-                               for vid in ids)
-                best, vid = dists[0]
-                if len(ids) > 1 and not best * 3 < sep:
-                    raise ComputationError(
-                        "branch endpoint does not separate marked vertices")
-                stars[i][s] = vid
-        return Constellation(star_center=c0, rays=tuple(cvs),
-                             stars=tuple(stars),
-                             vertex_positions=vertex_positions,
-                             vertex_ray=vertex_ray)
+def build_constellation(rep: MonodromyRep) -> Constellation:
+    """Read the constellation off the monodromy generators.  The petal
+    approach to c_s carries each branch to a preimage of c_s, and the small
+    loop around c_s permutes cyclically the branches that meet at one
+    preimage, so the marked vertices over c_s are the cycles of
+    generators[s], fixed points included.  Vertices are numbered ray by ray
+    in critical-value order and, within a ray, by each cycle's smallest
+    branch."""
+    stars: list[dict[int, int]] = [dict() for _ in range(rep.n)]
+    vertex_ray: dict[int, int] = {}
+    for s, gen in enumerate(rep.generators):
+        for first in range(1, rep.n + 1):
+            if s in stars[first - 1]:
+                continue
+            vid = len(vertex_ray)
+            vertex_ray[vid] = s
+            i = first
+            while s not in stars[i - 1]:    # the cycle of gen through first
+                stars[i - 1][s] = vid
+                i = gen(i)
+    return Constellation(star_center=rep.base_point, rays=rep.critical_values,
+                         stars=tuple(stars), vertex_ray=vertex_ray)
 
 
 # ---------------------------------------------------------------------------

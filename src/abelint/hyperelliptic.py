@@ -281,9 +281,10 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
     with mp.workprec(wp):
         if z is not None:
             # poles sit where f + t = z; on the oval f + t covers [0, w2max],
-            # so only real z inside that range (but away from 0) is dangerous
-            grid = [x1 + (x2 - x1) * mp.mpf(j) / 64 for j in range(65)]
-            w2max = max(eval_poly(family.f, x, mp.prec) + t for x in grid)
+            # its maximum at a turning point inside, so only real z inside
+            # that range (but away from 0) is dangerous
+            turning = RealRoots(family.f.derivative()).between(x1, x2, mp.prec)
+            w2max = max(eval_poly(family.f, x, mp.prec) + t for x in turning)
             margin = (1 + abs(z)) * mp.mpf(2) ** (-(prec // 4))
             if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
                 raise ComputationError("pole sits on the integration contour")

@@ -1,8 +1,8 @@
 """mpmath-backed numeric primitives shared by the tracking and quadrature code.
 
 Helpers take an explicit precision in bits, or use the caller's working
-precision (`cluster_points`, `min_pairwise_distance`), and never change
-mpmath's global state.  The hot leaves of tracking and quadrature
+precision (`min_pairwise_distance`), and never change mpmath's global
+state.  The hot leaves of tracking and quadrature
 (`eval_poly` and its raw core `eval_poly_raw`, `min_pairwise_distance`) run
 on mpmath's raw libmp values and round exactly as the same code on mpf/mpc
 objects does.
@@ -115,29 +115,6 @@ def _sorted_roots(coeffs: list, prec: int, what: str) -> list:
         except mpmath.libmp.NoConvergence as exc:
             raise ComputationError(f"{what} did not converge: {exc}")
         return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))
-
-
-def cluster_points(points: list, tol) -> list[list[int]]:
-    """Group indices of near-coincident points (union-find on distance<tol)."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def nstr_det(x, prec: int) -> str:

@@ -464,6 +464,15 @@ def test_plot_constellation_topology(tmp_path):
     assert svg.count("<circle") == 6
 
 
+def test_plot_constellation_of_x5_shares_one_vertex():
+    # the generator over 0 is the 5-cycle: one marked vertex, five edges
+    res = run_cli(["plot-constellation", "-"], {"polynomial": ["0"] * 5 + ["1"]})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("<circle") == 5
+    assert res.stdout.count("<rect") == 2     # the background and the vertex
+    assert res.stdout.count("<line") == 5
+
+
 def test_byte_identical_runs():
     payload = {"polynomial": T6_JSON}
     a = run_cli(["monodromy", "-", "--seed", "7"], payload)

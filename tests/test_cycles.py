@@ -1,12 +1,14 @@
+import importlib
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import to_rational
 
 import abelint.cycles as cycles
+import abelint.numerics as numerics
 from abelint.cycles import (CycleVector, IntervalSystem, VanishingCycleCombo,
                             build_constellation, constellation_svg,
                             continue_fiber_to_real, nontrivial_cycle_exists,
@@ -15,7 +17,7 @@ from abelint.cycles import (CycleVector, IntervalSystem, VanishingCycleCombo,
 from abelint.errors import InputError
 from abelint.monodromy import monodromy
 from abelint.numerics import eval_poly, to_mpf
-from abelint.ratpoly import RatPoly, critical_value_poly
+from abelint.ratpoly import RatPoly, compose, critical_value_poly
 from abelint.realroots import RealRoots
 
 X = RatPoly.x()
@@ -235,6 +237,7 @@ def test_walk_labels_are_the_tracked_branches(config, case, data):
     expected = [[0] * rep.n for _ in out]
     sign = 1 if a < b else -1
     with mp.workprec(config.precision_bits + 32):
+        real_cvs = [critical.root(i, mp.prec) for i in range(critical.count)]
         lo, hi = to_mpf(min(a, b), mp.prec), to_mpf(max(a, b), mp.prec)
         cuts = [lo] + RealRoots(p.derivative()).between(lo, hi, mp.prec) + [hi]
         for xl, xr in zip(cuts, cuts[1:]):
@@ -243,8 +246,12 @@ def test_walk_labels_are_the_tracked_branches(config, case, data):
             if start == end:
                 continue
             x = xl + (xr - xl) * data.draw(st.floats(0.05, 0.95))
-            assume(cv_poly(p(Fraction(*to_rational(x._mpf_)))) != 0)   # regular
-            fiber = continue_fiber_to_real(p, rep, eval_poly(p, x, mp.prec), config)
+            # the reference probe's level stays clear of every real critical
+            # value: a float fraction can land a hair from a non-critical
+            # preimage of one, where tracking to it rightly reports a collision
+            z = eval_poly(p, x, mp.prec)
+            assume(all(abs(z - c) > mp.mpf(2) ** -20 * (1 + abs(c)) for c in real_cvs))
+            fiber = continue_fiber_to_real(p, rep, z, config)
             (best, i), (second, _) = sorted((abs(f - x), i)
                                             for i, f in enumerate(fiber))[:2]
             assert best * 4 < second
@@ -258,7 +265,7 @@ def test_walk_labels_are_the_tracked_branches(config, case, data):
 # ---------------------------------------------------------------------------
 
 def test_constellation_t6_chain(t6, t6_rep, config):
-    con = build_constellation(t6, t6_rep, config)
+    con = build_constellation(t6_rep)
     assert con.n == 6
     assert len(con.rays) == 2
     # every star reaches one vertex per critical value
@@ -292,19 +299,59 @@ def test_constellation_t6_chain(t6, t6_rep, config):
     assert seen == set(range(1, 7))
 
 
-def test_constellation_xn_shares_one_vertex(config):
-    p = X ** 4
+def _seeded(degree, seed):
+    rng = random.Random(seed)
+    return RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(degree)] + [Fraction(rng.choice([1, -1, 2]))])
+
+
+CONSTELLATION_CASES = {
+    **{f"x^{k}": X ** k for k in range(2, 9)},
+    "AoW": compose(X ** 2 + X, X ** 3 - 3 * X),
+    **{f"seed{seed}-degree{d}": _seeded(d, seed)
+       for d, seed in [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4)]},
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTELLATION_CASES))
+def test_constellation_is_the_generator_cycles(name, config, monkeypatch):
+    p = CONSTELLATION_CASES[name]
     rep = monodromy(p, config)
-    con = build_constellation(p, rep, config)
-    assert con.n == 4
-    vertex_sets = [set(star.values()) for star in con.stars]
-    assert all(vs == vertex_sets[0] for vs in vertex_sets)
-    assert con.vertex_count() == 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_constellation tracked a fiber or found roots")
+    tracking = importlib.import_module("abelint.monodromy")
+    for module, attr in [(cycles, "continue_fiber"), (tracking, "continue_fiber"),
+                         (tracking, "track_fiber"), (numerics, "roots_of"),
+                         (numerics, "roots_of_shifted"), (mpmath, "polyroots")]:
+        monkeypatch.setattr(module, attr, forbidden)
+    con = build_constellation(rep)
+
+    n, rays = rep.n, len(rep.critical_values)
+    assert con.n == n
+    numbering = []
+    for s, gen in enumerate(rep.generators):
+        groups = {}
+        for i, star in enumerate(con.stars, start=1):
+            groups.setdefault(star[s], set()).add(i)
+        cycles_with_fixed = [set(c) for c in gen.cycles()]
+        cycles_with_fixed += [{i} for i in range(1, n + 1) if gen(i) == i]
+        assert sorted(map(sorted, groups.values())) == sorted(map(sorted, cycles_with_fixed))
+        assert all(con.vertex_ray[vid] == s for vid in groups)
+        numbering += sorted(groups, key=lambda vid: min(groups[vid]))
+    # numbered ray by ray, and by each cycle's smallest branch within a ray
+    assert numbering == list(range(len(numbering)))
+    # Riemann-Hurwitz for a polynomial (infinity an n-cycle): the sum over
+    # rays of n - #cycles is n - 1, so S rays carry S n - (n - 1) vertices
+    assert con.vertex_count() == rays * n - (n - 1)
     assert con.face_count_via_euler() == 1
+    if name.startswith("x^"):
+        assert con.vertex_count() == 1
+        assert all(star == {0: 0} for star in con.stars)
 
 
 def test_constellation_svg_deterministic(t6, t6_rep, config):
-    con = build_constellation(t6, t6_rep, config)
+    con = build_constellation(t6_rep)
     svg1 = constellation_svg(con)
     svg2 = constellation_svg(con)
     assert svg1 == svg2

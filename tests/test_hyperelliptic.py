@@ -328,6 +328,37 @@ def test_integral_I_on_quadratics_matches_the_beta_closed_form(case):
         assert abs(val - ref) <= mp.mpf(2) ** -(prec - 4) * scale
 
 
+@st.composite
+def real_ovals(draw):
+    """f of degree 2-4 with f + t = sign c prod(x - r) over distinct rational
+    roots r, a rational t, and the first root pair with f + t > 0 between."""
+    degree = draw(st.integers(2, 4))
+    roots = sorted(Fraction(r, 2) for r in draw(
+        st.lists(st.integers(-4, 4), min_size=degree, max_size=degree, unique=True)))
+    sign = -1 if degree == 2 else draw(st.sampled_from([1, -1]))
+    plus_t = RatPoly.constant(sign * draw(st.sampled_from([Fraction(1, 2), 1, 3])))
+    for r in roots:
+        plus_t = plus_t * (X - r)
+    # f + t has sign (-1)^(degree - 1 - gap) sign on the gap'th root pair
+    pair = next(gap for gap in range(degree - 1) if (-1) ** (degree - 1 - gap) * sign > 0)
+    t = draw(st.fractions(-2, 2, max_denominator=8))
+    return plus_t - t, pair, t
+
+
+@settings(max_examples=8, deadline=None)
+@given(real_ovals())
+def test_exact_forms_have_zero_oval_period(config, case):
+    # (j x^(j-1) (f + t) + (3/2) x^j f') y dx = d(x^j y^3) on y^2 = f + t,
+    # so its oval period vanishes (the Petrov-module relation)
+    f, pair, t = case
+    family = OvalFamily(f=f, pair_index=pair, t_min=t, t_max=t)
+    for j in range(4):
+        summands = [j * X ** max(j - 1, 0) * (f + t), Fraction(3, 2) * X ** j * f.derivative()]
+        period = integral_I(family, summands[0] + summands[1], t, config)
+        scale = 1 + sum(abs(integral_I(family, k, t, config)) for k in summands)
+        assert abs(period) <= mp.mpf(2) ** -(config.precision_bits + 8) * scale
+
+
 def test_j_at_zero_is_twice_i_prime(config):
     with mp.workprec(200):
         t = mp.mpf("-0.5")
@@ -387,6 +418,16 @@ def test_cauchy_pole_rejection(config):
     t = mp.mpf("-0.5")
     with pytest.raises(ComputationError):
         cauchy_J(CENTRAL, RatPoly.one(), t, mp.mpf("0.3"), config)
+
+
+def test_cauchy_pole_between_grid_points_and_the_true_maximum(config):
+    # on this oval f + t peaks at 0.2223479 at a turning point; z = 0.22233
+    # lies above f + t at every one of 65 evenly spaced oval points (the
+    # grid's largest value is 0.2223124), yet below the true maximum, so
+    # f + t = z twice on the oval
+    family = OvalFamily(X ** 2 - X ** 4 / 4 + X / 5, 0, Fraction(-1), Fraction(0))
+    with pytest.raises(ComputationError, match="^pole sits on the integration contour$"):
+        cauchy_J(family, RatPoly.one(), Fraction(-1, 2), mp.mpf("0.22233"), config)
 
 
 def test_loop_around_one_branch_point_does_not_close(config):
