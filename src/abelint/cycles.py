@@ -122,6 +122,8 @@ class VanishingCycleCombo:
     coefficients: dict[tuple[int, int], Fraction]
 
     def __post_init__(self):
+        if self.n_local < 1:
+            raise InputError(f"n_local must be at least 1, not {self.n_local}")
         for (i, j) in self.coefficients:
             if not (1 <= i < j <= self.n_local):
                 raise InputError(f"vanishing-cycle index ({i},{j}) out of range")

@@ -10,17 +10,17 @@ confluence limit that ties J to the zero-dimensional side.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf,
-                          mpc_div, mpc_mpf_div, mpc_mul, mpc_mul_int,
-                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sqrt, mpc_sub,
-                          mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_le,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
-                          to_rational)
+from mpmath.libmp import (from_float, from_int, fzero, mpc_add, mpc_div,
+                          mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+                          mpc_neg, mpc_shift, mpc_sqrt, mpc_sub, mpf_add,
+                          mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt,
+                          mpf_sub, round_nearest, to_float, to_rational)
 
 from . import linalg
 from .config import Config, DEFAULT_CONFIG
@@ -244,24 +244,6 @@ def _plus_level(f: RatPoly, t) -> RatPoly:
     return f + RatPoly.constant(Fraction(*to_rational(t._mpf_)))
 
 
-def _nested_trapezoid(level, js, n: int, tol, what: str):
-    """The value of nested trapezoid levels of n, 2n, 4n, ... up to 2^16
-    intervals, once two successive values agree to tol * (1 + |value|).
-    `level(n, js)` folds the new nodes js of the level of n intervals into
-    its running state and returns the level's value, or None: js is given
-    at the first level and is the odd nodes at each later one."""
-    last = None
-    while n <= 1 << 16:
-        val = level(n, js)
-        if val is not None:
-            if last is not None and abs(val - last) <= tol * (1 + abs(val)):
-                return val
-            last = val
-        n *= 2
-        js = range(1, n, 2)
-    raise ComputationError(f"{what} needs more than 2^16 nodes")
-
-
 def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
                      scale: int, z=None):
     """scale times the integral over [0, pi] of integrand(x, y, hs, sqrt g,
@@ -299,30 +281,39 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
                 raise ComputationError(f"the oval endpoints do not divide f + t {where}")
         oval = (((x1 + x2) / 2)._mpf_, ((x2 - x1) / 2)._mpf_,
                 tuple((-c)._mpf_ for c in g), integrand, wp, where)
-        return _phi_trapezoid(oval, scale, z is not None, prec, f"oval quadrature {where}")
+        return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp, scale,
+                              z is not None, prec, f"oval quadrature {where}")
 
 
-def _phi_trapezoid(oval, scale: int, complex_values: bool, prec: int, what: str):
-    """scale times the integral over [0, pi] of `_oval_node`'s integrand, on
-    nested trapezoid levels from 8 intervals to 2^-(prec + 8), run at the
-    oval's working precision and rounded at prec + 32 bits."""
-    wp, rnd = oval[4], round_nearest
+def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
+                   what: str, closed: bool = False):
+    """scale times the integral over [0, pi] of node(j, n), the raw integrand
+    at phi = j pi/n, n a power of two, at the working precision wp; called
+    inside mp.workprec(wp).
+
+    The trapezoid levels of 8, 16, 32, ... intervals are nested: each level
+    adds only its odd nodes to the running sum, so every node is evaluated
+    once.  The value is the first level within 2^-(prec + 8) (1 + |value|)
+    of the one before, rounded at prec + 32 bits; past 2^16 intervals it is
+    an error.  On an arc, phi = 0 and pi carry half weights; on a `closed`
+    contour they are one node, evaluated once as node(0, 1)."""
+    rnd = round_nearest
     add, mul, shift, make = (
         (mpc_add, mpc_mul_mpf, mpc_shift, mp.make_mpc) if complex_values
         else (mpf_add, mpf_mul, mpf_shift, mp.make_mpf))
-    # the trapezoid's half weight at phi = 0 and pi
-    total = shift(add(_oval_node(oval, 0, 1), _oval_node(oval, 1, 1), wp, rnd), -1)
+    total = node(0, 1) if closed else shift(add(node(0, 1), node(1, 1), wp, rnd), -1)
     scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
-
-    def level(n, js):
-        nonlocal total
+    tol = mp.mpf(2) ** (-(prec + 8))
+    last, n, js = None, 8, range(1, 8)
+    while n <= 1 << 16:
         for j in js:
-            total = add(total, _oval_node(oval, j, n), wp, rnd)
-        return make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
-
-    val = _nested_trapezoid(level, range(1, 8), 8, mp.mpf(2) ** (-(prec + 8)), what)
-    with mp.workprec(prec + 32):
-        return +val
+            total = add(total, node(j, n), wp, rnd)
+        val = make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
+        if last is not None and abs(val - last) <= tol * (1 + abs(val)):
+            with mp.workprec(prec + 32):
+                return +val
+        last, n, js = val, 2 * n, range(1, 2 * n, 2)
+    raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
 def _oval_node(oval, j, n):
@@ -414,8 +405,8 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
                   mode: str = "y_dx", z=None, semi_minor=None,
                   config: Config = DEFAULT_CONFIG):
     """Contour integral over an ellipse around `center` lifted to the curve
-    y^2 = f(x) + t, with y continued around the contour from the principal
-    sqrt(f + t) at its node x0 = center + radius.
+    y^2 = f(x) + t, with y the principal sqrt(f + t) at the ellipse's node
+    x0 = center + radius.
 
     The contour is x = center + radius*cos(theta) + i*semi_minor*sin(theta)
     (a circle when semi_minor is omitted; both must be positive); it must
@@ -424,151 +415,147 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
     "dx_over_y3" integrates k/y^3 dx, and "cauchy" integrates k y/(y^2 - z)
     dx, which needs z.
 
-    A "y_dx" or "dx_over_2y" loop around exactly two roots of f + t, with no
-    root between the concentric similar ellipses scaled by 1 -+
-    `_CONTOUR_MARGIN`, runs on the segment between them (`_segment_loop`),
-    to 2^-(prec + 8), with the sign that keeps the lift at x0.  Every other
-    loop runs on the ellipse, whose trapezoid doubles its nodes from 128
-    until two levels agree to 2^-(prec/2) (`_nested_trapezoid`); node j of
-    the level of n nodes has the angle 2 pi j/n, and each level evaluates
-    only its odd nodes.
+    The roots r of f + t, taken once, give the lift in closed form.  With c
+    the center and 2j roots inside, y = C (x - c)^j prod_inside sqrt(1 - (r -
+    c)/(x - c)) prod_outside sqrt((x - r)/(c - r)) on the contour: each
+    factor is a principal root whose cut, the segment [c, r] inside the
+    convex ellipse or the ray from r away from c outside it, the contour
+    never crosses.  A "y_dx" or "dx_over_2y" loop around exactly two roots,
+    with no root between the concentric similar ellipses scaled by 1 -+
+    `_CONTOUR_MARGIN`, runs on the segment between them (`_segment_loop`);
+    every other loop runs on the ellipse (`_ellipse_loop`).  Both run on
+    `_phi_trapezoid` to 2^-(prec + 8).  An odd number of roots inside, or
+    f + t = 0 at x0, is an error before any quadrature.
     """
     if mode not in _LOOP_MODES:
         raise InputError(f"loop mode must be one of {', '.join(_LOOP_MODES)}, got {mode!r}")
     if mode == "cauchy" and z is None:
         raise InputError("loop mode cauchy needs z")
     prec = config.precision_bits
+    wp = prec + 52
     with mp.workprec(prec + 32):
         t, center, a = mp.mpc(t), mp.mpc(center), mp.mpf(radius)
         b = mp.mpf(semi_minor) if semi_minor is not None else a
         if not (a > 0 and b > 0):
             raise InputError("loop radius and semi_minor must be positive")
-        if mode in ("y_dx", "dx_over_2y"):
-            val = _segment_loop(f, k, t, center, a, b, mode, prec)
-            if val is not None:
-                return val
-        return _ellipse_loop(f, k, t, center, a, b, mode, z, prec)
-
-
-def _segment_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, prec: int):
-    """The loop around exactly the roots x1, x2 of f + t, collapsed onto
-    [x1, x2], or None unless just those two lie inside and no root near the
-    contour.  With f + t = (x - x1)(x2 - x) g(x), x = m - h cos(phi) and W =
-    i (x - m) sqrt(1 - h^2/(x - m)^2), cut on the segment, the lift is y =
-    sigma W sqrt g, and W = h sin(phi) on the collapsed contour: the loop is
-    sigma 2 int_0^pi k (h sin phi)^2 sqrt g dphi ("y_dx") or sigma int_0^pi
-    k/sqrt g dphi ("dx_over_2y"), sigma = +-1 making y the principal
-    sqrt(f + t) at x0 = center + a, as on the ellipse."""
-    wp, rnd = prec + 52, round_nearest
+        z = mp.mpc(z)._mpc_ if z is not None else None
     with mp.workprec(wp):
-        inside, outside = [], []
-        for r in roots_of_shifted(f, -t, wp) if f.degree >= 2 else ():
+        inside, outside, near = [], [], False
+        for r in roots_of_shifted(f, -t, wp) if f.degree >= 1 else ():
             q = (mp.re(r - center) / a) ** 2 + (mp.im(r - center) / b) ** 2
-            if (1 - _CONTOUR_MARGIN) ** 2 < q < (1 + _CONTOUR_MARGIN) ** 2:
-                return None
+            near = near or (1 - _CONTOUR_MARGIN) ** 2 < q < (1 + _CONTOUR_MARGIN) ** 2
             (inside if q < 1 else outside).append(r)
-        if len(inside) != 2:
-            return None
-        (x1, x2), c = inside, mp.sqrt(-to_mpf(f.coeffs[-1], wp))
-        m, h = (x1 + x2) / 2, (x2 - x1) / 2
-        # g = -lc prod (x - r) over the other roots r, none inside the
-        # convex ellipse, which holds the segment (`_segment_root_g`)
-        for r in outside:
-            c *= mp.sqrt(m - r)
-        g = (mp.mpc(c)._mpc_, tuple((mp.mpc(r)._mpc_, mp.mpc(1 / (m - r))._mpc_)
-                                    for r in outside))
+        if len(inside) % 2:
+            raise ComputationError(
+                "lifted contour does not close: odd number of branch points inside")
         x0 = center + a
-        u, s0 = x0 - m, mp.sqrt(eval_poly(f, x0, wp) + t)
-        root_g0 = mp.make_mpc(_segment_root_g(g, x0._mpc_, wp))
-        lift = 1j * u * mp.sqrt(1 - (h / u) ** 2) * root_g0
-        sigma = 1 if abs(lift - s0) <= abs(lift + s0) else -1
-        integrand = ((lambda x, y, hs, root_g, wp: mpc_mul(
-            mpc_mul(eval_poly_raw(k, x, wp), y, wp, rnd), hs, wp, rnd)) if mode == "y_dx"
-            else (lambda x, y, hs, root_g, wp: mpc_div(
-                eval_poly_raw(k, x, wp), root_g, wp, rnd)))
-        oval = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp, None)
-        return _phi_trapezoid(oval, sigma * (2 if mode == "y_dx" else 1), True, prec,
-                              f"loop quadrature at t = {mp.nstr(t, 8)}")
+        w0 = eval_poly(f, x0, wp) + t
+        if w0 == 0:
+            raise ZeroDivisionError("f + t vanishes at the loop's start node")
+        what = f"loop quadrature at t = {mp.nstr(t, 8)}"
+        if mode in ("y_dx", "dx_over_2y") and len(inside) == 2 and not near:
+            return _segment_loop(f, k, inside, outside, x0, mp.sqrt(w0), mode, prec, what)
+        return _ellipse_loop(f, k, t, center, a, b, mode, z, inside, outside, w0, prec,
+                             what)
 
 
-def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, prec: int):
-    """`loop_integral` on the ellipse, for mpc t, center and mpf a, b."""
-    with mp.workprec(prec + 32):
-        # i*b is (0, b) exactly
-        contour = (f, k, t._mpc_, center._mpc_, a._mpf_, (fzero, b._mpf_), mode,
-                   mp.mpc(z)._mpc_ if z is not None else None)
-        nodes = []
+def _segment_loop(f: RatPoly, k: RatPoly, inside, outside, x0, s0, mode, prec: int,
+                  what: str):
+    """The loop around exactly the roots x1, x2 of f + t, collapsed onto
+    [x1, x2], for `loop_integral`'s roots and s0 = sqrt(f(x0) + t).  With
+    f + t = (x - x1)(x2 - x) g(x), x = m - h cos(phi) and W = i (x - m)
+    sqrt(1 - h^2/(x - m)^2), cut on the segment, the lift is y = sigma W
+    sqrt g, and W = h sin(phi) on the collapsed contour: the loop is sigma 2
+    int_0^pi k (h sin phi)^2 sqrt g dphi ("y_dx") or sigma int_0^pi k/sqrt g
+    dphi ("dx_over_2y"), sigma = +-1 making y = s0 at x0, as on the
+    ellipse.  Runs inside mp.workprec(prec + 52)."""
+    wp, rnd = prec + 52, round_nearest
+    (x1, x2), c = inside, mp.sqrt(-to_mpf(f.coeffs[-1], wp))
+    m, h = (x1 + x2) / 2, (x2 - x1) / 2
+    # g = -lc prod (x - r) over the other roots r, none inside the
+    # convex ellipse, which holds the segment (`_segment_root_g`)
+    for r in outside:
+        c *= mp.sqrt(m - r)
+    g = (mp.mpc(c)._mpc_, tuple((mp.mpc(r)._mpc_, mp.mpc(1 / (m - r))._mpc_)
+                                for r in outside))
+    u = x0 - m
+    root_g0 = mp.make_mpc(_segment_root_g(g, x0._mpc_, wp))
+    lift = 1j * u * mp.sqrt(1 - (h / u) ** 2) * root_g0
+    sigma = 1 if abs(lift - s0) <= abs(lift + s0) else -1
+    integrand = ((lambda x, y, hs, root_g, wp: mpc_mul(
+        mpc_mul(eval_poly_raw(k, x, wp), y, wp, rnd), hs, wp, rnd)) if mode == "y_dx"
+        else (lambda x, y, hs, root_g, wp: mpc_div(
+            eval_poly_raw(k, x, wp), root_g, wp, rnd)))
+    oval = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp, None)
+    return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
+                          sigma * (2 if mode == "y_dx" else 1), True, prec, what)
 
-        def level(n, js):
-            fresh = [_loop_node(contour, j, n) for j in js]
-            nodes[:] = ([node for pair in zip(nodes, fresh) for node in pair]
-                        if nodes else fresh)
-            return _loop_sum(nodes, 2 * mp.pi / n)
 
-        return _nested_trapezoid(level, range(128), 128, mp.mpf(2) ** (-(prec // 2)),
-                                 f"loop quadrature at t = {mp.nstr(t, 8)}")
+def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, inside, outside,
+                  w0, prec: int, what: str):
+    """`loop_integral` on the ellipse, for mpc t, center and w0 = f(x0) + t,
+    mpf a and b, a raw mpc z (or None), and the roots inside and outside: with
+    theta = 2 phi it is 2 int_0^pi of the integrand dx/dtheta at the angle
+    theta (`_ellipse_node`).  Runs inside mp.workprec(prec + 52)."""
+    wp = prec + 52
+    # the lift in units of a (`_lift`), and its factor C up to a positive
+    # one: the direction of y at x0 over the lift there
+    lift = (len(inside) // 2, float(b / a), [complex((r - center) / a) for r in inside],
+            [complex(a / (center - r)) for r in outside])
+    s0 = mp.sqrt(w0)
+    lift_c = complex(s0 / abs(s0)) / _lift(lift, 1, 0)
+    contour = (f, k, t._mpc_, center._mpc_, a._mpf_, b._mpf_, mode, z, lift, lift_c,
+               w0._mpc_, wp)
+    return _phi_trapezoid(lambda j, n: _ellipse_node(contour, j, n), wp, 2, True, prec,
+                          what, closed=True)
 
 
-def _loop_node(contour, j, n):
-    """What the trapezoid needs at the angle 2 pi j/n, as raw libmp values:
-    s = sqrt(f(x) + t), the summand g(x, y) dx/dtheta at y = s, and |s|.
+def _lift(lift, cos: float, sin: float) -> complex:
+    """The lift y/C of `loop_integral` over a^j, in doubles, at x = c + a v
+    with v = cos + i (b/a) sin: v^j times the principal roots of 1 - d/v
+    over the roots inside and of 1 + v e over the roots outside, for
+    `lift` = (j, b/a, the d = (r - c)/a, the e = a/(c - r)).  It only has
+    to tell y from -y, so doubles are enough."""
+    j, ratio, offsets, inverses = lift
+    v = complex(cos, ratio * sin)
+    val = v ** j
+    for d in offsets:
+        val *= cmath.sqrt(1 - d / v)
+    for e in inverses:
+        val *= cmath.sqrt(1 + v * e)
+    return val
 
-    Every summand is odd in y, and rounding to nearest is symmetric, so the
-    summand at y = -s is exactly the negated one; None stands for a summand
-    that divides by zero.  The operations are those of the mpc-object
-    expressions center + a cos + (i b) sin and -a sin + (i b) cos."""
-    f, k, t, center, a, ib, mode, z = contour
-    prec, rnd = mp.prec, round_nearest
-    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 2 - n.bit_length()), prec, rnd)
-    x = mpc_add(mpc_add_mpf(center, mpf_mul(a, cos, prec, rnd), prec, rnd),
-                mpc_mul_mpf(ib, sin, prec, rnd), prec, rnd)
-    tangent = mpc_add_mpf(mpc_mul_mpf(ib, cos, prec, rnd),
-                          mpf_mul(mpf_neg(a), sin, prec, rnd), prec, rnd)
-    w2 = mpc_add(eval_poly_raw(f, x, prec), t, prec, rnd)
-    s = mpc_sqrt(w2, prec, rnd)
-    kx = eval_poly_raw(k, x, prec)
+
+def _ellipse_node(contour, j, n):
+    """The loop's summand g(x, y) dx/dtheta at theta = 2 pi j/n, n a power of
+    two, as a raw mpc at wp: x = center + a cos(theta) + i b sin(theta), y =
+    +-sqrt(f(x) + t), the principal root at wp with the sign that makes
+    Re(y conj(C `_lift`)) >= 0 at 53 bits.  The node x0 (j = 0) reuses
+    w0 = f(x0) + t.  A summand that divides by zero is an error."""
+    f, k, t, center, a, b, mode, z, lift, lift_c, w0, wp = contour
+    rnd = round_nearest
+    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 2 - n.bit_length()), wp, rnd)
+    x = mpc_add(center, (mpf_mul(a, cos, wp, rnd), mpf_mul(b, sin, wp, rnd)), wp, rnd)
+    tangent = (mpf_neg(mpf_mul(a, sin, wp, rnd)), mpf_mul(b, cos, wp, rnd))
+    w2 = w0 if j == 0 else mpc_add(eval_poly_raw(f, x, wp), t, wp, rnd)
+    y = mpc_sqrt(w2, wp, rnd)
+    guide = lift_c * _lift(lift, to_float(cos), to_float(sin))
+    if mpf_lt(mpf_add(mpf_mul(y[0], from_float(guide.real), 53),
+                      mpf_mul(y[1], from_float(guide.imag), 53), 53), fzero):
+        y = mpc_neg(y)
+    kx = eval_poly_raw(k, x, wp)
     try:
         if mode == "y_dx":
-            g = mpc_mul(kx, s, prec, rnd)
+            g = mpc_mul(kx, y, wp, rnd)
         elif mode == "dx_over_2y":
-            g = mpc_div(kx, mpc_mul_int(s, 2, prec, rnd), prec, rnd)
+            g = mpc_div(kx, mpc_mul_int(y, 2, wp, rnd), wp, rnd)
         elif mode == "dx_over_y3":
-            g = mpc_div(kx, mpc_mul(s, w2, prec, rnd), prec, rnd)
+            g = mpc_div(kx, mpc_mul(y, w2, wp, rnd), wp, rnd)
         else:   # cauchy
-            g = mpc_div(mpc_mul(kx, s, prec, rnd), mpc_sub(w2, z, prec, rnd), prec, rnd)
-        term = mpc_mul(g, tangent, prec, rnd)
+            g = mpc_div(mpc_mul(kx, y, wp, rnd), mpc_sub(w2, z, wp, rnd), wp, rnd)
     except ZeroDivisionError:
-        term = None
-    return term, s, mpc_abs(s, prec, rnd)
-
-
-def _loop_sum(nodes, h):
-    """One trapezoid level: continue y from node 0's root s_0 through the
-    nodes in index order, picking the sign of s nearer the previous y, and
-    sum the summands.  None when a step is ambiguous (y moved by more than
-    half its size); a lift that does not close up is an error."""
-    prec, rnd = mp.prec, round_nearest
-    y, abs_y = nodes[0][1], nodes[0][2]
-    total = (fzero, fzero)
-    for term, s, abs_s in nodes:
-        neg = mpc_neg(s, prec, rnd)
-        d_pos = mpc_abs(mpc_sub(s, y, prec, rnd), prec, rnd)
-        d_neg = mpc_abs(mpc_sub(neg, y, prec, rnd), prec, rnd)
-        flip = not mpf_le(d_pos, d_neg)
-        y, step = (neg, d_neg) if flip else (s, d_pos)
-        if mpf_gt(step, mpf_shift(abs_s if mpf_lt(abs_y, abs_s) else abs_y, -1)):
-            return None
-        abs_y = abs_s
-        if term is None:
-            raise ZeroDivisionError("the loop integrand has a pole on the contour")
-        total = mpc_add(total, mpc_neg(term) if flip else term, prec, rnd)
-    # closure: continuing once more to theta = 2 pi must return to the start
-    start, y = mp.make_mpc(nodes[0][1]), mp.make_mpc(y)
-    cand = start if abs(start - y) <= abs(-start - y) else -start
-    if abs(cand - start) > mp.mpf("1e-8") * max(1, abs(start)):
-        raise ComputationError(
-            "lifted contour does not close: odd number of branch points inside")
-    return mp.make_mpc(mpc_mul_mpf(total, h._mpf_, prec, rnd))
+        raise ZeroDivisionError("the loop integrand has a pole on the contour")
+    return mpc_mul(g, tangent, wp, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +735,19 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
     prec = config.precision_bits
     df = f.derivative()
     rows = []
+    if combo.n_local > f.degree:
+        raise InputError(f"n_local must be at most the degree of f, {f.degree}, "
+                         f"not {combo.n_local}")
     with mp.workprec(prec + 32):
+        z_samples = [mp.mpc(z) for z in z_samples]
+        if any(z == 0 for z in z_samples):
+            raise InputError("each z sample must be nonzero: z = 0 is the critical level")
         critical_point = mp.mpc(critical_point)
         crit_level = eval_poly(f, critical_point, mp.prec)
         if abs(crit_level) > mp.mpf(2) ** (-(prec // 2)):
             raise InputError("critical level must be normalized to zero")
         worst = mp.mpf(0)
         for z in z_samples:
-            z = mp.mpc(z)
             order = local_cyclic_order(f, critical_point, combo.n_local, z, config)
             fiber = roots_of_shifted(f, z, mp.prec)
             local = vanishing_combo_to_cycle(

@@ -286,7 +286,9 @@ class RealRoots:
         # fixed point at scale 2^-w: at least 12 bits below the root's ulp
         w = max(e, prec + 13 + e - min(abs(a), abs(b)).bit_length())
         lo, hi = a << (w - e), b << (w - e)
-        x = self._float_newton(a / (1 << e), b / (1 << e)) if newton else None
+        # a float seed only where both ends fit in a double
+        fits = max(abs(a), abs(b)).bit_length() - e < 1024
+        x = self._float_newton(a / (1 << e), b / (1 << e)) if newton and fits else None
         if x is not None:
             m, ex = math.frexp(x)
             shift = w + ex - 53

@@ -307,6 +307,13 @@ MAIN4_INPUT = {"f": HYPER_F, "k": ["0", "1"],
      "t_max must be a finite decimal number, not '1/0'"),
     ("hyper-check", {"f": T6_JSON, "k": ["1"], "cycle": ["1", "-1"]},
      "cycle length does not match the polynomial degree"),
+    ("main4-check", {**MAIN4_INPUT, "combo": {"n_local": 0, "coefficients": []}},
+     "n_local must be at least 1, not 0"),
+    ("main4-check", {**MAIN4_INPUT, "f": ["0", "0", "0", "1"], "critical_point": ["0", "0"],
+                     "combo": {"n_local": 5, "coefficients": [{"i": 1, "j": 2, "c": "1"}]}},
+     "n_local must be at most the degree of f, 3, not 5"),
+    ("main4-check", {**MAIN4_INPUT, "z_samples": ["-0.015625", "0"]},
+     "each z sample must be nonzero: z = 0 is the critical level"),
 ])
 def test_hyper_commands_input_contract(command, payload, message, tmp_path, capsys):
     """A malformed field is an input error (exit 2, one line), not a traceback."""
@@ -314,6 +321,25 @@ def test_hyper_commands_input_contract(command, payload, message, tmp_path, caps
     path.write_text(json.dumps(payload))
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command, payload", [
+    # x^2 + 10^400 x: its critical value is -2.5e799
+    ("monodromy", ["0", "1e400", "1"]),
+    # f + t has its roots near -+1e50000
+    ("hyper-integrate", {"family": {"f": ["0", "1/2", "-1"], "pair_index": 0,
+                                    "t_min": "1/4", "t_max": "1"},
+                         "k": ["1"], "t": "1e100000"}),
+], ids=["monodromy", "hyper-integrate"])
+def test_roots_past_the_double_range(command, payload, tmp_path, capsys):
+    """Real roots whose isolating ends do not fit in a double end in an
+    answer or a one-line failure, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (
+        code == 1 and err.startswith("computation failed: ") and err.count("\n") == 1)
 
 
 HYPER_FAMILY = '"f": ["0", "1/2", "-1"], "t_min": "1/4", "t_max": "1"'

@@ -1,13 +1,14 @@
 """Bit identity of the hyperelliptic quadrature.
 
 Every value below was written by the nested trapezoid quadrature to
-`golden/hyper_values.json`: oval integrands deflated in the angle phi, a
-"y_dx" or "dx_over_2y" loop around exactly two branch points collapsed onto
-their segment and deflated the same way, and every other loop on the
-ellipse's own levels from 128 nodes.  The values are at 128 and 192 bits
-(the I' case on the quadratic also at 160 bits, the 0.775 circle at 64 bits
-only), and each was checked against a reference at prec + 128 bits when it
-was written.  A value is stored as its raw libmp tuple(s), [sign, hex
+`golden/hyper_values.json`, to 2^-(prec + 8): oval integrands deflated in
+the angle phi, a "y_dx" or "dx_over_2y" loop around exactly two branch
+points collapsed onto their segment and deflated the same way, and every
+other loop on the ellipse, in theta = 2 phi from 8 nodes, with y's sign
+read off the closed-form lift at each node.  The values are at 128 and 192
+bits (the I' case on the quadratic also at 160 bits, the 0.775 circle at 64
+bits only), and each was checked against a reference at prec + 128 bits
+when it was written.  A value is stored as its raw libmp tuple(s), [sign, hex
 mantissa, exponent, bitcount], so the comparison covers every bit and
 whether the result is real or complex.
 
@@ -119,17 +120,15 @@ CASES = {
     # in these modes they collapse onto the segment [-0.765, 0.765]
     "loop/circle-0.85/y_dx": (_loop("y_dx", "0.85", k=ONE), PRECS),
     "loop/circle-0.775/y_dx": (_loop("y_dx", "0.775", k=ONE), (64,)),
-    # k/y^3 keeps them on the ellipse: 0.85 converges at 1024 nodes (128
-    # bits) and 2048 (192 bits); 0.775 passes 0.01 from 0.765, so the
-    # continuation is ambiguous at 128 and 256 nodes, and at 64 bits it
-    # converges at 8192
+    # k/y^3 keeps them on the ellipse: 0.85 converges at 2048 nodes (128
+    # bits) and 4096 (192 bits); 0.775 passes 0.01 from 0.765, and at 64
+    # bits it converges at 16384
     "loop/circle-0.85/dx_over_y3": (_loop("dx_over_y3", "0.85", k=ONE), PRECS),
     "loop/circle-0.775/dx_over_y3": (_loop("dx_over_y3", "0.775", k=ONE), (64,)),
-    # passes 0.003 from 0.765, inside the contour's margin, so it stays on
-    # the ellipse, where |sqrt(f + t)| falls by about half from one node to
-    # the next: at 1024 nodes the ambiguity test passes only because it
-    # compares the step with max(|y|, |s|), not with |s| or |y| alone;
-    # ambiguous at 256 and 512, it converges at 2048
+    # passes 0.003 from +-0.765, which lie outside it but within the
+    # contour's margin, so it stays on the ellipse; with no branch point
+    # inside and y even on the circle, the levels of 8 and 16 nodes both
+    # sum to about 0
     "loop/circle-0.762/y_dx": (_loop("y_dx", "0.762", k=ONE), PRECS),
     "check_exth/central/x^3": (_exth(CENTRAL, X ** 3), PRECS),
     "main4/quartic/x": (_main4(QUARTIC_F, X, ["-0.015625", "-0.03125"], SQRT2), PRECS),

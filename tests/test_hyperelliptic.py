@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
                                    oval_form_integral, reduce_form,
                                    vanishing_criterion)
 from abelint.monodromy import divisor_lattice, monodromy
-from abelint.ratpoly import RatPoly, trace_poly
+from abelint.numerics import eval_poly
+from abelint.ratpoly import RatPoly, poly_gcd, trace_poly
 
 from conftest import QUARTIC_F
 
@@ -250,19 +252,23 @@ def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations)
 
 
 def test_nested_trapezoid_levels_and_node_limit():
-    # each level after the first gets only its odd nodes; a value that
+    # each level after the first adds only its odd nodes, each evaluated
+    # once; on a closed contour phi = 0 and pi are one node; a value that
     # never settles ends in an error after the level of 2^16 intervals
-    from abelint.hyperelliptic import _nested_trapezoid
-    seen = []
+    from mpmath.libmp import from_int
+    from abelint.hyperelliptic import _phi_trapezoid
+    for closed, ends in ((False, [(0, 1), (1, 1)]), (True, [(0, 1)])):
+        seen = []
 
-    def level(n, js):
-        seen.append((n, list(js)))
-        return mp.mpf(len(seen) % 2)
-    with pytest.raises(ComputationError, match=r"^loop at t = 1 needs more than 2\^16 nodes$"):
-        _nested_trapezoid(level, range(3), 8, mp.mpf(2) ** -10, "loop at t = 1")
-    assert [n for n, _ in seen] == [8 << i for i in range(14)]
-    assert seen[0][1] == [0, 1, 2] and seen[1][1] == list(range(1, 16, 2))
-    assert seen[-1][1] == list(range(1, 1 << 16, 2))
+        def node(j, n):
+            seen.append((j, n))
+            return from_int(n)      # the level values grow without end
+        with mp.workprec(64), pytest.raises(
+                ComputationError, match=r"^loop at t = 1 needs more than 2\^16 nodes$"):
+            _phi_trapezoid(node, 64, 1, False, 16, "loop at t = 1", closed=closed)
+        levels = [(j, 8) for j in range(1, 8)] + [
+            (j, 16 << i) for i in range(13) for j in range(1, 16 << i, 2)]
+        assert seen == ends + levels
 
 
 def test_oval_endpoints_that_do_not_divide_f_plus_t(monkeypatch):
@@ -453,25 +459,29 @@ def _f_evaluations(monkeypatch, radius, prec, mode):
 
 
 @pytest.mark.parametrize("radius, prec, evaluations", [
-    ("4", 128, 256),        # levels 128 and 256 agree
-    ("0.762", 128, 2048),   # 128, 256 and 512 are ambiguous; 1024 and 2048 agree
-])
+    # four branch points inside, far from the circle: y is analytic outside
+    # them, so the levels of 8 and 16 nodes already agree
+    ("4", 128, 16),
+    # no branch point inside (0.765 lies 0.003 outside, within the contour's
+    # margin, so the loop stays on the ellipse), and y is even on the
+    # circle: the levels of 8 and 16 nodes both sum to about 0
+    ("0.762", 128, 16),
+], ids=["four-inside", "none-inside"])
 def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
     # the trapezoid levels are nested, so f is evaluated once per node of
-    # the last level (evaluating every level afresh costs nearly twice that);
-    # at 0.762 the branch point 0.765 lies inside the contour's margin, so
-    # this loop stays on the ellipse
+    # the last level: the start node x0, where the lift is fixed before any
+    # quadrature, is node 0 (evaluating every level afresh costs 8 more)
     assert _f_evaluations(monkeypatch, radius, prec, "y_dx") == evaluations
 
 
 @pytest.mark.parametrize("radius, prec, evaluations", [
-    ("0.85", 128, 1024),    # 512 and 1024 agree
-    ("0.775", 64, 8192),    # 128 and 256 are ambiguous; 4096 and 8192 agree
-])
+    ("0.85", 128, 2048),    # 1024 and 2048 agree
+    ("0.775", 64, 16384),   # 0.01 from the branch points: 8192 and 16384 agree
+], ids=["circle-0.85", "circle-0.775"])
 def test_dx_over_y3_loop_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
     # k/y^3 is not integrable on the segment, so these circles around the
-    # two branch points +-0.765 stay on the ellipse, where the nested
-    # levels and the ambiguous steps of y's continuation are tested
+    # two branch points +-0.765 stay on the ellipse, where each level halves
+    # the node spacing until two levels agree to 2^-(prec + 8)
     assert _f_evaluations(monkeypatch, radius, prec, "dx_over_y3") == evaluations
 
 
@@ -503,23 +513,6 @@ def test_loop_pole_at_the_start_node(config):
     # node 0 is x = 1, a root of x^2 - 1, so k/(2y) divides by zero there
     with pytest.raises(ZeroDivisionError):
         loop_integral(X ** 2 - 1, X, 0, 0, 1, mode="dx_over_2y", config=config)
-
-
-def test_loop_pole_past_an_ambiguous_step_refines():
-    # a summand that divides by zero is an error only where the pass
-    # reaches it: here the step to the pole's s = 0 is ambiguous first
-    from mpmath.libmp import fone, fzero
-    from abelint.hyperelliptic import _loop_node, _loop_sum
-    one, zero = (fone, fzero), (fzero, fzero)
-    with mp.workprec(64):
-        h = mp.mpf(1)
-        # (f, k, t, center, a, i b, mode, z): node 0 of the unit circle is x = 1
-        contour = (X ** 2 - 1, X, zero, zero, fone, (fzero, fone), "dx_over_2y", None)
-        pole = _loop_node(contour, 0, 128)
-        assert pole == (None, zero, fzero)
-        assert _loop_sum([(one, one, fone), pole], h) is None
-        with pytest.raises(ZeroDivisionError):
-            _loop_sum([pole, (one, one, fone)], h)
 
 
 # f low coefficient first, Re t, Im t, the pair (index i and i + d of the
@@ -566,9 +559,106 @@ def test_segment_loop_matches_the_ellipse(case):
             if r is not r1 and r is not r2:
                 assume((mp.re(r - center) / a) ** 2 + (mp.im(r - center) / b) ** 2 > 1.5)
         a, b = mp.mpf(a), mp.mpf(b)
-        segment = hyp._segment_loop(f, k, t, center, a, b, mode, prec)
-        ellipse = hyp._ellipse_loop(f, k, t, center, a, b, mode, None, prec)
+        inside = [r1, r2]
+        outside = [r for r in roots if r is not r1 and r is not r2]
+        with mp.workprec(prec + 52):
+            x0 = center + a
+            w0 = eval_poly(f, x0, prec + 52) + t
+            segment = hyp._segment_loop(f, k, inside, outside, x0, mp.sqrt(w0), mode, prec,
+                                        "loop")
+            ellipse = hyp._ellipse_loop(f, k, t, center, a, b, mode, None, inside,
+                                        outside, w0, prec, "loop")
         assert abs(segment - ellipse) <= mp.mpf(2) ** -(prec // 2) * (1 + abs(segment))
+
+
+def _series_times(p, q):
+    """The product of two power series truncated to the length of p."""
+    return [sum(p[i] * q[n - i] for i in range(n + 1)) for n in range(len(p))]
+
+
+def _series_power(u, alpha):
+    """(1 + u)^alpha as a power series truncated to the length of u, for
+    u[0] = 0: the binomial series."""
+    out, power = [Fraction(0)] * len(u), [Fraction(1)] + [Fraction(0)] * (len(u) - 1)
+    binom = 1
+    for n in range(len(u)):
+        out = [o + binom * c for o, c in zip(out, power)]
+        power, binom = _series_times(power, u), binom * Fraction(alpha - n) / (n + 1)
+    return out
+
+
+def _residue_at_infinity(coeffs, lam, k, mode, z):
+    """The x^-1 coefficient of the loop integrand's Laurent series at x =
+    infinity, for f + t = lam^2 x^2m (1 + u) with coefficients `coeffs`, low
+    first, and y = lam x^m (1 + u)^(1/2): the integrand is x^e k(x) S(w),
+    S a power series in w = 1/x."""
+    m = (len(coeffs) - 1) // 2
+    order = len(k) + m
+
+    def deviation(shift):       # (f + t - shift)/(lam^2 x^2m) - 1 in w
+        lower = [coeffs[0] - shift] + coeffs[1:-1]
+        return [Fraction(0)] + [lower[2 * m - d] / lam ** 2 if d <= 2 * m else Fraction(0)
+                                for d in range(1, order + 1)]
+    u = deviation(0)
+    e, series = {
+        "y_dx": (m, [lam * c for c in _series_power(u, Fraction(1, 2))]),
+        "dx_over_2y": (-m, [c / (2 * lam) for c in _series_power(u, Fraction(-1, 2))]),
+        "dx_over_y3": (-3 * m, [c / lam ** 3 for c in _series_power(u, Fraction(-3, 2))]),
+        # k y/(y^2 - z) = k y/(lam^2 x^2m (1 + v)), v the deviation of f + t - z
+        "cauchy": (-m, [c / lam for c in _series_times(_series_power(u, Fraction(1, 2)),
+                                                        _series_power(deviation(z), -1))]),
+    }[mode]
+    # k_i x^(i + e) is k_i w^-(i + e); the x^-1 coefficient pairs it with S's w^(1 + i + e)
+    return sum(c * series[1 + i + e] for i, c in enumerate(k) if 0 <= 1 + i + e <= order)
+
+
+DYADICS = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+EXACT_LOOPS = st.tuples(
+    st.sampled_from([1, 2]), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+    st.lists(DYADICS, min_size=4, max_size=4), DYADICS,
+    st.lists(DYADICS, min_size=1, max_size=3), DYADICS,
+    st.sampled_from(["y_dx", "dx_over_2y", "dx_over_y3", "cauchy"]),
+    st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(2)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(EXACT_LOOPS)
+def test_loops_match_the_exact_residue_at_infinity(case):
+    # f of degree 2m with square leading coefficient lam^2; an ellipse
+    # around every root of f + t (and of f + t - z, the Cauchy poles) gives
+    # 2 pi i times the x^-1 coefficient at infinity, and one around none of
+    # them gives 0.  On the contour |u| < 1/2, and at x0 = radius > 0 the
+    # principal root is lam x0^m (1 + u)^(1/2), so the series' branch is the
+    # lift.  Degree 2 takes the segment path in "y_dx" and "dx_over_2y".
+    m, lam, lower, t, k, z, mode, stretch = case
+    coeffs = lower[:2 * m] + [lam ** 2]
+    f, big_f = RatPoly(coeffs), RatPoly(coeffs) + t
+    assume(poly_gcd(big_f, big_f.derivative()).degree == 0)
+    bound = max(abs(c) / lam ** 2 for c in (coeffs[1:-1] + [coeffs[0] + t, coeffs[0] + t - z]))
+    radius, prec = math.ceil(2 * (1 + bound)), 64
+    config = Config(precision_bits=prec)
+    exact = _residue_at_infinity([coeffs[0] + t] + coeffs[1:], lam, k, mode, z)
+    with mp.workprec(prec + 32):
+        mp_t, mp_z = (mp.mpf(v.numerator) / v.denominator for v in (t, z))
+        kk = RatPoly(k)
+
+        def size(center, a, b):
+            # 2 pi max(a, b) times the largest |integrand| on 32 contour points
+            top = 0
+            for j in range(32):
+                x = center + a * mp.cos(mp.pi * j / 16) + 1j * b * mp.sin(mp.pi * j / 16)
+                w = abs(eval_poly(f, x, mp.prec) + mp_t)
+                top = max(top, abs(eval_poly(kk, x, mp.prec)) * {
+                    "y_dx": w ** 0.5, "dx_over_2y": w ** -0.5 / 2, "dx_over_y3": w ** -1.5,
+                    "cauchy": w ** 0.5 / abs(eval_poly(f, x, mp.prec) + mp_t - mp_z)}[mode])
+            return 2 * mp.pi * max(a, b) * top
+
+        around_all = 2j * mp.pi * mp.mpf(exact.numerator) / exact.denominator
+        for center, a, want in ((0, radius, around_all), (3 * radius, mp.mpf(radius) / 2, 0)):
+            b = a * mp.mpf(stretch.numerator) / stretch.denominator
+            val = loop_integral(f, kk, mp_t, center, a, mode=mode, z=mp_z, semi_minor=b,
+                                config=config)
+            assert abs(val - want) <= mp.mpf(2) ** -(prec + 8) * (1 + size(center, a, b))
 
 
 # ---------------------------------------------------------------------------

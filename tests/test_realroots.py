@@ -63,6 +63,18 @@ def test_degenerate_polynomials():
     assert roots(3 * X - 1, 128) == [rounded(Fraction(1, 3), 128)]
 
 
+@pytest.mark.parametrize("prec", [64, 160])
+def test_roots_past_the_double_range(prec):
+    # isolating ends past about 1.8e308 get no float seed: the roots are
+    # found on integers alone, still correctly rounded
+    assert roots(X - 10 ** 400, prec) == [rounded(Fraction(10 ** 400), prec)]
+    assert roots(X ** 2 - 10 ** 400, prec) == [rounded(Fraction(-10 ** 200), prec),
+                                              rounded(Fraction(10 ** 200), prec)]
+    r = roots(X ** 2 - 3 * 10 ** 800, prec)[1]
+    lo, hi = rounding_interval(r, prec)
+    assert lo ** 2 < 3 * 10 ** 800 < hi ** 2
+
+
 @pytest.mark.parametrize("prec", [64, 96, 160])
 def test_ties_round_to_even(prec):
     # each root sits halfway between two prec-bit floats
