@@ -5,9 +5,9 @@ large circle for the loop around infinity, all tracked with an adaptive
 predictor-corrector (predictor: previous fiber, corrector: Newton per root).
 The step control runs on one of two tiers: mpmath at a configurable working
 precision throughout (`track_fiber`, the reference), or machine complex
-arithmetic that hands near-collision segments to mpmath and refines the end
-fiber at the working precision (`continue_fiber`, which every loop, walk and
-oracle sample runs on).  The fiber is then renumbered so the infinity
+arithmetic that hands near-collision segments to mpmath (`_walk`, which
+every loop, walk and oracle sample runs on).  A loop's permutation is read
+at the foot of its circle.  The fiber is then renumbered so the infinity
 permutation is the standard cycle (1 2 ... n), which every downstream
 module relies on.
 """
@@ -366,6 +366,29 @@ def track_fiber(p: RatPoly, path: list, start_fiber: list,
         return fiber
 
 
+def _walk(points: list, fiber: list, config: Config, tier_mp: _Tier,
+          tier_machine: _Tier | None, on_machine: bool = False) -> tuple:
+    """Continue `fiber` along the polyline `points`, each segment on the
+    machine tier when there is one and it does not escalate, else on the mp
+    tier.  `on_machine` says the fiber holds machine floats; an escalation
+    refines such a fiber at the working precision first.  Returns the end
+    fiber and whether its last segment ran on the machine tier."""
+    for a, b in zip(points, points[1:]):
+        if tier_machine is not None:
+            try:
+                fiber = _track_segment(complex(a), complex(b),
+                                       [complex(x) for x in fiber],
+                                       config, tier_machine)
+                on_machine = True
+                continue
+            except (_Escalate, OverflowError):
+                if on_machine:
+                    fiber = _refine(tier_mp, a, fiber, None, "escalated fiber")
+        fiber = _track_segment(a, b, fiber, config, tier_mp)
+        on_machine = False
+    return fiber, on_machine
+
+
 def continue_fiber(p: RatPoly, path: list, start_fiber: list,
                    config: Config = DEFAULT_CONFIG) -> list:
     """`track_fiber`'s continuation, tracked in machine complex arithmetic.
@@ -387,21 +410,8 @@ def continue_fiber(p: RatPoly, path: list, start_fiber: list,
         tier_mp = _mp_tier(p, dp, config)
         points = [to_mpc(z, mp.prec) for z in path]
         fiber = _refine(tier_mp, points[0], start_fiber, None, "start fiber")
-        tier_machine = _machine_tier(p, dp, points)
-        on_machine = False
-        for a, b in zip(points, points[1:]):
-            if tier_machine is not None:
-                try:
-                    fiber = _track_segment(complex(a), complex(b),
-                                           [complex(x) for x in fiber],
-                                           config, tier_machine)
-                    on_machine = True
-                    continue
-                except (_Escalate, OverflowError):
-                    if on_machine:
-                        fiber = _refine(tier_mp, a, fiber, None, "escalated fiber")
-            fiber = _track_segment(a, b, fiber, config, tier_mp)
-            on_machine = False
+        fiber, on_machine = _walk(points, fiber, config, tier_mp,
+                                  _machine_tier(p, dp, points))
         if on_machine:
             gap = _pair_gap(fiber)
             limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
@@ -485,12 +495,24 @@ def _sweep_rotation(cvs, c0):
     return best_phi, best_gap
 
 
-def _petal_paths(c0, cvs, standoffs):
-    """Non-crossing petal loops via a sweep: descend from the base point to
-    a highway below the critical disk, run to the target's sweep abscissa,
-    ascend to the standoff circle and wind once counterclockwise.
+def _circle(center, radius, angle) -> list:
+    """The 16-gon on the circle |z - center| = radius, counterclockwise from
+    its foot center + radius*e^(i*angle) back to exactly that point."""
+    ring = [center + radius * mp.exp(mp.mpc(0, 1) * (angle + 2 * mp.pi * k / 16))
+            for k in range(16)]
+    return ring + ring[:1]
 
-    The corridors (one vertical ascent per critical value, at pairwise
+
+def _petal_paths(c0, cvs, standoffs):
+    """Non-crossing petal loops via a sweep, each an (approach, circle) pair:
+    the approach descends from the base point to a highway below the
+    critical disk, runs to the target's sweep abscissa and climbs to the
+    foot w - i*r of the standoff circle, which winds once counterclockwise
+    from that foot back to it.  The loop closes along the approach
+    reversed, which is never built: its continuation only undoes the
+    approach's.
+
+    The corridors (one vertical climb per critical value, at pairwise
     distinct abscissas) cannot cross, so the loops form a geometric basis;
     their product in descending-abscissa order is the loop around infinity.
     """
@@ -501,24 +523,22 @@ def _petal_paths(c0, cvs, standoffs):
     w0 = mp.mpc(c0) * u
     ws = [c * u for c in cvs]
     highway = min(min(mp.im(w) for w in ws), mp.im(w0)) - radius / 2
-    paths = []
+    loops = []
     order_keys = []
     for i, w in enumerate(ws):
         r = min(standoffs[i], gap / 3)
+        circle = _circle(w, r, -mp.pi / 2)
         # a climb far longer than r is split geometrically (each point 2^10
         # times farther below w than the next), so no segment is long next
         # to its distance from the critical value
-        climb, d = [w - mp.mpc(0, 1) * r], r * 2 ** 10
+        climb, d = circle[:1], r * 2 ** 10
         while d <= (mp.im(w) - highway) / 2 ** 10:
             climb.insert(0, w - mp.mpc(0, 1) * d)
             d *= 2 ** 10
-        descent = [w0, mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway)] + climb
-        circle = [w + r * mp.exp(mp.mpc(0, 1) * (-mp.pi / 2 + 2 * mp.pi * k / 16))
-                  for k in range(1, 17)]
-        path_w = descent + circle + list(reversed(descent))[1:]
-        paths.append([pt * back for pt in path_w])
+        approach = [w0, mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway)] + climb
+        loops.append(tuple([pt * back for pt in part] for part in (approach, circle)))
         order_keys.append(mp.re(w))
-    return paths, order_keys
+    return loops, order_keys
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +570,40 @@ class MonodromyRep:
 
 
 def _loops(cvs):
-    """Base point, loop around infinity, and the petal loops with their
-    sweep keys, at the working precision."""
+    """Base point, the loop around infinity and the petal loops with their
+    sweep keys, at the working precision.  Each loop is an (approach,
+    circle) pair: the approach runs from the base point to the circle's
+    foot, where the circle starts and ends."""
     radius = 2 * (1 + max(abs(c) for c in cvs))
     c0 = mp.mpf(radius)
-    # loop around infinity: out to 2R, full counterclockwise circle, back
-    big = 2 * radius
-    circle = [big * mp.exp(mp.mpc(0, 2) * mp.pi * k / 64) for k in range(65)]
-    path_inf = [c0, mp.mpf(big)] + circle[1:] + [c0]
-    paths, order_keys = _petal_paths(c0, cvs, standoffs(cvs, radius))
-    return c0, path_inf, paths, order_keys
+    # loop around infinity: out to 2R, once around the circle of radius 2R
+    circle = _circle(0, 2 * radius, 0)
+    loops, order_keys = _petal_paths(c0, cvs, standoffs(cvs, radius))
+    return c0, ([c0, circle[0]], circle), loops, order_keys
 
 
-def _loop_permutation(p: RatPoly, path: list, fiber0: list, config: Config,
-                      loop: str) -> Permutation:
-    """Monodromy permutation of one loop; a failure names the loop."""
+def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
+                      config: Config, tier: _Tier, name: str) -> Permutation:
+    """Monodromy permutation of one (approach, circle) loop, read at the
+    circle's foot; a failure names the loop.
+
+    `start`, the refined base fiber, is continued along the approach to F
+    and on around the circle to G.  Continuation keeps indices, so retracing
+    the approach would carry F[j] back to start[j]: the loop's permutation
+    is match_permutation(F, G).  G needs no refinement for that match: a
+    machine-tier end is good to about 2^-53 / gap of the fiber's scale, the
+    gap stays near or above MACHINE_GAP_FLOOR of it, and an mp-tier end is
+    good to 2^-(precision_bits + 8); each is far inside the gap / 4 margin.
+    """
+    approach, circle = ([to_mpc(z, mp.prec) for z in part] for part in loop)
+    machine = _machine_tier(p, dp, approach + circle)
     try:
-        return match_permutation(fiber0, continue_fiber(p, path, fiber0, config))
+        foot, on_machine = _walk(approach, start, config, tier, machine)
+        end, _ = _walk(circle, foot, config, tier, machine, on_machine)
+        return match_permutation([mp.mpc(x) for x in foot],
+                                 [mp.mpc(x) for x in end])
     except TrackingError as exc:
-        raise TrackingError(f"{loop}: {exc}") from exc
+        raise TrackingError(f"{name}: {exc}") from exc
 
 
 def _relabel(perm: Permutation, label: list[int]) -> Permutation:
@@ -581,23 +616,29 @@ def _relabel(perm: Permutation, label: list[int]) -> Permutation:
 
 
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
-    """Full monodromy representation of p at the configured precision."""
+    """Full monodromy representation of p at the configured precision: the
+    base fiber is refined once, and each loop's permutation is read at its
+    circle's foot (`_loop_permutation`), with no segment tracked twice."""
     n = p.degree
     if p.is_zero() or n < 2:
         raise InputError("monodromy requires deg p >= 2")
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        c0, path_inf, paths, order_keys = _loops(cvs)
+        c0, loop_inf, petals, order_keys = _loops(cvs)
         fiber0 = roots_of_shifted(p, c0, mp.prec)
-        sigma_inf = _loop_permutation(p, path_inf, fiber0, config,
+        # the one refinement at the working precision: every loop starts here
+        dp = p.derivative()
+        tier = _mp_tier(p, dp, config)
+        start = _refine(tier, to_mpc(c0, mp.prec), fiber0, None, "start fiber")
+        sigma_inf = _loop_permutation(p, dp, loop_inf, start, config, tier,
                                       "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
             raise ComputationError("infinity permutation is not an n-cycle")
 
         raw_gens = [_loop_permutation(
-                        p, path, fiber0, config,
+                        p, dp, loop, start, config, tier,
                         f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
-                    for i, path in enumerate(paths)]
+                    for i, loop in enumerate(petals)]
         petal_order = tuple(sorted(range(len(cvs)),
                                    key=lambda i: (-order_keys[i], i)))
 

@@ -286,12 +286,15 @@ class RealRoots:
         # fixed point at scale 2^-w: at least 12 bits below the root's ulp
         w = max(e, prec + 13 + e - min(abs(a), abs(b)).bit_length())
         lo, hi = a << (w - e), b << (w - e)
-        # a float seed only where both ends fit in a double
-        fits = max(abs(a), abs(b)).bit_length() - e < 1024
-        x = self._float_newton(a / (1 << e), b / (1 << e)) if newton and fits else None
+        # a float seed for the root scaled by 2^-k, with k = 0 where both
+        # ends fit in a double
+        k = max(abs(a), abs(b)).bit_length() - e
+        k = 0 if k < 1024 else k
+        scale = 1 << (e + k)
+        x = self._float_newton(a / scale, b / scale, k) if newton else None
         if x is not None:
             m, ex = math.frexp(x)
-            shift = w + ex - 53
+            shift = w + ex + k - 53
             x = int(m * (1 << 53))
             x = x << shift if shift >= 0 else x >> -shift
         if x is None or not lo < x < hi:
@@ -307,13 +310,17 @@ class RealRoots:
                 lo = x
             else:
                 hi = x
-            step = f // g if newton and g else None
+            # a root far past 2^prec (its ends have e >= 0) gets a fixed
+            # point finer than 2^-16 of its ulp; those excess bits are left
+            # out of the step and of the stop test
+            excess = max(0, x.bit_length() - prec - 16)
+            step = (f // (g << excess)) << excess if newton and g else None
             if step is not None and (lo < x - step < hi or abs(step) <= 1):
                 x -= step
                 # converging quadratically, the error left is about
                 # step^3 / last^2: stop once that is a few units
                 bits = abs(step).bit_length()
-                if last is not None and 3 * bits - 2 * last <= 4:
+                if last is not None and 3 * bits - 2 * last <= 4 + excess:
                     break
                 last = bits
             else:
@@ -323,11 +330,12 @@ class RealRoots:
             return self._refine(root, prec, newton=False)
         return raw
 
-    def _float_newton(self, fa: float, fb: float):
-        """A root of s in (fa, fb) to about double precision, or None."""
-        s = self._s
+    def _float_newton(self, fa: float, fb: float, k: int):
+        """A root u in (fa, fb) of s(2^k u) to about double precision, or
+        None."""
         if not fa < fb:
             return None
+        s = [c << (j * k) for j, c in enumerate(self._s)]
         big = max(abs(c) for c in s)
         cs = [c / big for c in s]
         x = (fa + fb) / 2

@@ -277,11 +277,19 @@ def test_t6_local_generator_doubled_precision(config):
 TIER_CONFIG = Config(precision_bits=64, track_step=1.0)
 
 
+def _closed(loop):
+    """An (approach, circle) loop as one closed path: approach, circle,
+    approach reversed."""
+    approach, circle = loop
+    return approach + circle[1:] + approach[::-1][1:]
+
+
 def _loops_of(p, config):
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        c0, path_inf, paths, _ = _loops(cvs)
-        return [path_inf] + paths, roots_of_shifted(p, c0, mp.prec)
+        c0, loop_inf, petals, _ = _loops(cvs)
+        return ([_closed(loop) for loop in [loop_inf] + petals],
+                roots_of_shifted(p, c0, mp.prec))
 
 
 @pytest.mark.parametrize("degree, seed", [(3, 0), (5, 2), (8, 11)])
@@ -385,6 +393,67 @@ def test_tiny_coefficient_runs_on_the_mp_tier(config):
     sigma = match_permutation(start, continue_fiber(p, loop, start, config))
     assert sigma == match_permutation(start, track_fiber(p, loop, start, config))
     assert sigma.order() == 3
+
+
+# ---------------------------------------------------------------------------
+# loops read at the circle's foot
+# ---------------------------------------------------------------------------
+
+def _seeded(degree, seed):
+    rng = random.Random(seed)
+    return RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(degree)] + [Fraction(rng.choice([1, -1, 2]))])
+
+
+FOOT_CASES = ([(f"seeded degree {d}", _seeded(d, 100 + d)) for d in range(2, 9)]
+              + [(f"cubic e = 2^-{k}", _stress_cubic(Fraction(1, 2 ** k)))
+                 for k in (12, 21, 30)]
+              + [("T6", chebyshev(6)), ("x^8", X ** 8)])
+
+
+@pytest.mark.parametrize("name, p", FOOT_CASES, ids=[c[0] for c in FOOT_CASES])
+def test_foot_permutations_match_closed_loops(name, p, config):
+    # reference: the base fiber continued around each closed loop (approach,
+    # circle, approach reversed) and matched against itself
+    rep = monodromy(p, config)
+    cvs = critical_values(p, config)
+    with mp.workprec(config.precision_bits + 32):
+        c0, loop_inf, petals, _ = _loops(cvs)
+        fiber0 = roots_of_shifted(p, c0, mp.prec)
+    label = [rep.base_fiber.index(x) + 1 for x in fiber0]
+    for loop, expected in zip([loop_inf] + petals, (rep.infinity,) + rep.generators):
+        sigma = match_permutation(fiber0, continue_fiber(p, _closed(loop), fiber0,
+                                                         config))
+        images = [0] * rep.n
+        for old in range(1, rep.n + 1):
+            images[label[old - 1] - 1] = label[sigma(old) - 1]
+        assert Permutation(tuple(images)) == expected
+
+
+def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
+    # the package binds the name abelint.monodromy to the function
+    mono = importlib.import_module("abelint.monodromy")
+    p = chebyshev(6)
+    with mp.workprec(config.precision_bits + 32):
+        _, loop_inf, petals, _ = _loops(critical_values(p, config))
+    segments = sum(len(part) - 1 for loop in [loop_inf] + petals for part in loop)
+    refines, tiers = [], []
+    refine, segment = mono._refine, mono._track_segment
+
+    def refine_spy(tier, z, fiber, move_limit, what):
+        refines.append(what)
+        return refine(tier, z, fiber, move_limit, what)
+
+    def segment_spy(z0, z1, fiber, config, tier):
+        tiers.append(tier.num)
+        return segment(z0, z1, fiber, config, tier)
+
+    monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(mono, "_track_segment", segment_spy)
+    monodromy(p, config)
+    assert refines == ["start fiber"]
+    # every segment once, on the machine tier: no return leg, no re-tracking
+    assert tiers == [float] * segments
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,19 @@ def test_degenerate_polynomials():
 
 @pytest.mark.parametrize("prec", [64, 160])
 def test_roots_past_the_double_range(prec):
-    # isolating ends past about 1.8e308 get no float seed: the roots are
-    # found on integers alone, still correctly rounded
+    # isolating ends past about 1.8e308 get a float seed for the root scaled
+    # by a power of two, and Newton on integers steps only to 2^-16 of the
+    # root's ulp: the roots are still correctly rounded
     assert roots(X - 10 ** 400, prec) == [rounded(Fraction(10 ** 400), prec)]
     assert roots(X ** 2 - 10 ** 400, prec) == [rounded(Fraction(-10 ** 200), prec),
                                               rounded(Fraction(10 ** 200), prec)]
-    r = roots(X ** 2 - 3 * 10 ** 800, prec)[1]
-    lo, hi = rounding_interval(r, prec)
-    assert lo ** 2 < 3 * 10 ** 800 < hi ** 2
+    for c in (3 * 10 ** 800, 3 * 10 ** 100000):
+        r = roots(X ** 2 - c, prec)[1]
+        lo, hi = rounding_interval(r, prec)
+        assert lo ** 2 < c < hi ** 2
+    # a tie between 2^2000 (even) and 2^2000 (1 + 2^(1 - prec))
+    tie = 2 ** 2000 * (1 + Fraction(1, 2 ** prec))
+    assert exact(roots((X - tie) * (X ** 2 - 3), prec)[2]) == 2 ** 2000
 
 
 @pytest.mark.parametrize("prec", [64, 96, 160])
