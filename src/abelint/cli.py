@@ -9,6 +9,7 @@ numeric work starts, and all output is deterministic for a fixed Config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -349,9 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call; parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         _COMMANDS[args.command](args, cfg)

@@ -21,7 +21,7 @@ from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError
-from .monodromy import MonodromyRep, continue_fiber
+from .monodromy import MonodromyRep, walk_fiber
 from .numerics import eval_poly, to_mpf
 from .ratpoly import RatPoly, critical_value_poly
 from .realroots import RealRoots
@@ -175,14 +175,16 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
 
     This is the branch numbering of the base fiber, carried along the
     standard cut system; the interval walks read it once per gap
-    (`_rank_labels`).
+    (`_rank_labels`).  The walk starts from `rep.refined_fiber`, refined
+    once in `monodromy`, and its end is not refined (`walk_fiber`): its
+    only use is a nearest-point match against correctly rounded roots with
+    a 4x margin, and a machine-tier end is good to about 2^-53 / gap of
+    the fiber's scale.
     """
     with mp.workprec(config.precision_bits + 32):
         z_target = to_mpf(z_target, mp.prec)
         reals = _real_criticals(rep)
         c0 = mp.re(rep.base_point)
-        if z_target == c0:
-            return list(rep.base_fiber)
         path = [mp.mpc(c0)]
         for idx in range(len(reals) - 1, -1, -1):
             c = reals[idx]
@@ -194,7 +196,7 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
             for k in range(9):
                 path.append(c + r * mp.exp(mp.mpc(0, 1) * mp.pi * k / 8))
         path.append(mp.mpc(z_target))
-        return continue_fiber(p, path, list(rep.base_fiber), config)
+        return [mp.mpc(x) for x in walk_fiber(p, path, rep.refined_fiber, config)]
 
 
 def _piece_probe(p: RatPoly, cv_poly: RatPoly, xl, xr) -> Fraction:

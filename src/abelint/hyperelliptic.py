@@ -28,7 +28,7 @@ from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
 from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
                         match_permutation)
-from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpf
+from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpc, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .realroots import RealRoots
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
@@ -730,7 +730,9 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
 
     The derivative side is evaluated analytically as sum n_i k(x_i)/f'(x_i)
     over the confluent roots of f - z; agreement is reported up to the
-    documented global sign of the square-root branch.
+    documented global sign of the square-root branch.  The z samples and
+    the critical point may be mpmath numbers, decimal strings or Fractions;
+    each is converted at precision_bits + 32 bits.
     """
     prec = config.precision_bits
     df = f.derivative()
@@ -739,10 +741,10 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
         raise InputError(f"n_local must be at most the degree of f, {f.degree}, "
                          f"not {combo.n_local}")
     with mp.workprec(prec + 32):
-        z_samples = [mp.mpc(z) for z in z_samples]
+        z_samples = [to_mpc(z, mp.prec) for z in z_samples]
         if any(z == 0 for z in z_samples):
             raise InputError("each z sample must be nonzero: z = 0 is the critical level")
-        critical_point = mp.mpc(critical_point)
+        critical_point = to_mpc(critical_point, mp.prec)
         crit_level = eval_poly(f, critical_point, mp.prec)
         if abs(crit_level) > mp.mpf(2) ** (-(prec // 2)):
             raise InputError("critical level must be normalized to zero")

@@ -14,9 +14,10 @@ module relies on.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -366,57 +367,76 @@ def track_fiber(p: RatPoly, path: list, start_fiber: list,
         return fiber
 
 
+def _on_machine(fiber) -> bool:
+    """Whether `fiber` holds machine floats, as the machine tier leaves it."""
+    return isinstance(fiber[0], complex)
+
+
 def _walk(points: list, fiber: list, config: Config, tier_mp: _Tier,
-          tier_machine: _Tier | None, on_machine: bool = False) -> tuple:
+          tier_machine: _Tier | None) -> list:
     """Continue `fiber` along the polyline `points`, each segment on the
     machine tier when there is one and it does not escalate, else on the mp
-    tier.  `on_machine` says the fiber holds machine floats; an escalation
-    refines such a fiber at the working precision first.  Returns the end
-    fiber and whether its last segment ran on the machine tier."""
+    tier.  An escalation refines a fiber of machine floats at the working
+    precision first.  The end holds Python complex values when the last
+    segment ran on the machine tier, mpc values otherwise."""
     for a, b in zip(points, points[1:]):
         if tier_machine is not None:
             try:
                 fiber = _track_segment(complex(a), complex(b),
                                        [complex(x) for x in fiber],
                                        config, tier_machine)
-                on_machine = True
                 continue
             except (_Escalate, OverflowError):
-                if on_machine:
+                if _on_machine(fiber):
                     fiber = _refine(tier_mp, a, fiber, None, "escalated fiber")
         fiber = _track_segment(a, b, fiber, config, tier_mp)
-        on_machine = False
-    return fiber, on_machine
+    return fiber
 
 
-def continue_fiber(p: RatPoly, path: list, start_fiber: list,
-                   config: Config = DEFAULT_CONFIG) -> list:
+def walk_fiber(p: RatPoly, path: list, start_fiber: list,
+               config: Config = DEFAULT_CONFIG) -> list:
     """`track_fiber`'s continuation, tracked in machine complex arithmetic.
 
-    A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of its
-    scale, the step below 2^-30, or a value out of the double range is
+    `start_fiber` is not refined, so it should be accurate at the working
+    precision, as `roots_of_shifted` at it and `MonodromyRep.refined_fiber`
+    are.  A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of
+    its scale, the step below 2^-30, or a value out of the double range is
     tracked again from its start by the mp tier, which raises
     `track_fiber`'s errors.  A path whose polynomial or points do not fit
     in normal doubles runs on the mp tier throughout.  The end fiber is
-    refined at the working precision by Newton to 2^-(precision_bits + 8)
-    relative, index-aligned with the start: it agrees with `track_fiber`'s
-    to that tolerance, and bit for bit when every segment ran on the mp
-    tier.
+    index-aligned with the start and not refined: Python complex values
+    good to about 2^-53 / gap of the fiber's scale when the last segment
+    ran on the machine tier, else mpc values good to
+    2^-(precision_bits + 8).
     """
     if len(path) < 1:
         raise InputError("path must contain at least one point")
     dp = p.derivative()
     with mp.workprec(config.precision_bits + 32):
-        tier_mp = _mp_tier(p, dp, config)
         points = [to_mpc(z, mp.prec) for z in path]
-        fiber = _refine(tier_mp, points[0], start_fiber, None, "start fiber")
-        fiber, on_machine = _walk(points, fiber, config, tier_mp,
-                                  _machine_tier(p, dp, points))
-        if on_machine:
-            gap = _pair_gap(fiber)
-            limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
-            fiber = _refine(tier_mp, points[-1], fiber, limit, "end fiber")
+        return _walk(points, [to_mpc(x, mp.prec) for x in start_fiber], config,
+                     _mp_tier(p, dp, config), _machine_tier(p, dp, points))
+
+
+def continue_fiber(p: RatPoly, path: list, start_fiber: list,
+                   config: Config = DEFAULT_CONFIG) -> list:
+    """`walk_fiber` with a machine-tier end refined by Newton at the
+    working precision to 2^-(precision_bits + 8) relative, the tolerance of
+    `track_fiber`'s own Newton steps: the end agrees with `track_fiber`'s to
+    that tolerance, and bit for bit when every segment ran on the mp tier
+    and `start_fiber` is the refined fiber `track_fiber` starts from.  The
+    start is not refined: the base fiber is refined once, in `monodromy`
+    (`MonodromyRep.refined_fiber`).  The oracle's residuals are sums over
+    such fibers; a machine-tier end would put an error near 2^-44 into them.
+    """
+    fiber = walk_fiber(p, path, start_fiber, config)
+    if not _on_machine(fiber):
         return fiber
+    with mp.workprec(config.precision_bits + 32):
+        gap = _pair_gap(fiber)
+        limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
+        return _refine(_mp_tier(p, p.derivative(), config),
+                       to_mpc(path[-1], mp.prec), fiber, limit, "end fiber")
 
 
 def match_permutation(start_fiber: list, end_fiber: list) -> Permutation:
@@ -477,29 +497,57 @@ def standoffs(cvs, base_radius):
                 default=base_radius / 2) / 4 for i, c in enumerate(cvs)]
 
 
+def _projection_gap(points, u):
+    """The smallest gap between the sorted real parts of the points * u."""
+    projs = sorted((p * u).real for p in points)
+    return min((b - a for a, b in zip(projs, projs[1:])), default=1)
+
+
 def _sweep_rotation(cvs, c0):
     """A deterministic rotation making the sweep projections of all
     critical values (and the base point) pairwise distinct, chosen with
-    the best separation margin among a fixed candidate list."""
+    the best separation margin among a fixed candidate list (the first of
+    equal margins), with that margin.
+
+    The candidates are scored in doubles, whose gaps are good to about
+    2^-49 of the points' scale; only the chosen rotation's gap is computed
+    again in mp.  When the best two double gaps are within 2^-40 of that
+    scale, or a point is not a finite double, every candidate is scored in
+    mp, so the choice is always the one of the mp scan.
+    """
     points = list(cvs) + [mp.mpc(c0)]
-    best_phi, best_gap = None, None
-    for j in range(48):
-        phi = mp.pi * j / mp.mpf(149)
-        u = mp.exp(mp.mpc(0, -1) * phi)
-        projs = sorted(mp.re(p * u) for p in points)
-        gap = min((b - a for a, b in zip(projs, projs[1:])), default=mp.mpf(1))
-        if best_gap is None or gap > best_gap:
-            best_phi, best_gap = phi, gap
-    if best_gap <= 0:
+
+    def phi(j):
+        return mp.pi * j / mp.mpf(149)
+
+    def gap(j):
+        return _projection_gap(points, mp.exp(mp.mpc(0, -1) * phi(j)))
+
+    floats = [complex(p) for p in points]
+    scale = max(map(abs, floats))
+    if scale < math.inf:
+        scores = [_projection_gap(floats, cmath.exp(-1j * math.pi * j / 149))
+                  for j in range(48)]
+        second, best = sorted(scores)[-2:]
+        if best - second > 2.0 ** -40 * scale:
+            j = scores.index(best)
+            return phi(j), gap(j)
+    gaps = [gap(j) for j in range(48)]
+    j = gaps.index(max(gaps))
+    if gaps[j] <= 0:
         raise ComputationError("could not separate critical values by a sweep")
-    return best_phi, best_gap
+    return phi(j), gaps[j]
 
 
 def _circle(center, radius, angle) -> list:
     """The 16-gon on the circle |z - center| = radius, counterclockwise from
     its foot center + radius*e^(i*angle) back to exactly that point."""
-    ring = [center + radius * mp.exp(mp.mpc(0, 1) * (angle + 2 * mp.pi * k / 16))
-            for k in range(16)]
+    turn = mp.exp(mp.mpc(0, 1) * mp.pi / 8)
+    direction = mp.exp(mp.mpc(0, 1) * angle)
+    ring = []
+    for _ in range(16):
+        ring.append(center + radius * direction)
+        direction *= turn
     return ring + ring[:1]
 
 
@@ -551,7 +599,11 @@ class MonodromyRep:
 
     generators[i] belongs to critical_values[i]; petal_order lists the
     generator indices in the sweep order in which their product equals the
-    infinity cycle.
+    infinity cycle.  refined_fiber is base_fiber refined by Newton at
+    precision_bits + 32 bits to 2^-(precision_bits + 8) relative, in the
+    same order: every continuation from the base point starts from it, so
+    the base fiber is refined once per polynomial.  It is not serialized;
+    a rep read back from JSON starts from its printed base_fiber.
     """
     n: int
     base_point: object            # mpmath mpc
@@ -561,6 +613,7 @@ class MonodromyRep:
     base_fiber: tuple
     petal_order: tuple[int, ...]
     precision_bits: int
+    refined_fiber: tuple = field(compare=False, repr=False)
 
     def product_in_petal_order(self) -> Permutation:
         acc = Permutation.identity(self.n)
@@ -598,8 +651,8 @@ def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
     approach, circle = ([to_mpc(z, mp.prec) for z in part] for part in loop)
     machine = _machine_tier(p, dp, approach + circle)
     try:
-        foot, on_machine = _walk(approach, start, config, tier, machine)
-        end, _ = _walk(circle, foot, config, tier, machine, on_machine)
+        foot = _walk(approach, start, config, tier, machine)
+        end = _walk(circle, foot, config, tier, machine)
         return match_permutation([mp.mpc(x) for x in foot],
                                  [mp.mpc(x) for x in end])
     except TrackingError as exc:
@@ -617,8 +670,9 @@ def _relabel(perm: Permutation, label: list[int]) -> Permutation:
 
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     """Full monodromy representation of p at the configured precision: the
-    base fiber is refined once, and each loop's permutation is read at its
-    circle's foot (`_loop_permutation`), with no segment tracked twice."""
+    base fiber is refined once, kept as `refined_fiber`, and each loop's
+    permutation is read at its circle's foot (`_loop_permutation`), with no
+    segment tracked twice."""
     n = p.degree
     if p.is_zero() or n < 2:
         raise InputError("monodromy requires deg p >= 2")
@@ -626,7 +680,8 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     with mp.workprec(config.precision_bits + 32):
         c0, loop_inf, petals, order_keys = _loops(cvs)
         fiber0 = roots_of_shifted(p, c0, mp.prec)
-        # the one refinement at the working precision: every loop starts here
+        # the one refinement at the working precision: every loop starts
+        # here, and so does every later walk and oracle sample (refined_fiber)
         dp = p.derivative()
         tier = _mp_tier(p, dp, config)
         start = _refine(tier, to_mpc(c0, mp.prec), fiber0, None, "start fiber")
@@ -644,9 +699,9 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
 
         # renumber so sigma_inf becomes (1 2 ... n); root "1" is the fiber
         # point with the largest real part (ties: largest imaginary part)
-        start = max(range(n), key=lambda i: (mp.re(fiber0[i]), mp.im(fiber0[i])))
+        first = max(range(n), key=lambda i: (mp.re(fiber0[i]), mp.im(fiber0[i])))
         label = [0] * n
-        cur = start + 1
+        cur = first + 1
         for pos in range(1, n + 1):
             label[cur - 1] = pos
             cur = sigma_inf(cur)
@@ -654,15 +709,16 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         infinity = _relabel(sigma_inf, label)
         if infinity != Permutation.cycle(n):
             raise ConsistencyError("renumbering failed to standardize infinity")
-        ordered_fiber = [None] * n
+        ordered_fiber, refined = [None] * n, [None] * n
         for old in range(n):
             ordered_fiber[label[old] - 1] = fiber0[old]
+            refined[label[old] - 1] = start[old]
 
         rep = MonodromyRep(
             n=n, base_point=mp.mpc(c0), critical_values=tuple(cvs),
             generators=gens, infinity=infinity,
             base_fiber=tuple(ordered_fiber), petal_order=petal_order,
-            precision_bits=config.precision_bits)
+            precision_bits=config.precision_bits, refined_fiber=tuple(refined))
         if rep.product_in_petal_order() != infinity:
             raise ConsistencyError(
                 "petal-order product does not reproduce the infinity cycle")

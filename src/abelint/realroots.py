@@ -273,16 +273,26 @@ class RealRoots:
         if a == b:
             return from_man_exp(a, -e, prec, round_nearest)
         s = self._s
-        while a == 0 or b == 0:
-            # keep 0 off the ends, so that they bound the root's magnitude
-            m, a, b, e = a + b, 2 * a, 2 * b, e + 1
-            v = _value(s, m, e)
-            if v == 0:
-                return from_man_exp(m, -e, prec, round_nearest)
-            if (v > 0) == (sa > 0):
-                a = m
-            else:
-                b = m
+        if a == 0 or b == 0:
+            # keep 0 off the ends, so that they bound the root's magnitude:
+            # the first t >= 1 with far / 2^(e + t) between 0 and the root,
+            # by galloping t = 1, 2, 4, ... and bisecting between the last
+            # two steps.  Past `top` the point is below the bound 2^-k on the
+            # root's magnitude, k from the reversed s (s(0) != 0 here)
+            far, s0 = a + b, sa if a == 0 else -sa      # s0: the sign of s(0)
+            top = max(1, _root_bound(s[::-1]) - e + abs(far).bit_length())
+            lo, hi, t = 0, top, 1       # far / 2^(e + lo) lies past the root
+            while lo + 1 < hi:
+                v = _value(s, far, e + t)
+                if v == 0:
+                    return from_man_exp(far, -(e + t), prec, round_nearest)
+                if (v > 0) == (s0 > 0):
+                    hi = t
+                else:
+                    lo = t
+                t = 2 * t if hi == top and 2 * t < top else (lo + hi) // 2
+            a, b = (far, 2 * far) if far > 0 else (2 * far, far)
+            e += hi
         # fixed point at scale 2^-w: at least 12 bits below the root's ulp
         w = max(e, prec + 13 + e - min(abs(a), abs(b)).bit_length())
         lo, hi = a << (w - e), b << (w - e)

@@ -425,10 +425,12 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
                           config: Config = DEFAULT_CONFIG,
                           count: int | None = None) -> list:
     """Fibers over seeded random regular points, index-aligned with the
-    normalized base fiber.  Each is continued from the base fiber along a
-    `route` path on the two-tier tracker and refined at the working
-    precision to 2^-(precision_bits + 8) relative.  One tracking pass
-    serves any number of residual evaluations."""
+    normalized base fiber.  Each is continued from `rep.refined_fiber`,
+    refined once in `monodromy`, along a `route` path on the two-tier
+    tracker, and its end is refined at the working precision to
+    2^-(precision_bits + 8) relative (`continue_fiber`): the residuals are
+    read off these fibers.  One tracking pass serves any number of residual
+    evaluations."""
     count = _sample_count(count if count is not None else config.samples)
     with mp.workprec(config.precision_bits + 32):
         cvs = list(rep.critical_values)
@@ -436,7 +438,7 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
         fibers = []
         for z in _sample_points(rep, blockers, count, config.seed):
             path = route(rep.base_point, z, blockers)
-            fibers.append(continue_fiber(p, path, list(rep.base_fiber), config))
+            fibers.append(continue_fiber(p, path, rep.refined_fiber, config))
         return fibers
 
 

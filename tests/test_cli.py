@@ -1,11 +1,14 @@
+import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from abelint import cli
+from abelint.config import Config
 from abelint.ratpoly import RatPoly, chebyshev
 from abelint.serialize import COUNT_LIMIT, poly_to_json
 
@@ -141,6 +144,79 @@ def test_critical_levels_closer_than_the_endpoint_snap(tmp_path, capsys):
     assert cli.main(["solve", str(path)]) == 1
     assert capsys.readouterr().err == (
         "computation failed: critical levels too close for endpoint snapping\n")
+
+
+def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatch):
+    # monodromy refines the base fiber once; the walk's fibers start from it
+    # and end unrefined, and only the oracle's sample fibers refine their end
+    mono = importlib.import_module("abelint.monodromy")
+    cycles = importlib.import_module("abelint.cycles")
+    refines, walking = [], []
+    refine, walk = mono._refine, cycles.continue_fiber_to_real
+
+    def refine_spy(tier, z, fiber, move_limit, what):
+        refines.append((what, bool(walking)))
+        return refine(tier, z, fiber, move_limit, what)
+
+    def walk_spy(*args):
+        walking.append(True)
+        try:
+            return walk(*args)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(cycles, "continue_fiber_to_real", walk_spy)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"polynomial": T6_JSON, "degree_bound": 6, "intervals": [
+        {"a": "-1", "b": "-0.5", "weight": "1"}, {"a": "-0.5", "b": "0.5", "weight": "-1"},
+        {"a": "0.5", "b": "1", "weight": "1"}]}))
+    assert cli.main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "solve_intervals.json").read_text()
+    assert refines.count(("start fiber", False)) == 1
+    assert not any(inside for _, inside in refines)
+    assert refines.count(("end fiber", False)) == Config().samples
+    assert len(refines) == 1 + Config().samples
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built on the first main call and shared by the next ones,
+    # whose output is the one a fresh parser gives, also after an exit 2
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    poly, bad = tmp_path / "poly.json", tmp_path / "bad.json"
+    poly.write_text(json.dumps(["1", "-3", "0", "1"]))
+    bad.write_text("[")
+    calls = [["monodromy", str(poly), "--precision-bits", "96"],
+             ["monodromy"],                      # argparse: exit 2
+             ["lattice", str(poly)],
+             ["lattice", str(bad)],              # input error: exit 2
+             ["monodromy", str(poly)]]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0]
+    assert fresh[0][1] != fresh[4][1]            # 96 bits, then the default
+    built.clear()
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert len(built) == 1
 
 
 def test_moment_problem_reads_stdin_once():
@@ -340,6 +416,22 @@ def test_roots_past_the_double_range(command, payload, tmp_path, capsys):
     err = capsys.readouterr().err
     assert (code, err) == (0, "") or (
         code == 1 and err.startswith("computation failed: ") and err.count("\n") == 1)
+
+
+def test_hyper_integrate_next_to_zero(tmp_path, capsys):
+    # f + t has a root near -2e-100000: its isolating interval ends at 0,
+    # and the root's binary exponent is found by galloping, not bit by bit
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"family": {"f": ["0", "1/2", "-1"], "pair_index": 0,
+                                           "t_min": "1/4", "t_max": "1"},
+                                "k": ["1"], "t": "1e-100000"}))
+    start = time.perf_counter()
+    code = cli.main(["hyper-integrate", str(path)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["values"][0]["t"] == "1.0e-100000"
+    assert elapsed < 2
 
 
 HYPER_FAMILY = '"f": ["0", "1/2", "-1"], "t_min": "1/4", "t_max": "1"'

@@ -321,7 +321,8 @@ def test_constellation_is_the_generator_cycles(name, config, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("build_constellation tracked a fiber or found roots")
     tracking = importlib.import_module("abelint.monodromy")
-    for module, attr in [(cycles, "continue_fiber"), (tracking, "continue_fiber"),
+    for module, attr in [(cycles, "walk_fiber"), (tracking, "walk_fiber"),
+                         (tracking, "continue_fiber"),
                          (tracking, "track_fiber"), (numerics, "roots_of"),
                          (numerics, "roots_of_shifted"), (mpmath, "polyroots")]:
         monkeypatch.setattr(module, attr, forbidden)

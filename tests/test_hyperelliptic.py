@@ -782,6 +782,17 @@ def test_main4_morse_confluence(config):
     assert report.max_relative_deviation < mp.mpf(10) ** -6
 
 
+def test_main4_takes_fractions(config):
+    # the critical point and the z samples are converted at the working
+    # precision, so a Fraction gives the report of the same mp value
+    f = (X - Fraction(3, 8)) ** 2 * (X ** 2 + 1)
+    k = X ** 2 - 5 * X / 8 + Fraction(1, 8)
+    combo = VanishingCycleCombo(2, {(1, 2): Fraction(1)})
+    want = main4_limit_check(f, k, combo, [mp.mpf(-1) / 64], mp.mpf(3) / 8, config)
+    got = main4_limit_check(f, k, combo, [Fraction(-1, 64)], Fraction(3, 8), config)
+    assert got == want
+
+
 def test_main4_even_confluence_pullback(config):
     # even f with a Morse point at x = 0 and K in C[x^2]: the symmetric
     # confluent roots give an identically zero formula side, and the

@@ -7,15 +7,16 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from abelint.config import Config
 from abelint.errors import ComputationError, InputError, TrackingError
 from abelint.monodromy import (Permutation, _loops, _machine_tier,
-                               continue_fiber, critical_values, divisor_lattice,
-                               generated_group_order, is_full_symmetric,
-                               match_permutation, monodromy, track_fiber)
+                               _sweep_rotation, continue_fiber, critical_values,
+                               divisor_lattice, generated_group_order,
+                               is_full_symmetric, match_permutation, monodromy,
+                               track_fiber)
 from abelint.numerics import eval_poly, roots_of, roots_of_shifted
 from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
 
@@ -454,6 +455,50 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
     assert refines == ["start fiber"]
     # every segment once, on the machine tier: no return leg, no re-tracking
     assert tiers == [float] * segments
+
+
+def _mp_sweep(cvs, c0):
+    """The full mp scan that `_sweep_rotation` must reproduce: the first of
+    the best margins over its 48 candidate rotations."""
+    points = list(cvs) + [mp.mpc(c0)]
+    best = None
+    for j in range(48):
+        phi = mp.pi * j / mp.mpf(149)
+        u = mp.exp(mp.mpc(0, -1) * phi)
+        projs = sorted(mp.re(p * u) for p in points)
+        gap = min(b - a for a, b in zip(projs, projs[1:]))
+        if best is None or gap > best[1]:
+            best = (phi, gap)
+    return best
+
+
+_COORDS = st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                   min_size=1, max_size=6)
+# a copy of point i moved by (dx, dy) 2^-k: from k = 20, which the double
+# scores resolve, to k = 80, where they cannot tell the copy from its point
+_NEAR = st.lists(st.tuples(st.integers(0, 5), st.integers(20, 80),
+                           st.integers(-1, 1), st.integers(-1, 1)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COORDS, _NEAR, st.sampled_from([0, 1100]))
+@example([(1, 0), (1, 0)], [], 0)                     # an exact tie: every gap 0
+@example([(1, 0), (-2, 3)], [(0, 70, 1, 0)], 0)       # a tie in doubles only
+@example([(1, 0), (-2, 3)], [(1, 45, 0, 1)], 0)
+@example([(3, 1), (-2, 3), (0, -5)], [], 1100)       # past the double range
+def test_sweep_rotation_matches_the_mp_scan(coords, near, scale):
+    with mp.workprec(160):
+        cvs = [mp.mpc(a, b) / 4 * mp.mpf(2) ** scale for a, b in coords]
+        for i, k, dx, dy in near:
+            cvs.append(cvs[i % len(coords)] + mp.mpc(dx, dy) * mp.mpf(2) ** (scale - k))
+        c0 = mp.mpf(2 * (1 + max(abs(c) for c in cvs)))
+        phi, gap = _mp_sweep(cvs, c0)
+        if gap <= 0:
+            with pytest.raises(ComputationError):
+                _sweep_rotation(cvs, c0)
+        else:
+            got_phi, got_gap = _sweep_rotation(cvs, c0)
+            assert (got_phi._mpf_, got_gap._mpf_) == (phi._mpf_, gap._mpf_)
 
 
 # ---------------------------------------------------------------------------

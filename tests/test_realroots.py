@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,27 @@ def test_roots_past_the_double_range(prec):
     # a tie between 2^2000 (even) and 2^2000 (1 + 2^(1 - prec))
     tie = 2 ** 2000 * (1 + Fraction(1, 2 ** prec))
     assert exact(roots((X - tie) * (X ** 2 - 3), prec)[2]) == 2 ** 2000
+
+
+def test_roots_next_to_zero():
+    # an isolating interval with the end 0 gets the root's binary exponent
+    # by galloping from its other end, then bisection, not one bit per pass
+    t = Fraction(1, 10 ** 100000)
+    start = time.perf_counter()
+    found = []
+    for p in (-X ** 2 + X / 2 + t, X ** 2 + X / 2 - t):
+        rr = RealRoots(p)
+        found.append((rr, [rr.root(i, 160) for i in range(rr.count)]))
+    # an exact dyadic root next to 0 still comes back exactly
+    for k in (3, 64, 3000):
+        assert roots((X - Fraction(1, 2 ** k)) * (X + 3), 160)[1] == Fraction(1, 2 ** k)
+        assert roots((X + Fraction(3, 2 ** k)) * (X - 3), 160)[0] == -Fraction(3, 2 ** k)
+    assert time.perf_counter() - start < 2
+    # each root is the only one between the points halfway to its neighbours
+    for rr, got in found:
+        for i, r in enumerate(got):
+            lo, hi = rounding_interval(r, 160)
+            assert (rr.rank(lo), rr.rank(hi)) == (i, i + 1)
 
 
 @pytest.mark.parametrize("prec", [64, 96, 160])

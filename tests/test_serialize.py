@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from abelint import serialize as ser
-from abelint.cycles import CycleVector, IntervalSystem
+from abelint.cycles import CycleVector, IntervalSystem, real_interval_to_coefficients
 from abelint.errors import InputError
 from abelint.hyperelliptic import OneForm
 from abelint.ratpoly import RatPoly, chebyshev
@@ -48,7 +48,7 @@ def test_interval_system_roundtrip():
     assert back.intervals[0].a == "-1"
 
 
-def test_monodromy_roundtrip(t6_rep):
+def test_monodromy_roundtrip(t6, t6_rep, config):
     data = ser.monodromy_to_json(t6_rep)
     text = ser.dumps(data)
     back = ser.monodromy_from_json(json.loads(text))
@@ -59,6 +59,10 @@ def test_monodromy_roundtrip(t6_rep):
     with mp.workprec(t6_rep.precision_bits):
         for a, b in zip(back.base_fiber, t6_rep.base_fiber):
             assert abs(a - b) < mp.mpf(10) ** -30
+    # the record keeps no refined fiber: a walk starts from the printed one
+    system = IntervalSystem.of(("-0.9", "0.3", 1), ("0.5", "1.25", -2))
+    assert (real_interval_to_coefficients(t6, system, back, config)
+            == real_interval_to_coefficients(t6, system, t6_rep, config))
 
 
 def test_one_form_roundtrip():
