@@ -26,8 +26,7 @@ from . import linalg
 from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
-from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
-                        match_permutation)
+from .monodromy import DivisorLattice, MonodromyRep, match_permutation, walk_fiber
 from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpc, to_mpf
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .realroots import RealRoots
@@ -688,22 +687,21 @@ def _symmetric_exact_certificate(f, big_k, r, family, ts) -> bool:
 # the confluence limit of the Cauchy integral
 # ---------------------------------------------------------------------------
 
-def local_cyclic_order(f: RatPoly, critical_point, n_local: int, z_probe,
+def local_cyclic_order(f: RatPoly, critical_point, n_local: int, z_probe, fiber: list,
                        config: Config = DEFAULT_CONFIG) -> list[int]:
-    """Indices (into the sorted fiber of f at z_probe) of the n_local roots
-    confluent at the critical point, ordered cyclically by the local
-    monodromy around z = f(critical_point); the starting root is the one
-    with the smallest (re, im)."""
-    prec = config.precision_bits
-    with mp.workprec(prec + 32):
+    """Indices (into `fiber`, the sorted fiber of f at z_probe) of the n_local
+    roots confluent at the critical point, ordered cyclically by the local
+    monodromy around z = f(critical_point); the starting root is the one with
+    the smallest (re, im).  The walked end is matched unrefined, as in
+    `monodromy`."""
+    with mp.workprec(config.precision_bits + 32):
         z_probe = mp.mpc(z_probe)
-        fiber = roots_of_shifted(f, z_probe, mp.prec)
         order_all = sorted(range(len(fiber)),
                            key=lambda i: abs(fiber[i] - critical_point))
         cluster = sorted(order_all[:n_local])
         loop = [z_probe * mp.exp(mp.mpc(0, 2) * mp.pi * j / 32) for j in range(33)]
-        end = continue_fiber(f, loop, fiber, config)
-        sigma = match_permutation(fiber, end)
+        end = walk_fiber(f, loop, fiber, config)
+        sigma = match_permutation(fiber, [mp.mpc(x) for x in end])
         start = cluster[0]
         out = [start]
         cur = sigma(start + 1) - 1
@@ -729,8 +727,11 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
     closed zero-dimensional formula 2 pi sqrt(-z) d/dz of the integral of K.
 
     The derivative side is evaluated analytically as sum n_i k(x_i)/f'(x_i)
-    over the confluent roots of f - z; agreement is reported up to the
-    documented global sign of the square-root branch.  The z samples and
+    over the confluent roots of f - z.  The limit side is J_0(z), one "cauchy"
+    `loop_integral` at t = 0 around the critical point: the lift is closed-form
+    and J_t(z) is continuous in t on that contour.  Agreement is up to the
+    documented global sign of the square-root branch; a relative deviation
+    above 2^-(precision_bits // 3) is a ComputationError.  The z samples and
     the critical point may be mpmath numbers, decimal strings or Fractions;
     each is converted at precision_bits + 32 bits.
     """
@@ -740,6 +741,9 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
     if combo.n_local > f.degree:
         raise InputError(f"n_local must be at most the degree of f, {f.degree}, "
                          f"not {combo.n_local}")
+    pairs = {key: Fraction(c) for key, c in combo.coefficients.items() if Fraction(c) != 0}
+    local = vanishing_combo_to_cycle(combo, list(range(1, combo.n_local + 1)),
+                                     combo.n_local)
     with mp.workprec(prec + 32):
         z_samples = [to_mpc(z, mp.prec) for z in z_samples]
         if any(z == 0 for z in z_samples):
@@ -750,10 +754,8 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
             raise InputError("critical level must be normalized to zero")
         worst = mp.mpf(0)
         for z in z_samples:
-            order = local_cyclic_order(f, critical_point, combo.n_local, z, config)
             fiber = roots_of_shifted(f, z, mp.prec)
-            local = vanishing_combo_to_cycle(
-                combo, list(range(1, combo.n_local + 1)), combo.n_local)
+            order = local_cyclic_order(f, critical_point, combo.n_local, z, fiber, config)
             deriv = mp.mpc(0)
             spread = mp.mpf(0)
             for coef, idx in zip(local.v, order):
@@ -764,8 +766,6 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
                           / eval_poly(df, x_i, mp.prec))
             formula = 2 * mp.pi * mp.sqrt(-z) * deriv
 
-            pairs = {key: Fraction(c) for key, c in combo.coefficients.items()
-                     if Fraction(c) != 0}
             if not pairs:
                 limit = mp.mpc(0)
             elif combo.n_local == 2 and set(pairs) == {(1, 2)}:
@@ -775,20 +775,8 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
                           if i not in order]
                 if others and min(others) < 2 * radius:
                     raise ComputationError("confluent cluster is not isolated")
-                limit = None
-                prev = None
-                for j in range(3, 9):
-                    t = -abs(z) * mp.mpf(4) ** (-j)
-                    val = loop_integral(f, k, t, critical_point, radius,
-                                        mode="cauchy", z=z, config=config)
-                    if prev is not None and abs(val - prev) <= \
-                            mp.mpf(2) ** (-(prec // 3)) * (1 + abs(val)):
-                        limit = val
-                        break
-                    prev = val
-                if limit is None:
-                    limit = prev
-                limit = limit * mp.mpf(weight.numerator) / weight.denominator
+                limit = loop_integral(f, k, 0, critical_point, radius, mode="cauchy", z=z,
+                                      config=config) * weight.numerator / weight.denominator
             else:
                 raise ComputationError(
                     "the numeric limit contour is implemented for a single "
@@ -797,6 +785,10 @@ def main4_limit_check(f: RatPoly, k: RatPoly, combo: VanishingCycleCombo,
             dev = min(abs(limit - formula), abs(limit + formula))
             rel = dev / max(abs(formula), mp.mpf(2) ** (-(prec // 2))) \
                 if abs(formula) > 0 else dev
+            if rel > mp.mpf(2) ** (-(prec // 3)):
+                raise ComputationError(
+                    f"the t = 0 contour misses the formula at z = {mp.nstr(z, 17)}: "
+                    f"relative deviation {mp.nstr(rel, 3)} > 2^-{prec // 3}")
             worst = max(worst, rel)
             rows.append({"z": z, "limit": limit, "formula": formula,
                          "relative_deviation": rel})

@@ -408,12 +408,13 @@ def power_sums(w: RatPoly, count: int) -> list[RatPoly]:
 
 def critical_value_poly(p: RatPoly) -> RatPoly:
     """The monic squarefree R whose roots are the distinct critical values of
-    p: Newton's identities turn s_k = Tr(p^k mod p') = sum p(c)^k over the
-    roots c of p', k = 1..deg p', into prod (z - p(c)), and R is its
-    squarefree part."""
+    p: with d the squarefree part of p', Newton's identities turn s_k =
+    Tr(p^k mod d) = sum p(c)^k over the distinct roots c of p', k = 1..deg d,
+    into prod (z - p(c)), and R is its squarefree part."""
     if p.degree is NEG_INF or p.degree < 2:
         raise InputError("critical_value_poly requires deg p >= 2")
-    dp, m = p.derivative(), p.degree - 1
+    dp = squarefree_part(p.derivative())
+    m = dp.degree
     traces = [ps.coeff(0) for ps in power_sums(dp, m - 1)]   # sum c^j
     rho, r, s, e = p % dp, RatPoly.one(), [], [Fraction(1)]  # e_0..e_m
     for k in range(1, m + 1):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -816,6 +817,86 @@ def test_main4_zero_combo_trivial(config):
     for row in report.per_sample:
         assert abs(row["limit"]) == 0
         assert abs(row["formula"]) == 0
+
+
+MORSE = VanishingCycleCombo(2, {(1, 2): Fraction(1)})
+
+
+def test_main4_meets_its_test_on_a_rational_double_root(config):
+    # f = (x - 3/8)^2 ((x - 19/8)^2 + 3/4), expanded
+    f = RatPoly([Fraction(c) for c in ["3681/4096", "-699/128", "323/32", "-11/2", "1"]])
+    k = X ** 2 - 5 * X / 8 + Fraction(1, 8)
+    report = main4_limit_check(f, k, MORSE, [Fraction(-1, 64)], Fraction(3, 8), config)
+    assert report.max_relative_deviation <= mp.mpf(2) ** -(config.precision_bits // 3)
+
+
+def _double_root_quartic(rng):
+    """f = +-(x - c)^2 ((x - a)^2 + b) with the critical point c, a small k
+    and a small z of either sign."""
+    def frac():
+        return Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4, 8]))
+    c, a = frac(), frac()
+    b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 16), rng.choice([1, 4, 16]))
+    f = rng.choice([-1, 1]) * (X - c) ** 2 * ((X - a) ** 2 + b)
+    k = RatPoly([frac() for _ in range(rng.randint(1, 4))])
+    return f, k, c, Fraction(rng.choice([-1, 1]), rng.choice([64, 128, 256]))
+
+
+def test_main4_double_root_quartics_meet_or_raise(config):
+    # a sample that misses 2^-(prec/3) must raise, never come back silently;
+    # draws 3 and 6 have a root too near the cluster, and f's exact double
+    # root at t = 0 stops draw 2's root finder
+    met = 0
+    for seed in range(8):
+        f, k, c, z = _double_root_quartic(random.Random(seed))
+        try:
+            report = main4_limit_check(f, k, MORSE, [z], c, config)
+        except ComputationError:
+            continue
+        assert report.max_relative_deviation <= mp.mpf(2) ** -(config.precision_bits // 3)
+        met += 1
+    assert met >= 4
+
+
+def test_main4_one_contour_and_one_fiber_per_sample(config, monkeypatch):
+    import abelint.hyperelliptic as hyp
+    mono = importlib.import_module("abelint.monodromy")   # the package exports monodromy()
+    loops, fibers, refines = [], [], []
+    loop_integral, roots_of_shifted, refine = (hyp.loop_integral, hyp.roots_of_shifted,
+                                               mono._refine)
+
+    def spy_loop(f, k, t, *args, **kwargs):
+        loops.append((t, kwargs["z"]))
+        return loop_integral(f, k, t, *args, **kwargs)
+
+    def spy_roots(p, z, prec):
+        fibers.append(z)
+        return roots_of_shifted(p, z, prec)
+
+    def spy_refine(tier, z, fiber, move_limit, what):
+        refines.append(what)
+        return refine(tier, z, fiber, move_limit, what)
+    monkeypatch.setattr(hyp, "loop_integral", spy_loop)
+    monkeypatch.setattr(hyp, "roots_of_shifted", spy_roots)
+    monkeypatch.setattr(mono, "_refine", spy_refine)
+    zs = [Fraction(-1, 64), Fraction(-1, 32)]
+    main4_limit_check(QUARTIC_F, X, MORSE, zs, mp.sqrt(2), config)
+    assert [(t, z) for t, z in loops] == [(0, z) for z in zs]
+    # the loop's own root finding is at t = 0; each z gets exactly one fiber
+    assert [z for z in fibers if z != 0] == zs
+    assert "end fiber" not in refines
+
+
+def test_main4_miss_raises_naming_z(config, monkeypatch):
+    import abelint.hyperelliptic as hyp
+    loop_integral = hyp.loop_integral
+
+    def off(*args, **kwargs):
+        return loop_integral(*args, **kwargs) * (1 + mp.mpf(2) ** -20)
+    monkeypatch.setattr(hyp, "loop_integral", off)
+    with pytest.raises(ComputationError, match=r"z = \(-0\.015625 \+ 0\.0j\).*"
+                                               r"relative deviation 9\.5\de-7"):
+        main4_limit_check(QUARTIC_F, X, MORSE, [Fraction(-1, 64)], mp.sqrt(2), config)
 
 
 def test_main4_multiplicity_orders_match(config):

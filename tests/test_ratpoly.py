@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abelint.errors import InputError
 from abelint.ratpoly import (NEG_INF, RatPoly, chebyshev, compose,
@@ -236,6 +236,10 @@ def test_critical_value_poly_of_rational_critical_points(points, lead, const):
 @settings(max_examples=40, deadline=None)
 @given(CRITICAL_POINTS.filter(lambda pts: len(pts) <= 2), LEADS, RATIONALS,
        st.one_of(st.just(None), CRITICAL_POINTS.filter(lambda pts: len(pts) <= 2)))
+# degree 49, where p' has degree 48 but only 16 distinct roots: A' and W'
+# each have two triple roots
+@example([(Fraction(1, 2), 3), (Fraction(-2, 3), 3)], -2, Fraction(1, 3),
+         [(Fraction(1), 3), (Fraction(-1, 3), 3)])
 def test_critical_value_poly_of_composites(outer, lead, const, inner):
     # p = A(W) has the critical values A(W(t)) at W'(t) = 0 and A(s) at every
     # preimage of A'(s) = 0, so values repeat; W = x^2 makes p even
