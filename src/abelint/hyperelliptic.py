@@ -11,6 +11,7 @@ confluence limit that ties J to the zero-dimensional side.
 from __future__ import annotations
 
 import cmath
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,13 +64,6 @@ def _biv_mul(a: Biv, b: Biv) -> Biv:
     return _biv_canon(out)
 
 
-def _biv_pow(a: Biv, e: int) -> Biv:
-    out = {(0, 0): Fraction(1)}
-    for _ in range(e):
-        out = _biv_mul(out, a)
-    return out
-
-
 def _biv_from_poly(p: RatPoly, y_power: int = 0) -> Biv:
     return _biv_canon({(i, y_power): c for i, c in enumerate(p.coeffs)})
 
@@ -80,6 +74,24 @@ def _biv_dx(a: Biv) -> Biv:
 
 def _biv_dy(a: Biv) -> Biv:
     return _biv_canon({(i, j - 1): j * v for (i, j), v in a.items() if j >= 1})
+
+
+def _biv_of(terms: dict, side: str) -> Biv:
+    """A coefficient map from user terms: exponents are nonnegative ints
+    (not bools) and coefficients ints, Fractions or rational strings."""
+    out: Biv = {}
+    for key, c in terms.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(type(e) is int and e >= 0 for e in key)):
+            raise InputError(f"{side} exponents must be two nonnegative integers, not {key!r}")
+        try:
+            if type(c) not in (int, Fraction, str):
+                raise TypeError
+            out[key] = Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"{side} coefficient of {key} must be a rational, "
+                             f"not {c!r}") from None
+    return _biv_canon(out)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +106,9 @@ class OneForm:
 
     @staticmethod
     def of(dx: Biv | None = None, dy: Biv | None = None) -> "OneForm":
-        return OneForm(_biv_canon({k: Fraction(v) for k, v in (dx or {}).items()}),
-                       _biv_canon({k: Fraction(v) for k, v in (dy or {}).items()}))
+        """The form from {(x_power, y_power): coefficient} maps, or
+        InputError (`_biv_of`)."""
+        return OneForm(_biv_of(dx or {}, "dx"), _biv_of(dy or {}, "dy"))
 
 
 @dataclass(frozen=True)
@@ -120,82 +133,32 @@ class ReducedForm:
 
 
 def reduce_form(omega: OneForm, f: RatPoly) -> ReducedForm:
-    """Terminating rewrite of a polynomial 1-form into normal form.
+    """omega = P dx + Q dy in the normal form k(x) y dx + dA + B d(y^2 - f).
 
-    dx-terms with even y-power split through y^2 = f + (y^2 - f) into an
-    exact piece and a B-multiple; odd powers >= 3 are pushed through one
-    integration by parts in x and one B-step, dropping the y-degree by 2;
-    dy-terms integrate by parts into dx-terms.
+    First the dy part is integrated in y: A_1 = integral of Q dy, with no
+    constant term, leaves the pure dx form (P - dA_1/dx) dx.  Then its
+    highest y-power m >= 2 is lowered by 2 with g = the primitive of its
+    coefficient g':
+
+        g' y^m dx = d(g y^m) - (m/2) g y^(m-2) d(y^2 - f)
+                    - (m/2) g f' y^(m-2) dx,
+
+    until only y^0 (whose primitive goes into A) and y^1 (which is k) are
+    left.  Every step lowers the y-degree, so the loop ends.
     """
-    k_coeffs: dict[int, Fraction] = {}
-    a_part: Biv = {}
+    a_part = _biv_canon({(i, j + 1): c / (j + 1) for (i, j), c in omega.dy.items()})
+    rows: dict[int, RatPoly] = defaultdict(RatPoly)     # j -> the x-polynomial of y^j dx
+    for (i, j), c in _biv_add(omega.dx, _biv_scale(_biv_dx(a_part), Fraction(-1))).items():
+        rows[j] += RatPoly.monomial(i, c)
     b_part: Biv = {}
-    dx_terms = [((i, j), c) for (i, j), c in _biv_canon(omega.dx).items()]
-    dy_terms = [((i, j), c) for (i, j), c in _biv_canon(omega.dy).items()]
-    y2f = _biv_add({(0, 2): Fraction(1)}, _biv_scale(_biv_from_poly(f), Fraction(-1)))
-
-    def add_a(term: Biv):
-        nonlocal a_part
-        a_part = _biv_add(a_part, term)
-
-    def add_b(term: Biv):
-        nonlocal b_part
-        b_part = _biv_add(b_part, term)
-
-    guard = 0
-    while dx_terms or dy_terms:
-        guard += 1
-        if guard > 100000:
-            raise ComputationError("form reduction failed to terminate")
-        if dy_terms:
-            (a, b), c = dy_terms.pop()
-            if c == 0:
-                continue
-            if a == 0:
-                # pure y-power: exact, y^b dy = d(y^{b+1}/(b+1))
-                add_a({(0, b + 1): c / (b + 1)})
-            elif b >= 2 and b % 2 == 0:
-                # x^a y^b dy = B d(y^2-f) + (f'/2) x^a y^{b-1} dx,  B = x^a y^{b-1}/2
-                add_b({(a, b - 1): c / 2})
-                half_fp = _biv_scale(_biv_from_poly(f.derivative()), c / 2)
-                for (i, _), u in half_fp.items():
-                    dx_terms.append(((i + a, b - 1), u))
-            else:
-                # x^a y^b dy = d(x^a y^{b+1}/(b+1)) - a/(b+1) x^{a-1} y^{b+1} dx
-                add_a({(a, b + 1): c / (b + 1)})
-                dx_terms.append(((a - 1, b + 1), -c * a / (b + 1)))
-            continue
-
-        (a, b), c = dx_terms.pop()
-        if c == 0:
-            continue
-        if b == 0:
-            add_a({(a + 1, 0): c / (a + 1)})
-        elif b == 1:
-            k_coeffs[a] = k_coeffs.get(a, Fraction(0)) + c
-        elif b % 2 == 0:
-            m = b // 2
-            binom = 1
-            f_pow = f ** m
-            # i = 0 piece: exact in x
-            g0 = RatPoly.monomial(a, c) * f_pow
-            add_a(_biv_from_poly(g0.primitive()))
-            for i in range(1, m + 1):
-                binom = binom * (m - i + 1) // i
-                g = RatPoly.monomial(a, c * binom) * (f ** (m - i))
-                big_g = g.primitive()
-                y2f_i = _biv_pow(y2f, i)
-                add_a(_biv_mul(_biv_from_poly(big_g), y2f_i))
-                add_b(_biv_scale(_biv_mul(_biv_from_poly(big_g),
-                                          _biv_pow(y2f, i - 1)), Fraction(-i)))
-        else:
-            # x^a y^b dx = d(x^{a+1} y^b/(a+1)) - b/(a+1) x^{a+1} y^{b-1} dy
-            add_a({(a + 1, b): c / (a + 1)})
-            dy_terms.append(((a + 1, b - 1), -c * b / (a + 1)))
-
-    k = RatPoly([k_coeffs.get(i, Fraction(0))
-                 for i in range(max(k_coeffs, default=0) + 1)])
-    reduced = ReducedForm(k=k, a_part=_biv_canon(a_part), b_part=_biv_canon(b_part))
+    fp = f.derivative()
+    for m in range(max(rows, default=0), 1, -1):
+        g = rows.pop(m, RatPoly()).primitive()
+        a_part = _biv_add(a_part, _biv_from_poly(g, m))
+        b_part = _biv_add(b_part, _biv_from_poly(g * Fraction(-m, 2), m - 2))
+        rows[m - 2] += g * fp * Fraction(-m, 2)
+    a_part = _biv_add(a_part, _biv_from_poly(rows[0].primitive()))
+    reduced = ReducedForm(k=rows[1], a_part=a_part, b_part=b_part)
     if not reduced.verify(omega, f):
         raise ComputationError("form reduction identity failed to verify")
     return reduced

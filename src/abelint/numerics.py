@@ -109,9 +109,12 @@ def roots_of_shifted(p: RatPoly, z, prec: int) -> list:
 
 
 def _sorted_roots(coeffs: list, prec: int, what: str) -> list:
+    """Durand-Kerner roots at prec bits.  Near a multiple root it gains
+    about one bit per step, so the step budget grows with prec; polyroots
+    stops once it converges, so a larger budget never changes a result."""
     with mp.workprec(prec):
         try:
-            rts = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec)
+            rts = mpmath.polyroots(coeffs, maxsteps=max(200, 4 * prec), extraprec=prec)
         except mpmath.libmp.NoConvergence as exc:
             raise ComputationError(f"{what} did not converge: {exc}")
         return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))

@@ -123,21 +123,29 @@ class _LatticeSpans:
                                                      self.bound)
         return self._pullbacks[d]
 
+    def kernel_echelon(self, d: int) -> tuple[list[list[Fraction]], list[int]]:
+        """The trace kernel of d with its pivots.  A kernel is in rref
+        already, so each row's pivot is its first nonzero column."""
+        rows = self.trace_kernel(d)
+        return rows, [next(c for c, x in enumerate(row) if x) for row in rows]
+
     def ud_span(self, d: int) -> tuple[list[list[Fraction]], list[int]]:
         """Canonical basis of Z_{U_d}, with its pivots: Z_{V_d} plus the
         pullback rings of the witnesses of the elements covered by d."""
-        rows = list(self.trace_kernel(d))
-        for dt in self.lattice.covered_by(d):
-            rows.extend(self.pullback(dt))
-        return linalg.rref(rows)
+        covered = self.lattice.covered_by(d)
+        if not covered:
+            return self.kernel_echelon(d)
+        return linalg.rref(self.trace_kernel(d)
+                           + [row for dt in covered for row in self.pullback(dt)])
 
     def candidates(self, kernels, pullbacks):
-        """(tag, span builder) pairs: the trace kernels of `kernels`, then
-        the pullback rings of the witnesses of `pullbacks`."""
-        out = [(f"trace-kernel({d})", lambda d=d: self.trace_kernel(d))
+        """(tag, echelon) pairs, each echelon a function giving a span's rref
+        and pivots: the trace kernels of `kernels`, then the pullback rings
+        of the witnesses of `pullbacks`."""
+        out = [(f"trace-kernel({d})", lambda d=d: self.kernel_echelon(d))
                for d in kernels]
         out += [(f"pullback({self.lattice.witness[d].right})",
-                 lambda d=d: self.pullback(d)) for d in pullbacks]
+                 lambda d=d: linalg.rref(self.pullback(d))) for d in pullbacks]
         return out
 
     def conditions(self, cycles) -> list[list[Fraction]]:
@@ -153,15 +161,15 @@ class _LatticeSpans:
 
 def _provenance(rows, candidates) -> tuple[str, ...]:
     """Tag each row with the first candidate span that holds it, else
-    "mixed".  Candidates are (tag, span builder) pairs; a span is built and
-    put in echelon form only when a row first reaches it."""
+    "mixed".  Candidates are (tag, echelon) pairs (`candidates`); a span's
+    echelon is called only when a row first reaches that span."""
     echelons: dict[int, tuple] = {}
     tags = []
     for row in rows:
         tag = "mixed"
         for i, (name, build) in enumerate(candidates):
             if i not in echelons:
-                echelons[i] = linalg.rref(build())
+                echelons[i] = build()
             if linalg.in_rref_span(*echelons[i], row):
                 tag = name
                 break

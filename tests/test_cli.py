@@ -296,6 +296,25 @@ def test_hyper_check_reduce_and_exth():
     assert out["exth"]["exact"] is True
 
 
+def test_hyper_check_reduces_omega_with_dy_terms():
+    # k y dx of omega by hand: integrating the dy part leaves y^6, y^4, y^3
+    # and y dx terms, and lowering y^6 and y^3 through d(y^2 - f) with
+    # f' = x^3 - 2x adds (5/6)(x^5 - 2x^3) to y's coefficient 3
+    payload = {
+        "f": HYPER_F,
+        "omega": {"dx": [{"px": 2, "py": 4, "coeff": "1/2"}, {"px": 0, "py": 1, "coeff": "3"},
+                         {"px": 1, "py": 6, "coeff": "-2/3"}],
+                  "dy": [{"px": 1, "py": 3, "coeff": "-2"}, {"px": 2, "py": 2, "coeff": "5/3"},
+                         {"px": 0, "py": 5, "coeff": "7"}]},
+        "cycle": ["1", "-1", "0", "0"],
+    }
+    res = run_cli(["hyper-check", "-"], payload)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["k"] == ["3", "0", "0", "-5/3", "0", "5/6"]
+    assert out["criterion"]["constant"] is False
+
+
 def test_hyper_integrate():
     f = poly_to_json((RatPoly.x() ** 2 / 2 - RatPoly.one()) ** 2)
     payload = {"family": {"f": f, "pair_index": 1,

@@ -16,7 +16,7 @@ from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
                                    oval_form_integral, reduce_form,
                                    vanishing_criterion)
 from abelint.monodromy import divisor_lattice, monodromy
-from abelint.numerics import eval_poly
+from abelint.numerics import eval_poly, roots_of_shifted
 from abelint.ratpoly import RatPoly, poly_gcd, trace_poly
 
 from conftest import QUARTIC_F
@@ -89,6 +89,29 @@ def test_reduce_other_fiber_polynomials():
                            dy={(1, 3): -2})
         red = reduce_form(omega, f)
         assert red.verify(omega, f)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({"dx": {(-1, 0): 1}}, r"^dx exponents must be two nonnegative integers, not \(-1, 0\)$"),
+    ({"dy": {(0, -1): 1}}, r"^dy exponents must be two nonnegative integers, not \(0, -1\)$"),
+    ({"dx": {(1.5, 1): 1}}, r"^dx exponents .* not \(1\.5, 1\)$"),
+    ({"dy": {(True, 1): 1}}, r"^dy exponents .* not \(True, 1\)$"),
+    ({"dx": {(1,): 1}}, r"^dx exponents .* not \(1,\)$"),
+    ({"dx": {(1, 1): "x"}}, r"^dx coefficient of \(1, 1\) must be a rational, not 'x'$"),
+    ({"dy": {(0, 2): "1/0"}}, r"^dy coefficient of \(0, 2\) must be a rational, not '1/0'$"),
+    ({"dx": {(1, 1): 0.5}}, r"^dx coefficient .* not 0\.5$"),
+    ({"dy": {(1, 1): None}}, r"^dy coefficient .* not None$"),
+], ids=["negative-x", "negative-y", "float-exponent", "bool-exponent", "short-key",
+        "word", "zero-denominator", "float", "none"])
+def test_one_form_rejects_malformed_terms(terms, message):
+    with pytest.raises(InputError, match=message):
+        reduce_form(OneForm.of(**terms), QUARTIC_F)
+
+
+def test_one_form_reads_rational_strings():
+    omega = OneForm.of(dx={(1, 1): "3/4"}, dy={(0, 0): "0"})
+    assert omega == OneForm.of(dx={(1, 1): Fraction(3, 4)})
+    assert reduce_form(omega, QUARTIC_F).k == X * Fraction(3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +865,22 @@ def _double_root_quartic(rng):
     return f, k, c, Fraction(rng.choice([-1, 1]), rng.choice([64, 128, 256]))
 
 
+def test_fiber_roots_converge_on_an_exact_double_root():
+    # draw 2 of _double_root_quartic: Durand-Kerner gains about one bit per
+    # step on the double root -7, so at 180 bits it needs more than 200 steps
+    f = -(X + 7) ** 2 * ((X + Fraction(3, 2)) ** 2 - Fraction(5, 2))
+    assert f == _double_root_quartic(random.Random(2))[0]
+    roots = roots_of_shifted(f, 0, 180)
+    with mp.workprec(180):
+        s = mp.sqrt(mp.mpf(5) / 2)
+        assert all(abs(r + 7) < mp.mpf(2) ** -90 for r in roots[:2])
+        assert abs(roots[2] + mp.mpf(3) / 2 + s) < mp.mpf(2) ** -170
+        assert abs(roots[3] + mp.mpf(3) / 2 - s) < mp.mpf(2) ** -170
+
+
 def test_main4_double_root_quartics_meet_or_raise(config):
     # a sample that misses 2^-(prec/3) must raise, never come back silently;
-    # draws 3 and 6 have a root too near the cluster, and f's exact double
-    # root at t = 0 stops draw 2's root finder
+    # draws 3 and 6 have a root too near the cluster
     met = 0
     for seed in range(8):
         f, k, c, z = _double_root_quartic(random.Random(seed))
@@ -855,7 +890,7 @@ def test_main4_double_root_quartics_meet_or_raise(config):
             continue
         assert report.max_relative_deviation <= mp.mpf(2) ** -(config.precision_bits // 3)
         met += 1
-    assert met >= 4
+    assert met >= 6
 
 
 def test_main4_one_contour_and_one_fiber_per_sample(config, monkeypatch):
