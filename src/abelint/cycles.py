@@ -175,7 +175,7 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
 
     This is the branch numbering of the base fiber, carried along the
     standard cut system; the interval walks read it once per gap
-    (`_rank_labels`).  The walk starts from `rep.refined_fiber`, refined
+    (`_rank_labels`).  The walk starts from `rep.base_fiber`, refined
     once in `monodromy`, and its end is not refined (`walk_fiber`): its
     only use is a nearest-point match against correctly rounded roots with
     a 4x margin, and a machine-tier end is good to about 2^-53 / gap of
@@ -196,7 +196,7 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
             for k in range(9):
                 path.append(c + r * mp.exp(mp.mpc(0, 1) * mp.pi * k / 8))
         path.append(mp.mpc(z_target))
-        return [mp.mpc(x) for x in walk_fiber(p, path, rep.refined_fiber, config)]
+        return [mp.mpc(x) for x in walk_fiber(p, path, rep.base_fiber, config)]
 
 
 def _piece_probe(p: RatPoly, cv_poly: RatPoly, xl, xr) -> Fraction:

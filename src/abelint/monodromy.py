@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -285,6 +285,54 @@ def _double(x):
     return v if x == 0 or sys.float_info.min <= abs(v) < math.inf else None
 
 
+def _machine_roots(p: RatPoly, z) -> list | None:
+    """Roots of p(x) - z by `mpmath.polyroots`' Durand-Kerner sweep on
+    Python complex values, started on the circle of the Fujiwara bound and
+    stopped once the largest correction is at most 2^-50 of the roots'
+    scale.  Parts below 2^-40 of that scale are snapped to 0, and the roots
+    below the real axis are replaced by the exact conjugates of those above.
+    None when a coefficient or z is not a normal double, 500 sweeps do not
+    converge, or the roots do not pair up by conjugation."""
+    coeffs = [_double(c) for c in reversed(p.coeffs)]
+    shift = _double(z)
+    if None in coeffs or shift is None:
+        return None
+    coeffs[-1] -= shift
+    n = len(coeffs) - 1
+    monic = [c / coeffs[0] for c in coeffs[1:]]
+    turn = complex(0.4, 0.9) / abs(complex(0.4, 0.9))
+    radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate(monic, 1))
+    roots = [radius * turn ** k for k in range(n)]
+    try:
+        for _ in range(500):
+            worst = 0.0
+            for i, x in enumerate(roots):
+                v = 1.0
+                for c in monic:
+                    v = v * x + c
+                for j, y in enumerate(roots):
+                    if j != i:
+                        v /= x - y
+                roots[i] = x - v
+                if not abs(v) <= worst:
+                    worst = abs(v)       # NaN included, so it never converges
+            scale = max(map(abs, roots))
+            if worst <= 2.0 ** -50 * scale < math.inf:
+                break
+        else:
+            return None
+    except (ZeroDivisionError, OverflowError):
+        return None
+    tiny = 2.0 ** -40 * scale
+    roots = [complex(0.0 if abs(x.real) < tiny else x.real,
+                     0.0 if abs(x.imag) < tiny else x.imag) for x in roots]
+    real = [x for x in roots if x.imag == 0]
+    upper = [x for x in roots if x.imag > 0]
+    if len(real) + 2 * len(upper) != n:
+        return None
+    return real + upper + [x.conjugate() for x in upper]
+
+
 def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
     """Python complex floats, or None when a coefficient of p or p' or a
     path point leaves the normal double range."""
@@ -398,7 +446,7 @@ def walk_fiber(p: RatPoly, path: list, start_fiber: list,
     """`track_fiber`'s continuation, tracked in machine complex arithmetic.
 
     `start_fiber` is not refined, so it should be accurate at the working
-    precision, as `roots_of_shifted` at it and `MonodromyRep.refined_fiber`
+    precision, as `roots_of_shifted` at it and `MonodromyRep.base_fiber`
     are.  A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of
     its scale, the step below 2^-30, or a value out of the double range is
     tracked again from its start by the mp tier, which raises
@@ -426,7 +474,7 @@ def continue_fiber(p: RatPoly, path: list, start_fiber: list,
     that tolerance, and bit for bit when every segment ran on the mp tier
     and `start_fiber` is the refined fiber `track_fiber` starts from.  The
     start is not refined: the base fiber is refined once, in `monodromy`
-    (`MonodromyRep.refined_fiber`).  The oracle's residuals are sums over
+    (`MonodromyRep.base_fiber`).  The oracle's residuals are sums over
     such fibers; a machine-tier end would put an error near 2^-44 into them.
     """
     fiber = walk_fiber(p, path, start_fiber, config)
@@ -599,11 +647,10 @@ class MonodromyRep:
 
     generators[i] belongs to critical_values[i]; petal_order lists the
     generator indices in the sweep order in which their product equals the
-    infinity cycle.  refined_fiber is base_fiber refined by Newton at
-    precision_bits + 32 bits to 2^-(precision_bits + 8) relative, in the
-    same order: every continuation from the base point starts from it, so
-    the base fiber is refined once per polynomial.  It is not serialized;
-    a rep read back from JSON starts from its printed base_fiber.
+    infinity cycle.  base_fiber is refined by Newton at precision_bits + 32
+    bits to 2^-(precision_bits + 8) relative, once per polynomial: every
+    continuation from the base point starts from it.  A rep read back from
+    JSON starts from its printed base_fiber.
     """
     n: int
     base_point: object            # mpmath mpc
@@ -613,7 +660,6 @@ class MonodromyRep:
     base_fiber: tuple
     petal_order: tuple[int, ...]
     precision_bits: int
-    refined_fiber: tuple = field(compare=False, repr=False)
 
     def product_in_petal_order(self) -> Permutation:
         acc = Permutation.identity(self.n)
@@ -659,6 +705,26 @@ def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
         raise TrackingError(f"{name}: {exc}") from exc
 
 
+def _base_fiber(p: RatPoly, c0, tier: _Tier) -> list:
+    """The fiber over the base point, refined once at the working precision:
+    every loop starts from it, and so does every later walk and oracle
+    sample (`MonodromyRep.base_fiber`).
+
+    The start is `_machine_roots`, refined with a move limit of 0.35 x its
+    gap as in `continue_fiber`, so each root stays in its own start's disk
+    and the n results are n distinct roots.  When there is no such start or
+    a refine fails, `roots_of_shifted` gives the start instead."""
+    z = to_mpc(c0, mp.prec)
+    start = _machine_roots(p, c0)
+    if start is not None:
+        limit = mp.mpf(_pair_gap(start)) * mp.mpf("0.35")
+        try:
+            return _refine(tier, z, start, limit, "start fiber")
+        except TrackingError:
+            pass
+    return _refine(tier, z, roots_of_shifted(p, c0, mp.prec), None, "start fiber")
+
+
 def _relabel(perm: Permutation, label: list[int]) -> Permutation:
     """Conjugate by the relabeling old index -> label[old-1]."""
     n = perm.n
@@ -670,7 +736,7 @@ def _relabel(perm: Permutation, label: list[int]) -> Permutation:
 
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     """Full monodromy representation of p at the configured precision: the
-    base fiber is refined once, kept as `refined_fiber`, and each loop's
+    base fiber is refined once (`_base_fiber`), and each loop's
     permutation is read at its circle's foot (`_loop_permutation`), with no
     segment tracked twice."""
     n = p.degree
@@ -679,12 +745,9 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
         c0, loop_inf, petals, order_keys = _loops(cvs)
-        fiber0 = roots_of_shifted(p, c0, mp.prec)
-        # the one refinement at the working precision: every loop starts
-        # here, and so does every later walk and oracle sample (refined_fiber)
         dp = p.derivative()
         tier = _mp_tier(p, dp, config)
-        start = _refine(tier, to_mpc(c0, mp.prec), fiber0, None, "start fiber")
+        start = _base_fiber(p, c0, tier)
         sigma_inf = _loop_permutation(p, dp, loop_inf, start, config, tier,
                                       "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
@@ -699,7 +762,7 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
 
         # renumber so sigma_inf becomes (1 2 ... n); root "1" is the fiber
         # point with the largest real part (ties: largest imaginary part)
-        first = max(range(n), key=lambda i: (mp.re(fiber0[i]), mp.im(fiber0[i])))
+        first = max(range(n), key=lambda i: (mp.re(start[i]), mp.im(start[i])))
         label = [0] * n
         cur = first + 1
         for pos in range(1, n + 1):
@@ -709,16 +772,15 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         infinity = _relabel(sigma_inf, label)
         if infinity != Permutation.cycle(n):
             raise ConsistencyError("renumbering failed to standardize infinity")
-        ordered_fiber, refined = [None] * n, [None] * n
+        ordered_fiber = [None] * n
         for old in range(n):
-            ordered_fiber[label[old] - 1] = fiber0[old]
-            refined[label[old] - 1] = start[old]
+            ordered_fiber[label[old] - 1] = start[old]
 
         rep = MonodromyRep(
             n=n, base_point=mp.mpc(c0), critical_values=tuple(cvs),
             generators=gens, infinity=infinity,
             base_fiber=tuple(ordered_fiber), petal_order=petal_order,
-            precision_bits=config.precision_bits, refined_fiber=tuple(refined))
+            precision_bits=config.precision_bits)
         if rep.product_in_petal_order() != infinity:
             raise ConsistencyError(
                 "petal-order product does not reproduce the infinity cycle")

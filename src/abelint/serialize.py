@@ -128,7 +128,6 @@ def monodromy_from_json(data) -> MonodromyRep:
                 "infinity", "base_fiber", "petal_order", "precision_bits"):
         _expect(key in data, f"monodromy record is missing {key!r}")
     prec = int(data["precision_bits"])
-    base_fiber = tuple(complex_from_json(x, prec) for x in data["base_fiber"])
     return MonodromyRep(
         n=int(data["degree"]),
         base_point=complex_from_json(data["base_point"], prec),
@@ -137,10 +136,9 @@ def monodromy_from_json(data) -> MonodromyRep:
         generators=tuple(Permutation(tuple(int(i) for i in g))
                          for g in data["generators"]),
         infinity=Permutation(tuple(int(i) for i in data["infinity"])),
-        base_fiber=base_fiber,
+        base_fiber=tuple(complex_from_json(x, prec) for x in data["base_fiber"]),
         petal_order=tuple(int(i) for i in data["petal_order"]),
         precision_bits=prec,
-        refined_fiber=base_fiber,     # the record keeps no refined fiber
     )
 
 

@@ -433,7 +433,7 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
                           config: Config = DEFAULT_CONFIG,
                           count: int | None = None) -> list:
     """Fibers over seeded random regular points, index-aligned with the
-    normalized base fiber.  Each is continued from `rep.refined_fiber`,
+    normalized base fiber.  Each is continued from `rep.base_fiber`,
     refined once in `monodromy`, along a `route` path on the two-tier
     tracker, and its end is refined at the working precision to
     2^-(precision_bits + 8) relative (`continue_fiber`): the residuals are
@@ -446,7 +446,7 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
         fibers = []
         for z in _sample_points(rep, blockers, count, config.seed):
             path = route(rep.base_point, z, blockers)
-            fibers.append(continue_fiber(p, path, rep.refined_fiber, config))
+            fibers.append(continue_fiber(p, path, rep.base_fiber, config))
         return fibers
 
 

@@ -437,6 +437,23 @@ def test_roots_past_the_double_range(command, payload, tmp_path, capsys):
         code == 1 and err.startswith("computation failed: ") and err.count("\n") == 1)
 
 
+def test_monodromy_of_a_huge_constant(tmp_path, capsys):
+    # x^2 - 10^300: the fiber over the base point 2e300 comes from the double
+    # start on the circle of the Fujiwara bound, where polyroots' unit-circle
+    # start ran out of steps
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(["-1e300", "0", "1"]))
+    start = time.perf_counter()
+    code = cli.main(["monodromy", str(path)])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    root = "1.73205080756887729352744634150587237e+150"
+    assert out["base_fiber"] == [[root, "0.0"], ["-" + root, "0.0"]]
+    assert out["generators"] == [[2, 1]]
+    assert elapsed < 1
+
+
 def test_hyper_integrate_next_to_zero(tmp_path, capsys):
     # f + t has a root near -2e-100000: its isolating interval ends at 0,
     # and the root's binary exponent is found by galloping, not bit by bit

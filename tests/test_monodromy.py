@@ -5,6 +5,7 @@ import math
 import random
 import time
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,8 +18,10 @@ from abelint.monodromy import (Permutation, _loops, _machine_tier,
                                divisor_lattice, generated_group_order,
                                is_full_symmetric, match_permutation, monodromy,
                                track_fiber)
-from abelint.numerics import eval_poly, roots_of, roots_of_shifted
+from abelint.numerics import (eval_poly, min_pairwise_distance, roots_of,
+                              roots_of_shifted)
 from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
+from abelint.serialize import monodromy_to_json
 
 from conftest import QUARTIC_PAPER_SPELLING, QUARTIC_SHIFTED, QUINTIC
 
@@ -421,7 +424,14 @@ def test_foot_permutations_match_closed_loops(name, p, config):
     with mp.workprec(config.precision_bits + 32):
         c0, loop_inf, petals, _ = _loops(cvs)
         fiber0 = roots_of_shifted(p, c0, mp.prec)
-    label = [rep.base_fiber.index(x) + 1 for x in fiber0]
+        # base_fiber is refined from its own start: match each root of
+        # fiber0 to the nearest one, within match_permutation's gap / 4
+        gap = min_pairwise_distance(fiber0)
+        label = []
+        for x in fiber0:
+            dist, j = min((abs(x - y), j) for j, y in enumerate(rep.base_fiber))
+            assert dist <= gap / 4
+            label.append(j + 1)
     for loop, expected in zip([loop_inf] + petals, (rep.infinity,) + rep.generators):
         sigma = match_permutation(fiber0, continue_fiber(p, _closed(loop), fiber0,
                                                          config))
@@ -455,6 +465,100 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
     assert refines == ["start fiber"]
     # every segment once, on the machine tier: no return leg, no re-tracking
     assert tiers == [float] * segments
+
+
+# ---------------------------------------------------------------------------
+# the base fiber from a double-precision start
+# ---------------------------------------------------------------------------
+
+def _shifted_calls(monkeypatch) -> list:
+    """The arguments of every `roots_of_shifted` call `monodromy` makes."""
+    mono = importlib.import_module("abelint.monodromy")
+    calls, shifted = [], mono.roots_of_shifted
+
+    def spy(*args):
+        calls.append(args)
+        return shifted(*args)
+
+    monkeypatch.setattr(mono, "roots_of_shifted", spy)
+    return calls
+
+
+# -2x^3/3 + x^2/4 + 15x/32 - 3/8, critical points -3/8 and 5/8: a cubic of
+# the moment-cli benchmark's kind
+MOMENT_CUBIC = RatPoly([Fraction(-3, 8), Fraction(15, 32), Fraction(1, 4),
+                        Fraction(-2, 3)])
+
+
+@pytest.mark.parametrize("p", [chebyshev(6), MOMENT_CUBIC], ids=["T6", "cubic"])
+def test_base_fiber_needs_no_polyroots(p, config, monkeypatch):
+    calls = _shifted_calls(monkeypatch)
+    monodromy(p, config)
+    assert calls == []
+
+
+T6_BASE_FIBER = [
+    ["1.05972087140574623221541284480335545", "0.0"],
+    ["0.529860435702873116107706422401677726", "0.303737129718636155393209960773051347"],
+    ["-0.529860435702873116107706422401677726", "0.303737129718636155393209960773051347"],
+    ["-1.05972087140574623221541284480335545", "0.0"],
+    ["-0.529860435702873116107706422401677726", "-0.303737129718636155393209960773051347"],
+    ["0.529860435702873116107706422401677726", "-0.303737129718636155393209960773051347"]]
+T8_BASE_FIBER = [
+    ["1.03344867131829979936974567350899997", "0.0"],
+    ["0.73075856349739728875505740886843644", "0.184412792736240576648385374295886908"],
+    ["0.0", "0.260799072562690012296430487552530671"],
+    ["-0.73075856349739728875505740886843644", "0.184412792736240576648385374295886908"],
+    ["-1.03344867131829979936974567350899997", "0.0"],
+    ["-0.73075856349739728875505740886843644", "-0.184412792736240576648385374295886908"],
+    ["0.0", "-0.260799072562690012296430487552530671"],
+    ["0.73075856349739728875505740886843644", "-0.184412792736240576648385374295886908"]]
+
+
+@pytest.mark.parametrize("degree, want", [(6, T6_BASE_FIBER), (8, T8_BASE_FIBER)],
+                         ids=["T6", "T8"])
+def test_printed_base_fiber(degree, want, config):
+    # the roots on the axes print exact zeros: the start snaps parts below
+    # 2^-40 of its scale onto the axes, and the refine keeps them there
+    rep = monodromy(chebyshev(degree), config)
+    assert monodromy_to_json(rep)["base_fiber"] == want
+
+
+def test_base_fiber_past_the_double_range_falls_back(config, monkeypatch):
+    # 2^-1100 is not a normal double: the start comes from roots_of_shifted
+    calls = _shifted_calls(monkeypatch)
+    rep = monodromy(RatPoly([0, Fraction(1, 2 ** 1100), 1]), config)
+    assert len(calls) == 1
+    root = "1.41421356237309504880168872420969808"
+    assert monodromy_to_json(rep) == {
+        "degree": 2, "precision_bits": 128, "base_point": ["2.0", "0.0"],
+        "critical_values": [["-1.35503198883961705541418095255300543e-663", "0.0"]],
+        "generators": [[2, 1]], "infinity": [2, 1],
+        "base_fiber": [[root, "0.0"], ["-" + root, "0.0"]], "petal_order": [0]}
+
+
+def _monodromy_record(p, config):
+    try:
+        return monodromy_to_json(monodromy(p, config))
+    except ComputationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_LEAD = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-2", "1/2", "-3")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lower=st.integers(1, 7).flatmap(
+           lambda d: st.lists(_SMALL, min_size=d + 1, max_size=d + 1)),
+       lead=_LEAD)
+def test_double_start_matches_the_polyroots_start(lower, lead, config):
+    # the same rep, to the printed base_fiber, as from roots_of_shifted
+    p = RatPoly(lower + [lead])
+    mono = importlib.import_module("abelint.monodromy")
+    default = _monodromy_record(p, config)
+    with patch.object(mono, "_machine_roots", lambda p, z: None):
+        assert _monodromy_record(p, config) == default
 
 
 def _mp_sweep(cvs, c0):
