@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpc_abs, mpc_div, mpc_sub, mpf_add,
-                          mpf_gt, mpf_le, mpf_mul, round_nearest)
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
-from .numerics import (eval_poly, min_pairwise_distance, roots_of,
-                       roots_of_shifted, to_mpc)
+from .numerics import (eval_poly, fiber_roots, min_pairwise_distance, newton,
+                       pair_gap, roots_of, to_mpc)
 from .ratpoly import (Decomposition, RatPoly, critical_value_poly,
                       decompose_all, divisors)
 from .realroots import RealRoots
@@ -157,11 +155,9 @@ def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
     with mp.workprec(prec):
         values = [mp.mpc(real.root(i, prec)) for i in range(real.count)]
         if real.count < r.degree:
-            rest = roots_of(r, prec)
-            for v in values:        # drop each real root's numeric copy
-                rest.remove(min(rest, key=lambda u: abs(u - v)))
-            if any(mp.im(v) == 0 for v in rest):
-                # polyroots rounded a non-real root onto the real axis
+            rest = [v for v in roots_of(r, prec) if mp.im(v) != 0]
+            if len(rest) != r.degree - real.count:
+                # a non-real root was rounded onto the real axis
                 raise ComputationError(
                     "a non-real critical value is too near the real axis to resolve")
             values += rest
@@ -171,35 +167,6 @@ def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
 # ---------------------------------------------------------------------------
 # root tracking
 # ---------------------------------------------------------------------------
-
-def _newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
-    """Newton's method for p(x) = z from x0, on raw libmp values rounded to
-    nearest at the working precision (the same operations as on mpc
-    objects).  None when p' vanishes, the accumulated move exceeds
-    `move_limit`, or 64 steps do not converge to `eps` relative."""
-    prec, rnd = mp.prec, round_nearest
-    z, eps = z._mpc_, eps._mpf_
-    limit = None if move_limit is None else move_limit._mpf_
-    x = x0
-    total = fzero
-    for _ in range(64):
-        d = eval_poly(dp, x, prec)._mpc_
-        if d == (fzero, fzero):
-            return None
-        step = mpc_div(mpc_sub(eval_poly(p, x, prec)._mpc_, z, prec, rnd), d,
-                       prec, rnd)
-        xv = mpc_sub(x._mpc_, step, prec, rnd)
-        x = mp.make_mpc(xv)
-        size = mpc_abs(step, prec, rnd)
-        if limit is not None:
-            total = mpf_add(total, size, prec, rnd)
-            if mpf_gt(total, limit):
-                return None
-        ax = mpc_abs(xv, prec, rnd)
-        if mpf_le(size, mpf_mul(eps, ax, prec, rnd) if mpf_gt(ax, fone) else eps):
-            return x
-    return None
-
 
 class _Tier(NamedTuple):
     """The leaves `_track_segment`'s step control runs on."""
@@ -221,7 +188,7 @@ def _mp_collapse(z0, z1, t, gap, coll):
 def _mp_tier(p: RatPoly, dp: RatPoly, config: Config) -> _Tier:
     """mpmath at the caller's working precision (prec+32 in every caller)."""
     eps = mp.mpf(2) ** (-(config.precision_bits + 8))
-    return _Tier(mp.mpf, lambda z, x, limit: _newton(p, dp, z, x, limit, eps),
+    return _Tier(mp.mpf, lambda z, x, limit: newton(p, dp, z, x, limit, eps),
                  min_pairwise_distance, _mp_collapse)
 
 
@@ -239,20 +206,15 @@ def _escalate(*_):
     raise _Escalate
 
 
-def _pair_gap(fiber):
-    return min((abs(a - b) for i, a in enumerate(fiber) for b in fiber[i + 1:]),
-               default=None)
-
-
 def _machine_gap(fiber):
-    gap = _pair_gap(fiber)
+    gap = pair_gap(fiber)
     if gap is not None and not gap >= MACHINE_GAP_FLOOR * max(1.0, *map(abs, fiber)):
         raise _Escalate      # near a collision, or not finite
     return gap
 
 
 def _machine_newton(cp, cdp, z, x, move_limit):
-    """`_newton` on Python complex values, stopping at 2^-44 relative."""
+    """`newton` on Python complex values, stopping at 2^-44 relative."""
     total = 0.0
     for _ in range(64):
         d = v = 0j
@@ -283,54 +245,6 @@ def _double(x):
     except OverflowError:
         return None
     return v if x == 0 or sys.float_info.min <= abs(v) < math.inf else None
-
-
-def _machine_roots(p: RatPoly, z) -> list | None:
-    """Roots of p(x) - z by `mpmath.polyroots`' Durand-Kerner sweep on
-    Python complex values, started on the circle of the Fujiwara bound and
-    stopped once the largest correction is at most 2^-50 of the roots'
-    scale.  Parts below 2^-40 of that scale are snapped to 0, and the roots
-    below the real axis are replaced by the exact conjugates of those above.
-    None when a coefficient or z is not a normal double, 500 sweeps do not
-    converge, or the roots do not pair up by conjugation."""
-    coeffs = [_double(c) for c in reversed(p.coeffs)]
-    shift = _double(z)
-    if None in coeffs or shift is None:
-        return None
-    coeffs[-1] -= shift
-    n = len(coeffs) - 1
-    monic = [c / coeffs[0] for c in coeffs[1:]]
-    turn = complex(0.4, 0.9) / abs(complex(0.4, 0.9))
-    radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate(monic, 1))
-    roots = [radius * turn ** k for k in range(n)]
-    try:
-        for _ in range(500):
-            worst = 0.0
-            for i, x in enumerate(roots):
-                v = 1.0
-                for c in monic:
-                    v = v * x + c
-                for j, y in enumerate(roots):
-                    if j != i:
-                        v /= x - y
-                roots[i] = x - v
-                if not abs(v) <= worst:
-                    worst = abs(v)       # NaN included, so it never converges
-            scale = max(map(abs, roots))
-            if worst <= 2.0 ** -50 * scale < math.inf:
-                break
-        else:
-            return None
-    except (ZeroDivisionError, OverflowError):
-        return None
-    tiny = 2.0 ** -40 * scale
-    roots = [complex(0.0 if abs(x.real) < tiny else x.real,
-                     0.0 if abs(x.imag) < tiny else x.imag) for x in roots]
-    real = [x for x in roots if x.imag == 0]
-    upper = [x for x in roots if x.imag > 0]
-    if len(real) + 2 * len(upper) != n:
-        return None
-    return real + upper + [x.conjugate() for x in upper]
 
 
 def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
@@ -446,9 +360,9 @@ def walk_fiber(p: RatPoly, path: list, start_fiber: list,
     """`track_fiber`'s continuation, tracked in machine complex arithmetic.
 
     `start_fiber` is not refined, so it should be accurate at the working
-    precision, as `roots_of_shifted` at it and `MonodromyRep.base_fiber`
-    are.  A segment on which the fiber gap falls below MACHINE_GAP_FLOOR of
-    its scale, the step below 2^-30, or a value out of the double range is
+    precision, as `fiber_roots` at it and `MonodromyRep.base_fiber` are.  A
+    segment on which the fiber gap falls below MACHINE_GAP_FLOOR of its
+    scale, the step below 2^-30, or a value out of the double range is
     tracked again from its start by the mp tier, which raises
     `track_fiber`'s errors.  A path whose polynomial or points do not fit
     in normal doubles runs on the mp tier throughout.  The end fiber is
@@ -481,7 +395,7 @@ def continue_fiber(p: RatPoly, path: list, start_fiber: list,
     if not _on_machine(fiber):
         return fiber
     with mp.workprec(config.precision_bits + 32):
-        gap = _pair_gap(fiber)
+        gap = pair_gap(fiber)
         limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
         return _refine(_mp_tier(p, p.derivative(), config),
                        to_mpc(path[-1], mp.prec), fiber, limit, "end fiber")
@@ -705,26 +619,6 @@ def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
         raise TrackingError(f"{name}: {exc}") from exc
 
 
-def _base_fiber(p: RatPoly, c0, tier: _Tier) -> list:
-    """The fiber over the base point, refined once at the working precision:
-    every loop starts from it, and so does every later walk and oracle
-    sample (`MonodromyRep.base_fiber`).
-
-    The start is `_machine_roots`, refined with a move limit of 0.35 x its
-    gap as in `continue_fiber`, so each root stays in its own start's disk
-    and the n results are n distinct roots.  When there is no such start or
-    a refine fails, `roots_of_shifted` gives the start instead."""
-    z = to_mpc(c0, mp.prec)
-    start = _machine_roots(p, c0)
-    if start is not None:
-        limit = mp.mpf(_pair_gap(start)) * mp.mpf("0.35")
-        try:
-            return _refine(tier, z, start, limit, "start fiber")
-        except TrackingError:
-            pass
-    return _refine(tier, z, roots_of_shifted(p, c0, mp.prec), None, "start fiber")
-
-
 def _relabel(perm: Permutation, label: list[int]) -> Permutation:
     """Conjugate by the relabeling old index -> label[old-1]."""
     n = perm.n
@@ -736,7 +630,7 @@ def _relabel(perm: Permutation, label: list[int]) -> Permutation:
 
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     """Full monodromy representation of p at the configured precision: the
-    base fiber is refined once (`_base_fiber`), and each loop's
+    base fiber is found and refined once (`fiber_roots`), and each loop's
     permutation is read at its circle's foot (`_loop_permutation`), with no
     segment tracked twice."""
     n = p.degree
@@ -747,7 +641,7 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         c0, loop_inf, petals, order_keys = _loops(cvs)
         dp = p.derivative()
         tier = _mp_tier(p, dp, config)
-        start = _base_fiber(p, c0, tier)
+        start = fiber_roots(p, c0, mp.prec)
         sigma_inf = _loop_permutation(p, dp, loop_inf, start, config, tier,
                                       "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:

@@ -1,22 +1,25 @@
 """mpmath-backed numeric primitives shared by the tracking and quadrature code.
 
 Helpers take an explicit precision in bits, or use the caller's working
-precision (`min_pairwise_distance`), and never change mpmath's global
-state.  The hot leaves of tracking and quadrature
-(`eval_poly` and its raw core `eval_poly_raw`, `min_pairwise_distance`) run
-on mpmath's raw libmp values and round exactly as the same code on mpf/mpc
-objects does.
+precision (`min_pairwise_distance`, `newton`), and never change mpmath's
+global state.  The hot leaves of tracking and quadrature (`eval_poly` and
+its raw core `eval_poly_raw`, `min_pairwise_distance`, `newton`) run on
+mpmath's raw libmp values and round exactly as the same code on mpf/mpc
+objects does.  Every root finding is `fiber_roots`: a double-precision
+start refined by `newton`, with `mpmath.polyroots` as its fallback.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add_mpf, mpc_mul,
-                          mpc_mul_int, mpc_sub, mpf_add, mpf_div, mpf_lt,
-                          mpf_mul, mpf_mul_int, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div,
+                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+                          round_nearest)
 
 from .errors import ComputationError
 from .ratpoly import RatPoly
@@ -97,27 +100,129 @@ def eval_poly_raw(p: RatPoly | tuple, z: tuple, prec: int) -> tuple:
 def roots_of(p: RatPoly, prec: int) -> list:
     """All complex roots of a squarefree nonconstant p at `prec` bits,
     sorted by (re, im)."""
-    return _sorted_roots(poly_mpc_coeffs(p, prec), prec, "root finding")
+    return fiber_roots(p, 0, prec)
 
 
 def roots_of_shifted(p: RatPoly, z, prec: int) -> list:
     """Roots of p(x) - z for a numeric z (generically squarefree)."""
-    coeffs = poly_mpc_coeffs(p, prec)
-    with mp.workprec(prec):
-        coeffs[-1] -= to_mpc(z, prec)
-    return _sorted_roots(coeffs, prec, "fiber root finding")
+    return fiber_roots(p, z, prec)
 
 
-def _sorted_roots(coeffs: list, prec: int, what: str) -> list:
-    """Durand-Kerner roots at prec bits.  Near a multiple root it gains
-    about one bit per step, so the step budget grows with prec; polyroots
-    stops once it converges, so a larger budget never changes a result."""
+def fiber_roots(p: RatPoly, z, prec: int) -> list:
+    """The roots of p(x) - z at `prec` bits, sorted by (re, im), as mpc.
+
+    `_machine_roots` starts them in doubles on x = 2^k u, with 2^k near the
+    Fujiwara bound of the monic coefficients (found in mp, so no coefficient
+    needs to fit in a double).  `newton` refines each at `prec` bits to
+    2^-(prec - 24) of max(|x|, 1), or of 2^k if that is below 1 (the mp
+    tier's tolerance at prec = precision_bits + 32), with a move limit of
+    0.35 x the start's gap, so the n results are n distinct roots.  Without
+    such a start, or when a refine fails, `mpmath.polyroots` sweeps at
+    2 x prec bits; near a multiple root it gains about one bit per step, so
+    its step budget grows with prec."""
     with mp.workprec(prec):
-        try:
-            rts = mpmath.polyroots(coeffs, maxsteps=max(200, 4 * prec), extraprec=prec)
-        except mpmath.libmp.NoConvergence as exc:
-            raise ComputationError(f"{what} did not converge: {exc}")
+        z = to_mpc(z, prec)
+        coeffs = poly_mpc_coeffs(p, prec)
+        coeffs[-1] -= z
+        monic = [c / coeffs[0] for c in coeffs[1:]]
+        k = max((-(-mp.mag(c) // j) for j, c in enumerate(monic, 1) if c), default=None)
+        rts = None
+        if k is not None:
+            scaled = [c * mp.ldexp(1, -j * k) for j, c in enumerate(monic, 1)]
+            start = _machine_roots([float(c.real) for c in scaled] if z.imag == 0
+                                   else [complex(c) for c in scaled])
+            if start is not None:
+                gap, unit = pair_gap(start), mp.ldexp(1, k)
+                limit = None if gap is None else mp.mpf(gap) * unit * mp.mpf("0.35")
+                eps, dp = mp.ldexp(1, min(k, 0) + 24 - prec), p.derivative()
+                rts = [newton(p, dp, z, mp.mpc(u) * unit, limit, eps) for u in start]
+        if rts is None or None in rts:
+            try:
+                rts = map(mp.mpc, mpmath.polyroots(coeffs, maxsteps=max(200, 4 * prec),
+                                                   extraprec=prec))
+            except mpmath.libmp.NoConvergence as exc:
+                raise ComputationError(f"root finding did not converge: {exc}")
         return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))
+
+
+def _machine_roots(monic: list) -> list | None:
+    """Roots of the monic polynomial with the lower coefficients `monic`
+    (highest power first, Python floats or complex values) by
+    `mpmath.polyroots`' Durand-Kerner sweep, started on the circle of the
+    Fujiwara bound and stopped once the largest correction is at most 2^-50
+    of the roots' scale.  With float coefficients, parts below 2^-40 of
+    that scale are snapped to 0, and the roots below the real axis are
+    replaced by the exact conjugates of those above.  None when 500 sweeps
+    do not converge or the roots do not pair up by conjugation."""
+    n = len(monic)
+    turn = complex(0.4, 0.9) / abs(complex(0.4, 0.9))
+    radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate(monic, 1))
+    roots = [radius * turn ** k for k in range(n)]
+    try:
+        for _ in range(500):
+            worst = 0.0
+            for i, x in enumerate(roots):
+                v = 1.0
+                for c in monic:
+                    v = v * x + c
+                for j, y in enumerate(roots):
+                    if j != i:
+                        v /= x - y
+                roots[i] = x - v
+                if not abs(v) <= worst:
+                    worst = abs(v)       # NaN included, so it never converges
+            scale = max(map(abs, roots))
+            if worst <= 2.0 ** -50 * scale < math.inf:
+                break
+        else:
+            return None
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if any(isinstance(c, complex) for c in monic):
+        return roots
+    tiny = 2.0 ** -40 * scale
+    roots = [complex(0.0 if abs(x.real) < tiny else x.real,
+                     0.0 if abs(x.imag) < tiny else x.imag) for x in roots]
+    real = [x for x in roots if x.imag == 0]
+    upper = [x for x in roots if x.imag > 0]
+    if len(real) + 2 * len(upper) != n:
+        return None
+    return real + upper + [x.conjugate() for x in upper]
+
+
+def pair_gap(fiber):
+    """min |a - b| over pairs of Python complex values, or None."""
+    return min((abs(a - b) for i, a in enumerate(fiber) for b in fiber[i + 1:]),
+               default=None)
+
+
+def newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
+    """Newton's method for p(x) = z from x0, on raw libmp values rounded to
+    nearest at the working precision (the same operations as on mpc
+    objects).  None when p' vanishes, the accumulated move exceeds
+    `move_limit`, or 64 steps do not converge to `eps` relative."""
+    prec, rnd = mp.prec, round_nearest
+    z, eps = z._mpc_, eps._mpf_
+    limit = None if move_limit is None else move_limit._mpf_
+    x = x0
+    total = fzero
+    for _ in range(64):
+        d = eval_poly(dp, x, prec)._mpc_
+        if d == (fzero, fzero):
+            return None
+        step = mpc_div(mpc_sub(eval_poly(p, x, prec)._mpc_, z, prec, rnd), d,
+                       prec, rnd)
+        xv = mpc_sub(x._mpc_, step, prec, rnd)
+        x = mp.make_mpc(xv)
+        size = mpc_abs(step, prec, rnd)
+        if limit is not None:
+            total = mpf_add(total, size, prec, rnd)
+            if mpf_gt(total, limit):
+                return None
+        ax = mpc_abs(xv, prec, rnd)
+        if mpf_le(size, mpf_mul(eps, ax, prec, rnd) if mpf_gt(ax, fone) else eps):
+            return x
+    return None
 
 
 def nstr_det(x, prec: int) -> str:

@@ -147,16 +147,21 @@ def test_critical_levels_closer_than_the_endpoint_snap(tmp_path, capsys):
 
 
 def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatch):
-    # monodromy refines the base fiber once; the walk's fibers start from it
-    # and end unrefined, and only the oracle's sample fibers refine their end
+    # monodromy finds the refined base fiber once; the walk's fibers start
+    # from it and end unrefined, and only the oracle's sample fibers refine
+    # their end
     mono = importlib.import_module("abelint.monodromy")
     cycles = importlib.import_module("abelint.cycles")
     refines, walking = [], []
-    refine, walk = mono._refine, cycles.continue_fiber_to_real
+    refine, base, walk = mono._refine, mono.fiber_roots, cycles.continue_fiber_to_real
 
     def refine_spy(tier, z, fiber, move_limit, what):
         refines.append((what, bool(walking)))
         return refine(tier, z, fiber, move_limit, what)
+
+    def base_spy(p, z, prec):
+        refines.append(("base fiber", bool(walking)))
+        return base(p, z, prec)
 
     def walk_spy(*args):
         walking.append(True)
@@ -166,6 +171,7 @@ def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatc
             walking.pop()
 
     monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(mono, "fiber_roots", base_spy)
     monkeypatch.setattr(cycles, "continue_fiber_to_real", walk_spy)
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"polynomial": T6_JSON, "degree_bound": 6, "intervals": [
@@ -173,7 +179,7 @@ def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatc
         {"a": "0.5", "b": "1", "weight": "1"}]}))
     assert cli.main(["solve", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "solve_intervals.json").read_text()
-    assert refines.count(("start fiber", False)) == 1
+    assert refines.count(("base fiber", False)) == 1
     assert not any(inside for _, inside in refines)
     assert refines.count(("end fiber", False)) == Config().samples
     assert len(refines) == 1 + Config().samples
@@ -428,13 +434,35 @@ def test_hyper_commands_input_contract(command, payload, message, tmp_path, caps
 ], ids=["monodromy", "hyper-integrate"])
 def test_roots_past_the_double_range(command, payload, tmp_path, capsys):
     """Real roots whose isolating ends do not fit in a double end in an
-    answer or a one-line failure, not a traceback."""
+    answer."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code = cli.main([command, str(path)])
-    err = capsys.readouterr().err
-    assert (code, err) == (0, "") or (
-        code == 1 and err.startswith("computation failed: ") and err.count("\n") == 1)
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+@pytest.mark.parametrize("payload, generators, infinity", [
+    # x^2 + 10^400 x: the base fiber's monic coefficients are past the
+    # double range, its roots are not
+    (["0", "1e400", "1"], [[2, 1]], [2, 1]),
+    # -8e307 + 2.3e-308 x^2: the monic constant term, -3.5e615, overflows
+    # a double
+    (["-8e307", "0", "2.3e-308"], [[2, 1]], [2, 1]),
+    # x^3 + 10^200 x + 1: the critical values are non-real, near +-1e300 i
+    (["1", "1e200", "0", "1"], [[3, 2, 1], [2, 1, 3]], [2, 3, 1]),
+], ids=["x^2+1e400x", "huge-over-tiny", "x^3+1e200x+1"])
+def test_monodromy_with_coefficients_past_the_double_range(payload, generators, infinity,
+                                                           tmp_path, capsys):
+    # each root finding runs on x = 2^k u, with 2^k near the Fujiwara bound
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code = cli.main(["monodromy", str(path)])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["generators"], out["infinity"]) == (generators, infinity)
+    assert elapsed < 1
 
 
 def test_monodromy_of_a_huge_constant(tmp_path, capsys):

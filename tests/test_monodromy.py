@@ -7,10 +7,12 @@ import time
 from types import SimpleNamespace
 from unittest.mock import patch
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from abelint import numerics
 from abelint.config import Config
 from abelint.errors import ComputationError, InputError, TrackingError
 from abelint.monodromy import (Permutation, _loops, _machine_tier,
@@ -449,20 +451,26 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
         _, loop_inf, petals, _ = _loops(critical_values(p, config))
     segments = sum(len(part) - 1 for loop in [loop_inf] + petals for part in loop)
     refines, tiers = [], []
-    refine, segment = mono._refine, mono._track_segment
+    refine, base, segment = mono._refine, mono.fiber_roots, mono._track_segment
 
     def refine_spy(tier, z, fiber, move_limit, what):
         refines.append(what)
         return refine(tier, z, fiber, move_limit, what)
+
+    def base_spy(p, z, prec):
+        refines.append("base fiber")
+        return base(p, z, prec)
 
     def segment_spy(z0, z1, fiber, config, tier):
         tiers.append(tier.num)
         return segment(z0, z1, fiber, config, tier)
 
     monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(mono, "fiber_roots", base_spy)
     monkeypatch.setattr(mono, "_track_segment", segment_spy)
     monodromy(p, config)
-    assert refines == ["start fiber"]
+    # the base fiber comes refined from fiber_roots, and no fiber is refined again
+    assert refines == ["base fiber"]
     # every segment once, on the machine tier: no return leg, no re-tracking
     assert tiers == [float] * segments
 
@@ -471,16 +479,15 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
 # the base fiber from a double-precision start
 # ---------------------------------------------------------------------------
 
-def _shifted_calls(monkeypatch) -> list:
-    """The arguments of every `roots_of_shifted` call `monodromy` makes."""
-    mono = importlib.import_module("abelint.monodromy")
-    calls, shifted = [], mono.roots_of_shifted
+def _polyroots_calls(monkeypatch) -> list:
+    """The arguments of every `mpmath.polyroots` call."""
+    calls, polyroots = [], mpmath.polyroots
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return shifted(*args)
+        return polyroots(*args, **kwargs)
 
-    monkeypatch.setattr(mono, "roots_of_shifted", spy)
+    monkeypatch.setattr(mpmath, "polyroots", spy)
     return calls
 
 
@@ -492,7 +499,7 @@ MOMENT_CUBIC = RatPoly([Fraction(-3, 8), Fraction(15, 32), Fraction(1, 4),
 
 @pytest.mark.parametrize("p", [chebyshev(6), MOMENT_CUBIC], ids=["T6", "cubic"])
 def test_base_fiber_needs_no_polyroots(p, config, monkeypatch):
-    calls = _shifted_calls(monkeypatch)
+    calls = _polyroots_calls(monkeypatch)
     monodromy(p, config)
     assert calls == []
 
@@ -524,13 +531,18 @@ def test_printed_base_fiber(degree, want, config):
     assert monodromy_to_json(rep)["base_fiber"] == want
 
 
-def test_base_fiber_past_the_double_range_falls_back(config, monkeypatch):
-    # 2^-1100 is not a normal double: the start comes from roots_of_shifted
-    calls = _shifted_calls(monkeypatch)
-    rep = monodromy(RatPoly([0, Fraction(1, 2 ** 1100), 1]), config)
+def test_base_fiber_past_the_double_range_matches_the_fallback(config, monkeypatch):
+    # 2^-1100 is not a normal double, but the scaled monic coefficients are:
+    # the start comes from doubles and matches the polyroots fallback's rep
+    p = RatPoly([0, Fraction(1, 2 ** 1100), 1])
+    calls = _polyroots_calls(monkeypatch)
+    rep = monodromy_to_json(monodromy(p, config))
+    assert calls == []
+    with patch.object(numerics, "_machine_roots", lambda monic: None):
+        assert monodromy_to_json(monodromy(p, config)) == rep
     assert len(calls) == 1
     root = "1.41421356237309504880168872420969808"
-    assert monodromy_to_json(rep) == {
+    assert rep == {
         "degree": 2, "precision_bits": 128, "base_point": ["2.0", "0.0"],
         "critical_values": [["-1.35503198883961705541418095255300543e-663", "0.0"]],
         "generators": [[2, 1]], "infinity": [2, 1],
@@ -553,11 +565,10 @@ _LEAD = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-2", "1/2", "-3"
            lambda d: st.lists(_SMALL, min_size=d + 1, max_size=d + 1)),
        lead=_LEAD)
 def test_double_start_matches_the_polyroots_start(lower, lead, config):
-    # the same rep, to the printed base_fiber, as from roots_of_shifted
+    # the same rep, to the printed base_fiber, as from mpmath.polyroots
     p = RatPoly(lower + [lead])
-    mono = importlib.import_module("abelint.monodromy")
     default = _monodromy_record(p, config)
-    with patch.object(mono, "_machine_roots", lambda p, z: None):
+    with patch.object(numerics, "_machine_roots", lambda monic: None):
         assert _monodromy_record(p, config) == default
 
 

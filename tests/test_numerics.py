@@ -1,8 +1,9 @@
-"""Bit identity of the raw-mpf numeric leaves.
+"""Bit identity of the raw-mpf numeric leaves, and the one root finder.
 
 `eval_poly` and `min_pairwise_distance` run on mpmath's raw libmp values;
 these properties check that they round exactly as the same computations on
 mpf/mpc objects do, and one golden file pins the bits of a tracked fiber.
+`fiber_roots` is checked against `mpmath.polyroots` at twice the precision.
 """
 
 import json
@@ -10,14 +11,15 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from abelint.config import Config
 from abelint.monodromy import track_fiber
-from abelint.numerics import eval_poly, min_pairwise_distance
-from abelint.ratpoly import RatPoly, chebyshev
+from abelint.numerics import eval_poly, fiber_roots, min_pairwise_distance
+from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
 
 GOLDEN = Path(__file__).parent / "golden"
 PRECS = st.sampled_from([96, 160, 288])
@@ -133,3 +135,38 @@ def test_track_fiber_t6_bits():
     want = [tuple((s, int(m, 16), e, bc) for s, m, e, bc in x)
             for x in doc["end_fiber"]]
     assert [x._mpc_ for x in end] == want
+
+
+_COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_LEAD = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)) | \
+    st.builds(Fraction, st.integers(-9, -1), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(_COEFF, min_size=d, max_size=d)),
+       _LEAD, _COEFF, _COEFF | st.just(Fraction(0)), st.sampled_from([0, 600, -600]),
+       PRECS)
+def test_fiber_roots_match_polyroots(lower, lead, re_z, im_z, s, prec):
+    """The roots of p(2^s x) - z, for p of degree 1-8 with rational
+    coefficients and a real or complex z, are 2^-s times the roots of
+    p(x) - z from `mpmath.polyroots` at 2 x prec bits, to 2^-(prec - 32) of
+    the fiber's scale."""
+    p = RatPoly(lower + [lead])
+    if im_z == 0:
+        assume(squarefree_part(p - RatPoly([re_z])).degree == p.degree)
+    q = RatPoly([c * Fraction(2) ** (s * j) for j, c in enumerate(p.coeffs)])
+    with mp.workprec(prec):
+        z = mp.mpc(mp.mpf(re_z.numerator) / re_z.denominator,
+                   mp.mpf(im_z.numerator) / im_z.denominator)
+    with mp.workprec(2 * prec):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+        coeffs[-1] -= z
+        want = [r * mp.ldexp(1, -s) for r in
+                mpmath.polyroots(coeffs, maxsteps=2000, extraprec=2 * prec)]
+    got = fiber_roots(q, z, prec)
+    assert got == sorted(got, key=lambda r: (r.real, r.imag))
+    with mp.workprec(2 * prec):
+        tol = mp.ldexp(max(abs(r) for r in want), 32 - prec)
+        nearest = [min(range(len(got)), key=lambda i: abs(got[i] - r)) for r in want]
+        assert sorted(nearest) == list(range(p.degree))
+        assert all(abs(got[i] - r) <= tol for i, r in zip(nearest, want))

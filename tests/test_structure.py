@@ -1,6 +1,6 @@
 """Module boundaries of the package: no module imports a private
-(underscore) name from a sibling module, and every function the benchmark
-tracer wraps still exists."""
+(underscore) name from a sibling module, every function the benchmark
+tracer wraps still exists, and one function calls `mpmath.polyroots`."""
 
 import ast
 import importlib
@@ -27,6 +27,26 @@ def private_imports():
 
 def test_no_private_imports_across_modules():
     assert private_imports() == []
+
+
+def polyroots_references(tree) -> int:
+    return sum(isinstance(node, ast.Attribute) and node.attr == "polyroots"
+               or isinstance(node, ast.Name) and node.id == "polyroots"
+               for node in ast.walk(tree))
+
+
+def test_one_function_calls_polyroots():
+    """Every root finding goes through `numerics.fiber_roots`, whose
+    fallback is the package's only `polyroots` call."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if polyroots_references(tree):
+            found[path.stem] = polyroots_references(tree)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and polyroots_references(func):
+                found[f"{path.stem}.{func.name}"] = polyroots_references(func)
+    assert found == {"numerics": 1, "numerics.fiber_roots": 1}
 
 
 def tracer_lists():
