@@ -28,6 +28,9 @@ class Config:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise InputError("precision_bits must be at least 64")
+        if self.precision_bits > COUNT_LIMIT:
+            raise InputError(f"precision_bits must be at most {COUNT_LIMIT}, "
+                             f"not {self.precision_bits}")
         if not (0 < self.track_step <= 1):
             raise InputError("track_step must lie in (0, 1]")
         for name in ("collision_tol", "oracle_tol"):

@@ -21,7 +21,7 @@ from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError
-from .monodromy import MonodromyRep, walk_fiber
+from .monodromy import MonodromyRep, standoffs, walk_fiber
 from .numerics import eval_poly, to_mpf
 from .ratpoly import RatPoly, critical_value_poly
 from .realroots import RealRoots
@@ -159,19 +159,12 @@ def _real_criticals(rep: MonodromyRep):
     return sorted(mp.re(c) for c in rep.critical_values if mp.im(c) == 0)
 
 
-def _arc_radius(levels, idx, rep) -> object:
-    """Safe detour radius around real critical value levels[idx]."""
-    c = levels[idx]
-    dists = [abs(c - o) for j, o in enumerate(levels) if j != idx]
-    dists.append(abs(mp.re(rep.base_point) - c))
-    dists += [abs(mp.im(cv)) for cv in rep.critical_values if mp.im(cv) != 0]
-    return min(dists) / 3
-
-
 def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
                            config: Config = DEFAULT_CONFIG):
     """The fiber over a real regular z, continued from the base point down
-    the real axis with upper-semicircle detours around real critical values.
+    the real axis with upper-semicircle detours around real critical values,
+    each of radius at most the critical value's standoff (`standoffs`, the
+    keep-out radius of the petal loops), which encloses no other one.
 
     This is the branch numbering of the base fiber, carried along the
     standard cut system; the interval walks read it once per gap
@@ -183,15 +176,15 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
     """
     with mp.workprec(config.precision_bits + 32):
         z_target = to_mpf(z_target, mp.prec)
-        reals = _real_criticals(rep)
         c0 = mp.re(rep.base_point)
+        keep_out = standoffs(rep.critical_values, abs(rep.base_point))
+        arcs = sorted(((mp.re(c), s) for c, s in zip(rep.critical_values, keep_out)
+                       if mp.im(c) == 0), reverse=True)
         path = [mp.mpc(c0)]
-        for idx in range(len(reals) - 1, -1, -1):
-            c = reals[idx]
+        for c, s in arcs:
             if not (z_target < c < c0):
                 continue
-            r = _arc_radius(reals, idx, rep)
-            r = min(r, (c0 - c) / 3, (c - z_target) / 3)
+            r = min(s, (c0 - c) / 3, (c - z_target) / 3)
             # upper semicircle from c+r over the top to c-r
             for k in range(9):
                 path.append(c + r * mp.exp(mp.mpc(0, 1) * mp.pi * k / 8))

@@ -7,9 +7,10 @@ The step control runs on one of two tiers: mpmath at a configurable working
 precision throughout (`track_fiber`, the reference), or machine complex
 arithmetic that hands near-collision segments to mpmath (`_walk`, which
 every loop, walk and oracle sample runs on).  A loop's permutation is read
-at the foot of its circle.  The fiber is then renumbered so the infinity
-permutation is the standard cycle (1 2 ... n), which every downstream
-module relies on.
+at the foot of its circle.  The base fiber is numbered right after the
+infinity loop, so that its permutation is the standard cycle (1 2 ... n),
+which every downstream module relies on; the petal loops start from that
+numbered fiber, so their permutations come out in the same numbering.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
 from .numerics import (eval_poly, fiber_roots, min_pairwise_distance, newton,
                        pair_gap, roots_of, to_mpc)
-from .ratpoly import (Decomposition, RatPoly, critical_value_poly,
-                      decompose_all, divisors)
+from .ratpoly import Decomposition, RatPoly, critical_value_poly, decompose_all
 from .realroots import RealRoots
 
 
@@ -557,12 +557,15 @@ def _petal_paths(c0, cvs, standoffs):
 
 @dataclass(frozen=True)
 class MonodromyRep:
-    """Monodromy data of one polynomial, normalized so infinity = (1 2 ... n).
+    """Monodromy data of one polynomial, numbered so infinity = (1 2 ... n).
 
-    generators[i] belongs to critical_values[i]; petal_order lists the
-    generator indices in the sweep order in which their product equals the
-    infinity cycle.  base_fiber is refined by Newton at precision_bits + 32
-    bits to 2^-(precision_bits + 8) relative, once per polynomial: every
+    base_fiber[k - 1] is root k: root 1 has the largest (re, im), and the
+    loop around infinity carries root k to root k + 1.  generators[i], the
+    permutation of the petal loop around critical_values[i], is tracked from
+    that numbered fiber; petal_order lists the generator indices in the
+    sweep order in which their product equals the infinity cycle.
+    base_fiber is refined by Newton at precision_bits + 32 bits to
+    2^-(precision_bits + 8) relative, once per polynomial: every
     continuation from the base point starts from it.  A rep read back from
     JSON starts from its printed base_fiber.
     """
@@ -619,15 +622,6 @@ def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
         raise TrackingError(f"{name}: {exc}") from exc
 
 
-def _relabel(perm: Permutation, label: list[int]) -> Permutation:
-    """Conjugate by the relabeling old index -> label[old-1]."""
-    n = perm.n
-    images = [0] * n
-    for old in range(1, n + 1):
-        images[label[old - 1] - 1] = label[perm(old) - 1]
-    return Permutation(tuple(images))
-
-
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     """Full monodromy representation of p at the configured precision: the
     base fiber is found and refined once (`fiber_roots`), and each loop's
@@ -647,35 +641,30 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
             raise ComputationError("infinity permutation is not an n-cycle")
 
-        raw_gens = [_loop_permutation(
-                        p, dp, loop, start, config, tier,
-                        f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
-                    for i, loop in enumerate(petals)]
+        # number the fiber so sigma_inf becomes (1 2 ... n): root "1" is the
+        # fiber point with the largest real part (ties: largest imaginary
+        # part), and the infinity loop carries root k to root k + 1
+        cur = max(range(n), key=lambda i: (mp.re(start[i]), mp.im(start[i])))
+        fiber = []
+        for _ in range(n):
+            fiber.append(start[cur])
+            cur = sigma_inf(cur + 1) - 1
+
+        # continuation keeps indices, so each loop's permutation comes out in
+        # that numbering
+        gens = tuple(_loop_permutation(
+                         p, dp, loop, fiber, config, tier,
+                         f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
+                     for i, loop in enumerate(petals))
         petal_order = tuple(sorted(range(len(cvs)),
                                    key=lambda i: (-order_keys[i], i)))
 
-        # renumber so sigma_inf becomes (1 2 ... n); root "1" is the fiber
-        # point with the largest real part (ties: largest imaginary part)
-        first = max(range(n), key=lambda i: (mp.re(start[i]), mp.im(start[i])))
-        label = [0] * n
-        cur = first + 1
-        for pos in range(1, n + 1):
-            label[cur - 1] = pos
-            cur = sigma_inf(cur)
-        gens = tuple(_relabel(g, label) for g in raw_gens)
-        infinity = _relabel(sigma_inf, label)
-        if infinity != Permutation.cycle(n):
-            raise ConsistencyError("renumbering failed to standardize infinity")
-        ordered_fiber = [None] * n
-        for old in range(n):
-            ordered_fiber[label[old] - 1] = start[old]
-
         rep = MonodromyRep(
             n=n, base_point=mp.mpc(c0), critical_values=tuple(cvs),
-            generators=gens, infinity=infinity,
-            base_fiber=tuple(ordered_fiber), petal_order=petal_order,
+            generators=gens, infinity=Permutation.cycle(n),
+            base_fiber=tuple(fiber), petal_order=petal_order,
             precision_bits=config.precision_bits)
-        if rep.product_in_petal_order() != infinity:
+        if rep.product_in_petal_order() != rep.infinity:
             raise ConsistencyError(
                 "petal-order product does not reproduce the infinity cycle")
         return rep
@@ -685,20 +674,12 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
 # block systems and the divisor lattice
 # ---------------------------------------------------------------------------
 
-def _preserves_mod_blocks(gen: Permutation, d: int) -> bool:
-    n = gen.n
-    for k in range(1, d + 1):
-        block = [k + j * d for j in range(n // d)]
-        images = {(gen(i) - 1) % d for i in block}
-        if len(images) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DivisorLattice:
-    """Divisors d of n whose residue classes mod d are invariant blocks,
-    with one witness decomposition (deg left = d) per member."""
+    """The left degrees d of the decompositions p = A(W), with one witness
+    (deg A = d) per member.  By Ritt's first theorem these are the block
+    systems of the monodromy group; with infinity = (1 2 ... n), the blocks
+    of d are the residue classes mod d."""
     n: int
     members: tuple[int, ...]
     covers: dict[int, tuple[int, ...]]
@@ -713,23 +694,29 @@ class DivisorLattice:
 
 
 def divisor_lattice(rep: MonodromyRep, p: RatPoly) -> DivisorLattice:
-    """Block-test lattice, cross-checked against exact decomposition."""
+    """The lattice of p's decompositions, checked on the labelled base
+    fiber: for each witness A(W), the values W(x_i) at precision_bits + 32
+    bits must agree within each residue class of i mod d to under a quarter
+    of the smallest distance between the d class values (the margin of
+    `match_permutation`)."""
     n = rep.n
-    block_ds = {d for d in divisors(n)
-                if all(_preserves_mod_blocks(g, d) for g in rep.generators)}
     decs = {dec.left.degree: dec for dec in decompose_all(p)}
-    if block_ds != set(decs):
-        raise ConsistencyError(
-            f"block test {sorted(block_ds)} disagrees with decomposition "
-            f"test {sorted(decs)}; numeric precision failure likely")
-    members = tuple(sorted(block_ds))
+    with mp.workprec(rep.precision_bits + 32):
+        for d, dec in decs.items():
+            w = [eval_poly(dec.right, x, mp.prec) for x in rep.base_fiber]
+            gap = min_pairwise_distance(w[:d])
+            if gap is not None and not max(abs(w[i] - w[i % d])
+                                           for i in range(n)) < gap / 4:
+                raise ConsistencyError("the labelled base fiber does not split "
+                                       f"into the blocks of d={d}")
+    members = tuple(sorted(decs))
     covers = {}
     for d in members:
         cands = [e for e in members if e < d and d % e == 0]
         covers[d] = tuple(e for e in cands
                           if not any(e < l < d and l % e == 0 and d % l == 0
                                      for l in cands))
-    if any(math.gcd(a, b) not in block_ds or math.lcm(a, b) not in block_ds
+    if any(math.gcd(a, b) not in decs or math.lcm(a, b) not in decs
            for a in members for b in members):
         raise ConsistencyError("divisor set is not gcd/lcm closed")
     return DivisorLattice(n=n, members=members, covers=covers, witness=decs)

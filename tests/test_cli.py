@@ -575,6 +575,30 @@ def test_degree_bound_option_rejects_bounds_above_the_limit(route, raw, tmp_path
         f"input error: degree_bound must be at most {COUNT_LIMIT}, not {raw}\n")
 
 
+@pytest.mark.parametrize("raw", [100000, 10 ** 12])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_precision_bits_option_rejects_values_above_the_limit(route, raw, tmp_path,
+                                                             monkeypatch, capsys):
+    """The --precision-bits flag and a --config file's precision_bits stop at
+    COUNT_LIMIT (exit 2, one line), before any work: `monodromy` on x^2 at
+    100000 bits once ran past 20 s without printing."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(cli, "monodromy", no_work)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(["0", "0", "1"]))
+    if route == "flag":
+        extra = ["--precision-bits", str(raw)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"precision_bits": raw}))
+        extra = ["--config", str(config)]
+    assert cli.main(["monodromy", str(path)] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"input error: precision_bits must be at most {COUNT_LIMIT}, not {raw}\n")
+
+
 @pytest.mark.parametrize("raw, message", [
     (0, "samples must be positive"),
     (-3, "samples must be positive"),

@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -14,7 +15,8 @@ from mpmath import mp
 
 from abelint import numerics
 from abelint.config import Config
-from abelint.errors import ComputationError, InputError, TrackingError
+from abelint.errors import (ComputationError, ConsistencyError, InputError,
+                            TrackingError)
 from abelint.monodromy import (Permutation, _loops, _machine_tier,
                                _sweep_rotation, continue_fiber, critical_values,
                                divisor_lattice, generated_group_order,
@@ -22,8 +24,8 @@ from abelint.monodromy import (Permutation, _loops, _machine_tier,
                                track_fiber)
 from abelint.numerics import (eval_poly, min_pairwise_distance, roots_of,
                               roots_of_shifted)
-from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
-from abelint.serialize import monodromy_to_json
+from abelint.ratpoly import RatPoly, chebyshev, compose, divisors, squarefree_part
+from abelint.serialize import monodromy_from_json, monodromy_to_json
 
 from conftest import QUARTIC_PAPER_SPELLING, QUARTIC_SHIFTED, QUINTIC
 
@@ -698,6 +700,53 @@ def test_lattice_generic_degree_6(config):
     lattice = divisor_lattice(rep, p)
     assert lattice.members == (1, 6)
     assert u_d_dimension_table(lattice) == {1: 1, 6: 5}
+
+
+def _preserves_mod_blocks(gen: Permutation, d: int) -> bool:
+    """Whether gen maps each residue class mod d onto one residue class."""
+    return all(len({(gen(i) - 1) % d for i in range(k, gen.n + 1, d)}) == 1
+               for k in range(1, d + 1))
+
+
+def _seeded_composite(seed):
+    rng = random.Random(seed)
+    da, dw = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+    a = RatPoly([Fraction(rng.randint(-5, 5)) for _ in range(da)]
+                + [Fraction(rng.choice([1, -1, 2]))])
+    w = RatPoly([Fraction(0)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+                                 for _ in range(dw - 1)] + [Fraction(1)])
+    return compose(a, w)
+
+
+RITT_CASES = FOOT_CASES + [(f"composite {s}", _seeded_composite(s)) for s in range(4)]
+
+
+@pytest.mark.parametrize("name, p", RITT_CASES, ids=[c[0] for c in RITT_CASES])
+def test_lattice_members_are_the_generator_block_systems(name, p, config):
+    """Ritt's first theorem on the computed group: the residue classes mod d
+    are blocks of every generator exactly when d is a lattice member."""
+    rep = monodromy(p, config)
+    members = divisor_lattice(rep, p).members
+    for d in divisors(rep.n):
+        kept = all(_preserves_mod_blocks(g, d) for g in rep.generators)
+        assert kept == (d in members), d
+
+
+@pytest.mark.parametrize("p", [chebyshev(6), X ** 8], ids=["T6", "x^8"])
+def test_lattice_rejects_a_misnumbered_base_fiber(p, config):
+    """The branch labels that solve and classify use are those of the base
+    fiber: swapping roots 1 and 2 puts each into the other's class mod 2."""
+    rep = monodromy(p, config)
+    fiber = list(rep.base_fiber)
+    fiber[0], fiber[1] = fiber[1], fiber[0]
+    with pytest.raises(ConsistencyError,
+                       match="base fiber does not split into the blocks of d=2"):
+        divisor_lattice(replace(rep, base_fiber=tuple(fiber)), p)
+
+
+def test_lattice_of_a_rep_read_back_from_json(t6, t6_rep, t6_lattice):
+    back = monodromy_from_json(monodromy_to_json(t6_rep))
+    assert divisor_lattice(back, t6) == t6_lattice
 
 
 def test_is_full_symmetric(config, quintic_rep, t6_rep):

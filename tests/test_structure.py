@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports a private
 (underscore) name from a sibling module, every function the benchmark
-tracer wraps still exists, and one function calls `mpmath.polyroots`."""
+tracer wraps still exists, one function calls `mpmath.polyroots`, and four
+read the monodromy generators."""
 
 import ast
 import importlib
@@ -47,6 +48,35 @@ def test_one_function_calls_polyroots():
             if isinstance(func, ast.FunctionDef) and polyroots_references(func):
                 found[f"{path.stem}.{func.name}"] = polyroots_references(func)
     assert found == {"numerics": 1, "numerics.fiber_roots": 1}
+
+
+def attribute_readers(attr: str) -> set[str]:
+    """module.function for each innermost function in src that reads
+    `<expr>.<attr>`."""
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == attr
+              and isinstance(node.ctx, ast.Load)):
+            found.add(f"{module}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_four_functions_read_the_generators():
+    """The branch labels come from the base fiber and the loop around
+    infinity alone, and the divisor lattice from exact decomposition: the
+    petal-loop permutations are read only where they are printed, drawn or
+    put into a group."""
+    assert attribute_readers("generators") == {
+        "monodromy.product_in_petal_order", "monodromy.is_full_symmetric",
+        "cycles.build_constellation", "serialize.monodromy_to_json"}
 
 
 def tracer_lists():
