@@ -11,6 +11,7 @@ at the foot of its circle.  The base fiber is numbered right after the
 infinity loop, so that its permutation is the standard cycle (1 2 ... n),
 which every downstream module relies on; the petal loops start from that
 numbered fiber, so their permutations come out in the same numbering.
+The petal loops run only when a generator is first read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -513,7 +515,7 @@ def _circle(center, radius, angle) -> list:
     return ring + ring[:1]
 
 
-def _petal_paths(c0, cvs, standoffs):
+def _petal_paths(c0, cvs):
     """Non-crossing petal loops via a sweep, each an (approach, circle) pair:
     the approach descends from the base point to a highway below the
     critical disk, runs to the target's sweep abscissa and climbs to the
@@ -527,6 +529,7 @@ def _petal_paths(c0, cvs, standoffs):
     their product in descending-abscissa order is the loop around infinity.
     """
     radius = abs(mp.mpc(c0))
+    offs = standoffs(cvs, radius)
     phi, gap = _sweep_rotation(cvs, c0)
     u = mp.exp(mp.mpc(0, -1) * phi)       # frame rotation w = z*u
     back = mp.exp(mp.mpc(0, 1) * phi)
@@ -536,7 +539,7 @@ def _petal_paths(c0, cvs, standoffs):
     loops = []
     order_keys = []
     for i, w in enumerate(ws):
-        r = min(standoffs[i], gap / 3)
+        r = min(offs[i], gap / 3)
         circle = _circle(w, r, -mp.pi / 2)
         # a climb far longer than r is split geometrically (each point 2^10
         # times farther below w than the next), so no segment is long next
@@ -560,42 +563,54 @@ class MonodromyRep:
     """Monodromy data of one polynomial, numbered so infinity = (1 2 ... n).
 
     base_fiber[k - 1] is root k: root 1 has the largest (re, im), and the
-    loop around infinity carries root k to root k + 1.  generators[i], the
-    permutation of the petal loop around critical_values[i], is tracked from
-    that numbered fiber; petal_order lists the generator indices in the
-    sweep order in which their product equals the infinity cycle.
-    base_fiber is refined by Newton at precision_bits + 32 bits to
-    2^-(precision_bits + 8) relative, once per polynomial: every
-    continuation from the base point starts from it.  A rep read back from
-    JSON starts from its printed base_fiber.
+    loop around infinity carries root k to root k + 1.  base_fiber is
+    refined by Newton at precision_bits + 32 bits to 2^-(precision_bits + 8)
+    relative, once per polynomial: every continuation from the base point
+    starts from it.  generators[i], the permutation of the petal loop around
+    critical_values[i], and petal_order, the sweep order in which their
+    product is the infinity cycle, come from `_petals` on the first read of
+    either; ==, hash and repr read neither.  From `monodromy`, `_petals`
+    tracks each petal loop from the numbered base fiber and checks the
+    product; from JSON, it returns the printed values, and base_fiber is
+    the printed one.
     """
     n: int
     base_point: object            # mpmath mpc
     critical_values: tuple
-    generators: tuple[Permutation, ...]
     infinity: Permutation
     base_fiber: tuple
-    petal_order: tuple[int, ...]
     precision_bits: int
+    _petals: Callable[[], tuple] = field(compare=False, repr=False)
+
+    @cached_property
+    def _petal_data(self) -> tuple:
+        return self._petals()
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return self._petal_data[0]
+
+    @property
+    def petal_order(self) -> tuple[int, ...]:
+        return self._petal_data[1]
 
     def product_in_petal_order(self) -> Permutation:
-        acc = Permutation.identity(self.n)
-        for idx in self.petal_order:
-            acc = acc.then(self.generators[idx])
-        return acc
+        return _product(self.generators, self.petal_order, self.n)
 
 
-def _loops(cvs):
-    """Base point, the loop around infinity and the petal loops with their
-    sweep keys, at the working precision.  Each loop is an (approach,
-    circle) pair: the approach runs from the base point to the circle's
-    foot, where the circle starts and ends."""
+def _product(gens, order, n: int) -> Permutation:
+    return reduce(Permutation.then, (gens[i] for i in order), Permutation.identity(n))
+
+
+def _infinity_loop(cvs):
+    """Base point and the loop around infinity, at the working precision:
+    out from the base point R to 2R, then once around the circle of radius
+    2R.  The loop is an (approach, circle) pair: the approach runs from the
+    base point to the circle's foot, where the circle starts and ends."""
     radius = 2 * (1 + max(abs(c) for c in cvs))
     c0 = mp.mpf(radius)
-    # loop around infinity: out to 2R, once around the circle of radius 2R
     circle = _circle(0, 2 * radius, 0)
-    loops, order_keys = _petal_paths(c0, cvs, standoffs(cvs, radius))
-    return c0, ([c0, circle[0]], circle), loops, order_keys
+    return c0, ([c0, circle[0]], circle)
 
 
 def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
@@ -622,22 +637,46 @@ def _loop_permutation(p: RatPoly, dp: RatPoly, loop: tuple, start: list,
         raise TrackingError(f"{name}: {exc}") from exc
 
 
+def _petal_generators(p: RatPoly, cvs: list, c0, fiber: list,
+                      config: Config) -> tuple:
+    """(generators, petal_order) of `MonodromyRep`: each petal loop tracked
+    from the numbered base fiber, so its permutation comes out in that
+    numbering, and the product in petal order checked against the infinity
+    cycle."""
+    n = len(fiber)
+    with mp.workprec(config.precision_bits + 32):
+        petals, order_keys = _petal_paths(c0, cvs)
+        dp = p.derivative()
+        tier = _mp_tier(p, dp, config)
+        gens = tuple(_loop_permutation(
+                         p, dp, loop, fiber, config, tier,
+                         f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
+                     for i, loop in enumerate(petals))
+        order = tuple(sorted(range(len(cvs)), key=lambda i: (-order_keys[i], i)))
+    if _product(gens, order, n) != Permutation.cycle(n):
+        raise ConsistencyError(
+            "petal-order product does not reproduce the infinity cycle")
+    return gens, order
+
+
 def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
-    """Full monodromy representation of p at the configured precision: the
-    base fiber is found and refined once (`fiber_roots`), and each loop's
-    permutation is read at its circle's foot (`_loop_permutation`), with no
-    segment tracked twice."""
+    """Monodromy representation of p at the configured precision: the
+    critical values, the base fiber, found and refined once (`fiber_roots`),
+    the loop around infinity, read at its circle's foot
+    (`_loop_permutation`) and checked to be an n-cycle, and the fiber
+    numbered by it.  The petal loops run on the first read of
+    `generators` or `petal_order` (`_petal_generators`), with no segment
+    tracked twice."""
     n = p.degree
     if p.is_zero() or n < 2:
         raise InputError("monodromy requires deg p >= 2")
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        c0, loop_inf, petals, order_keys = _loops(cvs)
+        c0, loop_inf = _infinity_loop(cvs)
         dp = p.derivative()
-        tier = _mp_tier(p, dp, config)
         start = fiber_roots(p, c0, mp.prec)
-        sigma_inf = _loop_permutation(p, dp, loop_inf, start, config, tier,
-                                      "the infinity loop")
+        sigma_inf = _loop_permutation(p, dp, loop_inf, start, config,
+                                      _mp_tier(p, dp, config), "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
             raise ComputationError("infinity permutation is not an n-cycle")
 
@@ -650,24 +689,11 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
             fiber.append(start[cur])
             cur = sigma_inf(cur + 1) - 1
 
-        # continuation keeps indices, so each loop's permutation comes out in
-        # that numbering
-        gens = tuple(_loop_permutation(
-                         p, dp, loop, fiber, config, tier,
-                         f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
-                     for i, loop in enumerate(petals))
-        petal_order = tuple(sorted(range(len(cvs)),
-                                   key=lambda i: (-order_keys[i], i)))
-
-        rep = MonodromyRep(
+        return MonodromyRep(
             n=n, base_point=mp.mpc(c0), critical_values=tuple(cvs),
-            generators=gens, infinity=Permutation.cycle(n),
-            base_fiber=tuple(fiber), petal_order=petal_order,
-            precision_bits=config.precision_bits)
-        if rep.product_in_petal_order() != rep.infinity:
-            raise ConsistencyError(
-                "petal-order product does not reproduce the infinity cycle")
-        return rep
+            infinity=Permutation.cycle(n), base_fiber=tuple(fiber),
+            precision_bits=config.precision_bits,
+            _petals=partial(_petal_generators, p, cvs, c0, fiber, config))
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,18 @@ def _machine_roots(monic: list) -> list | None:
     (highest power first, Python floats or complex values) by
     `mpmath.polyroots`' Durand-Kerner sweep, started on the circle of the
     Fujiwara bound and stopped once the largest correction is at most 2^-50
-    of the roots' scale.  With float coefficients, parts below 2^-40 of
-    that scale are snapped to 0, and the roots below the real axis are
-    replaced by the exact conjugates of those above.  None when 500 sweeps
-    do not converge or the roots do not pair up by conjugation."""
+    of the roots' scale, or once a sweep does not shrink it and it is at
+    most 2^-20 of the roots' gap: rounding noise in doubles, far inside the
+    refine's move limit of 0.35 x gap.  With float coefficients, parts below
+    2^-40 of that scale are snapped to 0, and the roots below the real axis
+    are replaced by the exact conjugates of those above.  None when 500
+    sweeps do not converge or the roots do not pair up by conjugation."""
     n = len(monic)
     turn = complex(0.4, 0.9) / abs(complex(0.4, 0.9))
     radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate(monic, 1))
     roots = [radius * turn ** k for k in range(n)]
     try:
+        last = math.inf
         for _ in range(500):
             worst = 0.0
             for i, x in enumerate(roots):
@@ -174,6 +177,9 @@ def _machine_roots(monic: list) -> list | None:
             scale = max(map(abs, roots))
             if worst <= 2.0 ** -50 * scale < math.inf:
                 break
+            if last <= worst <= 2.0 ** -20 * (pair_gap(roots) or 0.0) < math.inf:
+                break
+            last = worst
         else:
             return None
     except (ZeroDivisionError, OverflowError):

@@ -128,17 +128,18 @@ def monodromy_from_json(data) -> MonodromyRep:
                 "infinity", "base_fiber", "petal_order", "precision_bits"):
         _expect(key in data, f"monodromy record is missing {key!r}")
     prec = int(data["precision_bits"])
+    petals = (tuple(Permutation(tuple(int(i) for i in g))
+                    for g in data["generators"]),
+              tuple(int(i) for i in data["petal_order"]))
     return MonodromyRep(
         n=int(data["degree"]),
         base_point=complex_from_json(data["base_point"], prec),
         critical_values=tuple(complex_from_json(c, prec)
                               for c in data["critical_values"]),
-        generators=tuple(Permutation(tuple(int(i) for i in g))
-                         for g in data["generators"]),
         infinity=Permutation(tuple(int(i) for i in data["infinity"])),
         base_fiber=tuple(complex_from_json(x, prec) for x in data["base_fiber"]),
-        petal_order=tuple(int(i) for i in data["petal_order"]),
         precision_bits=prec,
+        _petals=lambda: petals,
     )
 
 

@@ -4,6 +4,8 @@ Monodromy representations are expensive (high-precision tracking), so the
 standard ones are computed once per session and shared.
 """
 
+import importlib
+
 import pytest
 
 from abelint.config import Config
@@ -63,3 +65,18 @@ def quintic_rep(config):
 @pytest.fixture(scope="session")
 def quintic_lattice(quintic_rep):
     return divisor_lattice(quintic_rep, QUINTIC)
+
+
+@pytest.fixture
+def tracked_loops(monkeypatch):
+    """The name of every loop `monodromy` tracks from here on, in order."""
+    # the package binds the name abelint.monodromy to the function
+    mono = importlib.import_module("abelint.monodromy")
+    names, track = [], mono._loop_permutation
+
+    def spy(p, dp, loop, start, config, tier, name):
+        names.append(name)
+        return track(p, dp, loop, start, config, tier, name)
+
+    monkeypatch.setattr(mono, "_loop_permutation", spy)
+    return names

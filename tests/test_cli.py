@@ -685,3 +685,56 @@ def test_byte_identical_runs():
     b = run_cli(["monodromy", "-", "--seed", "7"], payload)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# -2x^3/3 + x^2/4 + 15x/32 - 3/8 on an interval holding both critical points
+CUBIC_JSON = ["-3/8", "15/32", "1/4", "-2/3"]
+T6_CYCLE = ["0", "-1", "-1", "0", "1", "1"]
+LOOP_CASES = [
+    ("solve", {"polynomial": T6_JSON, "cycle": T6_CYCLE, "degree_bound": 6}, 1),
+    ("solve", {"polynomial": T6_JSON, "degree_bound": 12,
+               "intervals": [{"a": "-0.9", "b": "0.3", "weight": "1"}]}, 1),
+    ("solve", {"polynomial": CUBIC_JSON, "degree_bound": 6,
+               "intervals": [{"a": "-0.5", "b": "0.75", "weight": "2"}]}, 1),
+    ("classify", {"polynomial": T6_JSON, "cycle": T6_CYCLE, "q": ["0", "1"]}, 1),
+    ("verify", {"polynomial": T6_JSON, "cycle": T6_CYCLE, "q": ["0", "1"]}, 1),
+    ("lattice", {"polynomial": T6_JSON}, 1),
+    ("analyze-cycle", {"polynomial": T6_JSON, "cycle": T6_CYCLE}, 1),
+    ("monodromy", {"polynomial": T6_JSON}, 3),
+    ("monodromy", {"polynomial": CUBIC_JSON}, 3),
+    ("plot-constellation", {"polynomial": T6_JSON}, 3),
+]
+
+
+@pytest.mark.parametrize("command, payload, loops", LOOP_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(LOOP_CASES)])
+def test_petal_loops_run_only_where_generators_are_read(command, payload, loops,
+                                                        tracked_loops, tmp_path,
+                                                        capsys):
+    """The branch labels need the loop around infinity alone; a petal loop
+    per critical value runs only for the commands that print or draw the
+    generators."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, str(path)]) == 0, capsys.readouterr().err
+    assert len(tracked_loops) == loops
+    assert tracked_loops[0] == "the infinity loop"
+
+
+def test_a_failed_product_check_prints_no_monodromy(tmp_path, monkeypatch, capsys):
+    """The petal-order product check runs while the JSON is built: a petal
+    loop read as the identity still fails the command, with no output."""
+    mono = importlib.import_module("abelint.monodromy")
+    track = mono._loop_permutation
+
+    def identity_petals(p, dp, loop, start, config, tier, name):
+        sigma = track(p, dp, loop, start, config, tier, name)
+        return mono.Permutation.identity(sigma.n) if name.startswith("petal") else sigma
+
+    monkeypatch.setattr(mono, "_loop_permutation", identity_petals)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"polynomial": T6_JSON}))
+    assert cli.main(["monodromy", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "computation failed: petal-order product does not reproduce the "
+            "infinity cycle\n")

@@ -17,13 +17,14 @@ from abelint import numerics
 from abelint.config import Config
 from abelint.errors import (ComputationError, ConsistencyError, InputError,
                             TrackingError)
-from abelint.monodromy import (Permutation, _loops, _machine_tier,
-                               _sweep_rotation, continue_fiber, critical_values,
+from abelint.monodromy import (Permutation, _infinity_loop, _machine_tier,
+                               _petal_paths, _sweep_rotation, continue_fiber,
+                               critical_values,
                                divisor_lattice, generated_group_order,
                                is_full_symmetric, match_permutation, monodromy,
                                track_fiber)
-from abelint.numerics import (eval_poly, min_pairwise_distance, roots_of,
-                              roots_of_shifted)
+from abelint.numerics import (eval_poly, min_pairwise_distance, nstr_det,
+                              roots_of, roots_of_shifted)
 from abelint.ratpoly import RatPoly, chebyshev, compose, divisors, squarefree_part
 from abelint.serialize import monodromy_from_json, monodromy_to_json
 
@@ -292,10 +293,17 @@ def _closed(loop):
     return approach + circle[1:] + approach[::-1][1:]
 
 
+def _loops(cvs):
+    """Base point, the loop around infinity and the petal loops, at the
+    working precision."""
+    c0, loop_inf = _infinity_loop(cvs)
+    return c0, loop_inf, _petal_paths(c0, cvs)[0]
+
+
 def _loops_of(p, config):
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        c0, loop_inf, petals, _ = _loops(cvs)
+        c0, loop_inf, petals = _loops(cvs)
         return ([_closed(loop) for loop in [loop_inf] + petals],
                 roots_of_shifted(p, c0, mp.prec))
 
@@ -336,7 +344,7 @@ def test_collapse_message_is_the_mp_tiers(config):
 
 def test_closer_critical_values_fail_on_their_petal(config):
     with pytest.raises(TrackingError) as err:
-        monodromy(_stress_cubic(Fraction(1, 2 ** 37)), config)
+        monodromy(_stress_cubic(Fraction(1, 2 ** 37)), config).generators
     assert str(err.value).startswith("petal loop 0 (critical value")
 
 
@@ -344,7 +352,8 @@ def test_monodromy_failure_names_the_loop():
     # at 256 bits the critical values +-2e^3 = +-2^-110 separate, but the
     # standoff circle around them is too small for collision_tol
     with pytest.raises(TrackingError) as err:
-        monodromy(_stress_cubic(Fraction(1, 2 ** 37)), Config(precision_bits=256))
+        monodromy(_stress_cubic(Fraction(1, 2 ** 37)),
+                  Config(precision_bits=256)).generators
     msg = str(err.value)
     assert msg.startswith("petal loop 0 (critical value (-7.7037198e-34 + 0.0j)): "
                           "step collapse on the segment")
@@ -426,7 +435,7 @@ def test_foot_permutations_match_closed_loops(name, p, config):
     rep = monodromy(p, config)
     cvs = critical_values(p, config)
     with mp.workprec(config.precision_bits + 32):
-        c0, loop_inf, petals, _ = _loops(cvs)
+        c0, loop_inf, petals = _loops(cvs)
         fiber0 = roots_of_shifted(p, c0, mp.prec)
         # base_fiber is refined from its own start: match each root of
         # fiber0 to the nearest one, within match_permutation's gap / 4
@@ -450,7 +459,7 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
     mono = importlib.import_module("abelint.monodromy")
     p = chebyshev(6)
     with mp.workprec(config.precision_bits + 32):
-        _, loop_inf, petals, _ = _loops(critical_values(p, config))
+        _, loop_inf, petals = _loops(critical_values(p, config))
     segments = sum(len(part) - 1 for loop in [loop_inf] + petals for part in loop)
     refines, tiers = [], []
     refine, base, segment = mono._refine, mono.fiber_roots, mono._track_segment
@@ -470,11 +479,34 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
     monkeypatch.setattr(mono, "_refine", refine_spy)
     monkeypatch.setattr(mono, "fiber_roots", base_spy)
     monkeypatch.setattr(mono, "_track_segment", segment_spy)
-    monodromy(p, config)
+    monodromy(p, config).generators
     # the base fiber comes refined from fiber_roots, and no fiber is refined again
     assert refines == ["base fiber"]
     # every segment once, on the machine tier: no return leg, no re-tracking
     assert tiers == [float] * segments
+
+
+def test_monodromy_tracks_the_infinity_loop_alone(config, tracked_loops):
+    # ==, hash and repr read no generator: the benchmark tracer hashes the
+    # arguments of divisor_lattice
+    rep, again = monodromy(chebyshev(6), config), monodromy(chebyshev(6), config)
+    assert rep == again and hash(rep) == hash(again)
+    assert "generators" not in repr(rep) and "petal_order" not in repr(rep)
+    assert tracked_loops == ["the infinity loop"] * 2
+    assert rep.petal_order == (1, 0)
+    assert len(rep.generators) == 2 and rep.product_in_petal_order() == rep.infinity
+    assert tracked_loops[2:] == [f"petal loop {i} (critical value ({c}.0 + 0.0j))"
+                                 for i, c in enumerate((-1, 1))]
+
+
+def test_a_rep_read_back_from_json_tracks_nothing(t6, t6_rep, tracked_loops):
+    record = monodromy_to_json(t6_rep)
+    tracked_loops.clear()
+    back = monodromy_from_json(record)
+    assert (back.generators, back.petal_order) == (t6_rep.generators, t6_rep.petal_order)
+    assert monodromy_to_json(back) == record
+    assert is_full_symmetric(back) is False
+    assert tracked_loops == []
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +536,24 @@ def test_base_fiber_needs_no_polyroots(p, config, monkeypatch):
     calls = _polyroots_calls(monkeypatch)
     monodromy(p, config)
     assert calls == []
+
+
+# critical value polynomials on which Durand-Kerner in doubles stalls above
+# 2^-50 of the scale, at 1.2e-12 and 4.4e-7 of the fiber gap
+STALLING = [["8", "-4/3", "-2", "7/4", "7/2", "2"],
+            ["-4/3", "0", "1/4", "6", "-3", "1", "3"]]
+
+
+@pytest.mark.parametrize("coeffs", STALLING, ids=["degree 5", "degree 6"])
+def test_a_stalled_double_start_is_refined(coeffs, config, monkeypatch):
+    p = RatPoly([Fraction(c) for c in coeffs])
+    calls = _polyroots_calls(monkeypatch)
+    printed = [nstr_det(c, config.precision_bits) for c in critical_values(p, config)]
+    assert calls == []
+    with patch.object(numerics, "_machine_roots", lambda monic: None):
+        assert [nstr_det(c, config.precision_bits)
+                for c in critical_values(p, config)] == printed
+    assert len(calls) == 1
 
 
 T6_BASE_FIBER = [

@@ -22,8 +22,9 @@ from abelint.ratpoly import (RatPoly, chebyshev, compose, power_sums,
 from abelint.solver import (_pullback_span_rows, _sample_points, _trace_kernel,
                             classify, common_right_factor, cycle_residual,
                             fiber_values, puiseux, solve_moment_problem,
-                            tracked_fiber_samples, verify_vanishing_numeric,
-                            z_delta_basis, z_ud_basis, z_vd_basis)
+                            tracked_fiber_samples, vanishing_basis,
+                            verify_vanishing_numeric, z_delta_basis, z_ud_basis,
+                            z_vd_basis)
 
 from conftest import QUINTIC
 
@@ -581,3 +582,39 @@ def test_moment_basis_elements_pass_oracle(t6, t6_rep, t6_lattice, config):
     for q in basis.basis:
         chk = verify_vanishing_numeric(t6, PAPER_V1, q, config=config, rep=t6_rep)
         assert chk.vanishes
+
+
+_LATTICES = {}
+
+
+def _composite_lattice(a, w, config):
+    """The divisor lattice of A(W), computed once per composite."""
+    p = compose(RatPoly([Fraction(c) for c in a]), RatPoly([Fraction(c) for c in w]))
+    if p.coeffs not in _LATTICES:
+        _LATTICES[p.coeffs] = divisor_lattice(monodromy(p, config), p)
+    return _LATTICES[p.coeffs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_vanishing_basis_ignores_relabelling_within_blocks(data, config):
+    """A relabelling of the fiber that keeps the residue classes mod every
+    proper lattice member maps each U_d onto itself, so it keeps the U_d
+    components of a cycle and with them the answer.  This is why the
+    answer rests on the numbering only where divisor_lattice checks it."""
+    da, dw = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]))
+    a = data.draw(st.lists(st.integers(-5, 5), min_size=da, max_size=da))
+    w = data.draw(st.lists(st.integers(-5, 5), min_size=dw - 1, max_size=dw - 1))
+    lattice = _composite_lattice(a + [data.draw(st.sampled_from([1, -1, 2]))],
+                                 [0] + w + [1], config)
+    n = lattice.n
+    # n, and no swap, when the proper members have lcm n, as for x^6
+    step = math.lcm(*(d for d in lattice.members if d < n))
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    moved = list(v)
+    for i, k in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(1, n - 1)), max_size=6)):
+        j = (i + k * step) % n          # i and j lie in one class mod `step`
+        moved[i], moved[j] = moved[j], moved[i]
+    assert (vanishing_basis([CycleVector(n, moved)], lattice, 2 * n)
+            == vanishing_basis([CycleVector(n, v)], lattice, 2 * n))
