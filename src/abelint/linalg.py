@@ -1,8 +1,14 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals, on one elimination routine.
 
-Matrices are lists of rows, rows are lists of Fractions.  All routines are
-deterministic (first-nonzero pivoting) so reduced bases are canonical and
-can be compared for equality across runs.
+`echelon` is fraction-free Gauss-Jordan elimination (Bareiss) on integer
+rows, each row's content divided out after every update.  Its result, an
+integer echelon, has primitive rows, each positive at its pivot and zero at
+every other pivot column, so a span has exactly one.  Dividing each row by
+its pivot entry gives the canonical reduced row echelon form.  The exact
+solver keeps its spans as integer echelons until they are output; the
+Fraction API (`rref`, `kernel`, `nullspace`, `in_span`, ...) takes rows of
+ints, Fractions or anything `Fraction` accepts and wraps the same routines.
+Pivoting is first-nonzero, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from .errors import InputError
 
 Row = list[Fraction]
 Matrix = list[Row]
+IntRow = list[int]
 _ZERO = Fraction(0)
 
 
-def _width(rows: Matrix, ncols: int | None = None) -> int:
+def _width(rows, ncols: int | None = None) -> int:
     """The rows' common length, which must be `ncols` if that is given."""
     width = len(rows[0]) if rows else (ncols or 0)
     if ncols not in (None, width) or any(len(row) != width for row in rows):
@@ -26,105 +33,141 @@ def _width(rows: Matrix, ncols: int | None = None) -> int:
     return width
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns.
+def _primitive(row: IntRow) -> IntRow:
+    """The integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Each row is scaled to integers and eliminated fraction-free (Bareiss,
-    with the row's content divided out after each update); Fractions are
-    formed only at the end, by dividing each pivot row by its pivot.
-    Entries may be ints, Fractions or anything `Fraction` accepts.
-    """
-    ncols = _width(rows)
-    m = []
+
+def integer_rows(rows: Matrix) -> list[IntRow]:
+    """Each row scaled to primitive integers, which keeps every span."""
+    out = []
     for row in rows:
         fr = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row]
         den = lcm(*(x.denominator for x in fr))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in fr]))
+        out.append(_primitive([x.numerator * (den // x.denominator) for x in fr]))
+    return out
+
+
+def echelon(rows: list[IntRow]) -> tuple[list[IntRow], list[int]]:
+    """The integer echelon of the span of integer rows, and its pivot
+    columns.  The rows given are not changed."""
+    m = [_primitive(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
         pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         prow = m[r]
         pv = prow[c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([pv * a - f * b for a, b in zip(row, prow)])
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
+    return ([row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)],
+            pivots)
+
+
+def annihilator(reduced: list[IntRow], pivots: list[int],
+                ncols: int) -> tuple[list[IntRow], list[int]]:
+    """Basis of {v : A v = 0} for an echelon A, and A's free columns: for
+    each free column f, the primitive multiple of e_f - sum_r (A[r][f] /
+    A[r][pivots[r]]) e_{pivots[r]} that is positive at f."""
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    basis = []
+    for fc in free:
+        terms = [(row[fc], row[pc], pc) for row, pc in zip(reduced, pivots) if row[fc]]
+        scale = lcm(*(pv for _, pv, _ in terms))
+        v = [0] * ncols
+        v[fc] = scale
+        for x, pv, pc in terms:
+            v[pc] = -x * (scale // pv)
+        basis.append(_primitive(v))
+    return basis, free
+
+
+def kernel_echelon(rows: list[IntRow], ncols: int) -> tuple[list[IntRow], list[int]]:
+    """The integer echelon of {v : A v = 0}, from one elimination: with A's
+    columns reversed, each echelon row is nonzero only at its pivot and at
+    free columns left of it (in A's order), so each `annihilator` row is
+    nonzero only at its own free column and at pivot columns right of it.
+    They are already an echelon, with the free columns as pivots."""
+    reduced, pivots = echelon([row[::-1] for row in rows])
+    return annihilator([row[::-1] for row in reduced],
+                       [ncols - 1 - c for c in pivots], ncols)
+
+
+def in_echelon(reduced: list[IntRow], pivots: list[int], v: IntRow) -> bool:
+    """Whether the integer row v lies in the span of an echelon: iff
+    s v = sum_r v[pivots[r]] (s / reduced[r][pivots[r]]) reduced[r] with s
+    the lcm of those pivot entries, checked up to the first mismatch."""
+    terms = [(v[c], row[c], row) for row, c in zip(reduced, pivots) if v[c]]
+    scale = lcm(*(pv for _, pv, _ in terms))
+    terms = [(x * (scale // pv), row) for x, pv, row in terms]
+    return all(sum(f * row[j] for f, row in terms if row[j]) == scale * x
+               for j, x in enumerate(v))
+
+
+def to_fractions(rows: list[IntRow], pivots: list[int]) -> Matrix:
+    """Each integer row divided by its entry at its pivot column: for an
+    echelon, the canonical reduced row echelon form."""
     return [[Fraction(x, row[c]) if x else _ZERO for x in row]
-            for row, c in zip(m, pivots)], pivots
+            for row, c in zip(rows, pivots)]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by its content (the gcd of its entries)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns.  Entries may be
+    ints, Fractions or anything `Fraction` accepts."""
+    _width(rows)
+    reduced, pivots = echelon(integer_rows(rows))
+    return to_fractions(reduced, pivots), pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0])
+    return len(rref(rows)[1])
 
 
 def row_space_basis(rows: Matrix) -> Matrix:
     """Canonical basis (rref rows) of the span of the given rows."""
-    reduced, _ = rref(rows)
-    return reduced
+    return rref(rows)[0]
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
-    """Basis of {v : A v = 0}, one vector per free column, deterministic."""
+    """Basis of {v : A v = 0}, one vector per free column f, which is 1 at
+    f and 0 at the other free columns."""
     ncols = _width(rows, ncols)
-    return nullspace_of_rref(*rref(rows), ncols)
-
-
-def nullspace_of_rref(reduced: Matrix, pivots: list[int], ncols: int) -> Matrix:
-    """`nullspace` of a matrix whose `rref` is (reduced, pivots): for each
-    free column f, the vector e_f - sum_r reduced[r][f] e_{pivots[r]}."""
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    return to_fractions(*annihilator(*echelon(integer_rows(rows)), ncols))
 
 
 def kernel(rows: Matrix, ncols: int) -> Matrix:
-    """Reduced row echelon basis of {v : A v = 0}, from one elimination:
-    with A's columns reversed, each pivot row is nonzero only at its pivot
-    and at free columns left of it, so the `nullspace_of_rref` vectors (1 at
-    their own free column, 0 at the others) are already reduced."""
+    """Reduced row echelon basis of {v : A v = 0}, from one elimination
+    (`kernel_echelon`)."""
     ncols = _width(rows, ncols)
-    reduced, pivots = rref([row[::-1] for row in rows])
-    return nullspace_of_rref([row[::-1] for row in reduced],
-                             [ncols - 1 - c for c in pivots], ncols)
+    return to_fractions(*kernel_echelon(integer_rows(rows), ncols))
 
 
 def in_rref_span(reduced: Matrix, pivots: list[int], v: Row) -> bool:
-    """Whether v lies in the span of an `rref` result: iff v equals
-    sum_r v[pivots[r]] reduced[r], checked up to the first mismatch."""
+    """Whether v lies in the span of reduced rows with the given pivots,
+    which are read as the echelon they are: no elimination runs."""
     _width([v], len(reduced[0]) if reduced else None)
-    terms = [(v[c], row) for row, c in zip(reduced, pivots) if v[c]]
-    return all(sum(f * row[j] for f, row in terms if row[j]) == x
-               for j, x in enumerate(v))
+    return in_echelon(integer_rows(reduced), pivots, integer_rows([v])[0])
 
 
 def in_span(basis: Matrix, v: Row) -> bool:
     """Whether v lies in the row space of `basis`."""
     _width(basis, len(v))
-    return in_rref_span(*rref(basis), v)
+    return in_echelon(*echelon(integer_rows(basis)), integer_rows([v])[0])
 
 
 def same_span(a: Matrix, b: Matrix) -> bool:
-    return row_space_basis(a) == row_space_basis(b)
+    return rref(a) == rref(b)
 
 
 def solve_in_span(basis: Matrix, v: Row) -> Row | None:
@@ -134,11 +177,11 @@ def solve_in_span(basis: Matrix, v: Row) -> Row | None:
     """
     ncols = _width(basis, len(v))
     aug = [[basis[i][r] for i in range(len(basis))] + [v[r]] for r in range(ncols)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = echelon(integer_rows(aug))
     k = len(basis)
     if k in pivots:       # v had a component outside the span
         return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced[r][k]
+    coeffs = [_ZERO] * k
+    for row, pc in zip(reduced, pivots):
+        coeffs[pc] = Fraction(row[k], row[pc])
     return coeffs

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError, InputError
 
@@ -379,31 +380,39 @@ class TracePoly:
         return self.value.is_zero()
 
 
-def power_sums(w: RatPoly, count: int) -> list[RatPoly]:
-    """Power sums p_k = sum_i x_i^k of the roots of w(x) - z, k = 0..count,
-    each a polynomial in z.
+def power_sums(w: RatPoly, count: int) -> tuple[int, list[list[int]]]:
+    """Power sums p_e = sum_i x_i^e of the roots of w(x) - z, e = 0..count,
+    on integers: (D, P) with p_e = P[e] / D^e, P[e] the integer coefficients
+    of a polynomial in z of degree at most e // m.
 
     w(x) - z is normalized to the monic x^m + c_1 x^(m-1) + ... + c_m, whose
     coefficients are rationals except c_m = (w_0 - z)/lc, which is linear in
-    z.  Newton's identities then give p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1
-    + k c_k) for k <= m and p_k = -(c_1 p_(k-1) + ... + c_m p_(k-m)) beyond.
+    z.  With D the lcm of the denominators of the w_j/lc and of 1/lc, the
+    y_i = D x_i are the roots of y^m + C_1 y^(m-1) + ... + C_m, C_i = D^i c_i,
+    whose coefficients (in z too) are integers.  Newton's identities give
+    their power sums P_k = -(C_1 P_(k-1) + ... + C_(k-1) P_1 + k C_k) for
+    k <= m and P_k = -(C_1 P_(k-1) + ... + C_m P_(k-m)) beyond, and
+    p_e = P_e / D^e.
     """
     m = w.degree
     if m is NEG_INF or m < 1:
         raise InputError("power_sums requires deg w >= 1")
     lc = w.lc
-    c = [w.coeff(m - i) / lc for i in range(m + 1)]     # c[m]: the z-free part
-    p = [[Fraction(m)]]
+    scale = lcm(lc.numerator, *((a / lc).denominator for a in w.coeffs))
+    c = [int(w.coeff(m - i) / lc * scale ** i) for i in range(m + 1)]  # c[m]: z-free
+    zc = int(scale ** m / lc)                     # C_m = c[m] - zc * z
+    p = [[m]]
     for k in range(1, count + 1):
-        acc = [Fraction(0)] * (k // m + 1)
+        acc = [0] * (k // m + 1)
         for i in range(1, min(k, m) + 1):
-            for j, a in enumerate(p[k - i] if i < k else [Fraction(k)]):
-                if a and c[i]:
-                    acc[j] -= c[i] * a
-                if a and i == m:
-                    acc[j + 1] += a / lc
+            ci = c[i]
+            for j, a in enumerate(p[k - i] if i < k else [k]):
+                if a:
+                    acc[j] -= ci * a
+                    if i == m:
+                        acc[j + 1] += zc * a
         p.append(acc)
-    return [RatPoly(q) for q in p]
+    return scale, p
 
 
 def critical_value_poly(p: RatPoly) -> RatPoly:
@@ -415,7 +424,8 @@ def critical_value_poly(p: RatPoly) -> RatPoly:
         raise InputError("critical_value_poly requires deg p >= 2")
     dp = squarefree_part(p.derivative())
     m = dp.degree
-    traces = [ps.coeff(0) for ps in power_sums(dp, m - 1)]   # sum c^j
+    scale, sums = power_sums(dp, m - 1)
+    traces = [Fraction(ps[0], scale ** j) for j, ps in enumerate(sums)]  # sum c^j
     rho, r, s, e = p % dp, RatPoly.one(), [], [Fraction(1)]  # e_0..e_m
     for k in range(1, m + 1):
         r = r * rho % dp
@@ -432,12 +442,12 @@ def trace_poly(q: RatPoly, w: RatPoly) -> TracePoly:
         raise InputError("trace_poly requires deg w >= 1")
     if q.is_zero():
         return TracePoly(RatPoly.zero())
-    sums = power_sums(w, len(q.coeffs) - 1)
-    acc = RatPoly.zero()
-    for k, c in enumerate(q.coeffs):
-        if c != 0:
-            acc = acc + sums[k] * c
-    return TracePoly(acc)
+    scale, sums = power_sums(w, len(q.coeffs) - 1)
+    acc = [Fraction(0)] * len(sums[-1])
+    for k, (c, ps) in enumerate(zip(q.coeffs, sums)):
+        for j, a in enumerate(ps):
+            acc[j] += c * a / scale ** k
+    return TracePoly(RatPoly(acc))
 
 
 # ---------------------------------------------------------------------------

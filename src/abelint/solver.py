@@ -47,17 +47,19 @@ class SolutionBasis:
         return len(self.basis)
 
     def contains(self, q: RatPoly) -> bool:
+        """Membership, read off the basis as the echelon it is: each
+        pivot is at its row's first nonzero column."""
         if q.is_zero():
             return True
         if not q.is_constant() and q.degree > self.degree_bound:
             return False
         rows = _polys_to_rows(self.basis, self.degree_bound)
-        return linalg.in_span(rows, _poly_to_row(q, self.degree_bound))
+        pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+        return linalg.in_rref_span(rows, pivots, _poly_to_row(q, self.degree_bound))
 
     def same_span(self, polys) -> bool:
-        mine = _polys_to_rows(self.basis, self.degree_bound)
-        theirs = _polys_to_rows(polys, self.degree_bound)
-        return linalg.same_span(mine, theirs)
+        return (linalg.row_space_basis(_polys_to_rows(polys, self.degree_bound))
+                == _polys_to_rows(self.basis, self.degree_bound))
 
 
 def _poly_to_row(p: RatPoly, bound: int) -> list[Fraction]:
@@ -74,14 +76,15 @@ def _polys_to_rows(polys, bound: int) -> list[list[Fraction]]:
 # trace conditions and pullback spans
 # ---------------------------------------------------------------------------
 
-def _trace_kernel(w: RatPoly, bound: int) -> list[list[Fraction]]:
-    """Canonical basis of the Q (degree <= bound) whose trace along the
-    fiber of w vanishes identically.  Tr_w(x^e) is the power sum p_e(z) of
-    the roots of w(x) - z, so row j of the trace matrix holds the z^j
-    coefficients of p_0, ..., p_bound."""
-    sums = power_sums(w, bound)
-    rows = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
-    return linalg.kernel(rows, bound + 1)
+def _trace_kernel(w: RatPoly, bound: int) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon (`linalg.echelon`) of the Q of degree <= bound whose
+    trace along the fiber of w vanishes identically.  Tr_w(x^e) is the power
+    sum p_e(z) = P_e(z) / D^e (`power_sums`), so row j of the trace matrix,
+    times D^bound, holds the z^j coefficients of P_e times D^(bound - e)."""
+    scale, sums = power_sums(w, bound)
+    rows = [[ps[j] * scale ** (bound - e) if j < len(ps) else 0
+             for e, ps in enumerate(sums)] for j in range(bound // w.degree + 1)]
+    return linalg.kernel_echelon(rows, bound + 1)
 
 
 def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
@@ -102,16 +105,17 @@ def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
 
 class _LatticeSpans:
     """The trace kernels and pullback rings of a divisor lattice inside
-    degree <= bound; each is computed at most once."""
+    degree <= bound, each computed at most once.  Every span is an integer
+    echelon (rows, pivots) of `linalg.echelon`."""
 
     def __init__(self, lattice: DivisorLattice, bound: int):
         self.lattice = lattice
         self.bound = bound
-        self._kernels: dict[int, list[list[Fraction]]] = {}
+        self._kernels: dict[int, tuple[list[list[int]], list[int]]] = {}
         self._pullbacks: dict[int, list[list[int]]] = {}
 
-    def trace_kernel(self, d: int) -> list[list[Fraction]]:
-        """Canonical basis of Z_{V_d}, the trace kernel of the witness of d."""
+    def trace_kernel(self, d: int) -> tuple[list[list[int]], list[int]]:
+        """Z_{V_d}, the trace kernel of the witness of d."""
         if d not in self._kernels:
             self._kernels[d] = _trace_kernel(self.lattice.witness[d].right, self.bound)
         return self._kernels[d]
@@ -123,46 +127,40 @@ class _LatticeSpans:
                                                      self.bound)
         return self._pullbacks[d]
 
-    def kernel_echelon(self, d: int) -> tuple[list[list[Fraction]], list[int]]:
-        """The trace kernel of d with its pivots.  A kernel is in rref
-        already, so each row's pivot is its first nonzero column."""
-        rows = self.trace_kernel(d)
-        return rows, [next(c for c, x in enumerate(row) if x) for row in rows]
-
-    def ud_span(self, d: int) -> tuple[list[list[Fraction]], list[int]]:
-        """Canonical basis of Z_{U_d}, with its pivots: Z_{V_d} plus the
-        pullback rings of the witnesses of the elements covered by d."""
+    def ud_span(self, d: int) -> tuple[list[list[int]], list[int]]:
+        """Z_{U_d}: Z_{V_d} plus the pullback rings of the witnesses of the
+        elements covered by d, as one elimination of the stacked rows."""
         covered = self.lattice.covered_by(d)
         if not covered:
-            return self.kernel_echelon(d)
-        return linalg.rref(self.trace_kernel(d)
-                           + [row for dt in covered for row in self.pullback(dt)])
+            return self.trace_kernel(d)
+        return linalg.echelon(self.trace_kernel(d)[0]
+                              + [row for dt in covered for row in self.pullback(dt)])
 
     def candidates(self, kernels, pullbacks):
-        """(tag, echelon) pairs, each echelon a function giving a span's rref
-        and pivots: the trace kernels of `kernels`, then the pullback rings
-        of the witnesses of `pullbacks`."""
-        out = [(f"trace-kernel({d})", lambda d=d: self.kernel_echelon(d))
+        """(tag, echelon) pairs, each echelon a function giving a span's
+        integer echelon: the trace kernels of `kernels`, then the pullback
+        rings of the witnesses of `pullbacks`."""
+        out = [(f"trace-kernel({d})", lambda d=d: self.trace_kernel(d))
                for d in kernels]
         out += [(f"pullback({self.lattice.witness[d].right})",
-                 lambda d=d: linalg.rref(self.pullback(d))) for d in pullbacks]
+                 lambda d=d: linalg.echelon(self.pullback(d))) for d in pullbacks]
         return out
 
-    def conditions(self, cycles) -> list[list[Fraction]]:
+    def conditions(self, cycles) -> list[list[int]]:
         """The annihilator rows of Z_{U_d}, once for each d in the union of
         the components of the invariant spans of the cycles."""
         comps = set().union(*(decompose_v_delta(v, self.lattice).components
                               for v in cycles))
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for d in sorted(comps):
-            rows.extend(linalg.nullspace_of_rref(*self.ud_span(d), self.bound + 1))
+            rows.extend(linalg.annihilator(*self.ud_span(d), self.bound + 1)[0])
         return rows
 
 
 def _provenance(rows, candidates) -> tuple[str, ...]:
-    """Tag each row with the first candidate span that holds it, else
-    "mixed".  Candidates are (tag, echelon) pairs (`candidates`); a span's
-    echelon is called only when a row first reaches that span."""
+    """Tag each integer row with the first candidate span that holds it,
+    else "mixed".  Candidates are (tag, echelon) pairs (`candidates`); a
+    span's echelon is called only when a row first reaches that span."""
     echelons: dict[int, tuple] = {}
     tags = []
     for row in rows:
@@ -170,21 +168,24 @@ def _provenance(rows, candidates) -> tuple[str, ...]:
         for i, (name, build) in enumerate(candidates):
             if i not in echelons:
                 echelons[i] = build()
-            if linalg.in_rref_span(*echelons[i], row):
+            if linalg.in_echelon(*echelons[i], row):
                 tag = name
                 break
         tags.append(tag)
     return tuple(tags)
 
 
-def _solution(rows, tags, bound: int) -> SolutionBasis:
-    return SolutionBasis(degree_bound=bound, basis=tuple(RatPoly(r) for r in rows),
+def _solution(echelon, tags, bound: int) -> SolutionBasis:
+    """The basis of an integer echelon, each row divided by its pivot entry:
+    the canonical reduced row echelon form."""
+    return SolutionBasis(degree_bound=bound,
+                         basis=tuple(RatPoly(r) for r in linalg.to_fractions(*echelon)),
                          provenance=tuple(tags))
 
 
 def vanishing_conditions(cycles, lattice: DivisorLattice,
-                         degree_bound: int) -> list[list[Fraction]]:
-    """Linear conditions on the coefficient rows of Q (degree <= bound)
+                         degree_bound: int) -> list[list[int]]:
+    """Integer linear conditions on the coefficient rows of Q (degree <= bound)
     that hold iff the integral of Q over every one of the cycles vanishes
     identically."""
     return _LatticeSpans(lattice, degree_bound).conditions(cycles)
@@ -200,9 +201,9 @@ def vanishing_basis(cycles, lattice: DivisorLattice,
     that union, and no nonzero cycle yields the full polynomial space.
     """
     spans = _LatticeSpans(lattice, degree_bound)
-    kernel = linalg.kernel(spans.conditions(cycles), degree_bound + 1)
+    kernel = linalg.kernel_echelon(spans.conditions(cycles), degree_bound + 1)
     candidates = spans.candidates(sorted(lattice.members), lattice.members)
-    return _solution(kernel, _provenance(kernel, candidates), degree_bound)
+    return _solution(kernel, _provenance(kernel[0], candidates), degree_bound)
 
 
 def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
@@ -210,8 +211,8 @@ def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     """Basis of the polynomials of degree <= bound whose trace over the
     residue-class block of size n/d vanishes identically."""
     lattice.require_member(d)
-    rows = _LatticeSpans(lattice, degree_bound).trace_kernel(d)
-    return _solution(rows, [f"trace-kernel({d})"] * len(rows), degree_bound)
+    kernel = _LatticeSpans(lattice, degree_bound).trace_kernel(d)
+    return _solution(kernel, [f"trace-kernel({d})"] * len(kernel[0]), degree_bound)
 
 
 def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
@@ -220,9 +221,9 @@ def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     of the elements covered by d, truncated at the degree bound."""
     lattice.require_member(d)
     spans = _LatticeSpans(lattice, degree_bound)
-    rows, _ = spans.ud_span(d)
+    span = spans.ud_span(d)
     candidates = spans.candidates([d], lattice.covered_by(d))
-    return _solution(rows, _provenance(rows, candidates), degree_bound)
+    return _solution(span, _provenance(span[0], candidates), degree_bound)
 
 
 def z_delta_basis(p: RatPoly, v: CycleVector, degree_bound: int,

@@ -5,8 +5,11 @@ standard ones are computed once per session and shared.
 """
 
 import importlib
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from abelint.config import Config
 from abelint.monodromy import divisor_lattice, monodromy
@@ -25,6 +28,19 @@ QUARTIC_PAPER_SPELLING = (X ** 2 / 2 - 1) ** 2 - 1
 
 # the quartic fiber polynomial of the hyperelliptic examples
 QUARTIC_F = (X ** 2 / 2 - 1) ** 2
+
+
+def wide(lo, hi):
+    """Signed integers of lo to hi bits with random low bits (integers drawn
+    directly from a range cluster near its ends, such as 2^k + small)."""
+    return st.builds(
+        lambda bits, seed, sign: sign * (random.Random(seed).getrandbits(bits)
+                                         | 1 << (bits - 1)),
+        st.integers(lo, hi), st.integers(0, 2 ** 32), st.sampled_from([1, -1]))
+
+
+# wide rationals with up to 70-bit denominators
+wide_fractions = st.builds(Fraction, wide(1, 90), wide(1, 70).map(abs))
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from abelint.solver import (_pullback_span_rows, _sample_points, _trace_kernel,
                             verify_vanishing_numeric, z_delta_basis, z_ud_basis,
                             z_vd_basis)
 
-from conftest import QUINTIC
+from conftest import QUINTIC, wide_fractions
 
 X = RatPoly.x()
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +154,22 @@ def test_z_delta_monotone_in_bound(t6, t6_rep, t6_lattice, config):
         assert large.contains(q)
 
 
+def test_contains_reads_the_basis_without_elimination(t6, t6_lattice, monkeypatch):
+    # a SolutionBasis is canonical rref already, so membership runs no
+    # elimination; the answers match in_span's, which eliminates
+    basis = z_ud_basis(t6, 2, t6_lattice, 12)
+    rows = [[q.coeff(k) for k in range(13)] for q in basis.basis]
+    probes = [X, X ** 3, RatPoly.one(), chebyshev(6), chebyshev(6) + X ** 5,
+              X ** 2 - RatPoly.constant(Fraction(1, 2)), X ** 13]
+    expected = [q.degree <= 12 and linalg.in_span(rows, [q.coeff(k) for k in range(13)])
+                for q in probes]
+    calls = []
+    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(rows))
+    assert [basis.contains(q) for q in probes] == expected
+    assert True in expected and False in expected
+    assert calls == []
+
+
 def reference_trace_matrix(w, bound):
     """Entry (j, e): the constant trace along the fiber of w of the j-th
     W-adic digit of x^e."""
@@ -166,26 +182,67 @@ def reference_trace_matrix(w, bound):
     return rows
 
 
+def reference_power_sums(w, count):
+    """Power sums of the roots of w(x) - z by Newton's identities on
+    Fractions, with no scaling: p_k = -(c_1 p_(k-1) + ... + k c_k), c_m
+    linear in z."""
+    m, lc = w.degree, w.lc
+    c = [w.coeff(m - i) / lc for i in range(m + 1)]
+    sums = [RatPoly.constant(m)]
+    for k in range(1, count + 1):
+        acc = RatPoly.zero()
+        for i in range(1, min(k, m) + 1):
+            ci = RatPoly.of(c[i], -1 / lc) if i == m else RatPoly.constant(c[i])
+            acc = acc - ci * (sums[k - i] if i < k else RatPoly.constant(k))
+        sums.append(acc)
+    return sums
+
+
+def power_sum_polys(w, count):
+    """The Fraction view p_e = P_e / D^e of the integer `power_sums`."""
+    scale, sums = power_sums(w, count)
+    return [RatPoly(Fraction(a, scale ** e) for a in ps) for e, ps in enumerate(sums)]
+
+
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 nonzero_rationals = small_rationals.filter(lambda c: c != 0 and c != 1)
+# w of degree 1 to 5, not monic in general, with small and wide rationals
+# (70-bit denominators): the D^e scaling of `power_sums` runs on them
+mixed_rationals = st.one_of(small_rationals, wide_fractions)
+wide_polys = st.integers(1, 5).flatmap(
+    lambda m: st.builds(lambda lower, lc: RatPoly(lower + [lc]),
+                        st.lists(mixed_rationals, min_size=m, max_size=m),
+                        mixed_rationals.filter(bool)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5).flatmap(
-           lambda m: st.tuples(st.lists(small_rationals, min_size=m, max_size=m),
-                               nonzero_rationals)),
-       st.integers(0, 30))
-def test_trace_matrix_from_power_sums(w_data, bound):
+@given(wide_polys, st.integers(0, 30))
+def test_trace_matrix_from_power_sums(w, bound):
     # Tr_w(x^e) = p_e(z), so row j of the trace matrix is the z^j
     # coefficients of the power sums p_0..p_bound
-    lower, lc = w_data
-    w = RatPoly(lower + [lc])
-    sums = power_sums(w, bound)
+    sums = power_sum_polys(w, bound)
+    assert sums == reference_power_sums(w, bound)
     table = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
     reference = reference_trace_matrix(w, bound)
     assert table == reference
-    assert _trace_kernel(w, bound) == linalg.row_space_basis(
+    assert linalg.to_fractions(*_trace_kernel(w, bound)) == linalg.row_space_basis(
         linalg.nullspace(reference, bound + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_polys, st.integers(0, 24))
+def test_trace_kernel_closed_form(w, bound):
+    # Tr_w(W^i q) = z^i Tr_w(q), and x^e - p_e/d has trace 0 for e < d = deg w,
+    # where p_e is a constant: the W^i (x^e - p_e/d) with i d + e <= bound
+    # span the trace kernel
+    d = w.degree
+    sums = reference_power_sums(w, d - 1)
+    rows = []
+    for i in range(bound // d + 1):
+        for e in range(1, min(d - 1, bound - i * d) + 1):
+            q = w ** i * (RatPoly.monomial(e) - sums[e] / d)
+            rows.append([q.coeff(k) for k in range(bound + 1)])
+    assert linalg.row_space_basis(rows) == linalg.to_fractions(*_trace_kernel(w, bound))
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,13 +268,13 @@ def test_integer_pullback_rows_span_the_pullback_ring(w_data, bound):
 
 def test_trace_kernel_is_one_elimination(monkeypatch):
     calls = []
-    rref = linalg.rref
+    echelon = linalg.echelon
 
     def counted(rows):
         calls.append(len(rows))
-        return rref(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "echelon", counted)
     for w, bound in ((chebyshev(6), 24), (X ** 2 + X / 3, 17), (X ** 3, 0)):
         calls.clear()
         _trace_kernel(w, bound)
