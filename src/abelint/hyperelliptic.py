@@ -23,7 +23,6 @@ from mpmath.libmp import (from_float, from_int, fzero, mpc_add, mpc_div,
                           mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt,
                           mpf_sub, round_nearest, to_float, to_rational)
 
-from . import linalg
 from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
@@ -540,7 +539,10 @@ def vanishing_criterion(f: RatPoly, k: RatPoly, v: CycleVector,
     of k over the 0-cycle v on fibers of f is constant in z.
 
     Constancy is linear feasibility: K - c0 must lie in the exact vanishing
-    space of v for some constant c0; then the integral is c0 * sum(v).
+    space of v for some constant c0; then the integral is c0 * sum(v).  With
+    r and s the values of the vanishing conditions on K and on 1, that is
+    r = c0 * s, a proportionality test: c0 is r_j / s_j at the first
+    nonzero s_j, or 0 when s = 0.
     """
     if v.n != f.degree:
         raise InputError("cycle length does not match the polynomial degree")
@@ -550,17 +552,9 @@ def vanishing_criterion(f: RatPoly, k: RatPoly, v: CycleVector,
     conditions = vanishing_conditions([v], lattice, bound)
     r = [sum(c * big_k.coeff(j) for j, c in enumerate(row)) for row in conditions]
     s = [row[0] for row in conditions]
-    c0 = None
-    if all(x == 0 for x in s):
-        constant = all(x == 0 for x in r)
-        if constant:
-            c0 = Fraction(0)
-    else:
-        sol = linalg.solve_in_span([s], r)
-        constant = sol is not None
-        if constant:
-            c0 = sol[0]
-    if constant:
+    j = next((j for j, x in enumerate(s) if x), None)
+    c0 = Fraction(0) if j is None else r[j] / s[j]
+    if all(x == c0 * y for x, y in zip(r, s)):
         check = verify_vanishing_numeric(
             f, v, big_k - RatPoly.constant(c0), config=config, rep=rep)
         if not check.vanishes:

@@ -99,6 +99,15 @@ def decompose_v_delta(v: CycleVector, lattice: DivisorLattice) -> SubspaceDecomp
     return SubspaceDecomposition(components=frozenset(components), dims=dims)
 
 
+def _covered_rows(d: int, lattice: DivisorLattice) -> list[list[int]]:
+    """The basis vectors of every covered V_d', in V_d's own e_{j,d}
+    coordinates: for d' | d, <e_{k,d'}, e_{j,d}> = (n/d) [j = k mod d'], so
+    e_{k,d'} is the 0/1 row with a 1 at each j = k mod d' (indices from 0
+    here)."""
+    return [[int(j % dt == k) for j in range(d)]
+            for dt in lattice.covered_by(d) for k in range(dt)]
+
+
 def u_d_dimension_table(lattice: DivisorLattice) -> dict[int, int]:
     """dim U_d = |Psi_d| per member, cross-checked by exact linear algebra
     (dim U_d = dim V_d - dim of the sum of the covered V_d' inside V_d)."""
@@ -106,10 +115,7 @@ def u_d_dimension_table(lattice: DivisorLattice) -> dict[int, int]:
     table = {}
     for d in lattice.members:
         fourier_dim = len(psi_set(d, lattice).psi)
-        covered_rows = []
-        for dt in lattice.covered_by(d):
-            covered_rows.extend(list(e.v) for e in v_d_basis(dt, n))
-        algebra_dim = d - linalg.rank(covered_rows)
+        algebra_dim = d - len(linalg.echelon(_covered_rows(d, lattice))[1])
         if algebra_dim != fourier_dim:
             raise ConsistencyError(
                 f"dimension mismatch for d={d}: Fourier {fourier_dim}, "
@@ -121,27 +127,9 @@ def u_d_dimension_table(lattice: DivisorLattice) -> dict[int, int]:
 
 
 def u_d_rational_basis(d: int, lattice: DivisorLattice) -> list[CycleVector]:
-    """Exact rational basis of U_d = V_d intersect (sum of covered V_d')^perp."""
+    """Exact rational basis of U_d = V_d intersect (sum of covered V_d')^perp:
+    the vectors of V_d, in the e_{k,d} coordinates, orthogonal to every
+    covered row, each spread as v_i = c_(i mod d)."""
     n = lattice.n
-    vd_rows = [list(e.v) for e in v_d_basis(d, n)]
-    covered_rows = []
-    for dt in lattice.covered_by(d):
-        covered_rows.extend(list(e.v) for e in v_d_basis(dt, n))
-    if not covered_rows:
-        basis = linalg.row_space_basis(vd_rows)
-        return [CycleVector(n, tuple(row)) for row in basis]
-    # vectors in V_d written in the e_{k,d} coordinates, orthogonal to all
-    # covered basis vectors
-    conditions = []
-    for w in covered_rows:
-        conditions.append([sum(Fraction(e[i]) * w[i] for i in range(n))
-                           for e in vd_rows])
-    kernel = linalg.nullspace(conditions, d)
-    out = []
-    for coeffs in kernel:
-        vec = [Fraction(0)] * n
-        for c, e in zip(coeffs, vd_rows):
-            for i in range(n):
-                vec[i] += c * e[i]
-        out.append(CycleVector(n, tuple(vec)))
-    return out
+    return [CycleVector(n, tuple(c[i % d] for i in range(n)))
+            for c in linalg.nullspace(_covered_rows(d, lattice), d)]

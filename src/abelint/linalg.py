@@ -5,10 +5,12 @@ rows, each row's content divided out after every update.  Its result, an
 integer echelon, has primitive rows, each positive at its pivot and zero at
 every other pivot column, so a span has exactly one.  Dividing each row by
 its pivot entry gives the canonical reduced row echelon form.  The exact
-solver keeps its spans as integer echelons until they are output; the
-Fraction API (`rref`, `kernel`, `nullspace`, `in_span`, ...) takes rows of
-ints, Fractions or anything `Fraction` accepts and wraps the same routines.
-Pivoting is first-nonzero, so results are deterministic.
+side keeps its spans as integer echelons (`echelon`, `annihilator`,
+`kernel_echelon`, `in_echelon`) until they are output, through
+`integer_rows` in and `to_fractions` out.  `rref`, `nullspace` and
+`in_span` wrap those routines for rows of ints, Fractions or anything
+`Fraction` accepts, and check the rows' shape.  Pivoting is first-nonzero,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -130,15 +132,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return to_fractions(reduced, pivots), pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
-
-
-def row_space_basis(rows: Matrix) -> Matrix:
-    """Canonical basis (rref rows) of the span of the given rows."""
-    return rref(rows)[0]
-
-
 def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
     """Basis of {v : A v = 0}, one vector per free column f, which is 1 at
     f and 0 at the other free columns."""
@@ -146,42 +139,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
     return to_fractions(*annihilator(*echelon(integer_rows(rows)), ncols))
 
 
-def kernel(rows: Matrix, ncols: int) -> Matrix:
-    """Reduced row echelon basis of {v : A v = 0}, from one elimination
-    (`kernel_echelon`)."""
-    ncols = _width(rows, ncols)
-    return to_fractions(*kernel_echelon(integer_rows(rows), ncols))
-
-
-def in_rref_span(reduced: Matrix, pivots: list[int], v: Row) -> bool:
-    """Whether v lies in the span of reduced rows with the given pivots,
-    which are read as the echelon they are: no elimination runs."""
-    _width([v], len(reduced[0]) if reduced else None)
-    return in_echelon(integer_rows(reduced), pivots, integer_rows([v])[0])
-
-
 def in_span(basis: Matrix, v: Row) -> bool:
     """Whether v lies in the row space of `basis`."""
     _width(basis, len(v))
     return in_echelon(*echelon(integer_rows(basis)), integer_rows([v])[0])
-
-
-def same_span(a: Matrix, b: Matrix) -> bool:
-    return rref(a) == rref(b)
-
-
-def solve_in_span(basis: Matrix, v: Row) -> Row | None:
-    """Coefficients c with sum_i c_i basis_i = v, or None.
-
-    Solved by eliminating the augmented system [basis^T | v].
-    """
-    ncols = _width(basis, len(v))
-    aug = [[basis[i][r] for i in range(len(basis))] + [v[r]] for r in range(ncols)]
-    reduced, pivots = echelon(integer_rows(aug))
-    k = len(basis)
-    if k in pivots:       # v had a component outside the span
-        return None
-    coeffs = [_ZERO] * k
-    for row, pc in zip(reduced, pivots):
-        coeffs[pc] = Fraction(row[k], row[pc])
-    return coeffs

@@ -251,11 +251,16 @@ def _double(x):
 
 def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
     """Python complex floats, or None when a coefficient of p or p' or a
-    path point leaves the normal double range."""
+    path point leaves the normal double range.  A point's part below that
+    range is let through when it is at most 2^-60 |z|, where it is noise:
+    `_circle` builds its nodes at the working precision, so at 1024 bits
+    and above a node on an axis carries a part near 10^-319 where the exact
+    value is 0."""
     cp = [_double(c) for c in reversed(p.coeffs)]
     cdp = [_double(c) for c in reversed(dp.coeffs)]
-    parts = [_double(part) for z in points for part in (mp.re(z), mp.im(z))]
-    if None in cp or None in cdp or None in parts:
+    if None in cp or None in cdp or any(
+            _double(part) is None and abs(part) > mp.ldexp(abs(z), -60)
+            for z in points for part in (mp.re(z), mp.im(z))):
         return None
     return _Tier(float, lambda z, x, limit: _machine_newton(cp, cdp, z, x, limit),
                  _machine_gap, _escalate)

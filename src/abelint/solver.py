@@ -53,12 +53,13 @@ class SolutionBasis:
             return True
         if not q.is_constant() and q.degree > self.degree_bound:
             return False
-        rows = _polys_to_rows(self.basis, self.degree_bound)
+        rows = linalg.integer_rows(_polys_to_rows(self.basis, self.degree_bound))
         pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-        return linalg.in_rref_span(rows, pivots, _poly_to_row(q, self.degree_bound))
+        return linalg.in_echelon(rows, pivots, linalg.integer_rows(
+            [_poly_to_row(q, self.degree_bound)])[0])
 
     def same_span(self, polys) -> bool:
-        return (linalg.row_space_basis(_polys_to_rows(polys, self.degree_bound))
+        return (linalg.rref(_polys_to_rows(polys, self.degree_bound))[0]
                 == _polys_to_rows(self.basis, self.degree_bound))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
+from abelint import linalg
 from abelint.config import Config
 from abelint.cycles import CycleVector, VanishingCycleCombo, continue_fiber_to_real
 from abelint.errors import ComputationError, InputError
@@ -17,7 +18,8 @@ from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
                                    vanishing_criterion)
 from abelint.monodromy import divisor_lattice, monodromy
 from abelint.numerics import eval_poly, roots_of_shifted
-from abelint.ratpoly import RatPoly, poly_gcd, trace_poly
+from abelint.ratpoly import RatPoly, chebyshev, poly_gcd, trace_poly
+from abelint.solver import z_delta_basis
 
 from conftest import QUARTIC_F
 
@@ -752,6 +754,38 @@ def test_symmetric_pair_odd_k_fails(config, quartic_rep, quartic_lattice):
                                  config, quartic_rep, quartic_lattice)
     assert not report.constant
     assert report.residual > mp.mpf(2) ** -12
+
+
+@pytest.mark.parametrize("name", ["t6", "x6"])
+def test_vanishing_criterion_on_z_delta_combinations(name, request, config):
+    # K = B + c with B a seeded rational combination of the Z_delta basis of
+    # v and c = -B(0), so that K is the primitive of k = B': its integral
+    # over v is c * sum(v).  Adding a monomial outside Z_delta + C makes it
+    # depend on z.  The cycles are d-periodic (integer combinations of the
+    # e_{k,d}), so Z_delta is not empty.
+    p = chebyshev(6) if name == "t6" else X ** 6
+    rep = request.getfixturevalue(f"{name}_rep")
+    lattice = request.getfixturevalue(f"{name}_lattice")
+    rng, bound = random.Random(31), 8
+    for d in (1, 2, 3):
+        weights = [rng.randint(1, 3) * rng.choice((1, -1)) for _ in range(d)]
+        v = CycleVector(6, [weights[i % d] for i in range(6)])
+        basis = z_delta_basis(p, v, bound, config, rep, lattice)
+        assert basis.dim > 0 and sum(v.v) != 0
+        big_b = sum((Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * q
+                     for q in basis.basis), RatPoly.zero())
+        c = -big_b.coeff(0)
+        report = vanishing_criterion(p, big_b.derivative(), v, config, rep, lattice)
+        assert report.constant, (name, v)
+        assert report.constant_value == c * sum(v.v)
+        with_one = [[q.coeff(j) for j in range(bound + 1)] for q in basis.basis]
+        with_one.append([1] + [0] * bound)
+        m = next(m for m in range(1, bound + 1)
+                 if not linalg.in_span(with_one, [int(j == m) for j in range(bound + 1)]))
+        report = vanishing_criterion(p, (big_b + X ** m).derivative(), v, config,
+                                     rep, lattice)
+        assert not report.constant, (name, v, m)
+        assert report.residual > mp.mpf(2) ** -12
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,10 @@ from abelint.errors import InputError
 from abelint.invariant import (decompose_v_delta, pairing_is_zero, psi_set,
                                u_d_dimension_table, u_d_rational_basis,
                                v_d_basis)
+from abelint.monodromy import divisor_lattice, monodromy
+from abelint.ratpoly import RatPoly, chebyshev
+
+X = RatPoly.x()
 
 PAPER_V1 = CycleVector(6, (0, -1, -1, 0, 1, 1))
 PAPER_V2 = CycleVector(6, (1, -1, 1, -1, 1, -1))
@@ -114,6 +120,34 @@ def test_u_d_mutual_orthogonality(t6_lattice):
             for a in bases[d]:
                 for b in bases[dt]:
                     assert a.dot(b) == 0
+
+
+def generated_lattices(config):
+    """(name, lattice) for x^n, n = 2..16, and T_n, n = 2..12."""
+    polys = [(f"x^{n}", X ** n) for n in range(2, 17)]
+    polys += [(f"T{n}", chebyshev(n)) for n in range(2, 13)]
+    return [(name, divisor_lattice(monodromy(p, config), p)) for name, p in polys]
+
+
+def test_u_d_invariants_on_generated_lattices(config):
+    # the U_d are built from 0/1 rows in V_d's coordinates; these checks
+    # read them back in Q^n against the e_{k,d'} of `v_d_basis`
+    for name, lattice in generated_lattices(config):
+        n = lattice.n
+        table = u_d_dimension_table(lattice)
+        assert sum(table.values()) == n, name
+        if name.startswith("x"):
+            assert table == {d: sum(math.gcd(d, k) == 1 for k in range(1, d + 1))
+                             for d in lattice.members}, name
+        bases = {d: u_d_rational_basis(d, lattice) for d in lattice.members}
+        for d, basis in bases.items():
+            assert len(basis) == table[d], (name, d)
+            for v in basis:
+                assert all(v.v[i] == v.v[i % d] for i in range(n)), (name, d)
+                for dt in lattice.covered_by(d):
+                    assert all(v.dot(e) == 0 for e in v_d_basis(dt, n)), (name, d, dt)
+        for d, dt in itertools.combinations(lattice.members, 2):
+            assert all(a.dot(b) == 0 for a in bases[d] for b in bases[dt]), (name, d, dt)
 
 
 # ---------------------------------------------------------------------------

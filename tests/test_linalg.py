@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelint.errors import InputError
-from abelint.linalg import (in_rref_span, in_span, kernel, nullspace, rank,
-                            rref, row_space_basis, same_span, solve_in_span)
+from abelint.linalg import (echelon, in_echelon, in_span, integer_rows,
+                            kernel_echelon, nullspace, rref, to_fractions)
 
 from conftest import wide_fractions
 
@@ -24,6 +24,10 @@ def test_rref_simple():
     reduced, pivots = rref(m)
     assert reduced == [[F(1), F(2)]]
     assert pivots == [0]
+
+
+def rank(rows):
+    return len(rref(rows)[1])
 
 
 def test_rank_random_consistency():
@@ -54,25 +58,12 @@ def test_nullspace_of_empty_is_full():
     assert nullspace([]) == []
 
 
-def test_in_span_and_solve():
+def test_in_span_simple():
     basis = [[F(1), F(0), F(1)], [F(0), F(1), F(2)]]
-    v = [F(3), F(-1), F(1)]
-    assert in_span(basis, v)
-    coeffs = solve_in_span(basis, v)
-    assert coeffs == [F(3), F(-1)]
+    assert in_span(basis, [F(3), F(-1), F(1)])
     w = [F(0), F(0), F(1)]
     assert not in_span(basis, w)
-    assert solve_in_span(basis, w) is None
     assert in_span([], [F(0), F(0)]) and not in_span([], w)
-    assert solve_in_span([], [F(0), F(0)]) == []
-    assert solve_in_span([], w) is None
-
-
-def test_same_span_canonical():
-    a = [[F(1), F(1)], [F(0), F(2)]]
-    b = [[F(2), F(4)], [F(1), F(0)]]
-    assert same_span(a, b)
-    assert row_space_basis(a) == row_space_basis(b)
 
 
 def test_annihilator_dimensions():
@@ -132,20 +123,6 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
-def reference_solve_in_span(basis, v):
-    """Coefficients from `reference_rref` of the augmented system
-    [basis^T | v], or None when v has a component outside the span."""
-    k = len(basis)
-    aug = [[basis[i][r] for i in range(k)] + [v[r]] for r in range(len(v))]
-    reduced, pivots = reference_rref(aug)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced[r][k]
-    return coeffs
-
-
 # wide rationals, small ones, plain ints, zero
 entries = st.one_of(st.just(0), st.integers(-9, 9),
                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
@@ -189,24 +166,6 @@ def test_rref_matches_fraction_gauss_jordan(m):
     assert all_fractions(ns)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solve_in_span_matches_fraction_gauss_jordan(data):
-    ncols = data.draw(st.integers(0, 6))
-    basis = data.draw(matrices(ncols))
-    weights = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
-    inside = [sum((Fraction(w) * Fraction(row[k]) for w, row in zip(weights, basis)),
-                  Fraction(0)) for k in range(ncols)]
-    outside = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    for v in (inside, outside):
-        v = [Fraction(c) for c in v]
-        coeffs = solve_in_span(basis, v)
-        assert coeffs == reference_solve_in_span(basis, v)
-        if coeffs is not None:
-            assert all_fractions([coeffs])
-    assert solve_in_span(basis, inside) is not None
-
-
 # ---------------------------------------------------------------------------
 # one-elimination kernel and membership in a reduced span
 # ---------------------------------------------------------------------------
@@ -216,11 +175,10 @@ def test_solve_in_span_matches_fraction_gauss_jordan(data):
 def test_kernel_is_the_reduced_nullspace(data):
     m = data.draw(matrices())
     ncols = len(m[0]) if m else data.draw(st.integers(0, 6))
-    got = kernel(m, ncols)
-    assert got == row_space_basis(nullspace(m, ncols))
+    got = to_fractions(*kernel_echelon(integer_rows(m), ncols))
+    assert got == rref(nullspace(m, ncols))[0]
     assert all_fractions(got)
-    expected = reference_rref(reference_nullspace(m, ncols))[0]
-    assert kernel(m, ncols) == expected == got
+    assert got == reference_rref(reference_nullspace(m, ncols))[0]
 
 
 def reference_in_span(basis, v):
@@ -230,7 +188,7 @@ def reference_in_span(basis, v):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_in_rref_span_matches_rank_test(data):
+def test_in_echelon_matches_rank_test(data):
     ncols = data.draw(st.integers(1, 6))
     basis = data.draw(matrices(ncols))
     weights = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
@@ -238,11 +196,15 @@ def test_in_rref_span_matches_rank_test(data):
                   Fraction(0)) for k in range(ncols)]
     other = [Fraction(c) for c in data.draw(st.lists(entries, min_size=ncols,
                                                      max_size=ncols))]
-    echelon = rref(basis)
+    reduced = echelon(integer_rows(basis))
     for v in (member, other, [Fraction(0)] * ncols):
-        assert in_rref_span(*echelon, v) == reference_in_span(basis, v)
+        assert in_echelon(*reduced, integer_rows([v])[0]) == reference_in_span(basis, v)
         assert in_span(basis, v) == reference_in_span(basis, v)
-    assert in_rref_span(*echelon, member)
+    assert in_echelon(*reduced, integer_rows([member])[0])
+
+
+def kernel(rows, ncols):
+    return to_fractions(*kernel_echelon(integer_rows(rows), ncols))
 
 
 def test_kernel_canonical_examples():
@@ -255,13 +217,13 @@ def test_kernel_canonical_examples():
     lambda: rref([[1, 2], [3]]),
     lambda: nullspace([[1, 2, 3]], 2),
     lambda: nullspace([[1, 2], [3]], 2),
-    lambda: kernel([[1, 2, 3]], 4),
-    lambda: kernel([[1], [2, 3]], 2),
+    lambda: rref([[1], [2, 3]]),
+    lambda: nullspace([[1, 2]], 3),
     lambda: in_span([[1, 0]], [1, 0, 0]),
     lambda: in_span([[0, 0]], [0]),
     lambda: in_span([[1, 0], [0]], [1, 0]),
-    lambda: in_rref_span(*rref([[1, 0]]), [1]),
-    lambda: solve_in_span([[1, 0]], [1, 0, 0]),
+    lambda: in_span([[1, 0, 0], [0, 1]], [1, 0, 0]),
+    lambda: nullspace([[]], 2),
 ])
 def test_inconsistent_shapes_are_input_errors(call):
     with pytest.raises(InputError):

@@ -412,6 +412,29 @@ def test_tiny_coefficient_runs_on_the_mp_tier(config):
     assert sigma.order() == 3
 
 
+def test_machine_tier_runs_at_1024_bits(monkeypatch):
+    # at 1024 bits the circle nodes on an axis carry parts near 10^-319
+    # where the exact value is 0; they are noise beside the point, so the
+    # loops still track on machine floats
+    mono = importlib.import_module("abelint.monodromy")
+    calls, newton = [], mono._machine_newton
+
+    def spy(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(mono, "_machine_newton", spy)
+    for p in (X ** 2, chebyshev(6)):
+        expected = monodromy(p, Config()).generators
+        calls.clear()
+        assert monodromy(p, Config(precision_bits=1024)).generators == expected
+        assert calls, p
+    with mp.workprec(1056):
+        tiny = mp.mpf(2) ** -1060
+        assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, tiny), mp.mpc(tiny, -1)])
+        assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, 0), mp.mpc(tiny, tiny)]) is None
+
+
 # ---------------------------------------------------------------------------
 # loops read at the circle's foot
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ def test_trace_matrix_from_power_sums(w, bound):
     table = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
     reference = reference_trace_matrix(w, bound)
     assert table == reference
-    assert linalg.to_fractions(*_trace_kernel(w, bound)) == linalg.row_space_basis(
-        linalg.nullspace(reference, bound + 1))
+    assert linalg.to_fractions(*_trace_kernel(w, bound)) == linalg.rref(
+        linalg.nullspace(reference, bound + 1))[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +242,7 @@ def test_trace_kernel_closed_form(w, bound):
         for e in range(1, min(d - 1, bound - i * d) + 1):
             q = w ** i * (RatPoly.monomial(e) - sums[e] / d)
             rows.append([q.coeff(k) for k in range(bound + 1)])
-    assert linalg.row_space_basis(rows) == linalg.to_fractions(*_trace_kernel(w, bound))
+    assert linalg.rref(rows)[0] == linalg.to_fractions(*_trace_kernel(w, bound))
 
 
 @settings(max_examples=100, deadline=None)
@@ -263,7 +263,7 @@ def test_integer_pullback_rows_span_the_pullback_ring(w_data, bound):
         powers.append([power.coeff(k) for k in range(bound + 1)])
         power = power * w
     assert len(rows) == len(powers)
-    assert linalg.row_space_basis(rows) == linalg.row_space_basis(powers)
+    assert linalg.rref(rows)[0] == linalg.rref(powers)[0]
 
 
 def test_trace_kernel_is_one_elimination(monkeypatch):

@@ -1,10 +1,12 @@
 """Module boundaries of the package: no module imports a private
 (underscore) name from a sibling module, every function the benchmark
-tracer wraps still exists, one function calls `mpmath.polyroots`, and four
-read the monodromy generators."""
+tracer wraps still exists, every public `linalg` function has a caller,
+one function calls `mpmath.polyroots`, and four read the monodromy
+generators."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +101,32 @@ def test_tracer_names_resolve():
     assert missing == []
     for module in lists["ALL_MODULES"]:
         importlib.import_module(module)
+
+
+def linalg_references() -> set[str]:
+    """Names the modules in src other than `linalg` read as `linalg.<name>`
+    or import from it."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "linalg"):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_linalg_function_has_a_caller():
+    """One elimination API: a public `linalg` function that no other module
+    calls and the tracer does not wrap is a dead wrapper."""
+    linalg = importlib.import_module("abelint.linalg")
+    public = {name for name, obj in vars(linalg).items()
+              if inspect.isfunction(obj) and obj.__module__ == linalg.__name__
+              and not name.startswith("_")}
+    lists = tracer_lists()
+    traced = {name for _, module, name in lists["SPANNED"] + lists["COUNTED"]
+              if module == linalg.__name__}
+    assert sorted(public - linalg_references() - traced) == []
