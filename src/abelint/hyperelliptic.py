@@ -14,14 +14,15 @@ import cmath
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, fzero, mpc_add, mpc_div,
-                          mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
-                          mpc_neg, mpc_shift, mpc_sqrt, mpc_sub, mpf_add,
-                          mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt,
-                          mpf_sub, round_nearest, to_float, to_rational)
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_add, mpc_div,
+                          mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_shift,
+                          mpc_sqrt, mpc_sub, mpf_add, mpf_cos_sin_pi, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, pi_fixed,
+                          round_nearest, to_float, to_rational)
+from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
@@ -205,22 +206,23 @@ def _plus_level(f: RatPoly, t) -> RatPoly:
     return f + RatPoly.constant(Fraction(*to_rational(t._mpf_)))
 
 
-def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
-                     scale: int, z=None):
-    """scale times the integral over [0, pi] of integrand(x, y, hs, sqrt g,
-    wp) dphi on the oval's upper branch, rounded at prec + 32 bits.
+def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPoly,
+                     z=None):
+    """The integral over [0, pi] of the `mode` integrand of k (`_oval_node`)
+    dphi on the oval's upper branch, times 2 for "y_dx" and "cauchy" (which
+    needs z), rounded at prec + 32 bits.
 
     With f + t = (x - x1)(x2 - x) g(x), deflated once, x = m - h cos(phi)
     and hs = h sin(phi), y = hs sqrt(g) and dx = hs dphi: no node subtracts
     nearly equal numbers, and every integrand is even, periodic and analytic
-    in phi, where the trapezoid rule converges geometrically.  Nodes are raw
-    mpf at wp = prec + 52 bits, complex when z is given."""
+    in phi, where the trapezoid rule converges geometrically.  The endpoints
+    and the deflation are mpf at wp = prec + 52 bits; the nodes are fixed
+    point (`_fixed_oval`)."""
     prec = config.precision_bits
     wp = prec + 52
     t = to_mpf(t, prec + 32)
     where = f"at t = {mp.nstr(t, 8)}"
     x1, x2 = oval_endpoints(family, t, prec)
-    rnd = round_nearest
     with mp.workprec(wp):
         if z is not None:
             # poles sit where f + t = z; on the oval f + t covers [0, w2max],
@@ -240,36 +242,48 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, integrand,
                 g[i] += root * g[i - 1]
             if abs(g.pop()) > size * mp.mpf(2) ** (-(prec // 2)):
                 raise ComputationError(f"the oval endpoints do not divide f + t {where}")
-        oval = (((x1 + x2) / 2)._mpf_, ((x2 - x1) / 2)._mpf_,
-                tuple((-c)._mpf_ for c in g), integrand, wp, where)
-        return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp, scale,
-                              z is not None, prec, f"oval quadrature {where}")
+        oval, point = _fixed_oval((x1 + x2) / 2, (x2 - x1) / 2, [-c for c in g], k, mode,
+                                  z, wp, where)
+        return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
+                              1 if mode == "dx_over_y" else 2, z is not None, prec,
+                              f"oval quadrature {where}", point=point)
 
 
 def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
-                   what: str, closed: bool = False):
-    """scale times the integral over [0, pi] of node(j, n), the raw integrand
-    at phi = j pi/n, n a power of two, at the working precision wp; called
-    inside mp.workprec(wp).
+                   what: str, closed: bool = False, point: int | None = None):
+    """scale times the integral over [0, pi] of node(j, n), the integrand at
+    phi = j pi/n, n a power of two; called inside mp.workprec(wp).  Nodes are
+    raw mpf (mpc when complex_values) summed at wp or, given `point`, ints
+    (pairs of ints) at `point` fractional bits, summed exactly.
 
     The trapezoid levels of 8, 16, 32, ... intervals are nested: each level
     adds only its odd nodes to the running sum, so every node is evaluated
-    once.  The value is the first level within 2^-(prec + 8) (1 + |value|)
+    once.  The sum is kept doubled, so the ends' half weights cost no
+    rounding.  The value is the first level within 2^-(prec + 8) (1 + |value|)
     of the one before, rounded at prec + 32 bits; past 2^16 intervals it is
     an error.  On an arc, phi = 0 and pi carry half weights; on a `closed`
     contour they are one node, evaluated once as node(0, 1)."""
     rnd = round_nearest
-    add, mul, shift, make = (
-        (mpc_add, mpc_mul_mpf, mpc_shift, mp.make_mpc) if complex_values
-        else (mpf_add, mpf_mul, mpf_shift, mp.make_mpf))
-    total = node(0, 1) if closed else shift(add(node(0, 1), node(1, 1), wp, rnd), -1)
+    if point is None:
+        add, shift = (mpc_add, mpc_shift) if complex_values else (mpf_add, mpf_shift)
+        plus = lambda a, b: add(a, b, wp, rnd)
+        twice, half = (lambda v: shift(v, 1)), (lambda v: shift(v, -1))
+    elif complex_values:
+        plus = lambda a, b: (a[0] + b[0], a[1] + b[1])
+        twice = lambda v: (v[0] << 1, v[1] << 1)
+        half = lambda v: (from_man_exp(v[0], -point - 1), from_man_exp(v[1], -point - 1))
+    else:
+        plus, twice = (lambda a, b: a + b), (lambda v: v << 1)
+        half = lambda v: from_man_exp(v, -point - 1)
+    mul, make = (mpc_mul_mpf, mp.make_mpc) if complex_values else (mpf_mul, mp.make_mpf)
+    total = twice(node(0, 1)) if closed else plus(node(0, 1), node(1, 1))
     scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
     tol = mp.mpf(2) ** (-(prec + 8))
     last, n, js = None, 8, range(1, 8)
     while n <= 1 << 16:
         for j in js:
-            total = add(total, node(j, n), wp, rnd)
-        val = make(mul(total, mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
+            total = plus(total, twice(node(j, n)))
+        val = make(mul(half(total), mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
         if last is not None and abs(val - last) <= tol * (1 + abs(val)):
             with mp.workprec(prec + 32):
                 return +val
@@ -277,25 +291,126 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
     raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
+def _exponent(v: Fraction) -> int:
+    """The least e with |v| <= 2^e, for v != 0."""
+    num, den = abs(v.numerator), v.denominator
+    e = num.bit_length() - den.bit_length()
+    return e + ((num > den << e) if e >= 0 else (num << -e > den))
+
+
+def _fixed(v: Fraction, e: int) -> int:
+    """floor(v 2^e)."""
+    if e >= 0:
+        return (v.numerator << e) // v.denominator
+    return v.numerator // (v.denominator << -e)
+
+
+def _fixed_oval(m, h, g, k: RatPoly, mode: str, z, wp: int, where: str):
+    """`_oval_node`'s oval, and the binary point of its node values, for mpf
+    m and h, g's mpf coefficients highest first, k, mode "y_dx", "dx_over_y"
+    or "cauchy", and an mpc z for "cauchy".
+
+    Each input is scaled by a power of two chosen from magnitudes known
+    before any node, then floored to F fractional bits.  With B = 2^s the
+    least power of two >= |m| + |h|, x = B xi with |xi| <= 1 on the oval;
+    g and k are taken in xi and divided by 2^a >= Ghat = sum |g_i| B^i (a
+    even, so sqrt g scales exactly) and 2^b >= Khat = sum |k_i| B^i, the
+    bounds of |g(x)| and |k(x)| on the oval; h sin(phi) is divided by 2^c
+    >= h; for "cauchy", y^2 - z is divided by 2^(a + 2c + q), 2^q >= 1 +
+    (|Re z| + |Im z|) / 2^(a + 2c).  Every scaled factor is then at most 1
+    and at least 1/4 at its bound.  The node's own power of two goes into
+    its binary point, so the trapezoid sums exact ints.
+
+    Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg g, deg k,
+    1)), and the fixed-point cos and sin are within 2^5 units of 2^-F
+    (mpmath's `cos_sin_basecase`; measured at most 17).  Horner on |xi| <=
+    1 then keeps x, h sin(phi), g(x) and k(x) within delta of their bounds
+    B, h, Ghat and Khat, and every later floor costs one unit of 2^-F,
+    below delta of the scaled bound.  To first order a node is therefore
+    within delta N E of its exact value at these m, h, g and k, with
+    N = Khat h^2 sqrt(Ghat) and E = 6 + sqrt(Ghat/g(x)) for "y_dx";
+    N = Khat / sqrt(g(x)) and E = 3 + 2 Ghat/g(x) for "dx_over_y";
+    N = Khat h^2 sqrt(Ghat)/D and E = 6 + sqrt(Ghat/g(x)) + 3 Dhat/D for
+    "cauchy", D = |y^2 - z| and Dhat = h^2 Ghat + |z|.  E grows only where
+    g(x) or y^2 - z is small, as it does for a node in any arithmetic at
+    wp; a node with g(x) <= delta Ghat is an error.  F depends only on wp
+    and the degrees, because the scaling takes up every magnitude."""
+    frac = lambda v: Fraction(*to_rational(v._mpf_))
+    m, h = frac(m), frac(h)
+    s, c = _exponent(abs(m) + h), _exponent(h)
+    in_xi = lambda coeffs: [v * Fraction(2) ** (s * i) for i, v in enumerate(coeffs)]
+    gs, ks = in_xi([frac(v) for v in reversed(g)]), in_xi(k.coeffs)
+    a = _exponent(sum(map(abs, gs)))
+    a += a % 2
+    b = _exponent(sum(map(abs, ks))) if ks else 0
+    point = wp + 8 + max(len(gs) - 1, len(ks) - 1, 1).bit_length()
+    zs, q = None, 0
+    if mode == "cauchy":
+        zs = [frac(v) * Fraction(2) ** -(a + 2 * c) for v in (z.real, z.imag)]
+        q = _exponent(1 + abs(zs[0]) + abs(zs[1]))
+        zs = tuple(_fixed(v, point - q) for v in zs)
+    oval = (point, _fixed(m, point - s), _fixed(h, point - s), _fixed(h, point - c),
+            tuple(_fixed(v, point - a) for v in reversed(gs)),
+            tuple(_fixed(v, point - b) for v in reversed(ks)), mode, zs, q,
+            1 << (point - wp), where)
+    power = {"y_dx": b + a // 2 + 2 * c, "dx_over_y": b - a // 2, "cauchy": b - a // 2 - q}
+    return oval, point - power[mode]
+
+
+def _cos_sin_pi(j: int, n: int, point: int):
+    """cos and sin of j pi/n, n a power of two at most 2^point, as ints at
+    `point` fractional bits: j/n less its nearest half-integer q/2 (ties up,
+    as in mpmath's `mpf_cos_sin`) times pi, by `cos_sin_basecase`, turned by
+    q quarter turns."""
+    q = ((4 * j) // n + 1) >> 1
+    r = (j << point) // n - (q << (point - 1))
+    cos, sin = cos_sin_basecase(r * pi_fixed(point) >> point, point)
+    return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q & 3]
+
+
+def _horner_fixed(coeffs, x: int, point: int) -> int:
+    """The polynomial with fixed-point coefficients (highest first) at the
+    fixed-point x, both at `point` fractional bits."""
+    val = 0
+    for c in coeffs:
+        val = (val * x >> point) + c
+    return val
+
+
 def _oval_node(oval, j, n):
-    """The integrand of `_oval_quadrature` at phi = j pi/n, n a power of two;
-    `oval` is (m, h, g, integrand, wp, where): raw mpf m, h and g's raw
-    coefficients highest first, or raw mpc m, h and a segment's g
-    (`_segment_root_g`)."""
-    m, h, g, integrand, wp, where = oval
-    rnd = round_nearest
-    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 1 - n.bit_length()), wp, rnd)
-    if len(m) == 2:
-        x = mpc_sub(m, mpc_mul_mpf(h, cos, wp, rnd), wp, rnd)
-        hs, root_g = mpc_mul_mpf(h, sin, wp, rnd), _segment_root_g(g, x, wp)
-        return integrand(x, mpc_mul(hs, root_g, wp, rnd), hs, root_g, wp)
-    x = mpf_sub(m, mpf_mul(h, cos, wp, rnd), wp, rnd)
-    gx = eval_poly_raw(g, x, wp)
-    if not mpf_gt(gx, fzero):
+    """A real oval's integrand at phi = j pi/n, n a power of two, in fixed
+    point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g) ("y_dx"), k dx/(y
+    dphi) = k / sqrt(g) ("dx_over_y") or k y dx/((y^2 - z) dphi) ("cauchy",
+    a pair of ints)."""
+    point, m, h, hc, g, k, mode, z, q, floor, where = oval
+    cos, sin = _cos_sin_pi(j, n, point)
+    x = m - (h * cos >> point)
+    gx = _horner_fixed(g, x, point)
+    if gx <= floor:
         raise ComputationError("f + t has another root on the oval or a double "
                                f"root at an endpoint {where}")
-    hs, root_g = mpf_mul(h, sin, wp, rnd), mpf_sqrt(gx, wp, rnd)
-    return integrand(x, mpf_mul(hs, root_g, wp, rnd), hs, root_g, wp)
+    root_g, kx = isqrt(gx << point), _horner_fixed(k, x, point)
+    if mode == "dx_over_y":
+        return (kx << point) // root_g
+    hs = hc * sin >> point
+    val = ((kx * root_g >> point) * hs >> point) * hs >> point
+    if mode == "y_dx":
+        return val
+    re, im = ((hs * hs >> point) * gx >> (point + q)) - z[0], -z[1]
+    norm = re * re + im * im
+    return (val * re << point) // norm, (-val * im << point) // norm
+
+
+def _segment_node(segment, j, n):
+    """The integrand of `_segment_loop` at phi = j pi/n, n a power of two;
+    `segment` is (m, h, g, integrand, wp): raw mpc m, h and the segment's g
+    (`_segment_root_g`)."""
+    m, h, g, integrand, wp = segment
+    rnd = round_nearest
+    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 1 - n.bit_length()), wp, rnd)
+    x = mpc_sub(m, mpc_mul_mpf(h, cos, wp, rnd), wp, rnd)
+    hs, root_g = mpc_mul_mpf(h, sin, wp, rnd), _segment_root_g(g, x, wp)
+    return integrand(x, mpc_mul(hs, root_g, wp, rnd), hs, root_g, wp)
 
 
 def _segment_root_g(g, x, wp: int):
@@ -309,25 +424,16 @@ def _segment_root_g(g, x, wp: int):
     return root
 
 
-def _k_y_dx(k: RatPoly, x, y, hs, wp: int):
-    """k y dx / dphi on raw mpf."""
-    return mpf_mul(mpf_mul(eval_poly_raw(k, x, wp), y, wp, round_nearest), hs, wp,
-                   round_nearest)
-
-
 def integral_I(family: OvalFamily, k: RatPoly, t,
                config: Config = DEFAULT_CONFIG):
     """I(t) = 2 * integral of k(x) sqrt(f(x)+t) over the oval's x-range."""
-    return _oval_quadrature(family, t, config, lambda x, y, hs, root_g, wp:
-                            _k_y_dx(k, x, y, hs, wp), 2)
+    return _oval_quadrature(family, t, config, "y_dx", k)
 
 
 def integral_I_prime(family: OvalFamily, k: RatPoly, t,
                      config: Config = DEFAULT_CONFIG):
     """I'(t) = integral of k(x)/sqrt(f(x)+t) over the oval's x-range."""
-    # k dx / y = k / sqrt(g) dphi
-    return _oval_quadrature(family, t, config, lambda x, y, hs, root_g, wp: mpf_div(
-        eval_poly_raw(k, x, wp), root_g, wp, round_nearest), 1)
+    return _oval_quadrature(family, t, config, "dx_over_y", k)
 
 
 def cauchy_J(family: OvalFamily, k: RatPoly, t, z,
@@ -336,13 +442,9 @@ def cauchy_J(family: OvalFamily, k: RatPoly, t, z,
     traversed, which doubles the one-branch quadrature."""
     with mp.workprec(config.precision_bits + 32):
         z = mp.mpc(z)
-        if z == 0:   # k y dx / y^2, which the kernel below makes 0/0 at the ends
+        if z == 0:   # k y dx / y^2, which the kernel makes 0/0 at the ends
             return mp.mpc(2 * integral_I_prime(family, k, t, config))
-
-    def kernel(x, y, hs, root_g, wp):   # k y dx / (y^2 - z)
-        den = mpc_sub((mpf_mul(y, y, wp, round_nearest), fzero), z._mpc_, wp, round_nearest)
-        return mpc_mpf_div(_k_y_dx(k, x, y, hs, wp), den, wp, round_nearest)
-    return _oval_quadrature(family, t, config, kernel, 2, z=z)
+    return _oval_quadrature(family, t, config, "cauchy", k, z=z)
 
 
 def oval_form_integral(family: OvalFamily, omega: OneForm, t,
@@ -447,8 +549,8 @@ def _segment_loop(f: RatPoly, k: RatPoly, inside, outside, x0, s0, mode, prec: i
         mpc_mul(eval_poly_raw(k, x, wp), y, wp, rnd), hs, wp, rnd)) if mode == "y_dx"
         else (lambda x, y, hs, root_g, wp: mpc_div(
             eval_poly_raw(k, x, wp), root_g, wp, rnd)))
-    oval = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp, None)
-    return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
+    segment = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp)
+    return _phi_trapezoid(lambda j, n: _segment_node(segment, j, n), wp,
                           sigma * (2 if mode == "y_dx" else 1), True, prec, what)
 
 

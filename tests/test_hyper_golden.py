@@ -12,11 +12,11 @@ when it was written.  A value is stored as its raw libmp tuple(s), [sign, hex
 mantissa, exponent, bitcount], so the comparison covers every bit and
 whether the result is real or complex.
 
-`golden/oval_integrand.json` holds raw values of the oval integrand itself
-(`_oval_node`) at fixed angles: phi = 0 and pi, where the nodes sit on the
-oval's endpoints, and five interior angles.  A quadrature value carries 20
-guard bits, which absorb a last-bit change of the integrand at every node;
-these values do not.
+`golden/oval_integrand.json` holds values of the oval integrand itself, as
+the fixed-point kernel `_oval_node` returns them, at fixed angles: phi = 0
+and pi, where the nodes sit on the oval's endpoints, and five interior
+angles.  A quadrature value carries 20 guard bits, which absorb a last-bit
+change of the integrand at every node; these values do not.
 
 To rewrite the files after a deliberate change of the numbers:
 
@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import abelint.hyperelliptic as hyp
 from abelint.config import Config
@@ -173,8 +174,9 @@ def test_hyper_values_golden(golden, name, prec):
     assert compute(name, prec) == golden[name][str(prec)]
 
 
-# `_oval_quadrature`'s integrand per case, sampled by `_oval_node` at the
-# angles j pi/n for these (j, n): 0, pi and five interior angles
+# `_oval_quadrature`'s integrand per case, sampled by the fixed-point kernel
+# `_oval_node` at the angles j pi/n for these (j, n): 0, pi and five interior
+# angles
 INTEGRAND_CASES = {
     "y_dx/central/x^2+1/-1/2": lambda c: integral_I(CENTRAL, K2, MINUS_HALF, c),
     "y_dx/endpoint/x^2+1/1/4": lambda c: integral_I(ENDPOINT, K2, QUARTER, c),
@@ -187,22 +189,25 @@ ANGLES = ((0, 1), (1, 1), (1, 1 << 20), (3, 16), (1, 2), (5, 8), (1023, 1024))
 
 
 def integrand_values(name, prec):
-    """[integrand at each of ANGLES] for one case, at the case's precision."""
+    """[integrand at each of ANGLES] for one case, at the case's precision:
+    the kernel's ints (pairs of ints) read at their binary point, exactly."""
     ovals = []
-    node = hyp._oval_node
+    fixed_oval = hyp._fixed_oval
 
-    def recording(oval, j, n):
-        ovals.append(oval)
-        return node(oval, j, n)
+    def recording(*args):
+        ovals.append(fixed_oval(*args))
+        return ovals[-1]
 
-    hyp._oval_node = recording
+    hyp._fixed_oval = recording
     try:
         INTEGRAND_CASES[name](Config(precision_bits=prec))
     finally:
-        hyp._oval_node = node
-    assert len(set(ovals)) == 1
-    return encode([mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
-                   for v in (node(ovals[0], j, n) for j, n in ANGLES)])
+        hyp._fixed_oval = fixed_oval
+    [(oval, point)] = ovals
+    read = lambda v: from_man_exp(v, -point)
+    return encode([mp.make_mpc(tuple(map(read, v))) if isinstance(v, tuple)
+                   else mp.make_mpf(read(v))
+                   for v in (hyp._oval_node(oval, j, n) for j, n in ANGLES)])
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAND_CASES))

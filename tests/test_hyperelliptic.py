@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from abelint import linalg
 from abelint.config import Config
@@ -142,6 +143,17 @@ def test_oval_endpoints_skip_a_near_real_complex_pair():
         integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
 
 
+def test_oval_quadrature_that_does_not_settle_is_an_error():
+    # f = (x^2 + 2^-140)(4 - x^2) at t = 0: the complex pair +-2^-70 i sits
+    # just off the oval (-2, 2), so sqrt g has a kink of width 2^-70 at x = 0
+    # and the trapezoid levels still differ at 2^16 intervals; the cap holds
+    eps = Fraction(1, 2 ** 140)
+    fam = OvalFamily(f=(X ** 2 + eps) * (4 - X ** 2), pair_index=0, t_min="0", t_max="0")
+    with pytest.raises(ComputationError,
+                       match=r"^oval quadrature at t = 0\.0 needs more than 2\^16 nodes$"):
+        integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
+
+
 @pytest.mark.parametrize("f, pair", [(X ** 2 - 1, 0), ((X + 1) ** 2 * (1 - X), 0)])
 def test_oval_endpoints_need_f_plus_t_positive_between(f, pair):
     # f + t < 0 between the roots, or the pair is one double root
@@ -254,18 +266,18 @@ def test_i_prime_builds_the_derivative_once(monkeypatch):
 def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations):
     # level n of the trapezoid on [0, pi] has n + 1 nodes: the two ends and
     # the 7 interior nodes of level 8 come first, and each later level adds
-    # only its odd nodes, so k is evaluated once per node of the last level
+    # only its odd nodes, so the fixed-point kernel runs once per node of the
+    # last level, each at its own angle
     import abelint.hyperelliptic as hyp
     kind, family, prec = case.split("/")
     k = X ** 2 + 1
-    calls = []
-    evaluate = hyp.eval_poly_raw
+    angles = []
+    node = hyp._oval_node
 
-    def counting(p, x, wp):
-        if p is k:
-            calls.append(x)
-        return evaluate(p, x, wp)
-    monkeypatch.setattr(hyp, "eval_poly_raw", counting)
+    def counting(oval, j, n):
+        angles.append(Fraction(j, n))
+        return node(oval, j, n)
+    monkeypatch.setattr(hyp, "_oval_node", counting)
     cfg = Config(precision_bits=int(prec))
     if family == "endpoint":
         fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
@@ -274,7 +286,7 @@ def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations)
         integral_I(CENTRAL, k, "-0.5", cfg)
     else:
         cauchy_J(CENTRAL, k, "-0.5", complex(-1, 0.5), cfg)
-    assert len(calls) == len(set(calls)) == evaluations
+    assert len(angles) == len(set(angles)) == evaluations
 
 
 def test_nested_trapezoid_levels_and_node_limit():
@@ -389,6 +401,123 @@ def test_exact_forms_have_zero_oval_period(config, case):
         period = integral_I(family, summands[0] + summands[1], t, config)
         scale = 1 + sum(abs(integral_I(family, k, t, config)) for k in summands)
         assert abs(period) <= mp.mpf(2) ** -(config.precision_bits + 8) * scale
+
+
+@st.composite
+def fixed_point_ovals(draw):
+    """f of degree 2-6 with f + t = c (x - x1)(x2 - x) g(x), g > 0 on the
+    oval [m - h, m + h], h = 2^-e with e up to 40 and c up to 2^40, a z off
+    the range of f + t on the oval (scaled by f(m) + t) and a precision.
+    The other roots lie at least 2h beyond the oval, so the trapezoid
+    converges fast.  Even draws take m = 0, an even g and an odd k, whose
+    periods are 0."""
+    even = draw(st.booleans())
+    h = Fraction(1, 2 ** draw(st.integers(0, 40)))
+    m = Fraction(0) if even else draw(st.fractions(-8, 8, max_denominator=7))
+    offset = lambda: h * (2 + Fraction(draw(st.integers(0, 64)), 8)) * 2 ** draw(
+        st.integers(0, 40))
+    plus_t = Fraction(2) ** draw(st.integers(-20, 40)) * (X - m + h) * (m + h - X)
+    pair = 0
+    for kind in draw(st.lists(st.sampled_from(["left", "right", "pair"]), max_size=2)):
+        if kind == "pair" or (even and draw(st.booleans())):
+            plus_t *= (X - m - (0 if even else offset() - offset())) ** 2 + offset() ** 2
+        elif even:
+            r = offset()
+            plus_t, pair = plus_t * (r * r - X * X), pair + 1
+        elif kind == "left":
+            plus_t, pair = plus_t * (X - m + offset()), pair + 1
+        else:
+            plus_t *= m + offset() - X
+    t = Fraction(draw(st.integers(-8, 8)), 4)
+    k = [Fraction(draw(st.integers(-2 ** 40, 2 ** 40).filter(bool)), draw(st.integers(1, 9)))
+         for _ in range(draw(st.integers(2, 4)))]
+    k = RatPoly([c if i % 2 else 0 for i, c in enumerate(k)] if even else k)
+    z = float(plus_t(m)) * complex(draw(st.sampled_from([-2, -0.5])),
+                                   draw(st.sampled_from([0.75, 1.25])))
+    return plus_t - t, pair, t, k, z, even, draw(st.sampled_from([64, 128, 192]))
+
+
+def _traced_quadrature(run):
+    """run(), with `_fixed_oval`'s arguments, the last level's n and the
+    kernel's trapezoid sum at that level, read exactly from its ints."""
+    import abelint.hyperelliptic as hyp
+    ovals, nodes = [], {}
+    fixed_oval, node = hyp._fixed_oval, hyp._oval_node
+
+    def fixed(*args):
+        ovals.append((args, fixed_oval(*args)))
+        return ovals[-1][1]
+
+    def traced(oval, j, n):
+        nodes[j, n] = node(oval, j, n)
+        return nodes[j, n]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hyp, "_fixed_oval", fixed)
+        patch.setattr(hyp, "_oval_node", traced)
+        value = run()
+    [(args, (_, point))] = ovals
+    read = lambda v: from_man_exp(v, -point - 1)      # half of each value
+    total = [0, 0]
+    for (j, n), v in nodes.items():
+        for i, part in enumerate(v if isinstance(v, tuple) else (v,)):
+            total[i] += part if n == 1 else 2 * part
+    return value, args, max(n for _, n in nodes), mp.make_mpc(tuple(map(read, total)))
+
+
+def _reference_trapezoid(args, n):
+    """The trapezoid sum of `_fixed_oval`'s args at the level n (without the
+    factor pi/n), in mpf at twice their wp, and the error bound
+    `_fixed_oval` states for it."""
+    m, h, g, k, mode, z, wp, _ = args
+    with mp.workprec(2 * wp):
+        frac, e = mp.frexp(abs(m) + h)
+        big = mp.ldexp(1, e - (frac == 0.5))          # B
+        g = g[::-1]
+        k = [mp.mpf(c.numerator) / c.denominator for c in k.coeffs]
+        g_hat = sum(abs(c) * big ** i for i, c in enumerate(g))
+        k_hat = sum(abs(c) * big ** i for i, c in enumerate(k))
+        y_bound = k_hat * h ** 2 * mp.sqrt(g_hat)
+        total, bound = mp.mpf(0), mp.mpf(0)
+        for i in range(n + 1):
+            x, hs = m - h * mp.cospi(mp.mpf(i) / n), h * mp.sinpi(mp.mpf(i) / n)
+            gx = mp.polyval(g[::-1], x)
+            kx = mp.polyval(k[::-1], x) if k else mp.mpf(0)
+            if mode == "dx_over_y":
+                value, size = kx / mp.sqrt(gx), k_hat / mp.sqrt(gx) * (3 + 2 * g_hat / gx)
+            else:
+                value, size = kx * hs ** 2 * mp.sqrt(gx), y_bound * (6 + mp.sqrt(g_hat / gx))
+            if mode == "cauchy":
+                den = hs ** 2 * gx - z
+                value /= den
+                size = (size + y_bound * 3 * (h ** 2 * g_hat + abs(z)) / abs(den)) / abs(den)
+            weight = mp.mpf(1) / 2 if i in (0, n) else 1
+            total += weight * value
+            bound += weight * size
+        return total, bound * mp.mpf(2) ** -wp
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_point_ovals())
+def test_fixed_point_periods_within_the_kernel_bound(case):
+    # every real-oval period against the same trapezoid level in mpf at twice
+    # the working precision: the kernel's level sum within the sum of its
+    # stated node bounds, and the period also within its rounding at
+    # prec + 32 bits; odd k on an even f gives 0 within the bound
+    f, pair, t, k, z, even, prec = case
+    family = OvalFamily(f=f, pair_index=pair, t_min=t, t_max=t)
+    config = Config(precision_bits=prec)
+    for run in (lambda: integral_I(family, k, t, config),
+                lambda: integral_I_prime(family, k, t, config),
+                lambda: cauchy_J(family, k, t, z, config)):
+        value, args, n, total = _traced_quadrature(run)
+        ref, bound = _reference_trapezoid(args, n)
+        with mp.workprec(2 * args[6]):
+            assert abs(total - ref) <= bound
+            scale = mp.pi / n * (1 if args[4] == "dx_over_y" else 2)
+            assert abs(value - scale * ref) <= (mp.mpf(2) ** -(prec + 31) * abs(scale * ref)
+                                                + scale * bound)
+            if even:
+                assert abs(total) <= bound
 
 
 def test_j_at_zero_is_twice_i_prime(config):
