@@ -472,16 +472,15 @@ def _reference_trapezoid(args, n):
     with mp.workprec(2 * wp):
         frac, e = mp.frexp(abs(m) + h)
         big = mp.ldexp(1, e - (frac == 0.5))          # B
-        g = g[::-1]
-        k = [mp.mpf(c.numerator) / c.denominator for c in k.coeffs]
-        g_hat = sum(abs(c) * big ** i for i, c in enumerate(g))
-        k_hat = sum(abs(c) * big ** i for i, c in enumerate(k))
+        k = [mp.mpf(c.numerator) / c.denominator for c in reversed(k.coeffs)]
+        g_hat, k_hat = (sum(abs(c) * big ** i for i, c in enumerate(reversed(p)))
+                        for p in (g, k))
         y_bound = k_hat * h ** 2 * mp.sqrt(g_hat)
         total, bound = mp.mpf(0), mp.mpf(0)
         for i in range(n + 1):
             x, hs = m - h * mp.cospi(mp.mpf(i) / n), h * mp.sinpi(mp.mpf(i) / n)
-            gx = mp.polyval(g[::-1], x)
-            kx = mp.polyval(k[::-1], x) if k else mp.mpf(0)
+            gx = mp.polyval(g, x)
+            kx = mp.polyval(k, x) if k else mp.mpf(0)
             if mode == "dx_over_y":
                 value, size = kx / mp.sqrt(gx), k_hat / mp.sqrt(gx) * (3 + 2 * g_hat / gx)
             else:
