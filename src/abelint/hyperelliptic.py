@@ -14,7 +14,7 @@ import cmath
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from mpmath import mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_add, mpc_div,
@@ -212,12 +212,12 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
     dphi on the oval's upper branch, times 2 for "y_dx" and "cauchy" (which
     needs z), rounded at prec + 32 bits.
 
-    With f + t = (x - x1)(x2 - x) g(x), deflated once, x = m - h cos(phi)
-    and hs = h sin(phi), y = hs sqrt(g) and dx = hs dphi: no node subtracts
-    nearly equal numbers, and every integrand is even, periodic and analytic
-    in phi, where the trapezoid rule converges geometrically.  The endpoints
-    and the deflation are mpf at wp = prec + 52 bits; the nodes are fixed
-    point (`_fixed_oval`)."""
+    In xi = (x - m)/h, m and h the oval's midpoint and half-width, f + t =
+    (x - x1)(x2 - x) g = h^2 (1 - xi^2) g, deflated once and exactly; with xi
+    = -cos(phi) and hs = h sin(phi), y = hs sqrt(g) and dx = hs dphi: no node
+    subtracts nearly equal numbers, and every integrand is even, periodic and
+    analytic in phi, where the trapezoid rule converges geometrically.  The
+    nodes are fixed point (`_fixed_oval`)."""
     prec = config.precision_bits
     wp = prec + 52
     t = to_mpf(t, prec + 32)
@@ -233,17 +233,25 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
             margin = (1 + abs(z)) * mp.mpf(2) ** (-(prec // 4))
             if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
                 raise ComputationError("pole sits on the integration contour")
-        # synthetic division of f + t by x - x2, then by x - x1
-        g = [to_mpf(c, wp) for c in reversed(family.f.coeffs)]
-        g[-1] += t
-        size = max(abs(c) for c in g)
-        for root in (x2, x1):
-            for i in range(1, len(g)):
-                g[i] += root * g[i - 1]
-            if abs(g.pop()) > size * mp.mpf(2) ** (-(prec // 2)):
-                raise ComputationError(f"the oval endpoints do not divide f + t {where}")
-        oval, point = _fixed_oval((x1 + x2) / 2, (x2 - x1) / 2, [-c for c in g], k, mode,
-                                  z, wp, where)
+        # x = (m + h xi) / 2^u for integers m and h; then f + t in xi over
+        # the integers, divided by xi^2 - 1: the rounded endpoints leave a
+        # remainder r0 + r1 xi, and (f + t)(x1), (f + t)(x2) = (r0 -+ r1)/den
+        (p1, q1), (p2, q2) = (to_rational(x._mpf_) for x in (x1, x2))
+        scale = 2 * max(q1, q2)
+        p1, p2, u = p1 * (scale // q1), p2 * (scale // q2), scale.bit_length() - 1
+        m, h = (p1 + p2) // 2, (p2 - p1) // 2
+        plus_t = _plus_level(family.f, t)
+        a, den = _in_xi(plus_t, m, h, u)
+        q = a[2:]
+        for i in range(len(q) - 3, -1, -1):
+            q[i] += q[i + 2]
+        r0, r1 = a[0] + q[0], a[1] + (q[1] if len(q) > 1 else 0)
+        if (Fraction(max(abs(r0 - r1), abs(r0 + r1)), den)
+                > max(map(abs, plus_t.coeffs)) / 2 ** (prec // 2)):
+            raise ComputationError(f"the oval endpoints do not divide f + t {where}")
+        # f + t = h^2 (1 - xi^2) g, in units of 2^-u for h
+        oval, point = _fixed_oval((h, 1 << u), ([-c for c in q], (den * h * h) >> (2 * u)),
+                                  _in_xi(k, m, h, u), mode, z, wp, where)
         return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
                               1 if mode == "dx_over_y" else 2, z is not None, prec,
                               f"oval quadrature {where}", point=point)
@@ -291,67 +299,77 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
     raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
-def _exponent(v: Fraction) -> int:
-    """The least e with |v| <= 2^e, for v != 0."""
-    num, den = abs(v.numerator), v.denominator
+def _exponent(num: int, den: int) -> int:
+    """The least e with |num/den| <= 2^e, for num != 0 < den."""
+    num = abs(num)
     e = num.bit_length() - den.bit_length()
     return e + ((num > den << e) if e >= 0 else (num << -e > den))
 
 
-def _fixed(v: Fraction, e: int) -> int:
-    """floor(v 2^e)."""
-    if e >= 0:
-        return (v.numerator << e) // v.denominator
-    return v.numerator // (v.denominator << -e)
+def _fixed(num: int, den: int, e: int) -> int:
+    """floor(num/den 2^e)."""
+    return (num << e) // den if e >= 0 else num // (den << -e)
 
 
-def _fixed_oval(m, h, g, k: RatPoly, mode: str, z, wp: int, where: str):
-    """`_oval_node`'s oval, and the binary point of its node values, for mpf
-    m and h, g's mpf coefficients highest first, k, mode "y_dx", "dx_over_y"
-    or "cauchy", and an mpc z for "cauchy".
+def _in_xi(p: RatPoly, m: int, h: int, u: int):
+    """(c, den), integers, with p(x) = sum c_i xi^i / den (lowest first) at
+    x = (m + h xi)/2^u: Horner on integer polynomials in xi."""
+    den = lcm(*(v.denominator for v in p.coeffs))
+    c = []
+    for j, v in enumerate(reversed(p.coeffs)):
+        c = [m * a + h * b for a, b in zip(c + [0], [0] + c)]
+        c[0] += v.numerator * (den // v.denominator) << (u * j)
+    return c, den << (u * max(len(c) - 1, 0))
+
+
+def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
+    """`_oval_node`'s oval, and the binary point of its node values, for the
+    half-width h, g and k in xi = (x - m)/h (`_oval_quadrature`), each given
+    exactly as integers over one denominator ((num, den), and (nums lowest
+    first, den)), mode "y_dx", "dx_over_y" or "cauchy", and an mpc z for
+    "cauchy".
 
     Each input is scaled by a power of two chosen from magnitudes known
-    before any node, then floored to F fractional bits.  With B = 2^s the
-    least power of two >= |m| + |h|, x = B xi with |xi| <= 1 on the oval;
-    g and k are taken in xi and divided by 2^a >= Ghat = sum |g_i| B^i (a
-    even, so sqrt g scales exactly) and 2^b >= Khat = sum |k_i| B^i, the
-    bounds of |g(x)| and |k(x)| on the oval; h sin(phi) is divided by 2^c
-    >= h; for "cauchy", y^2 - z is divided by 2^(a + 2c + q), 2^q >= 1 +
-    (|Re z| + |Im z|) / 2^(a + 2c).  Every scaled factor is then at most 1
-    and at least 1/4 at its bound.  The node's own power of two goes into
-    its binary point, so the trapezoid sums exact ints.
+    before any node, then floored to F fractional bits: g and k are divided
+    by 2^a >= Ghat = sum |g_i| (a even, so sqrt g scales exactly) and 2^b >=
+    Khat = sum |k_i|, the bounds of |g| and |k| on the oval, |xi| <= 1; h
+    sin(phi) is divided by 2^c >= h; for "cauchy", y^2 - z is divided by
+    2^(a + 2c + q), 2^q >= 1 + (|Re z| + |Im z|) / 2^(a + 2c).  Every scaled
+    factor is then at most 1 and at least 1/4 at its bound.  The node's own
+    power of two goes into its binary point, so the trapezoid sums exact
+    ints.
 
     Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg g, deg k,
     1)), and the fixed-point cos and sin are within 2^5 units of 2^-F
     (mpmath's `cos_sin_basecase`; measured at most 17).  Horner on |xi| <=
-    1 then keeps x, h sin(phi), g(x) and k(x) within delta of their bounds
-    B, h, Ghat and Khat, and every later floor costs one unit of 2^-F,
-    below delta of the scaled bound.  To first order a node is therefore
-    within delta N E of its exact value at these m, h, g and k, with
-    N = Khat h^2 sqrt(Ghat) and E = 6 + sqrt(Ghat/g(x)) for "y_dx";
-    N = Khat / sqrt(g(x)) and E = 3 + 2 Ghat/g(x) for "dx_over_y";
-    N = Khat h^2 sqrt(Ghat)/D and E = 6 + sqrt(Ghat/g(x)) + 3 Dhat/D for
-    "cauchy", D = |y^2 - z| and Dhat = h^2 Ghat + |z|.  E grows only where
-    g(x) or y^2 - z is small, as it does for a node in any arithmetic at
-    wp; a node with g(x) <= delta Ghat is an error.  F depends only on wp
-    and the degrees, because the scaling takes up every magnitude."""
-    frac = lambda v: Fraction(*to_rational(v._mpf_))
-    m, h = frac(m), frac(h)
-    s, c = _exponent(abs(m) + h), _exponent(h)
-    in_xi = lambda coeffs: [v * Fraction(2) ** (s * i) for i, v in enumerate(coeffs)]
-    gs, ks = in_xi([frac(v) for v in reversed(g)]), in_xi(k.coeffs)
-    a = _exponent(sum(map(abs, gs)))
+    1 then keeps h sin(phi), g and k within delta of their bounds h, Ghat
+    and Khat, and every later floor costs one unit of 2^-F, below delta of
+    the scaled bound.  To first order a node is therefore within delta N E
+    of its exact value at these h, g and k, with
+    N = Khat h^2 sqrt(Ghat) and E = 6 + sqrt(Ghat/g) for "y_dx";
+    N = Khat / sqrt(g) and E = 3 + 2 Ghat/g for "dx_over_y";
+    N = Khat h^2 sqrt(Ghat)/D and E = 6 + sqrt(Ghat/g) + 3 Dhat/D for
+    "cauchy", D = |y^2 - z| and Dhat = h^2 Ghat + |z|.  E grows only where g
+    or y^2 - z is small, as it does for a node in any arithmetic at wp; g
+    in xi keeps Ghat/g near 1 unless another root of f + t is within about
+    h of the oval, and a node with g <= delta Ghat is an error.  F depends
+    only on wp and the degrees, because the scaling takes up every
+    magnitude."""
+    (gs, g_den), (ks, k_den) = g, k
+    a = _exponent(sum(map(abs, gs)), g_den)
     a += a % 2
-    b = _exponent(sum(map(abs, ks))) if ks else 0
+    b = _exponent(sum(map(abs, ks)), k_den) if any(ks) else 0
+    c = _exponent(*h)
     point = wp + 8 + max(len(gs) - 1, len(ks) - 1, 1).bit_length()
     zs, q = None, 0
     if mode == "cauchy":
-        zs = [frac(v) * Fraction(2) ** -(a + 2 * c) for v in (z.real, z.imag)]
-        q = _exponent(1 + abs(zs[0]) + abs(zs[1]))
-        zs = tuple(_fixed(v, point - q) for v in zs)
-    oval = (point, _fixed(m, point - s), _fixed(h, point - s), _fixed(h, point - c),
-            tuple(_fixed(v, point - a) for v in reversed(gs)),
-            tuple(_fixed(v, point - b) for v in reversed(ks)), mode, zs, q,
+        zs = [Fraction(*to_rational(v._mpf_)) * Fraction(2) ** -(a + 2 * c)
+              for v in (z.real, z.imag)]
+        q = _exponent(*(1 + abs(zs[0]) + abs(zs[1])).as_integer_ratio())
+        zs = tuple(_fixed(*v.as_integer_ratio(), point - q) for v in zs)
+    oval = (point, _fixed(*h, point - c),
+            tuple(_fixed(v, g_den, point - a) for v in reversed(gs)),
+            tuple(_fixed(v, k_den, point - b) for v in reversed(ks)), mode, zs, q,
             1 << (point - wp), where)
     power = {"y_dx": b + a // 2 + 2 * c, "dx_over_y": b - a // 2, "cauchy": b - a // 2 - q}
     return oval, point - power[mode]
@@ -370,7 +388,7 @@ def _cos_sin_pi(j: int, n: int, point: int):
 
 def _horner_fixed(coeffs, x: int, point: int) -> int:
     """The polynomial with fixed-point coefficients (highest first) at the
-    fixed-point x, both at `point` fractional bits."""
+    fixed-point x, all at `point` fractional bits."""
     val = 0
     for c in coeffs:
         val = (val * x >> point) + c
@@ -381,18 +399,17 @@ def _oval_node(oval, j, n):
     """A real oval's integrand at phi = j pi/n, n a power of two, in fixed
     point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g) ("y_dx"), k dx/(y
     dphi) = k / sqrt(g) ("dx_over_y") or k y dx/((y^2 - z) dphi) ("cauchy",
-    a pair of ints)."""
-    point, m, h, hc, g, k, mode, z, q, floor, where = oval
+    a pair of ints), with g and k at xi = -cos(phi)."""
+    point, h, g, k, mode, z, q, floor, where = oval
     cos, sin = _cos_sin_pi(j, n, point)
-    x = m - (h * cos >> point)
-    gx = _horner_fixed(g, x, point)
+    gx = _horner_fixed(g, -cos, point)
     if gx <= floor:
         raise ComputationError("f + t has another root on the oval or a double "
                                f"root at an endpoint {where}")
-    root_g, kx = isqrt(gx << point), _horner_fixed(k, x, point)
+    root_g, kx = isqrt(gx << point), _horner_fixed(k, -cos, point)
     if mode == "dx_over_y":
         return (kx << point) // root_g
-    hs = hc * sin >> point
+    hs = h * sin >> point
     val = ((kx * root_g >> point) * hs >> point) * hs >> point
     if mode == "y_dx":
         return val

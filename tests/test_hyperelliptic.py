@@ -154,6 +154,27 @@ def test_oval_quadrature_that_does_not_settle_is_an_error():
         integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
 
 
+def test_tiny_oval_next_to_a_double_root_far_from_the_origin():
+    # f = (x - x1)(x2 - x)(x - r)^2 with x1, x2 = m -+ h, m = 18/7, h = 2^-31
+    # and r = m - 3h: g = (x - r)^2 is about h^2 on the oval, 2^-67 of its
+    # coefficients in x, so it is taken in the oval's own coordinate; with
+    # x - r = h (3 - cos phi), I = 3 pi h^3 and I' = pi / (2 sqrt 2 h); the
+    # endpoints, rounded at prec + 32 bits near 2.57, fix only about prec
+    # bits of h
+    m, h = Fraction(18, 7), Fraction(1, 2 ** 31)
+    f = (X - m + h) * (m + h - X) * (X - m + 3 * h) ** 2
+    fam = OvalFamily(f=f, pair_index=2, t_min="0", t_max="0")
+    for prec in (64, 128):
+        config = Config(precision_bits=prec)
+        period, slope = (quadrature(fam, RatPoly.one(), 0, config)
+                         for quadrature in (integral_I, integral_I_prime))
+        with mp.workprec(prec + 64):
+            h_mp = mp.mpf(2) ** -31
+            for value, exact in ((period, 3 * mp.pi * h_mp ** 3),
+                                 (slope, mp.pi / (2 * mp.sqrt(2) * h_mp))):
+                assert abs(value / exact - 1) < mp.mpf(2) ** -(prec - 8), prec
+
+
 @pytest.mark.parametrize("f, pair", [(X ** 2 - 1, 0), ((X + 1) ** 2 * (1 - X), 0)])
 def test_oval_endpoints_need_f_plus_t_positive_between(f, pair):
     # f + t < 0 between the roots, or the pair is one double root
@@ -438,8 +459,9 @@ def fixed_point_ovals(draw):
 
 
 def _traced_quadrature(run):
-    """run(), with `_fixed_oval`'s arguments, the last level's n and the
-    kernel's trapezoid sum at that level, read exactly from its ints."""
+    """run() (or the ComputationError it raises), with `_fixed_oval`'s
+    arguments, the last level's n and the kernel's trapezoid sum at that
+    level, read exactly from its ints."""
     import abelint.hyperelliptic as hyp
     ovals, nodes = [], {}
     fixed_oval, node = hyp._fixed_oval, hyp._oval_node
@@ -454,7 +476,10 @@ def _traced_quadrature(run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hyp, "_fixed_oval", fixed)
         patch.setattr(hyp, "_oval_node", traced)
-        value = run()
+        try:
+            value = run()
+        except ComputationError as error:
+            value = error
     [(args, (_, point))] = ovals
     read = lambda v: from_man_exp(v, -point - 1)      # half of each value
     total = [0, 0]
@@ -468,19 +493,17 @@ def _reference_trapezoid(args, n):
     """The trapezoid sum of `_fixed_oval`'s args at the level n (without the
     factor pi/n), in mpf at twice their wp, and the error bound
     `_fixed_oval` states for it."""
-    m, h, g, k, mode, z, wp, _ = args
+    h, g, k, mode, z, wp, _ = args
     with mp.workprec(2 * wp):
-        frac, e = mp.frexp(abs(m) + h)
-        big = mp.ldexp(1, e - (frac == 0.5))          # B
-        k = [mp.mpf(c.numerator) / c.denominator for c in reversed(k.coeffs)]
-        g_hat, k_hat = (sum(abs(c) * big ** i for i, c in enumerate(reversed(p)))
-                        for p in (g, k))
+        h = mp.mpf(h[0]) / h[1]
+        g, k = ([mp.mpf(c) / den for c in reversed(nums)] for nums, den in (g, k))
+        g_hat, k_hat = sum(map(abs, g)), sum(map(abs, k))
         y_bound = k_hat * h ** 2 * mp.sqrt(g_hat)
         total, bound = mp.mpf(0), mp.mpf(0)
         for i in range(n + 1):
-            x, hs = m - h * mp.cospi(mp.mpf(i) / n), h * mp.sinpi(mp.mpf(i) / n)
-            gx = mp.polyval(g, x)
-            kx = mp.polyval(k, x) if k else mp.mpf(0)
+            xi, hs = -mp.cospi(mp.mpf(i) / n), h * mp.sinpi(mp.mpf(i) / n)
+            gx = mp.polyval(g, xi)
+            kx = mp.polyval(k, xi) if k else mp.mpf(0)
             if mode == "dx_over_y":
                 value, size = kx / mp.sqrt(gx), k_hat / mp.sqrt(gx) * (3 + 2 * g_hat / gx)
             else:
@@ -497,11 +520,18 @@ def _reference_trapezoid(args, n):
 
 @settings(max_examples=40, deadline=None)
 @given(fixed_point_ovals())
+# odd k on an even f whose nodes reach 2^64: I is 0, which the level test,
+# absolute near 0, cannot confirm, so it runs to 2^16 nodes
+@example((32 * (1 - X ** 2) * (2 ** 70 - X ** 2) * (2 ** 52 - X ** 2), 2, Fraction(0), X,
+          2.0 ** 127 * complex(-2, 0.75), True, 64))
 def test_fixed_point_periods_within_the_kernel_bound(case):
     # every real-oval period against the same trapezoid level in mpf at twice
     # the working precision: the kernel's level sum within the sum of its
     # stated node bounds, and the period also within its rounding at
-    # prec + 32 bits; odd k on an even f gives 0 within the bound
+    # prec + 32 bits; odd k on an even f gives 0 within the bound.  The level
+    # test is absolute near 0, so a period far below its nodes' size may
+    # never settle; that is allowed only where the kernel's stated noise, at
+    # the first level, already reaches the level tolerance
     f, pair, t, k, z, even, prec = case
     family = OvalFamily(f=f, pair_index=pair, t_min=t, t_max=t)
     config = Config(precision_bits=prec)
@@ -509,10 +539,18 @@ def test_fixed_point_periods_within_the_kernel_bound(case):
                 lambda: integral_I_prime(family, k, t, config),
                 lambda: cauchy_J(family, k, t, z, config)):
         value, args, n, total = _traced_quadrature(run)
+        mode, wp = args[3], args[5]
+        if isinstance(value, ComputationError):
+            assert str(value).endswith("needs more than 2^16 nodes")
+            ref, bound = _reference_trapezoid(args, 16)
+            with mp.workprec(2 * wp):
+                scale = mp.pi / 16 * (1 if mode == "dx_over_y" else 2)
+                assert 2 * scale * bound >= mp.mpf(2) ** -(prec + 8) * (1 + abs(scale * ref))
+            continue
         ref, bound = _reference_trapezoid(args, n)
-        with mp.workprec(2 * args[6]):
+        with mp.workprec(2 * wp):
             assert abs(total - ref) <= bound
-            scale = mp.pi / n * (1 if args[4] == "dx_over_y" else 2)
+            scale = mp.pi / n * (1 if mode == "dx_over_y" else 2)
             assert abs(value - scale * ref) <= (mp.mpf(2) ** -(prec + 31) * abs(scale * ref)
                                                 + scale * bound)
             if even:
