@@ -26,11 +26,10 @@ from .hyperelliptic import (check_exth, integral_I, integral_I_prime,
                             vanishing_criterion)
 from .invariant import decompose_v_delta, psi_set, u_d_dimension_table
 from .monodromy import monodromy
-from .numerics import nstr_det
+from .numerics import fiber_values, nstr_det
 from .ratpoly import RatPoly
-from .solver import (classify, cycle_residual, fiber_values, group_data,
-                     tracked_fiber_samples, vanishing_basis,
-                     verify_vanishing_numeric)
+from .solver import (classify, cycle_residual, group_data, tracked_fiber_samples,
+                     vanishing_basis, verify_vanishing_numeric)
 
 
 def _read_json(path: str):

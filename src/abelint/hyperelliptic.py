@@ -28,7 +28,8 @@ from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
 from .monodromy import DivisorLattice, MonodromyRep, match_permutation, walk_fiber
-from .numerics import eval_poly, eval_poly_raw, roots_of_shifted, to_mpc, to_mpf
+from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
+                       roots_of_shifted, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .realroots import RealRoots
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
@@ -246,8 +247,10 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         for i in range(len(q) - 3, -1, -1):
             q[i] += q[i + 2]
         r0, r1 = a[0] + q[0], a[1] + (q[1] if len(q) > 1 else 0)
-        if (Fraction(max(abs(r0 - r1), abs(r0 + r1)), den)
-                > max(map(abs, plus_t.coeffs)) / 2 ** (prec // 2)):
+        # max |r0 -+ r1| / den > max |coefficient| / 2^(prec/2), cross-multiplied:
+        # den can have hundreds of thousands of bits, too many for a gcd
+        top, rest = max(map(abs, plus_t.coeffs)), max(abs(r0 - r1), abs(r0 + r1))
+        if rest * top.denominator << (prec // 2) > top.numerator * den:
             raise ComputationError(f"the oval endpoints do not divide f + t {where}")
         # f + t = h^2 (1 - xi^2) g, in units of 2^-u for h
         oval, point = _fixed_oval((h, 1 << u), ([-c for c in q], (den * h * h) >> (2 * u)),
@@ -299,18 +302,6 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
     raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
-def _exponent(num: int, den: int) -> int:
-    """The least e with |num/den| <= 2^e, for num != 0 < den."""
-    num = abs(num)
-    e = num.bit_length() - den.bit_length()
-    return e + ((num > den << e) if e >= 0 else (num << -e > den))
-
-
-def _fixed(num: int, den: int, e: int) -> int:
-    """floor(num/den 2^e)."""
-    return (num << e) // den if e >= 0 else num // (den << -e)
-
-
 def _in_xi(p: RatPoly, m: int, h: int, u: int):
     """(c, den), integers, with p(x) = sum c_i xi^i / den (lowest first) at
     x = (m + h xi)/2^u: Horner on integer polynomials in xi."""
@@ -342,7 +333,7 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg g, deg k,
     1)), and the fixed-point cos and sin are within 2^5 units of 2^-F
     (mpmath's `cos_sin_basecase`; measured at most 17).  Horner on |xi| <=
-    1 then keeps h sin(phi), g and k within delta of their bounds h, Ghat
+    1 (`horner_fixed`) then keeps h sin(phi), g and k within delta of their bounds h, Ghat
     and Khat, and every later floor costs one unit of 2^-F, below delta of
     the scaled bound.  To first order a node is therefore within delta N E
     of its exact value at these h, g and k, with
@@ -356,20 +347,20 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     only on wp and the degrees, because the scaling takes up every
     magnitude."""
     (gs, g_den), (ks, k_den) = g, k
-    a = _exponent(sum(map(abs, gs)), g_den)
+    a = bound_exponent(sum(map(abs, gs)), g_den)
     a += a % 2
-    b = _exponent(sum(map(abs, ks)), k_den) if any(ks) else 0
-    c = _exponent(*h)
+    b = bound_exponent(sum(map(abs, ks)), k_den) if any(ks) else 0
+    c = bound_exponent(*h)
     point = wp + 8 + max(len(gs) - 1, len(ks) - 1, 1).bit_length()
     zs, q = None, 0
     if mode == "cauchy":
         zs = [Fraction(*to_rational(v._mpf_)) * Fraction(2) ** -(a + 2 * c)
               for v in (z.real, z.imag)]
-        q = _exponent(*(1 + abs(zs[0]) + abs(zs[1])).as_integer_ratio())
-        zs = tuple(_fixed(*v.as_integer_ratio(), point - q) for v in zs)
-    oval = (point, _fixed(*h, point - c),
-            tuple(_fixed(v, g_den, point - a) for v in reversed(gs)),
-            tuple(_fixed(v, k_den, point - b) for v in reversed(ks)), mode, zs, q,
+        q = bound_exponent(*(1 + abs(zs[0]) + abs(zs[1])).as_integer_ratio())
+        zs = tuple(to_fixed(*v.as_integer_ratio(), point - q) for v in zs)
+    oval = (point, to_fixed(*h, point - c),
+            tuple(to_fixed(v, g_den, point - a) for v in reversed(gs)),
+            tuple(to_fixed(v, k_den, point - b) for v in reversed(ks)), mode, zs, q,
             1 << (point - wp), where)
     power = {"y_dx": b + a // 2 + 2 * c, "dx_over_y": b - a // 2, "cauchy": b - a // 2 - q}
     return oval, point - power[mode]
@@ -386,15 +377,6 @@ def _cos_sin_pi(j: int, n: int, point: int):
     return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q & 3]
 
 
-def _horner_fixed(coeffs, x: int, point: int) -> int:
-    """The polynomial with fixed-point coefficients (highest first) at the
-    fixed-point x, all at `point` fractional bits."""
-    val = 0
-    for c in coeffs:
-        val = (val * x >> point) + c
-    return val
-
-
 def _oval_node(oval, j, n):
     """A real oval's integrand at phi = j pi/n, n a power of two, in fixed
     point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g) ("y_dx"), k dx/(y
@@ -402,11 +384,11 @@ def _oval_node(oval, j, n):
     a pair of ints), with g and k at xi = -cos(phi)."""
     point, h, g, k, mode, z, q, floor, where = oval
     cos, sin = _cos_sin_pi(j, n, point)
-    gx = _horner_fixed(g, -cos, point)
+    gx = horner_fixed(g, -cos, point)
     if gx <= floor:
         raise ComputationError("f + t has another root on the oval or a double "
                                f"root at an endpoint {where}")
-    root_g, kx = isqrt(gx << point), _horner_fixed(k, -cos, point)
+    root_g, kx = isqrt(gx << point), horner_fixed(k, -cos, point)
     if mode == "dx_over_y":
         return (kx << point) // root_g
     hs = h * sin >> point

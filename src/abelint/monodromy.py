@@ -28,7 +28,7 @@ from mpmath import mp
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
 from .numerics import (eval_poly, fiber_roots, min_pairwise_distance, newton,
-                       pair_gap, roots_of, to_mpc)
+                       newton_fixed, pair_gap, roots_of, to_mpc)
 from .ratpoly import Decomposition, RatPoly, critical_value_poly, decompose_all
 from .realroots import RealRoots
 
@@ -389,8 +389,8 @@ def walk_fiber(p: RatPoly, path: list, start_fiber: list,
 
 def continue_fiber(p: RatPoly, path: list, start_fiber: list,
                    config: Config = DEFAULT_CONFIG) -> list:
-    """`walk_fiber` with a machine-tier end refined by Newton at the
-    working precision to 2^-(precision_bits + 8) relative, the tolerance of
+    """`walk_fiber` with a machine-tier end refined by Newton in fixed point
+    (`newton_fixed`) to 2^-(precision_bits + 8) relative, the tolerance of
     `track_fiber`'s own Newton steps: the end agrees with `track_fiber`'s to
     that tolerance, and bit for bit when every segment ran on the mp tier
     and `start_fiber` is the refined fiber `track_fiber` starts from.  The
@@ -401,11 +401,11 @@ def continue_fiber(p: RatPoly, path: list, start_fiber: list,
     fiber = walk_fiber(p, path, start_fiber, config)
     if not _on_machine(fiber):
         return fiber
-    with mp.workprec(config.precision_bits + 32):
-        gap = pair_gap(fiber)
-        limit = None if gap is None else mp.mpf(gap) * mp.mpf("0.35")
-        return _refine(_mp_tier(p, p.derivative(), config),
-                       to_mpc(path[-1], mp.prec), fiber, limit, "end fiber")
+    end = newton_fixed(p, to_mpc(path[-1], config.precision_bits + 32), fiber,
+                       config.precision_bits)
+    if end is None:
+        raise TrackingError("end fiber failed to refine")
+    return end
 
 
 def match_permutation(start_fiber: list, end_fiber: list) -> Permutation:

@@ -7,6 +7,11 @@ its raw core `eval_poly_raw`, `min_pairwise_distance`, `newton`) run on
 mpmath's raw libmp values and round exactly as the same code on mpf/mpc
 objects does.  Every root finding is `fiber_roots`: a double-precision
 start refined by `newton`, with `mpmath.polyroots` as its fallback.
+Where the scale of every input is known before the arithmetic, the hot
+loops run on Python ints at a fixed binary point instead: `horner_fixed`
+is the one such evaluator, under the oval nodes of the hyperelliptic
+quadrature and the oracle's end refine (`newton_fixed`) and sample values
+(`fiber_values`).
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div,
-                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-                          round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add_mpf,
+                          mpc_div, mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_shift,
+                          round_nearest, to_float)
 
 from .errors import ComputationError
 from .ratpoly import RatPoly
@@ -229,6 +234,171 @@ def newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
         if mpf_le(size, mpf_mul(eps, ax, prec, rnd) if mpf_gt(ax, fone) else eps):
             return x
     return None
+
+
+def bound_exponent(num: int, den: int) -> int:
+    """The least e with |num/den| <= 2^e, for num != 0 < den."""
+    num = abs(num)
+    e = num.bit_length() - den.bit_length()
+    return e + ((num > den << e) if e >= 0 else (num << -e > den))
+
+
+def to_fixed(num: int, den: int, e: int) -> int:
+    """floor(num/den 2^e)."""
+    return (num << e) // den if e >= 0 else num // (den << -e)
+
+
+def horner_fixed(coeffs, x, point: int, derivative: bool = False):
+    """The polynomial with int coefficients `coeffs` (highest power first)
+    at x, an int or a complex (re, im) pair of ints, all at `point`
+    fractional bits: its value, of x's kind, or for a complex x with
+    `derivative` the pair (value, derivative).  Each product is floored to
+    `point` bits once per part.
+
+    Error bound, in units of 2^-point, for |x| <= 1: each of the n =
+    len(coeffs) - 1 products floors at most one unit per part, and |x| <= 1
+    keeps every earlier floor from growing, so the value is within n units
+    (sqrt 2 n for a complex x) of the polynomial at these ints, and the
+    derivative within n (n + 1).  A caller divides its coefficients a_i by
+    a power of two 2^s >= sum |a_i| chosen before any call and floors them,
+    at most n + 2 more units, so the value is within (3n + 2) 2^s units:
+    for 2^s < 2 sum |a_i|, Higham's Horner bound 2 n u sum |a_i| |x|^i
+    (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 5.1) at
+    |x| = 1 with u = 2^-point, to a factor 5.  So a caller at working
+    precision wp takes point = wp + 8 + bits(n) (`_fixed_oval`), plus the
+    bits its scaling of x to |x| <= 1 loses against the bound at x itself
+    (`newton_fixed`, `fiber_values`)."""
+    if not isinstance(x, tuple):
+        val = 0
+        for c in coeffs:
+            val = (val * x >> point) + c
+        return val
+    xr, xi = x
+    vr = vi = dr = di = 0
+    for c in coeffs:
+        if derivative:
+            dr, di = ((dr * xr - di * xi) >> point) + vr, ((dr * xi + di * xr) >> point) + vi
+        vr, vi = ((vr * xr - vi * xi) >> point) + c, (vr * xi + vi * xr) >> point
+    return ((vr, vi), (dr, di)) if derivative else (vr, vi)
+
+
+def _root_exponent(x) -> int:
+    """The e with 2^(e-1) <= |x| < 2^e, to a double's rounding (0 for x =
+    0), for a Python complex or an mpc x: read off the double of x scaled
+    by a power of two, so x may lie outside the double range."""
+    if isinstance(x, complex):
+        m = max(math.frexp(x.real)[1], math.frexp(x.imag)[1])
+        parts = math.ldexp(x.real, -m), math.ldexp(x.imag, -m)
+    else:
+        m = max((v[2] + v[3] for v in x._mpc_ if v[1]), default=0)
+        parts = [to_float(mpf_shift(v, -m)) for v in x._mpc_]
+    return m + math.frexp(math.hypot(*parts))[1]
+
+
+def _mpf_fixed(v: tuple, shift: int) -> int:
+    """floor(v 2^shift) for a raw mpf v."""
+    sign, man, exp, _ = v
+    man, exp = -man if sign else man, exp + shift
+    return man << exp if exp >= 0 else man >> -exp
+
+
+def _scaled_fixed(p: RatPoly, e: int, point: int, z: tuple = (fzero, fzero)) -> tuple:
+    """p(2^e u) - z in u, for a raw mpc z, divided by a power of two 2^s >=
+    the sum of its coefficients' absolute values (s = 0 when it is 0) and
+    floored once to `point` fractional bits: (the real parts, highest power
+    first; the imaginary part of the constant; s).  The coefficients are
+    written exactly over the integers first, so no magnitude has to fit a
+    double and the floor is the only rounding."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    (zr, er), (zi, ei) = ((-v[1] if v[0] else v[1], v[2]) for v in z)
+    k = min(0, e * (len(p.coeffs) - 1), er, ei)
+    terms = [c.numerator * (den // c.denominator) << (e * j - k)
+             for j, c in enumerate(p.coeffs)] or [0]
+    terms[0] -= den * zr << (er - k)
+    imag = -(den * zi << (ei - k))
+    total = sum(map(abs, terms)) + abs(imag)
+    shift = point - (bound_exponent(total, den) if total else -k)
+    return ([to_fixed(c, den, shift) for c in reversed(terms)],
+            to_fixed(imag, den, shift), point + k - shift)
+
+
+def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
+    """The roots of p(x) = z near `starts`, machine roots (Python complex
+    values), by Newton's method in fixed point: mpc at prec + 32 bits,
+    index-aligned with `starts`.  None when p' vanishes at an iterate, a
+    root moves more than 0.35 x the starts' least gap from its start (so
+    the n results are n distinct roots), or 64 steps do not converge; z is
+    an mpc.
+
+    Each root is scaled by its own power of two, x = 2^e u with 2^(e-1) <=
+    |x0| < 2^e read off its double (`_root_exponent`), as `fiber_roots`
+    scales its start.  p(2^e u) - z is written exactly over the integers
+    and floored once to F = wp + 8 + bits(n) + n fractional bits, with wp =
+    prec + 32 and n = deg p (`_scaled_fixed`).  By `horner_fixed`'s bound
+    every value of p - z is then within 2^-(wp + 4) sum |a_i| |x|^i of
+    exact, Higham's bound at x itself: the n extra bits cover |u| >= 1/2,
+    which puts the bound at 2^e within 2^n of the bound at x.  Newton stops
+    once a step is at most tol = 2^-(prec + 8) max(1, |x|), the tolerance
+    of the mp tier's `newton`; that test and the move limit compare squared
+    integer norms.  So to first order each root is within 2^-(wp + 4) sum
+    |a_i| |x|^i / |p'(x)| + |p''(x) / p'(x)| tol^2 of a root of p - z,
+    before its rounding to wp bits."""
+    wp, rnd = prec + 32, round_nearest
+    point = wp + 8 + p.degree.bit_length() + p.degree
+    gap = pair_gap(starts)
+    limit = None if gap is None else (0.35 * gap).as_integer_ratio()
+    cache, out = {}, []
+    for x0 in starts:
+        e = _root_exponent(x0)
+        if e not in cache:
+            cache[e] = _scaled_fixed(p, e, point, z._mpc_)
+        coeffs, imag, _ = cache[e]
+        r0, i0 = ur, ui = [to_fixed(*v.as_integer_ratio(), point - e)
+                           for v in (x0.real, x0.imag)]
+        reach = None if limit is None else to_fixed(*limit, point - e) ** 2
+        one = 1 << 2 * (point - e) if point >= e else 0
+        for _ in range(64):
+            (vr, vi), (dr, di) = horner_fixed(coeffs, (ur, ui), point, derivative=True)
+            vi += imag
+            norm = dr * dr + di * di
+            if not norm:
+                return None
+            sr = ((vr * dr + vi * di) << point) // norm
+            si = ((vi * dr - vr * di) << point) // norm
+            ur, ui = ur - sr, ui - si
+            if reach is not None and (ur - r0) ** 2 + (ui - i0) ** 2 > reach:
+                return None
+            if (sr * sr + si * si) << (2 * prec + 16) <= max(ur * ur + ui * ui, one):
+                break
+        else:
+            return None
+        out.append(mp.make_mpc((from_man_exp(ur, e - point, wp, rnd),
+                                from_man_exp(ui, e - point, wp, rnd))))
+    return out
+
+
+def fiber_values(q: RatPoly, fibers, prec: int) -> list:
+    """q at every root of every fiber (lists of mpc), each value a triple of
+    ints (re, im, x) standing for (re + i im) 2^x: one evaluation of q
+    serves the residuals of any number of cycles (`solver.cycle_residual`
+    sums them exactly).  Each root is scaled by its own power of two as in
+    `newton_fixed`, and q(2^e u) is floored once to F = wp + 8 + bits(d) +
+    d fractional bits, wp = prec + 32 and d = max(deg q, 1), so each value
+    is within 2^-(wp + 4) sum |q_j| |x|^j of q at the root."""
+    wp, d = prec + 32, max(q.degree, 1)
+    point = wp + 8 + d.bit_length() + d
+    cache, rows = {}, []
+    for fiber in fibers:
+        row = []
+        for x in fiber:
+            e = _root_exponent(x)
+            if e not in cache:
+                cache[e] = _scaled_fixed(q, e, point)
+            coeffs, _, s = cache[e]
+            u = tuple(_mpf_fixed(v, point - e) for v in x._mpc_)
+            row.append((*horner_fixed(coeffs, u, point), s - point))
+        rows.append(row)
+    return rows
 
 
 def nstr_det(x, prec: int) -> str:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_gt, round_nearest
 
 from . import linalg
 from .config import Config, DEFAULT_CONFIG
@@ -25,7 +26,7 @@ from .errors import CertificateError, ComputationError, InputError
 from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
 from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
                         divisor_lattice, monodromy, route, standoffs)
-from .numerics import eval_poly, to_mpc, to_mpf
+from .numerics import fiber_values, to_mpc
 from .ratpoly import (RatPoly, compose, decompose_all, power_sums,
                       trace_poly, w_adic)
 
@@ -452,25 +453,30 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
         return fibers
 
 
-def fiber_values(q: RatPoly, fibers, prec: int) -> list:
-    """q(x_i) over every tracked fiber, at prec + 32 bits: one evaluation
-    of q serves the residuals of any number of cycles."""
-    with mp.workprec(prec + 32):
-        return [[eval_poly(q, x, mp.prec) for x in fiber] for fiber in fibers]
-
-
 def cycle_residual(v: CycleVector, values, prec: int):
-    """Worst relative residual of sum_i v_i q(x_i) over the tracked fibers,
-    given `values = fiber_values(q, fibers, prec)`."""
-    with mp.workprec(prec + 32):
-        coeffs = [to_mpf(c, mp.prec) for c in v.v]
-        worst = mp.mpf(0)
-        for qvals in values:
-            num = abs(sum(c * qv for c, qv in zip(coeffs, qvals)))
-            den = max(mp.mpf(1), sum(abs(c) * abs(qv)
-                                     for c, qv in zip(coeffs, qvals)))
-            worst = max(worst, num / den)
-        return worst
+    """Worst relative residual |sum_i v_i q(x_i)| / max(1, sum_i |v_i|
+    |q(x_i)|) over the tracked fibers, given `values = fiber_values(q,
+    fibers, prec)`.  Both sums are exact integer sums over v's common
+    denominator, with one `isqrt` per norm; the quotient is rounded once,
+    to prec + 32 bits."""
+    den = lcm(*(c.denominator for c in v.v))
+    weights = [c.numerator * (den // c.denominator) for c in v.v]
+    worst = fzero
+    for qvals in values:
+        low = min(x for _, _, x in qvals)
+        re = im = total = 0
+        for w, (qr, qi, x) in zip(weights, qvals):
+            if w:
+                re += w * qr << (x - low)
+                im += w * qi << (x - low)
+                total += abs(w) * isqrt(qr * qr + qi * qi) << (x - low)
+        # both sums are in units of 2^low / den, so the floor 1 is den 2^-low
+        total, one = from_int(total), from_man_exp(den, -low)
+        res = mpf_div(from_int(isqrt(re * re + im * im)),
+                      total if mpf_gt(total, one) else one, prec + 32, round_nearest)
+        if mpf_gt(res, worst):
+            worst = res
+    return mp.make_mpf(worst)
 
 
 def verify_vanishing_numeric(p: RatPoly, v: CycleVector, q: RatPoly,

@@ -149,15 +149,20 @@ def test_critical_levels_closer_than_the_endpoint_snap(tmp_path, capsys):
 def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatch):
     # monodromy finds the refined base fiber once; the walk's fibers start
     # from it and end unrefined, and only the oracle's sample fibers refine
-    # their end
+    # their end, in fixed point
     mono = importlib.import_module("abelint.monodromy")
     cycles = importlib.import_module("abelint.cycles")
     refines, walking = [], []
-    refine, base, walk = mono._refine, mono.fiber_roots, cycles.continue_fiber_to_real
+    refine, end, base, walk = (mono._refine, mono.newton_fixed, mono.fiber_roots,
+                               cycles.continue_fiber_to_real)
 
     def refine_spy(tier, z, fiber, move_limit, what):
         refines.append((what, bool(walking)))
         return refine(tier, z, fiber, move_limit, what)
+
+    def end_spy(p, z, starts, prec):
+        refines.append(("end fiber", bool(walking)))
+        return end(p, z, starts, prec)
 
     def base_spy(p, z, prec):
         refines.append(("base fiber", bool(walking)))
@@ -171,6 +176,7 @@ def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatc
             walking.pop()
 
     monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(mono, "newton_fixed", end_spy)
     monkeypatch.setattr(mono, "fiber_roots", base_spy)
     monkeypatch.setattr(cycles, "continue_fiber_to_real", walk_spy)
     path = tmp_path / "input.json"

@@ -1097,8 +1097,8 @@ def test_main4_one_contour_and_one_fiber_per_sample(config, monkeypatch):
     import abelint.hyperelliptic as hyp
     mono = importlib.import_module("abelint.monodromy")   # the package exports monodromy()
     loops, fibers, refines = [], [], []
-    loop_integral, roots_of_shifted, refine = (hyp.loop_integral, hyp.roots_of_shifted,
-                                               mono._refine)
+    loop_integral, roots_of_shifted, refine, end = (hyp.loop_integral, hyp.roots_of_shifted,
+                                                    mono._refine, mono.newton_fixed)
 
     def spy_loop(f, k, t, *args, **kwargs):
         loops.append((t, kwargs["z"]))
@@ -1111,9 +1111,14 @@ def test_main4_one_contour_and_one_fiber_per_sample(config, monkeypatch):
     def spy_refine(tier, z, fiber, move_limit, what):
         refines.append(what)
         return refine(tier, z, fiber, move_limit, what)
+
+    def spy_end(p, z, starts, prec):
+        refines.append("end fiber")
+        return end(p, z, starts, prec)
     monkeypatch.setattr(hyp, "loop_integral", spy_loop)
     monkeypatch.setattr(hyp, "roots_of_shifted", spy_roots)
     monkeypatch.setattr(mono, "_refine", spy_refine)
+    monkeypatch.setattr(mono, "newton_fixed", spy_end)
     zs = [Fraction(-1, 64), Fraction(-1, 32)]
     main4_limit_check(QUARTIC_F, X, MORSE, zs, mp.sqrt(2), config)
     assert [(t, z) for t, z in loops] == [(0, z) for z in zs]

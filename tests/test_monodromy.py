@@ -485,11 +485,16 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
         _, loop_inf, petals = _loops(critical_values(p, config))
     segments = sum(len(part) - 1 for loop in [loop_inf] + petals for part in loop)
     refines, tiers = [], []
-    refine, base, segment = mono._refine, mono.fiber_roots, mono._track_segment
+    refine, end, base, segment = (mono._refine, mono.newton_fixed, mono.fiber_roots,
+                                  mono._track_segment)
 
     def refine_spy(tier, z, fiber, move_limit, what):
         refines.append(what)
         return refine(tier, z, fiber, move_limit, what)
+
+    def end_spy(p, z, starts, prec):
+        refines.append("end fiber")
+        return end(p, z, starts, prec)
 
     def base_spy(p, z, prec):
         refines.append("base fiber")
@@ -500,6 +505,7 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
         return segment(z0, z1, fiber, config, tier)
 
     monkeypatch.setattr(mono, "_refine", refine_spy)
+    monkeypatch.setattr(mono, "newton_fixed", end_spy)
     monkeypatch.setattr(mono, "fiber_roots", base_spy)
     monkeypatch.setattr(mono, "_track_segment", segment_spy)
     monodromy(p, config).generators

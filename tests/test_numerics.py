@@ -3,7 +3,9 @@
 `eval_poly` and `min_pairwise_distance` run on mpmath's raw libmp values;
 these properties check that they round exactly as the same computations on
 mpf/mpc objects do, and one golden file pins the bits of a tracked fiber.
-`fiber_roots` is checked against `mpmath.polyroots` at twice the precision.
+`fiber_roots` is checked against `mpmath.polyroots` at twice the precision,
+and the fixed-point end refine and sample values (`newton_fixed`,
+`fiber_values`) against mpmath at twice their working precision.
 """
 
 import json
@@ -12,13 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from abelint.config import Config
 from abelint.monodromy import track_fiber
-from abelint.numerics import eval_poly, fiber_roots, min_pairwise_distance
+from abelint.numerics import (eval_poly, fiber_roots, fiber_values, min_pairwise_distance,
+                              newton_fixed)
 from abelint.ratpoly import RatPoly, chebyshev, squarefree_part
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,3 +173,105 @@ def test_fiber_roots_match_polyroots(lower, lead, re_z, im_z, s, prec):
         nearest = [min(range(len(got)), key=lambda i: abs(got[i] - r)) for r in want]
         assert sorted(nearest) == list(range(p.degree))
         assert all(abs(got[i] - r) <= tol for i, r in zip(nearest, want))
+
+
+# a root is (k, re, im): (re + im i) 2^(k - 10), with 2^9 <= |re| or |im|
+# < 2^10; im != 0 stands for the conjugate pair, a real quadratic factor
+_ROOT = st.tuples(st.integers(2 ** 9, 2 ** 10 - 1).flatmap(
+    lambda m: st.sampled_from([m, -m])), st.just(0) | st.integers(2 ** 8, 2 ** 10 - 1))
+
+
+@st.composite
+def spread_fibers(draw):
+    """Roots of 2^-40 to 2^40, some fibers spread over two scales 2^30 apart,
+    of a real p of degree 2-8, and a complex z as (re, im) small ints."""
+    low = draw(st.integers(-40, 10))
+    offsets = st.sampled_from([0, 30]) | st.integers(0, 30)
+    roots, degree = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        re, im = draw(_ROOT)
+        if degree + 1 + (im != 0) <= 8:
+            roots.append((low + draw(offsets), re, im))
+            degree += 1 + (im != 0)
+    assume(degree >= 2)
+    return roots, draw(st.tuples(st.integers(-8, 8), st.integers(1, 8)))
+
+
+def _fiber_problem(roots, z_dir):
+    """p with the given roots (and conjugates), a complex z small against
+    p' times the roots' gaps, and each root of p - z at 2 x wp by Newton on
+    mp objects from the nearby root of p."""
+    p, zeros = RatPoly([1]), []
+    for k, re, im in roots:
+        a, b = Fraction(re) * Fraction(2) ** (k - 10), Fraction(im) * Fraction(2) ** (k - 10)
+        if im:
+            p = p * RatPoly([a * a + b * b, -2 * a, 1])
+            zeros += [complex(a, b), complex(a, -b)]
+        else:
+            p = p * RatPoly([-a, 1])
+            zeros.append(complex(a))
+    gaps = [min(abs(x - y) for y in zeros if y is not x) for x in zeros]
+    assume(all(g >= 2 ** -6 * abs(x) for g, x in zip(gaps, zeros)))
+    dp = p.derivative()
+    with mp.workprec(53):
+        size = min(abs(eval_poly(dp, mp.mpc(x), 53)) * g for x, g in zip(zeros, gaps))
+        z = mp.mpc(*z_dir) * mp.ldexp(1, int(mp.floor(mp.log(size, 2))) - 16)
+    return p, z, zeros
+
+
+def _reference_root(p, dp, z, x, prec):
+    """Newton at `prec` from x until the step is 2^(8 - prec) of |x| or stops
+    halving (rounding noise at `prec`, far below the tested bounds)."""
+    with mp.workprec(prec):
+        x, last = mp.mpc(x), mp.inf
+        for _ in range(200):
+            step = abs(dx := (reference_eval(p, x, prec) - z) / reference_eval(dp, x, prec))
+            x -= dx
+            if step <= mp.ldexp(abs(x), 8 - prec) or step >= last / 2:
+                return x
+            last = step
+    raise AssertionError("reference Newton did not converge")
+
+
+def _horner_bound(coeffs, x):
+    """sum |a_j| |x|^j for Fraction or mp coefficients, lowest first."""
+    return sum(abs(mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else c)
+               * abs(x) ** j for j, c in enumerate(coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spread_fibers(), st.lists(_COEFF, max_size=13).map(RatPoly),
+       st.sampled_from([64, 128, 1024]))
+@example(([(-40, 700, 0), (-10, -600, 500), (-10, 513, 0), (20, -1000, 300)], (3, 5)),
+         RatPoly([Fraction(1, 3), 0, -2, Fraction(5, 4), 0, 0, 0, 0, 0, 0, 0, 0, 7]), 8192)
+def test_fixed_point_refine_and_values_match_mpmath(fiber, q, prec):
+    """`newton_fixed` from machine starts lands within its docstring bound of
+    the roots of p - z at 2 x wp, wp = prec + 32: 2^-(wp + 4) sum |a_i|
+    |x|^i / |p'(x)| plus |p''(x) / p'(x)| tol^2, tol = 2^-(prec + 8) max(1,
+    |x|), to first order (each with a factor 2 of slack), plus the rounding
+    to wp bits; and `fiber_values` gives q at those roots within 2^-(wp +
+    4) sum |q_j| |x|^j of q evaluated in mpmath at 2 x wp.  Every root is
+    measured against its own scale, so one scale per fiber fails on fibers
+    spread over 2^30."""
+    p, z, zeros = _fiber_problem(*fiber)
+    wp, dp = prec + 32, p.derivative()
+    ddp = dp.derivative()
+    want = [_reference_root(p, dp, z, x, 2 * wp) for x in zeros]
+    starts = [complex(x) * complex(1, 2 ** -46) for x in want]
+    got = newton_fixed(p, z, starts, prec)
+    assert got is not None
+    with mp.workprec(2 * wp):
+        shifted = [c - (z if j == 0 else 0) for j, c in
+                   enumerate(mp.mpf(c.numerator) / c.denominator for c in p.coeffs)]
+        for x, r in zip(got, want):
+            slope = abs(reference_eval(dp, r, 2 * wp))
+            tol = mp.ldexp(max(1, abs(r)), -(prec + 8))
+            bound = (mp.ldexp(_horner_bound(shifted, r) / slope, -(wp + 3))
+                     + 2 * abs(reference_eval(ddp, r, 2 * wp)) / slope * tol ** 2
+                     + mp.ldexp(abs(r), -wp))
+            assert abs(x - r) <= bound
+        values = fiber_values(q, [got], prec)[0]
+        for x, (re, im, e) in zip(got, values):
+            exact = reference_eval(q, x, 2 * wp)
+            value = mp.mpc(mp.ldexp(re, e), mp.ldexp(im, e))
+            assert abs(value - exact) <= mp.ldexp(_horner_bound(q.coeffs, x), -(wp + 4))
