@@ -255,9 +255,11 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         # f + t = h^2 (1 - xi^2) g, in units of 2^-u for h
         oval, point = _fixed_oval((h, 1 << u), ([-c for c in q], (den * h * h) >> (2 * u)),
                                   _in_xi(k, m, h, u), mode, z, wp, where)
-        return _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
-                              1 if mode == "dx_over_y" else 2, z is not None, prec,
-                              f"oval quadrature {where}", point=point)
+        value = _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
+                               1 if mode == "dx_over_y" else 2, z is not None, prec,
+                               f"oval quadrature {where}", point=point)
+        _ANGLES[oval[0]] = oval[-1]    # only a settled quadrature keeps its levels
+        return value
 
 
 def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
@@ -330,9 +332,15 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     power of two goes into its binary point, so the trapezoid sums exact
     ints.
 
+    The node angles come from F's table (`_ANGLES`, `_cos_sin_at`): the
+    oval carries its own copy of F's level list, which its quadrature
+    extends by each level it first reaches, and `_oval_quadrature` puts the
+    copy back only once the quadrature settles.
+
     Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg g, deg k,
     1)), and the fixed-point cos and sin are within 2^5 units of 2^-F
-    (mpmath's `cos_sin_basecase`; measured at most 17).  Horner on |xi| <=
+    (`_cos_sin_pi`; at most 8.4 on every angle of n = 2^11 at F = 117, 190
+    and 700, against mpmath at 2F).  Horner on |xi| <=
     1 (`horner_fixed`) then keeps h sin(phi), g and k within delta of their bounds h, Ghat
     and Khat, and every later floor costs one unit of 2^-F, below delta of
     the scaled bound.  To first order a node is therefore within delta N E
@@ -361,7 +369,7 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     oval = (point, to_fixed(*h, point - c),
             tuple(to_fixed(v, g_den, point - a) for v in reversed(gs)),
             tuple(to_fixed(v, k_den, point - b) for v in reversed(ks)), mode, zs, q,
-            1 << (point - wp), where)
+            1 << (point - wp), where, list(_ANGLES.get(point, ())))
     power = {"y_dx": b + a // 2 + 2 * c, "dx_over_y": b - a // 2, "cauchy": b - a // 2 - q}
     return oval, point - power[mode]
 
@@ -370,11 +378,37 @@ def _cos_sin_pi(j: int, n: int, point: int):
     """cos and sin of j pi/n, n a power of two at most 2^point, as ints at
     `point` fractional bits: j/n less its nearest half-integer q/2 (ties up,
     as in mpmath's `mpf_cos_sin`) times pi, by `cos_sin_basecase`, turned by
-    q quarter turns."""
+    q quarter turns.  The ints depend on j/n alone.  The oval kernel reads
+    them from the table `_ANGLES` (`_cos_sin_at`), which calls this once per
+    angle and binary point and keeps only what settled quadratures reached."""
     q = ((4 * j) // n + 1) >> 1
     r = (j << point) // n - (q << (point - 1))
     cos, sin = cos_sin_basecase(r * pi_fixed(point) >> point, point)
     return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q & 3]
+
+
+# `_cos_sin_pi`'s ints for the oval nodes, one list of trapezoid levels per
+# binary point: level 0 holds j = 0..8 of n = 8, level i the odd j of
+# n = 8 * 2^i.  Every oval quadrature at one precision and degree shares F
+# and visits the same angles.  Only settled quadratures add levels
+# (`_oval_quadrature`), at most the 14 levels to 2^16 intervals: 2^16 + 1
+# pairs of F-bit ints, about 11 MB at F = 190 and 27 MB at F = 1100.
+_ANGLES: dict[int, list] = {}
+
+
+def _cos_sin_at(levels: list, j: int, n: int, point: int):
+    """`_cos_sin_pi(j, n, point)`, 0 <= j <= n, read from `levels`, one
+    binary point's list in `_ANGLES`: j/n on a level the list holds is index
+    arithmetic, one on the next level first appends that whole level, and
+    one deeper is computed on its own."""
+    while n > 8 and not j & 1:
+        j, n = j >> 1, n >> 1
+    i, e = (0, j * (8 // n)) if n <= 8 else (n.bit_length() - 4, j >> 1)
+    if i == len(levels):
+        m = 8 << i
+        levels.append(tuple(_cos_sin_pi(v, m, point)
+                            for v in (range(9) if i == 0 else range(1, m, 2))))
+    return levels[i][e] if i < len(levels) else _cos_sin_pi(j, n, point)
 
 
 def _oval_node(oval, j, n):
@@ -382,8 +416,8 @@ def _oval_node(oval, j, n):
     point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g) ("y_dx"), k dx/(y
     dphi) = k / sqrt(g) ("dx_over_y") or k y dx/((y^2 - z) dphi) ("cauchy",
     a pair of ints), with g and k at xi = -cos(phi)."""
-    point, h, g, k, mode, z, q, floor, where = oval
-    cos, sin = _cos_sin_pi(j, n, point)
+    point, h, g, k, mode, z, q, floor, where, levels = oval
+    cos, sin = _cos_sin_at(levels, j, n, point)
     gx = horner_fixed(g, -cos, point)
     if gx <= floor:
         raise ComputationError("f + t has another root on the oval or a double "

@@ -143,15 +143,27 @@ def test_oval_endpoints_skip_a_near_real_complex_pair():
         integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
 
 
-def test_oval_quadrature_that_does_not_settle_is_an_error():
+def test_oval_quadrature_that_does_not_settle_is_an_error(monkeypatch):
     # f = (x^2 + 2^-140)(4 - x^2) at t = 0: the complex pair +-2^-70 i sits
     # just off the oval (-2, 2), so sqrt g has a kink of width 2^-70 at x = 0
-    # and the trapezoid levels still differ at 2^16 intervals; the cap holds
+    # and the trapezoid levels still differ at 2^16 intervals; the cap holds.
+    # The failed quadrature keeps none of the 14 angle levels it computed at
+    # its binary point, which a settled one at the same point filled to 64
+    import abelint.hyperelliptic as hyp
+    monkeypatch.setattr(hyp, "_ANGLES", {})
+    config = Config(precision_bits=128)
+    integral_I(CENTRAL, X ** 2 + 1, "-0.5", config)
+    before = {point: list(levels) for point, levels in hyp._ANGLES.items()}
+    assert [len(levels) for levels in before.values()] == [4]
     eps = Fraction(1, 2 ** 140)
     fam = OvalFamily(f=(X ** 2 + eps) * (4 - X ** 2), pair_index=0, t_min="0", t_max="0")
     with pytest.raises(ComputationError,
                        match=r"^oval quadrature at t = 0\.0 needs more than 2\^16 nodes$"):
-        integral_I(fam, RatPoly.one(), 0, Config(precision_bits=128))
+        integral_I(fam, RatPoly.one(), 0, config)
+    assert hyp._ANGLES.keys() == before.keys()
+    assert all(len(hyp._ANGLES[point]) == len(levels)
+               and all(a is b for a, b in zip(hyp._ANGLES[point], levels))
+               for point, levels in before.items())
 
 
 def test_tiny_oval_next_to_a_double_root_far_from_the_origin():
@@ -308,6 +320,64 @@ def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations)
     else:
         cauchy_J(CENTRAL, k, "-0.5", complex(-1, 0.5), cfg)
     assert len(angles) == len(set(angles)) == evaluations
+
+
+def test_angle_table_is_cos_sin_pi_int_for_int():
+    # every j pi/n with n <= 2^11 at three binary points, interleaved, read
+    # through `_cos_sin_at`: deep levels first (not held yet, so computed on
+    # their own, until level 8 starts the table), then shallow to deep (each
+    # level appended whole), then deep first again, from the table alone
+    import abelint.hyperelliptic as hyp
+    points = (117, 190, 700)
+    tables = {point: [] for point in points}
+    deep_first = [(j, 1 << e) for e in range(11, -1, -1) for j in range((1 << e), -1, -1)]
+    direct = {(j, n, point): hyp._cos_sin_pi(j, n, point)
+              for j, n in deep_first for point in points}
+    for order in (deep_first, deep_first[::-1], deep_first):
+        for j, n in order:
+            for point in points:
+                assert hyp._cos_sin_at(tables[point], j, n, point) == direct[j, n, point]
+    for levels in tables.values():
+        assert [len(level) for level in levels] == [9] + [1 << i for i in range(3, 11)]
+
+
+def test_a_repeated_oval_quadrature_computes_no_angle(monkeypatch):
+    # the second quadrature at the same precision and degrees (F = 190), which
+    # reaches no deeper level, reads every node angle from the first one's
+    # table: levels 8 to 64, 65 angles, each computed once
+    import abelint.hyperelliptic as hyp
+    monkeypatch.setattr(hyp, "_ANGLES", {})
+    calls, basecase = [], hyp.cos_sin_basecase
+
+    def counting(*args):
+        calls.append(args)
+        return basecase(*args)
+    monkeypatch.setattr(hyp, "cos_sin_basecase", counting)
+    config = Config(precision_bits=128)
+    first = integral_I(CENTRAL, X ** 2 + 1, "-0.5", config)
+    assert len(calls) == 65
+    assert {point: [len(level) for level in levels]
+            for point, levels in hyp._ANGLES.items()} == {190: [9, 8, 16, 32]}
+    calls.clear()
+    assert integral_I(CENTRAL, X ** 2 + 1, "-0.5", config)._mpf_ == first._mpf_
+    integral_I(CENTRAL, 2 * X ** 2 + X, "-0.6", config)
+    assert calls == []
+
+
+def test_fixed_point_cos_sin_within_2_to_5_units():
+    # the bound `_fixed_oval` states for its cos and sin ints: every angle of
+    # n = 2^11 at three binary points, against mpmath at twice the point
+    import abelint.hyperelliptic as hyp
+    n = 1 << 11
+    for point in (117, 190, 700):
+        with mp.workprec(2 * point):
+            unit, worst = mp.ldexp(1, point), 0
+            for j in range(n + 1):
+                cos, sin = hyp._cos_sin_pi(j, n, point)
+                angle = mp.mpf(j) / n
+                worst = max(worst, abs(cos - mp.cospi(angle) * unit),
+                            abs(sin - mp.sinpi(angle) * unit))
+            assert worst <= 32
 
 
 def test_nested_trapezoid_levels_and_node_limit():
