@@ -5,12 +5,19 @@ rows, each row's content divided out after every update.  Its result, an
 integer echelon, has primitive rows, each positive at its pivot and zero at
 every other pivot column, so a span has exactly one.  Dividing each row by
 its pivot entry gives the canonical reduced row echelon form.  The exact
-side keeps its spans as integer echelons (`echelon`, `annihilator`,
-`kernel_echelon`, `in_echelon`) until they are output, through
+side keeps its spans as integer echelons (`echelon`, `kernel_echelon`,
+`in_echelon`) until they are output, through
 `integer_rows` in and `to_fractions` out.  `rref`, `nullspace` and
 `in_span` wrap those routines for rows of ints, Fractions or anything
 `Fraction` accepts, and check the rows' shape.  Pivoting is first-nonzero,
 so results are deterministic.
+
+`kernel_echelon` first tries to prove the kernel zero with one elimination
+modulo the prime p = 2^61 - 1 (`_full_rank_mod_p`), when there are at least
+as many rows as columns.  Full rank modulo p is full rank over Q: a maximal
+minor that is nonzero modulo p is a nonzero integer.  The test proves only
+zero kernels and reconstructs nothing, so every nonzero kernel, and every
+matrix whose rank drops modulo p, takes the exact elimination.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ Row = list[Fraction]
 Matrix = list[Row]
 IntRow = list[int]
 _ZERO = Fraction(0)
+_PRIME = 2 ** 61 - 1
 
 
 def _width(rows, ncols: int | None = None) -> int:
@@ -76,7 +84,7 @@ def echelon(rows: list[IntRow]) -> tuple[list[IntRow], list[int]]:
             pivots)
 
 
-def annihilator(reduced: list[IntRow], pivots: list[int],
+def _annihilator(reduced: list[IntRow], pivots: list[int],
                 ncols: int) -> tuple[list[IntRow], list[int]]:
     """Basis of {v : A v = 0} for an echelon A, and A's free columns: for
     each free column f, the primitive multiple of e_f - sum_r (A[r][f] /
@@ -95,14 +103,36 @@ def annihilator(reduced: list[IntRow], pivots: list[int],
     return basis, free
 
 
+def _full_rank_mod_p(rows: list[IntRow], ncols: int) -> bool:
+    """Whether the integer rows have rank ncols modulo `_PRIME`, by
+    elimination in the prime field.  Each step drops the pivot row and
+    the pivot column, and the test stops at the first column with no
+    pivot."""
+    m = [[x % _PRIME for x in row] for row in rows]
+    for _ in range(ncols):
+        i = next((i for i, row in enumerate(m) if row[0]), None)
+        if i is None:
+            return False
+        prow = m.pop(i)
+        inv = pow(prow[0], -1, _PRIME)
+        prow = prow[1:]
+        m = [[(a - f * b) % _PRIME for a, b in zip(row[1:], prow)]
+             if (f := row[0] * inv % _PRIME) else row[1:] for row in m]
+    return True
+
+
 def kernel_echelon(rows: list[IntRow], ncols: int) -> tuple[list[IntRow], list[int]]:
     """The integer echelon of {v : A v = 0}, from one elimination: with A's
     columns reversed, each echelon row is nonzero only at its pivot and at
-    free columns left of it (in A's order), so each `annihilator` row is
+    free columns left of it (in A's order), so each `_annihilator` row is
     nonzero only at its own free column and at pivot columns right of it.
-    They are already an echelon, with the free columns as pivots."""
+    They are already an echelon, with the free columns as pivots.  A
+    matrix with at least ncols rows that has full rank modulo `_PRIME`
+    returns the zero kernel without the exact elimination."""
+    if len(rows) >= ncols and _full_rank_mod_p(rows, ncols):
+        return [], []
     reduced, pivots = echelon([row[::-1] for row in rows])
-    return annihilator([row[::-1] for row in reduced],
+    return _annihilator([row[::-1] for row in reduced],
                        [ncols - 1 - c for c in pivots], ncols)
 
 
@@ -136,7 +166,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> Matrix:
     """Basis of {v : A v = 0}, one vector per free column f, which is 1 at
     f and 0 at the other free columns."""
     ncols = _width(rows, ncols)
-    return to_fractions(*annihilator(*echelon(integer_rows(rows)), ncols))
+    return to_fractions(*_annihilator(*echelon(integer_rows(rows)), ncols))
 
 
 def in_span(basis: Matrix, v: Row) -> bool:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
+from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_gt, round_nearest
@@ -22,7 +24,8 @@ from . import linalg
 from .config import Config, DEFAULT_CONFIG
 from .cycles import (CycleVector, IntervalSystem,
                      real_interval_to_coefficients)
-from .errors import CertificateError, ComputationError, InputError
+from .errors import (CertificateError, ComputationError, ConsistencyError,
+                     InputError)
 from .invariant import decompose_v_delta, pairing_is_zero, v_d_basis
 from .monodromy import (DivisorLattice, MonodromyRep, continue_fiber,
                         divisor_lattice, monodromy, route, standoffs)
@@ -78,15 +81,20 @@ def _polys_to_rows(polys, bound: int) -> list[list[Fraction]]:
 # trace conditions and pullback spans
 # ---------------------------------------------------------------------------
 
+def _trace_rows(w: RatPoly, bound: int) -> list[list[int]]:
+    """The integer trace matrix T of w inside degree <= bound: T Q holds the
+    z^j coefficients of D^bound Tr_w(Q).  Tr_w(x^e) is the power sum
+    p_e(z) = P_e(z) / D^e (`power_sums`), so row j holds the z^j
+    coefficients of P_e times D^(bound - e)."""
+    scale, sums = power_sums(w, bound)
+    return [[ps[j] * scale ** (bound - e) if j < len(ps) else 0
+             for e, ps in enumerate(sums)] for j in range(bound // w.degree + 1)]
+
+
 def _trace_kernel(w: RatPoly, bound: int) -> tuple[list[list[int]], list[int]]:
     """Integer echelon (`linalg.echelon`) of the Q of degree <= bound whose
-    trace along the fiber of w vanishes identically.  Tr_w(x^e) is the power
-    sum p_e(z) = P_e(z) / D^e (`power_sums`), so row j of the trace matrix,
-    times D^bound, holds the z^j coefficients of P_e times D^(bound - e)."""
-    scale, sums = power_sums(w, bound)
-    rows = [[ps[j] * scale ** (bound - e) if j < len(ps) else 0
-             for e, ps in enumerate(sums)] for j in range(bound // w.degree + 1)]
-    return linalg.kernel_echelon(rows, bound + 1)
+    trace along the fiber of w vanishes identically: the kernel of T."""
+    return linalg.kernel_echelon(_trace_rows(w, bound), bound + 1)
 
 
 def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
@@ -105,72 +113,97 @@ def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
     return rows
 
 
+def _annihilates(rows: list[list[int]], v: list[int]) -> bool:
+    """Whether every integer row is orthogonal to v."""
+    return not any(sum(map(mul, row, v)) for row in rows)
+
+
 class _LatticeSpans:
-    """The trace kernels and pullback rings of a divisor lattice inside
-    degree <= bound, each computed at most once.  Every span is an integer
-    echelon (rows, pivots) of `linalg.echelon`."""
+    """The trace conditions of a divisor lattice inside degree <= bound, each
+    trace matrix computed at most once.
+
+    With w the witness of d, m = deg w and B the bound, Z_{U_d} is the
+    preimage under Tr_w of a span of polynomials in z of degree <= B // m:
+    - degree <= B splits as Z_{V_d} + C[w], because Tr_w(g(w)) = m g(z);
+    - the witness of each dt covered by d is h_dt(w), because the blocks of
+      d refine those of dt, so Tr_w(W_dt^j) = m h_dt^j;
+    - hence Q lies in Z_{U_d} iff Tr_w(Q) lies in S = span{h_dt^j}.
+    h_dt is read off the w-adic digits of W_dt, which must all be
+    constants.  The conditions of Z_{U_d} are the rows l^T T for l in the
+    kernel of the rows of S, and T itself when d covers nothing; every
+    basis is a kernel of such rows (`linalg.kernel_echelon`)."""
 
     def __init__(self, lattice: DivisorLattice, bound: int):
         self.lattice = lattice
         self.bound = bound
-        self._kernels: dict[int, tuple[list[list[int]], list[int]]] = {}
-        self._pullbacks: dict[int, list[list[int]]] = {}
+        self._traces: dict[int, list[list[int]]] = {}
 
-    def trace_kernel(self, d: int) -> tuple[list[list[int]], list[int]]:
-        """Z_{V_d}, the trace kernel of the witness of d."""
-        if d not in self._kernels:
-            self._kernels[d] = _trace_kernel(self.lattice.witness[d].right, self.bound)
-        return self._kernels[d]
+    def trace_rows(self, d: int) -> list[list[int]]:
+        """T_d, the integer trace matrix of the witness of d."""
+        if d not in self._traces:
+            self._traces[d] = _trace_rows(self.lattice.witness[d].right, self.bound)
+        return self._traces[d]
 
-    def pullback(self, d: int) -> list[list[int]]:
-        """Rows spanning the pullback ring of the witness of d."""
-        if d not in self._pullbacks:
-            self._pullbacks[d] = _pullback_span_rows(self.lattice.witness[d].right,
-                                                     self.bound)
-        return self._pullbacks[d]
+    def _outer(self, d: int, dt: int) -> RatPoly:
+        """h with W_dt = h(w), w and W_dt the witnesses of d and dt."""
+        digits = w_adic(self.lattice.witness[dt].right, self.lattice.witness[d].right)
+        if not all(q.is_constant() for q in digits):
+            raise ConsistencyError(f"the witness of {dt} is not a polynomial in "
+                                   f"the witness of {d}")
+        return RatPoly([q.coeff(0) for q in digits])
 
-    def ud_span(self, d: int) -> tuple[list[list[int]], list[int]]:
-        """Z_{U_d}: Z_{V_d} plus the pullback rings of the witnesses of the
-        elements covered by d, as one elimination of the stacked rows."""
+    def ud_conditions(self, d: int) -> list[list[int]]:
+        """Integer rows whose common kernel is Z_{U_d}: l^T T_d for each l
+        in the kernel of the rows of S, in z-degree <= bound // deg w."""
+        rows = self.trace_rows(d)
         covered = self.lattice.covered_by(d)
         if not covered:
-            return self.trace_kernel(d)
-        return linalg.echelon(self.trace_kernel(d)[0]
-                              + [row for dt in covered for row in self.pullback(dt)])
+            return rows
+        top = len(rows) - 1
+        span = [row for dt in covered
+                for row in _pullback_span_rows(self._outer(d, dt), top)]
+        out = []
+        for lam in linalg.kernel_echelon(span, top + 1)[0]:
+            acc = [0] * (self.bound + 1)
+            for l, row in zip(lam, rows):
+                if l:
+                    acc = [a + l * t for a, t in zip(acc, row)]
+            out.append(acc)
+        return out
 
     def candidates(self, kernels, pullbacks):
-        """(tag, echelon) pairs, each echelon a function giving a span's
-        integer echelon: the trace kernels of `kernels`, then the pullback
-        rings of the witnesses of `pullbacks`."""
-        out = [(f"trace-kernel({d})", lambda d=d: self.trace_kernel(d))
-               for d in kernels]
-        out += [(f"pullback({self.lattice.witness[d].right})",
-                 lambda d=d: linalg.echelon(self.pullback(d))) for d in pullbacks]
+        """(tag, test) pairs, each test a function giving a membership test
+        for integer rows: the trace kernels of `kernels`, as T_d v = 0, then
+        the pullback rings of the witnesses of `pullbacks`."""
+        out = [(f"trace-kernel({d})",
+                lambda d=d: partial(_annihilates, self.trace_rows(d))) for d in kernels]
+        out += [(f"pullback({w})",
+                 lambda w=w: partial(linalg.in_echelon,
+                                     *linalg.echelon(_pullback_span_rows(w, self.bound))))
+                for w in (self.lattice.witness[d].right for d in pullbacks)]
         return out
 
     def conditions(self, cycles) -> list[list[int]]:
-        """The annihilator rows of Z_{U_d}, once for each d in the union of
-        the components of the invariant spans of the cycles."""
+        """The condition rows of Z_{U_d} (`ud_conditions`), once for each d
+        in the union of the components of the invariant spans of the
+        cycles."""
         comps = set().union(*(decompose_v_delta(v, self.lattice).components
                               for v in cycles))
-        rows: list[list[int]] = []
-        for d in sorted(comps):
-            rows.extend(linalg.annihilator(*self.ud_span(d), self.bound + 1)[0])
-        return rows
+        return [row for d in sorted(comps) for row in self.ud_conditions(d)]
 
 
 def _provenance(rows, candidates) -> tuple[str, ...]:
     """Tag each integer row with the first candidate span that holds it,
-    else "mixed".  Candidates are (tag, echelon) pairs (`candidates`); a
-    span's echelon is called only when a row first reaches that span."""
-    echelons: dict[int, tuple] = {}
+    else "mixed".  Candidates are (tag, test) pairs (`candidates`); a
+    span's test is built only when a row first reaches that span."""
+    tests: dict[int, object] = {}
     tags = []
     for row in rows:
         tag = "mixed"
         for i, (name, build) in enumerate(candidates):
-            if i not in echelons:
-                echelons[i] = build()
-            if linalg.in_echelon(*echelons[i], row):
+            if i not in tests:
+                tests[i] = build()
+            if tests[i](row):
                 tag = name
                 break
         tags.append(tag)
@@ -213,7 +246,7 @@ def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     """Basis of the polynomials of degree <= bound whose trace over the
     residue-class block of size n/d vanishes identically."""
     lattice.require_member(d)
-    kernel = _LatticeSpans(lattice, degree_bound).trace_kernel(d)
+    kernel = _trace_kernel(lattice.witness[d].right, degree_bound)
     return _solution(kernel, [f"trace-kernel({d})"] * len(kernel[0]), degree_bound)
 
 
@@ -223,7 +256,7 @@ def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     of the elements covered by d, truncated at the degree bound."""
     lattice.require_member(d)
     spans = _LatticeSpans(lattice, degree_bound)
-    span = spans.ud_span(d)
+    span = linalg.kernel_echelon(spans.ud_conditions(d), degree_bound + 1)
     candidates = spans.candidates([d], lattice.covered_by(d))
     return _solution(span, _provenance(span[0], candidates), degree_bound)
 

@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelint import linalg
+from abelint.config import Config
+from abelint.cycles import CycleVector
 from abelint.errors import InputError
-from abelint.linalg import (echelon, in_echelon, in_span, integer_rows,
+from abelint.linalg import (_PRIME, echelon, in_echelon, in_span, integer_rows,
                             kernel_echelon, nullspace, rref, to_fractions)
+from abelint.monodromy import divisor_lattice, monodromy
+from abelint.ratpoly import RatPoly, compose
+from abelint.solver import z_delta_basis
 
 from conftest import wide_fractions
 
@@ -211,6 +218,91 @@ def test_kernel_canonical_examples():
     assert kernel([], 2) == [[F(1), F(0)], [F(0), F(1)]]
     assert kernel([[1, 2, 3]], 3) == [[F(1), F(0), F("-1/3")], [F(0), F(1), F("-2/3")]]
     assert kernel([[1, 0], [0, 5]], 2) == []
+
+
+# ---------------------------------------------------------------------------
+# the rank test modulo the prime that proves a kernel zero
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tall_integer_matrices(draw):
+    """(rows, ncols) with at least ncols integer rows: rows drawn directly
+    (full rank in general), or combinations of fewer than ncols of them
+    (rank deficient).  Entries mix small ints, 90-bit ints and multiples of
+    the prime, which vanish modulo it."""
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(ncols, ncols + 3))
+    ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 90, 2 ** 90),
+                     st.sampled_from([_PRIME, -_PRIME, 3 * _PRIME, _PRIME + 1]))
+    rows = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        base = rows[:draw(st.integers(0, max(ncols - 1, 0)))]
+        weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        rows = [[sum(w * row[k] for w, row in zip(ws, base)) for k in range(ncols)]
+                for ws in draw(st.lists(weights, min_size=nrows, max_size=nrows))]
+    return rows, ncols
+
+
+def exact_kernel(rows, ncols):
+    """`kernel_echelon` with the rank test modulo the prime switched off."""
+    with mock.patch.object(linalg, "_full_rank_mod_p", lambda rows, ncols: False):
+        return kernel_echelon(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_integer_matrices())
+def test_certified_kernel_matches_the_exact_path(matrix):
+    rows, ncols = matrix
+    got = kernel_echelon(rows, ncols)
+    assert got == exact_kernel(rows, ncols)
+    if linalg._full_rank_mod_p(rows, ncols):
+        assert got == ([], [])
+
+
+def test_rank_drop_modulo_the_prime_falls_back(monkeypatch):
+    # full rank over Q, rank 1 modulo 2^61 - 1: the exact elimination runs
+    # and still finds the zero kernel
+    rows = [[1, 0], [0, 2 ** 61 - 1]]
+    assert not linalg._full_rank_mod_p(rows, 2)
+    calls = []
+    monkeypatch.setattr(linalg, "echelon", lambda rows, echelon=linalg.echelon:
+                        calls.append(rows) or echelon(rows))
+    assert kernel_echelon(rows, 2) == ([], [])
+    assert len(calls) == 1
+
+
+def test_zero_delta_basis_is_certified_without_a_full_elimination(monkeypatch):
+    # tower8 = (x^2 + x) o (x^2 - x) o (x^2 + x/2) at bound 40, whose lattice
+    # is the chain 1 | 2 | 4 | 8: the cycle e_1 has every member as a
+    # component and the zero space.  The only exact eliminations are the
+    # three pullback spans in z, of z-degree 40 // m for m = 4, 2, 1, each
+    # with fewer rows than columns; the 41-column kernel of the stacked
+    # conditions is proved zero modulo the prime
+    x = RatPoly.x()
+    tower = compose(compose(x ** 2 + x, x ** 2 - x), x ** 2 + x / 2)
+    config = Config()
+    rep = monodromy(tower, config)
+    lattice = divisor_lattice(rep, tower)
+    shapes, certified = [], []
+    echelon, full_rank = linalg.echelon, linalg._full_rank_mod_p
+
+    def spied_echelon(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return echelon(rows)
+
+    def spied_full_rank(rows, ncols):
+        certified.append((ncols, full_rank(rows, ncols)))
+        return certified[-1][1]
+
+    monkeypatch.setattr(linalg, "echelon", spied_echelon)
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", spied_full_rank)
+    basis = z_delta_basis(tower, CycleVector(8, (1, 0, 0, 0, 0, 0, 0, 0)), 40,
+                          config, rep, lattice)
+    assert basis.dim == 0 and basis.basis == ()
+    assert sorted(width for _, width in shapes) == [11, 21, 41]
+    assert all(nrows < width for nrows, width in shapes)
+    assert (41, True) in certified
 
 
 @pytest.mark.parametrize("call", [

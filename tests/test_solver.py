@@ -13,18 +13,18 @@ from mpmath import mp
 from abelint import linalg
 from abelint.config import COUNT_LIMIT, Config
 from abelint.cycles import CycleVector, IntervalSystem
-from abelint.errors import InputError
-from abelint.invariant import pairing_is_zero
-from abelint.monodromy import (divisor_lattice, monodromy, route, standoffs,
-                               track_fiber)
-from abelint.ratpoly import (RatPoly, chebyshev, compose, power_sums,
-                             trace_poly, w_adic)
-from abelint.solver import (_pullback_span_rows, _sample_points, _trace_kernel,
-                            classify, common_right_factor, cycle_residual,
-                            fiber_values, puiseux, solve_moment_problem,
-                            tracked_fiber_samples, vanishing_basis,
-                            verify_vanishing_numeric, z_delta_basis, z_ud_basis,
-                            z_vd_basis)
+from abelint.errors import ConsistencyError, InputError
+from abelint.invariant import decompose_v_delta, pairing_is_zero
+from abelint.monodromy import (DivisorLattice, divisor_lattice, monodromy,
+                               route, standoffs, track_fiber)
+from abelint.ratpoly import (Decomposition, RatPoly, chebyshev, compose,
+                             decompose_all, power_sums, trace_poly, w_adic)
+from abelint.solver import (_LatticeSpans, _pullback_span_rows, _sample_points,
+                            _trace_kernel, classify, common_right_factor,
+                            cycle_residual, fiber_values, puiseux,
+                            solve_moment_problem, tracked_fiber_samples,
+                            vanishing_basis, verify_vanishing_numeric,
+                            z_delta_basis, z_ud_basis, z_vd_basis)
 
 from conftest import QUINTIC, wide_fractions
 
@@ -274,11 +274,101 @@ def test_trace_kernel_is_one_elimination(monkeypatch):
         calls.append(len(rows))
         return echelon(rows)
 
+    # at most one exact elimination, and none when the rank test modulo the
+    # prime proves the kernel zero: x^3 at bound 0 and x at bound 9
     monkeypatch.setattr(linalg, "echelon", counted)
-    for w, bound in ((chebyshev(6), 24), (X ** 2 + X / 3, 17), (X ** 3, 0)):
+    for w, bound, eliminations in ((chebyshev(6), 24, 1), (X ** 2 + X / 3, 17, 1),
+                                   (X ** 3, 0, 0), (X, 9, 0)):
         calls.clear()
-        _trace_kernel(w, bound)
-        assert len(calls) == 1, (w, bound)
+        kernel = _trace_kernel(w, bound)
+        assert len(calls) == eliminations, (w, bound)
+        assert (kernel == ([], [])) == (eliminations == 0), (w, bound)
+
+
+def exact_lattice(p):
+    """The divisor lattice of p read off its decompositions alone, as
+    `divisor_lattice` builds it, without the numeric check of its blocks."""
+    witness = {dec.left.degree: dec for dec in decompose_all(p)}
+    members = tuple(sorted(witness))
+    covers = {d: tuple(e for e in members if e < d and d % e == 0
+                       and not any(e < l < d and l % e == 0 and d % l == 0
+                                   for l in members))
+              for d in members}
+    return DivisorLattice(n=p.degree, members=members, covers=covers, witness=witness)
+
+
+def stacked_ud_span(lattice, d, bound):
+    """Z_{U_d} as one elimination of the trace-kernel rows of d and the
+    pullback rows of the witnesses d covers."""
+    rows = _trace_kernel(lattice.witness[d].right, bound)[0] + [
+        row for dt in lattice.covered_by(d)
+        for row in _pullback_span_rows(lattice.witness[dt].right, bound)]
+    return linalg.echelon(rows)
+
+
+def stacked_vanishing_rows(cycles, lattice, bound):
+    """The kernel of the annihilators of the stacked Z_{U_d}, d over the
+    components of the cycles, with each span's first holder as its tag."""
+    comps = set().union(*(decompose_v_delta(v, lattice).components for v in cycles))
+    conditions = [row for d in sorted(comps) for row in linalg.nullspace(
+        linalg.to_fractions(*stacked_ud_span(lattice, d, bound)), bound + 1)]
+    rows = linalg.rref(linalg.nullspace(conditions, bound + 1))[0]
+    spans = [(f"trace-kernel({d})", _trace_kernel(lattice.witness[d].right, bound))
+             for d in lattice.members]
+    spans += [(f"pullback({lattice.witness[d].right})",
+               linalg.echelon(_pullback_span_rows(lattice.witness[d].right, bound)))
+              for d in lattice.members]
+    tags = tuple(next((tag for tag, span in spans if linalg.in_echelon(
+        *span, linalg.integer_rows([row])[0])), "mixed") for row in rows)
+    return rows, tags
+
+
+def small_poly(degree):
+    return st.builds(lambda lower, lc: RatPoly(lower + [lc]),
+                     st.lists(small_rationals, min_size=degree, max_size=degree),
+                     small_rationals.filter(bool))
+
+
+# A o W (o V) of degree <= 12, whose lattices are chains, and three whose
+# lattices are not: x^6, T_6 and T_12
+composites = st.one_of(
+    st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(1, 2)).filter(
+        lambda degs: degs[0] * degs[1] * degs[2] <= 12).flatmap(
+        lambda degs: st.builds(lambda a, w, v: compose(compose(a, w), v),
+                               *(small_poly(k) for k in degs))),
+    st.sampled_from([X ** 6, chebyshev(6), chebyshev(12)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(composites, st.integers(0, 26), st.data())
+def test_ud_conditions_match_the_stacked_spans(p, bound, data):
+    # Z_{U_d} as the preimage under Tr_w of the covered pullback span in z
+    # equals the old stacked elimination, for every member of the lattice,
+    # and so does the vanishing basis of random cycles with its tags
+    lattice = exact_lattice(p)
+    spans = _LatticeSpans(lattice, bound)
+    for d in lattice.members:
+        got = linalg.kernel_echelon(spans.ud_conditions(d), bound + 1)
+        assert got == stacked_ud_span(lattice, d, bound), (p, bound, d)
+    n = p.degree
+    cycles = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                                .filter(any).map(lambda v: CycleVector(n, v)),
+                                min_size=1, max_size=2))
+    got = vanishing_basis(cycles, lattice, bound)
+    rows, tags = stacked_vanishing_rows(cycles, lattice, bound)
+    assert [[q.coeff(k) for k in range(bound + 1)] for q in got.basis] == rows
+    assert got.provenance == tags
+
+
+def test_witness_not_a_polynomial_in_the_finer_witness():
+    # a lattice whose witness of 1, x^4 + x, is not a polynomial in the
+    # witness of 2, x^2: the w-adic digit x is not a constant
+    lattice = DivisorLattice(
+        n=4, members=(1, 2, 4), covers={1: (), 2: (1,), 4: (2,)},
+        witness={1: Decomposition(X, X ** 4 + X), 2: Decomposition(X ** 2, X ** 2),
+                 4: Decomposition(X ** 4 + X, X)})
+    with pytest.raises(ConsistencyError, match="witness of 1 .* witness of 2"):
+        z_ud_basis(X ** 4 + X, 2, lattice, 8)
 
 
 def _basis_json(sb):
