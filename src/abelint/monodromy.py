@@ -2,11 +2,12 @@
 
 The group is computed from one petal loop per finite critical value plus a
 large circle for the loop around infinity, all tracked with an adaptive
-predictor-corrector (predictor: previous fiber, corrector: Newton per root).
-The step control runs on one of two tiers: mpmath at a configurable working
-precision throughout (`track_fiber`, the reference), or machine complex
-arithmetic that hands near-collision segments to mpmath (`_walk`, which
-every loop, walk and oracle sample runs on).  A loop's permutation is read
+predictor-corrector (predictor: previous fiber, corrector: Newton on the
+whole fiber).  The step control runs on one of two tiers: the working
+precision throughout, with `numerics.newton_fixed` as its corrector
+(`track_fiber`, the reference), or machine complex arithmetic that hands
+near-collision segments to the working precision (`_walk`, which every
+loop, walk and oracle sample runs on).  A loop's permutation is read
 at the foot of its circle.  The base fiber is numbered right after the
 infinity loop, so that its permutation is the standard cycle (1 2 ... n),
 which every downstream module relies on; the petal loops start from that
@@ -27,7 +28,7 @@ from mpmath import mp
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, ConsistencyError, InputError, TrackingError
-from .numerics import (eval_poly, fiber_roots, min_pairwise_distance, newton,
+from .numerics import (MOVE_LIMIT, eval_poly, fiber_roots, min_pairwise_distance,
                        newton_fixed, pair_gap, roots_of, to_mpc)
 from .ratpoly import Decomposition, RatPoly, critical_value_poly, decompose_all
 from .realroots import RealRoots
@@ -173,7 +174,7 @@ def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
 class _Tier(NamedTuple):
     """The leaves `_track_segment`'s step control runs on."""
     num: Callable        # number constructor for the step arithmetic
-    newton: Callable     # (z, x, move_limit) -> root of p = z near x, or None
+    newton: Callable     # (z, fiber) -> the roots of p = z near fiber, or None
     gap: Callable        # fiber -> min pairwise distance, or None
     collapse: Callable   # (z0, z1, t, gap, coll) -> raises
 
@@ -187,10 +188,10 @@ def _mp_collapse(z0, z1, t, gap, coll):
         "path passes too near a critical value")
 
 
-def _mp_tier(p: RatPoly, dp: RatPoly, config: Config) -> _Tier:
-    """mpmath at the caller's working precision (prec+32 in every caller)."""
-    eps = mp.mpf(2) ** (-(config.precision_bits + 8))
-    return _Tier(mp.mpf, lambda z, x, limit: newton(p, dp, z, x, limit, eps),
+def _mp_tier(p: RatPoly, config: Config) -> _Tier:
+    """The working precision, precision_bits + 32 in every caller: Newton in
+    fixed point (`newton_fixed`), the gaps and the step arithmetic in mp."""
+    return _Tier(mp.mpf, lambda z, fiber: newton_fixed(p, z, fiber, config.precision_bits),
                  min_pairwise_distance, _mp_collapse)
 
 
@@ -198,6 +199,7 @@ def _mp_tier(p: RatPoly, dp: RatPoly, config: Config) -> _Tier:
 # Newton (good to about 2^-53 / gap) hands the segment to the mp tier.
 MACHINE_GAP_FLOOR = 2.0 ** -20
 _MACHINE_EPS = 2.0 ** -44
+_MACHINE_MOVE = float(MOVE_LIMIT)
 
 
 class _Escalate(Exception):
@@ -215,29 +217,40 @@ def _machine_gap(fiber):
     return gap
 
 
-def _machine_newton(cp, cdp, z, x, move_limit):
-    """`newton` on Python complex values, stopping at 2^-44 relative."""
-    total = 0.0
-    for _ in range(64):
-        d = v = 0j
-        for c in cdp:
-            d = d * x + c
-        if d == 0:
-            return None
-        for c in cp:
-            v = v * x + c
-        step = (v - z) / d
-        x -= step
-        size, ax = abs(step), abs(x)
-        if not (size < math.inf and ax < math.inf):
-            raise _Escalate
-        if move_limit is not None:
-            total += size
-            if total > move_limit:
+def _machine_newton(cp, cdp, z, fiber):
+    """Newton on Python complex values for each root of `fiber`, stopping
+    at 2^-44 relative, with MOVE_LIMIT x the fiber's gap as the limit on
+    each root's path length; None when p' vanishes, a root moves too far or 64 steps do not
+    converge.  A fiber gap under MACHINE_GAP_FLOOR or a value out of the
+    double range escalates."""
+    gap = _machine_gap(fiber)
+    limit = None if gap is None else gap * _MACHINE_MOVE
+    out = []
+    for x in fiber:
+        total = 0.0
+        for _ in range(64):
+            d = v = 0j
+            for c in cdp:
+                d = d * x + c
+            if d == 0:
                 return None
-        if size <= (_MACHINE_EPS * ax if ax > 1 else _MACHINE_EPS):
-            return x
-    return None
+            for c in cp:
+                v = v * x + c
+            step = (v - z) / d
+            x -= step
+            size, ax = abs(step), abs(x)
+            if not (size < math.inf and ax < math.inf):
+                raise _Escalate
+            if limit is not None:
+                total += size
+                if total > limit:
+                    return None
+            if size <= (_MACHINE_EPS * ax if ax > 1 else _MACHINE_EPS):
+                out.append(x)
+                break
+        else:
+            return None
+    return out
 
 
 def _double(x):
@@ -262,7 +275,7 @@ def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
             _double(part) is None and abs(part) > mp.ldexp(abs(z), -60)
             for z in points for part in (mp.re(z), mp.im(z))):
         return None
-    return _Tier(float, lambda z, x, limit: _machine_newton(cp, cdp, z, x, limit),
+    return _Tier(float, lambda z, fiber: _machine_newton(cp, cdp, z, fiber),
                  _machine_gap, _escalate)
 
 
@@ -280,16 +293,8 @@ def _track_segment(z0, z1, fiber, config: Config, tier: _Tier):
     while t < 1:
         h = min(step, 1 - t)
         z = z0 + (t + h) * (z1 - z0)
-        gap = tier.gap(fiber)
-        move_limit = None if gap is None else gap * num("0.35")
-        new = []
-        ok = True
-        for x in fiber:
-            xn = tier.newton(z, x, move_limit)
-            if xn is None:
-                ok = False
-                break
-            new.append(xn)
+        new = tier.newton(z, fiber)
+        ok = new is not None
         if ok and len(new) > 1:
             scale = max(num(1), max(abs(x) for x in new))
             gap_new = tier.gap(new)
@@ -306,31 +311,32 @@ def _track_segment(z0, z1, fiber, config: Config, tier: _Tier):
             step = step / 2
             streak = 0
             if step < num(2) ** -30:
-                tier.collapse(z0, z1, t, gap, coll)
+                tier.collapse(z0, z1, t, tier.gap(fiber), coll)
     return fiber
 
 
-def _refine(tier: _Tier, z, fiber, move_limit, what: str) -> list:
-    out = [tier.newton(z, to_mpc(x, mp.prec), move_limit) for x in fiber]
-    if None in out:
+def _refine(tier: _Tier, z, fiber, what: str) -> list:
+    out = tier.newton(z, [to_mpc(x, mp.prec) for x in fiber])
+    if out is None:
         raise TrackingError(f"{what} failed to refine")
     return out
 
 
 def track_fiber(p: RatPoly, path: list, start_fiber: list,
                 config: Config = DEFAULT_CONFIG) -> list:
-    """Analytic continuation of a full fiber along a polyline, in mpmath.
+    """Analytic continuation of a full fiber along a polyline, at the
+    working precision precision_bits + 32, every step refined by
+    `newton_fixed`.
 
     The i-th output is the continuation of the i-th input; deterministic
     for a fixed Config.  Raises TrackingError on root collision.
     """
     if len(path) < 1:
         raise InputError("path must contain at least one point")
-    dp = p.derivative()
     with mp.workprec(config.precision_bits + 32):
-        tier = _mp_tier(p, dp, config)
+        tier = _mp_tier(p, config)
         points = [to_mpc(z, mp.prec) for z in path]
-        fiber = _refine(tier, points[0], start_fiber, None, "start fiber")
+        fiber = _refine(tier, points[0], start_fiber, "start fiber")
         for a, b in zip(points, points[1:]):
             fiber = _track_segment(a, b, fiber, config, tier)
         return fiber
@@ -357,7 +363,7 @@ def _walk(points: list, fiber: list, config: Config, tier_mp: _Tier,
                 continue
             except (_Escalate, OverflowError):
                 if _on_machine(fiber):
-                    fiber = _refine(tier_mp, a, fiber, None, "escalated fiber")
+                    fiber = _refine(tier_mp, a, fiber, "escalated fiber")
         fiber = _track_segment(a, b, fiber, config, tier_mp)
     return fiber
 
@@ -384,15 +390,14 @@ def walk_fiber(p: RatPoly, path: list, start_fiber: list,
     with mp.workprec(config.precision_bits + 32):
         points = [to_mpc(z, mp.prec) for z in path]
         return _walk(points, [to_mpc(x, mp.prec) for x in start_fiber], config,
-                     _mp_tier(p, dp, config), _machine_tier(p, dp, points))
+                     _mp_tier(p, config), _machine_tier(p, dp, points))
 
 
 def continue_fiber(p: RatPoly, path: list, start_fiber: list,
                    config: Config = DEFAULT_CONFIG) -> list:
-    """`walk_fiber` with a machine-tier end refined by Newton in fixed point
-    (`newton_fixed`) to 2^-(precision_bits + 8) relative, the tolerance of
-    `track_fiber`'s own Newton steps: the end agrees with `track_fiber`'s to
-    that tolerance, and bit for bit when every segment ran on the mp tier
+    """`walk_fiber` with a machine-tier end refined by `newton_fixed`, the
+    Newton of `track_fiber`'s own steps: the end agrees with `track_fiber`'s
+    to its tolerance, and bit for bit when every segment ran on the mp tier
     and `start_fiber` is the refined fiber `track_fiber` starts from.  The
     start is not refined: the base fiber is refined once, in `monodromy`
     (`MonodromyRep.base_fiber`).  The oracle's residuals are sums over
@@ -568,10 +573,10 @@ class MonodromyRep:
     """Monodromy data of one polynomial, numbered so infinity = (1 2 ... n).
 
     base_fiber[k - 1] is root k: root 1 has the largest (re, im), and the
-    loop around infinity carries root k to root k + 1.  base_fiber is
-    refined by Newton at precision_bits + 32 bits to 2^-(precision_bits + 8)
-    relative, once per polynomial: every continuation from the base point
-    starts from it.  generators[i], the permutation of the petal loop around
+    loop around infinity carries root k to root k + 1.  base_fiber comes
+    refined from `fiber_roots` at precision_bits + 32 bits, once per
+    polynomial: every continuation from the base point starts from it.
+    generators[i], the permutation of the petal loop around
     critical_values[i], and petal_order, the sweep order in which their
     product is the infinity cycle, come from `_petals` on the first read of
     either; ==, hash and repr read neither.  From `monodromy`, `_petals`
@@ -652,7 +657,7 @@ def _petal_generators(p: RatPoly, cvs: list, c0, fiber: list,
     with mp.workprec(config.precision_bits + 32):
         petals, order_keys = _petal_paths(c0, cvs)
         dp = p.derivative()
-        tier = _mp_tier(p, dp, config)
+        tier = _mp_tier(p, config)
         gens = tuple(_loop_permutation(
                          p, dp, loop, fiber, config, tier,
                          f"petal loop {i} (critical value {mp.nstr(cvs[i], 8)})")
@@ -681,7 +686,7 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
         dp = p.derivative()
         start = fiber_roots(p, c0, mp.prec)
         sigma_inf = _loop_permutation(p, dp, loop_inf, start, config,
-                                      _mp_tier(p, dp, config), "the infinity loop")
+                                      _mp_tier(p, config), "the infinity loop")
         if len(sigma_inf.cycles()) != 1 or len(sigma_inf.cycles()[0]) != n:
             raise ComputationError("infinity permutation is not an n-cycle")
 

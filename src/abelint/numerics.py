@@ -1,17 +1,16 @@
 """mpmath-backed numeric primitives shared by the tracking and quadrature code.
 
 Helpers take an explicit precision in bits, or use the caller's working
-precision (`min_pairwise_distance`, `newton`), and never change mpmath's
-global state.  The hot leaves of tracking and quadrature (`eval_poly` and
-its raw core `eval_poly_raw`, `min_pairwise_distance`, `newton`) run on
-mpmath's raw libmp values and round exactly as the same code on mpf/mpc
-objects does.  Every root finding is `fiber_roots`: a double-precision
-start refined by `newton`, with `mpmath.polyroots` as its fallback.
-Where the scale of every input is known before the arithmetic, the hot
-loops run on Python ints at a fixed binary point instead: `horner_fixed`
-is the one such evaluator, under the oval nodes of the hyperelliptic
-quadrature and the oracle's end refine (`newton_fixed`) and sample values
-(`fiber_values`).
+precision (`min_pairwise_distance`), and never change mpmath's global
+state.  `eval_poly`, its raw core `eval_poly_raw` and
+`min_pairwise_distance` run on mpmath's raw libmp values and round exactly
+as the same code on mpf/mpc objects does.  Every root finding is
+`fiber_roots`: a double-precision start refined by `newton_fixed`, with
+`mpmath.polyroots` as its fallback.  Where the scale of every input is
+known before the arithmetic, the hot loops run on Python ints at a fixed
+binary point instead: `horner_fixed` is the one such evaluator, under the
+oval nodes of the hyperelliptic quadrature, the one Newton at working
+precision (`newton_fixed`) and the oracle's sample values (`fiber_values`).
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add_mpf,
-                          mpc_div, mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_shift,
-                          round_nearest, to_float)
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add_mpf,
+                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, round_nearest,
+                          to_float, to_rational)
 
 from .errors import ComputationError
 from .ratpoly import RatPoly
@@ -117,18 +116,19 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
     """The roots of p(x) - z at `prec` bits, sorted by (re, im), as mpc.
 
     `_machine_roots` starts them in doubles on x = 2^k u, with 2^k near the
-    Fujiwara bound of the monic coefficients (found in mp, so no coefficient
-    needs to fit in a double).  `newton` refines each at `prec` bits to
-    2^-(prec - 24) of max(|x|, 1), or of 2^k if that is below 1 (the mp
-    tier's tolerance at prec = precision_bits + 32), with a move limit of
-    0.35 x the start's gap, so the n results are n distinct roots.  Without
-    such a start, or when a refine fails, `mpmath.polyroots` sweeps at
-    2 x prec bits; near a multiple root it gains about one bit per step, so
-    its step budget grows with prec."""
+    Fujiwara bound of the monic coefficients of p - z, formed exactly and
+    rounded once (found in mp, so no coefficient needs to fit in a double).
+    `newton_fixed` refines the starts at prec - 32, to 2^-(prec - 23) of
+    each root's own scale, into n distinct roots; a real p - z gives real
+    roots and exact conjugates.  Without such a start, or when the refine
+    fails, `mpmath.polyroots` sweeps at 2 x prec bits; near a multiple root
+    it gains about one bit per step, so its step budget grows with prec."""
     with mp.workprec(prec):
         z = to_mpc(z, prec)
+        re, im = z._mpc_
         coeffs = poly_mpc_coeffs(p, prec)
-        coeffs[-1] -= z
+        coeffs[-1] = mp.make_mpc((_fraction_mpf(p.coeffs[0] - Fraction(*to_rational(re)),
+                                                prec), mpf_neg(im)))
         monic = [c / coeffs[0] for c in coeffs[1:]]
         k = max((-(-mp.mag(c) // j) for j, c in enumerate(monic, 1) if c), default=None)
         rts = None
@@ -137,11 +137,9 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
             start = _machine_roots([float(c.real) for c in scaled] if z.imag == 0
                                    else [complex(c) for c in scaled])
             if start is not None:
-                gap, unit = pair_gap(start), mp.ldexp(1, k)
-                limit = None if gap is None else mp.mpf(gap) * unit * mp.mpf("0.35")
-                eps, dp = mp.ldexp(1, min(k, 0) + 24 - prec), p.derivative()
-                rts = [newton(p, dp, z, mp.mpc(u) * unit, limit, eps) for u in start]
-        if rts is None or None in rts:
+                unit = mp.ldexp(1, k)
+                rts = newton_fixed(p, z, [mp.mpc(u) * unit for u in start], prec - 32)
+        if rts is None:
             try:
                 rts = map(mp.mpc, mpmath.polyroots(coeffs, maxsteps=max(200, 4 * prec),
                                                    extraprec=prec))
@@ -207,35 +205,6 @@ def pair_gap(fiber):
                default=None)
 
 
-def newton(p: RatPoly, dp: RatPoly, z, x0, move_limit, eps):
-    """Newton's method for p(x) = z from x0, on raw libmp values rounded to
-    nearest at the working precision (the same operations as on mpc
-    objects).  None when p' vanishes, the accumulated move exceeds
-    `move_limit`, or 64 steps do not converge to `eps` relative."""
-    prec, rnd = mp.prec, round_nearest
-    z, eps = z._mpc_, eps._mpf_
-    limit = None if move_limit is None else move_limit._mpf_
-    x = x0
-    total = fzero
-    for _ in range(64):
-        d = eval_poly(dp, x, prec)._mpc_
-        if d == (fzero, fzero):
-            return None
-        step = mpc_div(mpc_sub(eval_poly(p, x, prec)._mpc_, z, prec, rnd), d,
-                       prec, rnd)
-        xv = mpc_sub(x._mpc_, step, prec, rnd)
-        x = mp.make_mpc(xv)
-        size = mpc_abs(step, prec, rnd)
-        if limit is not None:
-            total = mpf_add(total, size, prec, rnd)
-            if mpf_gt(total, limit):
-                return None
-        ax = mpc_abs(xv, prec, rnd)
-        if mpf_le(size, mpf_mul(eps, ax, prec, rnd) if mpf_gt(ax, fone) else eps):
-            return x
-    return None
-
-
 def bound_exponent(num: int, den: int) -> int:
     """The least e with |num/den| <= 2^e, for num != 0 < den."""
     num = abs(num)
@@ -282,17 +251,14 @@ def horner_fixed(coeffs, x, point: int, derivative: bool = False):
     return ((vr, vi), (dr, di)) if derivative else (vr, vi)
 
 
-def _root_exponent(x) -> int:
-    """The e with 2^(e-1) <= |x| < 2^e, to a double's rounding (0 for x =
-    0), for a Python complex or an mpc x: read off the double of x scaled
-    by a power of two, so x may lie outside the double range."""
-    if isinstance(x, complex):
-        m = max(math.frexp(x.real)[1], math.frexp(x.imag)[1])
-        parts = math.ldexp(x.real, -m), math.ldexp(x.imag, -m)
-    else:
-        m = max((v[2] + v[3] for v in x._mpc_ if v[1]), default=0)
-        parts = [to_float(mpf_shift(v, -m)) for v in x._mpc_]
-    return m + math.frexp(math.hypot(*parts))[1]
+def _root_exponent(x: tuple) -> int | None:
+    """The e with 2^(e-1) <= |x| < 2^e, to a double's rounding, for a raw
+    mpc x, or None for x = 0: read off the double of x scaled by a power of
+    two, so x may lie outside the double range."""
+    m = max((v[2] + v[3] for v in x if v[1]), default=None)
+    if m is None:
+        return None
+    return m + math.frexp(math.hypot(*(to_float(mpf_shift(v, -m)) for v in x)))[1]
 
 
 def _mpf_fixed(v: tuple, shift: int) -> int:
@@ -322,41 +288,64 @@ def _scaled_fixed(p: RatPoly, e: int, point: int, z: tuple = (fzero, fzero)) -> 
             to_fixed(imag, den, shift), point + k - shift)
 
 
+# A refine moves no root farther from its start than this fraction of the
+# least gap of the fiber it refines, so the n results are n distinct roots.
+MOVE_LIMIT = Fraction(7, 20)
+
+
 def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
-    """The roots of p(x) = z near `starts`, machine roots (Python complex
-    values), by Newton's method in fixed point: mpc at prec + 32 bits,
-    index-aligned with `starts`.  None when p' vanishes at an iterate, a
-    root moves more than 0.35 x the starts' least gap from its start (so
-    the n results are n distinct roots), or 64 steps do not converge; z is
-    an mpc.
+    """The roots of p(x) = z near `starts`, the whole fiber as Python
+    complex values or mpc of any size, by Newton's method in fixed point:
+    mpc at prec + 32 bits, index-aligned with `starts`; z is an mpc.  This
+    is the one Newton at working precision, under `fiber_roots`, the mp
+    tracking tier and the oracle's end refines.  None when p' vanishes at an
+    iterate, a root moves more than MOVE_LIMIT x the starts' least gap
+    from its start, or 64 steps do not converge.  For a real z a real start
+    stays real, and a start below the axis whose exact conjugate is a start
+    gets the exact conjugate of that root (the floors are not symmetric
+    under conjugation).
 
     Each root is scaled by its own power of two, x = 2^e u with 2^(e-1) <=
-    |x0| < 2^e read off its double (`_root_exponent`), as `fiber_roots`
-    scales its start.  p(2^e u) - z is written exactly over the integers
+    |x0| < 2^e read off its start (`_root_exponent`; a start at 0 takes the
+    fiber's largest e).  p(2^e u) - z is written exactly over the integers
     and floored once to F = wp + 8 + bits(n) + n fractional bits, with wp =
     prec + 32 and n = deg p (`_scaled_fixed`).  By `horner_fixed`'s bound
     every value of p - z is then within 2^-(wp + 4) sum |a_i| |x|^i of
     exact, Higham's bound at x itself: the n extra bits cover |u| >= 1/2,
     which puts the bound at 2^e within 2^n of the bound at x.  Newton stops
-    once a step is at most tol = 2^-(prec + 8) max(1, |x|), the tolerance
-    of the mp tier's `newton`; that test and the move limit compare squared
-    integer norms.  So to first order each root is within 2^-(wp + 4) sum
-    |a_i| |x|^i / |p'(x)| + |p''(x) / p'(x)| tol^2 of a root of p - z,
-    before its rounding to wp bits."""
+    once a step is at most tol = 2^-(prec + 9) max(|x|, 2^(e-1)), relative
+    to the root's own scale with the start's scale as a floor, which ends it
+    at a root at 0.  For x in its start's binade tol is at most 2^-(prec +
+    8) max(1, |x|), and at most 2^-(prec + 8) 2^k for roots below the
+    Fujiwara bound 2^(k+1) of p - z.  That test and the move limit compare
+    squared integer norms.  So to first order each root is within 2^-(wp +
+    4) sum |a_i| |x|^i / |p'(x)| + |p''(x) / p'(x)| tol^2 of a root of
+    p - z, before its rounding to wp bits."""
     wp, rnd = prec + 32, round_nearest
     point = wp + 8 + p.degree.bit_length() + p.degree
-    gap = pair_gap(starts)
-    limit = None if gap is None else (0.35 * gap).as_integer_ratio()
-    cache, out = {}, []
-    for x0 in starts:
-        e = _root_exponent(x0)
+    raw = [x._mpc_ if hasattr(x, "_mpc_") else (from_float(x.real), from_float(x.imag))
+           for x in starts]
+    exps = [_root_exponent(x) for x in raw]
+    top = max((e for e in exps if e is not None), default=0)
+    twins = {}
+    if z._mpc_[1] == fzero:
+        index = {x: i for i, x in enumerate(raw)}
+        twins = {i: index[re, mpf_neg(im)] for i, (re, im) in enumerate(raw)
+                 if im[0] and (re, mpf_neg(im)) in index}
+    # the least gap of the starts, squared, at the scale 2^top
+    at_top = [[_mpf_fixed(v, point - top) for v in x] for x in raw]
+    gap = min(((a - c) ** 2 + (b - d) ** 2 for i, (a, b) in enumerate(at_top)
+               for c, d in at_top[i + 1:]), default=None)
+    reach = None if gap is None else math.floor(gap * MOVE_LIMIT ** 2)
+    cache, out = {}, [None] * len(starts)
+    for i, (x0, e) in enumerate(zip(raw, exps)):
+        if i in twins:
+            continue
+        e = top if e is None else e
         if e not in cache:
             cache[e] = _scaled_fixed(p, e, point, z._mpc_)
         coeffs, imag, _ = cache[e]
-        r0, i0 = ur, ui = [to_fixed(*v.as_integer_ratio(), point - e)
-                           for v in (x0.real, x0.imag)]
-        reach = None if limit is None else to_fixed(*limit, point - e) ** 2
-        one = 1 << 2 * (point - e) if point >= e else 0
+        r0, i0 = ur, ui = [_mpf_fixed(v, point - e) for v in x0]
         for _ in range(64):
             (vr, vi), (dr, di) = horner_fixed(coeffs, (ur, ui), point, derivative=True)
             vi += imag
@@ -366,14 +355,18 @@ def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
             sr = ((vr * dr + vi * di) << point) // norm
             si = ((vi * dr - vr * di) << point) // norm
             ur, ui = ur - sr, ui - si
-            if reach is not None and (ur - r0) ** 2 + (ui - i0) ** 2 > reach:
+            if reach is not None and (ur - r0) ** 2 + (ui - i0) ** 2 > reach << 2 * (top - e):
                 return None
-            if (sr * sr + si * si) << (2 * prec + 16) <= max(ur * ur + ui * ui, one):
+            if (sr * sr + si * si) << (2 * prec + 18) <= max(ur * ur + ui * ui,
+                                                             1 << 2 * (point - 1)):
                 break
         else:
             return None
-        out.append(mp.make_mpc((from_man_exp(ur, e - point, wp, rnd),
-                                from_man_exp(ui, e - point, wp, rnd))))
+        out[i] = mp.make_mpc((from_man_exp(ur, e - point, wp, rnd),
+                              from_man_exp(ui, e - point, wp, rnd)))
+    for i, j in twins.items():
+        re, im = out[j]._mpc_
+        out[i] = mp.make_mpc((re, mpf_neg(im)))
     return out
 
 
@@ -391,7 +384,7 @@ def fiber_values(q: RatPoly, fibers, prec: int) -> list:
     for fiber in fibers:
         row = []
         for x in fiber:
-            e = _root_exponent(x)
+            e = _root_exponent(x._mpc_) or 0      # any scale serves a root at 0
             if e not in cache:
                 cache[e] = _scaled_fixed(q, e, point)
             coeffs, _, s = cache[e]

@@ -156,9 +156,9 @@ def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatc
     refine, end, base, walk = (mono._refine, mono.newton_fixed, mono.fiber_roots,
                                cycles.continue_fiber_to_real)
 
-    def refine_spy(tier, z, fiber, move_limit, what):
+    def refine_spy(tier, z, fiber, what):
         refines.append((what, bool(walking)))
-        return refine(tier, z, fiber, move_limit, what)
+        return refine(tier, z, fiber, what)
 
     def end_spy(p, z, starts, prec):
         refines.append(("end fiber", bool(walking)))

@@ -1178,9 +1178,9 @@ def test_main4_one_contour_and_one_fiber_per_sample(config, monkeypatch):
         fibers.append(z)
         return roots_of_shifted(p, z, prec)
 
-    def spy_refine(tier, z, fiber, move_limit, what):
+    def spy_refine(tier, z, fiber, what):
         refines.append(what)
-        return refine(tier, z, fiber, move_limit, what)
+        return refine(tier, z, fiber, what)
 
     def spy_end(p, z, starts, prec):
         refines.append("end fiber")

@@ -488,9 +488,9 @@ def test_one_start_refine_and_no_repeated_segment(config, monkeypatch):
     refine, end, base, segment = (mono._refine, mono.newton_fixed, mono.fiber_roots,
                                   mono._track_segment)
 
-    def refine_spy(tier, z, fiber, move_limit, what):
+    def refine_spy(tier, z, fiber, what):
         refines.append(what)
-        return refine(tier, z, fiber, move_limit, what)
+        return refine(tier, z, fiber, what)
 
     def end_spy(p, z, starts, prec):
         refines.append("end fiber")

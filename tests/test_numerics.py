@@ -4,19 +4,21 @@
 these properties check that they round exactly as the same computations on
 mpf/mpc objects do, and one golden file pins the bits of a tracked fiber.
 `fiber_roots` is checked against `mpmath.polyroots` at twice the precision,
-and the fixed-point end refine and sample values (`newton_fixed`,
-`fiber_values`) against mpmath at twice their working precision.
+and for a real p - z to give real roots and exact conjugates; the
+fixed-point Newton and sample values (`newton_fixed`, `fiber_values`) are
+checked against mpmath at twice their working precision.
 """
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from abelint.config import Config
 from abelint.monodromy import track_fiber
@@ -126,7 +128,7 @@ def test_min_pairwise_distance_edge_cases():
 
 def test_track_fiber_t6_bits():
     """One T6 track along a fixed three-point path at the default Config
-    reproduces the bits of the mp-object implementation."""
+    reproduces the pinned bits of the working-precision tier."""
     doc = json.loads((GOLDEN / "track_fiber_t6.json").read_text())
 
     def point(pair):
@@ -149,6 +151,9 @@ _LEAD = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)) | \
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(_COEFF, min_size=d, max_size=d)),
        _LEAD, _COEFF, _COEFF | st.just(Fraction(0)), st.sampled_from([0, 600, -600]),
        PRECS)
+# z cancels p(0) to its rounding: p - z is formed exactly, so the root is
+# 1/3 less its 96-bit rounding, not 0
+@example([Fraction(1, 3)], Fraction(1), Fraction(1, 3), Fraction(0), 0, 96)
 def test_fiber_roots_match_polyroots(lower, lead, re_z, im_z, s, prec):
     """The roots of p(2^s x) - z, for p of degree 1-8 with rational
     coefficients and a real or complex z, are 2^-s times the roots of
@@ -173,6 +178,27 @@ def test_fiber_roots_match_polyroots(lower, lead, re_z, im_z, s, prec):
         nearest = [min(range(len(got)), key=lambda i: abs(got[i] - r)) for r in want]
         assert sorted(nearest) == list(range(p.degree))
         assert all(abs(got[i] - r) <= tol for i, r in zip(nearest, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(_COEFF, min_size=d, max_size=d)),
+       _LEAD, _COEFF, st.sampled_from([0, 600, -600]), PRECS)
+@example([Fraction(0), Fraction(1), Fraction(0)], Fraction(1), Fraction(0), 0, 96)
+# refined on its own, the root below the axis misses the conjugate in its last bit
+@example([Fraction(1), Fraction(-3, 4), Fraction(2)], Fraction(-1, 2), Fraction(-2), -600, 160)
+def test_real_fibers_are_real_roots_and_exact_conjugates(lower, lead, z, s, prec):
+    """For a real p(2^s x) - z, `fiber_roots` gives every real root an
+    imaginary part of exactly 0 and every non-real root its exact conjugate,
+    bit for bit, so that sorted by (re, im) a pair shares one real part
+    (x^3 + x puts its real root 0 between -i and i)."""
+    p = RatPoly(lower + [lead])
+    assume(squarefree_part(p - RatPoly([z])).degree == p.degree)
+    q = RatPoly([c * Fraction(2) ** (s * j) for j, c in enumerate(p.coeffs)])
+    unpaired = Counter()
+    for re, im in (x._mpc_ for x in fiber_roots(q, z, prec)):
+        unpaired[re, im] += 1
+        unpaired[re, mpf_neg(im)] -= 1
+    assert not +unpaired and not -unpaired
 
 
 # a root is (k, re, im): (re + im i) 2^(k - 10), with 2^9 <= |re| or |im|
@@ -244,15 +270,19 @@ def _horner_bound(coeffs, x):
        st.sampled_from([64, 128, 1024]))
 @example(([(-40, 700, 0), (-10, -600, 500), (-10, 513, 0), (20, -1000, 300)], (3, 5)),
          RatPoly([Fraction(1, 3), 0, -2, Fraction(5, 4), 0, 0, 0, 0, 0, 0, 0, 0, 7]), 8192)
+# a conjugate pair near 2^-28: a stop on an absolute step of 2^-72 leaves it
+# one Newton step short of its own scale
+@example(([(-27, 600, 500), (2, 700, 0)], (3, 5)), RatPoly([1]), 64)
 def test_fixed_point_refine_and_values_match_mpmath(fiber, q, prec):
     """`newton_fixed` from machine starts lands within its docstring bound of
     the roots of p - z at 2 x wp, wp = prec + 32: 2^-(wp + 4) sum |a_i|
-    |x|^i / |p'(x)| plus |p''(x) / p'(x)| tol^2, tol = 2^-(prec + 8) max(1,
-    |x|), to first order (each with a factor 2 of slack), plus the rounding
-    to wp bits; and `fiber_values` gives q at those roots within 2^-(wp +
-    4) sum |q_j| |x|^j of q evaluated in mpmath at 2 x wp.  Every root is
-    measured against its own scale, so one scale per fiber fails on fibers
-    spread over 2^30."""
+    |x|^i / |p'(x)| plus |p''(x) / p'(x)| tol^2, tol = 2^-(prec + 9)
+    max(|x|, 2^(e - 1)) with 2^(e - 1) <= |x0| < 2^e for the start x0, to
+    first order (each with a factor 2 of slack), plus the rounding to wp
+    bits; and `fiber_values` gives q at those roots within 2^-(wp + 4) sum
+    |q_j| |x|^j of q evaluated in mpmath at 2 x wp.  Every root is measured
+    against its own scale, so one scale per fiber fails on fibers spread
+    over 2^30, and a stop on an absolute step fails on small roots."""
     p, z, zeros = _fiber_problem(*fiber)
     wp, dp = prec + 32, p.derivative()
     ddp = dp.derivative()
@@ -263,9 +293,9 @@ def test_fixed_point_refine_and_values_match_mpmath(fiber, q, prec):
     with mp.workprec(2 * wp):
         shifted = [c - (z if j == 0 else 0) for j, c in
                    enumerate(mp.mpf(c.numerator) / c.denominator for c in p.coeffs)]
-        for x, r in zip(got, want):
+        for x, r, x0 in zip(got, want, starts):
             slope = abs(reference_eval(dp, r, 2 * wp))
-            tol = mp.ldexp(max(1, abs(r)), -(prec + 8))
+            tol = mp.ldexp(max(abs(r), mp.ldexp(1, mp.frexp(abs(x0))[1] - 1)), -(prec + 9))
             bound = (mp.ldexp(_horner_bound(shifted, r) / slope, -(wp + 3))
                      + 2 * abs(reference_eval(ddp, r, 2 * wp)) / slope * tol ** 2
                      + mp.ldexp(abs(r), -wp))
