@@ -380,10 +380,12 @@ class TracePoly:
         return self.value.is_zero()
 
 
-def power_sums(w: RatPoly, count: int) -> tuple[int, list[list[int]]]:
+def power_sums(w: RatPoly, count: int,
+               sums: list[list[int]] | None = None) -> tuple[int, list[list[int]]]:
     """Power sums p_e = sum_i x_i^e of the roots of w(x) - z, e = 0..count,
     on integers: (D, P) with p_e = P[e] / D^e, P[e] the integer coefficients
-    of a polynomial in z of degree at most e // m.
+    of a polynomial in z of degree at most e // m.  A table P of w from an
+    earlier call, given as `sums`, is extended in place to e = count.
 
     w(x) - z is normalized to the monic x^m + c_1 x^(m-1) + ... + c_m, whose
     coefficients are rationals except c_m = (w_0 - z)/lc, which is linear in
@@ -401,8 +403,8 @@ def power_sums(w: RatPoly, count: int) -> tuple[int, list[list[int]]]:
     scale = lcm(lc.numerator, *((a / lc).denominator for a in w.coeffs))
     c = [int(w.coeff(m - i) / lc * scale ** i) for i in range(m + 1)]  # c[m]: z-free
     zc = int(scale ** m / lc)                     # C_m = c[m] - zc * z
-    p = [[m]]
-    for k in range(1, count + 1):
+    p = sums or [[m]]
+    for k in range(len(p), count + 1):
         acc = [0] * (k // m + 1)
         for i in range(1, min(k, m) + 1):
             ci = c[i]

@@ -81,36 +81,31 @@ def _polys_to_rows(polys, bound: int) -> list[list[Fraction]]:
 # trace conditions and pullback spans
 # ---------------------------------------------------------------------------
 
-def _trace_rows(w: RatPoly, bound: int) -> list[list[int]]:
+def _trace_rows(w: RatPoly, bound: int, table: tuple[int, list[list[int]]]) -> list[list[int]]:
     """The integer trace matrix T of w inside degree <= bound: T Q holds the
-    z^j coefficients of D^bound Tr_w(Q).  Tr_w(x^e) is the power sum
-    p_e(z) = P_e(z) / D^e (`power_sums`), so row j holds the z^j
-    coefficients of P_e times D^(bound - e)."""
-    scale, sums = power_sums(w, bound)
-    return [[ps[j] * scale ** (bound - e) if j < len(ps) else 0
-             for e, ps in enumerate(sums)] for j in range(bound // w.degree + 1)]
+    z^j coefficients of D^bound Tr_w(Q).  Tr_w(x^e) is the power sum p_e(z) =
+    P_e(z) / D^e, from the `power_sums` table (D, P) of w to e >= bound, so
+    row j holds the z^j coefficients of P_e times D^(bound - e)."""
+    scale, sums = table
+    scales = [scale ** (bound - e) for e in range(bound + 1)]
+    return [[ps[j] * f if j < len(ps) else 0 for ps, f in zip(sums, scales)]
+            for j in range(bound // w.degree + 1)]
 
 
-def _trace_kernel(w: RatPoly, bound: int) -> tuple[list[list[int]], list[int]]:
-    """Integer echelon (`linalg.echelon`) of the Q of degree <= bound whose
-    trace along the fiber of w vanishes identically: the kernel of T."""
-    return linalg.kernel_echelon(_trace_rows(w, bound), bound + 1)
-
-
-def _pullback_span_rows(w: RatPoly, bound: int) -> list[list[int]]:
+def _pullback_span_rows(w: RatPoly, bound: int, tables: dict | None = None) -> list[list[int]]:
     """Integer coefficient rows of 1, W, W^2, ... up to the degree bound,
-    where W is w times the lcm of its denominators: they span C[w] there."""
+    where W is w times the lcm of its denominators: they span C[w] there.
+    Given `tables`, the unpadded powers of W are kept there and only grow."""
     scale = lcm(*(c.denominator for c in w.coeffs))
     big = [c.numerator * (scale // c.denominator) for c in w.coeffs]
-    rows, power = [], [1]
-    for _ in range(bound // w.degree + 1):
-        rows.append(power + [0] * (bound + 1 - len(power)))
-        product = [0] * (len(power) + w.degree)
-        for i, a in enumerate(power):
+    powers = ({} if tables is None else tables).setdefault(("powers", w), [[1]])
+    while len(powers) <= bound // w.degree:
+        product = [0] * (len(powers[-1]) + w.degree)
+        for i, a in enumerate(powers[-1]):
             for j, b in enumerate(big):
                 product[i + j] += a * b
-        power = product
-    return rows
+        powers.append(product)
+    return [power + [0] * (bound + 1 - len(power)) for power in powers[:bound // w.degree + 1]]
 
 
 def _annihilates(rows: list[list[int]], v: list[int]) -> bool:
@@ -131,39 +126,49 @@ class _LatticeSpans:
     h_dt is read off the w-adic digits of W_dt, which must all be
     constants.  The conditions of Z_{U_d} are the rows l^T T for l in the
     kernel of the rows of S, and T itself when d covers nothing; every
-    basis is a kernel of such rows (`linalg.kernel_echelon`)."""
+    basis is a kernel of such rows (`linalg.kernel_echelon`).  Power sums,
+    h_dt and powers are bound-free: they live in the lattice's `tables`,
+    each built on first use and grown only when a larger bound needs more."""
 
     def __init__(self, lattice: DivisorLattice, bound: int):
         self.lattice = lattice
         self.bound = bound
+        self.tables = lattice.tables
         self._traces: dict[int, list[list[int]]] = {}
 
     def trace_rows(self, d: int) -> list[list[int]]:
         """T_d, the integer trace matrix of the witness of d."""
         if d not in self._traces:
-            self._traces[d] = _trace_rows(self.lattice.witness[d].right, self.bound)
+            w, sums = self.lattice.witness[d].right, self.tables.get(("sums", d))
+            if sums is None or len(sums[1]) <= self.bound:
+                sums = self.tables["sums", d] = power_sums(w, self.bound, sums and sums[1])
+            self._traces[d] = _trace_rows(w, self.bound, sums)
         return self._traces[d]
 
     def _outer(self, d: int, dt: int) -> RatPoly:
         """h with W_dt = h(w), w and W_dt the witnesses of d and dt."""
-        digits = w_adic(self.lattice.witness[dt].right, self.lattice.witness[d].right)
-        if not all(q.is_constant() for q in digits):
-            raise ConsistencyError(f"the witness of {dt} is not a polynomial in "
-                                   f"the witness of {d}")
-        return RatPoly([q.coeff(0) for q in digits])
+        if ("outer", d, dt) not in self.tables:
+            digits = w_adic(self.lattice.witness[dt].right, self.lattice.witness[d].right)
+            if not all(q.is_constant() for q in digits):
+                raise ConsistencyError(f"the witness of {dt} is not a polynomial in "
+                                       f"the witness of {d}")
+            self.tables["outer", d, dt] = RatPoly([q.coeff(0) for q in digits])
+        return self.tables["outer", d, dt]
+
+    def covered_span(self, d: int) -> list[list[int]]:
+        """S: the pullback rows of each h_dt, in z-degree <= bound // deg w."""
+        top = self.bound // self.lattice.witness[d].right.degree
+        return [row for dt in self.lattice.covered_by(d)
+                for row in _pullback_span_rows(self._outer(d, dt), top, self.tables)]
 
     def ud_conditions(self, d: int) -> list[list[int]]:
         """Integer rows whose common kernel is Z_{U_d}: l^T T_d for each l
         in the kernel of the rows of S, in z-degree <= bound // deg w."""
         rows = self.trace_rows(d)
-        covered = self.lattice.covered_by(d)
-        if not covered:
+        if not self.lattice.covered_by(d):
             return rows
-        top = len(rows) - 1
-        span = [row for dt in covered
-                for row in _pullback_span_rows(self._outer(d, dt), top)]
         out = []
-        for lam in linalg.kernel_echelon(span, top + 1)[0]:
+        for lam in linalg.kernel_echelon(self.covered_span(d), len(rows))[0]:
             acc = [0] * (self.bound + 1)
             for l, row in zip(lam, rows):
                 if l:
@@ -177,9 +182,8 @@ class _LatticeSpans:
         the pullback rings of the witnesses of `pullbacks`."""
         out = [(f"trace-kernel({d})",
                 lambda d=d: partial(_annihilates, self.trace_rows(d))) for d in kernels]
-        out += [(f"pullback({w})",
-                 lambda w=w: partial(linalg.in_echelon,
-                                     *linalg.echelon(_pullback_span_rows(w, self.bound))))
+        out += [(f"pullback({w})", lambda w=w: partial(linalg.in_echelon, *linalg.echelon(
+                    _pullback_span_rows(w, self.bound, self.tables))))
                 for w in (self.lattice.witness[d].right for d in pullbacks)]
         return out
 
@@ -246,7 +250,8 @@ def z_vd_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     """Basis of the polynomials of degree <= bound whose trace over the
     residue-class block of size n/d vanishes identically."""
     lattice.require_member(d)
-    kernel = _trace_kernel(lattice.witness[d].right, degree_bound)
+    rows = _LatticeSpans(lattice, degree_bound).trace_rows(d)
+    kernel = linalg.kernel_echelon(rows, degree_bound + 1)
     return _solution(kernel, [f"trace-kernel({d})"] * len(kernel[0]), degree_bound)
 
 
@@ -256,7 +261,9 @@ def z_ud_basis(p: RatPoly, d: int, lattice: DivisorLattice,
     of the elements covered by d, truncated at the degree bound."""
     lattice.require_member(d)
     spans = _LatticeSpans(lattice, degree_bound)
-    span = linalg.kernel_echelon(spans.ud_conditions(d), degree_bound + 1)
+    # a witness x has the identity for T_d, so Z_{U_d} is S itself
+    span = (linalg.echelon(spans.covered_span(d)) if lattice.witness[d].right == RatPoly.x()
+            else linalg.kernel_echelon(spans.ud_conditions(d), degree_bound + 1))
     candidates = spans.candidates([d], lattice.covered_by(d))
     return _solution(span, _provenance(span[0], candidates), degree_bound)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from abelint import linalg
+from abelint import linalg, solver
 from abelint.config import COUNT_LIMIT, Config
 from abelint.cycles import CycleVector, IntervalSystem
 from abelint.errors import ConsistencyError, InputError
@@ -20,7 +20,7 @@ from abelint.monodromy import (DivisorLattice, divisor_lattice, monodromy,
 from abelint.ratpoly import (Decomposition, RatPoly, chebyshev, compose,
                              decompose_all, power_sums, trace_poly, w_adic)
 from abelint.solver import (_LatticeSpans, _pullback_span_rows, _sample_points,
-                            _trace_kernel, classify, common_right_factor,
+                            _trace_rows, classify, common_right_factor,
                             cycle_residual, fiber_values, puiseux,
                             solve_moment_problem, tracked_fiber_samples,
                             vanishing_basis, verify_vanishing_numeric,
@@ -182,6 +182,12 @@ def reference_trace_matrix(w, bound):
     return rows
 
 
+def trace_kernel(w, bound):
+    """Integer echelon of the Q of degree <= bound whose trace along the
+    fiber of w vanishes identically: the kernel of the trace matrix."""
+    return linalg.kernel_echelon(_trace_rows(w, bound, power_sums(w, bound)), bound + 1)
+
+
 def reference_power_sums(w, count):
     """Power sums of the roots of w(x) - z by Newton's identities on
     Fractions, with no scaling: p_k = -(c_1 p_(k-1) + ... + k c_k), c_m
@@ -222,10 +228,12 @@ def test_trace_matrix_from_power_sums(w, bound):
     # coefficients of the power sums p_0..p_bound
     sums = power_sum_polys(w, bound)
     assert sums == reference_power_sums(w, bound)
+    # a table extended from a smaller count is the table computed at once
+    assert power_sums(w, bound, power_sums(w, bound // 2)[1]) == power_sums(w, bound)
     table = [[p.coeff(j) for p in sums] for j in range(bound // w.degree + 1)]
     reference = reference_trace_matrix(w, bound)
     assert table == reference
-    assert linalg.to_fractions(*_trace_kernel(w, bound)) == linalg.rref(
+    assert linalg.to_fractions(*trace_kernel(w, bound)) == linalg.rref(
         linalg.nullspace(reference, bound + 1))[0]
 
 
@@ -242,7 +250,7 @@ def test_trace_kernel_closed_form(w, bound):
         for e in range(1, min(d - 1, bound - i * d) + 1):
             q = w ** i * (RatPoly.monomial(e) - sums[e] / d)
             rows.append([q.coeff(k) for k in range(bound + 1)])
-    assert linalg.rref(rows)[0] == linalg.to_fractions(*_trace_kernel(w, bound))
+    assert linalg.rref(rows)[0] == linalg.to_fractions(*trace_kernel(w, bound))
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,7 +288,7 @@ def test_trace_kernel_is_one_elimination(monkeypatch):
     for w, bound, eliminations in ((chebyshev(6), 24, 1), (X ** 2 + X / 3, 17, 1),
                                    (X ** 3, 0, 0), (X, 9, 0)):
         calls.clear()
-        kernel = _trace_kernel(w, bound)
+        kernel = trace_kernel(w, bound)
         assert len(calls) == eliminations, (w, bound)
         assert (kernel == ([], [])) == (eliminations == 0), (w, bound)
 
@@ -300,7 +308,7 @@ def exact_lattice(p):
 def stacked_ud_span(lattice, d, bound):
     """Z_{U_d} as one elimination of the trace-kernel rows of d and the
     pullback rows of the witnesses d covers."""
-    rows = _trace_kernel(lattice.witness[d].right, bound)[0] + [
+    rows = trace_kernel(lattice.witness[d].right, bound)[0] + [
         row for dt in lattice.covered_by(d)
         for row in _pullback_span_rows(lattice.witness[dt].right, bound)]
     return linalg.echelon(rows)
@@ -313,7 +321,7 @@ def stacked_vanishing_rows(cycles, lattice, bound):
     conditions = [row for d in sorted(comps) for row in linalg.nullspace(
         linalg.to_fractions(*stacked_ud_span(lattice, d, bound)), bound + 1)]
     rows = linalg.rref(linalg.nullspace(conditions, bound + 1))[0]
-    spans = [(f"trace-kernel({d})", _trace_kernel(lattice.witness[d].right, bound))
+    spans = [(f"trace-kernel({d})", trace_kernel(lattice.witness[d].right, bound))
              for d in lattice.members]
     spans += [(f"pullback({lattice.witness[d].right})",
                linalg.echelon(_pullback_span_rows(lattice.witness[d].right, bound)))
@@ -369,6 +377,79 @@ def test_witness_not_a_polynomial_in_the_finer_witness():
                  4: Decomposition(X ** 4 + X, X)})
     with pytest.raises(ConsistencyError, match="witness of 1 .* witness of 2"):
         z_ud_basis(X ** 4 + X, 2, lattice, 8)
+
+
+TOWER = compose(compose(X ** 2 + X, X ** 2 - X), X ** 2 + X / 2)
+
+
+def test_ud_basis_at_n_is_one_elimination(monkeypatch):
+    # the witness of n is x, whose trace matrix is the identity, so Z_{U_n}
+    # is the covered pullback span S: one echelon before the tags, and the
+    # stacked elimination's answer
+    calls = []
+    echelon, provenance = linalg.echelon, solver._provenance
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda rows: calls.append(len(rows)) or echelon(rows))
+    monkeypatch.setattr(solver, "_provenance",
+                        lambda rows, cands: calls.append("tags") or provenance(rows, cands))
+    for p, bound in ((X ** 8, 24), (TOWER, 40), (chebyshev(6), 40)):
+        lattice = exact_lattice(p)
+        calls.clear()
+        basis = z_ud_basis(p, p.degree, lattice, bound)
+        assert calls.index("tags") == 1, (p, bound)
+        assert linalg.integer_rows([[q.coeff(k) for k in range(bound + 1)]
+                                    for q in basis.basis]) == \
+            stacked_ud_span(lattice, p.degree, bound)[0], (p, bound)
+
+
+def test_lattice_tables_are_reused(monkeypatch):
+    # a second call on one lattice at the same or a smaller bound computes
+    # no power sums and no w-adic digits; a larger bound extends only the
+    # power sums of the witness it reads, and no h_dt
+    calls = []
+    for name in ("power_sums", "w_adic"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda w, *rest, real=real, name=name:
+                            calls.append((name, w)) or real(w, *rest))
+    lattice = exact_lattice(TOWER)
+    v = CycleVector(8, (1, -1, 0, 2, 0, 0, -1, 1))
+    z_delta_basis(TOWER, v, 24, rep=object(), lattice=lattice)
+    for d in lattice.members:
+        z_ud_basis(TOWER, d, lattice, 24)
+        z_vd_basis(TOWER, d, lattice, 24)
+    assert {name for name, _ in calls} == {"power_sums", "w_adic"}
+    calls.clear()
+    for bound in (24, 12, 0):
+        z_delta_basis(TOWER, v, bound, rep=object(), lattice=lattice)
+        for d in lattice.members:
+            z_ud_basis(TOWER, d, lattice, bound)
+            z_vd_basis(TOWER, d, lattice, bound)
+    assert calls == []
+    for d in lattice.members:
+        z_vd_basis(TOWER, d, lattice, 40)
+        assert calls == [("power_sums", lattice.witness[d].right)], d
+        z_ud_basis(TOWER, d, lattice, 40)
+        assert calls == [("power_sums", lattice.witness[d].right)], d
+        calls.clear()
+
+
+@settings(max_examples=30, deadline=None)
+@given(composites, st.lists(st.integers(0, 30), min_size=1, max_size=4), st.data())
+def test_lattice_tables_give_the_fresh_bases(p, bounds, data):
+    # one lattice called at rising and falling bounds gives the bases and
+    # tags of a fresh lattice each time, and stays equal to a fresh one;
+    # z_delta_basis reads the lattice alone, so the rep is a placeholder
+    lattice, n = exact_lattice(p), p.degree
+    v = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+                  .map(lambda v: CycleVector(n, v)))
+    for bound in bounds:
+        for d in lattice.members:
+            for basis in (z_ud_basis, z_vd_basis):
+                assert basis(p, d, lattice, bound) == basis(p, d, exact_lattice(p), bound)
+        assert z_delta_basis(p, v, bound, rep=object(), lattice=lattice) == \
+            z_delta_basis(p, v, bound, rep=object(), lattice=exact_lattice(p))
+    assert lattice == exact_lattice(p)
+    assert repr(lattice) == repr(exact_lattice(p))
 
 
 def _basis_json(sb):
