@@ -17,7 +17,7 @@ from dataclasses import replace
 from mpmath import mp
 
 from . import serialize as ser
-from .config import Config
+from .config import CONFIG_OPTIONS, Config
 from .cycles import build_constellation, constellation_svg, \
     real_interval_to_coefficients
 from .errors import ComputationError, InputError
@@ -61,13 +61,8 @@ def _config_from_args(args) -> Config:
     cfg = Config()
     if args.config:
         cfg = ser.config_from_json(_read_json(args.config))
-    overrides = {}
-    for name in ("precision_bits", "track_step", "collision_tol", "oracle_tol",
-                 "degree_bound", "samples", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **{name: getattr(args, name) for name in CONFIG_OPTIONS
+                           if getattr(args, name) is not None})
 
 
 def _poly_from_input(data) -> RatPoly:
@@ -339,13 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout)")
         cp.add_argument("--config", default=None,
                         help="JSON file with Config overrides")
-        cp.add_argument("--precision-bits", dest="precision_bits", type=int)
-        cp.add_argument("--track-step", dest="track_step", type=float)
-        cp.add_argument("--collision-tol", dest="collision_tol", type=float)
-        cp.add_argument("--oracle-tol", dest="oracle_tol", type=float)
-        cp.add_argument("--degree-bound", dest="degree_bound", type=int)
-        cp.add_argument("--samples", dest="samples", type=int)
-        cp.add_argument("--seed", dest="seed", type=int)
+        for name, (kind, _) in CONFIG_OPTIONS.items():
+            cp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
     return parser
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import get_args, get_type_hints
 
 from .errors import InputError
 
@@ -66,3 +67,9 @@ class Config:
 
 
 DEFAULT_CONFIG = Config()
+
+
+# Each Config field's number type and whether it may be null, in field
+# order: the CLI flags and `serialize.config_from_json` take these alone.
+CONFIG_OPTIONS = {name: ((get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+                  for name, hint in get_type_hints(Config).items()}

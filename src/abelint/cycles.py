@@ -21,7 +21,7 @@ from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError
-from .monodromy import MonodromyRep, standoffs, walk_fiber
+from .monodromy import MonodromyRep, polygon, standoffs, walk_fiber
 from .numerics import eval_poly, to_mpf
 from .ratpoly import RatPoly, critical_value_poly
 from .realroots import RealRoots
@@ -185,9 +185,7 @@ def continue_fiber_to_real(p: RatPoly, rep: MonodromyRep, z_target,
             if not (z_target < c < c0):
                 continue
             r = min(s, (c0 - c) / 3, (c - z_target) / 3)
-            # upper semicircle from c+r over the top to c-r
-            for k in range(9):
-                path.append(c + r * mp.exp(mp.mpc(0, 1) * mp.pi * k / 8))
+            path += polygon(c, r, 0)[:9]     # from c + r over the top to c - r
         path.append(mp.mpc(z_target))
         return [mp.mpc(x) for x in walk_fiber(p, path, rep.base_fiber, config)]
 

@@ -27,7 +27,8 @@ from mpmath.libmp.libelefun import cos_sin_basecase
 from .config import Config, DEFAULT_CONFIG
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
-from .monodromy import DivisorLattice, MonodromyRep, match_permutation, walk_fiber
+from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon,
+                        walk_fiber)
 from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
                        roots_of_shifted, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
@@ -791,8 +792,7 @@ def local_cyclic_order(f: RatPoly, critical_point, n_local: int, z_probe, fiber:
         order_all = sorted(range(len(fiber)),
                            key=lambda i: abs(fiber[i] - critical_point))
         cluster = sorted(order_all[:n_local])
-        loop = [z_probe * mp.exp(mp.mpc(0, 2) * mp.pi * j / 32) for j in range(33)]
-        end = walk_fiber(f, loop, fiber, config)
+        end = walk_fiber(f, polygon(0, z_probe, 0, 32), fiber, config)
         sigma = match_permutation(fiber, [mp.mpc(x) for x in end])
         start = cluster[0]
         out = [start]

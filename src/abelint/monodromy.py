@@ -264,16 +264,11 @@ def _double(x):
 
 def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
     """Python complex floats, or None when a coefficient of p or p' or a
-    path point leaves the normal double range.  A point's part below that
-    range is let through when it is at most 2^-60 |z|, where it is noise:
-    `_circle` builds its nodes at the working precision, so at 1024 bits
-    and above a node on an axis carries a part near 10^-319 where the exact
-    value is 0."""
+    part of a path point is neither 0 nor a normal double."""
     cp = [_double(c) for c in reversed(p.coeffs)]
     cdp = [_double(c) for c in reversed(dp.coeffs)]
-    if None in cp or None in cdp or any(
-            _double(part) is None and abs(part) > mp.ldexp(abs(z), -60)
-            for z in points for part in (mp.re(z), mp.im(z))):
+    if None in cp or None in cdp or any(_double(part) is None for z in points
+                                        for part in (mp.re(z), mp.im(z))):
         return None
     return _Tier(float, lambda z, fiber: _machine_newton(cp, cdp, z, fiber),
                  _machine_gap, _escalate)
@@ -513,15 +508,16 @@ def _sweep_rotation(cvs, c0):
     return phi(j), gaps[j]
 
 
-def _circle(center, radius, angle) -> list:
-    """The 16-gon on the circle |z - center| = radius, counterclockwise from
-    its foot center + radius*e^(i*angle) back to exactly that point."""
-    turn = mp.exp(mp.mpc(0, 1) * mp.pi / 8)
-    direction = mp.exp(mp.mpc(0, 1) * angle)
-    ring = []
-    for _ in range(16):
-        ring.append(center + radius * direction)
-        direction *= turn
+def polygon(center, radius, turn, count: int = 16) -> list:
+    """The count-gon center + radius e^(i pi (turn + 2j/count)), j = 0 ...
+    count - 1, closed on its first node: every loop and arc is built here.
+    A loop only has to keep its homotopy class, so the unit turns are
+    `mp.expjpi` at 53 bits at any working precision, and with a dyadic turn
+    and a power-of-two count a node on an axis is exact.  A complex radius
+    turns the polygon by its argument."""
+    with mp.workprec(53):
+        units = [mp.expjpi(turn + 2 * j / count) for j in range(count)]
+    ring = [center + radius * u for u in units]
     return ring + ring[:1]
 
 
@@ -550,7 +546,7 @@ def _petal_paths(c0, cvs):
     order_keys = []
     for i, w in enumerate(ws):
         r = min(offs[i], gap / 3)
-        circle = _circle(w, r, -mp.pi / 2)
+        circle = polygon(w, r, -0.5)
         # a climb far longer than r is split geometrically (each point 2^10
         # times farther below w than the next), so no segment is long next
         # to its distance from the critical value
@@ -558,8 +554,10 @@ def _petal_paths(c0, cvs):
         while d <= (mp.im(w) - highway) / 2 ** 10:
             climb.insert(0, w - mp.mpc(0, 1) * d)
             d *= 2 ** 10
-        approach = [w0, mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway)] + climb
-        loops.append(tuple([pt * back for pt in part] for part in (approach, circle)))
+        # from c0 itself: w0 * back is c0 plus an imaginary noise below doubles
+        approach = [mp.mpc(mp.re(w0), highway), mp.mpc(mp.re(w), highway)] + climb
+        loops.append(([mp.mpc(c0)] + [pt * back for pt in approach],
+                      [pt * back for pt in circle]))
         order_keys.append(mp.re(w))
     return loops, order_keys
 
@@ -619,7 +617,7 @@ def _infinity_loop(cvs):
     base point to the circle's foot, where the circle starts and ends."""
     radius = 2 * (1 + max(abs(c) for c in cvs))
     c0 = mp.mpf(radius)
-    circle = _circle(0, 2 * radius, 0)
+    circle = polygon(0, 2 * radius, 0)
     return c0, ([c0, circle[0]], circle)
 
 

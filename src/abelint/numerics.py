@@ -118,11 +118,16 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
     `_machine_roots` starts them in doubles on x = 2^k u, with 2^k near the
     Fujiwara bound of the monic coefficients of p - z, formed exactly and
     rounded once (found in mp, so no coefficient needs to fit in a double).
+    Without such a start, or when its refine fails, `mpmath.polyroots`
+    sweeps the same polynomial in u at 2 x prec bits, with a step budget
+    that grows with prec (near a multiple root it gains about one bit per
+    step); for a real p - z, a root whose |Im| is under a quarter of its
+    distance to the nearest other root (`match_permutation`'s margin) is put
+    on the axis, and the others are paired as exact conjugates.
     `newton_fixed` refines the starts at prec - 32, to 2^-(prec - 23) of
     each root's own scale, into n distinct roots; a real p - z gives real
-    roots and exact conjugates.  Without such a start, or when the refine
-    fails, `mpmath.polyroots` sweeps at 2 x prec bits; near a multiple root
-    it gains about one bit per step, so its step budget grows with prec."""
+    roots and exact conjugates.  Where that fails on the sweep's roots,
+    they are returned as they are."""
     with mp.workprec(prec):
         z = to_mpc(z, prec)
         re, im = z._mpc_
@@ -130,22 +135,35 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
         coeffs[-1] = mp.make_mpc((_fraction_mpf(p.coeffs[0] - Fraction(*to_rational(re)),
                                                 prec), mpf_neg(im)))
         monic = [c / coeffs[0] for c in coeffs[1:]]
-        k = max((-(-mp.mag(c) // j) for j, c in enumerate(monic, 1) if c), default=None)
-        rts = None
-        if k is not None:
-            scaled = [c * mp.ldexp(1, -j * k) for j, c in enumerate(monic, 1)]
-            start = _machine_roots([float(c.real) for c in scaled] if z.imag == 0
-                                   else [complex(c) for c in scaled])
-            if start is not None:
-                unit = mp.ldexp(1, k)
-                rts = newton_fixed(p, z, [mp.mpc(u) * unit for u in start], prec - 32)
+        k = max((-(-mp.mag(c) // j) for j, c in enumerate(monic, 1) if c), default=0)
+        scaled = [c * mp.ldexp(1, -j * k) for j, c in enumerate(monic, 1)]
+        unit = mp.ldexp(1, k)
+        start = _machine_roots([float(c.real) for c in scaled] if z.imag == 0
+                               else [complex(c) for c in scaled])
+        rts = start and newton_fixed(p, z, [mp.mpc(u) * unit for u in start], prec - 32)
         if rts is None:
             try:
-                rts = map(mp.mpc, mpmath.polyroots(coeffs, maxsteps=max(200, 4 * prec),
-                                                   extraprec=prec))
+                sweep = [mp.mpc(u) * unit for u in mpmath.polyroots(
+                    [1] + scaled, maxsteps=max(200, 4 * prec), extraprec=prec)]
             except mpmath.libmp.NoConvergence as exc:
                 raise ComputationError(f"root finding did not converge: {exc}")
+            if z.imag == 0:
+                sweep = _conjugate_closed(sweep, [4 * abs(x.imag) < min(
+                    (abs(x - y) for y in sweep if y is not x), default=mp.inf)
+                    for x in sweep]) or sweep
+            rts = newton_fixed(p, z, sweep, prec - 32) or sweep
         return sorted(rts, key=lambda r: (mp.re(r), mp.im(r)))
+
+
+def _conjugate_closed(roots: list, real: list) -> list | None:
+    """The roots of a real polynomial, Python complex values or mpc, with
+    those flagged in `real` put on the axis and those below it replaced by
+    the exact conjugates of those above; None when they do not pair up."""
+    upper = [x for x, on_axis in zip(roots, real) if not on_axis and x.imag > 0]
+    if sum(real) + 2 * len(upper) != len(roots):
+        return None
+    return ([type(x)(x.real) for x, on_axis in zip(roots, real) if on_axis]
+            + upper + [x.conjugate() for x in upper])
 
 
 def _machine_roots(monic: list) -> list | None:
@@ -192,11 +210,7 @@ def _machine_roots(monic: list) -> list | None:
     tiny = 2.0 ** -40 * scale
     roots = [complex(0.0 if abs(x.real) < tiny else x.real,
                      0.0 if abs(x.imag) < tiny else x.imag) for x in roots]
-    real = [x for x in roots if x.imag == 0]
-    upper = [x for x in roots if x.imag > 0]
-    if len(real) + 2 * len(upper) != n:
-        return None
-    return real + upper + [x.conjugate() for x in upper]
+    return _conjugate_closed(roots, [x.imag == 0 for x in roots])
 
 
 def pair_gap(fiber):

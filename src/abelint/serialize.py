@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .config import COUNT_LIMIT, Config
+from .config import CONFIG_OPTIONS, COUNT_LIMIT, Config
 from .cycles import (CycleVector, IntervalSystem, LevelCycle,
                      VanishingCycleCombo, WeightedInterval)
 from .errors import InputError
@@ -299,17 +299,8 @@ def _config_number(key: str, val, integral: bool):
 
 def config_from_json(data) -> Config:
     _expect(isinstance(data, dict), "config must be an object")
-    allowed = {"precision_bits", "track_step", "collision_tol", "oracle_tol",
-               "degree_bound", "samples", "seed"}
-    unknown = set(data) - allowed
+    unknown = set(data) - set(CONFIG_OPTIONS)
     _expect(not unknown, f"unknown config fields: {sorted(unknown)}")
-    kwargs = {}
-    for key in allowed & set(data):
-        val = data[key]
-        if val is None and key in ("oracle_tol", "degree_bound"):
-            kwargs[key] = None          # the Config default
-        else:
-            kwargs[key] = _config_number(
-                key, val, key in ("precision_bits", "degree_bound", "samples",
-                                  "seed"))
-    return Config(**kwargs)
+    return Config(**{key: None if data[key] is None and nullable   # the Config default
+                      else _config_number(key, data[key], kind is int)
+                      for key, (kind, nullable) in CONFIG_OPTIONS.items() if key in data})

@@ -15,11 +15,14 @@ from mpmath import mp
 
 from abelint import numerics
 from abelint.config import Config
+import abelint.cycles as cycles
+from abelint.cycles import (IntervalSystem, continue_fiber_to_real,
+                            real_interval_to_coefficients)
 from abelint.errors import (ComputationError, ConsistencyError, InputError,
                             TrackingError)
 from abelint.monodromy import (Permutation, _infinity_loop, _machine_tier,
                                _petal_paths, _sweep_rotation, continue_fiber,
-                               critical_values,
+                               critical_values, polygon,
                                divisor_lattice, generated_group_order,
                                is_full_symmetric, match_permutation, monodromy,
                                track_fiber)
@@ -413,9 +416,9 @@ def test_tiny_coefficient_runs_on_the_mp_tier(config):
 
 
 def test_machine_tier_runs_at_1024_bits(monkeypatch):
-    # at 1024 bits the circle nodes on an axis carry parts near 10^-319
-    # where the exact value is 0; they are noise beside the point, so the
-    # loops still track on machine floats
+    # every loop node on an axis is exact (`polygon`), so the loops at 1024
+    # bits still track on machine floats, and a path point with a part below
+    # the normal double range runs on the mp tier
     mono = importlib.import_module("abelint.monodromy")
     calls, newton = [], mono._machine_newton
 
@@ -431,8 +434,55 @@ def test_machine_tier_runs_at_1024_bits(monkeypatch):
         assert calls, p
     with mp.workprec(1056):
         tiny = mp.mpf(2) ** -1060
-        assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, tiny), mp.mpc(tiny, -1)])
+        assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, tiny), mp.mpc(tiny, -1)]) is None
         assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, 0), mp.mpc(tiny, tiny)]) is None
+
+
+@pytest.mark.parametrize("bits", [128, 4096])
+def test_polygon_turns_are_53_bit_units(bits, monkeypatch):
+    # whatever the working precision, the unit turns come from exponentials
+    # at 53 bits, and a complex radius gives the loop of `local_cyclic_order`,
+    # which closes on its own first node, exactly z
+    precs = []
+    for name in ("exp", "expjpi"):
+        monkeypatch.setattr(mp, name, lambda *args, _f=getattr(mp, name):
+                            precs.append(mp.prec) or _f(*args))
+    with mp.workprec(bits + 32):
+        z = mp.mpc(-1, 1) / 3
+        loop = polygon(0, z, 0, 32)
+        assert loop[0] == loop[-1] == z and len(loop) == 33
+        ring = polygon(mp.mpf(1) / 3, mp.mpf(1) / 7, -0.5)
+    assert precs == [53] * 48
+    assert len(ring) == 17 and ring[-1] == ring[0]
+
+
+def test_loops_and_arcs_at_4096_bits(monkeypatch):
+    # every loop closes on its own first node, starts at the base point and
+    # reaches the circle's foot; each node on an axis through the centre is
+    # exact, so every path point fits in doubles and the machine tier takes
+    # the loops and the real walk's arcs
+    p, config = chebyshev(6), Config(precision_bits=4096)
+    cvs = critical_values(p, config)
+    with mp.workprec(4128):
+        c0, loop_inf = _infinity_loop(cvs)
+        for (approach, circle), center in zip([loop_inf] + _petal_paths(c0, cvs)[0],
+                                              [0] + cvs):
+            assert circle[-1] == circle[0] == approach[-1] and approach[0] == c0
+            for node in circle[:16:4]:
+                assert 0 in (mp.re(node - center), mp.im(node - center))
+            assert _machine_tier(p, p.derivative(), approach + circle) is not None
+    paths, walk = [], cycles.walk_fiber
+
+    def spy(p, path, start_fiber, config):
+        paths.append(path)
+        return walk(p, path, start_fiber, config)
+
+    monkeypatch.setattr(cycles, "walk_fiber", spy)
+    continue_fiber_to_real(p, monodromy(p, config), Fraction(-1, 2), config)
+    (path,) = paths
+    assert len(path) == 2 + 9                   # one arc, over the critical value 1
+    assert [mp.im(z) == 0 for z in path] == [True, True] + [False] * 7 + [True, True]
+    assert _machine_tier(p, p.derivative(), path) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +794,44 @@ def test_precision_robustness(config, t6_rep):
 def test_precision_robustness_quintic(config, quintic_rep):
     rep2 = monodromy(QUINTIC, config.doubled())
     assert rep2.generators == quintic_rep.generators
+
+
+def _permutations_and_cycles(p, a, b, bits):
+    """The generators, petal order and infinity permutation of p at `bits`,
+    with the level cycles of the interval [a, b] (each as its criticality
+    and vector), or the error the walk raises."""
+    config = Config(precision_bits=bits)
+    rep = monodromy(p, config)
+    try:
+        levels = [(lc.is_critical, lc.cycle) for lc in real_interval_to_coefficients(
+            p, IntervalSystem.of((a, b, 1)), rep, config)]
+    except ComputationError as exc:
+        levels = f"{type(exc).__name__}: {exc}"
+    return rep.generators, rep.petal_order, rep.infinity, levels
+
+
+_DYADIC = st.builds(Fraction, st.integers(-16, 16), st.just(8))
+
+
+def _cubic_case(e):
+    """x^3 - 3e^2 x on [-e, e/2]."""
+    return _stress_cubic(e), -e, e / 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.builds(lambda lower, lead: RatPoly(lower + [lead]),
+                           st.integers(2, 6).flatmap(
+                               lambda d: st.lists(_SMALL, min_size=d, max_size=d)),
+                           _LEAD),
+                 _DYADIC, _DYADIC).filter(lambda case: case[1] != case[2]))
+@example(_cubic_case(Fraction(1)))
+@example(_cubic_case(Fraction(1, 2 ** 4)))
+@example(_cubic_case(Fraction(1, 2 ** 10)))
+def test_precision_changes_no_permutation(case):
+    """Every permutation `monodromy` reads and the level cycles of one
+    interval are the same at 128 and at 1024 bits."""
+    p, a, b = case
+    assert _permutations_and_cycles(p, a, b, 1024) == _permutations_and_cycles(p, a, b, 128)
 
 
 # ---------------------------------------------------------------------------

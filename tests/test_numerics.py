@@ -14,12 +14,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import mpmath
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_neg
 
+from abelint import numerics
 from abelint.config import Config
 from abelint.monodromy import track_fiber
 from abelint.numerics import (eval_poly, fiber_roots, fiber_values, min_pairwise_distance,
@@ -166,18 +168,33 @@ def test_fiber_roots_match_polyroots(lower, lead, re_z, im_z, s, prec):
     with mp.workprec(prec):
         z = mp.mpc(mp.mpf(re_z.numerator) / re_z.denominator,
                    mp.mpf(im_z.numerator) / im_z.denominator)
+    got = fiber_roots(q, z, prec)
+    assert got == sorted(got, key=lambda r: (r.real, r.imag))
+    _assert_polyroots_roots(got, p, z, s, prec)
+
+
+def _assert_polyroots_roots(got, p, z, s, prec):
+    """`got` is 2^-s times the roots of p(x) - z from `mpmath.polyroots` at
+    2 x prec bits, to 2^-(prec - 32) of the fiber's scale."""
     with mp.workprec(2 * prec):
         coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
         coeffs[-1] -= z
         want = [r * mp.ldexp(1, -s) for r in
                 mpmath.polyroots(coeffs, maxsteps=2000, extraprec=2 * prec)]
-    got = fiber_roots(q, z, prec)
-    assert got == sorted(got, key=lambda r: (r.real, r.imag))
-    with mp.workprec(2 * prec):
         tol = mp.ldexp(max(abs(r) for r in want), 32 - prec)
         nearest = [min(range(len(got)), key=lambda i: abs(got[i] - r)) for r in want]
         assert sorted(nearest) == list(range(p.degree))
         assert all(abs(got[i] - r) <= tol for i, r in zip(nearest, want))
+
+
+def _assert_conjugate_closed(fiber):
+    """Every root of `fiber` is exactly real or has its exact conjugate in
+    `fiber`, bit for bit."""
+    unpaired = Counter()
+    for re, im in (x._mpc_ for x in fiber):
+        unpaired[re, im] += 1
+        unpaired[re, mpf_neg(im)] -= 1
+    assert not +unpaired and not -unpaired
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,11 +211,27 @@ def test_real_fibers_are_real_roots_and_exact_conjugates(lower, lead, z, s, prec
     p = RatPoly(lower + [lead])
     assume(squarefree_part(p - RatPoly([z])).degree == p.degree)
     q = RatPoly([c * Fraction(2) ** (s * j) for j, c in enumerate(p.coeffs)])
-    unpaired = Counter()
-    for re, im in (x._mpc_ for x in fiber_roots(q, z, prec)):
-        unpaired[re, im] += 1
-        unpaired[re, mpf_neg(im)] -= 1
-    assert not +unpaired and not -unpaired
+    _assert_conjugate_closed(fiber_roots(q, z, prec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.lists(_COEFF, min_size=d, max_size=d)),
+       _LEAD, _COEFF, st.sampled_from([600, -600]), st.sampled_from([96, 160]))
+def test_polyroots_fallback_at_extreme_scales(lower, lead, z, s, prec):
+    """Without a double start, the `mpmath.polyroots` fallback of
+    `fiber_roots` sweeps on the scaled monic polynomial and hands its roots,
+    made real or exactly conjugate, to the refine: roots near 2^600 converge
+    and roots near 2^-600 keep a real p - z's fiber closed under exact
+    conjugation, matching polyroots at 2 x prec on p - z itself."""
+    p = RatPoly(lower + [lead])
+    assume(squarefree_part(p - RatPoly([z])).degree == p.degree)
+    q = RatPoly([c * Fraction(2) ** (s * j) for j, c in enumerate(p.coeffs)])
+    with mp.workprec(prec):
+        z = mp.mpf(z.numerator) / z.denominator
+    with patch.object(numerics, "_machine_roots", lambda monic: None):
+        got = fiber_roots(q, z, prec)
+    _assert_conjugate_closed(got)
+    _assert_polyroots_roots(got, p, z, s, prec)
 
 
 # a root is (k, re, im): (re + im i) 2^(k - 10), with 2^9 <= |re| or |im|
