@@ -12,27 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cycles import CycleVector
 from .errors import ConsistencyError, InputError
 from .monodromy import DivisorLattice
-from .ratpoly import RatPoly, cyclotomic_divides
+from .ratpoly import cyclotomic_remainder
 
 
 def pairing_is_zero(v: CycleVector, k: int) -> bool:
     """Whether sum_i v_i eps_n^{(i-1)k} vanishes, decided exactly.
 
     The sum is rewritten as u(eps_n) for u(x) = sum_i v_i x^{((i-1)k) mod n},
-    and u(eps_n) = 0 iff the n-th cyclotomic polynomial divides u.
+    and u(eps_n) = 0 iff the n-th cyclotomic polynomial divides u: with v's
+    denominators cleared, iff u's integer remainder modulo Phi_n is zero.
     """
     n = v.n
     if not 1 <= k <= n:
         raise InputError(f"pairing index must lie in 1..{n}")
-    coeffs = [Fraction(0)] * n
+    den = lcm(*(vi.denominator for vi in v.v))
+    coeffs = [0] * n
     for i, vi in enumerate(v.v):
-        coeffs[(i * k) % n] += vi
-    return cyclotomic_divides(n, RatPoly(coeffs))
+        coeffs[(i * k) % n] += vi.numerator * (den // vi.denominator)
+    return not any(cyclotomic_remainder(n, coeffs))
 
 
 @dataclass(frozen=True)

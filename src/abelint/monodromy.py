@@ -718,7 +718,7 @@ class DivisorLattice:
     members: tuple[int, ...]
     covers: dict[int, tuple[int, ...]]
     witness: dict[int, Decomposition]
-    # bound-free exact data (`solver._LatticeSpans`), built on first use and only grown
+    # bound-free exact data (`solver._LatticeSpans`): power sums, T_d, h_dt, powers
     tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def covered_by(self, d: int) -> tuple[int, ...]:

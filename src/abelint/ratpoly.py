@@ -490,11 +490,20 @@ def cyclotomic(n: int) -> RatPoly:
     return num
 
 
+def cyclotomic_remainder(n: int, coeffs: list | tuple) -> list:
+    """The remainder of sum_i coeffs[i] x^i modulo the monic integer Phi_n,
+    constant term first: integer coefficients stay integers."""
+    phi = [c.numerator for c in cyclotomic(n).coeffs]
+    e, rem = len(phi) - 1, list(coeffs)
+    for i in range(len(rem) - 1, e - 1, -1):
+        q = rem[i]
+        rem[i - e:i + 1] = [r - q * c for r, c in zip(rem[i - e:i + 1], phi)]
+    return rem[:e]
+
+
 def cyclotomic_divides(n: int, u: RatPoly) -> bool:
     """Whether Phi_n divides u; equivalently u vanishes at a primitive
     n-th root of unity.  Requires deg u < n."""
-    if u.is_zero():
-        return True
-    if u.degree >= n:
+    if not u.is_zero() and u.degree >= n:
         raise InputError("cyclotomic_divides requires deg u < n")
-    return (u % cyclotomic(n)).is_zero()
+    return not any(cyclotomic_remainder(n, u.coeffs))

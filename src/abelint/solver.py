@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from mpmath import mp
@@ -108,14 +108,25 @@ def _pullback_span_rows(w: RatPoly, bound: int, tables: dict | None = None) -> l
     return [power + [0] * (bound + 1 - len(power)) for power in powers[:bound // w.degree + 1]]
 
 
+def _in_pullback(rows: list[list[int]], m: int, v: list[int]) -> bool:
+    """Whether the integer row v lies in the span of the rows W^j of
+    `_pullback_span_rows`, each of degree exactly j m: v's top nonzero
+    entry, at k > 0, needs m | k and is cancelled by v <- a v - b W^(k/m)."""
+    k = len(v)
+    while (k := next((i for i in range(k - 1, -1, -1) if v[i]), -1)) > 0 and not k % m:
+        power = rows[k // m]
+        g = gcd(power[k], v[k])
+        v = [power[k] // g * x - v[k] // g * y for x, y in zip(v, power[:k])]
+    return k <= 0
+
+
 def _annihilates(rows: list[list[int]], v: list[int]) -> bool:
     """Whether every integer row is orthogonal to v."""
     return not any(sum(map(mul, row, v)) for row in rows)
 
 
 class _LatticeSpans:
-    """The trace conditions of a divisor lattice inside degree <= bound, each
-    trace matrix computed at most once.
+    """The trace conditions of a divisor lattice inside degree <= bound.
 
     With w the witness of d, m = deg w and B the bound, Z_{U_d} is the
     preimage under Tr_w of a span of polynomials in z of degree <= B // m:
@@ -126,24 +137,25 @@ class _LatticeSpans:
     h_dt is read off the w-adic digits of W_dt, which must all be
     constants.  The conditions of Z_{U_d} are the rows l^T T for l in the
     kernel of the rows of S, and T itself when d covers nothing; every
-    basis is a kernel of such rows (`linalg.kernel_echelon`).  Power sums,
-    h_dt and powers are bound-free: they live in the lattice's `tables`,
-    each built on first use and grown only when a larger bound needs more."""
+    basis is a kernel of such rows (`linalg.kernel_echelon`).  Power sums and
+    T_d at the largest bound so far, h_dt and powers are bound-free: they
+    live in the lattice's `tables`, each built on first use and grown only
+    when a larger bound needs more."""
 
     def __init__(self, lattice: DivisorLattice, bound: int):
         self.lattice = lattice
         self.bound = bound
         self.tables = lattice.tables
-        self._traces: dict[int, list[list[int]]] = {}
 
     def trace_rows(self, d: int) -> list[list[int]]:
-        """T_d, the integer trace matrix of the witness of d."""
-        if d not in self._traces:
-            w, sums = self.lattice.witness[d].right, self.tables.get(("sums", d))
-            if sums is None or len(sums[1]) <= self.bound:
-                sums = self.tables["sums", d] = power_sums(w, self.bound, sums and sums[1])
-            self._traces[d] = _trace_rows(w, self.bound, sums)
-        return self._traces[d]
+        """T_d up to a constant factor: the first B // m + 1 rows and B + 1
+        columns of the table's T_d at its bound B' >= B, D^(B' - B) T_d."""
+        w, sums = self.lattice.witness[d].right, self.tables.get(("sums", d))
+        if sums is None or len(sums[1]) <= self.bound:
+            sums = self.tables["sums", d] = power_sums(w, self.bound, sums and sums[1])
+            self.tables["trace", d] = _trace_rows(w, self.bound, sums)
+        return [row[:self.bound + 1]
+                for row in self.tables["trace", d][:self.bound // w.degree + 1]]
 
     def _outer(self, d: int, dt: int) -> RatPoly:
         """h with W_dt = h(w), w and W_dt the witnesses of d and dt."""
@@ -182,8 +194,8 @@ class _LatticeSpans:
         the pullback rings of the witnesses of `pullbacks`."""
         out = [(f"trace-kernel({d})",
                 lambda d=d: partial(_annihilates, self.trace_rows(d))) for d in kernels]
-        out += [(f"pullback({w})", lambda w=w: partial(linalg.in_echelon, *linalg.echelon(
-                    _pullback_span_rows(w, self.bound, self.tables))))
+        out += [(f"pullback({w})", lambda w=w: partial(
+                    _in_pullback, _pullback_span_rows(w, self.bound, self.tables), w.degree))
                 for w in (self.lattice.witness[d].right for d in pullbacks)]
         return out
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelint.cycles import CycleVector
 from abelint.errors import InputError
@@ -11,7 +12,7 @@ from abelint.invariant import (decompose_v_delta, pairing_is_zero, psi_set,
                                u_d_dimension_table, u_d_rational_basis,
                                v_d_basis)
 from abelint.monodromy import divisor_lattice, monodromy
-from abelint.ratpoly import RatPoly, chebyshev
+from abelint.ratpoly import RatPoly, chebyshev, cyclotomic, divisors
 
 X = RatPoly.x()
 
@@ -45,6 +46,31 @@ def test_pairing_conjugation_symmetry():
         v = CycleVector(n, tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)))
         for k in range(1, n):
             assert pairing_is_zero(v, k) == pairing_is_zero(v, n - k)
+
+
+# a cycle of length n = 1..16: a d-periodic part (d | n) with Fraction
+# entries, whose pairings vanish unless (n/d) | k, plus sparse Fraction noise
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+sparse_noise = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1, 2)])
+fraction_cycles = st.integers(1, 16).flatmap(lambda n: st.builds(
+    lambda d, period, noise: CycleVector(n, tuple(period[i % d] + noise[i]
+                                                  for i in range(n))),
+    st.sampled_from(divisors(n)),
+    st.lists(small_fractions, min_size=n, max_size=n),
+    st.lists(sparse_noise, min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_cycles)
+def test_pairing_on_integers_matches_fraction_division(v):
+    # the integer remainder modulo Phi_n decides what Fraction division of
+    # u(x) = sum_i v_i x^((i-1)k mod n) by Phi_n decides, for every k
+    n = v.n
+    for k in range(1, n + 1):
+        u = [Fraction(0)] * n
+        for i, vi in enumerate(v.v):
+            u[(i * k) % n] += vi
+        assert pairing_is_zero(v, k) == (RatPoly(u) % cyclotomic(n)).is_zero(), (v, k)
 
 
 def test_pairing_index_range():

@@ -402,6 +402,61 @@ def test_ud_basis_at_n_is_one_elimination(monkeypatch):
             stacked_ud_span(lattice, p.degree, bound)[0], (p, bound)
 
 
+def test_one_trace_matrix_per_witness(monkeypatch):
+    # a call at a smaller bound reads a corner of the trace matrix the
+    # lattice holds at its largest bound: one _trace_rows per witness
+    lattice, bounds = exact_lattice(TOWER), (40, 24, 12)
+    fresh = {(d, bound): z_vd_basis(TOWER, d, exact_lattice(TOWER), bound)
+             for d in lattice.members for bound in bounds}
+    calls = []
+    trace_rows = solver._trace_rows
+    monkeypatch.setattr(solver, "_trace_rows",
+                        lambda *args: calls.append(args[1]) or trace_rows(*args))
+    for d in lattice.members:
+        calls.clear()
+        for bound in bounds:
+            assert z_vd_basis(TOWER, d, lattice, bound) == fresh[d, bound], (d, bound)
+        assert calls == [40], d
+
+
+def test_warm_pullback_tags_need_no_elimination(monkeypatch):
+    # z_ud_basis at n on T6 is one echelon of the covered pullback span; its
+    # rows are tagged against the powers of the witnesses of 2 and 3 that
+    # the lattice holds, with no elimination
+    lattice = exact_lattice(chebyshev(6))
+    z_ud_basis(chebyshev(6), 6, lattice, 40)
+    calls = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda rows: calls.append(len(rows)) or echelon(rows))
+    basis = z_ud_basis(chebyshev(6), 6, lattice, 40)
+    assert len(calls) == 1
+    assert set(basis.provenance) == {"pullback(x^2)", "pullback(x^3 - 3/4*x)"}
+    monkeypatch.undo()
+    assert basis == z_ud_basis(chebyshev(6), 6, exact_lattice(chebyshev(6)), 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(composites, st.integers(0, 40), st.data())
+def test_top_down_pullback_test_matches_the_echelon(p, bound, data):
+    # W^j has degree exactly j m, so reducing a row from the top against the
+    # powers decides membership in span{1, W, ..., W^(bound // m)} as the
+    # echelon of the padded rows does: members are integer combinations of
+    # the powers, non-members a member plus c x^k with m not dividing k
+    w = data.draw(st.sampled_from([dec.right for dec in decompose_all(p)]))
+    m, rows = w.degree, _pullback_span_rows(w, bound)
+    span = linalg.echelon(rows)
+    member_of = functools.partial(solver._in_pullback, rows, m)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    row = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(bound + 1)]
+    assert member_of(row) and linalg.in_echelon(*span, row)
+    off = [k for k in range(bound + 1) if k % m]
+    if off:
+        row[data.draw(st.sampled_from(off))] += data.draw(st.integers(-3, 3).filter(bool))
+        assert not member_of(row) and not linalg.in_echelon(*span, row)
+
+
 def test_lattice_tables_are_reused(monkeypatch):
     # a second call on one lattice at the same or a smaller bound computes
     # no power sums and no w-adic digits; a larger bound extends only the
