@@ -19,7 +19,7 @@ COUNT_LIMIT = 1 << 16   # largest count (degree bound, samples, ...) an input ma
 @dataclass(frozen=True)
 class Config:
     precision_bits: int = 128
-    track_step: float = 0.25      # initial step, as a fraction of the segment length
+    track_step: float = 0.25      # fraction of the fiber gap one step may move a root
     collision_tol: float = 2.0 ** -40   # relative root-collision threshold
     oracle_tol: float | None = None     # default: 2^-(precision_bits/4)
     degree_bound: int | None = None     # default at use sites: 2*deg(P)

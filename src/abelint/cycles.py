@@ -21,9 +21,9 @@ from mpmath.libmp import to_rational
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ComputationError, InputError
-from .monodromy import MonodromyRep, polygon, standoffs, walk_fiber
+from .monodromy import MonodromyRep, exact_picture, polygon, standoffs, walk_fiber
 from .numerics import eval_poly, to_mpf
-from .ratpoly import RatPoly, critical_value_poly
+from .ratpoly import RatPoly
 from .realroots import RealRoots
 
 
@@ -305,9 +305,7 @@ def real_interval_to_coefficients(p: RatPoly, system: IntervalSystem,
             walks.append((a, b, w) if a < b else (b, a, -w))
 
         vectors = [[Fraction(0)] * n for _ in levels]
-        turning_points = RealRoots(p.derivative())
-        cv_poly = critical_value_poly(p)
-        critical = RealRoots(cv_poly)
+        cv_poly, critical, turning_points = exact_picture(p, rep.exact)
         gap_labels = {}     # gap -> the label of each rank, filled lazily
         for a, b, w in walks:
             cuts = [a] + turning_points.between(a, b, mp.prec) + [b]

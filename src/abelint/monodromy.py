@@ -3,7 +3,8 @@
 The group is computed from one petal loop per finite critical value plus a
 large circle for the loop around infinity, all tracked with an adaptive
 predictor-corrector (predictor: previous fiber, corrector: Newton on the
-whole fiber).  The step control runs on one of two tiers: the working
+whole fiber), each step sized by how far the fiber can safely move (its
+reach, `_reach`).  The step control runs on one of two tiers: the working
 precision throughout, with `numerics.newton_fixed` as its corrector
 (`track_fiber`, the reference), or machine complex arithmetic that hands
 near-collision segments to the working precision (`_walk`, which every
@@ -146,15 +147,26 @@ def generated_group_order(generators: list[Permutation]) -> int:
 # critical values
 # ---------------------------------------------------------------------------
 
-def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG) -> list:
+def exact_picture(p: RatPoly, kept: dict) -> tuple:
+    """P's exact picture: `critical_value_poly(p)`, its `RealRoots` and the
+    turning points `RealRoots(p')`, built on first use and kept in `kept`
+    under p (a rep's `MonodromyRep.exact`, which `monodromy` fills)."""
+    if p not in kept:
+        r = critical_value_poly(p)
+        kept[p] = r, RealRoots(r), RealRoots(p.derivative())
+    return kept[p]
+
+
+def critical_values(p: RatPoly, config: Config = DEFAULT_CONFIG,
+                    exact: dict | None = None) -> list:
     """Distinct finite critical values of p, sorted by (re, im): the roots of
     `critical_value_poly(p)`, the real ones exactly real and correctly
-    rounded at precision_bits + 32 bits, the others from `roots_of`."""
+    rounded at precision_bits + 32 bits, the others from `roots_of`.  The
+    exact picture is kept in `exact` when given."""
     if p.is_zero() or p.degree < 2:
         raise InputError("critical_values requires deg p >= 2")
     prec = config.precision_bits + 32
-    r = critical_value_poly(p)
-    real = RealRoots(r)
+    r, real, _ = exact_picture(p, {} if exact is None else exact)
     with mp.workprec(prec):
         values = [mp.mpc(real.root(i, prec)) for i in range(real.count)]
         if real.count < r.degree:
@@ -176,7 +188,15 @@ class _Tier(NamedTuple):
     num: Callable        # number constructor for the step arithmetic
     newton: Callable     # (z, fiber) -> the roots of p = z near fiber, or None
     gap: Callable        # fiber -> min pairwise distance, or None
+    reach: Callable      # fiber -> `_reach` of it, or None
     collapse: Callable   # (z0, z1, t, gap, coll) -> raises
+
+
+def _reach(gap, slopes):
+    """The fiber's least gap times the least |p'| at its roots, or None for
+    a lone root: to first order the distance in z over which its fastest
+    root moves one gap, about 4 |z - c| next to a simple critical value c."""
+    return None if gap is None else gap * min(map(abs, slopes))
 
 
 def _mp_collapse(z0, z1, t, gap, coll):
@@ -191,8 +211,11 @@ def _mp_collapse(z0, z1, t, gap, coll):
 def _mp_tier(p: RatPoly, config: Config) -> _Tier:
     """The working precision, precision_bits + 32 in every caller: Newton in
     fixed point (`newton_fixed`), the gaps and the step arithmetic in mp."""
+    dp = p.derivative()
     return _Tier(mp.mpf, lambda z, fiber: newton_fixed(p, z, fiber, config.precision_bits),
-                 min_pairwise_distance, _mp_collapse)
+                 min_pairwise_distance, lambda fiber: _reach(
+                     min_pairwise_distance(fiber), (eval_poly(dp, x, mp.prec) for x in fiber)),
+                 _mp_collapse)
 
 
 # Below this fiber gap relative to the fiber's scale, double-precision
@@ -217,6 +240,14 @@ def _machine_gap(fiber):
     return gap
 
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients `coeffs`, highest power first, at x."""
+    v = 0j
+    for c in coeffs:
+        v = v * x + c
+    return v
+
+
 def _machine_newton(cp, cdp, z, fiber):
     """Newton on Python complex values for each root of `fiber`, stopping
     at 2^-44 relative, with MOVE_LIMIT x the fiber's gap as the limit on
@@ -229,14 +260,10 @@ def _machine_newton(cp, cdp, z, fiber):
     for x in fiber:
         total = 0.0
         for _ in range(64):
-            d = v = 0j
-            for c in cdp:
-                d = d * x + c
+            d = _horner(cdp, x)
             if d == 0:
                 return None
-            for c in cp:
-                v = v * x + c
-            step = (v - z) / d
+            step = (_horner(cp, x) - z) / d
             x -= step
             size, ax = abs(step), abs(x)
             if not (size < math.inf and ax < math.inf):
@@ -271,41 +298,50 @@ def _machine_tier(p: RatPoly, dp: RatPoly, points: list) -> _Tier | None:
                                         for part in (mp.re(z), mp.im(z))):
         return None
     return _Tier(float, lambda z, fiber: _machine_newton(cp, cdp, z, fiber),
-                 _machine_gap, _escalate)
+                 _machine_gap,
+                 lambda fiber: _reach(_machine_gap(fiber), (_horner(cdp, x) for x in fiber)),
+                 _escalate)
 
 
 def _track_segment(z0, z1, fiber, config: Config, tier: _Tier):
-    """Continue `fiber` from z0 to z1 in adaptive steps on `tier`'s leaves."""
+    """Continue `fiber` from z0 to z1 in steps h of the segment that move the
+    fastest root about beta = `track_step` of the fiber's gap: h starts at
+    beta x reach / |z1 - z0|, at most 1, and an accepted step scales it by
+    beta x gap / move, at most 2, unless the step before was rejected.  A
+    rejection halves h and fails below 2^-30; a reach of 0 or not finite
+    fails at once."""
     length = abs(z1 - z0)
     if length == 0:
         return list(fiber)
     num = tier.num
     coll = num(config.collision_tol)
+    beta = num(config.track_step)
     t = num(0)
-    step = num(config.track_step)
-    streak = 0
     fiber = list(fiber)
+    reach = tier.reach(fiber)
+    if reach is not None and not 0 < reach < math.inf:
+        tier.collapse(z0, z1, t, tier.gap(fiber), coll)
+    h = beta if reach is None else min(num(1), beta * reach / length)
+    grow = True
     while t < 1:
-        h = min(step, 1 - t)
-        z = z0 + (t + h) * (z1 - z0)
+        step = min(h, 1 - t)
+        z = z0 + (t + step) * (z1 - z0)
         new = tier.newton(z, fiber)
         ok = new is not None
+        gap_new = None
         if ok and len(new) > 1:
             scale = max(num(1), max(abs(x) for x in new))
             gap_new = tier.gap(new)
             if gap_new < 10 * coll * scale:
                 ok = False
         if ok:
-            fiber = new
-            t += h
-            streak += 1
-            if streak >= 3:
-                step = min(step * num("1.4"), num(config.track_step) * 4)
-                streak = 0
+            if grow:
+                move = max(abs(a - b) for a, b in zip(new, fiber))
+                h *= 2 if gap_new is None or 2 * move <= beta * gap_new else beta * gap_new / move
+            fiber, t, grow = new, t + step, True
         else:
-            step = step / 2
-            streak = 0
-            if step < num(2) ** -30:
+            h, grow = h / 2, False
+            if h < num(2) ** -30:
                 tier.collapse(z0, z1, t, tier.gap(fiber), coll)
     return fiber
 
@@ -446,10 +482,11 @@ def route(z0, z1, blockers, depth=0):
     """
     if depth > 8:
         raise TrackingError("could not route a loop between critical values")
+    near, wide = mp.mpf("1.6"), mp.mpf("1.5")     # at the caller's precision
     for b, r in blockers:
-        if abs(b - z0) < mp.mpf("1.6") * r or abs(b - z1) < mp.mpf("1.6") * r:
+        if abs(b - z0) < near * r or abs(b - z1) < near * r:
             continue
-        if _dist_point_segment(b, z0, z1) < mp.mpf("1.5") * r:
+        if _dist_point_segment(b, z0, z1) < wide * r:
             direction = (z1 - z0) / abs(z1 - z0)
             w = b + 3 * r * direction * mp.mpc(0, -1)
             left = route(z0, w, blockers, depth + 1)
@@ -589,6 +626,8 @@ class MonodromyRep:
     base_fiber: tuple
     precision_bits: int
     _petals: Callable[[], tuple] = field(compare=False, repr=False)
+    # P's exact picture (`exact_picture`): filled by `monodromy`, else on first use
+    exact: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _petal_data(self) -> tuple:
@@ -678,7 +717,8 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
     n = p.degree
     if p.is_zero() or n < 2:
         raise InputError("monodromy requires deg p >= 2")
-    cvs = critical_values(p, config)
+    exact = {}
+    cvs = critical_values(p, config, exact)
     with mp.workprec(config.precision_bits + 32):
         c0, loop_inf = _infinity_loop(cvs)
         dp = p.derivative()
@@ -701,7 +741,7 @@ def monodromy(p: RatPoly, config: Config = DEFAULT_CONFIG) -> MonodromyRep:
             n=n, base_point=mp.mpc(c0), critical_values=tuple(cvs),
             infinity=Permutation.cycle(n), base_fiber=tuple(fiber),
             precision_bits=config.precision_bits,
-            _petals=partial(_petal_generators, p, cvs, c0, fiber, config))
+            _petals=partial(_petal_generators, p, cvs, c0, fiber, config), exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,33 @@ def test_interval_solve_refines_the_base_fiber_once(tmp_path, capsys, monkeypatc
     assert len(refines) == 1 + Config().samples
 
 
+@pytest.mark.parametrize("data", [
+    {"polynomial": T6_JSON, "degree_bound": 6, "intervals": [
+        {"a": "-1", "b": "-0.5", "weight": "1"}, {"a": "-0.5", "b": "0.5", "weight": "-1"},
+        {"a": "0.5", "b": "1", "weight": "1"}]},
+    {"polynomial": ["1/8", "-3/4", "0", "1"], "degree_bound": 6, "intervals": [
+        {"a": "-1", "b": "1.125", "weight": "2"}]},
+], ids=["T6", "cubic"])
+def test_interval_solve_builds_the_critical_value_poly_once(data, tmp_path, capsys,
+                                                            monkeypatch):
+    # `monodromy` keeps P's exact picture on the rep, and the walks read it
+    calls = []
+    build = importlib.import_module("abelint.ratpoly").critical_value_poly
+
+    def spy(p):
+        calls.append(p)
+        return build(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abelint") and hasattr(module, "critical_value_poly"):
+            monkeypatch.setattr(module, "critical_value_poly", spy)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", str(path)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["level_cycles"]
+
+
 def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
     # the parser is built on the first main call and shared by the next ones,
     # whose output is the one a fresh parser gives, also after an exit 2

@@ -19,6 +19,9 @@ from abelint.monodromy import monodromy
 from abelint.numerics import eval_poly, to_mpf
 from abelint.ratpoly import RatPoly, compose, critical_value_poly
 from abelint.realroots import RealRoots
+from abelint.serialize import monodromy_from_json, monodromy_to_json
+
+mono = importlib.import_module("abelint.monodromy")
 
 X = RatPoly.x()
 
@@ -114,6 +117,22 @@ def test_t6_single_interval_vector(t6, t6_rep, config):
         assert lc.cycle.proportional_to(target)
     # the two per-critical-value vectors are proportional to each other
     assert out[0].cycle.proportional_to(out[1].cycle)
+
+
+def test_a_rep_read_back_from_json_builds_its_picture_once(t6, t6_rep, config,
+                                                          monkeypatch):
+    # the field is not serialised: a rep from JSON builds P's exact picture
+    # on its first walk, keeps it, and walks to the same cycles
+    rep = monodromy_from_json(monodromy_to_json(t6_rep))
+    assert not rep.exact
+    system = IntervalSystem.of((-1, Fraction(-1, 2), 1), (Fraction(1, 2), 1, 1))
+    want = real_interval_to_coefficients(t6, system, t6_rep, config)
+    calls = []
+    build = mono.critical_value_poly
+    monkeypatch.setattr(mono, "critical_value_poly", lambda p: calls.append(p) or build(p))
+    for _ in range(2):
+        assert real_interval_to_coefficients(t6, system, rep, config) == want
+    assert calls == [t6] and list(rep.exact) == [t6]
 
 
 def test_t6_three_weighted_intervals_alternating(t6, t6_rep, config):

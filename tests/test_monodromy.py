@@ -284,7 +284,7 @@ def test_t6_local_generator_doubled_precision(config):
 # the two tracking tiers
 # ---------------------------------------------------------------------------
 
-# 64 bits and a unit initial step keep the mp tier's side of the comparison
+# 64 bits and the largest step (track_step 1) keep the mp tier's side of the comparison
 # short; both tiers run the same Config
 TIER_CONFIG = Config(precision_bits=64, track_step=1.0)
 
@@ -436,6 +436,49 @@ def test_machine_tier_runs_at_1024_bits(monkeypatch):
         tiny = mp.mpf(2) ** -1060
         assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, tiny), mp.mpc(tiny, -1)]) is None
         assert _machine_tier(X ** 2, 2 * X, [mp.mpc(1, 0), mp.mpc(tiny, tiny)]) is None
+
+
+def test_infinity_loop_steps_by_the_fibers_reach(config, monkeypatch):
+    # far from every critical value the fiber's reach covers a whole side of
+    # the circle around infinity, so a segment takes one or two Newton calls,
+    # where a fixed first step of a quarter segment took at least four
+    mono = importlib.import_module("abelint.monodromy")
+    segments, newton, segment = [], mono._machine_newton, mono._track_segment
+
+    def newton_spy(*args):
+        segments[-1][1] += 1
+        return newton(*args)
+
+    def segment_spy(z0, z1, fiber, config, tier):
+        segments.append([tier.num, 0])
+        return segment(z0, z1, fiber, config, tier)
+
+    monkeypatch.setattr(mono, "_machine_newton", newton_spy)
+    monkeypatch.setattr(mono, "_track_segment", segment_spy)
+    assert monodromy(chebyshev(6), config).infinity == Permutation.cycle(6)
+    assert len(segments) == 17
+    assert all(num is float and 1 <= calls <= 2 for num, calls in segments), segments
+
+
+@pytest.mark.parametrize("reach", [0.0, math.inf, math.nan])
+def test_a_reach_of_zero_or_not_finite_fails_at_once(reach):
+    # a stub tier: the step control collapses before any Newton call, never
+    # looping on a zero or undefined step
+    mono = importlib.import_module("abelint.monodromy")
+    newtons = []
+
+    class Collapsed(Exception):
+        pass
+
+    def collapse(*args):
+        raise Collapsed(args)
+
+    tier = mono._Tier(float, lambda z, fiber: newtons.append(z) or fiber,
+                      lambda fiber: 1.0, lambda fiber: reach, collapse)
+    with pytest.raises(Collapsed) as err:
+        mono._track_segment(0j, 1 + 0j, [1j, -1j], Config(), tier)
+    assert err.value.args[0][2] == 0          # collapsed at t = 0
+    assert not newtons
 
 
 @pytest.mark.parametrize("bits", [128, 4096])
@@ -832,6 +875,23 @@ def test_precision_changes_no_permutation(case):
     interval are the same at 128 and at 1024 bits."""
     p, a, b = case
     assert _permutations_and_cycles(p, a, b, 1024) == _permutations_and_cycles(p, a, b, 128)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.builds(lambda lower, lead: RatPoly(lower + [lead]),
+                 st.integers(2, 7).flatmap(
+                     lambda d: st.lists(_SMALL, min_size=d, max_size=d)),
+                 _LEAD))
+def test_reach_steps_keep_every_loop_permutation(p):
+    """Each closed loop of p gives the same permutation on the two-tier
+    tracker as on the working-precision tier at doubled precision and half
+    the step."""
+    config = Config(precision_bits=64)
+    loops, fiber0 = _loops_of(p, config)
+    for path in loops:
+        assert (match_permutation(fiber0, continue_fiber(p, path, fiber0, config))
+                == match_permutation(fiber0, track_fiber(p, path, fiber0,
+                                                         config.doubled())))
 
 
 # ---------------------------------------------------------------------------
