@@ -11,6 +11,7 @@ confluence limit that ties J to the zero-dimensional side.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import ComputationError, InputError
 from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon,
                         walk_fiber)
 from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
-                       roots_of_shifted, to_fixed, to_mpc, to_mpf)
+                       machine_roots, roots_of_shifted, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .realroots import RealRoots
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
@@ -218,7 +219,9 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
     (x - x1)(x2 - x) g = h^2 (1 - xi^2) g, deflated once and exactly; with xi
     = -cos(phi) and hs = h sin(phi), y = hs sqrt(g) and dx = hs dphi: no node
     subtracts nearly equal numbers, and every integrand is even, periodic and
-    analytic in phi, where the trapezoid rule converges geometrically.  The
+    analytic in phi, where the trapezoid rule converges geometrically, at a
+    rate set by the roots of g and, for "cauchy", of f + t - z in xi
+    (`_bernstein_log2`, read by `_phi_trapezoid`'s Bernstein rule).  The
     nodes are fixed point (`_fixed_oval`)."""
     prec = config.precision_bits
     wp = prec + 52
@@ -254,17 +257,29 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         if rest * top.denominator << (prec // 2) > top.numerator * den:
             raise ComputationError(f"the oval endpoints do not divide f + t {where}")
         # f + t = h^2 (1 - xi^2) g, in units of 2^-u for h
+        k_xi = _in_xi(k, m, h, u)
         oval, point = _fixed_oval((h, 1 << u), ([-c for c in q], (den * h * h) >> (2 * u)),
-                                  _in_xi(k, m, h, u), mode, z, wp, where)
+                                  k_xi, mode, z, wp, where)
+        # the integrand's singularities in xi: the roots of g and, for
+        # "cauchy", those of f + t - z, whose constant term is a0 - z den
+        singular = [q]
+        if z is not None:
+            (zr, zq), (zi, ziq) = (to_rational(v._mpf_) for v in (z.real, z.imag))
+            unit = max(zq, ziq)
+            singular.append([(a[0] * unit - zr * (unit // zq) * den,
+                              -zi * (unit // ziq) * den)] + [c * unit for c in a[1:]])
         value = _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
                                1 if mode == "dx_over_y" else 2, z is not None, prec,
-                               f"oval quadrature {where}", point=point)
+                               f"oval quadrature {where}", point=point,
+                               bernstein=(_bernstein_log2(singular),
+                                          len(a) + len(k_xi[0]) - 2))
         _ANGLES[oval[0]] = oval[-1]    # only a settled quadrature keeps its levels
         return value
 
 
 def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
-                   what: str, closed: bool = False, point: int | None = None):
+                   what: str, closed: bool = False, point: int | None = None,
+                   bernstein: tuple | None = None):
     """scale times the integral over [0, pi] of node(j, n), the integrand at
     phi = j pi/n, n a power of two; called inside mp.workprec(wp).  Nodes are
     raw mpf (mpc when complex_values) summed at wp or, given `point`, ints
@@ -273,10 +288,29 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
     The trapezoid levels of 8, 16, 32, ... intervals are nested: each level
     adds only its odd nodes to the running sum, so every node is evaluated
     once.  The sum is kept doubled, so the ends' half weights cost no
-    rounding.  The value is the first level within 2^-(prec + 8) (1 + |value|)
-    of the one before, rounded at prec + 32 bits; past 2^16 intervals it is
-    an error.  On an arc, phi = 0 and pi carry half weights; on a `closed`
-    contour they are one node, evaluated once as node(0, 1)."""
+    rounding.  The value T_n is the first level n that settles, rounded at
+    prec + 32 bits; past 2^16 intervals it is an error.  Level n settles
+    when |T_n - T_n/2| <= 2^-(prec + 8) (1 + |T_n|), tested in mp at wp on
+    mpf nodes and exactly on the ints given `point` (`_settled_on_ints`),
+    where T_n is formed only once, at the level that settles.
+
+    Given `point` and `bernstein` = (log2 R, d), level n > d also settles
+    when 4 |T_n - T_n/2| R^-n <= 2^-(prec + 32) (1 + |T_n|).  R is the least
+    Bernstein-ellipse parameter over the integrand's singularities in xi =
+    -cos(phi): xi = -cos(phi) maps the ellipse E_R onto the strip |Im phi| <
+    ln R, and level n takes 2n points per period of the even integrand, so
+    its error falls like R^-2n (Trefethen and Weideman, SIAM Review 2014).
+    Then |T_n - T_n/2| is about the error of T_n/2, of order R^-n, and that
+    of T_n is about |T_n - T_n/2| R^-n.  The factor 4 takes up a pole of
+    order up to 3, and the target 2^-(prec + 32) is the output's rounding,
+    24 bits inside the tolerance.  Below level d + 1, d the degree of the
+    integrand's polynomial factors in xi, the coefficients need not decay
+    yet, so the rule waits.  R is an estimate from roots found in doubles,
+    not a certificate: an even-multiplicity root of g is no singularity of
+    sqrt g, so R is then a lower bound, and log2 R = 0 turns the rule off.
+
+    On an arc, phi = 0 and pi carry half weights; on a `closed` contour they
+    are one node, evaluated once as node(0, 1)."""
     rnd = round_nearest
     if point is None:
         add, shift = (mpc_add, mpc_shift) if complex_values else (mpf_add, mpf_shift)
@@ -290,19 +324,101 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
         plus, twice = (lambda a, b: a + b), (lambda v: v << 1)
         half = lambda v: from_man_exp(v, -point - 1)
     mul, make = (mpc_mul_mpf, mp.make_mpc) if complex_values else (mpf_mul, mp.make_mpf)
-    total = twice(node(0, 1)) if closed else plus(node(0, 1), node(1, 1))
     scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
-    tol = mp.mpf(2) ** (-(prec + 8))
+    value = lambda total, n: make(mul(half(total), mpf_shift(scaled_pi, 1 - n.bit_length()),
+                                      wp, rnd))
+    if point is None:
+        tol = mp.mpf(2) ** (-(prec + 8))
+
+        def settled(total, last, n):
+            val = value(total, n)
+            return abs(val - value(last, n >> 1)) <= tol * (1 + abs(val))
+    else:
+        settled = lambda total, last, n: _settled_on_ints(total, last, n, abs(scale), point,
+                                                          prec, bernstein)
+    total = twice(node(0, 1)) if closed else plus(node(0, 1), node(1, 1))
     last, n, js = None, 8, range(1, 8)
     while n <= 1 << 16:
         for j in js:
             total = plus(total, twice(node(j, n)))
-        val = make(mul(half(total), mpf_shift(scaled_pi, 1 - n.bit_length()), wp, rnd))
-        if last is not None and abs(val - last) <= tol * (1 + abs(val)):
+        if last is not None and settled(total, last, n):
             with mp.workprec(prec + 32):
-                return +val
-        last, n, js = val, 2 * n, range(1, 2 * n, 2)
+                return +value(total, n)
+        last, n, js = total, 2 * n, range(1, 2 * n, 2)
     raise ComputationError(f"{what} needs more than 2^16 nodes")
+
+
+def _settled_on_ints(total, last, n: int, scale: int, point: int, prec: int,
+                     bernstein: tuple | None) -> bool:
+    """`_phi_trapezoid`'s level test on its exact doubled sums `total` of
+    level n and `last` of level n/2 (ints, or pairs of ints), at `point`
+    fractional bits: T_n = c total and T_n - T_n/2 = c (total - 2 last), c =
+    scale pi / (n 2^(point + 1)).  The tolerance rule compares ints, with
+    1/pi at 64 bits from `pi_fixed`; the Bernstein rule compares base-2
+    logarithms, which `math.log2` takes of ints of any size."""
+    pairs = list(zip(total, last)) if isinstance(total, tuple) else [(total, last)]
+    diff_sq = sum((a - 2 * b) ** 2 for a, b in pairs)
+    size_sq = sum(a * a for a, _ in pairs)
+    # scale |d| 2^(prec + 8) <= n 2^(point + 1) / pi + scale |total|, times 2^64
+    # and then by 2^-low, so that no shift is negative
+    e = point + 1
+    low = min(e, 0)
+    inv_pi = (1 << 128) // pi_fixed(64)
+    if (scale * isqrt(diff_sq) << (prec + 72 - low)
+            <= (n * inv_pi << (e - low)) + (scale * isqrt(size_sq) << (64 - low))):
+        return True
+    if bernstein is None or n <= bernstein[1] or not bernstein[0] > 0:
+        return False
+    log_c = math.log2(scale * math.pi / n) - e
+    size = log_c + math.log2(size_sq) / 2 if size_sq else -math.inf
+    return (2 + log_c + math.log2(diff_sq) / 2 - n * bernstein[0]
+            <= -(prec + 32) + (size if size > 64 else math.log2(1 + 2.0 ** size)))
+
+
+def _bernstein_log2(polys) -> float:
+    """log2 of the least Bernstein-ellipse parameter R = |u + sqrt(u^2 - 1)|
+    (the root of larger modulus) over the roots u of the polynomials
+    `polys`, each a list of coefficients, lowest first, the lower ones ints
+    or (re, im) pairs of ints and the leading one a nonzero int; inf without
+    roots, 0 when a polynomial's roots are not found.  The roots come from
+    `machine_roots` on x = 2^k v, 2^k a Fujiwara bound read from the
+    coefficients' bit lengths, so every double is at most 2 in size
+    whatever the ints'.  R is shrunk by 2^-20 of itself, to stay below the
+    true R despite the doubles' rounding."""
+    least = math.inf
+    for coeffs in polys:
+        lead, lower = coeffs[-1], [c if isinstance(c, tuple) else (c, 0)
+                                   for c in reversed(coeffs[:-1])]
+        if not lower:
+            continue
+        size = [max(abs(re), abs(im)).bit_length() for re, im in lower]
+        k = max((-((lead.bit_length() - 1 - b) // j) for j, b in enumerate(size, 1) if b),
+                default=None)
+        if k is None:       # lead x^d: every root is 0, on the segment
+            return 0.0
+        ratio = lambda c, j: (c / (lead << (j * k)) if j * k >= 0
+                              else (c << (-j * k)) / lead)
+        monic = [complex(ratio(re, j), ratio(im, j)) for j, (re, im) in enumerate(lower, 1)]
+        roots = machine_roots(monic if any(v.imag for v in monic)
+                              else [v.real for v in monic])
+        if roots is None:
+            return 0.0
+        for v in roots:
+            least = min(least, _ellipse_log2(v, k))
+    return max(least + math.log2(1 - 2.0 ** -20), 0.0) if least < math.inf else least
+
+
+def _ellipse_log2(v: complex, k: int) -> float:
+    """log2 |u + sqrt(u^2 - 1)|, the root of larger modulus, at u = v 2^k;
+    past |u| = 2^64 it is 1 + log2 |u| to far below the doubles' rounding."""
+    if v == 0:
+        return 0.0
+    e = math.log2(abs(v)) + k
+    if e > 64:
+        return e + 1
+    u = complex(math.ldexp(v.real, k), math.ldexp(v.imag, k))
+    s = cmath.sqrt(u * u - 1)
+    return math.log2(max(abs(u + s), abs(u - s)))
 
 
 def _in_xi(p: RatPoly, m: int, h: int, u: int):

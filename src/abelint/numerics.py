@@ -115,7 +115,7 @@ def roots_of_shifted(p: RatPoly, z, prec: int) -> list:
 def fiber_roots(p: RatPoly, z, prec: int) -> list:
     """The roots of p(x) - z at `prec` bits, sorted by (re, im), as mpc.
 
-    `_machine_roots` starts them in doubles on x = 2^k u, with 2^k near the
+    `machine_roots` starts them in doubles on x = 2^k u, with 2^k near the
     Fujiwara bound of the monic coefficients of p - z, formed exactly and
     rounded once (found in mp, so no coefficient needs to fit in a double).
     Without such a start, or when its refine fails, `mpmath.polyroots`
@@ -138,8 +138,8 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
         k = max((-(-mp.mag(c) // j) for j, c in enumerate(monic, 1) if c), default=0)
         scaled = [c * mp.ldexp(1, -j * k) for j, c in enumerate(monic, 1)]
         unit = mp.ldexp(1, k)
-        start = _machine_roots([float(c.real) for c in scaled] if z.imag == 0
-                               else [complex(c) for c in scaled])
+        start = machine_roots([float(c.real) for c in scaled] if z.imag == 0
+                              else [complex(c) for c in scaled])
         rts = start and newton_fixed(p, z, [mp.mpc(u) * unit for u in start], prec - 32)
         if rts is None:
             try:
@@ -166,7 +166,7 @@ def _conjugate_closed(roots: list, real: list) -> list | None:
             + upper + [x.conjugate() for x in upper])
 
 
-def _machine_roots(monic: list) -> list | None:
+def machine_roots(monic: list) -> list | None:
     """Roots of the monic polynomial with the lower coefficients `monic`
     (highest power first, Python floats or complex values) by
     `mpmath.polyroots`' Durand-Kerner sweep, started on the circle of the

@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
 from abelint.monodromy import divisor_lattice, monodromy
 from abelint.numerics import eval_poly, roots_of_shifted
 from abelint.ratpoly import RatPoly, chebyshev, poly_gcd, trace_poly
+from abelint.realroots import RealRoots
 from abelint.solver import z_delta_basis
 
 from conftest import QUARTIC_F
@@ -293,8 +296,8 @@ def test_i_prime_builds_the_derivative_once(monkeypatch):
 @pytest.mark.parametrize("case, evaluations", [
     ("I'/endpoint/128", 17),    # levels 8 and 16 agree: the integrand is k
     ("I/central/128", 65),      # levels 32 and 64 agree
-    ("I/central/192", 129),     # levels 64 and 128 agree
-    ("J/central/128", 129),
+    ("I/central/192", 65),      # level 64 settles on the Bernstein rule
+    ("J/central/128", 65),
 ])
 def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations):
     # level n of the trapezoid on [0, pi] has n + 1 nodes: the two ends and
@@ -320,6 +323,107 @@ def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations)
     else:
         cauchy_J(CENTRAL, k, "-0.5", complex(-1, 0.5), cfg)
     assert len(angles) == len(set(angles)) == evaluations
+
+
+def _raw_digest(value) -> str:
+    """The first 16 hex digits of the SHA-256 of an mpf's or mpc's raw
+    tuples (sign, mantissa, exponent, bit count), as ints."""
+    parts = value._mpc_ if isinstance(value, mp.mpc) else (value._mpf_,)
+    return hashlib.sha256(repr(tuple(tuple(map(int, part)) for part in parts))
+                          .encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("prec, digests", [
+    (64, ("23a2f052d995503e", "24648d936d1c13f4", "e94c8280395de628")),
+    (1024, ("595dd9e8dfcf9984", "8103a01158d0b0a9", "a06e0f3512887f12")),
+    (2048, ("885222281e610441", "a253717d326c9e49", "bebbddc4f039bc74")),
+])
+def test_oval_periods_keep_their_bits_under_the_bernstein_rule(prec, digests):
+    # I, I' and J on the central quartic oval, every bit as the tolerance rule
+    # alone gave them; the Bernstein rule stops I' and J one level earlier at
+    # each of these precisions, and I at 1024 and 2048 bits
+    cfg = Config(precision_bits=prec)
+    values = (integral_I(CENTRAL, X ** 2 + 1, "-0.5", cfg),
+              integral_I_prime(CENTRAL, X ** 3 - X + 2, "-0.3", cfg),
+              cauchy_J(CENTRAL, X ** 2 + 1, "-0.5", complex(-1, 0.5), cfg))
+    assert tuple(map(_raw_digest, values)) == digests
+
+
+def test_an_exact_zero_period_with_large_nodes_settles():
+    # odd k on an even f, pair 2 at t = 0: I = 0, and the nodes reach 2^64,
+    # so their rounding noise keeps |T_n - T_n/2| far above 2^-(prec + 8)
+    # at every level; the other roots of f sit near xi = +-2^26, R is about
+    # 2^27, and the Bernstein rule settles at once, on the noise alone.
+    # 2^63 is about the integral of |k| y dx
+    fam = OvalFamily(f=32 * (1 - X ** 2) * (2 ** 70 - X ** 2) * (2 ** 52 - X ** 2),
+                     pair_index=2, t_min="0", t_max="0")
+    start = time.perf_counter()
+    val = integral_I(fam, X, 0, Config(precision_bits=64))
+    assert time.perf_counter() - start < 0.1
+    assert abs(val) <= mp.mpf(2) ** (63 - 72)
+
+
+_DYADIC = st.builds(lambda a, e: Fraction(a, 2 ** e), st.integers(-16, 16), st.integers(0, 3))
+
+
+@st.composite
+def bernstein_ovals(draw):
+    """f of degree 2-4 with dyadic coefficients, the primitive of 12 a
+    prod(x - c) over distinct dyadic critical points c, so its critical
+    values are dyadic too; a level t off one critical value f(c) by 2^-20,
+    2^-24, 1/8 or 1/2, on the side where f + t at c has the sign of -f''(c)
+    for the near ones (a tiny oval at a maximum, two ovals a hair apart at a
+    minimum) and on either side for the others; a root pair with f + t > 0
+    between, a dyadic k, a z off the oval's range of f + t (scaled by f(m) +
+    t at its midpoint m) and a precision."""
+    points = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3, unique=True))
+    slope = RatPoly.constant(12 * draw(_DYADIC.filter(bool)))
+    for c in points:
+        slope = slope * (X - Fraction(c, 4))
+    f = slope.primitive() + RatPoly.constant(draw(_DYADIC))
+    c = Fraction(draw(st.sampled_from(points)), 4)
+    e = draw(st.sampled_from([1, 3, 20, 24]))
+    side = (-1 if slope.derivative()(c) > 0 else 1) if e >= 20 else draw(st.sampled_from([-1, 1]))
+    t = -f(c) + Fraction(side, 2 ** e)
+    roots = RealRoots(f + RatPoly.constant(t))
+    pairs = [i for i in range(roots.count - 1) if roots.sign_between(i) > 0]
+    assume(pairs)
+    family = OvalFamily(f=f, pair_index=draw(st.sampled_from(pairs)), t_min=t, t_max=t)
+    with mp.workprec(64):
+        x1, x2 = oval_endpoints(family, t, 64)
+        top = float(eval_poly(f, (x1 + x2) / 2, 64) + mp.mpf(t.numerator) / t.denominator)
+    k = RatPoly([draw(_DYADIC) for _ in range(draw(st.integers(1, 4)))])
+    z = top * complex(draw(st.sampled_from([-2, -0.5])), draw(st.sampled_from([0.75, 1.25])))
+    return family, t, k, z, draw(st.sampled_from([64, 128, 192]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bernstein_ovals())
+def test_the_bernstein_rule_agrees_with_the_tolerance_rule(case):
+    # the same period with the rule on and with it off (log2 R = 0), within
+    # 2^-(prec + 24) (1 + |T|); where the tolerance rule alone does not
+    # settle by 2^16 intervals, the Bernstein rule may still answer
+    import abelint.hyperelliptic as hyp
+    family, t, k, z, prec = case
+    config = Config(precision_bits=prec)
+    for run in (lambda: integral_I(family, k, t, config),
+                lambda: integral_I_prime(family, k, t, config),
+                lambda: cauchy_J(family, k, t, z, config)):
+        values = []
+        for off in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if off:
+                    patch.setattr(hyp, "_bernstein_log2", lambda polys: 0.0)
+                try:
+                    values.append(run())
+                except ComputationError as error:
+                    values.append(error)
+        on, off = values
+        if isinstance(off, ComputationError):
+            assert isinstance(on, mp.mpf | mp.mpc) or str(on) == str(off)
+            continue
+        with mp.workprec(prec + 64):
+            assert abs(on - off) <= mp.mpf(2) ** -(prec + 24) * (1 + abs(off))
 
 
 def test_angle_table_is_cos_sin_pi_int_for_int():
@@ -436,6 +540,11 @@ QUADRATICS = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(QUADRATICS)
+# g is constant, so R is infinite, but k = x^40 makes the integrand a cosine
+# sum of degree 42, which no level below 32 integrates exactly: the
+# Bernstein rule must wait past the degree
+@example((Fraction(1), Fraction(0), Fraction(0), Fraction(1), [Fraction(0)] * 40 + [Fraction(1)],
+          128))
 def test_integral_I_on_quadratics_matches_the_beta_closed_form(case):
     # f + t = alpha (x - x1)(x2 - x) for f = -alpha x^2 + beta x + gamma and
     # t = delta - gamma - beta^2/(4 alpha); with k(x1 + L s) = sum e_j s^j,
@@ -590,8 +699,8 @@ def _reference_trapezoid(args, n):
 
 @settings(max_examples=40, deadline=None)
 @given(fixed_point_ovals())
-# odd k on an even f whose nodes reach 2^64: I is 0, which the level test,
-# absolute near 0, cannot confirm, so it runs to 2^16 nodes
+# odd k on an even f whose nodes reach 2^64: I is 0, which the tolerance
+# rule, absolute near 0, cannot confirm; the Bernstein rule settles it
 @example((32 * (1 - X ** 2) * (2 ** 70 - X ** 2) * (2 ** 52 - X ** 2), 2, Fraction(0), X,
           2.0 ** 127 * complex(-2, 0.75), True, 64))
 def test_fixed_point_periods_within_the_kernel_bound(case):

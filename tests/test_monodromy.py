@@ -672,7 +672,7 @@ def test_a_stalled_double_start_is_refined(coeffs, config, monkeypatch):
     calls = _polyroots_calls(monkeypatch)
     printed = [nstr_det(c, config.precision_bits) for c in critical_values(p, config)]
     assert calls == []
-    with patch.object(numerics, "_machine_roots", lambda monic: None):
+    with patch.object(numerics, "machine_roots", lambda monic: None):
         assert [nstr_det(c, config.precision_bits)
                 for c in critical_values(p, config)] == printed
     assert len(calls) == 1
@@ -712,7 +712,7 @@ def test_base_fiber_past_the_double_range_matches_the_fallback(config, monkeypat
     calls = _polyroots_calls(monkeypatch)
     rep = monodromy_to_json(monodromy(p, config))
     assert calls == []
-    with patch.object(numerics, "_machine_roots", lambda monic: None):
+    with patch.object(numerics, "machine_roots", lambda monic: None):
         assert monodromy_to_json(monodromy(p, config)) == rep
     assert len(calls) == 1
     root = "1.41421356237309504880168872420969808"
@@ -742,7 +742,7 @@ def test_double_start_matches_the_polyroots_start(lower, lead, config):
     # the same rep, to the printed base_fiber, as from mpmath.polyroots
     p = RatPoly(lower + [lead])
     default = _monodromy_record(p, config)
-    with patch.object(numerics, "_machine_roots", lambda monic: None):
+    with patch.object(numerics, "machine_roots", lambda monic: None):
         assert _monodromy_record(p, config) == default
 
 

@@ -228,7 +228,7 @@ def test_polyroots_fallback_at_extreme_scales(lower, lead, z, s, prec):
     q = RatPoly([c * Fraction(2) ** (s * j) for j, c in enumerate(p.coeffs)])
     with mp.workprec(prec):
         z = mp.mpf(z.numerator) / z.denominator
-    with patch.object(numerics, "_machine_roots", lambda monic: None):
+    with patch.object(numerics, "machine_roots", lambda monic: None):
         got = fiber_roots(q, z, prec)
     _assert_conjugate_closed(got)
     _assert_polyroots_roots(got, p, z, s, prec)
