@@ -16,6 +16,16 @@ from .errors import InputError
 COUNT_LIMIT = 1 << 16   # largest count (degree bound, samples, ...) an input may ask for
 
 
+def sample_count(count: int) -> int:
+    """count, a number of samples asked of an API call, or InputError
+    outside [1, COUNT_LIMIT]."""
+    if count < 1:
+        raise InputError(f"samples must be at least 1, got {count}")
+    if count > COUNT_LIMIT:
+        raise InputError(f"samples must be at most {COUNT_LIMIT}, not {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class Config:
     precision_bits: int = 128

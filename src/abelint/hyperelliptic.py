@@ -13,9 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 from mpmath import mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_add, mpc_div,
@@ -25,7 +25,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_add, mp
                           round_nearest, to_float, to_rational)
 from mpmath.libmp.libelefun import cos_sin_basecase
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, sample_count
 from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
 from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon,
@@ -33,7 +33,7 @@ from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon
 from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
                        machine_roots, roots_of_shifted, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
-from .realroots import RealRoots
+from .realroots import level_picture, level_roots
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,9 @@ class OvalFamily:
     pair_index: int
     t_min: object
     t_max: object
+    # f's exact picture (`realroots.level_picture`): filled on the first
+    # endpoint request, read by every level after it
+    exact: dict = field(default_factory=dict, compare=False, repr=False)
 
     def t_samples(self, count: int, prec: int) -> list:
         lo = to_mpf(self.t_min, prec)
@@ -190,10 +193,19 @@ class OvalFamily:
 def oval_endpoints(family: OvalFamily, t, prec: int):
     """The two adjacent real roots of f + t bounding the oval at level t,
     with f + t positive between them, correctly rounded at prec + 32 bits.
-    t is read as an mpf at that precision and taken exactly from there on."""
+    t is read as an mpf at that precision and taken exactly from there on.
+
+    The roots of f + t come from `realroots.level_roots` on the family's
+    exact picture (`OvalFamily.exact`), built on the first request: each
+    is bracketed between two neighbouring turning points of f, where f is
+    monotone, once Taylor's theorem fixes the sign of f + t at each turning
+    point, and is refined and certified as by `RealRoots(f + t)`, so the
+    endpoints are the same bits.  A level at which a turning point's sign
+    does not settle (on or within about 2^-120 of a critical value, so at
+    every multiple root) falls back to `RealRoots(f + t)` itself."""
     with mp.workprec(prec + 32):
         t = to_mpf(t, mp.prec)
-        roots = RealRoots(_plus_level(family.f, t))
+        roots = level_roots(family.f, *to_rational(t._mpf_), family.exact)
         idx = family.pair_index
         if idx < 0 or idx + 1 >= roots.count:
             raise ComputationError(
@@ -202,11 +214,6 @@ def oval_endpoints(family: OvalFamily, t, prec: int):
             raise ComputationError(
                 "f + t is not positive between the selected roots; no real oval")
         return roots.root(idx, mp.prec), roots.root(idx + 1, mp.prec)
-
-
-def _plus_level(f: RatPoly, t) -> RatPoly:
-    """f + t as an exact polynomial, for an mpf t."""
-    return f + RatPoly.constant(Fraction(*to_rational(t._mpf_)))
 
 
 def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPoly,
@@ -228,13 +235,14 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
     t = to_mpf(t, prec + 32)
     where = f"at t = {mp.nstr(t, 8)}"
     x1, x2 = oval_endpoints(family, t, prec)
+    big_f, f_den, turning, _ = level_picture(family.f, family.exact)
     with mp.workprec(wp):
         if z is not None:
             # poles sit where f + t = z; on the oval f + t covers [0, w2max],
             # its maximum at a turning point inside, so only real z inside
             # that range (but away from 0) is dangerous
-            turning = RealRoots(family.f.derivative()).between(x1, x2, mp.prec)
-            w2max = max(eval_poly(family.f, x, mp.prec) + t for x in turning)
+            inside = turning.between(x1, x2, mp.prec)
+            w2max = max(eval_poly(family.f, x, mp.prec) + t for x in inside)
             margin = (1 + abs(z)) * mp.mpf(2) ** (-(prec // 4))
             if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
                 raise ComputationError("pole sits on the integration contour")
@@ -245,19 +253,26 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         scale = 2 * max(q1, q2)
         p1, p2, u = p1 * (scale // q1), p2 * (scale // q2), scale.bit_length() - 1
         m, h = (p1 + p2) // 2, (p2 - p1) // 2
-        plus_t = _plus_level(family.f, t)
-        a, den = _in_xi(plus_t, m, h, u)
+        # f + t = (F tq + tp den) / (den tq) at t = tp/tq, f = F / den
+        # (`level_picture`), over the least common denominator of its
+        # coefficients
+        tp, tq = to_rational(t._mpf_)
+        plus_t = [c * tq for c in big_f]
+        plus_t[0] += tp * f_den
+        common = gcd(f_den * tq, *plus_t)
+        plus_t, level_den = [c // common for c in plus_t], f_den * tq // common
+        a, den = _in_xi(plus_t, level_den, m, h, u)
         q = a[2:]
         for i in range(len(q) - 3, -1, -1):
             q[i] += q[i + 2]
         r0, r1 = a[0] + q[0], a[1] + (q[1] if len(q) > 1 else 0)
         # max |r0 -+ r1| / den > max |coefficient| / 2^(prec/2), cross-multiplied:
         # den can have hundreds of thousands of bits, too many for a gcd
-        top, rest = max(map(abs, plus_t.coeffs)), max(abs(r0 - r1), abs(r0 + r1))
-        if rest * top.denominator << (prec // 2) > top.numerator * den:
+        top, rest = max(map(abs, plus_t)), max(abs(r0 - r1), abs(r0 + r1))
+        if rest * level_den << (prec // 2) > top * den:
             raise ComputationError(f"the oval endpoints do not divide f + t {where}")
         # f + t = h^2 (1 - xi^2) g, in units of 2^-u for h
-        k_xi = _in_xi(k, m, h, u)
+        k_xi = _in_xi(*k.over_integers(), m, h, u)
         oval, point = _fixed_oval((h, 1 << u), ([-c for c in q], (den * h * h) >> (2 * u)),
                                   k_xi, mode, z, wp, where)
         # the integrand's singularities in xi: the roots of g and, for
@@ -421,15 +436,15 @@ def _ellipse_log2(v: complex, k: int) -> float:
     return math.log2(max(abs(u + s), abs(u - s)))
 
 
-def _in_xi(p: RatPoly, m: int, h: int, u: int):
-    """(c, den), integers, with p(x) = sum c_i xi^i / den (lowest first) at
-    x = (m + h xi)/2^u: Horner on integer polynomials in xi."""
-    den = lcm(*(v.denominator for v in p.coeffs))
+def _in_xi(p: list, p_den: int, m: int, h: int, u: int):
+    """(c, den), integers, with sum p_i x^i / p_den = sum c_i xi^i / den
+    (lowest first) at x = (m + h xi)/2^u: Horner on integer polynomials in
+    xi."""
     c = []
-    for j, v in enumerate(reversed(p.coeffs)):
+    for j, v in enumerate(reversed(p)):
         c = [m * a + h * b for a, b in zip(c + [0], [0] + c)]
-        c[0] += v.numerator * (den // v.denominator) << (u * j)
-    return c, den << (u * max(len(c) - 1, 0))
+        c[0] += v << (u * j)
+    return c, p_den << (u * max(len(c) - 1, 0))
 
 
 def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
@@ -841,11 +856,10 @@ def check_exth(family: OvalFamily, k: RatPoly,
     of k with r(x1(t)) = r(x2(t)) along the family.
 
     The identification test is numeric evidence at `samples` parameter
-    values; the symmetric special case (f, K even, symmetric root pair)
-    carries an exact certificate.
+    values, 1 to COUNT_LIMIT (else InputError); the symmetric special case
+    (f, K even, symmetric root pair) carries an exact certificate.
     """
-    if samples < 1:
-        raise InputError(f"samples must be at least 1, got {samples}")
+    sample_count(samples)
     f = family.f
     big_k = k.primitive()
     if f.is_zero() or f.degree < 2:
@@ -889,7 +903,8 @@ def _symmetric_exact_certificate(f, big_k, r, family, ts) -> bool:
         return False
     if not (_is_even_poly(f) and _is_even_poly(big_k)):
         return False
-    return 2 * family.pair_index + 2 == RealRoots(_plus_level(f, ts[0])).count
+    return 2 * family.pair_index + 2 == level_roots(f, *to_rational(ts[0]._mpf_),
+                                                     family.exact).count
 
 
 # ---------------------------------------------------------------------------

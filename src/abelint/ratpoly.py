@@ -90,6 +90,12 @@ class RatPoly:
             return self.coeffs[k]
         return Fraction(0)
 
+    def over_integers(self) -> tuple:
+        """(c, den): self = sum c_i x^i / den, with integers c (lowest
+        first) and the least den > 0."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     @property
     def lc(self) -> Fraction:
         if not self.coeffs:

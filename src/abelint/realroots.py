@@ -13,6 +13,11 @@ isolating interval, then Newton on fixed-point integers, each iterate
 bracketed by its exact sign.  The result is certified by the exact sign of s
 halfway to the two neighbouring floats, so it is the root rounded to nearest
 (ties to even) at `prec` bits, whatever the iteration did to get there.
+
+`level_roots(f, p, q, kept)` gives the same `RealRoots` for f + p/q at
+each of many levels without a Sturm chain per level: the roots are
+bracketed between the turning points of f, isolated once in f's exact
+picture (`level_picture`), which the caller keeps in `kept`.
 """
 
 from __future__ import annotations
@@ -90,6 +95,10 @@ def _value(c: list, n: int, e: int) -> int:
     return acc
 
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _variations(seq: list, n: int, e: int) -> tuple:
     """(sign of seq[0], sign changes along seq with zeros dropped) at n/2^e."""
     head = _value(seq[0], n, e)
@@ -100,7 +109,7 @@ def _variations(seq: list, n: int, e: int) -> tuple:
             if last and (v > 0) != (last > 0):
                 count += 1
             last = v
-    return (head > 0) - (head < 0), count
+    return _sign(head), count
 
 
 def _root_bound(c: list) -> int:
@@ -179,11 +188,19 @@ class RealRoots:
     """The real roots of an exact nonzero polynomial, isolated exactly and
     listed in increasing order with multiplicity."""
 
+    @classmethod
+    def _simple(cls, poly: list, roots: list) -> "RealRoots":
+        """The roots of the primitive integer polynomial `poly`, all simple
+        and given as `_isolate` lists them."""
+        self = cls.__new__(cls)
+        self._poly = self._s = poly
+        self._roots, self._index = roots, list(range(len(roots)))
+        return self
+
     def __init__(self, p: RatPoly):
         if p.is_zero():
             raise InputError("cannot take roots of the zero polynomial")
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        poly = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+        poly = _primitive(p.over_integers()[0])
         self._poly = poly
         if len(poly) == 1:
             self._roots, self._index = [], []
@@ -224,8 +241,7 @@ class RealRoots:
         (_, b, e, _), (a, _, e2, _) = self._roots[j], self._roots[j + 1]
         top = max(e, e2)
         n, e = (b << (top - e)) + (a << (top - e2)), top + 1
-        v = _value(self._poly, n, e)
-        return (v > 0) - (v < 0)
+        return _sign(_value(self._poly, n, e))
 
     def rank(self, x: Fraction) -> int:
         """The number of distinct roots strictly below the rational x."""
@@ -263,6 +279,19 @@ class RealRoots:
             return 1 if u <= a else -1
         v = _value(self._s, n, e)
         return 0 if v == 0 else (1 if (v > 0) == (sa > 0) else -1)
+
+    def _halve(self, j: int) -> None:
+        """Halve the isolating interval of distinct root j in place, by the
+        sign of s at its midpoint."""
+        a, b, e, sa = self._roots[j]
+        m = a + b
+        v = _value(self._s, m, e + 1)
+        if v == 0:
+            self._roots[j] = (m, m, e + 1, 0)
+        elif (v > 0) == (sa > 0):
+            self._roots[j] = (m, 2 * b, e + 1, sa)
+        else:
+            self._roots[j] = (2 * a, m, e + 1, sa)
 
     # -- refinement -------------------------------------------------------
 
@@ -385,3 +414,100 @@ class RealRoots:
             else:
                 raw = from_man_exp(4 * n - 1, -e, prec, round_floor)
         return None
+
+
+# -- levels of one polynomial --------------------------------------------------
+
+def level_picture(f: RatPoly, kept: dict) -> tuple:
+    """f's exact picture for `level_roots`: (F, den, turning, curvature)
+    with f = F / den, F integers and den > 0, turning = `RealRoots(F')`,
+    the turning points of f, and curvature the coefficients of |F''|.  It
+    is built on first use and kept in `kept` beside f itself, which later
+    calls match by identity, since hashing f costs more than a level's
+    signs; another f replaces it.  f is not constant."""
+    if kept.get("f") is not f:
+        big_f, den = f.over_integers()
+        slope = _derivative(big_f)
+        kept.update(f=f, picture=(big_f, den, RealRoots(RatPoly(slope)),
+                                  [abs(c) for c in _derivative(slope)]))
+    return kept["picture"]
+
+
+def level_roots(f: RatPoly, p: int, q: int, kept: dict) -> RealRoots:
+    """`RealRoots(f + p/q)`, q > 0, read from f's turning points in its
+    picture (`level_picture`, kept in `kept`), with no Sturm chain: the
+    level polynomial is G = F q + p den, over the integers.
+
+    The sign of G at a turning point c is exact when c is dyadic.  When c
+    is isolated in (a, b) instead, G'(c) = 0, so by Taylor's theorem |G(x)
+    - G(c)| <= (x - c)^2 M / 2 on [a, b], for M >= max |G''| there.  Once
+    2 |G(a)| > (b - a)^2 M, with M = q sum_k |F''_k| max(|a|, |b|)^k, all
+    in integers, |G(c)| > ((b - a)^2 - (c - a)^2) M / 2 >= (b - c)^2 M / 2,
+    so G has the sign of G(a) at c and on all of [a, b], and both ends of
+    c's interval can end a bracket.  Until then c's interval is halved, by
+    the sign of the squarefree part of F' at its midpoint, in place on the
+    picture, where later levels start from it.
+
+    G is strictly monotone between neighbouring turning points, so each
+    such piece, and each piece out to -+infinity (where G has the sign of
+    its leading term), holds one simple root exactly when its end signs
+    differ.  That root's bracket runs between the neighbouring turning
+    intervals, out to -+2^B (`_root_bound` of G) at the outer ends, and is
+    split at 0 when it straddles 0, as `_refine` needs.  `root` then
+    refines and certifies each root as for `RealRoots(f + p/q)`, so the
+    roots are the same bits.
+
+    The one fallback is `RealRoots(f + p/q)` itself, taken when a turning
+    point's sign does not settle within 64 halvings in one call: at a
+    level on, or within about 2^-120 of, a critical value, so for every
+    multiple root, and for a constant f, where every level is critical."""
+    if f.degree >= 1:
+        big_f, den, turning, curvature = level_picture(f, kept)
+        g = [c * q for c in big_f]
+        g[0] += p * den
+        signs = [_turning_sign(turning, j, g, q, curvature)
+                 for j in range(len(turning._roots))]
+        if None not in signs:
+            return RealRoots._simple(_primitive(g), _brackets(g, turning._roots, signs))
+    return RealRoots(f + RatPoly.constant(Fraction(p, q)))
+
+
+def _brackets(g: list, turning: list, signs: list) -> list:
+    """The real roots of g, all simple, as `_isolate` lists them, given the
+    isolating intervals of its turning points, at whose ends g has the
+    signs `signs`: one root on each monotone piece whose end signs differ,
+    bracketed between the neighbouring turning intervals, or out to
+    -+2^B (`_root_bound`), and split at 0 when the bracket straddles it."""
+    top = _sign(g[-1])
+    signs = [top if len(g) % 2 else -top] + signs + [top]      # from -infinity
+    far = 1 << _root_bound(g)
+    ends = [(-far, 0)] + [(b, e) for _, b, e, _ in turning]
+    starts = [(a, e) for a, _, e, _ in turning] + [(far, 0)]
+    roots = []
+    for (lo, e_lo), (hi, e_hi), sa, sb in zip(ends, starts, signs, signs[1:]):
+        if sa == sb:
+            continue
+        e = max(e_lo, e_hi)
+        lo, hi = lo << (e - e_lo), hi << (e - e_hi)
+        if lo < 0 < hi:
+            if g[0] == 0:
+                roots.append((0, 0, 0, 0))
+                continue
+            lo, hi = (0, hi) if _sign(g[0]) == sa else (lo, 0)
+        roots.append((lo, hi, e, sa))
+    return roots
+
+
+def _turning_sign(turning: RealRoots, j: int, g: list, q: int, curvature: list):
+    """The nonzero sign of g at turning point j, and on all of its interval
+    (`level_roots`), or None after 64 halvings."""
+    for halvings in range(65):
+        if halvings:
+            turning._halve(j)
+        a, b, e, _ = turning._roots[j]
+        va = _value(g, a, e)
+        if a == b:
+            return _sign(va) or None
+        if 2 * abs(va) > (b - a) ** 2 * q * _value(curvature, max(abs(a), abs(b)), e):
+            return _sign(va)
+    return None

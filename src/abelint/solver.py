@@ -21,7 +21,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_gt, round_nearest
 
 from . import linalg
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, sample_count
 from .cycles import (CycleVector, IntervalSystem,
                      real_interval_to_coefficients)
 from .errors import (CertificateError, ComputationError, ConsistencyError,
@@ -478,12 +478,6 @@ def _sample_points(rep: MonodromyRep, blockers, count: int, seed: int):
     return points
 
 
-def _sample_count(count: int) -> int:
-    if count < 1:
-        raise InputError(f"samples must be at least 1, got {count}")
-    return count
-
-
 def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
                           config: Config = DEFAULT_CONFIG,
                           count: int | None = None) -> list:
@@ -494,7 +488,7 @@ def tracked_fiber_samples(p: RatPoly, rep: MonodromyRep,
     2^-(precision_bits + 8) relative (`continue_fiber`): the residuals are
     read off these fibers.  One tracking pass serves any number of residual
     evaluations."""
-    count = _sample_count(count if count is not None else config.samples)
+    count = sample_count(count if count is not None else config.samples)
     with mp.workprec(config.precision_bits + 32):
         cvs = list(rep.critical_values)
         blockers = list(zip(cvs, standoffs(cvs, abs(rep.base_point))))
@@ -538,7 +532,7 @@ def verify_vanishing_numeric(p: RatPoly, v: CycleVector, q: RatPoly,
     """Track the normalized fiber to seeded random regular points and
     evaluate sum_i v_i q(x_i); vanishing means the worst relative residual
     stays below the oracle tolerance."""
-    count = _sample_count(samples if samples is not None else config.samples)
+    count = sample_count(samples if samples is not None else config.samples)
     if rep is None:
         rep = monodromy(p, config)
     if v.n != rep.n:

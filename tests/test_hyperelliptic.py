@@ -11,7 +11,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from abelint import linalg
-from abelint.config import Config
+from abelint.config import COUNT_LIMIT, Config
 from abelint.cycles import CycleVector, VanishingCycleCombo, continue_fiber_to_real
 from abelint.errors import ComputationError, InputError
 from abelint.hyperelliptic import (OneForm, OvalFamily, cauchy_J, check_exth,
@@ -23,7 +23,7 @@ from abelint.monodromy import divisor_lattice, monodromy
 from abelint.numerics import eval_poly, roots_of_shifted
 from abelint.ratpoly import RatPoly, chebyshev, poly_gcd, trace_poly
 from abelint.realroots import RealRoots
-from abelint.solver import z_delta_basis
+from abelint.solver import tracked_fiber_samples, verify_vanishing_numeric, z_delta_basis
 
 from conftest import QUARTIC_F
 
@@ -1158,6 +1158,39 @@ def test_exth_empty_candidates():
     assert check_exth(family, RatPoly.one(), Config()) is None
 
 
+def test_one_exact_picture_serves_every_level(monkeypatch, tmp_path, capsys):
+    # check_exth's 24 samples and hyper-integrate's 8 levels on one family
+    # build one Sturm chain, of f', and none per level; a family is built
+    # with none, and its picture changes no ==, hash or repr
+    import json
+    from abelint import cli, realroots, serialize as ser
+    calls = []
+    sturm = realroots._sturm
+    monkeypatch.setattr(realroots, "_sturm", lambda c: calls.append(c) or sturm(c))
+    data = {"f": ser.poly_to_json(QUARTIC_F), "pair_index": 1, "t_min": "-0.85",
+            "t_max": "-0.15"}
+    family, fresh = ser.oval_family_from_json(data), ser.oval_family_from_json(data)
+    assert calls == [] and family.exact == {}
+    witness = check_exth(family, X, Config())
+    assert witness.r == X ** 2 and witness.exact and witness.samples == 24
+    assert calls == [[0, -2, 0, 1]]              # F' = 4x^3 - 8x, made primitive
+    config = Config(precision_bits=128)
+    for t in family.t_samples(8, 160):
+        integral_I(family, X ** 2 + 1, t, config)
+        integral_I_prime(family, X ** 2 + 1, t, config)
+    assert len(calls) == 1
+    assert family.exact and not fresh.exact
+    assert family == fresh and hash(family) == hash(fresh) and repr(family) == repr(fresh)
+    assert "exact" not in repr(family)
+    assert ser.oval_family_from_json(data) == family
+    calls.clear()
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps({"family": data, "k": ["1"]}))
+    assert cli.main(["hyper-integrate", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["values"]) == 8
+    assert calls == [[0, -2, 0, 1]]
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_exth_rejects_fewer_than_one_sample(monkeypatch, samples):
     # no sample means no endpoints to certify; the error comes before any
@@ -1166,10 +1199,32 @@ def test_exth_rejects_fewer_than_one_sample(monkeypatch, samples):
 
     def no_roots(*args):
         raise AssertionError("root finding ran")
-    monkeypatch.setattr(hyp, "RealRoots", no_roots)
+    monkeypatch.setattr(hyp, "level_roots", no_roots)
     family = OvalFamily(f=(X ** 2 - 2) ** 2, pair_index=1, t_min="-3", t_max="-1")
     with pytest.raises(InputError, match=r"^samples must be at least 1, got -?\d+$"):
         check_exth(family, X, Config(), samples=samples)
+
+
+def test_sample_counts_above_the_limit_are_input_errors(monkeypatch, config):
+    # every API sample count stops at COUNT_LIMIT, as Config.samples and
+    # the JSON counts do, before any sample point is drawn
+    import abelint.solver as solver
+
+    def no_points(*args):
+        raise AssertionError("a sample point was drawn")
+    monkeypatch.setattr(OvalFamily, "t_samples", no_points)
+    monkeypatch.setattr(solver, "_sample_points", no_points)
+    samples = COUNT_LIMIT + 1
+    message = rf"^samples must be at most {COUNT_LIMIT}, not {samples}$"
+    family = OvalFamily(f=(X ** 2 - 2) ** 2, pair_index=1, t_min="-3", t_max="-1")
+    with pytest.raises(InputError, match=message):
+        check_exth(family, X, Config(), samples=samples)
+    p, v = X ** 2, CycleVector(2, (1, -1))
+    with pytest.raises(InputError, match=message):
+        verify_vanishing_numeric(p, v, X, samples=samples, config=config)
+    rep = monodromy(p, config)
+    with pytest.raises(InputError, match=message):
+        tracked_fiber_samples(p, rep, config, samples)
 
 
 # ---------------------------------------------------------------------------

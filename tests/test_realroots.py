@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
-from abelint.errors import InputError
+from abelint.errors import ComputationError, InputError
+from abelint.hyperelliptic import OvalFamily, oval_endpoints
 from abelint.ratpoly import RatPoly
-from abelint.realroots import RealRoots
+from abelint.realroots import RealRoots, level_roots
 
 X = RatPoly.x()
 
@@ -235,3 +236,124 @@ def test_real_roots_are_exact_in_count_and_correctly_rounded(parts, prec, lead):
             ref = mp.findroot(lambda z: (z + b) * z + c, mp.mpf(x))
         with mp.workprec(prec):
             assert x == +ref
+
+
+# ---------------------------------------------------------------------------
+# the roots of f + t at many levels t from f's turning points
+# ---------------------------------------------------------------------------
+
+DYADIC = st.builds(lambda n, e: Fraction(n, 2 ** e), st.integers(-40, 40), st.integers(0, 5))
+HUGE = Fraction(10 ** 100000)
+
+
+@st.composite
+def level_families(draw):
+    """(f, turning): f of degree 2-6 with dyadic coefficients, either the
+    primitive of a dyadic multiple of prod (x - c), each c in Z/4 and
+    repeats allowed, plus a dyadic constant, so that its critical values
+    are dyadic, or with dyadic coefficients drawn directly; turning holds
+    exact rationals at or within 2^-160 of each real turning point."""
+    if draw(st.booleans()):
+        points = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5))
+        slope = RatPoly.constant(draw(DYADIC.filter(bool)))
+        for c in points:
+            slope = slope * (X - Fraction(c, 4))
+        return slope.primitive() + RatPoly.constant(draw(DYADIC)), \
+            sorted({Fraction(c, 4) for c in points})
+    coeffs = draw(st.lists(DYADIC, min_size=2, max_size=6))
+    f = RatPoly(coeffs + [draw(DYADIC.filter(bool))])
+    slope = RealRoots(f.derivative())
+    return f, [exact(slope.root(i, 160)) for i in range(slope.count)]
+
+
+@st.composite
+def levels(draw, f, turning):
+    """A level of one of five kinds: a critical value (exact for the first
+    kind of f, so a double or triple root), a level within 2^-100 of one,
+    -f(0) (a root at 0), a small dyadic level, or +-10^100000 up to degree
+    4 (`test_level_roots_at_a_huge_level` takes degrees 5 and 6: the
+    reference's Sturm chain on 332,000-bit coefficients takes about a
+    second there)."""
+    kinds = (["generic", "zero"] + (["huge"] if f.degree <= 4 else [])
+             + (["critical", "near"] if turning else []))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "generic":
+        return draw(DYADIC) * draw(st.sampled_from([1, 16, Fraction(1, 64)]))
+    if kind == "zero":
+        return -f(Fraction(0))
+    if kind == "huge":
+        return draw(st.sampled_from([HUGE, -HUGE]))
+    t = -f(draw(st.sampled_from(turning)))
+    if kind == "near":
+        t += draw(st.sampled_from([-1, 1])) * Fraction(1, 2 ** draw(st.sampled_from([100, 130])))
+    return t
+
+
+def _same_as_real_roots(f, t, kept):
+    got = level_roots(f, t.numerator, t.denominator, kept)
+    want = RealRoots(f + RatPoly.constant(t))
+    assert got.count == want.count
+    assert [got.sign_between(i) for i in range(got.count - 1)] == \
+        [want.sign_between(i) for i in range(want.count - 1)]
+    for prec in (64, 256):
+        assert [got.root(i, prec)._mpf_ for i in range(got.count)] == \
+            [want.root(i, prec)._mpf_ for i in range(want.count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level_roots_are_real_roots_of_f_plus_t(data):
+    # one picture serves every level of one f, each starting from the
+    # turning intervals the levels before it halved
+    f, turning = data.draw(level_families())
+    kept = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        _same_as_real_roots(f, data.draw(levels(f, turning)), kept)
+
+
+@pytest.mark.parametrize("f, t", [
+    (-X ** 6 + 5 * X ** 4 - X + 3, HUGE), (X ** 5 - 2 * X ** 2 + Fraction(3, 8), -HUGE)])
+def test_level_roots_at_a_huge_level(f, t):
+    kept = {}
+    _same_as_real_roots(f, Fraction(1, 8), kept)
+    _same_as_real_roots(f, t, kept)
+
+
+@pytest.mark.parametrize("f, t, fallback", [
+    ((X ** 2 - 1) ** 2, Fraction(0), True),            # two double roots
+    ((X ** 2 - 1) ** 2, Fraction(-1), True),           # a double root at 0
+    (X ** 3, Fraction(0), True),                       # a triple root
+    (X ** 3 - 6 * X, None, True),                      # 2^-200 off -f(sqrt 2)
+    (X ** 3 - 6 * X, Fraction(1, 2 ** 100), False),    # a root at 0
+    ((X ** 2 - 1) ** 2, -Fraction(1, 2 ** 20), False),
+    (RatPoly.constant(3), Fraction(1), True),          # every level critical
+])
+def test_level_roots_fall_back_at_critical_levels(monkeypatch, f, t, fallback):
+    # a turning point whose sign does not settle, or a constant f, sends
+    # the level to RealRoots(f + t), the one path that builds a Sturm chain
+    # per level; the picture is built first, at t = 1
+    if t is None:
+        with mp.workprec(256):
+            t = exact(mp.mpf(4) * mp.sqrt(2)) + Fraction(1, 2 ** 200)
+    kept = {}
+    level_roots(f, 1, 1, kept)
+    calls = []
+    init = RealRoots.__init__
+    monkeypatch.setattr(RealRoots, "__init__", lambda self, p: calls.append(p) or init(self, p))
+    level_roots(f, t.numerator, t.denominator, kept)
+    assert calls == ([f + RatPoly.constant(t)] if fallback else [])
+    monkeypatch.undo()
+    _same_as_real_roots(f, t, kept)
+    if f.degree < 1:
+        with pytest.raises(InputError, match="^cannot take roots of the zero polynomial$"):
+            level_roots(f, -3, 1, kept)
+
+
+def test_oval_endpoint_errors_keep_their_text():
+    fam = OvalFamily(f=X ** 2 - 1, pair_index=1, t_min="0", t_max="0")
+    with pytest.raises(ComputationError, match=r"^root pair 1 not available at t=0\.5$"):
+        oval_endpoints(fam, "0.5", 128)
+    fam = OvalFamily(f=X ** 2 - 1, pair_index=0, t_min="0", t_max="0")
+    with pytest.raises(ComputationError, match=r"^f \+ t is not positive between the "
+                                               r"selected roots; no real oval$"):
+        oval_endpoints(fam, "0.5", 128)
