@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_add, mpc_div,
-                          mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_shift,
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
+                          mpc_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_shift,
                           mpc_sqrt, mpc_sub, mpf_add, mpf_cos_sin_pi, mpf_lt, mpf_mul,
                           mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, pi_fixed,
                           round_nearest, to_float, to_rational)
@@ -218,7 +218,7 @@ def oval_endpoints(family: OvalFamily, t, prec: int):
 
 def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPoly,
                      z=None):
-    """The integral over [0, pi] of the `mode` integrand of k (`_oval_node`)
+    """The integral over [0, pi] of the `mode` integrand of k (`_oval_sum`)
     dphi on the oval's upper branch, times 2 for "y_dx" and "cauchy" (which
     needs z), rounded at prec + 32 bits.
 
@@ -240,12 +240,14 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         if z is not None:
             # poles sit where f + t = z; on the oval f + t covers [0, w2max],
             # its maximum at a turning point inside, so only real z inside
-            # that range (but away from 0) is dangerous
-            inside = turning.between(x1, x2, mp.prec)
-            w2max = max(eval_poly(family.f, x, mp.prec) + t for x in inside)
+            # that range (but away from 0) is dangerous, and w2max is formed
+            # only for z that close to the real axis
             margin = (1 + abs(z)) * mp.mpf(2) ** (-(prec // 4))
-            if abs(mp.im(z)) < margin and margin < mp.re(z) < w2max + margin:
-                raise ComputationError("pole sits on the integration contour")
+            if abs(mp.im(z)) < margin:
+                inside = turning.between(x1, x2, mp.prec)
+                w2max = max(eval_poly(family.f, x, mp.prec) + t for x in inside)
+                if margin < mp.re(z) < w2max + margin:
+                    raise ComputationError("pole sits on the integration contour")
         # x = (m + h xi) / 2^u for integers m and h; then f + t in xi over
         # the integers, divided by xi^2 - 1: the rounded endpoints leave a
         # remainder r0 + r1 xi, and (f + t)(x1), (f + t)(x2) = (r0 -+ r1)/den
@@ -283,8 +285,8 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
             unit = max(zq, ziq)
             singular.append([(a[0] * unit - zr * (unit // zq) * den,
                               -zi * (unit // ziq) * den)] + [c * unit for c in a[1:]])
-        value = _phi_trapezoid(lambda j, n: _oval_node(oval, j, n), wp,
-                               1 if mode == "dx_over_y" else 2, z is not None, prec,
+        value = _phi_trapezoid(lambda n, total: _table_level(_oval_sum, oval, n, total), wp,
+                               1 if mode == "dx_over_y" else 2, prec,
                                f"oval quadrature {where}", point=point,
                                bernstein=(_bernstein_log2(singular),
                                           len(a) + len(k_xi[0]) - 2))
@@ -292,22 +294,25 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
         return value
 
 
-def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
-                   what: str, closed: bool = False, point: int | None = None,
-                   bernstein: tuple | None = None):
-    """scale times the integral over [0, pi] of node(j, n), the integrand at
-    phi = j pi/n, n a power of two; called inside mp.workprec(wp).  Nodes are
-    raw mpf (mpc when complex_values) summed at wp or, given `point`, ints
-    (pairs of ints) at `point` fractional bits, summed exactly.
+def _phi_trapezoid(level, wp: int, scale, prec: int, what: str,
+                   point: int | None = None, bernstein: tuple | None = None):
+    """scale times the integral over [0, pi] of an integrand in phi, from
+    its trapezoid levels of n = 8, 16, 32, ... intervals; called inside
+    mp.workprec(wp).  level(n, total) returns the doubled sum of level n,
+    its two ends once and every interior node twice, given `total`, the
+    doubled sum of level n/2 (None at n = 8): the levels are nested, so each
+    one adds only its odd nodes, every node is evaluated once, and the ends'
+    half weights cost no rounding.  The sums are raw mpc at wp or, given
+    `point`, ints (pairs of ints) at `point` fractional bits, summed
+    exactly.  scale is an int or a raw mpc; it multiplies the settled value
+    once, at wp.
 
-    The trapezoid levels of 8, 16, 32, ... intervals are nested: each level
-    adds only its odd nodes to the running sum, so every node is evaluated
-    once.  The sum is kept doubled, so the ends' half weights cost no
-    rounding.  The value T_n is the first level n that settles, rounded at
-    prec + 32 bits; past 2^16 intervals it is an error.  Level n settles
-    when |T_n - T_n/2| <= 2^-(prec + 8) (1 + |T_n|), tested in mp at wp on
-    mpf nodes and exactly on the ints given `point` (`_settled_on_ints`),
-    where T_n is formed only once, at the level that settles.
+    The value T_n is the first level n that settles, rounded at prec + 32
+    bits; past 2^16 intervals it is an error.  Level n settles when |T_n -
+    T_n/2| <= 2^-(prec + 8) (1 + |T_n|), tested in mp at wp on mpc sums and
+    exactly on the ints given `point` (`_settled_on_ints`, with |scale| to 64
+    bits when it is an mpc), where T_n is formed only once, at the level
+    that settles.
 
     Given `point` and `bernstein` = (log2 R, d), level n > d also settles
     when 4 |T_n - T_n/2| R^-n <= 2^-(prec + 32) (1 + |T_n|).  R is the least
@@ -322,26 +327,24 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
     integrand's polynomial factors in xi, the coefficients need not decay
     yet, so the rule waits.  R is an estimate from roots found in doubles,
     not a certificate: an even-multiplicity root of g is no singularity of
-    sqrt g, so R is then a lower bound, and log2 R = 0 turns the rule off.
-
-    On an arc, phi = 0 and pi carry half weights; on a `closed` contour they
-    are one node, evaluated once as node(0, 1)."""
+    sqrt g, so R is then a lower bound, and log2 R = 0 turns the rule off."""
     rnd = round_nearest
-    if point is None:
-        add, shift = (mpc_add, mpc_shift) if complex_values else (mpf_add, mpf_shift)
-        plus = lambda a, b: add(a, b, wp, rnd)
-        twice, half = (lambda v: shift(v, 1)), (lambda v: shift(v, -1))
-    elif complex_values:
-        plus = lambda a, b: (a[0] + b[0], a[1] + b[1])
-        twice = lambda v: (v[0] << 1, v[1] << 1)
-        half = lambda v: (from_man_exp(v[0], -point - 1), from_man_exp(v[1], -point - 1))
+    if isinstance(scale, int):
+        scaled_pi, size, unit = mpf_mul_int(mpf_pi(wp), scale, wp, rnd), abs(scale), 0
     else:
-        plus, twice = (lambda a, b: a + b), (lambda v: v << 1)
-        half = lambda v: from_man_exp(v, -point - 1)
-    mul, make = (mpc_mul_mpf, mp.make_mpc) if complex_values else (mpf_mul, mp.make_mpf)
-    scaled_pi = mpf_mul_int(mpf_pi(wp), scale, wp, rnd)
-    value = lambda total, n: make(mul(half(total), mpf_shift(scaled_pi, 1 - n.bit_length()),
-                                      wp, rnd))
+        scaled_pi = mpc_mul_mpf(scale, mpf_pi(wp), wp, rnd)
+        _, size, unit, _ = mpc_abs(scale, 64)     # |scale| = size 2^unit
+
+    def value(total, n):
+        shift = 1 - n.bit_length()
+        if point is not None and not isinstance(total, tuple):
+            return mp.make_mpf(mpf_mul(from_man_exp(total, -point - 1),
+                                       mpf_shift(scaled_pi, shift), wp, rnd))
+        half = (mpc_shift(total, -1) if point is None
+                else (from_man_exp(total[0], -point - 1), from_man_exp(total[1], -point - 1)))
+        if isinstance(scale, int):
+            return mp.make_mpc(mpc_mul_mpf(half, mpf_shift(scaled_pi, shift), wp, rnd))
+        return mp.make_mpc(mpc_mul(half, mpc_shift(scaled_pi, shift), wp, rnd))
     if point is None:
         tol = mp.mpf(2) ** (-(prec + 8))
 
@@ -349,17 +352,15 @@ def _phi_trapezoid(node, wp: int, scale: int, complex_values: bool, prec: int,
             val = value(total, n)
             return abs(val - value(last, n >> 1)) <= tol * (1 + abs(val))
     else:
-        settled = lambda total, last, n: _settled_on_ints(total, last, n, abs(scale), point,
+        settled = lambda total, last, n: _settled_on_ints(total, last, n, size, point - unit,
                                                           prec, bernstein)
-    total = twice(node(0, 1)) if closed else plus(node(0, 1), node(1, 1))
-    last, n, js = None, 8, range(1, 8)
+    last, n = None, 8
     while n <= 1 << 16:
-        for j in js:
-            total = plus(total, twice(node(j, n)))
+        total = level(n, last)
         if last is not None and settled(total, last, n):
             with mp.workprec(prec + 32):
                 return +value(total, n)
-        last, n, js = total, 2 * n, range(1, 2 * n, 2)
+        last, n = total, 2 * n
     raise ComputationError(f"{what} needs more than 2^16 nodes")
 
 
@@ -436,11 +437,19 @@ def _ellipse_log2(v: complex, k: int) -> float:
     return math.log2(max(abs(u + s), abs(u - s)))
 
 
-def _in_xi(p: list, p_den: int, m: int, h: int, u: int):
+def _in_xi(p: list, p_den: int, m, h, u: int):
     """(c, den), integers, with sum p_i x^i / p_den = sum c_i xi^i / den
     (lowest first) at x = (m + h xi)/2^u: Horner on integer polynomials in
-    xi."""
+    xi.  m and h are ints or Gaussian integers (re, im), and then so is each
+    c_i."""
     c = []
+    if isinstance(m, tuple):
+        (mr, mi), (hr, hi) = m, h
+        for j, v in enumerate(reversed(p)):
+            c = [(mr * ar - mi * ai + hr * br - hi * bi, mr * ai + mi * ar + hr * bi + hi * br)
+                 for (ar, ai), (br, bi) in zip(c + [(0, 0)], [(0, 0)] + c)]
+            c[0] = (c[0][0] + (v << (u * j)), c[0][1])
+        return c, p_den << (u * max(len(c) - 1, 0))
     for j, v in enumerate(reversed(p)):
         c = [m * a + h * b for a, b in zip(c + [0], [0] + c)]
         c[0] += v << (u * j)
@@ -448,7 +457,7 @@ def _in_xi(p: list, p_den: int, m: int, h: int, u: int):
 
 
 def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
-    """`_oval_node`'s oval, and the binary point of its node values, for the
+    """`_oval_sum`'s oval, and the binary point of its node values, for the
     half-width h, g and k in xi = (x - m)/h (`_oval_quadrature`), each given
     exactly as integers over one denominator ((num, den), and (nums lowest
     first, den)), mode "y_dx", "dx_over_y" or "cauchy", and an mpc z for
@@ -464,7 +473,7 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     power of two goes into its binary point, so the trapezoid sums exact
     ints.
 
-    The node angles come from F's table (`_ANGLES`, `_cos_sin_at`): the
+    The node angles come from F's table (`_ANGLES`, `_angle_level`): the
     oval carries its own copy of F's level list, which its quadrature
     extends by each level it first reaches, and `_oval_quadrature` puts the
     copy back only once the quadrature settles.
@@ -510,83 +519,114 @@ def _cos_sin_pi(j: int, n: int, point: int):
     """cos and sin of j pi/n, n a power of two at most 2^point, as ints at
     `point` fractional bits: j/n less its nearest half-integer q/2 (ties up,
     as in mpmath's `mpf_cos_sin`) times pi, by `cos_sin_basecase`, turned by
-    q quarter turns.  The ints depend on j/n alone.  The oval kernel reads
-    them from the table `_ANGLES` (`_cos_sin_at`), which calls this once per
-    angle and binary point and keeps only what settled quadratures reached."""
+    q quarter turns.  The ints depend on j/n alone.  The fixed-point kernels
+    read them from the table `_ANGLES` (`_angle_level`), which calls this once
+    per angle and binary point and keeps only what settled quadratures
+    reached."""
     q = ((4 * j) // n + 1) >> 1
     r = (j << point) // n - (q << (point - 1))
     cos, sin = cos_sin_basecase(r * pi_fixed(point) >> point, point)
     return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q & 3]
 
 
-# `_cos_sin_pi`'s ints for the oval nodes, one list of trapezoid levels per
-# binary point: level 0 holds j = 0..8 of n = 8, level i the odd j of
-# n = 8 * 2^i.  Every oval quadrature at one precision and degree shares F
-# and visits the same angles.  Only settled quadratures add levels
-# (`_oval_quadrature`), at most the 14 levels to 2^16 intervals: 2^16 + 1
-# pairs of F-bit ints, about 11 MB at F = 190 and 27 MB at F = 1100.
+# `_cos_sin_pi`'s ints for the oval and segment nodes, one list of trapezoid
+# levels per binary point: level 0 holds j = 0..8 of n = 8, level i the odd j
+# of n = 8 * 2^i.  Every quadrature at one precision and degree shares F and
+# visits the same angles.  Only settled quadratures add levels
+# (`_oval_quadrature`, `_segment_loop`), at most the 14 levels to 2^16
+# intervals: 2^16 + 1 pairs of F-bit ints, about 11 MB at F = 190 and 27 MB
+# at F = 1100.
 _ANGLES: dict[int, list] = {}
 
 
+def _angle_level(levels: list, i: int, point: int) -> tuple:
+    """Level i of `levels`, one binary point's list in `_ANGLES`: level 0
+    holds j = 0..8 of n = 8, level i the odd j of n = 8 * 2^i.  The level
+    just past the list is first appended whole."""
+    if i == len(levels):
+        n = 8 << i
+        levels.append(tuple(_cos_sin_pi(j, n, point)
+                            for j in (range(9) if i == 0 else range(1, n, 2))))
+    return levels[i]
+
+
 def _cos_sin_at(levels: list, j: int, n: int, point: int):
-    """`_cos_sin_pi(j, n, point)`, 0 <= j <= n, read from `levels`, one
-    binary point's list in `_ANGLES`: j/n on a level the list holds is index
-    arithmetic, one on the next level first appends that whole level, and
-    one deeper is computed on its own."""
+    """`_cos_sin_pi(j, n, point)`, 0 <= j <= n, read from `levels`
+    (`_angle_level`): j/n on a level the list holds is index arithmetic, one
+    on the next level first appends that whole level, and one deeper is
+    computed on its own."""
     while n > 8 and not j & 1:
         j, n = j >> 1, n >> 1
     i, e = (0, j * (8 // n)) if n <= 8 else (n.bit_length() - 4, j >> 1)
-    if i == len(levels):
-        m = 8 << i
-        levels.append(tuple(_cos_sin_pi(v, m, point)
-                            for v in (range(9) if i == 0 else range(1, m, 2))))
-    return levels[i][e] if i < len(levels) else _cos_sin_pi(j, n, point)
+    return _angle_level(levels, i, point)[e] if i <= len(levels) else _cos_sin_pi(j, n, point)
+
+
+def _table_level(kernel, fixed, n: int, total):
+    """`_phi_trapezoid`'s level n for a fixed-point integrand: kernel(fixed,
+    angles) sums it over (cos, sin) pairs of ints, and `fixed` starts with
+    their binary point and ends with its copy of that point's angle levels
+    (`_ANGLES`).  Level 8 counts its ends once and its interior twice; each
+    later level adds twice its odd nodes to `total`."""
+    angles = _angle_level(fixed[-1], n.bit_length() - 4, fixed[0])
+    if total is None:
+        total, inner = kernel(fixed, angles[::8]), kernel(fixed, angles[1:8])
+    else:
+        inner = kernel(fixed, angles)
+    if isinstance(total, tuple):
+        return total[0] + 2 * inner[0], total[1] + 2 * inner[1]
+    return total + 2 * inner
+
+
+def _oval_sum(oval, angles):
+    """The sum of a real oval's integrand over `angles`, (cos, sin) pairs of
+    ints at phi, in fixed point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g)
+    ("y_dx"), k dx/(y dphi) = k / sqrt(g) ("dx_over_y") or k y dx/((y^2 - z)
+    dphi) ("cauchy", a pair of ints), with g and k at xi = -cos(phi).  Each
+    node is floored on its own, so the sum does not depend on how the angles
+    are grouped."""
+    point, h, g, k, mode, z, q, floor, where, _ = oval
+    total = total_im = 0
+    if mode == "dx_over_y":
+        for cos, _ in angles:
+            gx = horner_fixed(g, -cos, point)
+            if gx <= floor:
+                break
+            total += (horner_fixed(k, -cos, point) << point) // isqrt(gx << point)
+        else:
+            return total
+    elif mode == "y_dx":
+        for cos, sin in angles:
+            gx = horner_fixed(g, -cos, point)
+            if gx <= floor:
+                break
+            hs = h * sin >> point
+            total += ((horner_fixed(k, -cos, point) * isqrt(gx << point) >> point)
+                      * hs >> point) * hs >> point
+        else:
+            return total
+    else:
+        zr, zi = z
+        for cos, sin in angles:
+            gx = horner_fixed(g, -cos, point)
+            if gx <= floor:
+                break
+            hs = h * sin >> point
+            val = ((horner_fixed(k, -cos, point) * isqrt(gx << point) >> point)
+                   * hs >> point) * hs >> point
+            re = ((hs * hs >> point) * gx >> (point + q)) - zr
+            norm = re * re + zi * zi
+            total += (val * re << point) // norm
+            total_im += (val * zi << point) // norm
+        else:
+            return total, total_im
+    raise ComputationError("f + t has another root on the oval or a double root at an "
+                           f"endpoint {where}")
 
 
 def _oval_node(oval, j, n):
-    """A real oval's integrand at phi = j pi/n, n a power of two, in fixed
-    point (`_fixed_oval`): k y dx/dphi = k hs^2 sqrt(g) ("y_dx"), k dx/(y
-    dphi) = k / sqrt(g) ("dx_over_y") or k y dx/((y^2 - z) dphi) ("cauchy",
-    a pair of ints), with g and k at xi = -cos(phi)."""
-    point, h, g, k, mode, z, q, floor, where, levels = oval
-    cos, sin = _cos_sin_at(levels, j, n, point)
-    gx = horner_fixed(g, -cos, point)
-    if gx <= floor:
-        raise ComputationError("f + t has another root on the oval or a double "
-                               f"root at an endpoint {where}")
-    root_g, kx = isqrt(gx << point), horner_fixed(k, -cos, point)
-    if mode == "dx_over_y":
-        return (kx << point) // root_g
-    hs = h * sin >> point
-    val = ((kx * root_g >> point) * hs >> point) * hs >> point
-    if mode == "y_dx":
-        return val
-    re, im = ((hs * hs >> point) * gx >> (point + q)) - z[0], -z[1]
-    norm = re * re + im * im
-    return (val * re << point) // norm, (-val * im << point) // norm
-
-
-def _segment_node(segment, j, n):
-    """The integrand of `_segment_loop` at phi = j pi/n, n a power of two;
-    `segment` is (m, h, g, integrand, wp): raw mpc m, h and the segment's g
-    (`_segment_root_g`)."""
-    m, h, g, integrand, wp = segment
-    rnd = round_nearest
-    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 1 - n.bit_length()), wp, rnd)
-    x = mpc_sub(m, mpc_mul_mpf(h, cos, wp, rnd), wp, rnd)
-    hs, root_g = mpc_mul_mpf(h, sin, wp, rnd), _segment_root_g(g, x, wp)
-    return integrand(x, mpc_mul(hs, root_g, wp, rnd), hs, root_g, wp)
-
-
-def _segment_root_g(g, x, wp: int):
-    """sqrt g(x) for a segment's g = (c, ((r, 1/(m - r)), ...)) over the other
-    roots r: c times the principal roots of (x - r)/(m - r), so each factor
-    is fixed by x alone and analytic off the ray from r away from m."""
-    root, rnd = g[0], round_nearest
-    for r, inv in g[1]:
-        ratio = mpc_mul(mpc_sub(x, r, wp, rnd), inv, wp, rnd)
-        root = mpc_mul(root, mpc_sqrt(ratio, wp, rnd), wp, rnd)
-    return root
+    """The oval kernel `_oval_sum` at the one angle phi = j pi/n, n a power
+    of two: an int, or a pair of ints for "cauchy"."""
+    return _oval_sum(oval, (_cos_sin_at(oval[-1], j, n, oval[0]),))
 
 
 def integral_I(family: OvalFamily, k: RatPoly, t,
@@ -696,27 +736,131 @@ def _segment_loop(f: RatPoly, k: RatPoly, inside, outside, x0, s0, mode, prec: i
     sqrt g, and W = h sin(phi) on the collapsed contour: the loop is sigma 2
     int_0^pi k (h sin phi)^2 sqrt g dphi ("y_dx") or sigma int_0^pi k/sqrt g
     dphi ("dx_over_2y"), sigma = +-1 making y = s0 at x0, as on the
-    ellipse.  Runs inside mp.workprec(prec + 52)."""
-    wp, rnd = prec + 52, round_nearest
+    ellipse.  With g = -lc prod (x - r) over the other roots r, none inside
+    the convex ellipse, which holds the segment, sqrt g = c prod sqrt(1 + xi
+    e_r) in xi = (x - m)/h, c = sqrt(-lc) prod sqrt(m - r) and e_r = h/(m -
+    r): each factor is the principal sqrt((x - r)/(m - r)), fixed by x alone
+    and analytic off the ray from r away from m.  The nodes are fixed point
+    (`_fixed_segment`), and the constant 2 sigma h^2 c (or sigma / c)
+    multiplies the settled value.  Runs inside mp.workprec(prec + 52)."""
+    wp = prec + 52
     (x1, x2), c = inside, mp.sqrt(-to_mpf(f.coeffs[-1], wp))
     m, h = (x1 + x2) / 2, (x2 - x1) / 2
-    # g = -lc prod (x - r) over the other roots r, none inside the
-    # convex ellipse, which holds the segment (`_segment_root_g`)
     for r in outside:
         c *= mp.sqrt(m - r)
-    g = (mp.mpc(c)._mpc_, tuple((mp.mpc(r)._mpc_, mp.mpc(1 / (m - r))._mpc_)
-                                for r in outside))
     u = x0 - m
-    root_g0 = mp.make_mpc(_segment_root_g(g, x0._mpc_, wp))
+    root_g0 = c
+    for r in outside:
+        root_g0 *= mp.sqrt((x0 - r) / (m - r))
     lift = 1j * u * mp.sqrt(1 - (h / u) ** 2) * root_g0
     sigma = 1 if abs(lift - s0) <= abs(lift + s0) else -1
-    integrand = ((lambda x, y, hs, root_g, wp: mpc_mul(
-        mpc_mul(eval_poly_raw(k, x, wp), y, wp, rnd), hs, wp, rnd)) if mode == "y_dx"
-        else (lambda x, y, hs, root_g, wp: mpc_div(
-            eval_poly_raw(k, x, wp), root_g, wp, rnd)))
-    segment = (mp.mpc(m)._mpc_, mp.mpc(h)._mpc_, g, integrand, wp)
-    return _phi_trapezoid(lambda j, n: _segment_node(segment, j, n), wp,
-                          sigma * (2 if mode == "y_dx" else 1), True, prec, what)
+    # m, h and the r as Gaussian integers over 2^e, so that k in xi and,
+    # with d = m - r and c = d conj(h), each e_r = conj(c)/|d|^2 are exact
+    (mg, (hr, hi), *rs), e = _gaussian([m, h] + list(outside))
+    ds = [(mg[0] - re, mg[1] - im) for re, im in rs]
+    cs = [(dr * hr + di * hi, di * hr - dr * hi) for dr, di in ds]
+    k_xi = _in_xi(*k.over_integers(), mg, (hr, hi), e)
+    segment, point = _fixed_segment(k_xi, [((cr, -ci), dr * dr + di * di)
+                                           for (cr, ci), (dr, di) in zip(cs, ds)], mode, wp)
+    # the singularities in xi: the rho_r = (r - m)/h, the roots of |h|^2 xi + c
+    bernstein = (_bernstein_log2([[v, hr * hr + hi * hi] for v in cs]),
+                 len(k_xi[0]) - 1 + (2 if mode == "y_dx" else 0))
+    scale = 2 * sigma * h * h * c if mode == "y_dx" else sigma / c
+    value = _phi_trapezoid(lambda n, total: _table_level(_segment_sum, segment, n, total),
+                           wp, mp.mpc(scale)._mpc_, prec, what, point=point,
+                           bernstein=bernstein)
+    _ANGLES[segment[0]] = segment[-1]    # only a settled quadrature keeps its levels
+    return value
+
+
+def _gaussian(values) -> tuple:
+    """([(re, im), ...], u): Gaussian integers with each mpc of `values`
+    equal to (re + i im)/2^u."""
+    parts = [to_rational(v) for z in values for v in mp.mpc(z)._mpc_]
+    q = max(den for _, den in parts)
+    ints = [num * (q // den) for num, den in parts]
+    return list(zip(ints[::2], ints[1::2])), q.bit_length() - 1
+
+
+def _fixed_segment(k, ratios, mode: str, wp: int):
+    """`_segment_sum`'s segment, and the binary point of its node values,
+    for k in xi = (x - m)/h given exactly over the Gaussian integers ((nums,
+    lowest first, as (re, im) pairs), den), the ratios e_r = h/(m - r) each
+    as ((re, im), den) and mode "y_dx" or "dx_over_2y" (`_segment_loop`).
+
+    As in `_fixed_oval`, each input is scaled by a power of two chosen from
+    magnitudes known before any node, then floored to F fractional bits: k
+    is divided by 2^b >= Khat = sum (|Re k_i| + |Im k_i|), and each factor
+    w_r = 1 + xi e_r by an even 2^a >= 1 + |Re e_r| + |Im e_r| >= 1 + |e_r|,
+    its bound for |xi| <= 1, so sqrt w_r scales exactly.  A complex square
+    root is taken on ints: the isqrt of the modulus gives the larger part,
+    sqrt((|w| + |Re w|)/2), and the other part is Im w divided by twice it,
+    so nothing cancels.  The node's own power of two goes into its binary
+    point, so the trapezoid sums exact ints.
+
+    Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg k, the
+    number of factors, 1)), and the angles' cos and sin are within 2^5
+    units of 2^-F (`_fixed_oval`), so Horner on |xi| <= 1 keeps k within
+    delta of Khat, each w_r within delta of its bound 1 + |e_r| and sin^2
+    within delta of 1; every later floor costs a few units of 2^-F, below
+    delta of the scaled bound.  A square root turns an error of w_r into a
+    relative one of at most (1 + |e_r|)/(2 |w_r|) times it.  To first order
+    a node is therefore within delta N E of its exact value at these k and
+    e_r, with
+    N = Khat prod sqrt(1 + |e_r|) and E = 3 + sum (1 + |e_r|)/|w_r| for "y_dx";
+    N = Khat / prod sqrt|w_r| and E = 2 + sum (1 + |e_r|)/|w_r| for "dx_over_2y".
+    E grows only where a w_r is small, next to the ray cut from r, which
+    the segment keeps away from as `loop_integral`'s contour margin does."""
+    ks, k_den = k
+    b = bound_exponent(sum(abs(re) + abs(im) for re, im in ks), k_den) if any(
+        re or im for re, im in ks) else 0
+    point = wp + 8 + max(len(ks) - 1, len(ratios), 1).bit_length()
+    factors, half_powers = [], 0
+    for (re, im), den in ratios:
+        a = bound_exponent(den + abs(re) + abs(im), den)
+        a += a % 2
+        factors.append((1 << (point - a), to_fixed(re, den, point - a),
+                        to_fixed(im, den, point - a)))
+        half_powers += a // 2
+    segment = (point, tuple(to_fixed(re, k_den, point - b) for re, _ in reversed(ks)),
+               tuple(to_fixed(im, k_den, point - b) for _, im in reversed(ks)),
+               tuple(factors), mode, list(_ANGLES.get(point, ())))
+    return segment, point - b + (half_powers if mode == "dx_over_2y" else -half_powers)
+
+
+def _segment_sum(segment, angles):
+    """The sum of a collapsed loop's integrand over `angles`, (cos, sin)
+    pairs of ints at phi, in fixed point (`_fixed_segment`), as a pair of
+    ints: sin^2 k prod sqrt(w_r) ("y_dx") or k / prod sqrt(w_r)
+    ("dx_over_2y"), with k and w_r = 1 + xi e_r at xi = -cos(phi)."""
+    point, k_re, k_im, factors, mode, _ = segment
+    one, half = 1 << point, point - 1
+    total_re = total_im = 0
+    for cos, sin in angles:
+        x = -cos
+        kr, ki = horner_fixed(k_re, x, point), horner_fixed(k_im, x, point)
+        pr, pi = one, 0
+        for unit, er, ei in factors:
+            wr, wi = unit + (x * er >> point), x * ei >> point
+            size = isqrt(wr * wr + wi * wi)
+            if wr >= 0:
+                sr = isqrt((size + wr) << half)
+                si = (wi << half) // sr
+            else:
+                si = isqrt((size - wr) << half)
+                si = -si if wi < 0 else si
+                sr = (wi << half) // si
+            pr, pi = (pr * sr - pi * si) >> point, (pr * si + pi * sr) >> point
+        if mode == "y_dx":
+            s2 = sin * sin >> point
+            kr, ki = kr * s2 >> point, ki * s2 >> point
+            total_re += (kr * pr - ki * pi) >> point
+            total_im += (kr * pi + ki * pr) >> point
+        else:
+            norm = pr * pr + pi * pi
+            total_re += ((kr * pr + ki * pi) << point) // norm
+            total_im += ((ki * pr - kr * pi) << point) // norm
+    return total_re, total_im
 
 
 def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, inside, outside,
@@ -734,8 +878,22 @@ def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, inside, outs
     lift_c = complex(s0 / abs(s0)) / _lift(lift, 1, 0)
     contour = (f, k, t._mpc_, center._mpc_, a._mpf_, b._mpf_, mode, z, lift, lift_c,
                w0._mpc_, wp)
-    return _phi_trapezoid(lambda j, n: _ellipse_node(contour, j, n), wp, 2, True, prec,
-                          what, closed=True)
+    return _phi_trapezoid(lambda n, total: _ellipse_level(contour, n, total), wp, 2, prec,
+                          what)
+
+
+def _ellipse_level(contour, n: int, total):
+    """`_phi_trapezoid`'s level n on the ellipse (`_ellipse_node`), raw mpc
+    at the contour's wp: theta = 0 and 2 pi are one node, node(0, 1), and
+    each node is added to the doubled sum on its own, in the order of j."""
+    wp, rnd = contour[-1], round_nearest
+    if total is None:
+        total, js = mpc_shift(_ellipse_node(contour, 0, 1), 1), range(1, 8)
+    else:
+        js = range(1, n, 2)
+    for j in js:
+        total = mpc_add(total, mpc_shift(_ellipse_node(contour, j, n), 1), wp, rnd)
+    return total
 
 
 def _lift(lift, cos: float, sin: float) -> complex:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor, round_nearest
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .ratpoly import RatPoly
 
 # An integer polynomial is a list of ints, constant term first.  A dyadic
@@ -297,7 +297,9 @@ class RealRoots:
 
     def _refine(self, root: tuple, prec: int, newton: bool = True) -> tuple:
         """The raw mpf of the isolated root, rounded to nearest at prec bits.
-        Without `newton`, the interval is only bisected."""
+        Without `newton`, the interval is only bisected; when that result
+        does not certify either, the interval holds no root (an internal
+        fault), which is a ConsistencyError."""
         a, b, e, sa = root
         if a == b:
             return from_man_exp(a, -e, prec, round_nearest)
@@ -365,8 +367,11 @@ class RealRoots:
             else:
                 x, last = (lo + hi) >> 1, None
         raw = self._certify(root, from_man_exp(x, -w, prec, round_nearest), prec)
-        if raw is None:         # Newton stopped more than a few ulps away
+        if raw is None and newton:      # Newton stopped more than a few ulps away
             return self._refine(root, prec, newton=False)
+        if raw is None:
+            raise ConsistencyError("no root certified in the isolating interval "
+                                   "({0}/2^{2}, {1}/2^{2})".format(*root))
         return raw
 
     def _float_newton(self, fa: float, fb: float, k: int):

@@ -302,18 +302,19 @@ def test_i_prime_builds_the_derivative_once(monkeypatch):
 def test_oval_nodes_are_evaluated_once_per_level(monkeypatch, case, evaluations):
     # level n of the trapezoid on [0, pi] has n + 1 nodes: the two ends and
     # the 7 interior nodes of level 8 come first, and each later level adds
-    # only its odd nodes, so the fixed-point kernel runs once per node of the
-    # last level, each at its own angle
+    # only its odd nodes, so the fixed-point kernel sums once over each node
+    # of the last level, each at its own angle (cos and sin ints, distinct
+    # on [0, pi])
     import abelint.hyperelliptic as hyp
     kind, family, prec = case.split("/")
     k = X ** 2 + 1
     angles = []
-    node = hyp._oval_node
+    kernel = hyp._oval_sum
 
-    def counting(oval, j, n):
-        angles.append(Fraction(j, n))
-        return node(oval, j, n)
-    monkeypatch.setattr(hyp, "_oval_node", counting)
+    def counting(oval, level):
+        angles.extend(level)
+        return kernel(oval, level)
+    monkeypatch.setattr(hyp, "_oval_sum", counting)
     cfg = Config(precision_bits=int(prec))
     if family == "endpoint":
         fam = OvalFamily(f=-X ** 2 + X / 2, pair_index=0, t_min="0.25", t_max="1")
@@ -484,24 +485,37 @@ def test_fixed_point_cos_sin_within_2_to_5_units():
             assert worst <= 32
 
 
-def test_nested_trapezoid_levels_and_node_limit():
+def test_nested_trapezoid_levels_and_node_limit(monkeypatch):
     # each level after the first adds only its odd nodes, each evaluated
-    # once; on a closed contour phi = 0 and pi are one node; a value that
-    # never settles ends in an error after the level of 2^16 intervals
+    # once: on an arc (the fixed-point kernels, read from the angle table)
+    # phi = 0 and pi come first, on a closed contour (the ellipse's mpc
+    # nodes) they are one node; a value that never settles ends in an error
+    # after the level of 2^16 intervals
     from mpmath.libmp import from_int
-    from abelint.hyperelliptic import _phi_trapezoid
+    import abelint.hyperelliptic as hyp
+    point = 24
+    levels = [(j, 8) for j in range(1, 8)] + [
+        (j, 16 << i) for i in range(13) for j in range(1, 16 << i, 2)]
     for closed, ends in ((False, [(0, 1), (1, 1)]), (True, [(0, 1)])):
         seen = []
-
-        def node(j, n):
-            seen.append((j, n))
-            return from_int(n)      # the level values grow without end
+        if closed:
+            def node(contour, j, n):
+                seen.append((j, n))
+                return from_int(n), from_int(0)     # the level values grow without end
+            monkeypatch.setattr(hyp, "_ellipse_node", node)
+            level, expected = (lambda n, total: hyp._ellipse_level((64,), n, total)), ends + levels
+        else:
+            def kernel(fixed, angles):
+                seen.extend(angles)
+                return len(angles) ** 2 << point
+            fixed = (point, [])     # the binary point and its angle levels
+            level = lambda n, total: hyp._table_level(kernel, fixed, n, total)
+            expected = [hyp._cos_sin_pi(j, n, point) for j, n in ends + levels]
         with mp.workprec(64), pytest.raises(
                 ComputationError, match=r"^loop at t = 1 needs more than 2\^16 nodes$"):
-            _phi_trapezoid(node, 64, 1, False, 16, "loop at t = 1", closed=closed)
-        levels = [(j, 8) for j in range(1, 8)] + [
-            (j, 16 << i) for i in range(13) for j in range(1, 16 << i, 2)]
-        assert seen == ends + levels
+            hyp._phi_trapezoid(level, 64, 1, 16, "loop at t = 1",
+                               point=None if closed else point)
+        assert seen == expected
 
 
 def test_oval_endpoints_that_do_not_divide_f_plus_t(monkeypatch):
@@ -642,30 +656,28 @@ def _traced_quadrature(run):
     arguments, the last level's n and the kernel's trapezoid sum at that
     level, read exactly from its ints."""
     import abelint.hyperelliptic as hyp
-    ovals, nodes = [], {}
-    fixed_oval, node = hyp._fixed_oval, hyp._oval_node
+    ovals, sums = [], {}
+    fixed_oval, table_level = hyp._fixed_oval, hyp._table_level
 
     def fixed(*args):
         ovals.append((args, fixed_oval(*args)))
         return ovals[-1][1]
 
-    def traced(oval, j, n):
-        nodes[j, n] = node(oval, j, n)
-        return nodes[j, n]
+    def traced(kernel, oval, n, total):
+        sums[n] = table_level(kernel, oval, n, total)
+        return sums[n]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hyp, "_fixed_oval", fixed)
-        patch.setattr(hyp, "_oval_node", traced)
+        patch.setattr(hyp, "_table_level", traced)
         try:
             value = run()
         except ComputationError as error:
             value = error
     [(args, (_, point))] = ovals
-    read = lambda v: from_man_exp(v, -point - 1)      # half of each value
-    total = [0, 0]
-    for (j, n), v in nodes.items():
-        for i, part in enumerate(v if isinstance(v, tuple) else (v,)):
-            total[i] += part if n == 1 else 2 * part
-    return value, args, max(n for _, n in nodes), mp.make_mpc(tuple(map(read, total)))
+    read = lambda v: from_man_exp(v, -point - 1)      # half of the doubled sum
+    n = max(sums)
+    total = sums[n] if isinstance(sums[n], tuple) else (sums[n], 0)
+    return value, args, n, mp.make_mpc(tuple(map(read, total)))
 
 
 def _reference_trapezoid(args, n):
@@ -807,6 +819,25 @@ def test_cauchy_pole_between_grid_points_and_the_true_maximum(config):
         cauchy_J(family, RatPoly.one(), Fraction(-1, 2), mp.mpf("0.22233"), config)
 
 
+def test_cauchy_pole_guard_rounds_turning_points_only_near_the_axis(monkeypatch, config):
+    # the guard fires only for z within its margin 2^-(prec/4) (1 + |z|) of
+    # the real axis, so an off-axis z rounds no turning point of the oval;
+    # an on-axis z in range still raises
+    calls = []
+    between = RealRoots.between
+
+    def counting(self, lo, hi, prec):
+        calls.append((lo, hi))
+        return between(self, lo, hi, prec)
+    monkeypatch.setattr(RealRoots, "between", counting)
+    family = OvalFamily(X ** 2 - X ** 4 / 4 + X / 5, 0, Fraction(-1), Fraction(0))
+    cauchy_J(family, RatPoly.one(), Fraction(-1, 2), complex(0.2, 0.5), config)
+    assert calls == []
+    with pytest.raises(ComputationError, match="^pole sits on the integration contour$"):
+        cauchy_J(family, RatPoly.one(), Fraction(-1, 2), mp.mpf("0.22233"), config)
+    assert len(calls) == 1
+
+
 def test_loop_around_one_branch_point_does_not_close(config):
     # the circle encloses only the branch point sqrt(2 + sqrt(2)) of f - 1/2
     with pytest.raises(ComputationError, match="does not close"):
@@ -940,6 +971,111 @@ def test_segment_loop_matches_the_ellipse(case):
             ellipse = hyp._ellipse_loop(f, k, t, center, a, b, mode, None, inside,
                                         outside, w0, prec, "loop")
         assert abs(segment - ellipse) <= mp.mpf(2) ** -(prec // 2) * (1 + abs(segment))
+
+
+# f = lc (x - p1)(x - p2) times 0 to 3 factors with roots far out, or
+# beside the segment (3/4 +- 2i/5, -1/2 +- i/2), where the factor 1 + xi e_r
+# can have a negative real part; a complex t, the mode, k and the precision
+EIGHTHS = st.integers(-12, 12).map(lambda n: Fraction(n, 8))
+OTHER_FACTORS = st.sampled_from([X - 3, X + Fraction(7, 2), X - 4, X ** 2 + 9,
+                                 X ** 2 - 2 * X + 10, X ** 2 + 4 * X + 13,
+                                 (X - Fraction(3, 4)) ** 2 + Fraction(4, 25),
+                                 (X + Fraction(1, 2)) ** 2 + Fraction(1, 4)])
+SEGMENT_LOOPS = st.tuples(
+    st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(3)]),
+    EIGHTHS, EIGHTHS, st.lists(OTHER_FACTORS, max_size=3).filter(
+        lambda fs: sum(p.degree for p in fs) <= 3),
+    st.integers(-8, 8), st.integers(-8, 8), st.sampled_from(["y_dx", "dx_over_2y"]),
+    st.lists(EIGHTHS, min_size=1, max_size=3), st.sampled_from([64, 128]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEGMENT_LOOPS)
+# the root 3/4 + 2i/5 beside [-1, 1]: Re(1 + xi e_r) < 0 next to xi = 1
+@example((Fraction(1), Fraction(-1), Fraction(1), [(X - Fraction(3, 4)) ** 2 + Fraction(4, 25)],
+          0, 0, "dx_over_2y", [Fraction(1), Fraction(1, 2)], 64))
+def test_segment_kernel_matches_mpmath_at_twice_the_precision(case):
+    # the fixed-point segment kernel and its trapezoid against mpmath's
+    # quadrature of the same phi-integral (`_segment_loop`'s docstring) at
+    # twice the working precision, from the same roots: within 2^-(prec + 24)
+    # of the integral of |integrand|, or of 1 where that is smaller, as the
+    # level test is absolute near 0.  Every other root keeps a quarter of
+    # the half-width h from the segment, so the levels converge fast
+    import abelint.hyperelliptic as hyp
+    lc, p1, p2, factors, re_t, im_t, mode, k_coeffs, prec = case
+    assume(abs(p2 - p1) >= Fraction(1, 4))
+    f, k = lc * (X - p1) * (X - p2), RatPoly(k_coeffs)
+    for factor in factors:
+        f = f * factor
+    wp = prec + 52
+    with mp.workprec(wp):
+        t = mp.mpc(re_t, im_t) / 256
+        roots = roots_of_shifted(f, -t, wp)
+        inside = [min(roots, key=lambda r: abs(r - mp.mpf(p.numerator) / p.denominator))
+                  for p in (p1, p2)]
+        assume(inside[0] is not inside[1])
+        outside = [r for r in roots if all(r is not x for x in inside)]
+        x1, x2 = sorted(inside, key=lambda r: (mp.re(r), mp.im(r)))
+        m, h = (x1 + x2) / 2, (x2 - x1) / 2
+        # the distance from r to the segment, through s = Re((r - m)/h) clamped to [-1, 1]
+        assume(all(abs(r - m - h * max(-1, min(1, mp.re((r - m) / h)))) >= abs(h) / 4
+                   for r in outside))
+        x0 = m + 3 * abs(h) / 2
+        s0 = mp.sqrt(eval_poly(f, x0, wp) + t)
+        value = hyp._segment_loop(f, k, [x1, x2], outside, x0, s0, mode, prec, "loop")
+    with mp.workprec(2 * wp):
+        c = mp.sqrt(-mp.mpf(f.lc.numerator) / f.lc.denominator)
+        for r in outside:
+            c *= mp.sqrt(m - r)
+        root_g0 = c
+        for r in outside:
+            root_g0 *= mp.sqrt((x0 - r) / (m - r))
+        u = x0 - m
+        lift = 1j * u * mp.sqrt(1 - (h / u) ** 2) * root_g0
+        sigma = 1 if abs(lift - s0) <= abs(lift + s0) else -1
+
+        def node(phi):
+            x = m - h * mp.cos(phi)
+            root_g = c
+            for r in outside:
+                root_g *= mp.sqrt((x - r) / (m - r))
+            kx = eval_poly(k, x, mp.prec)
+            return kx * (h * mp.sin(phi)) ** 2 * root_g if mode == "y_dx" else kx / root_g
+        weight = 2 * sigma if mode == "y_dx" else sigma
+        ref = weight * mp.quad(node, [0, mp.pi])
+        size = 2 * mp.quad(lambda phi: abs(node(phi)), [0, mp.pi])
+        assert abs(value - ref) <= mp.mpf(2) ** -(prec + 24) * max(1, size)
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+@pytest.mark.parametrize("family, k, t, center, radius", [
+    (OvalFamily(f=1 - X ** 2 / 2, pair_index=0, t_min="0", t_max="1"), X ** 2 + 1, "0.5",
+     0, "2.5"),
+    (OvalFamily(f=X / 2 - X ** 2, pair_index=0, t_min="0.25", t_max="1"), X ** 3 - 2, "0.75",
+     "0.25", "1.25"),
+    (CENTRAL, X ** 2 + 1, "-0.5", 0, "0.85"),
+    (CENTRAL, X ** 3 - X / 3, "-0.3", 0, "1.3"),
+], ids=["quadratic-even", "quadratic", "quartic-central", "quartic-central-odd"])
+def test_segment_loop_is_plus_or_minus_the_oval_period(monkeypatch, family, k, t, center,
+                                                      radius, prec):
+    # a circle around the oval's two branch points, every other root of f + t
+    # outside it, collapses onto the oval's segment, where k y dx integrates
+    # to +-I(t): the segment kernel against the oval kernel
+    import abelint.hyperelliptic as hyp
+    segments = []
+    segment_loop = hyp._segment_loop
+
+    def counting(*args):
+        segments.append(args)
+        return segment_loop(*args)
+    monkeypatch.setattr(hyp, "_segment_loop", counting)
+    config = Config(precision_bits=prec)
+    period = integral_I(family, k, t, config)
+    loop = loop_integral(family.f, k, t, center, radius, config=config)
+    assert len(segments) == 1
+    with mp.workprec(prec + 32):
+        assert min(abs(loop - period), abs(loop + period)) <= (
+            mp.mpf(2) ** -(prec + 24) * (1 + abs(period)))
 
 
 def _series_times(p, q):

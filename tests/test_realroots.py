@@ -146,6 +146,19 @@ def test_certification_steps_to_the_correctly_rounded_root(start, steps):
         assert rr._refine(root, prec, newton=False) == rr._refine(root, prec)
 
 
+def test_an_interval_without_a_root_is_an_error_at_once():
+    # x^2 + 1 has no real root in (-9, 0), so neither Newton nor bisection
+    # certifies one there: the bisection-only retry raises instead of
+    # retrying itself without end (it once ran into Python's recursion limit)
+    from abelint.errors import ConsistencyError
+    rr = RealRoots._simple([1, 0, 1], [(-9, 0, 0, 1)])
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match=r"^no root certified in the isolating "
+                                               r"interval \(-9/2\^0, 0/2\^0\)$"):
+        rr.root(0, 53)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_between_decides_the_ends_exactly():
     rr = RealRoots(X ** 3 - X)
     with mp.workprec(300):
