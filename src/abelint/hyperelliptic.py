@@ -33,7 +33,7 @@ from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon
 from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
                        machine_roots, roots_of_shifted, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
-from .realroots import level_picture, level_roots
+from .realroots import level_picture, level_roots, turning_signs
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
 
 # ---------------------------------------------------------------------------
@@ -1013,14 +1013,25 @@ def check_exth(family: OvalFamily, k: RatPoly,
     """Search for a nontrivial common right factor r of f and K = primitive
     of k with r(x1(t)) = r(x2(t)) along the family.
 
-    The identification test is numeric evidence at `samples` parameter
-    values, 1 to COUNT_LIMIT (else InputError); the symmetric special case
-    (f, K even, symmetric root pair) carries an exact certificate.
+    A right factor of degree >= 2 divides deg f and, for a nonconstant K =
+    K~(r), deg K, so gcd(deg f, deg K) < 2 is None before any decomposition.
+    Each candidate, largest degree first, is proved before it is sampled:
+    for r = x^2 with f and K even, `_symmetric_range_certificate` shows
+    x1(t) = -x2(t) at every level between the first and the last of the
+    `samples` levels (`OvalFamily.t_samples`), and the witness is exact with
+    max_deviation 0, the deviation every sample would give, with no sample
+    drawn.  Every other candidate is numeric evidence: |r(x1) - r(x2)| at
+    most 2^-(prec/2) max(1, |r(x1)|) at each of the `samples` levels, the
+    largest ratio being max_deviation, and not exact.  `samples` is the
+    count asked for, 1 to COUNT_LIMIT (else InputError before any root
+    finding), however many were drawn.
     """
     sample_count(samples)
     f = family.f
     big_k = k.primitive()
     if f.is_zero() or f.degree < 2:
+        return None
+    if not big_k.is_constant() and gcd(f.degree, big_k.degree) < 2:
         return None
     prec = config.precision_bits
     candidates = [dec.right for dec in
@@ -1032,6 +1043,9 @@ def check_exth(family: OvalFamily, k: RatPoly,
     with mp.workprec(prec + 32):
         ts = family.t_samples(samples, mp.prec)
         for r in candidates:
+            if _symmetric_range_certificate(f, big_k, r, family, ts[0], ts[-1]):
+                return ExthWitness(r=r, exact=True, max_deviation=mp.mpf(0),
+                                   samples=samples)
             worst = mp.mpf(0)
             good = True
             for t in ts:
@@ -1042,11 +1056,9 @@ def check_exth(family: OvalFamily, k: RatPoly,
                 if dev > scale * mp.mpf(2) ** (-(prec // 2)):
                     good = False
                     break
-            if not good:
-                continue
-            exact = _symmetric_exact_certificate(f, big_k, r, family, ts)
-            return ExthWitness(r=r, exact=exact, max_deviation=worst,
-                               samples=samples)
+            if good:
+                return ExthWitness(r=r, exact=False, max_deviation=worst,
+                                   samples=samples)
     return None
 
 
@@ -1054,15 +1066,24 @@ def _is_even_poly(p: RatPoly) -> bool:
     return all(c == 0 for i, c in enumerate(p.coeffs) if i % 2 == 1)
 
 
-def _symmetric_exact_certificate(f, big_k, r, family, ts) -> bool:
-    """Whether the pair is a mirror pair x1 = -x2 of an even f: with the
-    real roots of f + t counted with multiplicity, pair i is the middle one."""
-    if r != RatPoly.monomial(2):
+def _symmetric_range_certificate(f, big_k, r, family, lo, hi) -> bool:
+    """Whether r = x^2 takes equal values at the pair's endpoints at every
+    level between the mpf lo and hi, proved exactly: f and K are even, every
+    turning point of f gives f + t one nonzero sign at lo and at hi
+    (`realroots.turning_signs`), so no critical value lies between them and
+    the real roots of f + t stay simple and keep their count, and at lo
+    there are 2 pair_index + 2 of them with f + t positive between the pair.
+    The pair is then the middle one of roots symmetric about 0, x1 = -x2 at
+    every such level, and so are its correctly rounded endpoints, where x^2
+    rounds to the same value."""
+    if r != RatPoly.monomial(2) or not (_is_even_poly(f) and _is_even_poly(big_k)):
         return False
-    if not (_is_even_poly(f) and _is_even_poly(big_k)):
+    lo, hi = to_rational(lo._mpf_), to_rational(hi._mpf_)
+    signs = turning_signs(f, *lo, family.exact)
+    if signs is None or signs != turning_signs(f, *hi, family.exact):
         return False
-    return 2 * family.pair_index + 2 == level_roots(f, *to_rational(ts[0]._mpf_),
-                                                     family.exact).count
+    roots, i = level_roots(f, *lo, family.exact), family.pair_index
+    return 0 <= i and roots.count == 2 * i + 2 and roots.sign_between(i) > 0
 
 
 # ---------------------------------------------------------------------------

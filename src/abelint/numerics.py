@@ -26,7 +26,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mp
                           to_float, to_rational)
 
 from .errors import ComputationError
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, squarefree_factors
 
 
 def _fraction_mpf(x: Fraction, prec: int) -> tuple:
@@ -108,8 +108,37 @@ def roots_of(p: RatPoly, prec: int) -> list:
 
 
 def roots_of_shifted(p: RatPoly, z, prec: int) -> list:
-    """Roots of p(x) - z for a numeric z (generically squarefree)."""
+    """Roots of p(x) - z for a numeric z (generically squarefree), as
+    `fiber_roots` gives them; a quadratic p in closed form
+    (`_quadratic_roots`)."""
+    if p.degree == 2:
+        return _quadratic_roots(p, z, prec)
     return fiber_roots(p, z, prec)
+
+
+def _quadratic_roots(p: RatPoly, z, prec: int) -> list:
+    """The roots of a x^2 + b x + c - z at `prec` bits, sorted by (re, im),
+    as mpc, z read as in `fiber_roots`.  The discriminant D = b^2 - 4a(c -
+    z) and c - z are formed exactly from z's dyadic parts and rounded once,
+    at prec + 16 bits, and the roots are q/a and (c - z)/q with q = -(b +
+    s)/2, s = +-sqrt(D) and Re(b s) >= 0, so nothing cancels: each is within
+    a few units of 2^-(prec + 16) of its size before its one rounding to
+    prec bits.  For a real z a D <= 0 gives -b/2a +- i sqrt(-D)/2|a|, exact
+    conjugates or a double root, and a D > 0 two real roots."""
+    c, b, a = p.coeffs
+    re, im = (Fraction(*to_rational(v)) for v in to_mpc(z, prec)._mpc_)
+    c -= re
+    disc, wp = b * b - 4 * a * c, prec + 16         # D = disc + 4a im i
+    with mp.workprec(wp):
+        if im == 0 and disc <= 0:
+            x, y = to_mpf(-b / (2 * a), wp), mp.sqrt(to_mpf(-disc / (4 * a * a), wp))
+            roots = [mp.mpc(x, -y), mp.mpc(x, y)]
+        else:
+            s = mp.sqrt(mp.mpc(to_mpf(disc, wp), to_mpf(4 * a * im, wp)))
+            q = -(to_mpf(b, wp) + (-s if b * s.real < 0 else s)) / 2
+            roots = [q / to_mpf(a, wp), mp.mpc(to_mpf(c, wp), to_mpf(-im, wp)) / q]
+    with mp.workprec(prec):
+        return sorted((+x for x in roots), key=lambda r: (mp.re(r), mp.im(r)))
 
 
 def fiber_roots(p: RatPoly, z, prec: int) -> list:
@@ -127,7 +156,10 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
     `newton_fixed` refines the starts at prec - 32, to 2^-(prec - 23) of
     each root's own scale, into n distinct roots; a real p - z gives real
     roots and exact conjugates.  Where that fails on the sweep's roots,
-    they are returned as they are."""
+    they are returned as they are.  A sweep that does not converge is a
+    ComputationError, except for a real z with a multiple root: the roots
+    of the exact squarefree factors of p - z (`ratpoly.squarefree_factors`)
+    then serve, each repeated by its multiplicity."""
     with mp.workprec(prec):
         z = to_mpc(z, prec)
         re, im = z._mpc_
@@ -146,7 +178,16 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
                 sweep = [mp.mpc(u) * unit for u in mpmath.polyroots(
                     [1] + scaled, maxsteps=max(200, 4 * prec), extraprec=prec)]
             except mpmath.libmp.NoConvergence as exc:
-                raise ComputationError(f"root finding did not converge: {exc}")
+                # a multiple root of a real p - z: the roots of its exact
+                # squarefree factors, each repeated by its multiplicity as
+                # distinct objects, which callers may tell apart by identity
+                factors = squarefree_factors(p - RatPoly.constant(
+                    Fraction(*to_rational(re)))) if z.imag == 0 else []
+                if [m for m, _ in factors] in ([], [1]):
+                    raise ComputationError(f"root finding did not converge: {exc}")
+                return sorted((mp.make_mpc(x._mpc_) for m, s in factors
+                               for x in fiber_roots(s, 0, prec) for _ in range(m)),
+                              key=lambda r: (mp.re(r), mp.im(r)))
             if z.imag == 0:
                 sweep = _conjugate_closed(sweep, [4 * abs(x.imag) < min(
                     (abs(x - y) for y in sweep if y is not x), default=mp.inf)

@@ -273,6 +273,20 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     return p // g
 
 
+def squarefree_factors(p: RatPoly) -> list:
+    """p's squarefree factorisation (Yun): [(m, s_m), ...] with p = lc
+    prod s_m^m, each nonconstant s_m squarefree and holding exactly the
+    roots of multiplicity m, in increasing m."""
+    out, g = [], poly_gcd(p, p.derivative())
+    w, m = p // g, 1
+    while w.degree >= 1:
+        y = poly_gcd(w, g)
+        if (w // y).degree >= 1:
+            out.append((m, w // y))
+        w, g, m = y, g // y, m + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # composition and decomposition
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ halfway to the two neighbouring floats, so it is the root rounded to nearest
 each of many levels without a Sturm chain per level: the roots are
 bracketed between the turning points of f, isolated once in f's exact
 picture (`level_picture`), which the caller keeps in `kept`.
+`turning_signs(f, p, q, kept)` gives the signs of f + p/q at those turning
+points, which settle whether a range of levels crosses a critical value.
 """
 
 from __future__ import annotations
@@ -466,15 +468,30 @@ def level_roots(f: RatPoly, p: int, q: int, kept: dict) -> RealRoots:
     point's sign does not settle within 64 halvings in one call: at a
     level on, or within about 2^-120 of, a critical value, so for every
     multiple root, and for a constant f, where every level is critical."""
-    if f.degree >= 1:
-        big_f, den, turning, curvature = level_picture(f, kept)
-        g = [c * q for c in big_f]
-        g[0] += p * den
-        signs = [_turning_sign(turning, j, g, q, curvature)
-                 for j in range(len(turning._roots))]
-        if None not in signs:
-            return RealRoots._simple(_primitive(g), _brackets(g, turning._roots, signs))
-    return RealRoots(f + RatPoly.constant(Fraction(p, q)))
+    signs = turning_signs(f, p, q, kept)
+    if signs is None:
+        return RealRoots(f + RatPoly.constant(Fraction(p, q)))
+    big_f, den, turning, _ = level_picture(f, kept)
+    g = [c * q for c in big_f]
+    g[0] += p * den
+    return RealRoots._simple(_primitive(g), _brackets(g, turning._roots, signs))
+
+
+def turning_signs(f: RatPoly, p: int, q: int, kept: dict) -> list | None:
+    """The nonzero signs of f + p/q, q > 0, at f's distinct real turning
+    points in increasing order, each also its sign on the turning point's
+    isolating interval in f's picture (`level_picture`, kept in `kept`), as
+    `level_roots` reads them; None for a constant f, or when a sign does not
+    settle (on or within about 2^-120 of a critical value).  f(c) + t grows
+    with t, so equal lists at two levels put no critical value between
+    them: the real roots of f + t stay simple and keep their count."""
+    if f.degree < 1:
+        return None
+    big_f, den, turning, curvature = level_picture(f, kept)
+    g = [c * q for c in big_f]
+    g[0] += p * den
+    signs = [_turning_sign(turning, j, g, q, curvature) for j in range(len(turning._roots))]
+    return None if None in signs else signs
 
 
 def _brackets(g: list, turning: list, signs: list) -> list:

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -994,6 +995,9 @@ SEGMENT_LOOPS = st.tuples(
 # the root 3/4 + 2i/5 beside [-1, 1]: Re(1 + xi e_r) < 0 next to xi = 1
 @example((Fraction(1), Fraction(-1), Fraction(1), [(X - Fraction(3, 4)) ** 2 + Fraction(4, 25)],
           0, 0, "dx_over_2y", [Fraction(1), Fraction(1, 2)], 64))
+# a triple root at 3 and t = 0, where the root sweep does not converge
+@example((Fraction(-3), Fraction(0), Fraction(1, 4), [X - 3] * 3, 0, 0, "y_dx", [Fraction(0)],
+          64))
 def test_segment_kernel_matches_mpmath_at_twice_the_precision(case):
     # the fixed-point segment kernel and its trapezoid against mpmath's
     # quadrature of the same phi-integral (`_segment_loop`'s docstring) at
@@ -1076,6 +1080,33 @@ def test_segment_loop_is_plus_or_minus_the_oval_period(monkeypatch, family, k, t
     with mp.workprec(prec + 32):
         assert min(abs(loop - period), abs(loop + period)) <= (
             mp.mpf(2) ** -(prec + 24) * (1 + abs(period)))
+
+
+def test_loop_around_a_fiber_with_a_triple_root():
+    # f + t = -3x (x - 1/4)(x - 3)^3 at t = 0, whose root sweep does not
+    # converge: the roots come from its exact squarefree factors, 3 three
+    # times, and the loop around 0 and 1/4 runs on the segment, matching
+    # the ellipse's trapezoid
+    import abelint.hyperelliptic as hyp
+    f, k, prec = -3 * X * (X - Fraction(1, 4)) * (X - 3) ** 3, X + 1, 64
+    wp = prec + 52
+    roots = roots_of_shifted(f, 0, wp)
+    assert roots == [0, 0.25, 3, 3, 3]
+    assert all(x.imag == 0 for x in roots)
+    segments = []
+    segment_loop = hyp._segment_loop
+    config = Config(precision_bits=prec)
+    with patch.object(hyp, "_segment_loop",
+                      lambda *args: segments.append(args) or segment_loop(*args)):
+        loop = loop_integral(f, k, 0, "0.125", "0.25", semi_minor="0.125", config=config)
+    assert len(segments) == 1
+    with mp.workprec(wp):
+        center, a, b = mp.mpc(1) / 8, mp.mpf(1) / 4, mp.mpf(1) / 8
+        w0 = eval_poly(f, center + a, wp)
+        ellipse = hyp._ellipse_loop(f, k, mp.mpc(0), center, a, b, "y_dx", None, roots[:2],
+                                    roots[2:], w0, prec, "loop")
+        assert abs(loop) > mp.mpf(2) ** -8
+        assert abs(loop - ellipse) <= mp.mpf(2) ** -(prec // 2) * (1 + abs(loop))
 
 
 def _series_times(p, q):
@@ -1292,6 +1323,142 @@ def test_exth_no_witness_for_constant_k(config):
 def test_exth_empty_candidates():
     family = OvalFamily(f=X ** 3 - 3 * X, pair_index=0, t_min="-1.9", t_max="-0.1")
     assert check_exth(family, RatPoly.one(), Config()) is None
+
+
+def test_certified_exth_witness_draws_no_sample(monkeypatch, config):
+    # x^2 on the even quartic with odd k is proved over the whole range of
+    # levels: no endpoint is rounded and no sample drawn
+    import abelint.hyperelliptic as hyp
+    calls = []
+    endpoints = hyp.oval_endpoints
+    monkeypatch.setattr(hyp, "oval_endpoints",
+                        lambda *args: calls.append(args) or endpoints(*args))
+    family = OvalFamily(f=QUARTIC_F, pair_index=1, t_min="-0.85", t_max="-0.15")
+    witness = check_exth(family, X, config)
+    assert witness.r == X ** 2 and witness.exact
+    assert witness.max_deviation == 0 and witness.samples == 24
+    assert calls == []
+
+
+def test_exth_degree_filter_skips_decomposition(monkeypatch, config):
+    # a right factor of degree >= 2 divides deg f and deg K: gcd(4, deg K)
+    # = 1 for K = x and K = x^3/3 is None with no decomposition, while K =
+    # x^2/2 decomposes f once
+    import abelint.hyperelliptic as hyp
+    calls = []
+    decompose = hyp.decompose_all
+    monkeypatch.setattr(hyp, "decompose_all", lambda f: calls.append(f) or decompose(f))
+    for k in (RatPoly.one(), X ** 2):
+        assert check_exth(CENTRAL, k, config) is None
+    assert calls == []
+    assert check_exth(CENTRAL, X, config).r == X ** 2
+    assert calls == [QUARTIC_F]
+
+
+def test_exth_zero_k_keeps_every_right_factor(config):
+    # k = 0 gives the constant K = 0, which lies in C[r] for every right
+    # factor r of f, so the degree filter passes it on: the largest, f
+    # itself made monic, is sampled first and holds
+    witness = check_exth(CENTRAL, RatPoly.zero(), config)
+    assert witness.r == QUARTIC_F.normalized() == X ** 4 - 4 * X ** 2
+    assert not witness.exact and witness.max_deviation == 0
+
+
+def _critical_levels(f):
+    """The levels t at which f + t has a real multiple root, in increasing
+    order, at 30 digits."""
+    with mp.workdps(30):
+        slope = [mp.mpf(c.numerator) / c.denominator for c in reversed(f.derivative().coeffs)]
+        return sorted({mp.nstr(-eval_poly(f, c.real, 100), 20)
+                       for c in mp.polyroots(slope, maxsteps=200, extraprec=100)
+                       if abs(c.imag) < mp.mpf(10) ** -20}, key=mp.mpf)
+
+
+def _dyadic(x) -> Fraction:
+    return Fraction(round(mp.mpf(x) * 2 ** 20), 2 ** 20)
+
+
+def _oval_around_zero(f, t) -> bool:
+    """Whether f + t, f even, has a middle pair of real roots around an oval."""
+    return f(Fraction(0)) + t > 0 and RealRoots(f + RatPoly.constant(t)).count >= 2
+
+
+# an even f = lc prod (x^2 - s) of degree 4 or 6, an odd k, and a range of
+# levels: inside one interval between critical levels (the outer two cut at
+# one unit past the last critical level) whose ovals have a middle pair, or
+# from there across one of its ends into the neighbouring interval
+EVEN_FAMILIES = st.tuples(
+    st.sampled_from([1, -1, Fraction(1, 2), -2]),
+    st.lists(st.sampled_from([Fraction(-1), Fraction(1, 4), Fraction(1), Fraction(9, 4),
+                              Fraction(4), Fraction(-9, 4)]), min_size=2, max_size=3,
+             unique=True),
+    st.lists(st.integers(-3, 3), max_size=2), st.sampled_from([1, -2, 3]),
+    st.integers(0, 5), st.integers(1, 7), st.integers(1, 7), st.sampled_from([0, -1, 1]),
+    st.sampled_from([64, 128]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(EVEN_FAMILIES)
+# the middle pair of -(x^2 - 1)(x^2 - 4) between the levels 4 and 5
+@example((-1, [Fraction(1), Fraction(4)], [], 1, 0, 1, 7, 0, 64))
+# the middle pair of (x^2 + 1)(x^2 - 1/4)(x^2 - 1) from below the level
+# where the outer roots meet to above it, where they are gone: the count at
+# the lower end is right, and the range is not regular
+@example((1, [Fraction(-1), Fraction(1, 4), Fraction(1)], [], 1, 0, 1, 1, 1, 64))
+def test_exth_certificate_agrees_with_the_sampled_path(case):
+    # check_exth with its range certificate and with sampling alone give the
+    # same r, max_deviation and samples, or the same None or error; the
+    # certificate holds, and the witness is exact, exactly when the sampled
+    # levels lie inside one regular interval with a middle pair
+    import abelint.hyperelliptic as hyp
+    lc, squares, lower, top, pick, lo, hi, straddle, prec = case
+    f = RatPoly.constant(lc)
+    for s in squares:
+        f = f * (X ** 2 - s)
+    odd = lower + [top]
+    k = RatPoly([0 if j % 2 == 0 else odd[j // 2] for j in range(2 * len(odd))])
+    levels = [mp.mpf(v) for v in _critical_levels(f)]
+    ends = [levels[0] - 1] + levels + [levels[-1] + 1]
+    # intervals between ends with a middle pair; a straddle of -1 or 1 runs
+    # the range across the interval's lower or upper end
+    gaps = [g for g in range(len(ends) - 1)
+            if _oval_around_zero(f, _dyadic((ends[g] + ends[g + 1]) / 2))
+            and 1 <= g + (straddle > 0) <= len(ends) - 2]
+    assume(gaps)
+    gap = gaps[pick % len(gaps)]
+    if straddle:
+        j = gap + (straddle > 0)
+        t_min = ends[j] - (ends[j] - ends[j - 1]) * lo / 8
+        t_max = ends[j] + (ends[j + 1] - ends[j]) * hi / 8
+    else:
+        t_min, t_max = sorted(ends[gap] + (ends[gap + 1] - ends[gap]) * j / 8
+                              for j in (lo, hi))
+    t_min, t_max = _dyadic(t_min), _dyadic(t_max)
+    count = RealRoots(f + RatPoly.constant(t_min)).count
+    config, samples = Config(precision_bits=prec), 6
+
+    def outcome():
+        family = OvalFamily(f=f, pair_index=max(0, count // 2 - 1), t_min=t_min,
+                            t_max=t_max)
+        try:
+            return check_exth(family, k, config, samples=samples)
+        except ComputationError as exc:
+            return str(exc)
+    proved = outcome()
+    with patch.object(hyp, "_symmetric_range_certificate", lambda *args: False):
+        sampled = outcome()
+    if proved is None or isinstance(proved, str):
+        assert proved == sampled
+        return
+    assert sampled is not None and not isinstance(sampled, str)
+    assert (proved.r, repr(proved.max_deviation), proved.samples) == \
+        (sampled.r, repr(sampled.max_deviation), sampled.samples)
+    assert not sampled.exact
+    # the sampled levels inside one regular interval, with the middle pair
+    # of the roots bounding an oval, are proved; across a critical level not
+    ts = OvalFamily(f=f, pair_index=0, t_min=t_min, t_max=t_max).t_samples(samples, prec + 32)
+    crossed = any(ts[0] <= c <= ts[-1] for c in levels)
+    assert proved.exact == (proved.r == X ** 2 and not crossed)
 
 
 def test_one_exact_picture_serves_every_level(monkeypatch, tmp_path, capsys):

@@ -4,7 +4,8 @@
 these properties check that they round exactly as the same computations on
 mpf/mpc objects do, and one golden file pins the bits of a tracked fiber.
 `fiber_roots` is checked against `mpmath.polyroots` at twice the precision,
-and for a real p - z to give real roots and exact conjugates; the
+and for a real p - z to give real roots and exact conjugates, as is the
+closed form of `roots_of_shifted` for quadratics; the
 fixed-point Newton and sample values (`newton_fixed`, `fiber_values`) are
 checked against mpmath at twice their working precision.
 """
@@ -232,6 +233,45 @@ def test_polyroots_fallback_at_extreme_scales(lower, lead, z, s, prec):
         got = fiber_roots(q, z, prec)
     _assert_conjugate_closed(got)
     _assert_polyroots_roots(got, p, z, s, prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COEFF, _COEFF, _LEAD, _COEFF, _COEFF | st.just(Fraction(0)),
+       st.sampled_from([0, 600, -600]), PRECS)
+# a double root, and a conjugate pair whose real part is 0
+@example(Fraction(1), Fraction(-2), Fraction(1), Fraction(0), Fraction(0), 0, 96)
+@example(Fraction(1), Fraction(0), Fraction(1), Fraction(-3), Fraction(0), 600, 160)
+def test_quadratic_roots_in_closed_form(c, b, lead, re_z, im_z, s, prec):
+    """`roots_of_shifted` solves p(2^s x) = z for a quadratic p in closed
+    form, with no `fiber_roots` call: the roots are sorted by (re, im), real
+    or exact conjugates for a real z, within 2^-(prec - 4) of the fiber's
+    scale of `mpmath.polyroots` at 2 x prec bits, and no further from those
+    than `fiber_roots`' own, where the fiber has two distinct roots."""
+    p = RatPoly([c, b, lead])
+    q = RatPoly([x * Fraction(2) ** (s * j) for j, x in enumerate(p.coeffs)])
+    with mp.workprec(prec):
+        z = mp.mpc(mp.mpf(re_z.numerator) / re_z.denominator,
+                   mp.mpf(im_z.numerator) / im_z.denominator)
+
+    def forbidden(*args):
+        raise AssertionError("fiber_roots ran")
+    with patch.object(numerics, "fiber_roots", forbidden):
+        got = numerics.roots_of_shifted(q, z, prec)
+    assert got == sorted(got, key=lambda r: (r.real, r.imag))
+    if im_z == 0:
+        _assert_conjugate_closed(got)
+    with mp.workprec(2 * prec):
+        coeffs = [mp.mpf(x.numerator) / x.denominator for x in reversed(p.coeffs)]
+        coeffs[-1] -= z
+        want = [r * mp.ldexp(1, -s) for r in
+                mpmath.polyroots(coeffs, maxsteps=2000, extraprec=2 * prec)]
+        scale = max(abs(r) for r in want)
+
+        def error(roots):
+            return max(min(abs(x - r) for x in roots) for r in want)
+        assert error(got) <= mp.ldexp(scale, 4 - prec)
+        if im_z != 0 or squarefree_part(p - RatPoly([re_z])).degree == 2:
+            assert error(got) <= max(error(fiber_roots(q, z, prec)), mp.ldexp(scale, -prec))
 
 
 # a root is (k, re, im): (re + im i) 2^(k - 10), with 2^9 <= |re| or |im|
