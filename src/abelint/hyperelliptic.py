@@ -18,11 +18,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
-                          mpc_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_shift,
-                          mpc_sqrt, mpc_sub, mpf_add, mpf_cos_sin_pi, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, pi_fixed,
-                          round_nearest, to_float, to_rational)
+from mpmath.libmp import (from_man_exp, mpc_abs, mpc_mul, mpc_mul_mpf, mpc_shift, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, pi_fixed, round_nearest,
+                          to_rational)
 from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .config import Config, DEFAULT_CONFIG, sample_count
@@ -30,8 +28,8 @@ from .cycles import CycleVector, VanishingCycleCombo, vanishing_combo_to_cycle
 from .errors import ComputationError, InputError
 from .monodromy import (DivisorLattice, MonodromyRep, match_permutation, polygon,
                         walk_fiber)
-from .numerics import (bound_exponent, eval_poly, eval_poly_raw, horner_fixed,
-                       machine_roots, roots_of_shifted, to_fixed, to_mpc, to_mpf)
+from .numerics import (bound_exponent, eval_poly, horner_fixed, machine_roots, mpf_fixed,
+                       roots_of_shifted, scaled_fixed, to_fixed, to_mpc, to_mpf)
 from .ratpoly import RatPoly, decompose_all, w_adic
 from .realroots import level_picture, level_roots, turning_signs
 from .solver import group_data, vanishing_conditions, verify_vanishing_numeric
@@ -285,37 +283,31 @@ def _oval_quadrature(family: OvalFamily, t, config: Config, mode: str, k: RatPol
             unit = max(zq, ziq)
             singular.append([(a[0] * unit - zr * (unit // zq) * den,
                               -zi * (unit // ziq) * den)] + [c * unit for c in a[1:]])
-        value = _phi_trapezoid(lambda n, total: _table_level(_oval_sum, oval, n, total), wp,
-                               1 if mode == "dx_over_y" else 2, prec,
-                               f"oval quadrature {where}", point=point,
-                               bernstein=(_bernstein_log2(singular),
-                                          len(a) + len(k_xi[0]) - 2))
-        _ANGLES[oval[0]] = oval[-1]    # only a settled quadrature keeps its levels
-        return value
+        return _phi_trapezoid(_oval_sum, oval, wp, 1 if mode == "dx_over_y" else 2, prec,
+                              f"oval quadrature {where}", point,
+                              (_bernstein_log2(singular), len(a) + len(k_xi[0]) - 2))
 
 
-def _phi_trapezoid(level, wp: int, scale, prec: int, what: str,
-                   point: int | None = None, bernstein: tuple | None = None):
+def _phi_trapezoid(kernel, fixed, wp: int, scale, prec: int, what: str, point: int,
+                   bernstein: tuple | None = None):
     """scale times the integral over [0, pi] of an integrand in phi, from
     its trapezoid levels of n = 8, 16, 32, ... intervals; called inside
-    mp.workprec(wp).  level(n, total) returns the doubled sum of level n,
-    its two ends once and every interior node twice, given `total`, the
-    doubled sum of level n/2 (None at n = 8): the levels are nested, so each
-    one adds only its odd nodes, every node is evaluated once, and the ends'
-    half weights cost no rounding.  The sums are raw mpc at wp or, given
-    `point`, ints (pairs of ints) at `point` fractional bits, summed
-    exactly.  scale is an int or a raw mpc; it multiplies the settled value
-    once, at wp.
+    mp.workprec(wp).  kernel(fixed, angles) sums the integrand as ints
+    (pairs of ints) at `point` fractional bits, and `_table_level` adds
+    each level's odd nodes to the exact doubled sum of the level before, so
+    every node is evaluated once.  `fixed` ends with its copy of the angle
+    levels of its binary point, which `_ANGLES` gets back only once the
+    quadrature settles.  scale is an int or a raw mpc; it multiplies the
+    settled value once, at wp.
 
     The value T_n is the first level n that settles, rounded at prec + 32
     bits; past 2^16 intervals it is an error.  Level n settles when |T_n -
-    T_n/2| <= 2^-(prec + 8) (1 + |T_n|), tested in mp at wp on mpc sums and
-    exactly on the ints given `point` (`_settled_on_ints`, with |scale| to 64
-    bits when it is an mpc), where T_n is formed only once, at the level
-    that settles.
+    T_n/2| <= 2^-(prec + 8) (1 + |T_n|), tested exactly on the ints
+    (`_settled_on_ints`, with |scale| to 64 bits when it is an mpc), and
+    T_n is formed only once, at the level that settles.
 
-    Given `point` and `bernstein` = (log2 R, d), level n > d also settles
-    when 4 |T_n - T_n/2| R^-n <= 2^-(prec + 32) (1 + |T_n|).  R is the least
+    Given `bernstein` = (log2 R, d), level n > d also settles when 4 |T_n -
+    T_n/2| R^-n <= 2^-(prec + 32) (1 + |T_n|).  R is the least
     Bernstein-ellipse parameter over the integrand's singularities in xi =
     -cos(phi): xi = -cos(phi) maps the ellipse E_R onto the strip |Im phi| <
     ln R, and level n takes 2n points per period of the even integrand, so
@@ -337,27 +329,19 @@ def _phi_trapezoid(level, wp: int, scale, prec: int, what: str,
 
     def value(total, n):
         shift = 1 - n.bit_length()
-        if point is not None and not isinstance(total, tuple):
+        if not isinstance(total, tuple):
             return mp.make_mpf(mpf_mul(from_man_exp(total, -point - 1),
                                        mpf_shift(scaled_pi, shift), wp, rnd))
-        half = (mpc_shift(total, -1) if point is None
-                else (from_man_exp(total[0], -point - 1), from_man_exp(total[1], -point - 1)))
+        half = (from_man_exp(total[0], -point - 1), from_man_exp(total[1], -point - 1))
         if isinstance(scale, int):
             return mp.make_mpc(mpc_mul_mpf(half, mpf_shift(scaled_pi, shift), wp, rnd))
         return mp.make_mpc(mpc_mul(half, mpc_shift(scaled_pi, shift), wp, rnd))
-    if point is None:
-        tol = mp.mpf(2) ** (-(prec + 8))
-
-        def settled(total, last, n):
-            val = value(total, n)
-            return abs(val - value(last, n >> 1)) <= tol * (1 + abs(val))
-    else:
-        settled = lambda total, last, n: _settled_on_ints(total, last, n, size, point - unit,
-                                                          prec, bernstein)
     last, n = None, 8
     while n <= 1 << 16:
-        total = level(n, last)
-        if last is not None and settled(total, last, n):
+        total = _table_level(kernel, fixed, n, last)
+        if last is not None and _settled_on_ints(total, last, n, size, point - unit, prec,
+                                                 bernstein):
+            _ANGLES[fixed[0]] = fixed[-1]
             with mp.workprec(prec + 32):
                 return +value(total, n)
         last, n = total, 2 * n
@@ -473,11 +457,6 @@ def _fixed_oval(h, g, k, mode: str, z, wp: int, where: str):
     power of two goes into its binary point, so the trapezoid sums exact
     ints.
 
-    The node angles come from F's table (`_ANGLES`, `_angle_level`): the
-    oval carries its own copy of F's level list, which its quadrature
-    extends by each level it first reaches, and `_oval_quadrature` puts the
-    copy back only once the quadrature settles.
-
     Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg g, deg k,
     1)), and the fixed-point cos and sin are within 2^5 units of 2^-F
     (`_cos_sin_pi`; at most 8.4 on every angle of n = 2^11 at F = 117, 190
@@ -529,11 +508,11 @@ def _cos_sin_pi(j: int, n: int, point: int):
     return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q & 3]
 
 
-# `_cos_sin_pi`'s ints for the oval and segment nodes, one list of trapezoid
-# levels per binary point: level 0 holds j = 0..8 of n = 8, level i the odd j
-# of n = 8 * 2^i.  Every quadrature at one precision and degree shares F and
-# visits the same angles.  Only settled quadratures add levels
-# (`_oval_quadrature`, `_segment_loop`), at most the 14 levels to 2^16
+# `_cos_sin_pi`'s ints for the oval, segment and ellipse nodes, one list of
+# trapezoid levels per binary point: level 0 holds j = 0..8 of n = 8, level i
+# the odd j of n = 8 * 2^i.  Every quadrature of one kind at one precision
+# and degree shares F and visits the same angles.  Only settled quadratures
+# add levels (`_phi_trapezoid`), at most the 14 levels to 2^16
 # intervals: 2^16 + 1 pairs of F-bit ints, about 11 MB at F = 190 and 27 MB
 # at F = 1100.
 _ANGLES: dict[int, list] = {}
@@ -691,9 +670,9 @@ def loop_integral(f: RatPoly, k: RatPoly, t, center, radius,
     never crosses.  A "y_dx" or "dx_over_2y" loop around exactly two roots,
     with no root between the concentric similar ellipses scaled by 1 -+
     `_CONTOUR_MARGIN`, runs on the segment between them (`_segment_loop`);
-    every other loop runs on the ellipse (`_ellipse_loop`).  Both run on
-    `_phi_trapezoid` to 2^-(prec + 8).  An odd number of roots inside, or
-    f + t = 0 at x0, is an error before any quadrature.
+    every other loop runs on the ellipse (`_ellipse_loop`).  Both sum
+    fixed-point ints on `_phi_trapezoid` to 2^-(prec + 8).  An odd number
+    of roots inside, or f + t = 0 at x0, is an error before any quadrature.
     """
     if mode not in _LOOP_MODES:
         raise InputError(f"loop mode must be one of {', '.join(_LOOP_MODES)}, got {mode!r}")
@@ -766,11 +745,8 @@ def _segment_loop(f: RatPoly, k: RatPoly, inside, outside, x0, s0, mode, prec: i
     bernstein = (_bernstein_log2([[v, hr * hr + hi * hi] for v in cs]),
                  len(k_xi[0]) - 1 + (2 if mode == "y_dx" else 0))
     scale = 2 * sigma * h * h * c if mode == "y_dx" else sigma / c
-    value = _phi_trapezoid(lambda n, total: _table_level(_segment_sum, segment, n, total),
-                           wp, mp.mpc(scale)._mpc_, prec, what, point=point,
-                           bernstein=bernstein)
-    _ANGLES[segment[0]] = segment[-1]    # only a settled quadrature keeps its levels
-    return value
+    return _phi_trapezoid(_segment_sum, segment, wp, mp.mpc(scale)._mpc_, prec, what, point,
+                          bernstein)
 
 
 def _gaussian(values) -> tuple:
@@ -792,11 +768,9 @@ def _fixed_segment(k, ratios, mode: str, wp: int):
     magnitudes known before any node, then floored to F fractional bits: k
     is divided by 2^b >= Khat = sum (|Re k_i| + |Im k_i|), and each factor
     w_r = 1 + xi e_r by an even 2^a >= 1 + |Re e_r| + |Im e_r| >= 1 + |e_r|,
-    its bound for |xi| <= 1, so sqrt w_r scales exactly.  A complex square
-    root is taken on ints: the isqrt of the modulus gives the larger part,
-    sqrt((|w| + |Re w|)/2), and the other part is Im w divided by twice it,
-    so nothing cancels.  The node's own power of two goes into its binary
-    point, so the trapezoid sums exact ints.
+    its bound for |xi| <= 1, so sqrt w_r scales exactly (`_sqrt_fixed`).
+    The node's own power of two goes into its binary point, so the
+    trapezoid sums exact ints.
 
     Error bound, with delta = 2^-wp.  F = wp + 8 + bits(max(deg k, the
     number of factors, 1)), and the angles' cos and sin are within 2^5
@@ -834,22 +808,14 @@ def _segment_sum(segment, angles):
     ints: sin^2 k prod sqrt(w_r) ("y_dx") or k / prod sqrt(w_r)
     ("dx_over_2y"), with k and w_r = 1 + xi e_r at xi = -cos(phi)."""
     point, k_re, k_im, factors, mode, _ = segment
-    one, half = 1 << point, point - 1
+    one = 1 << point
     total_re = total_im = 0
     for cos, sin in angles:
         x = -cos
         kr, ki = horner_fixed(k_re, x, point), horner_fixed(k_im, x, point)
         pr, pi = one, 0
         for unit, er, ei in factors:
-            wr, wi = unit + (x * er >> point), x * ei >> point
-            size = isqrt(wr * wr + wi * wi)
-            if wr >= 0:
-                sr = isqrt((size + wr) << half)
-                si = (wi << half) // sr
-            else:
-                si = isqrt((size - wr) << half)
-                si = -si if wi < 0 else si
-                sr = (wi << half) // si
+            sr, si = _sqrt_fixed(unit + (x * er >> point), x * ei >> point, point)
             pr, pi = (pr * sr - pi * si) >> point, (pr * si + pi * sr) >> point
         if mode == "y_dx":
             s2 = sin * sin >> point
@@ -863,12 +829,44 @@ def _segment_sum(segment, angles):
     return total_re, total_im
 
 
+def _sqrt_fixed(wr: int, wi: int, point: int) -> tuple:
+    """The principal square root of wr + i wi, ints at `point` fractional
+    bits, as a pair of ints at that point (0 at 0): the isqrt of the
+    modulus gives the larger part, sqrt((|w| + |Re w|)/2), and the other
+    part is Im w divided by twice it, so nothing cancels."""
+    size, half = isqrt(wr * wr + wi * wi), point - 1
+    if not size:
+        return 0, 0
+    if wr >= 0:
+        sr = isqrt((size + wr) << half)
+        return sr, (wi << half) // sr
+    si = isqrt((size - wr) << half)
+    si = -si if wi < 0 else si
+    return (wi << half) // si, si
+
+
 def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, inside, outside,
                   w0, prec: int, what: str):
     """`loop_integral` on the ellipse, for mpc t, center and w0 = f(x0) + t,
-    mpf a and b, a raw mpc z (or None), and the roots inside and outside: with
-    theta = 2 phi it is 2 int_0^pi of the integrand dx/dtheta at the angle
-    theta (`_ellipse_node`).  Runs inside mp.workprec(prec + 52)."""
+    mpf a and b, a raw mpc z (or None), and the roots inside and outside:
+    with theta = 2 phi it is 2 int_0^pi of the integrand dx/dtheta at the
+    angle theta, in fixed point (`_ellipse_sum`).  Runs inside
+    mp.workprec(prec + 52).
+
+    As in `_fixed_oval`, inputs are scaled by powers of two known before
+    any node and floored to F fractional bits: x = 2^e u, 2^e >= |Re c| +
+    |Im c| + max(a, b), so |u| <= 1; f + t and k in u by 2^s_f (even) and
+    2^s_k >= the sums of their coefficients' absolute values
+    (`numerics.scaled_fixed`), and y^2 - z by 2^(s_f + q) >= 2^s_f + |Re z|
+    + |Im z|.  F = wp + 8 + bits(d) + d m, d = max(deg f, deg k, 1), where
+    2^-m <= min(a, b) |rho - 1| / 2^e, rho = |(Re c / a, Im c / b)|, bounds
+    |u| below on the contour (m at most ceil(wp/d)).  cos(theta) and
+    sin(theta) are within 2^8 units of 2^-F, and the d m extra bits keep
+    `horner_fixed`'s bound on f + t and k within 2^-(wp + 4) of Higham's
+    bound at x itself.  So to first order a node is within 2^-wp N E of
+    exact, N its size and E = 4 + 2 A/|f + t| (+ (A + |z|)/|y^2 - z| for
+    "cauchy"), A that Horner bound: E grows only where f + t or y^2 - z is
+    small, as for a node in any arithmetic at wp."""
     wp = prec + 52
     # the lift in units of a (`_lift`), and its factor C up to a positive
     # one: the direction of y at x0 over the lift there
@@ -876,24 +874,28 @@ def _ellipse_loop(f: RatPoly, k: RatPoly, t, center, a, b, mode, z, inside, outs
             [complex(a / (center - r)) for r in outside])
     s0 = mp.sqrt(w0)
     lift_c = complex(s0 / abs(s0)) / _lift(lift, 1, 0)
-    contour = (f, k, t._mpc_, center._mpc_, a._mpf_, b._mpf_, mode, z, lift, lift_c,
-               w0._mpc_, wp)
-    return _phi_trapezoid(lambda n, total: _ellipse_level(contour, n, total), wp, 2, prec,
-                          what)
-
-
-def _ellipse_level(contour, n: int, total):
-    """`_phi_trapezoid`'s level n on the ellipse (`_ellipse_node`), raw mpc
-    at the contour's wp: theta = 0 and 2 pi are one node, node(0, 1), and
-    each node is added to the doubled sum on its own, in the order of j."""
-    wp, rnd = contour[-1], round_nearest
-    if total is None:
-        total, js = mpc_shift(_ellipse_node(contour, 0, 1), 1), range(1, 8)
-    else:
-        js = range(1, n, 2)
-    for j in js:
-        total = mpc_add(total, mpc_shift(_ellipse_node(contour, j, n), 1), wp, rnd)
-    return total
+    contour = (*center._mpc_, a._mpf_, b._mpf_)
+    cr, ci, ar, br = (Fraction(*to_rational(v)) for v in contour)
+    e = bound_exponent(*(abs(cr) + abs(ci) + max(ar, br)).as_integer_ratio())
+    d = max(f.degree, k.degree, 1)
+    with mp.workprec(53):
+        low = min(a, b) * abs(mp.hypot(mp.re(center) / a, mp.im(center) / b) - 1)
+    m = min(max(e + 1 - mp.mag(low), 0) if low else wp, -(-wp // d))
+    point = wp + 8 + d.bit_length() + d * m
+    fs, f_im, s_f = scaled_fixed(f, e, point, tuple(map(mpf_neg, t._mpc_)))
+    if s_f % 2:
+        fs, f_im, s_f = [c << 1 for c in fs], f_im << 1, s_f - 1
+    ks, _, s_k = scaled_fixed(k, e, point)
+    q, zs = 0, (0, 0)
+    if mode == "cauchy":
+        q = bound_exponent(*(1 + sum(abs(Fraction(*to_rational(v))) for v in z)
+                             / Fraction(2) ** s_f).as_integer_ratio())
+        zs = tuple(mpf_fixed(v, point - s_f - q) for v in z)
+    ellipse = (point, tuple(mpf_fixed(v, point - e) for v in contour), fs, f_im, ks, mode,
+               zs, q, lift, lift_c, list(_ANGLES.get(point, ())))
+    power = {"y_dx": s_f // 2, "dx_over_2y": -s_f // 2 - 1, "dx_over_y3": -3 * s_f // 2,
+             "cauchy": -s_f // 2 - q}[mode] + s_k + e
+    return _phi_trapezoid(_ellipse_sum, ellipse, wp, 2, prec, what, point - power)
 
 
 def _lift(lift, cos: float, sin: float) -> complex:
@@ -912,36 +914,45 @@ def _lift(lift, cos: float, sin: float) -> complex:
     return val
 
 
-def _ellipse_node(contour, j, n):
-    """The loop's summand g(x, y) dx/dtheta at theta = 2 pi j/n, n a power of
-    two, as a raw mpc at wp: x = center + a cos(theta) + i b sin(theta), y =
-    +-sqrt(f(x) + t), the principal root at wp with the sign that makes
-    Re(y conj(C `_lift`)) >= 0 at 53 bits.  The node x0 (j = 0) reuses
-    w0 = f(x0) + t.  A summand that divides by zero is an error."""
-    f, k, t, center, a, b, mode, z, lift, lift_c, w0, wp = contour
-    rnd = round_nearest
-    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(j), 2 - n.bit_length()), wp, rnd)
-    x = mpc_add(center, (mpf_mul(a, cos, wp, rnd), mpf_mul(b, sin, wp, rnd)), wp, rnd)
-    tangent = (mpf_neg(mpf_mul(a, sin, wp, rnd)), mpf_mul(b, cos, wp, rnd))
-    w2 = w0 if j == 0 else mpc_add(eval_poly_raw(f, x, wp), t, wp, rnd)
-    y = mpc_sqrt(w2, wp, rnd)
-    guide = lift_c * _lift(lift, to_float(cos), to_float(sin))
-    if mpf_lt(mpf_add(mpf_mul(y[0], from_float(guide.real), 53),
-                      mpf_mul(y[1], from_float(guide.imag), 53), 53), fzero):
-        y = mpc_neg(y)
-    kx = eval_poly_raw(k, x, wp)
-    try:
-        if mode == "y_dx":
-            g = mpc_mul(kx, y, wp, rnd)
-        elif mode == "dx_over_2y":
-            g = mpc_div(kx, mpc_mul_int(y, 2, wp, rnd), wp, rnd)
+def _ellipse_sum(ellipse, angles):
+    """The sum of the loop's integrand g(x, y) dx/dtheta over `angles`,
+    (cos, sin) pairs of ints at phi, in fixed point (`_ellipse_loop`), as a
+    pair of ints: theta = 2 phi by the double-angle formulas, so phi = 0 and
+    pi are one node, x = c + a cos(theta) + i b sin(theta) = 2^e u, and y =
+    +-sqrt(f(x) + t), the principal root (`_sqrt_fixed`) with the sign that
+    makes Re(y conj(C `_lift`)) >= 0 in doubles.  A summand that divides by
+    zero is an error."""
+    point, (cr, ci, a, b), f, f_im, k, mode, (zr, zi), q, lift, lift_c, _ = ellipse
+    one = 1 << point
+    total_re = total_im = 0
+    for cos, sin in angles:
+        cos, sin = (cos * cos - sin * sin) >> point, cos * sin >> (point - 1)
+        u = cr + (a * cos >> point), ci + (b * sin >> point)
+        wr, wi = horner_fixed(f, u, point)
+        wi += f_im
+        yr, yi = _sqrt_fixed(wr, wi, point)
+        guide = lift_c * _lift(lift, cos / one, sin / one)
+        if yr / one * guide.real + yi / one * guide.imag < 0:
+            yr, yi = -yr, -yi
+        kr, ki = horner_fixed(k, u, point)
+        tr, ti = -(a * sin >> point), b * cos >> point       # dx/dtheta
+        nr, ni = (kr * tr - ki * ti) >> point, (kr * ti + ki * tr) >> point
+        if mode in ("y_dx", "cauchy"):
+            nr, ni = (nr * yr - ni * yi) >> point, (nr * yi + ni * yr) >> point
+        if mode == "dx_over_2y":
+            dr, di = yr, yi
         elif mode == "dx_over_y3":
-            g = mpc_div(kx, mpc_mul(y, w2, wp, rnd), wp, rnd)
-        else:   # cauchy
-            g = mpc_div(mpc_mul(kx, y, wp, rnd), mpc_sub(w2, z, wp, rnd), wp, rnd)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("the loop integrand has a pole on the contour")
-    return mpc_mul(g, tangent, wp, rnd)
+            dr, di = (yr * wr - yi * wi) >> point, (yr * wi + yi * wr) >> point
+        elif mode == "cauchy":
+            dr, di = (wr >> q) - zr, (wi >> q) - zi
+        else:       # y_dx: a division by 1, exact
+            dr, di = one, 0
+        norm = dr * dr + di * di
+        if not norm:
+            raise ZeroDivisionError("the loop integrand has a pole on the contour")
+        total_re += ((nr * dr + ni * di) << point) // norm
+        total_im += ((ni * dr - nr * di) << point) // norm
+    return total_re, total_im
 
 
 # ---------------------------------------------------------------------------
@@ -1015,16 +1026,16 @@ def check_exth(family: OvalFamily, k: RatPoly,
 
     A right factor of degree >= 2 divides deg f and, for a nonconstant K =
     K~(r), deg K, so gcd(deg f, deg K) < 2 is None before any decomposition.
-    Each candidate, largest degree first, is proved before it is sampled:
-    for r = x^2 with f and K even, `_symmetric_range_certificate` shows
-    x1(t) = -x2(t) at every level between the first and the last of the
-    `samples` levels (`OvalFamily.t_samples`), and the witness is exact with
-    max_deviation 0, the deviation every sample would give, with no sample
-    drawn.  Every other candidate is numeric evidence: |r(x1) - r(x2)| at
-    most 2^-(prec/2) max(1, |r(x1)|) at each of the `samples` levels, the
-    largest ratio being max_deviation, and not exact.  `samples` is the
-    count asked for, 1 to COUNT_LIMIT (else InputError before any root
-    finding), however many were drawn.
+    Each candidate, largest degree first, is proved before it is sampled,
+    and a proved witness is exact with max_deviation 0 and no sample drawn:
+    f(x1) = f(x2) = -t proves r of f's own degree, and for r = x^2 with f
+    and K even `_symmetric_range_certificate` shows x1(t) = -x2(t) at every
+    level between the first and the last of the `samples` levels
+    (`OvalFamily.t_samples`).  Every other candidate is numeric evidence:
+    |r(x1) - r(x2)| at most 2^-(prec/2) max(1, |r(x1)|) at each of the
+    `samples` levels, the largest ratio being max_deviation, and not exact.
+    `samples` is the count asked for, 1 to COUNT_LIMIT (else InputError
+    before any root finding), however many were drawn.
     """
     sample_count(samples)
     f = family.f
@@ -1043,7 +1054,8 @@ def check_exth(family: OvalFamily, k: RatPoly,
     with mp.workprec(prec + 32):
         ts = family.t_samples(samples, mp.prec)
         for r in candidates:
-            if _symmetric_range_certificate(f, big_k, r, family, ts[0], ts[-1]):
+            if r.degree == f.degree or _symmetric_range_certificate(f, big_k, r, family,
+                                                                    ts[0], ts[-1]):
                 return ExthWitness(r=r, exact=True, max_deviation=mp.mpf(0),
                                    samples=samples)
             worst = mp.mpf(0)

@@ -2,14 +2,13 @@
 
 Helpers take an explicit precision in bits, or use the caller's working
 precision (`min_pairwise_distance`), and never change mpmath's global
-state.  `eval_poly`, its raw core `eval_poly_raw` and
-`min_pairwise_distance` run on mpmath's raw libmp values and round exactly
-as the same code on mpf/mpc objects does.  Every root finding is
-`fiber_roots`: a double-precision start refined by `newton_fixed`, with
-`mpmath.polyroots` as its fallback.  Where the scale of every input is
+state.  `eval_poly` and `min_pairwise_distance` run on mpmath's raw libmp
+values and round exactly as the same code on mpf/mpc objects does.  Every
+root finding is `fiber_roots`: a double-precision start refined by
+`newton_fixed`, with `mpmath.polyroots` as its fallback.  Where the scale of every input is
 known before the arithmetic, the hot loops run on Python ints at a fixed
-binary point instead: `horner_fixed` is the one such evaluator, under the
-oval nodes of the hyperelliptic quadrature, the one Newton at working
+binary point instead: `horner_fixed` is the one such evaluator, under
+every node of the hyperelliptic quadrature, the one Newton at working
 precision (`newton_fixed`) and the oracle's sample values (`fiber_values`).
 """
 
@@ -52,11 +51,6 @@ def to_mpc(x, prec: int):
         return mp.mpc(x)
 
 
-def poly_mpc_coeffs(p: RatPoly, prec: int) -> list:
-    """Coefficients of p as mpc, highest power first (mpmath convention)."""
-    return [mp.make_mpc((c, fzero)) for c in _raw_coeffs(p, prec)]
-
-
 def _raw_coeffs(p: RatPoly, prec: int) -> tuple:
     """p's coefficients as raw mpf at `prec` bits, highest power first.
 
@@ -73,32 +67,25 @@ def _raw_coeffs(p: RatPoly, prec: int) -> tuple:
 
 
 def eval_poly(p: RatPoly, z, prec: int):
-    """Horner evaluation of an exact polynomial at an mpf or mpc.
+    """Horner evaluation of an exact polynomial at an mpf or mpc, on
+    mpmath's raw libmp values.
 
     Every product and sum is rounded to nearest at `prec` bits, exactly as
     the same Horner loop on mpf/mpc objects inside `mp.workprec(prec)`.
     The result type follows the argument: real stays real.
     """
+    coeffs, rnd = _raw_coeffs(p, prec), round_nearest
     if hasattr(z, "_mpc_"):
-        return mp.make_mpc(eval_poly_raw(p, z._mpc_, prec))
-    return mp.make_mpf(eval_poly_raw(p, z._mpf_, prec))
-
-
-def eval_poly_raw(p: RatPoly | tuple, z: tuple, prec: int) -> tuple:
-    """`eval_poly` on mpmath's raw libmp values: z is a raw mpf (a 4-tuple)
-    or a raw mpc (a pair of raw mpf), and the result is of the same kind.
-    p may also be a tuple of raw mpf coefficients, highest power first."""
-    coeffs = p if isinstance(p, tuple) else _raw_coeffs(p, prec)
-    rnd = round_nearest
-    if len(z) == 2:
+        z = z._mpc_
         acc = mpc_mul_int(z, 0, prec, rnd)
         for c in coeffs:
             acc = mpc_add_mpf(mpc_mul(acc, z, prec, rnd), c, prec, rnd)
-        return acc
+        return mp.make_mpc(acc)
+    z = z._mpf_
     acc = mpf_mul_int(z, 0, prec, rnd)
     for c in coeffs:
         acc = mpf_add(mpf_mul(acc, z, prec, rnd), c, prec, rnd)
-    return acc
+    return mp.make_mpf(acc)
 
 
 def roots_of(p: RatPoly, prec: int) -> list:
@@ -157,13 +144,13 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
     each root's own scale, into n distinct roots; a real p - z gives real
     roots and exact conjugates.  Where that fails on the sweep's roots,
     they are returned as they are.  A sweep that does not converge is a
-    ComputationError, except for a real z with a multiple root: the roots
-    of the exact squarefree factors of p - z (`ratpoly.squarefree_factors`)
-    then serve, each repeated by its multiplicity."""
+    ComputationError.  Once the double start fails, a real p - z with a
+    multiple root takes no sweep: the roots of its exact squarefree factors
+    (`ratpoly.squarefree_factors`) serve, each repeated by its multiplicity."""
     with mp.workprec(prec):
         z = to_mpc(z, prec)
         re, im = z._mpc_
-        coeffs = poly_mpc_coeffs(p, prec)
+        coeffs = [mp.make_mpc((c, fzero)) for c in _raw_coeffs(p, prec)]
         coeffs[-1] = mp.make_mpc((_fraction_mpf(p.coeffs[0] - Fraction(*to_rational(re)),
                                                 prec), mpf_neg(im)))
         monic = [c / coeffs[0] for c in coeffs[1:]]
@@ -174,20 +161,20 @@ def fiber_roots(p: RatPoly, z, prec: int) -> list:
                               else [complex(c) for c in scaled])
         rts = start and newton_fixed(p, z, [mp.mpc(u) * unit for u in start], prec - 32)
         if rts is None:
+            # a multiple root of a real p - z: the roots of its exact
+            # squarefree factors, each repeated by its multiplicity as
+            # distinct objects, which callers may tell apart by identity
+            factors = squarefree_factors(p - RatPoly.constant(
+                Fraction(*to_rational(re)))) if z.imag == 0 else []
+            if [m for m, _ in factors] not in ([], [1]):
+                return sorted((mp.make_mpc(x._mpc_) for m, s in factors
+                               for x in fiber_roots(s, 0, prec) for _ in range(m)),
+                              key=lambda r: (mp.re(r), mp.im(r)))
             try:
                 sweep = [mp.mpc(u) * unit for u in mpmath.polyroots(
                     [1] + scaled, maxsteps=max(200, 4 * prec), extraprec=prec)]
             except mpmath.libmp.NoConvergence as exc:
-                # a multiple root of a real p - z: the roots of its exact
-                # squarefree factors, each repeated by its multiplicity as
-                # distinct objects, which callers may tell apart by identity
-                factors = squarefree_factors(p - RatPoly.constant(
-                    Fraction(*to_rational(re)))) if z.imag == 0 else []
-                if [m for m, _ in factors] in ([], [1]):
-                    raise ComputationError(f"root finding did not converge: {exc}")
-                return sorted((mp.make_mpc(x._mpc_) for m, s in factors
-                               for x in fiber_roots(s, 0, prec) for _ in range(m)),
-                              key=lambda r: (mp.re(r), mp.im(r)))
+                raise ComputationError(f"root finding did not converge: {exc}")
             if z.imag == 0:
                 sweep = _conjugate_closed(sweep, [4 * abs(x.imag) < min(
                     (abs(x - y) for y in sweep if y is not x), default=mp.inf)
@@ -316,14 +303,14 @@ def _root_exponent(x: tuple) -> int | None:
     return m + math.frexp(math.hypot(*(to_float(mpf_shift(v, -m)) for v in x)))[1]
 
 
-def _mpf_fixed(v: tuple, shift: int) -> int:
+def mpf_fixed(v: tuple, shift: int) -> int:
     """floor(v 2^shift) for a raw mpf v."""
     sign, man, exp, _ = v
     man, exp = -man if sign else man, exp + shift
     return man << exp if exp >= 0 else man >> -exp
 
 
-def _scaled_fixed(p: RatPoly, e: int, point: int, z: tuple = (fzero, fzero)) -> tuple:
+def scaled_fixed(p: RatPoly, e: int, point: int, z: tuple = (fzero, fzero)) -> tuple:
     """p(2^e u) - z in u, for a raw mpc z, divided by a power of two 2^s >=
     the sum of its coefficients' absolute values (s = 0 when it is 0) and
     floored once to `point` fractional bits: (the real parts, highest power
@@ -364,7 +351,7 @@ def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
     |x0| < 2^e read off its start (`_root_exponent`; a start at 0 takes the
     fiber's largest e).  p(2^e u) - z is written exactly over the integers
     and floored once to F = wp + 8 + bits(n) + n fractional bits, with wp =
-    prec + 32 and n = deg p (`_scaled_fixed`).  By `horner_fixed`'s bound
+    prec + 32 and n = deg p (`scaled_fixed`).  By `horner_fixed`'s bound
     every value of p - z is then within 2^-(wp + 4) sum |a_i| |x|^i of
     exact, Higham's bound at x itself: the n extra bits cover |u| >= 1/2,
     which puts the bound at 2^e within 2^n of the bound at x.  Newton stops
@@ -388,7 +375,7 @@ def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
         twins = {i: index[re, mpf_neg(im)] for i, (re, im) in enumerate(raw)
                  if im[0] and (re, mpf_neg(im)) in index}
     # the least gap of the starts, squared, at the scale 2^top
-    at_top = [[_mpf_fixed(v, point - top) for v in x] for x in raw]
+    at_top = [[mpf_fixed(v, point - top) for v in x] for x in raw]
     gap = min(((a - c) ** 2 + (b - d) ** 2 for i, (a, b) in enumerate(at_top)
                for c, d in at_top[i + 1:]), default=None)
     reach = None if gap is None else math.floor(gap * MOVE_LIMIT ** 2)
@@ -398,9 +385,9 @@ def newton_fixed(p: RatPoly, z, starts: list, prec: int) -> list | None:
             continue
         e = top if e is None else e
         if e not in cache:
-            cache[e] = _scaled_fixed(p, e, point, z._mpc_)
+            cache[e] = scaled_fixed(p, e, point, z._mpc_)
         coeffs, imag, _ = cache[e]
-        r0, i0 = ur, ui = [_mpf_fixed(v, point - e) for v in x0]
+        r0, i0 = ur, ui = [mpf_fixed(v, point - e) for v in x0]
         for _ in range(64):
             (vr, vi), (dr, di) = horner_fixed(coeffs, (ur, ui), point, derivative=True)
             vi += imag
@@ -441,9 +428,9 @@ def fiber_values(q: RatPoly, fibers, prec: int) -> list:
         for x in fiber:
             e = _root_exponent(x._mpc_) or 0      # any scale serves a root at 0
             if e not in cache:
-                cache[e] = _scaled_fixed(q, e, point)
+                cache[e] = scaled_fixed(q, e, point)
             coeffs, _, s = cache[e]
-            u = tuple(_mpf_fixed(v, point - e) for v in x._mpc_)
+            u = tuple(mpf_fixed(v, point - e) for v in x._mpc_)
             row.append((*horner_fixed(coeffs, u, point), s - point))
         rows.append(row)
     return rows

@@ -1,14 +1,19 @@
 """Bit identity of the hyperelliptic quadrature.
 
 Every value below was written by the nested trapezoid quadrature to
-`golden/hyper_values.json`, to 2^-(prec + 8): oval integrands deflated in
-the angle phi, a "y_dx" or "dx_over_2y" loop around exactly two branch
-points collapsed onto their segment and deflated the same way, and every
-other loop on the ellipse, in theta = 2 phi from 8 nodes, with y's sign
-read off the closed-form lift at each node.  The values are at 128 and 192
-bits (the I' case on the quadratic also at 160 bits, the 0.775 circle at 64
-bits only), and each was checked against a reference at prec + 128 bits
-when it was written.  A value is stored as its raw libmp tuple(s), [sign, hex
+`golden/hyper_values.json`, to 2^-(prec + 8), on fixed-point integer
+kernels whose exact sums are read once: oval integrands deflated in the
+angle phi, a "y_dx" or "dx_over_2y" loop around exactly two branch points
+collapsed onto their segment and deflated the same way, and every other
+loop on the ellipse, in theta = 2 phi, with y's sign read off the
+closed-form lift at each node.  The values are at 128 and 192 bits (the I'
+case on the quadratic also at 160 bits, the 0.775 circle at 64 bits only),
+and each was checked against a reference at prec + 128 bits when it was
+written.  The ellipse loops and main4 moved to the integer kernel with
+every nonzero part unchanged; only parts whose exact value is 0 were
+rewritten, each within 2^-(prec + 34) (1 + |value|) of the value at twice
+the precision, and the main4 deviations they feed, each below
+2^-(prec + 24).  A value is stored as its raw libmp tuple(s), [sign, hex
 mantissa, exponent, bitcount], so the comparison covers every bit and
 whether the result is real or complex.
 

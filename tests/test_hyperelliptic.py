@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import importlib
 import math
@@ -486,37 +487,30 @@ def test_fixed_point_cos_sin_within_2_to_5_units():
             assert worst <= 32
 
 
-def test_nested_trapezoid_levels_and_node_limit(monkeypatch):
+def test_nested_trapezoid_levels_and_node_limit():
     # each level after the first adds only its odd nodes, each evaluated
-    # once: on an arc (the fixed-point kernels, read from the angle table)
-    # phi = 0 and pi come first, on a closed contour (the ellipse's mpc
-    # nodes) they are one node; a value that never settles ends in an error
-    # after the level of 2^16 intervals
-    from mpmath.libmp import from_int
+    # once, read from the angle table with phi = 0 and pi first, whether
+    # the kernel sums ints (an arc) or pairs of ints (the closed ellipse,
+    # where phi = 0 and pi are one node of theta = 2 phi); a value that
+    # never settles ends in an error after the level of 2^16 intervals
     import abelint.hyperelliptic as hyp
     point = 24
-    levels = [(j, 8) for j in range(1, 8)] + [
+    nodes = [(0, 1), (1, 1)] + [(j, 8) for j in range(1, 8)] + [
         (j, 16 << i) for i in range(13) for j in range(1, 16 << i, 2)]
-    for closed, ends in ((False, [(0, 1), (1, 1)]), (True, [(0, 1)])):
+    expected = [hyp._cos_sin_pi(j, n, point) for j, n in nodes]
+    for closed in (False, True):
         seen = []
-        if closed:
-            def node(contour, j, n):
-                seen.append((j, n))
-                return from_int(n), from_int(0)     # the level values grow without end
-            monkeypatch.setattr(hyp, "_ellipse_node", node)
-            level, expected = (lambda n, total: hyp._ellipse_level((64,), n, total)), ends + levels
-        else:
-            def kernel(fixed, angles):
-                seen.extend(angles)
-                return len(angles) ** 2 << point
-            fixed = (point, [])     # the binary point and its angle levels
-            level = lambda n, total: hyp._table_level(kernel, fixed, n, total)
-            expected = [hyp._cos_sin_pi(j, n, point) for j, n in ends + levels]
+
+        def kernel(fixed, angles):
+            seen.extend(angles)
+            value = len(angles) ** 2 << point      # the level values grow without end
+            return (value, -value) if closed else value
+        fixed = (point, [])     # the binary point and its angle levels
         with mp.workprec(64), pytest.raises(
                 ComputationError, match=r"^loop at t = 1 needs more than 2\^16 nodes$"):
-            hyp._phi_trapezoid(level, 64, 1, 16, "loop at t = 1",
-                               point=None if closed else point)
+            hyp._phi_trapezoid(kernel, fixed, 64, 1, 16, "loop at t = 1", point)
         assert seen == expected
+        assert point not in hyp._ANGLES     # an unsettled quadrature keeps no level
 
 
 def test_oval_endpoints_that_do_not_divide_f_plus_t(monkeypatch):
@@ -845,55 +839,64 @@ def test_loop_around_one_branch_point_does_not_close(config):
         loop_integral(QUARTIC_F, X, "-0.5", "1.85", "0.3", config=config)
 
 
-def _f_evaluations(monkeypatch, radius, prec, mode):
-    """How many times loop_integral evaluates f on the circle of `radius`
-    around 0, for f = QUARTIC_F at t = -1/2 and k = 1."""
+def _loop_nodes(monkeypatch, radius, prec, mode):
+    """How many times loop_integral evaluates f in mp, and how many angles
+    the ellipse kernel takes, on the circle of `radius` around 0, for f =
+    QUARTIC_F at t = -1/2 and k = 1."""
     import abelint.hyperelliptic as hyp
-    calls = []
-    for name in ("eval_poly", "eval_poly_raw"):
-        def counting(p, z, wp, evaluate=getattr(hyp, name)):
-            if p is QUARTIC_F:
-                calls.append(z)
-            return evaluate(p, z, wp)
-        monkeypatch.setattr(hyp, name, counting)
+    calls, angles = [], []
+    evaluate, ellipse_sum = hyp.eval_poly, hyp._ellipse_sum
+
+    def counting(p, z, wp):
+        if p is QUARTIC_F:
+            calls.append(z)
+        return evaluate(p, z, wp)
+
+    def spy(ellipse, level):
+        angles.extend(level)
+        return ellipse_sum(ellipse, level)
+    monkeypatch.setattr(hyp, "eval_poly", counting)
+    monkeypatch.setattr(hyp, "_ellipse_sum", spy)
     loop_integral(QUARTIC_F, RatPoly.one(), "-0.5", 0, radius, mode=mode,
                   config=Config(precision_bits=prec))
-    return len(calls)
+    return len(calls), len(angles)
 
 
-@pytest.mark.parametrize("radius, prec, evaluations", [
+@pytest.mark.parametrize("radius, prec, nodes", [
     # four branch points inside, far from the circle: y is analytic outside
-    # them, so the levels of 8 and 16 nodes already agree
-    ("4", 128, 16),
+    # them, so the levels of 8 and 16 intervals already agree
+    ("4", 128, 17),
     # no branch point inside (0.765 lies 0.003 outside, within the contour's
     # margin, so the loop stays on the ellipse), and y is even on the
-    # circle: the levels of 8 and 16 nodes both sum to about 0
-    ("0.762", 128, 16),
+    # circle: the levels of 8 and 16 intervals both sum to about 0
+    ("0.762", 128, 17),
 ], ids=["four-inside", "none-inside"])
-def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
-    # the trapezoid levels are nested, so f is evaluated once per node of
-    # the last level: the start node x0, where the lift is fixed before any
-    # quadrature, is node 0 (evaluating every level afresh costs 8 more)
-    assert _f_evaluations(monkeypatch, radius, prec, "y_dx") == evaluations
+def test_loop_integral_evaluates_each_node_once(monkeypatch, radius, prec, nodes):
+    # the trapezoid levels are nested, so the kernel takes each angle of
+    # the last level once, phi = 0 and pi included (the one node theta =
+    # 0), and f is evaluated in mp only at the start node x0, where the
+    # lift is fixed before any quadrature
+    assert _loop_nodes(monkeypatch, radius, prec, "y_dx") == (1, nodes)
 
 
-@pytest.mark.parametrize("radius, prec, evaluations", [
-    ("0.85", 128, 2048),    # 1024 and 2048 agree
-    ("0.775", 64, 16384),   # 0.01 from the branch points: 8192 and 16384 agree
+@pytest.mark.parametrize("radius, prec, nodes", [
+    ("0.85", 128, 2049),    # 1024 and 2048 intervals agree
+    ("0.775", 64, 16385),   # 0.01 from the branch points: 8192 and 16384 agree
 ], ids=["circle-0.85", "circle-0.775"])
-def test_dx_over_y3_loop_evaluates_each_node_once(monkeypatch, radius, prec, evaluations):
+def test_dx_over_y3_loop_evaluates_each_node_once(monkeypatch, radius, prec, nodes):
     # k/y^3 is not integrable on the segment, so these circles around the
     # two branch points +-0.765 stay on the ellipse, where each level halves
     # the node spacing until two levels agree to 2^-(prec + 8)
-    assert _f_evaluations(monkeypatch, radius, prec, "dx_over_y3") == evaluations
+    assert _loop_nodes(monkeypatch, radius, prec, "dx_over_y3") == (1, nodes)
 
 
 @pytest.mark.parametrize("radius, prec", [("0.85", 128), ("0.775", 64)])
 @pytest.mark.parametrize("mode", ["y_dx", "dx_over_2y"])
 def test_two_point_loop_runs_on_the_segment(monkeypatch, radius, prec, mode):
     # the same circles in these modes collapse onto [-0.765, 0.765]: f is
-    # evaluated once, at the node x0 = radius that fixes the lift's sign
-    assert _f_evaluations(monkeypatch, radius, prec, mode) == 1
+    # evaluated once, at the node x0 = radius that fixes the lift's sign,
+    # and the ellipse kernel never runs
+    assert _loop_nodes(monkeypatch, radius, prec, mode) == (1, 0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -1050,6 +1053,108 @@ def test_segment_kernel_matches_mpmath_at_twice_the_precision(case):
         size = 2 * mp.quad(lambda phi: abs(node(phi)), [0, mp.pi])
         assert abs(value - ref) <= mp.mpf(2) ** -(prec + 24) * max(1, size)
 
+
+# an axis-parallel ellipse around an even number of roots of f + t (deg f
+# 2 to 5), some of them within the contour's margin, every mode, a complex
+# t and z; the precision
+ELLIPSE_LOOPS = st.tuples(
+    st.lists(QUARTERS, min_size=3, max_size=6), EIGHTHS, EIGHTHS, EIGHTHS, EIGHTHS,
+    st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.sampled_from(["y_dx", "dx_over_2y", "dx_over_y3", "cauchy"]),
+    st.lists(QUARTERS, min_size=1, max_size=3),
+    st.sampled_from([complex(-1, 0.5), complex(0.25, 0.125), complex(2, -1.5)]),
+    st.sampled_from([64, 128]))
+
+
+def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0):
+    """`_ellipse_loop`'s integral over theta in [0, 2 pi] by mp.quad at the
+    working precision, and a midpoint sum of its |integrand| at 53 bits: y
+    = +-sqrt(f + t) with the sign of the closed-form lift
+    (`loop_integral`'s docstring) at the same roots, in doubles, and the
+    interval split into pieces that shrink geometrically towards the theta
+    nearest each root and pole within a quarter of the contour's size."""
+    c, a_f, b_f = complex(center), float(a), float(b)
+    q = [((r - c).real / a_f) ** 2 + ((r - c).imag / b_f) ** 2 for r in map(complex, roots)]
+    j = sum(v < 1 for v in q) // 2
+
+    def lift(x):
+        val = (x - c) ** j
+        for r, v in zip(map(complex, roots), q):
+            val *= cmath.sqrt(1 - (r - c) / (x - c)) if v < 1 else cmath.sqrt((x - r) / (c - r))
+        return val
+    scale = complex(mp.sqrt(eval_poly(f, x0, mp.prec) + t)) / lift(complex(x0))
+
+    def node(theta):
+        x = center + a * mp.cos(theta) + 1j * b * mp.sin(theta)
+        w = eval_poly(f, x, mp.prec) + t
+        y = mp.sqrt(w)
+        guide = scale * lift(complex(x))
+        y = -y if y.real * guide.real + y.imag * guide.imag < 0 else y
+        kx = eval_poly(k, x, mp.prec) * (-a * mp.sin(theta) + 1j * b * mp.cos(theta))
+        return {"y_dx": kx * y, "dx_over_2y": kx / (2 * y), "dx_over_y3": kx / (y * w),
+                "cauchy": kx * y / (w - z)}[mode]
+    points = set()
+    poles = roots_of_shifted(f, z - t, mp.prec) if mode == "cauchy" else []
+    for s in map(complex, list(roots) + poles):
+        dist, theta = min((abs(c + a_f * math.cos(g) + 1j * b_f * math.sin(g) - s), g)
+                          for g in (math.pi * i / 512 for i in range(1024)))
+        step = dist / max(a_f, b_f)
+        while step < 0.25:
+            points |= {(theta - step) % (2 * math.pi), (theta + step) % (2 * math.pi)}
+            step *= 2
+    points = [mp.mpf(0)] + sorted(map(mp.mpf, points - {0.0})) + [2 * mp.pi]
+    value = mp.quad(node, points)
+    with mp.workprec(53):
+        grid = sorted(points + [mp.pi * i / 16 for i in range(1, 32)])
+        size = sum(abs(node((lo + hi) / 2)) * (hi - lo) for lo, hi in zip(grid, grid[1:]))
+    return value, size
+
+
+@settings(max_examples=8, deadline=None)
+@given(ELLIPSE_LOOPS)
+# y = sqrt(x^2 - 1) around both roots, whose principal root jumps twice
+@example(([Fraction(-1), 0, Fraction(1)], 0, 0, 0, 0, Fraction(3, 2), Fraction(1, 2), "y_dx",
+          [Fraction(1)], complex(-1, 0.5), 64))
+# the branch points +-0.765 of QUARTIC_F - 1/2 lie 0.0065 of the radius
+# inside the circle, within the contour's margin
+@example(([Fraction(1), 0, Fraction(-1), 0, Fraction(1, 4)], 0, 0, Fraction(-1, 2), 0,
+          Fraction(77, 100), Fraction(77, 100), "dx_over_2y", [Fraction(1), 0, Fraction(1)],
+          complex(-1, 0.5), 64))
+def test_ellipse_kernel_matches_mpmath_at_twice_the_precision(case):
+    # the fixed-point ellipse kernel and its trapezoid against mpmath's
+    # quadrature of the same theta-integral at twice the working
+    # precision, from the same roots: within 2^-(prec + 24) of the
+    # integral of |integrand|, or of 1 where that is smaller.  A root
+    # within the contour's margin slows the levels, so it is drawn only
+    # at 64 bits
+    import abelint.hyperelliptic as hyp
+    coeffs, cr, ci, tr, ti, a, b, mode, k_coeffs, z, prec = case
+    assume(coeffs[-1] != 0)
+    f, k, wp = RatPoly(coeffs), RatPoly(k_coeffs), prec + 52
+    with mp.workprec(wp):
+        t, center, a, b = (mp.mpc(*(mp.mpf(v.numerator) / v.denominator for v in pair))
+                           for pair in ((tr, ti), (cr, ci), (a, 0), (b, 0)))
+        a, b = a.real, b.real
+        roots = roots_of_shifted(f, -t, wp)
+        norm = [mp.sqrt((mp.re(r - center) / a) ** 2 + (mp.im(r - center) / b) ** 2)
+                for r in roots]
+        inside = [r for r, q in zip(roots, norm) if q < 1]
+        assume(len(inside) % 2 == 0)
+        assume(min(abs(q - 1) for q in norm) >= (2 ** -7.5 if prec == 64 else 2 ** -4))
+        z = mp.mpc(z)
+        if mode == "cauchy":
+            assume(all(abs(mp.sqrt((mp.re(p - center) / a) ** 2
+                                   + (mp.im(p - center) / b) ** 2) - 1) >= 2 ** -4
+                       for p in roots_of_shifted(f, z - t, wp)))
+        x0 = center + a
+        w0 = eval_poly(f, x0, wp) + t
+        value = hyp._ellipse_loop(f, k, t, center, a, b, mode, z._mpc_, inside,
+                                  [r for r in roots if all(r is not x for x in inside)],
+                                  w0, prec, "loop")
+    with mp.workprec(2 * wp):
+        ref, size = _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0)
+        assert abs(value - ref) <= mp.mpf(2) ** -(prec + 24) * max(1, size)
 
 @pytest.mark.parametrize("prec", [128, 192])
 @pytest.mark.parametrize("family, k, t, center, radius", [
@@ -1355,13 +1460,19 @@ def test_exth_degree_filter_skips_decomposition(monkeypatch, config):
     assert calls == [QUARTIC_F]
 
 
-def test_exth_zero_k_keeps_every_right_factor(config):
+def test_exth_zero_k_keeps_every_right_factor(config, monkeypatch):
     # k = 0 gives the constant K = 0, which lies in C[r] for every right
     # factor r of f, so the degree filter passes it on: the largest, f
-    # itself made monic, is sampled first and holds
+    # itself made monic, comes first, and f(x1) = f(x2) = -t at every
+    # level proves it without a sample
+    import abelint.hyperelliptic as hyp
+
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(hyp, "oval_endpoints", no_sample)
     witness = check_exth(CENTRAL, RatPoly.zero(), config)
     assert witness.r == QUARTIC_F.normalized() == X ** 4 - 4 * X ** 2
-    assert not witness.exact and witness.max_deviation == 0
+    assert witness.exact and witness.max_deviation == 0 and witness.samples == 24
 
 
 def _critical_levels(f):

@@ -5,7 +5,8 @@ these properties check that they round exactly as the same computations on
 mpf/mpc objects do, and one golden file pins the bits of a tracked fiber.
 `fiber_roots` is checked against `mpmath.polyroots` at twice the precision,
 and for a real p - z to give real roots and exact conjugates, as is the
-closed form of `roots_of_shifted` for quadratics; the
+closed form of `roots_of_shifted` for quadratics, and a multiple root is
+taken from exact squarefree factors with no sweep; the
 fixed-point Newton and sample values (`newton_fixed`, `fiber_values`) are
 checked against mpmath at twice their working precision.
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import mpmath
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_neg
@@ -233,6 +235,28 @@ def test_polyroots_fallback_at_extreme_scales(lower, lead, z, s, prec):
         got = fiber_roots(q, z, prec)
     _assert_conjugate_closed(got)
     _assert_polyroots_roots(got, p, z, s, prec)
+
+
+_X = RatPoly.x()
+
+
+@pytest.mark.parametrize("p, roots", [
+    (-3 * _X * (_X - Fraction(1, 4)) * (_X - 3) ** 3, [0, 0.25, 3, 3, 3]),
+    (_X ** 2 * (_X ** 2 / 4 + 1), [-2j, 0, 0, 2j]),
+    ((_X - 1) ** 2 * (_X + 2), [-2, 1, 1]),
+], ids=["triple", "double-at-0", "double"])
+def test_multiple_roots_skip_the_polyroots_sweep(p, roots):
+    """A real fiber with a multiple root has no double start, and
+    `fiber_roots` takes the roots of its exact squarefree factors, each
+    repeated by its multiplicity as distinct objects, before any
+    `mpmath.polyroots` sweep: the sweep of the triple root ran its whole
+    step budget at 4 x prec before it failed."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polyroots swept the fiber")
+    for prec in (116, 256):
+        with patch.object(mpmath, "polyroots", forbidden):
+            got = fiber_roots(p, 0, prec)
+        assert got == roots and len(set(map(id, got))) == len(roots)
 
 
 @settings(max_examples=60, deadline=None)
