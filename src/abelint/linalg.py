@@ -1,16 +1,23 @@
 """Small exact linear algebra over the rationals, on one elimination routine.
 
-`echelon` is fraction-free Gauss-Jordan elimination (Bareiss) on integer
-rows, each row's content divided out after every update.  Its result, an
-integer echelon, has primitive rows, each positive at its pivot and zero at
-every other pivot column, so a span has exactly one.  Dividing each row by
-its pivot entry gives the canonical reduced row echelon form.  The exact
-side keeps its spans as integer echelons (`echelon`, `kernel_echelon`,
-`in_echelon`) until they are output, through
-`integer_rows` in and `to_fractions` out.  `rref`, `nullspace` and
-`in_span` wrap those routines for rows of ints, Fractions or anything
-`Fraction` accepts, and check the rows' shape.  Pivoting is first-nonzero,
-so results are deterministic.
+`echelon` is fraction-free elimination on integer rows, each row's content
+divided out after every update.  Its result, an integer echelon, has
+primitive rows, each positive at its pivot and zero at every other pivot
+column, so a span has exactly one.  Dividing each row by its pivot entry
+gives the canonical reduced row echelon form.  The exact side keeps its
+spans as integer echelons (`echelon`, `kernel_echelon`, `in_echelon`) until
+they are output, through `integer_rows` in and `to_fractions` out.  `rref`,
+`nullspace` and `in_span` wrap those routines for rows of ints, Fractions
+or anything `Fraction` accepts, and check the rows' shape.
+
+`echelon` runs one forward pass, which clears the rows below each pivot,
+and then one back substitution from the last pivot upward.  Its pivot row
+is the first with a nonzero entry in the column, unless that entry is wider
+than `_NARROW_BITS` bits: then it is the candidate row with the fewest bits
+in all, which keeps the intermediate integers small, while the many small
+matrices pay no more than one `bit_length` per pivot.  The choice cannot
+change the result: the span fixes the pivot columns, and with them its one
+integer echelon.
 
 `kernel_echelon` first tries to prove the kernel zero with one elimination
 modulo the prime p = 2^61 - 1 (`_full_rank_mod_p`), when there are at least
@@ -32,6 +39,7 @@ Matrix = list[Row]
 IntRow = list[int]
 _ZERO = Fraction(0)
 _PRIME = 2 ** 61 - 1
+_NARROW_BITS = 16
 
 
 def _width(rows, ncols: int | None = None) -> int:
@@ -61,25 +69,41 @@ def integer_rows(rows: Matrix) -> list[IntRow]:
 
 def echelon(rows: list[IntRow]) -> tuple[list[IntRow], list[int]]:
     """The integer echelon of the span of integer rows, and its pivot
-    columns.  The rows given are not changed."""
+    columns, by a forward pass on the narrowest pivot row and one back
+    substitution; every row is primitive after every update.  The rows
+    given are not changed.  The two updates are written out, not shared:
+    most calls are a few narrow rows, where a call per pivot would cost
+    more than the arithmetic."""
     m = [_primitive(row) for row in rows]
+    n = len(m)
     pivots: list[int] = []
-    r = 0
     for c in range(len(m[0]) if m else 0):
-        if r == len(m):
+        r = len(pivots)
+        if r == n:
             break
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
+        below = [i for i in range(r, n) if m[i][c]]
+        if not below:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        p = below[0]
+        if m[p][c].bit_length() > _NARROW_BITS:
+            p = min(below, key=lambda i: sum(map(int.bit_length, m[i])))
+        m[r], m[p] = m[p], m[r]
         prow = m[r]
         pv = prow[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                m[i] = _primitive([pv * a - f * b for a, b in zip(row, prow)])
+        for i in below:
+            if i != p:
+                i = p if i == r else i      # the swap moved row r to p
+                f = m[i][c]
+                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
-        r += 1
+    for r in range(len(pivots) - 1, 0, -1):
+        prow = m[r]
+        c = pivots[r]
+        pv = prow[c]
+        for i in range(r):
+            f = m[i][c]
+            if f:
+                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
     return ([row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)],
             pivots)
 

@@ -10,6 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp
 
 from abelint import linalg
@@ -1067,13 +1068,46 @@ ELLIPSE_LOOPS = st.tuples(
     st.sampled_from([64, 128]))
 
 
-def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0):
-    """`_ellipse_loop`'s integral over theta in [0, 2 pi] by mp.quad at the
-    working precision, and a midpoint sum of its |integrand| at 53 bits: y
-    = +-sqrt(f + t) with the sign of the closed-form lift
-    (`loop_integral`'s docstring) at the same roots, in doubles, and the
-    interval split into pieces that shrink geometrically towards the theta
-    nearest each root and pole within a quarter of the contour's size."""
+_GAUSS_LEGENDRE = {}
+
+
+def _gauss_legendre(f, lo, hi, degree):
+    """mpmath's Gauss-Legendre rule of 3 * 2^(degree - 1) nodes for the
+    integral of f over [lo, hi], its nodes cached per working precision."""
+    key = (degree, mp.prec)
+    if key not in _GAUSS_LEGENDRE:
+        _GAUSS_LEGENDRE[key] = GaussLegendre(mp).calc_nodes(degree, mp.prec)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    return half * mp.fsum(w * f(mid + half * x) for x, w in _GAUSS_LEGENDRE[key])
+
+
+def _adaptive_gauss_legendre(f, points, tol):
+    """The integral of f over [points[0], points[-1]]: on each piece between
+    consecutive points, the 96-node rule once it agrees with the 48-node
+    rule within tol times the piece's share of the whole interval, the
+    piece bisected until it does."""
+    span, total = points[-1] - points[0], 0
+    pieces = list(zip(points, points[1:]))
+    while pieces:
+        lo, hi = pieces.pop()
+        assert hi - lo > span * 2 ** -40, "the reference quadrature does not settle"
+        coarse, fine = _gauss_legendre(f, lo, hi, 5), _gauss_legendre(f, lo, hi, 6)
+        if abs(fine - coarse) <= tol * (hi - lo) / span:
+            total += fine
+        else:
+            pieces += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+    return total
+
+
+def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0, prec):
+    """`_ellipse_loop`'s integral over theta in [0, 2 pi] by adaptive
+    Gauss-Legendre at the working precision, to within 2^-(prec + 52) of
+    the integral of |integrand| (or of 1 where that is smaller), and that
+    integral as a midpoint sum at 53 bits: y = +-sqrt(f + t) with the sign
+    of the closed-form lift (`loop_integral`'s docstring) at the same
+    roots, in doubles, and the interval split into pieces that shrink
+    geometrically towards the theta nearest each root and pole within a
+    quarter of the contour's size."""
     c, a_f, b_f = complex(center), float(a), float(b)
     q = [((r - c).real / a_f) ** 2 + ((r - c).imag / b_f) ** 2 for r in map(complex, roots)]
     j = sum(v < 1 for v in q) // 2
@@ -1086,12 +1120,13 @@ def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0):
     scale = complex(mp.sqrt(eval_poly(f, x0, mp.prec) + t)) / lift(complex(x0))
 
     def node(theta):
-        x = center + a * mp.cos(theta) + 1j * b * mp.sin(theta)
+        cos, sin = mp.cos_sin(theta)
+        x = center + a * cos + 1j * b * sin
         w = eval_poly(f, x, mp.prec) + t
         y = mp.sqrt(w)
         guide = scale * lift(complex(x))
         y = -y if y.real * guide.real + y.imag * guide.imag < 0 else y
-        kx = eval_poly(k, x, mp.prec) * (-a * mp.sin(theta) + 1j * b * mp.cos(theta))
+        kx = eval_poly(k, x, mp.prec) * (-a * sin + 1j * b * cos)
         return {"y_dx": kx * y, "dx_over_2y": kx / (2 * y), "dx_over_y3": kx / (y * w),
                 "cauchy": kx * y / (w - z)}[mode]
     points = set()
@@ -1104,10 +1139,10 @@ def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0):
             points |= {(theta - step) % (2 * math.pi), (theta + step) % (2 * math.pi)}
             step *= 2
     points = [mp.mpf(0)] + sorted(map(mp.mpf, points - {0.0})) + [2 * mp.pi]
-    value = mp.quad(node, points)
     with mp.workprec(53):
         grid = sorted(points + [mp.pi * i / 16 for i in range(1, 32)])
         size = sum(abs(node((lo + hi) / 2)) * (hi - lo) for lo, hi in zip(grid, grid[1:]))
+    value = _adaptive_gauss_legendre(node, points, mp.mpf(2) ** -(prec + 52) * max(1, size))
     return value, size
 
 
@@ -1123,7 +1158,7 @@ def _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0):
           complex(-1, 0.5), 64))
 def test_ellipse_kernel_matches_mpmath_at_twice_the_precision(case):
     # the fixed-point ellipse kernel and its trapezoid against mpmath's
-    # quadrature of the same theta-integral at twice the working
+    # Gauss-Legendre rule on the same theta-integral at twice the working
     # precision, from the same roots: within 2^-(prec + 24) of the
     # integral of |integrand|, or of 1 where that is smaller.  A root
     # within the contour's margin slows the levels, so it is drawn only
@@ -1153,7 +1188,8 @@ def test_ellipse_kernel_matches_mpmath_at_twice_the_precision(case):
                                   [r for r in roots if all(r is not x for x in inside)],
                                   w0, prec, "loop")
     with mp.workprec(2 * wp):
-        ref, size = _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0)
+        ref, size = _ellipse_reference(f, k, t, center, a, b, mode, z, roots, x0,
+                                       prec)
         assert abs(value - ref) <= mp.mpf(2) ** -(prec + 24) * max(1, size)
 
 @pytest.mark.parametrize("prec", [128, 192])

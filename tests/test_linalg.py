@@ -15,7 +15,7 @@ from abelint.monodromy import divisor_lattice, monodromy
 from abelint.ratpoly import RatPoly, compose
 from abelint.solver import z_delta_basis
 
-from conftest import wide_fractions
+from conftest import wide, wide_fractions
 
 
 def F(x):
@@ -186,6 +186,41 @@ def test_kernel_is_the_reduced_nullspace(data):
     assert got == rref(nullspace(m, ncols))[0]
     assert all_fractions(got)
     assert got == reference_rref(reference_nullspace(m, ncols))[0]
+
+
+@st.composite
+def wide_integer_matrices(draw):
+    """(rows, ncols): 6 to 14 integer rows of 2 to 10 columns whose entries
+    are small or 40 to 110 bits wide, so most columns have several
+    candidate pivot rows, often the first of them wide; in half the draws
+    every row is a combination of fewer rows than columns (rank
+    deficient); one zero, one duplicate and one rescaled row are mixed in."""
+    ncols = draw(st.integers(2, 10))
+    ints = st.one_of(st.integers(-9, 9), wide(40, 110))
+    rows = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                         min_size=3, max_size=11))
+    if draw(st.booleans()):
+        base = rows[:draw(st.integers(1, ncols - 1))]
+        weights = st.lists(st.one_of(st.integers(-3, 3), wide(40, 60)),
+                           min_size=len(base), max_size=len(base))
+        rows = [[sum(w * row[k] for w, row in zip(ws, base)) for k in range(ncols)]
+                for ws in draw(st.lists(weights, min_size=len(rows), max_size=len(rows)))]
+    for scale in (0, 1, draw(wide(1, 60))):     # zero, duplicate, rescaled
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in src])
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_integer_matrices())
+def test_wide_elimination_matches_fraction_gauss_jordan(matrix):
+    # wide entries make echelon choose its pivot rows by size, which must
+    # not change the echelon, its pivots or the kernel
+    rows, ncols = matrix
+    reduced, pivots = echelon(rows)
+    assert (to_fractions(reduced, pivots), pivots) == reference_rref(rows)
+    assert to_fractions(*kernel_echelon(rows, ncols)) == \
+        reference_rref(reference_nullspace(rows, ncols))[0]
 
 
 def reference_in_span(basis, v):

@@ -519,16 +519,32 @@ def test_exact_bases_golden(config):
     golden = json.loads((GOLDEN / "exact_bases.json").read_text())
     bound = golden["degree_bound"]
     for entry in golden["polynomials"]:
-        p = RatPoly(entry["p"])
-        rep = monodromy(p, config)
-        lattice = divisor_lattice(rep, p)
-        assert sorted(lattice.members) == entry["members"], entry["name"]
-        v = CycleVector(p.degree, entry["cycle"])
-        got = z_delta_basis(p, v, bound, config, rep, lattice)
-        assert _basis_json(got) == entry["z_delta"], entry["name"]
+        p, lattice = _check_z_delta_golden(entry, bound, config)
         for d in entry["members"]:
             assert _basis_json(z_ud_basis(p, d, lattice, bound)) == entry["z_ud"][str(d)]
             assert _basis_json(z_vd_basis(p, d, lattice, bound)) == entry["z_vd"][str(d)]
+
+
+def test_exact_bases_wide_golden(config):
+    """Bases and provenance of z_delta at bound 40 on the tower and on T6 at
+    cycles whose condition stacks are 35 x 41 with 104-bit entries and 27 x
+    41 with 173-bit entries, as the first-nonzero pivoting wrote them."""
+    golden = json.loads((GOLDEN / "exact_bases_wide.json").read_text())
+    for entry in golden["polynomials"]:
+        _check_z_delta_golden(entry, golden["degree_bound"], config)
+
+
+def _check_z_delta_golden(entry, bound, config):
+    """Checks a golden entry's lattice members and z_delta basis; returns P
+    and its lattice."""
+    p = RatPoly(entry["p"])
+    rep = monodromy(p, config)
+    lattice = divisor_lattice(rep, p)
+    assert sorted(lattice.members) == entry["members"], entry["name"]
+    v = CycleVector(p.degree, entry["cycle"])
+    got = z_delta_basis(p, v, bound, config, rep, lattice)
+    assert _basis_json(got) == entry["z_delta"], entry["name"]
+    return p, lattice
 
 
 # ---------------------------------------------------------------------------
